@@ -1,6 +1,7 @@
 package spanners
 
-// Benchmarks, one per experiment of EXPERIMENTS.md. The E-series
+// Benchmarks, one per paper experiment (for the serving path and its
+// per-layer ledger see bench/README.md instead). The E-series
 // reproduces the split-then-distribute speedups of the paper's Section 1
 // (compare the Sequential and Split sub-benchmarks of each experiment);
 // the T-series measures the decision procedures. Corpus sizes are kept

@@ -72,14 +72,18 @@ func planSection(plan *engine.Plan, hit bool) planResponse {
 	}
 }
 
+// tuplesJSON renders a relation's rows, all carved from one flat backing
+// array: two allocations per response, not one per tuple.
 func tuplesJSON(rel *span.Relation) [][]jsonSpan {
-	out := make([][]jsonSpan, 0, rel.Len())
-	for _, t := range rel.Tuples {
-		row := make([]jsonSpan, len(t))
-		for i, s := range t {
-			row[i] = jsonSpan{s.Start, s.End}
+	out := make([][]jsonSpan, len(rel.Tuples))
+	flat := make([]jsonSpan, len(rel.Tuples)*len(rel.Vars))
+	for i, t := range rel.Tuples {
+		row := flat[:len(t):len(t)]
+		flat = flat[len(t):]
+		for j, s := range t {
+			row[j] = jsonSpan{s.Start, s.End}
 		}
-		out = append(out, row)
+		out[i] = row
 	}
 	return out
 }

@@ -1,4 +1,5 @@
-// Command splitbench regenerates the experiments of EXPERIMENTS.md: the
+// Command splitbench regenerates the library-level experiments (the
+// serving path and its per-layer ledger are bench/README.md's): the
 // split-then-distribute speedups of the paper's Section 1 (E1–E5), the
 // complexity-shape measurements for the decision procedures (T1–T8),
 // the evaluation-core throughput snapshot (EVAL) that tracks the hot

@@ -56,8 +56,10 @@ type Config struct {
 	// cores. Results never depend on it.
 	RequestWorkers int
 	// Batch is the number of segments grouped into one dispatched task —
-	// the executor's scheduling grain (default 16). Results never depend
-	// on it.
+	// the executor's scheduling grain — on the inline path (Extract;
+	// default 16). Streamed documents (ExtractReader) are dispatched one
+	// feed at a time and re-split by the executor itself. Results never
+	// depend on it.
 	Batch int
 	// ChunkSize is the read size for streaming ingestion (default 64 KiB).
 	ChunkSize int
@@ -333,38 +335,34 @@ func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*s
 	e.m.documents.Inc()
 	e.m.streamedDocs.Inc()
 
+	// One batch per feed: capacity Workers bounds the queued work at that
+	// many chunks' worth of segments.
 	batches := make(chan []parallel.Segment, e.cfg.Workers)
 	readErr := make(chan error, 1)
 	go func() {
 		defer close(batches)
 		g := e.newDocSegmenter(plan)
 		chunk := make([]byte, e.cfg.ChunkSize)
-		var pending []parallel.Segment
 		// Segmentation time accumulates across the incremental feed/flush
 		// calls and is recorded once per document when the producer exits.
 		var segDur time.Duration
 		defer func() { e.m.observeStage(StageSegment, segDur) }()
-		// send dispatches full batches; sending blocks when every worker
-		// is busy, which in turn pauses reading — backpressure all the
-		// way to the producer of r.
-		send := func(segs []parallel.Segment, final bool) bool {
-			pending = append(pending, segs...)
-			for len(pending) >= e.cfg.Batch || (final && len(pending) > 0) {
-				n := e.cfg.Batch
-				if n > len(pending) {
-					n = len(pending)
-				}
-				batch := make([]parallel.Segment, n)
-				copy(batch, pending[:n])
-				pending = pending[n:]
-				e.m.segments.Add(uint64(n))
-				select {
-				case batches <- batch:
-				case <-ctx.Done():
-					return false
-				}
+		// send dispatches the segments one feed (or the flush) produced as
+		// one batch, which the executor halves down to its stealing grain
+		// on the receiving worker's deque. Sending blocks when every worker
+		// is busy, which in turn pauses reading — backpressure all the way
+		// to the producer of r.
+		send := func(segs []parallel.Segment) bool {
+			if len(segs) == 0 {
+				return true
 			}
-			return true
+			e.m.segments.Add(uint64(len(segs)))
+			select {
+			case batches <- segs:
+				return true
+			case <-ctx.Done():
+				return false
+			}
 		}
 		for {
 			n, err := r.Read(chunk)
@@ -373,7 +371,7 @@ func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*s
 				t0 := time.Now()
 				segs := g.feed(chunk[:n])
 				segDur += time.Since(t0)
-				if !send(segs, false) {
+				if !send(segs) {
 					readErr <- ctx.Err()
 					return
 				}
@@ -389,7 +387,7 @@ func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*s
 				t0 := time.Now()
 				segs := g.flush()
 				segDur += time.Since(t0)
-				if !send(segs, true) {
+				if !send(segs) {
 					readErr <- ctx.Err()
 					return
 				}

@@ -175,17 +175,8 @@ func TestStreamMatchesOneShotOnCorpus(t *testing.T) {
 	doc := corpus.Reviews(7, 40)
 	joined := strings.Join(doc, "\n")
 	e := New(Config{Workers: 4, Batch: 8, ChunkSize: 1 << 10})
-	neg := library.NegativeSentiment()
-	// Hand-built plan; the Local verdict is honest (the sentence splitter
-	// is proven local in TestPlanSelectsSplitStrategy and in core).
-	plan := &Plan{
-		p:        neg,
-		ps:       neg,
-		s:        library.Sentences(),
-		Strategy: StrategySplit,
-		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes, SelfSplittable: core.VerdictYes, Local: core.VerdictYes},
-	}
-	want := parallel.SplitEval(neg, parallel.SegmentsOf(joined, plan.s.Split(joined)), 4)
+	plan := reviewPlan()
+	want := parallel.SplitEval(plan.ps, parallel.SegmentsOf(joined, plan.s.Split(joined)), 4)
 	got, err := e.ExtractReader(context.Background(), plan, strings.NewReader(joined))
 	if err != nil {
 		t.Fatal(err)

@@ -73,24 +73,37 @@ func randomSplitterFormula(rng *rand.Rand) string {
 	return ctx[rng.Intn(len(ctx))] + "(x{" + piece(2) + "})" + ctx[rng.Intn(len(ctx))]
 }
 
-// chunkedSegments drives the engine's real carry-over segmenter over doc
-// in fixed n-byte chunks.
-func chunkedSegments(s *core.Splitter, doc string, n int) []parallel.Segment {
-	g := newSegmenter(s)
-	var out []parallel.Segment
-	for lo := 0; lo < len(doc); lo += n {
-		hi := lo + n
-		if hi > len(doc) {
-			hi = len(doc)
-		}
-		out = append(out, g.feed([]byte(doc[lo:hi]))...)
+// chunkedSegments drives the engine's real segmenters over doc in fixed
+// n-byte chunks the way ExtractReader does — one read buffer reused for
+// every chunk, here scribbled over with separator bytes after each feed —
+// and holds every emitted segment to the end, so a Text that aliased the
+// read buffer or the segmenter's compacted carry-over would come back
+// changed. It returns one segmentation per segmenter: the re-splitting
+// fallback and, when the splitter compiled a scanner, the scanner-backed
+// one whose segments share one string per feed.
+func chunkedSegments(s *core.Splitter, doc string, n int) [][]parallel.Segment {
+	segmenters := []docSegmenter{newSegmenter(s)}
+	if g, ok := newScanSegmenter(s, nil); ok {
+		segmenters = append(segmenters, g)
 	}
-	return append(out, g.flush()...)
+	outs := make([][]parallel.Segment, len(segmenters))
+	chunk := make([]byte, n)
+	for i, g := range segmenters {
+		for lo := 0; lo < len(doc); lo += n {
+			m := copy(chunk, doc[lo:])
+			outs[i] = append(outs[i], g.feed(chunk[:m])...)
+			for j := range chunk {
+				chunk[j] = ".;! \n"[j%5]
+			}
+		}
+		outs[i] = append(outs[i], g.flush()...)
+	}
+	return outs
 }
 
 // FuzzLocalityVsBuffered is the soundness contract of the locality
 // decision procedure: whenever IsLocal proves a fuzzed splitter local,
-// the engine's incremental segmenter must produce byte-identical
+// both of the engine's incremental segmenters must produce byte-identical
 // segmentations at adversarial chunk sizes — 1 (every boundary lands
 // mid-segment), 7 (misaligned with everything) and 4096 (typically one
 // chunk) — on fuzzed documents. A failure here means a "local" verdict
@@ -126,15 +139,16 @@ func FuzzLocalityVsBuffered(f *testing.F) {
 		}
 		want := parallel.SegmentsOf(doc, s.Split(doc))
 		for _, n := range []int{1, 7, 4096} {
-			got := chunkedSegments(s, doc, n)
-			if len(got) != len(want) {
-				t.Fatalf("chunk=%d: %d segments, want %d\nsplitter: %s\ndoc: %q\ngot:  %v\nwant: %v",
-					n, len(got), len(want), src, doc, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("chunk=%d: segment %d = %+v, want %+v\nsplitter: %s\ndoc: %q",
-						n, i, got[i], want[i], src, doc)
+			for k, got := range chunkedSegments(s, doc, n) {
+				if len(got) != len(want) {
+					t.Fatalf("chunk=%d segmenter=%d: %d segments, want %d\nsplitter: %s\ndoc: %q\ngot:  %v\nwant: %v",
+						n, k, len(got), len(want), src, doc, got, want)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("chunk=%d segmenter=%d: segment %d = %+v, want %+v\nsplitter: %s\ndoc: %q",
+							n, k, i, got[i], want[i], src, doc)
+					}
 				}
 			}
 		}
@@ -169,9 +183,10 @@ func TestLocalityFuzzCorpusSmoke(t *testing.T) {
 			for _, doc := range docs {
 				want := parallel.SegmentsOf(doc, s.Split(doc))
 				for _, n := range []int{1, 7, 4096} {
-					got := chunkedSegments(s, doc, n)
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("mode=%d chunk=%d doc=%q splitter=%s:\ngot:  %v\nwant: %v", mode, n, doc, src, got, want)
+					for k, got := range chunkedSegments(s, doc, n) {
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("mode=%d chunk=%d segmenter=%d doc=%q splitter=%s:\ngot:  %v\nwant: %v", mode, n, k, doc, src, got, want)
+						}
 					}
 				}
 			}

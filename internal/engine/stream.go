@@ -82,16 +82,21 @@ func (g *scanSegmenter) buffered() int {
 	return len(g.buf)
 }
 
-// emit materializes scanner spans (already in absolute document
-// coordinates) as segments, slicing their text out of the retained
-// buffer.
+// emit materializes scanner spans (absolute document coordinates, and —
+// the scanner enforces it — disjoint and in document order) as segments.
+// The bytes from the first span's start to the last one's end are
+// converted to a string once — an immutable copy, since buf is compacted
+// in place right after — and every segment's Text is a substring of it,
+// so a feed costs one allocation for its text, not one per segment.
 func (g *scanSegmenter) emit(spans []span.Span) []parallel.Segment {
 	if len(spans) == 0 {
 		return nil
 	}
+	lo := spans[0].Start
+	text := string(g.buf[lo-1-g.off : spans[len(spans)-1].End-1-g.off])
 	out := make([]parallel.Segment, len(spans))
 	for i, sp := range spans {
-		out[i] = parallel.Segment{Span: sp, Text: string(g.buf[sp.Start-1-g.off : sp.End-1-g.off])}
+		out[i] = parallel.Segment{Span: sp, Text: text[sp.Start-lo : sp.End-lo]}
 	}
 	g.last = spans[len(spans)-1]
 	return out

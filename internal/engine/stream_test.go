@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"context"
+	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -147,6 +150,92 @@ func TestScanSegmenterBailFallsBackWithoutDuplicates(t *testing.T) {
 					t.Fatalf("doc %q chunk %d: segment %d = %+v, want %+v", doc, n, i, got[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// scribbleReader serves s in reads of at most n bytes and, on every
+// Read, first overwrites the whole buffer it was handed last time with
+// sentence terminators — what a recycled read buffer does to anything
+// that still aliases it.
+type scribbleReader struct {
+	s    string
+	n    int
+	last []byte
+}
+
+func (r *scribbleReader) Read(p []byte) (int, error) {
+	for i := range r.last {
+		r.last[i] = '!'
+	}
+	r.last = p
+	if len(r.s) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(r.n, len(p))], r.s)
+	r.s = r.s[n:]
+	return n, nil
+}
+
+// TestStreamedSharedFeedText pins the aliasing contract of feed-granular
+// text: every segment of a feed is a substring of one string converted
+// from the carry-over buffer, which is then compacted in place while the
+// read buffer behind it is reused. At chunk sizes from 1 byte to the
+// default 64 KiB, on a document whose middle sentence is longer than two
+// chunks (so it straddles at least three feeds), the streamed relation
+// must be byte-identical to Eval on the whole document.
+func TestStreamedSharedFeedText(t *testing.T) {
+	neg := library.NegativeSentiment()
+	for _, n := range []int{1, 7, 4096, 65536} {
+		long := strings.Repeat("so bad weather ", (2*n+64)/15+1)
+		doc := reviewDoc(uint64(n), 16<<10) + "\n" + long + ".\n" + reviewDoc(uint64(n)+1, 16<<10)
+		want := neg.Eval(doc)
+		e := New(Config{Workers: 2, ChunkSize: n})
+		got, err := e.ExtractReader(context.Background(), reviewPlan(), &scribbleReader{s: doc, n: n})
+		if err != nil {
+			t.Fatalf("chunk=%d: %v", n, err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("chunk=%d: streamed relation (%d tuples) differs from Eval (%d tuples)", n, got.Len(), want.Len())
+		}
+		if st := e.Stats(); st.StreamedDocs != 1 || st.Segmenter.Bails != 0 {
+			t.Fatalf("chunk=%d: stats = %+v, want one streamed document on the scanner path", n, st.Segmenter)
+		}
+	}
+}
+
+// TestStreamedBailMidDocument is TestScanSegmenterBailFallsBackWithoutDuplicates
+// one layer up: the scanner bails at the first separator, the
+// re-splitting fallback takes over from the anchor, and the streamed
+// relation is still byte-identical to Eval on the whole document.
+func TestStreamedBailMidDocument(t *testing.T) {
+	s := core.MustSplitter(regexformula.MustCompile(
+		"(x{[^.!]*})(\\.[^.!]*)*!|[^.!]*(\\.[^.!]*)*\\.(x{[^.!]*})(\\.[^.!]*)*!"))
+	p := regexformula.MustCompile(emailFormula)
+	// Blocks exist only on documents ending in '!', so the splitter is
+	// not local; streaming it is the operator's override, and sound here
+	// because the fallback holds everything until the flush.
+	plan := &Plan{
+		p: p, ps: p, s: s,
+		Strategy: StrategySplit,
+		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes, SelfSplittable: core.VerdictYes, Local: core.VerdictNo},
+	}
+	doc := strings.Repeat("write to ann@example or bob@corp. then ping eve@host. ", 200) + "done!"
+	want := p.Eval(doc)
+	if want.Len() != 600 {
+		t.Fatalf("Eval found %d tuples, want 600", want.Len())
+	}
+	for _, n := range []int{1, 7, 4096, 65536} {
+		e := New(Config{Workers: 2, ChunkSize: n, StreamIncremental: true})
+		got, err := e.ExtractReader(context.Background(), plan, &scribbleReader{s: doc, n: n})
+		if err != nil {
+			t.Fatalf("chunk=%d: %v", n, err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("chunk=%d: streamed relation (%d tuples) differs from Eval (%d tuples)", n, got.Len(), want.Len())
+		}
+		if st := e.Stats(); st.Segmenter.Bails != 1 {
+			t.Fatalf("chunk=%d: %d scanner bails, want 1", n, st.Segmenter.Bails)
 		}
 	}
 }

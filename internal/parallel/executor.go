@@ -22,7 +22,7 @@ import (
 // is therefore byte-identical no matter how chunks were dealt, stolen or
 // interleaved.
 
-// evaluator abstracts what one worker does with a segment, so the same
+// evaluator abstracts what the workers evaluate, so the same
 // scheduling/accumulation/merge machinery serves both the single-spanner
 // evaluators (one relation per chunk destination) and the fused
 // multi-query evaluator (one relation per member query).
@@ -31,11 +31,22 @@ type evaluator interface {
 	prepare()
 	// vars returns the variable list of destination dest's relation.
 	vars(dest int) []string
-	// eval appends seg's shifted result tuples to the relation(s) that
-	// rel hands out, carving tuple storage from arena. Single-spanner
-	// evaluators use rel(dest); the fused evaluator ignores dest and
-	// demultiplexes into rel(member) per member query.
-	eval(seg Segment, dest int, rel func(int) *span.Relation, arena *span.TupleArena)
+	// session returns the state one worker evaluates all its segments
+	// with, bound to that worker's accumulator. Whatever the evaluator
+	// would otherwise set up per segment — scratch, resolved handles, the
+	// relation lookup — it sets up here, once per worker.
+	session(acc *accumulator) session
+}
+
+// session is one worker's evaluation state; only that worker uses it.
+type session interface {
+	// eval appends seg's shifted result tuples to the worker's
+	// accumulator. Single-spanner sessions append to relation dest; the
+	// fused session ignores dest and demultiplexes into one relation per
+	// member query.
+	eval(seg Segment, dest int)
+	// close releases what the session holds; the worker calls it on exit.
+	close()
 }
 
 // singleEval evaluates one spanner; chunk destinations index documents
@@ -44,20 +55,40 @@ type singleEval struct{ ps *vsa.Automaton }
 
 func (e singleEval) prepare()          { e.ps.Prepare() }
 func (e singleEval) vars(int) []string { return e.ps.Vars }
-func (e singleEval) eval(seg Segment, dest int, rel func(int) *span.Relation, arena *span.TupleArena) {
-	e.ps.EvalAppend(seg.Text, seg.Span, rel(dest), arena)
+func (e singleEval) session(acc *accumulator) session {
+	return &singleSession{s: e.ps.NewSession(), acc: acc}
 }
+
+type singleSession struct {
+	s   vsa.Session
+	acc *accumulator
+}
+
+func (e *singleSession) eval(seg Segment, dest int) {
+	e.s.EvalAppend(seg.Text, seg.Span, e.acc.rel(dest), &e.acc.arena)
+}
+func (e *singleSession) close() { e.s.Close() }
 
 // multiEval evaluates a fused multi-query set; chunk destinations are
 // ignored (every chunk is dealt with dest 0) and the relation index is
-// the member-query index instead.
+// the member-query index instead. The fused path sees one segment per
+// document, so its session hoists only the relation lookup.
 type multiEval struct{ m *vsa.Multi }
 
 func (e multiEval) prepare()            { e.m.Prepare() }
 func (e multiEval) vars(q int) []string { return e.m.Member(q).Vars }
-func (e multiEval) eval(seg Segment, _ int, rel func(int) *span.Relation, arena *span.TupleArena) {
-	e.m.EvalAppend(seg.Text, seg.Span, rel, arena)
+func (e multiEval) session(acc *accumulator) session {
+	return &multiSession{m: e.m, rel: acc.rel, arena: &acc.arena}
 }
+
+type multiSession struct {
+	m     *vsa.Multi
+	rel   func(int) *span.Relation
+	arena *span.TupleArena
+}
+
+func (e *multiSession) eval(seg Segment, _ int) { e.m.EvalAppend(seg.Text, seg.Span, e.rel, e.arena) }
+func (e *multiSession) close()                  {}
 
 // executor is one split-evaluation run: a set of workers, their deques
 // and accumulators, and (in streaming mode) the feed they block on when
@@ -135,7 +166,7 @@ func (x *executor) deal(chunks []chunk) {
 // run spawns the workers, waits for them, and merges. The merged
 // relations are deduplicated and offset-sorted, one per destination —
 // deterministic regardless of the steal schedule. On cancellation the
-// workers stop between segments and whatever they had accumulated is
+// workers stop between chunks and whatever they had accumulated is
 // merged and returned (the partial-result contract of SplitEvalCtx).
 func (x *executor) run() []*span.Relation {
 	var t0 time.Time
@@ -166,10 +197,12 @@ func (x *executor) run() []*span.Relation {
 // (streaming mode) block on the feed; exit when all three are dry. A
 // worker always drains its own deque before exiting, so chunks it split
 // off are never orphaned — at worst a late-splitting worker finishes
-// them itself instead of having them stolen.
+// them itself instead of having them stolen. The loop head is the one
+// place a worker looks at the context between chunks.
 func (x *executor) worker(id int) {
 	self := &x.deques[id]
-	acc := &x.accs[id]
+	sess := x.ev.session(&x.accs[id])
+	defer sess.close()
 	var st workerStats
 	if x.m != nil {
 		st.dequeMax = self.size() // the dealt backlog, before any pop
@@ -198,7 +231,7 @@ func (x *executor) worker(id int) {
 		if !ok {
 			return
 		}
-		x.exec(c, self, acc, &st)
+		x.exec(c, self, sess, &st)
 	}
 }
 
@@ -232,14 +265,14 @@ func (x *executor) trySteal(id int, rng *uint32) (chunk, bool) {
 	return chunk{}, false
 }
 
-// exec evaluates one chunk into the worker's accumulator. A chunk
-// larger than the grain is halved first, with the far half pushed onto
-// the own deque where idle workers can steal it — this is how a single
-// oversized arrival (a whole document's segments from a collection
-// producer, a flush burst from the streaming segmenter) spreads across
-// the pool. Cancellation is honored between segments; the segment in
-// flight completes, matching the pre-executor behavior.
-func (x *executor) exec(c chunk, self *deque, acc *accumulator, st *workerStats) {
+// exec evaluates one chunk on the worker's session. A chunk larger than
+// the grain is halved first, with the far half pushed onto the own deque
+// where idle workers can steal it — this is how a single oversized
+// arrival (a whole feed's segments from the streaming segmenter, a whole
+// document's from a collection producer) spreads across the pool.
+// Cancellation is honored between chunks (the worker loop's check); the
+// chunk in flight — at most the grain's worth of segments — completes.
+func (x *executor) exec(c chunk, self *deque, sess session, st *workerStats) {
 	for x.grain > 0 && len(c.segs) > x.grain {
 		half := (len(c.segs) + 1) / 2
 		self.push(chunk{dest: c.dest, segs: c.segs[half:]})
@@ -254,17 +287,12 @@ func (x *executor) exec(c chunk, self *deque, acc *accumulator, st *workerStats)
 	if x.m != nil {
 		t0 = time.Now()
 	}
-	done := 0
 	for _, seg := range c.segs {
-		if x.ctx.Err() != nil {
-			break
-		}
-		x.ev.eval(seg, c.dest, acc.rel, &acc.arena)
+		sess.eval(seg, c.dest)
 		st.bytes += uint64(len(seg.Text))
-		done++
 	}
 	st.chunks++
-	st.segments += uint64(done)
+	st.segments += uint64(len(c.segs))
 	if x.m != nil {
 		st.busy += time.Since(t0)
 	}

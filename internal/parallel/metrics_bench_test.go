@@ -7,21 +7,29 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/library"
+	"repro/internal/vsa"
 )
 
-// The two benchmarks below are the instrumentation-overhead check: the
+// The benchmarks below are the instrumentation-overhead check: the
 // identical split evaluation with metrics disabled (nil, the library
-// default) and enabled (the engine's configuration). Run them
-// interleaved (-count N) and compare — the acceptance bar for the
-// observability layer is ≤ 2% between the two.
+// default) and enabled (the engine's configuration), dealt up front and
+// streamed. Run them interleaved (-count N) and compare — the acceptance
+// bar for the observability layer is ≤ 2% between Nil and Live.
 
-func benchSplitEval(b *testing.B, m *ExecMetrics) {
+// benchSetup prepares the review corpus, sentence-split, and points the
+// benchmark's MB/s and allocs/op at it.
+func benchSetup(b *testing.B) (*vsa.Automaton, []Segment) {
 	p := library.NegativeSentiment()
 	p.Prepare()
 	doc := strings.Join(corpus.Reviews(1, 4096), "\n")
-	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
-	opts := Options{Workers: 4, Metrics: m}
 	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	return p, SegmentsOf(doc, library.FastSentenceSplit(doc))
+}
+
+func benchSplitEval(b *testing.B, m *ExecMetrics) {
+	p, segs := benchSetup(b)
+	opts := Options{Workers: 4, Metrics: m}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SplitEvalCtx(context.Background(), p, segs, opts); err != nil {
@@ -32,3 +40,38 @@ func benchSplitEval(b *testing.B, m *ExecMetrics) {
 
 func BenchmarkSplitEvalMetricsNil(b *testing.B)  { benchSplitEval(b, nil) }
 func BenchmarkSplitEvalMetricsLive(b *testing.B) { benchSplitEval(b, &ExecMetrics{}) }
+
+// benchSplitEvalStreamed is the streamed twin: the same segments arrive
+// on a channel the way the engine sends them, one batch per 64 KiB feed,
+// and the executor halves each batch down to streamGrain itself. The
+// per-op allocation count is what the path costs beyond the evaluation.
+func benchSplitEvalStreamed(b *testing.B, m *ExecMetrics) {
+	p, segs := benchSetup(b)
+	var feeds [][]Segment
+	for lo := 0; lo < len(segs); {
+		hi := lo
+		for hi < len(segs) && segs[hi].Span.End-segs[lo].Span.Start <= 64<<10 {
+			hi++
+		}
+		hi = max(hi, lo+1)
+		feeds = append(feeds, segs[lo:hi])
+		lo = hi
+	}
+	opts := Options{Workers: 4, Metrics: m}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batches := make(chan []Segment, opts.Workers)
+		go func() {
+			defer close(batches)
+			for _, f := range feeds {
+				batches <- f
+			}
+		}()
+		if _, err := SplitEvalBatches(context.Background(), p, batches, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSplitEvalStreamedMetricsNil(b *testing.B)  { benchSplitEvalStreamed(b, nil) }
+func BenchmarkSplitEvalStreamedMetricsLive(b *testing.B) { benchSplitEvalStreamed(b, &ExecMetrics{}) }

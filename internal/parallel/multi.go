@@ -22,7 +22,7 @@ func MultiEval(m *vsa.Multi, segments []Segment, workers int) []*span.Relation {
 }
 
 // MultiEvalCtx is MultiEval with cancellation and Options. Like
-// SplitEvalCtx, workers stop between segments when ctx fires and the
+// SplitEvalCtx, workers stop between chunks when ctx fires and the
 // partial per-query relations accumulated so far are returned (sorted
 // and deduplicated) together with ctx's error.
 func MultiEvalCtx(ctx context.Context, m *vsa.Multi, segments []Segment, opts Options) ([]*span.Relation, error) {

@@ -96,10 +96,10 @@ func (o Options) grain(n int) int {
 // streamGrain is the chunk-splitting grain of the channel-fed
 // evaluators: a chunk arriving with more segments than this is halved
 // onto the receiving worker's deque (where peers can steal it) until it
-// fits. It matches the engine's default dispatch batch, so at that
-// default engine traffic is never re-split; re-splitting a larger
-// configured batch is harmless (the halves stay on, or near, the
-// receiving worker).
+// fits. Arrivals are large — the engine sends one batch per 64 KiB feed,
+// some 1 700 sentence segments; a collection producer sends a whole
+// document — so this, not the arriving batch size, is the granularity
+// at which streamed work is stolen and cancellation is noticed.
 const streamGrain = 16
 
 // SplitEval evaluates ps on every segment using the given number of
@@ -115,7 +115,7 @@ func SplitEval(ps *vsa.Automaton, segments []Segment, workers int) *span.Relatio
 
 // SplitEvalCtx is SplitEval with cancellation and an explicit grain: the
 // segment chunks are dealt to the worker deques up front, workers stop
-// between segments as soon as ctx is cancelled, and ctx's error is
+// between chunks as soon as ctx is cancelled, and ctx's error is
 // returned together with whatever partial relation the workers had
 // accumulated (still sorted and deduplicated). With a never-cancelled
 // context the result equals SplitEval's.
@@ -133,14 +133,13 @@ func SplitEvalCtx(ctx context.Context, ps *vsa.Automaton, segments []Segment, op
 // already being evaluated. Idle workers block on the channel, so its
 // capacity bounds the queued work and sends into batches block once the
 // pool is saturated — the backpressure the serving daemon relies on to
-// throttle ingestion. A received batch larger than the engine's dispatch
-// grain is split onto the receiving worker's deque, where the other
-// workers steal it. The merged relation is deduplicated and sorted, so
+// throttle ingestion. A received batch larger than streamGrain is halved
+// onto the receiving worker's deque, where the other workers steal it.
+// The merged relation is deduplicated and sorted, so
 // the result is deterministic regardless of arrival order and steal
 // schedule. On cancellation the workers drain nothing further and ctx's
 // error is returned with the partial result. Only opts.Workers and
-// opts.Metrics apply: the scheduling grain of this path is the arriving
-// batch size (re-split at streamGrain).
+// opts.Metrics apply: the scheduling grain of this path is streamGrain.
 func SplitEvalBatches(ctx context.Context, ps *vsa.Automaton, batches <-chan []Segment, opts Options) (*span.Relation, error) {
 	recv := func(ctx context.Context) (chunk, bool) {
 		select {

@@ -11,7 +11,7 @@ package span
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -311,10 +311,10 @@ func (r *Relation) Has(t Tuple) bool {
 func (r *Relation) Len() int { return len(r.Tuples) }
 
 // Sort orders the tuples lexicographically, giving a canonical form.
+// The split evaluators hand it concatenations of already sorted runs
+// (one per worker), which pdqsort's pattern detection exploits.
 func (r *Relation) Sort() {
-	sort.Slice(r.Tuples, func(i, j int) bool {
-		return r.Tuples[i].Compare(r.Tuples[j]) < 0
-	})
+	slices.SortFunc(r.Tuples, Tuple.Compare)
 }
 
 // Dedupe removes duplicate tuples in place (sorting first).

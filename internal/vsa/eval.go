@@ -192,7 +192,60 @@ func (a *Automaton) Eval(doc string) *span.Relation {
 // or sorted against tuples appended by earlier calls — callers that
 // merge several segments must Dedupe once at the end, which also
 // restores the canonical order Eval guarantees.
+//
+// It is the one-shot use of a Session; a caller evaluating many
+// documents from one goroutine keeps a Session instead.
 func (a *Automaton) EvalAppend(doc string, by span.Span, rel *span.Relation, arena *span.TupleArena) {
+	s := a.NewSession()
+	s.EvalAppend(doc, by, rel, arena)
+	s.Close()
+}
+
+// Session is what one goroutine keeps while it evaluates an automaton
+// on many documents (the split executor's workers, one segment after
+// another): the resolved program, localizer and prefilter handles, and
+// the pooled scratch, taken from its pool on first need and handed back
+// by Close — so that nothing but the evaluation itself is paid per
+// document. A Session is not safe for concurrent use; any number of
+// Sessions may share one automaton.
+//
+// A Session holds no lock between calls, and within a call every
+// lazy-DFA read lock is scoped to one pass (forward, narrow, each
+// seedAt). That scope is a deadlock rule, not a convenience: a worker
+// holding the scan DFA's read lock while it waits to fill the reverse
+// DFA, and a second worker doing the opposite, would each wait for the
+// other's reader to leave.
+type Session struct {
+	a   *Automaton
+	p   *evalProg
+	loc *localizer
+	pf  PrefilterInfo
+	ws  *windowScratch // nil until a document passes the factor gate
+	sc  *evalScratch   // nil until a document needs the tagged simulation
+}
+
+// NewSession returns a Session on a, by value so that a one-shot use
+// stays on the caller's stack. Close it when done.
+func (a *Automaton) NewSession() Session {
+	return Session{a: a, p: a.prog(), loc: a.localizer(), pf: a.prefilter().info}
+}
+
+// Close returns the session's scratch to the pools.
+func (s *Session) Close() {
+	if s.ws != nil {
+		windowPool.Put(s.ws)
+		s.ws = nil
+	}
+	if s.sc != nil {
+		scratchPool.Put(s.sc)
+		s.sc = nil
+	}
+}
+
+// EvalAppend evaluates the session's automaton on doc under
+// Automaton.EvalAppend's contract.
+func (s *Session) EvalAppend(doc string, by span.Span, rel *span.Relation, arena *span.TupleArena) {
+	a, p, loc := s.a, s.p, s.loc
 	if len(rel.Vars) != len(a.Vars) {
 		panic("vsa: EvalAppend relation arity does not match automaton arity")
 	}
@@ -206,7 +259,7 @@ func (a *Automaton) EvalAppend(doc string, by span.Span, rel *span.Relation, are
 		m.DocBytes.Add(uint64(len(doc)))
 		t0 = time.Now()
 	}
-	if pf := a.prefilter().info; pf.Factor != "" || m != nil {
+	if pf := s.pf; pf.Factor != "" || m != nil {
 		if m != nil {
 			m.PrefilterDisabled[pf.Reason].Inc()
 		}
@@ -226,11 +279,12 @@ func (a *Automaton) EvalAppend(doc string, by span.Span, rel *span.Relation, are
 			m.PrefilterCandidates.Inc()
 		}
 	}
-	p := a.prog()
 	delta := by.Start - 1
-	if loc := a.localizer(); loc.ok {
-		ws := windowPool.Get().(*windowScratch)
-		defer windowPool.Put(ws)
+	if loc.ok {
+		if s.ws == nil {
+			s.ws = windowPool.Get().(*windowScratch)
+		}
+		ws := s.ws
 		if loc.scan.forward(p, doc, ws) {
 			if m != nil && ws.skippedBytes > 0 {
 				m.PrefilterSkippedBytes.Add(uint64(ws.skippedBytes))
@@ -256,8 +310,7 @@ func (a *Automaton) EvalAppend(doc string, by span.Span, rel *span.Relation, are
 					}
 					m.WindowBytes.Add(wb)
 				}
-				run := newEvalRun(a, p, rel, doc, delta, arena)
-				defer run.release()
+				run := s.run(rel, doc, delta, arena)
 				for _, w := range ws.windows {
 					seed := loc.seedAt(p, doc, w.lo, ws)
 					run.window(w.lo, w.hi, seed, w.hi == len(doc))
@@ -285,17 +338,25 @@ func (a *Automaton) EvalAppend(doc string, by span.Span, rel *span.Relation, are
 		}
 		return
 	}
-	run := newEvalRun(a, p, rel, doc, delta, arena)
-	defer run.release()
+	run := s.run(rel, doc, delta, arena)
 	run.window(0, len(doc), nil, true)
 	if m != nil {
 		m.SimNS.AddDuration(time.Since(t0))
 	}
 }
 
+// run starts the tagged simulation of one document on the session's
+// evalScratch, acquiring it on first use.
+func (s *Session) run(rel *span.Relation, doc string, delta int, arena *span.TupleArena) evalRun {
+	if s.sc == nil {
+		s.sc = acquireEvalScratch(s.p)
+	}
+	return newEvalRun(s.a, s.p, s.sc, rel, doc, delta, arena)
+}
+
 // evalRun bundles the per-evaluation state shared by every window of one
-// Eval call: the frozen program, the pooled scratch, the result relation
-// and the cross-window tuple dedup. Bundling it into one struct keeps the
+// Eval call: the frozen program, the scratch, the result relation and
+// the cross-window tuple dedup. Bundling it into one struct keeps the
 // per-window hot path free of closure allocations.
 type evalRun struct {
 	a      *Automaton
@@ -308,32 +369,39 @@ type evalRun struct {
 	delta  int // added to every emitted position (EvalAppend's shift)
 }
 
-// newEvalRun returns the run by value so that the per-segment hot path
-// (EvalAppend on thousands of small segments) keeps it on the stack.
-func newEvalRun(a *Automaton, p *evalProg, rel *span.Relation, doc string, delta int, arena *span.TupleArena) evalRun {
+// acquireEvalScratch takes an evalScratch from the pool and sizes its
+// fixed buffers for p. The caller returns it with scratchPool.Put.
+func acquireEvalScratch(p *evalProg) *evalScratch {
 	sc := scratchPool.Get().(*evalScratch)
 	stride := 2 * p.nv
 	if cap(sc.tmp) < stride {
 		sc.tmp = make([]int32, stride)
 	}
-	// clear() costs O(buckets), and a pooled map keeps the bucket array
-	// of its largest-ever use: after one tuple-heavy evaluation, clearing
-	// per call would tax every later small evaluation (57k segment evals
-	// each sweeping a 12k-tuple map's buckets). Maps that grew past the
-	// threshold are dropped instead, so surviving maps are always cheap
-	// to clear.
-	if sc.seen == nil || len(sc.seen) > 256 {
-		sc.seen = make(map[string]bool)
-	} else {
-		clear(sc.seen)
-	}
 	if cap(sc.emitBuf) < 4*stride {
 		sc.emitBuf = make([]byte, 4*stride)
 	}
-	return evalRun{a: a, p: p, sc: sc, rel: rel, arena: arena, doc: doc, stride: stride, delta: delta}
+	return sc
 }
 
-func (r *evalRun) release() { scratchPool.Put(r.sc) }
+// newEvalRun starts one document's evaluation on sc (sized for p by
+// acquireEvalScratch). It returns the run by value so that the
+// per-segment hot path keeps it on the stack.
+func newEvalRun(a *Automaton, p *evalProg, sc *evalScratch, rel *span.Relation, doc string, delta int, arena *span.TupleArena) evalRun {
+	// clear() costs O(buckets), and a map keeps the bucket array of its
+	// largest-ever use: after one tuple-heavy evaluation, clearing per
+	// call would tax every later small evaluation (57k segment evals each
+	// sweeping a 12k-tuple map's buckets). Maps that grew past the
+	// threshold are dropped instead, so surviving maps are always cheap
+	// to clear — and the common segment, which emitted nothing, skips
+	// the call.
+	switch {
+	case sc.seen == nil || len(sc.seen) > 256:
+		sc.seen = make(map[string]bool)
+	case len(sc.seen) > 0:
+		clear(sc.seen)
+	}
+	return evalRun{a: a, p: p, sc: sc, rel: rel, arena: arena, doc: doc, stride: 2 * p.nv, delta: delta}
+}
 
 // emit deduplicates and materializes one result tuple. Windows are
 // disjoint, but two runs of the same tuple may complete in different

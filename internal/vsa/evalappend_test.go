@@ -1,6 +1,7 @@
 package vsa_test
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/regexformula"
@@ -66,4 +67,41 @@ func TestEvalAppendArityMismatchPanics(t *testing.T) {
 		}
 	}()
 	p.EvalAppend("a", span.Span{Start: 1, End: 2}, span.NewRelation("x", "y"), nil)
+}
+
+// raceBuild reports a -race test binary, where sync.Pool drops a quarter
+// of its Puts on purpose and allocation counts through a pool are noise.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestEvalAppendOneShotAllocatesNothing pins the fixed cost of the
+// one-shot form on a segment that yields no tuple — the common case on
+// a sentence-split document: neither the factor gate nor a forward pass
+// that finds no match end may allocate (the Session stays on the stack,
+// its scratch comes from the pools).
+func TestEvalAppendOneShotAllocatesNothing(t *testing.T) {
+	p := regexformula.MustCompile(".*[ .]y{bad ([a-z]+)}[ .].*|y{bad ([a-z]+)}[ .].*")
+	p.Prepare()
+	rel := span.NewRelation(p.Vars...)
+	arena := new(span.TupleArena)
+	segs := []string{"the tea was fine and the cup was warm ok"} // no mandatory factor: gate only
+	if !raceBuild() {
+		segs = append(segs, "not so bad 4 a first try, we would say..") // factor, but no match: forward pass
+	}
+	for _, seg := range segs {
+		by := span.Span{Start: 101, End: 101 + len(seg)}
+		if n := testing.AllocsPerRun(100, func() { p.EvalAppend(seg, by, rel, arena) }); n != 0 {
+			t.Errorf("EvalAppend(%q): %v allocations, want 0", seg, n)
+		}
+		if rel.Len() != 0 {
+			t.Fatalf("segment %q unexpectedly matched: %v", seg, rel)
+		}
+	}
 }

@@ -576,12 +576,13 @@ func (m *Multi) evalGroup(g *multiGroup, doc string, by span.Span, rel func(int)
 			continue
 		}
 		n0 := len(r.Tuples)
-		run := newEvalRun(a, p, r, doc, delta, arena)
+		sc := acquireEvalScratch(p)
+		run := newEvalRun(a, p, sc, r, doc, delta, arena)
 		for _, wd := range ws.windows {
 			seed := g.seedAt(s, doc, wd.lo, ms)
 			run.window(wd.lo, wd.hi, seed, wd.hi == len(doc))
 		}
-		run.release()
+		scratchPool.Put(sc)
 		if mm != nil {
 			mm.DemuxTuples.Add(uint64(len(r.Tuples) - n0))
 		}

@@ -35,6 +35,7 @@ package vsa
 // EvalBool prescan plus whole-document simulation.
 
 import (
+	"strings"
 	"sync"
 
 	"repro/internal/lazydfa"
@@ -201,7 +202,13 @@ func (s *scanProg) flagsOf(set []int32) uint8 {
 // later boundary can complete a match.
 func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
 	const rlockChunk = 1 << 12
-	w := s.dfa.Walk()
+	// The walker and the document live in ws, where the skip callbacks
+	// bound at its construction read them; the read lock is held from
+	// here to endPass and no further.
+	ws.scan, ws.p, ws.doc = s, p, doc
+	ws.w = s.dfa.Walk()
+	defer ws.endPass()
+	w := &ws.w
 	cur := dfaStart
 	ws.checkpoints = append(ws.checkpoints[:0], dfaStart)
 	ws.ends = ws.ends[:0]
@@ -210,8 +217,7 @@ func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
 	var gate lazydfa.SkipGate
 	if !s.noSkip {
 		gate.Init(&s.skips)
-		gate.Bind(func(q int32) *lazydfa.SkipSet { return s.skipSetScan(p, &w, q) },
-			lazydfa.StringIndex(doc))
+		gate.Bind(ws.build, ws.index)
 	}
 	for i := 0; i < len(doc); i++ {
 		if i&(rlockChunk-1) == rlockChunk-1 {
@@ -225,11 +231,9 @@ func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
 				t = w.Resolve(cur, c)
 			}
 			if t == dfaOverflow {
-				w.Release()
 				return false
 			}
 			if t == dfaDead {
-				w.Release()
 				return true
 			}
 		}
@@ -278,7 +282,6 @@ func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
 		}
 	}
 	ws.finalsAtEnd = w.States[cur].Payload&scanFlagFinals != 0
-	w.Release()
 	return true
 }
 
@@ -420,7 +423,8 @@ func (loc *localizer) narrow(p *evalProg, doc string, ws *windowScratch) bool {
 // windowScratch holds the per-evaluation buffers of the localizer. Eval
 // is called concurrently by the worker pools on a shared automaton, so
 // scratch is pooled (sync.Pool) rather than cached on the automaton:
-// concurrent windows share nothing but the frozen programs.
+// concurrent windows share nothing but the frozen programs. A Session
+// keeps one for its lifetime; one-shot calls take one per call.
 type windowScratch struct {
 	checkpoints []int32
 	ends        []int32 // candidate match-end boundaries, as [lo, hi) runs
@@ -430,9 +434,41 @@ type windowScratch struct {
 	// skippedBytes counts bytes the forward pass jumped over via the
 	// literal-prefilter skip loop; flushed into EvalMetrics by EvalAppend.
 	skippedBytes int
+
+	// The forward pass in flight: its program, read-locked walker and
+	// document, set by forward and dropped by endPass. They are fields so
+	// that build and index — the SkipGate callbacks, closures over this
+	// scratch made once in newWindowScratch — cost nothing per document.
+	scan  *scanProg
+	p     *evalProg
+	w     lazydfa.Walker[uint8]
+	doc   string
+	build func(q int32) *lazydfa.SkipSet
+	index func(from, to int, b byte) int
 }
 
-var windowPool = sync.Pool{New: func() any { return new(windowScratch) }}
+func newWindowScratch() *windowScratch {
+	ws := new(windowScratch)
+	ws.build = func(q int32) *lazydfa.SkipSet { return ws.scan.skipSetScan(ws.p, &ws.w, q) }
+	ws.index = func(from, to int, b byte) int {
+		if i := strings.IndexByte(ws.doc[from:to], b); i >= 0 {
+			return from + i
+		}
+		return -1
+	}
+	return ws
+}
+
+// endPass ends the forward pass: the scan DFA's read lock is released
+// and the scratch lets go of the document and programs, which a pooled
+// scratch must not keep alive.
+func (ws *windowScratch) endPass() {
+	ws.w.Release()
+	ws.w = lazydfa.Walker[uint8]{}
+	ws.scan, ws.p, ws.doc = nil, nil, ""
+}
+
+var windowPool = sync.Pool{New: func() any { return newWindowScratch() }}
 
 func sortInt32s(xs []int32) {
 	// Subsets are tiny (frontier-sized); insertion sort beats sort.Slice

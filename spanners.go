@@ -22,7 +22,7 @@
 //
 // The subpackages under internal/ implement the machinery; this package
 // is the stable façade. See DESIGN.md for the paper-to-code map and
-// EXPERIMENTS.md for the reproduced experiments.
+// bench/README.md for the measured serving path.
 package spanners
 
 import (
