@@ -133,6 +133,15 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		t.Fatalf("cache hits = %v, want ≥ 2", values["spanners_plan_cache_hits_total"])
 	}
 
+	// Three identical requests are one plan-cache miss: the decision
+	// procedures ran once.
+	if got := values[`spanners_engine_stage_seconds_count{stage="decide"}`]; got != 1 {
+		t.Fatalf("decide stage _count = %v, want 1 (one cold compilation)", got)
+	}
+	if values[`spanners_engine_stage_seconds_sum{stage="decide"}`] <= 0 {
+		t.Fatal("decide stage _sum is zero after a cold compilation")
+	}
+
 	// Histogram contract: buckets cumulative and monotone, +Inf == _count.
 	for _, h := range []string{
 		`spand_http_request_seconds{endpoint="/v1/extract"}`,
@@ -192,7 +201,7 @@ func TestStatsStageBreakdown(t *testing.T) {
 	}
 	st := getStats(t, ts.URL)
 
-	for _, stage := range []string{"plan", "segment", "eval", "merge", "localize", "sim"} {
+	for _, stage := range []string{"plan", "segment", "eval", "merge", "localize", "sim", "decide"} {
 		if _, ok := st.Stages[stage]; !ok {
 			t.Fatalf("stages missing %q: %v", stage, st.Stages)
 		}
@@ -241,6 +250,36 @@ func TestStatsStageBreakdown(t *testing.T) {
 	resp.Body.Close()
 	if got := getStats(t, ts.URL).Endpoints["/v1/extract"].Errors; got != 1 {
 		t.Fatalf("errors = %d after a bad request, want 1", got)
+	}
+}
+
+// TestStatsDecideStage checks the nested decide stage: the time inside
+// the paper's decision procedures, recorded once per cold compilation.
+// It is non-zero after a plan-cache miss, a sub-interval of plan, and a
+// cache hit leaves it exactly as it was.
+func TestStatsDecideStage(t *testing.T) {
+	ts := startDaemon(t)
+	if d := getStats(t, ts.URL).Stages["decide"]; d.Count != 0 || d.TotalMS != 0 {
+		t.Fatalf("decide before any request = %+v, want zero", d)
+	}
+	mustPost(t, ts.URL+"/v1/extract", extractBody())
+	miss := getStats(t, ts.URL).Stages
+	d := miss["decide"]
+	if d.Count != 1 || d.TotalMS <= 0 || d.Share <= 0 {
+		t.Fatalf("decide after one miss = %+v, want one non-zero interval", d)
+	}
+	if d.TotalMS >= miss["plan"].TotalMS {
+		t.Fatalf("decide %v ms is not inside plan %v ms", d.TotalMS, miss["plan"].TotalMS)
+	}
+	for i := 0; i < 3; i++ {
+		mustPost(t, ts.URL+"/v1/extract", extractBody())
+	}
+	hit := getStats(t, ts.URL).Stages
+	if got := hit["decide"]; got.Count != 1 || got.TotalMS != d.TotalMS {
+		t.Fatalf("decide after three hits = %+v, want unchanged %+v", got, d)
+	}
+	if hit["plan"].Count != 4 {
+		t.Fatalf("plan count = %d, want 4", hit["plan"].Count)
 	}
 }
 

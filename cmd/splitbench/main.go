@@ -594,7 +594,7 @@ func engineStreamingResults(dense string, measure func(op, corpusName, doc strin
 	if *obsFlag {
 		st := eng.Stats()
 		lastEngineStats = &st
-		for _, stage := range []string{"plan", "segment", "eval", "merge", "localize", "sim"} {
+		for _, stage := range []string{"plan", "decide", "segment", "eval", "merge", "localize", "sim"} {
 			s := st.Stages[stage]
 			fmt.Printf("obs %-9s share=%5.3f total=%8.1fms count=%d\n", stage, s.Share, s.TotalMS, s.Count)
 		}

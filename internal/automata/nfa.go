@@ -9,10 +9,10 @@
 package automata
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 )
 
 // Edge is a transition on an interned symbol.
@@ -72,19 +72,10 @@ func (a *NFA) DedupeEdges() {
 		if len(es) < 2 {
 			continue
 		}
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].Sym != es[j].Sym {
-				return es[i].Sym < es[j].Sym
-			}
-			return es[i].To < es[j].To
+		slices.SortFunc(es, func(x, y Edge) int {
+			return cmp.Or(cmp.Compare(x.Sym, y.Sym), cmp.Compare(x.To, y.To))
 		})
-		out := es[:0]
-		for i, e := range es {
-			if i == 0 || e != es[i-1] {
-				out = append(out, e)
-			}
-		}
-		a.Adj[q] = out
+		a.Adj[q] = slices.Compact(es)
 	}
 }
 
@@ -328,98 +319,40 @@ var ErrTooLarge = errors.New("automata: subset construction exceeds state limit"
 // Determinize and Contains.
 const DefaultLimit = 1 << 20
 
-func setKey(set []int) string {
-	var b strings.Builder
-	for _, q := range set {
-		fmt.Fprintf(&b, "%x,", q)
-	}
-	return b.String()
-}
-
-func (a *NFA) succ(set []int, sym int) []int {
-	mark := map[int]bool{}
-	for _, q := range set {
-		for _, e := range a.Adj[q] {
-			if e.Sym == sym {
-				mark[e.To] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(mark))
-	for q := range mark {
-		out = append(out, q)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func anyFinal(a *NFA, set []int) bool {
-	for _, q := range set {
-		if a.Final[q] {
-			return true
-		}
-	}
-	return false
-}
-
 // Determinize returns a deterministic automaton (complete over the
-// alphabet, including a possible dead state) equivalent to a. It fails
-// with ErrTooLarge if more than limit subset states are produced; a
-// limit ≤ 0 means DefaultLimit.
+// alphabet, including a possible dead state) equivalent to a; states are
+// numbered in breadth-first order from the start subset. It is
+// Subsets.Explore read back as an NFA, so every (subset, symbol) step is
+// computed once. It fails with ErrTooLarge if more than limit subset
+// states are produced; a limit ≤ 0 means DefaultLimit.
 func (a *NFA) Determinize(limit int) (*NFA, error) {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	out := New(a.NumSymbols)
-	id := map[string]int{}
-	var sets [][]int
-	add := func(set []int) (int, error) {
-		k := setKey(set)
-		if i, ok := id[k]; ok {
-			return i, nil
-		}
-		if len(id) >= limit {
-			return 0, ErrTooLarge
-		}
-		i := out.AddState(anyFinal(a, set))
-		id[k] = i
-		sets = append(sets, set)
-		return i, nil
-	}
-	start := append([]int(nil), a.Starts...)
-	sort.Ints(start)
-	start = dedupeInts(start)
-	s0, err := add(start)
-	if err != nil {
+	t := NewSubsets(a)
+	if err := t.Explore(limit, nil); err != nil {
 		return nil, err
 	}
-	out.AddStart(s0)
-	for i := 0; i < len(sets); i++ {
+	out := New(a.NumSymbols)
+	for id := int32(0); int(id) < t.Len(); id++ {
+		q := out.AddState(t.Final(id))
 		for sym := 0; sym < a.NumSymbols; sym++ {
-			to, err := add(a.succ(sets[i], sym))
-			if err != nil {
-				return nil, err
-			}
-			out.AddEdge(i, sym, to)
+			out.AddEdge(q, sym, int(t.Step(id, sym)))
 		}
 	}
+	out.AddStart(0)
 	return out, nil
 }
 
-func dedupeInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// Contains decides L(a) ⊆ L(b) by an on-the-fly product of a with the
-// subset construction of b. It fails with ErrTooLarge when the explored
-// space exceeds limit (≤ 0 means DefaultLimit). If the languages are not
-// contained, witness holds a shortest counterexample word.
+// Contains decides L(a) ⊆ L(b) by a breadth-first search of the product
+// of a with the on-the-fly subset construction of b. Product nodes are
+// (state of a, subset id) pairs over one Subsets table of b, which
+// memoizes each subset's final flag and each (subset, symbol) successor:
+// however many states of a meet the same subset, its steps are computed
+// once. limit bounds the number of product nodes explored — not the
+// number of subsets — and past it Contains fails with ErrTooLarge (≤ 0
+// means DefaultLimit). If the languages are not contained, witness holds
+// a shortest counterexample word.
 func Contains(a, b *NFA, limit int) (ok bool, witness []int, err error) {
 	if a.NumSymbols != b.NumSymbols {
 		panic("automata: containment over different alphabets")
@@ -427,57 +360,52 @@ func Contains(a, b *NFA, limit int) (ok bool, witness []int, err error) {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	type node struct {
-		p   int
-		set string
-	}
 	type entry struct {
-		set  []int
-		prev int // index into bfs, -1 for roots
-		sym  int
+		p, set int32
+		prev   int32 // index into bfs, -1 for roots
+		sym    int32
 	}
-	seen := map[node]bool{}
+	t := NewSubsets(b)
+	// seen is one bitset over a's states per subset id, grown with the
+	// table; nodes counts its set bits, i.e. the explored product nodes.
+	words := (a.Len() + 63) / 64
+	var seen []uint64
+	nodes := 0
 	var bfs []entry
-	var bfsP []int
-	bStart := append([]int(nil), b.Starts...)
-	sort.Ints(bStart)
-	bStart = dedupeInts(bStart)
-	for _, s := range a.Starts {
-		n := node{s, setKey(bStart)}
-		if !seen[n] {
-			seen[n] = true
-			bfs = append(bfs, entry{bStart, -1, -1})
-			bfsP = append(bfsP, s)
+	// enqueue adds the node (p, set) to the search unless it was already
+	// explored, and reports whether it was new.
+	enqueue := func(p, set, prev, sym int32) bool {
+		slot, bit := int(set)*words+int(p)/64, uint64(1)<<(p%64)
+		for len(seen) <= slot {
+			seen = append(seen, 0)
 		}
+		if seen[slot]&bit != 0 {
+			return false
+		}
+		seen[slot] |= bit
+		nodes++
+		bfs = append(bfs, entry{p, set, prev, sym})
+		return true
 	}
-	rebuild := func(i int) []int {
-		var w []int
-		for i >= 0 && bfs[i].sym >= 0 {
-			w = append(w, bfs[i].sym)
-			i = bfs[i].prev
-		}
-		for l, r := 0, len(w)-1; l < r; l, r = l+1, r-1 {
-			w[l], w[r] = w[r], w[l]
-		}
-		return w
+	bStart := t.Start()
+	for _, s := range a.Starts {
+		enqueue(int32(s), bStart, -1, -1)
 	}
 	for i := 0; i < len(bfs); i++ {
-		p, set := bfsP[i], bfs[i].set
-		if a.Final[p] && !anyFinal(b, set) {
-			return false, rebuild(i), nil
+		p, set := bfs[i].p, bfs[i].set
+		if a.Final[p] && !t.Final(set) {
+			for j := int32(i); bfs[j].sym >= 0; j = bfs[j].prev {
+				witness = append(witness, int(bfs[j].sym))
+			}
+			slices.Reverse(witness)
+			return false, witness, nil
 		}
 		for _, e := range a.Adj[p] {
-			next := b.succ(set, e.Sym)
-			n := node{e.To, setKey(next)}
-			if seen[n] {
-				continue
-			}
-			if len(seen) >= limit {
+			// Roots are never refused; the first later node past the
+			// budget is.
+			if enqueue(int32(e.To), t.Step(set, e.Sym), int32(i), int32(e.Sym)) && nodes > limit {
 				return false, nil, ErrTooLarge
 			}
-			seen[n] = true
-			bfs = append(bfs, entry{next, i, e.Sym})
-			bfsP = append(bfsP, e.To)
 		}
 	}
 	return true, nil, nil

@@ -323,10 +323,65 @@ func TestIsUnambiguousRandomAgainstPathCount(t *testing.T) {
 	}
 }
 
+// kthFromEnd builds the (n+2)-state NFA of (a|b)*a(a|b)^n, whose subset
+// construction has 2^(n+1) states.
+func kthFromEnd(n int) *NFA {
+	a := New(2)
+	s := a.AddState(false)
+	a.AddStart(s)
+	a.AddEdge(s, 0, s)
+	a.AddEdge(s, 1, s)
+	prev := a.AddState(n == 0)
+	a.AddEdge(s, 0, prev)
+	for i := 1; i <= n; i++ {
+		q := a.AddState(i == n)
+		a.AddEdge(prev, 0, q)
+		a.AddEdge(prev, 1, q)
+		prev = q
+	}
+	return a
+}
+
+// TestErrTooLarge pins where the budget bites. The numbers were taken
+// from the implementation that keyed subsets by formatted strings, before
+// the procedures moved onto the shared Subsets table: limit counts subset
+// states for Determinize and explored product nodes for Contains, the
+// first state or node past it fails, and Contains' root nodes are counted
+// but never refused.
 func TestErrTooLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randomNFA(rng, 2, 12)
 	if _, err := a.Determinize(1); err != ErrTooLarge {
 		t.Fatalf("expected ErrTooLarge, got %v", err)
+	}
+
+	b := kthFromEnd(4)
+	const subsets, nodes = 32, 112
+	if _, err := b.Determinize(subsets - 1); err != ErrTooLarge {
+		t.Fatalf("Determinize(%d) = %v, want ErrTooLarge", subsets-1, err)
+	}
+	if d, err := b.Determinize(subsets); err != nil || d.Len() != subsets {
+		t.Fatalf("Determinize(%d) = %v states, %v", subsets, d.Len(), err)
+	}
+	if _, _, err := Contains(b, b, nodes-1); err != ErrTooLarge {
+		t.Fatalf("Contains(limit %d) = %v, want ErrTooLarge", nodes-1, err)
+	}
+	if ok, _, err := Contains(b, b, nodes); err != nil || !ok {
+		t.Fatalf("Contains(limit %d) = (%v, %v), want (true, nil)", nodes, ok, err)
+	}
+
+	roots := New(2)
+	for i := 0; i < 3; i++ {
+		roots.AddStart(roots.AddState(false))
+	}
+	if ok, _, err := Contains(roots, b, 1); err != nil || !ok {
+		t.Fatalf("three roots, no edges, limit 1 = (%v, %v), want (true, nil)", ok, err)
+	}
+	roots.AddEdge(0, 0, 1)
+	if _, _, err := Contains(roots, b, 3); err != ErrTooLarge {
+		t.Fatalf("three roots and one more node, limit 3 = %v, want ErrTooLarge", err)
+	}
+	if ok, _, err := Contains(roots, b, 4); err != nil || !ok {
+		t.Fatalf("three roots and one more node, limit 4 = (%v, %v), want (true, nil)", ok, err)
 	}
 }

@@ -185,9 +185,13 @@ func Splittable(p *vsa.Automaton, s *Splitter, limit int) (bool, *vsa.Automaton,
 	return true, can, nil
 }
 
-// SelfSplittable decides Self-splittability (Theorem 5.16): P = P ∘ S.
+// SelfSplittable decides Self-splittability, P = P ∘ S: split-correctness
+// with P as its own split-spanner. Like SplitCorrectAuto, which it is,
+// it takes the polynomial route (Theorem 5.17) when P and the splitter
+// are deterministic and the splitter disjoint, and the general
+// equivalence test (Theorem 5.16, guarded by limit) otherwise.
 func SelfSplittable(p *vsa.Automaton, s *Splitter, limit int) (bool, error) {
-	return SelfSplitCorrect(p, s, limit)
+	return SplitCorrectAuto(p, p, s, limit)
 }
 
 // SelfSplittablePoly is the polynomial-time route of Theorem 5.17 for

@@ -1,0 +1,67 @@
+package core_test
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/library"
+	"repro/internal/vsa"
+)
+
+// decide is the sequence a cold plan compilation runs on a (spanner,
+// splitter) pair — and the one bench/'s core.decide_us row times:
+// NewSplitter, disjointness, locality, self-splittability.
+func decide(tb testing.TB, p, sAuto *vsa.Automaton) {
+	s, err := core.NewSplitter(sAuto)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if s.IsDisjoint() {
+		if _, err := s.IsLocal(0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := core.SelfSplittable(p, s, 0); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkDecide runs the decision procedures of one cold plan on the
+// plan-churn pair (NegativeSentiment × sentence splitter), each
+// iteration on freshly compiled automata (compilation is not timed), so
+// the ledger's core.decide_us row can be profiled without the harness:
+//
+//	go test -run='^$' -bench=Decide -cpuprofile=cpu.out ./internal/core/
+func BenchmarkDecide(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := library.NegativeSentiment()
+		sAuto := library.Sentences().Automaton()
+		b.StartTimer()
+		decide(b, p, sAuto)
+	}
+}
+
+// TestSelfSplittableAllocs pins the bookkeeping cost of one
+// self-splittability verdict on the plan-churn pair. The search itself
+// is PSPACE-hard in general; what is pinned here is that a verdict on
+// 11-state automata does not pay a formatted key and a map per subset
+// step. Before the shared subset table the same call made 3 306
+// allocations; the bound is a third of that.
+func TestSelfSplittableAllocs(t *testing.T) {
+	p := library.NegativeSentiment()
+	s := library.Sentences()
+	s.IsDisjoint() // memoized; not part of the verdict's cost
+	const parent = 3306
+	got := testing.AllocsPerRun(20, func() {
+		ok, err := core.SelfSplittable(p, s, 0)
+		if err != nil || !ok {
+			t.Fatalf("SelfSplittable = (%v, %v), want (true, nil)", ok, err)
+		}
+	})
+	t.Logf("SelfSplittable(sentiment, sentences): %.0f allocs (parent %d)", got, parent)
+	if got > parent/3 {
+		t.Fatalf("SelfSplittable allocates %.0f times, want ≤ %d", got, parent/3)
+	}
+}

@@ -100,8 +100,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"math/bits"
 
 	"repro/internal/alphabet"
 	"repro/internal/automata"
@@ -155,6 +154,7 @@ func (s *Splitter) isLocalDisjoint(limit int) (bool, error) {
 	if dead := alphabet.UnionAll(classes).Complement(); !dead.IsEmpty() {
 		c.atoms = append(c.atoms, dead)
 	}
+	c.nfa = c.byteNFA()
 
 	if ok, err := c.committedAcceptance(); err != nil || !ok { // L1
 		return false, err
@@ -175,8 +175,16 @@ type localityCheck struct {
 	atoms []alphabet.Class
 	limit int
 
+	// nfa is the splitter automaton with its variable operations
+	// dropped, over the atom alphabet: state q steps to r on atom c iff
+	// some edge q → r consumes a byte of c, and q is final iff it has a
+	// final operation set. front is its subset construction — the
+	// splitter's frontier DFA — and frontiers holds the boundary events
+	// of each frontier, indexed by front's ids. The subset construction
+	// of nfa's reversal enumerates the sets L1 quantifies over.
+	nfa       *automata.NFA
+	front     *automata.Subsets
 	frontiers []frontierInfo
-	index     map[string]int32
 	sigs      *profileSigs
 }
 
@@ -184,8 +192,6 @@ type localityCheck struct {
 // construction over all runs), annotated with the boundary events the
 // locality conditions compare. Slices are indexed by atom.
 type frontierInfo struct {
-	set   []int32
-	trans []int32
 	// openNow[c]: a nonempty span can start at this boundary when the
 	// next byte is in atom c (a status-0 state has an Open edge on c).
 	openNow []bool
@@ -226,26 +232,12 @@ func (f *frontierInfo) openEvent() bool {
 // into start states, so its subset walk enumerates them directly.
 func (c *localityCheck) committedAcceptance() (bool, error) {
 	n := len(c.a.States)
-	acc := automata.New(len(c.atoms))
-	for q := 0; q < n; q++ {
-		acc.AddState(len(c.a.States[q].Finals) > 0)
-	}
-	for q, st := range c.a.States {
-		for _, e := range st.Edges {
-			for sym, atom := range c.atoms {
-				if e.Class.Intersects(atom) {
-					acc.AddEdge(q, sym, e.To)
-				}
-			}
-		}
-	}
-	acc.DedupeEdges()
 	inAll := make([]bool, n)
 	for q := range inAll {
 		inAll[q] = true
 	}
 	member := make([]bool, n)
-	err := reachSubsets(automata.Reverse(acc), c.limit, func(set []int) {
+	err := reachSubsets(automata.Reverse(c.nfa), c.limit, func(set []int32) {
 		for _, q := range set {
 			member[q] = true
 		}
@@ -269,64 +261,50 @@ func (c *localityCheck) committedAcceptance() (bool, error) {
 	return true, nil
 }
 
-// buildFrontiers runs the frontier subset construction from {q₀} and
-// precomputes, per frontier and atom, the boundary events and the
-// end-profile signatures of open targets.
+// byteNFA builds localityCheck.nfa.
+func (c *localityCheck) byteNFA() *automata.NFA {
+	nfa := automata.New(len(c.atoms))
+	for _, st := range c.a.States {
+		nfa.AddState(len(st.Finals) > 0)
+	}
+	for q, st := range c.a.States {
+		for _, e := range st.Edges {
+			for sym, atom := range c.atoms {
+				if e.Class.Intersects(atom) {
+					nfa.AddEdge(q, sym, e.To)
+				}
+			}
+		}
+	}
+	nfa.AddStart(c.a.Start)
+	nfa.DedupeEdges()
+	return nfa
+}
+
+// buildFrontiers runs the frontier subset construction from {q₀} — the
+// breadth-first exploration of nfa's subset table, whose ids are the
+// frontier ids and whose memoized rows are the frontier transitions —
+// and annotates each frontier, as the walk reaches it, with its
+// boundary events and the end-profile signatures of its open targets.
 func (c *localityCheck) buildFrontiers() error {
 	var err error
 	if c.sigs, err = newProfileSigs(c); err != nil {
 		return err
 	}
-	c.index = map[string]int32{}
-	start := []int32{int32(c.a.Start)}
-	if _, err := c.internFrontier(start); err != nil {
-		return err
-	}
-	for i := 0; i < len(c.frontiers); i++ {
-		for sym := range c.atoms {
-			next := c.frontierStep(c.frontiers[i].set, sym)
-			to, err := c.internFrontier(next)
-			if err != nil {
-				return err
-			}
-			// frontiers may have been reallocated by internFrontier.
-			c.frontiers[i].trans[sym] = to
-		}
+	c.front = automata.NewSubsets(c.nfa)
+	err = c.front.Explore(c.limit, func(id int32) {
+		c.frontiers = append(c.frontiers, c.annotate(c.front.Set(id)))
+	})
+	if err != nil {
+		return fmt.Errorf("core: locality frontier construction: %w", err)
 	}
 	return nil
 }
 
-// frontierStep computes the successor frontier on one atom.
-func (c *localityCheck) frontierStep(set []int32, sym int) []int32 {
-	atom := c.atoms[sym]
-	seen := make(map[int32]bool)
-	var next []int32
-	for _, q := range set {
-		for _, e := range c.a.States[q].Edges {
-			if e.Class.Intersects(atom) && !seen[int32(e.To)] {
-				seen[int32(e.To)] = true
-				next = append(next, int32(e.To))
-			}
-		}
-	}
-	sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-	return next
-}
-
-// internFrontier returns the id of a frontier set, creating and
-// annotating it on first sight.
-func (c *localityCheck) internFrontier(set []int32) (int32, error) {
-	key := int32SetKey(set)
-	if id, ok := c.index[key]; ok {
-		return id, nil
-	}
-	if len(c.frontiers) >= c.limit {
-		return 0, fmt.Errorf("core: locality frontier construction: %w", automata.ErrTooLarge)
-	}
+// annotate computes the boundary events of one frontier set.
+func (c *localityCheck) annotate(set []int32) frontierInfo {
 	nsym := len(c.atoms)
 	f := frontierInfo{
-		set:     set,
-		trans:   make([]int32, nsym),
 		openNow: make([]bool, nsym),
 		wrapNow: make([]bool, nsym),
 		openSig: make([]int32, nsym),
@@ -377,10 +355,7 @@ func (c *localityCheck) internFrontier(set []int32) (int32, error) {
 			f.openSig[sym] = c.sigs.signature(targets)
 		}
 	}
-	id := int32(len(c.frontiers))
-	c.frontiers = append(c.frontiers, f)
-	c.index[key] = id
-	return id, nil
+	return f
 }
 
 // noEOFAmbiguity checks L2 on every reachable frontier.
@@ -398,7 +373,7 @@ func (c *localityCheck) noEOFAmbiguity() bool {
 // agree trivially and step to diagonal pairs, so only off-diagonal
 // pairs are walked; the walk is bounded by limit.
 func (c *localityCheck) factoring() (bool, error) {
-	startID := int32(0) // internFrontier({q₀}) ran first in buildFrontiers
+	startID := int32(0) // Explore numbers the start subset {q₀} first
 	type pair struct{ f, g int32 }
 	seen := map[pair]bool{}
 	var queue []pair
@@ -432,7 +407,7 @@ func (c *localityCheck) factoring() (bool, error) {
 				f.openSig[sym] != g.openSig[sym] {
 				return false, nil
 			}
-			if err := push(pair{f.trans[sym], g.trans[sym]}); err != nil {
+			if err := push(pair{c.front.Step(p.f, sym), c.front.Step(p.g, sym)}); err != nil {
 				return false, err
 			}
 		}
@@ -452,11 +427,10 @@ func (c *localityCheck) factoring() (bool, error) {
 // belongs to; a set's signature is the union of its members' bitsets,
 // interned so the pair walk compares plain int32s.
 type profileSigs struct {
-	check *localityCheck
-	words int        // bitset words per state
-	bits  [][]uint64 // per state: membership over enumerated subsets
-	ids   map[string]int32
-	buf   []uint64
+	bits [][]uint64        // per state: membership over enumerated subsets
+	sigs automata.SetTable // distinct profiles, as sets of subset indices
+	buf  []uint64
+	set  []int32
 }
 
 func newProfileSigs(c *localityCheck) (*profileSigs, error) {
@@ -491,13 +465,13 @@ func newProfileSigs(c *localityCheck) (*profileSigs, error) {
 		}
 	}
 	cp.DedupeEdges()
-	s := &profileSigs{check: c, bits: make([][]uint64, n), ids: map[string]int32{}}
+	s := &profileSigs{bits: make([][]uint64, n)}
 	var nsub int
-	err := reachSubsets(automata.Reverse(cp), c.limit, func(set []int) {
+	err := reachSubsets(automata.Reverse(cp), c.limit, func(set []int32) {
 		word, bit := nsub/64, uint64(1)<<(nsub%64)
 		nsub++
 		for _, q := range set {
-			if q >= n {
+			if int(q) >= n {
 				continue // the sink carries no profile of its own
 			}
 			for len(s.bits[q]) <= word {
@@ -509,32 +483,26 @@ func newProfileSigs(c *localityCheck) (*profileSigs, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.words = (nsub + 63) / 64
-	s.buf = make([]uint64, s.words)
+	s.buf = make([]uint64, (nsub+63)/64)
 	return s, nil
 }
 
 // signature interns the profile of a state set and returns its id.
 func (s *profileSigs) signature(targets []int32) int32 {
-	for i := range s.buf {
-		s.buf[i] = 0
-	}
+	clear(s.buf)
 	for _, q := range targets {
 		for i, w := range s.bits[q] {
 			s.buf[i] |= w
 		}
 	}
-	var b strings.Builder
-	for _, w := range s.buf {
-		fmt.Fprintf(&b, "%x,", w)
+	set := s.set[:0]
+	for i, w := range s.buf {
+		for ; w != 0; w &= w - 1 {
+			set = append(set, int32(i*64+bits.TrailingZeros64(w)))
+		}
 	}
-	key := b.String()
-	if id, ok := s.ids[key]; ok {
-		return id
-	}
-	id := int32(len(s.ids))
-	s.ids[key] = id
-	return id
+	s.set = set
+	return s.sigs.Intern(set)
 }
 
 // reachSubsets enumerates the reachable subset states of nfa's
@@ -542,67 +510,11 @@ func (s *profileSigs) signature(targets []int32) int32 {
 // included, even when empty — the empty set is the dead state bytes
 // outside every edge class lead to). It fails with automata.ErrTooLarge
 // past limit.
-func reachSubsets(nfa *automata.NFA, limit int, visit func(set []int)) error {
-	start := append([]int(nil), nfa.Starts...)
-	sort.Ints(start)
-	start = dedupeSortedInts(start)
-	seen := map[string]bool{intSetKey(start): true}
-	queue := [][]int{start}
-	visit(start)
-	mark := make([]bool, nfa.Len())
-	for i := 0; i < len(queue); i++ {
-		set := queue[i]
-		for sym := 0; sym < nfa.NumSymbols; sym++ {
-			var next []int
-			for _, q := range set {
-				for _, e := range nfa.Adj[q] {
-					if e.Sym == sym && !mark[e.To] {
-						mark[e.To] = true
-						next = append(next, e.To)
-					}
-				}
-			}
-			for _, q := range next {
-				mark[q] = false
-			}
-			sort.Ints(next)
-			key := intSetKey(next)
-			if seen[key] {
-				continue
-			}
-			if len(seen) >= limit {
-				return fmt.Errorf("core: locality subset enumeration: %w", automata.ErrTooLarge)
-			}
-			seen[key] = true
-			queue = append(queue, next)
-			visit(next)
-		}
+func reachSubsets(nfa *automata.NFA, limit int, visit func(set []int32)) error {
+	t := automata.NewSubsets(nfa)
+	err := t.Explore(limit, func(id int32) { visit(t.Set(id)) })
+	if err != nil {
+		return fmt.Errorf("core: locality subset enumeration: %w", err)
 	}
 	return nil
-}
-
-func intSetKey(set []int) string {
-	var b strings.Builder
-	for _, q := range set {
-		fmt.Fprintf(&b, "%x,", q)
-	}
-	return b.String()
-}
-
-func int32SetKey(set []int32) string {
-	var b strings.Builder
-	for _, q := range set {
-		fmt.Fprintf(&b, "%x,", q)
-	}
-	return b.String()
-}
-
-func dedupeSortedInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }

@@ -187,14 +187,31 @@ func TestIsLocalDegenerate(t *testing.T) {
 }
 
 // A starved state budget must surface as automata.ErrTooLarge (verdict
-// unknown), never as a false "local".
+// unknown), never as a false "local". The smallest sufficient budgets
+// are pinned: they are the sizes of the largest subset space the
+// analysis enumerates, and were the same before the enumerations moved
+// onto automata.Subsets.
 func TestIsLocalStateLimit(t *testing.T) {
-	s := library.Sentences()
-	ok, err := s.IsLocal(1)
-	if !errors.Is(err, automata.ErrTooLarge) {
-		t.Fatalf("IsLocal(limit=1) = (%v, %v), want ErrTooLarge", ok, err)
-	}
-	if ok {
-		t.Fatal("IsLocal reported a proof while over budget")
+	for _, c := range []struct {
+		name string
+		mk   func() *core.Splitter
+		need int
+	}{
+		{"sentences", library.Sentences, 6},
+		{"paragraphs", library.Paragraphs, 6},
+		{"tokens", library.Tokens, 49},
+	} {
+		for _, limit := range []int{1, c.need - 1} {
+			ok, err := c.mk().IsLocal(limit)
+			if !errors.Is(err, automata.ErrTooLarge) {
+				t.Fatalf("%s: IsLocal(limit=%d) = (%v, %v), want ErrTooLarge", c.name, limit, ok, err)
+			}
+			if ok {
+				t.Fatalf("%s: IsLocal reported a proof while over budget", c.name)
+			}
+		}
+		if ok, err := c.mk().IsLocal(c.need); err != nil || !ok {
+			t.Fatalf("%s: IsLocal(limit=%d) = (%v, %v), want (true, nil)", c.name, c.need, ok, err)
+		}
 	}
 }

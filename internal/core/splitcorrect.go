@@ -20,22 +20,8 @@ func SplitCorrect(p, ps *vsa.Automaton, s *Splitter, limit int) (bool, error) {
 // document on which P and P_S ∘ S disagree — the "debugging" use case of
 // the introduction.
 func SplitCorrectWitness(p, ps *vsa.Automaton, s *Splitter, limit int) (ok bool, witness string, err error) {
-	comp := Compose(ps, s)
-	doc, found, err := vsa.CounterExample(p, comp, limit)
-	if err != nil {
-		return false, "", err
-	}
-	if found {
-		return false, doc, nil
-	}
-	doc, found, err = vsa.CounterExample(comp, p, limit)
-	if err != nil {
-		return false, "", err
-	}
-	if found {
-		return false, doc, nil
-	}
-	return true, "", nil
+	doc, found, err := vsa.Distinguish(p, Compose(ps, s), limit)
+	return err == nil && !found, doc, err
 }
 
 // SplitCorrectAuto dispatches to the polynomial Theorem 5.7 procedure when
@@ -48,12 +34,6 @@ func SplitCorrectAuto(p, ps *vsa.Automaton, s *Splitter, limit int) (bool, error
 		return SplitCorrectPoly(p, ps, s)
 	}
 	return SplitCorrect(p, ps, s, limit)
-}
-
-// SelfSplitCorrect decides the equation P = P ∘ S underlying
-// self-splittability (Theorem 5.16 route).
-func SelfSplitCorrect(p *vsa.Automaton, s *Splitter, limit int) (bool, error) {
-	return SplitCorrect(p, p, s, limit)
 }
 
 // ---------------------------------------------------------------------------

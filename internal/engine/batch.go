@@ -113,7 +113,6 @@ func compileBatchPlan(req BatchRequest) (*Plan, error) {
 		errs: make([]error, len(req.Spanners)),
 	}
 	plan := &Plan{Req: Request{Tenant: req.Tenant}, batch: b}
-	defer func() { plan.warm() }()
 	seen := make(map[string]int, len(req.Spanners)) // formula -> first slot
 	for i, src := range req.Spanners {
 		if j, ok := seen[src]; ok {
@@ -132,6 +131,7 @@ func compileBatchPlan(req BatchRequest) (*Plan, error) {
 	if len(b.members) > 0 {
 		b.multi = vsa.NewMulti(b.members...)
 	}
+	plan.warm()
 	plan.CompileTime = time.Since(t0)
 	return plan, nil
 }

@@ -182,8 +182,9 @@ type Stats struct {
 	PlanCache      CacheStats `json:"plan_cache"`
 	// Stages breaks request-path time down by pipeline stage — plan,
 	// segment, eval as top-level stages whose shares sum to 1, plus the
-	// nested merge/localize/sim stages as fractions of the same total
-	// (see StageStats.Share).
+	// nested merge/localize/sim stages (inside eval) and the decide
+	// stage (inside plan) as fractions of the same total (see
+	// StageStats.Share).
 	Stages map[string]StageStats `json:"stages"`
 	// Segmenter reports how streamed documents were segmented: resumable
 	// compiled-scanner feeds versus fallback re-scanned bytes and bails.
@@ -239,6 +240,7 @@ func (e *Engine) Plan(ctx context.Context, req Request) (plan *Plan, hit bool, e
 		if err != nil {
 			return nil, err
 		}
+		e.m.decide.RecordDuration(p.DecideTime)
 		// Attach the engine's evaluation metrics to the automatons the
 		// plan will evaluate with. The cache is per-engine, so a cached
 		// plan always reports into its own engine's counters.

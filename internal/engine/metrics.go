@@ -28,6 +28,10 @@ import (
 //	merge    the executor's final merge (concatenate + offset-sort +
 //	         dedupe) — a sub-interval of eval, recorded by the executor
 //	         itself.
+//	decide   the paper's decision procedures inside a cold compilation
+//	         (disjointness, locality, split-correctness or
+//	         self-splittability; Plan.DecideTime) — a sub-interval of
+//	         plan, recorded once per plan-cache miss and never on a hit.
 //
 // The localize/simulate split within evaluation is tracked separately
 // by vsa.EvalMetrics for evaluations large enough to time (see
@@ -76,6 +80,7 @@ type Metrics struct {
 	segBails     obs.Counter
 
 	stages [numStages]obs.Histogram // wall ns per request, by Stage
+	decide obs.Histogram            // wall ns per cold compilation (nested in plan)
 
 	eval  vsa.EvalMetrics
 	exec  parallel.ExecMetrics
@@ -105,6 +110,8 @@ func newMetrics(e *Engine) *Metrics {
 	}
 	r.BindDurationHistogram(`spanners_engine_stage_seconds{stage="merge"}`,
 		"request-path stage wall time", &m.exec.MergeNS)
+	r.BindDurationHistogram(`spanners_engine_stage_seconds{stage="decide"}`,
+		"request-path stage wall time", &m.decide)
 
 	cacheStat := func(f func(CacheStats) float64) func() float64 {
 		return func() float64 { return f(e.cache.stats()) }
@@ -172,8 +179,8 @@ type StageStats struct {
 	TotalMS float64 `json:"total_ms"`
 	// Share is TotalMS over the summed wall time of the top-level
 	// stages (plan + segment + eval). The top-level stages' shares sum
-	// to 1; nested stages (merge, localize, sim) are fractions of the
-	// same denominator, so "merge share 0.04" reads as 4% of all
+	// to 1; nested stages (merge, localize, sim, decide) are fractions
+	// of the same denominator, so "merge share 0.04" reads as 4% of all
 	// request-path time. Nested stages measured on worker clocks can
 	// exceed their parent's wall time under multi-core parallelism.
 	Share float64 `json:"share"`
@@ -218,8 +225,7 @@ type LocalizationStats struct {
 
 const msPerNS = 1e-6
 
-func histStage(h *obs.Histogram, denomNS float64) StageStats {
-	s := h.Snapshot()
+func histStage(s obs.HistogramSnapshot, denomNS float64) StageStats {
 	st := StageStats{
 		Count:   s.Count,
 		TotalMS: float64(s.Sum) * msPerNS,
@@ -249,22 +255,12 @@ func (m *Metrics) stageStats() map[string]StageStats {
 		snaps[s] = m.stages[s].Snapshot()
 		denom += float64(snaps[s].Sum)
 	}
-	out := make(map[string]StageStats, int(numStages)+3)
+	out := make(map[string]StageStats, int(numStages)+4)
 	for s := Stage(0); s < numStages; s++ {
-		snap := snaps[s]
-		st := StageStats{
-			Count:   snap.Count,
-			TotalMS: float64(snap.Sum) * msPerNS,
-			P50MS:   snap.Quantile(0.50) * msPerNS,
-			P90MS:   snap.Quantile(0.90) * msPerNS,
-			P99MS:   snap.Quantile(0.99) * msPerNS,
-		}
-		if denom > 0 {
-			st.Share = float64(snap.Sum) / denom
-		}
-		out[s.String()] = st
+		out[s.String()] = histStage(snaps[s], denom)
 	}
-	out["merge"] = histStage(&m.exec.MergeNS, denom)
+	out["merge"] = histStage(m.exec.MergeNS.Snapshot(), denom)
+	out["decide"] = histStage(m.decide.Snapshot(), denom)
 	out["localize"] = counterStage(m.eval.Evals.Load(), m.eval.LocalizeNS.Load(), denom)
 	out["sim"] = counterStage(m.eval.Evals.Load(), m.eval.SimNS.Load(), denom)
 	return out

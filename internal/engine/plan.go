@@ -79,9 +79,13 @@ type Plan struct {
 	Verdicts core.PlanVerdicts
 	// Strategy is the evaluation strategy the verdicts justify.
 	Strategy Strategy
-	// CompileTime is how long compilation plus the decision procedures
-	// took; cache hits amortize exactly this cost.
+	// CompileTime is how long compilation, the decision procedures and
+	// warming the evaluation caches took; cache hits amortize exactly
+	// this cost. DecideTime is the part of it spent inside the decision
+	// procedures (disjointness, locality, split-correctness or
+	// self-splittability); zero for plans without a splitter.
 	CompileTime time.Duration
+	DecideTime  time.Duration
 
 	p  *vsa.Automaton // the spanner P
 	ps *vsa.Automaton // the split-spanner P_S (nil unless StrategySplit)
@@ -152,10 +156,10 @@ func (p *Plan) cost() int64 {
 }
 
 // compilePlan builds a Plan from a request: it compiles the formulas,
-// runs the relevant decision procedures under the state limit, and picks
-// the strategy. A limit overflow (automata.ErrTooLarge) is not an error:
-// the verdict stays unknown and the plan degrades to sequential
-// evaluation, which is always correct.
+// runs the relevant decision procedures under the state limit, picks
+// the strategy and warms the evaluation caches. A limit overflow
+// (automata.ErrTooLarge) is not an error: the verdict stays unknown and
+// the plan degrades to sequential evaluation, which is always correct.
 //
 // compilePlan deliberately takes no context: it runs under the cache's
 // single-flight, and a build started on behalf of one request serves
@@ -163,12 +167,23 @@ func (p *Plan) cost() int64 {
 // went away would fail the others. The decision procedures themselves
 // are bounded by the state limit rather than by cancellation.
 func compilePlan(req Request, limit int) (*Plan, error) {
+	t0 := time.Now()
+	plan, err := decidePlan(req, limit)
+	if err != nil {
+		return nil, err
+	}
+	plan.warm()
+	plan.CompileTime = time.Since(t0)
+	return plan, nil
+}
+
+// decidePlan is compilePlan up to the strategy: formulas compiled,
+// verdicts and DecideTime filled in, nothing warmed yet.
+func decidePlan(req Request, limit int) (*Plan, error) {
 	if req.Spanner == "" {
 		return nil, errors.New("engine: empty spanner formula")
 	}
-	t0 := time.Now()
 	plan := &Plan{Req: req}
-	defer func() { plan.warm() }()
 	var err error
 	plan.p, err = regexformula.Compile(req.Spanner)
 	if err != nil {
@@ -178,7 +193,6 @@ func compilePlan(req Request, limit int) (*Plan, error) {
 		if req.SplitSpanner != "" {
 			return nil, errors.New("engine: split_spanner given without a splitter")
 		}
-		plan.CompileTime = time.Since(t0)
 		return plan, nil
 	}
 	sAuto, err := regexformula.Compile(req.Splitter)
@@ -189,6 +203,16 @@ func compilePlan(req Request, limit int) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: splitter: %w", err)
 	}
+	ps := plan.p // self-splittability unless a split-spanner is given
+	if req.SplitSpanner != "" {
+		ps, err = regexformula.Compile(req.SplitSpanner)
+		if err != nil {
+			return nil, fmt.Errorf("engine: split_spanner: %w", err)
+		}
+	}
+
+	t0 := time.Now()
+	defer func() { plan.DecideTime = time.Since(t0) }()
 	plan.Verdicts.Disjoint = core.VerdictOf(plan.s.IsDisjoint())
 	// Locality is what licenses incremental segmentation of streamed
 	// documents (Engine.WillStream): computed here, once, under the plan
@@ -209,42 +233,26 @@ func compilePlan(req Request, limit int) (*Plan, error) {
 		}
 	}
 
+	// One dispatcher for both questions: self-splittability is
+	// split-correctness with P as its own split-spanner, and
+	// SplitCorrectAuto picks the polynomial or the general procedure.
+	what, verdict := "self-splittability", &plan.Verdicts.SelfSplittable
 	if req.SplitSpanner != "" {
-		ps, err := regexformula.Compile(req.SplitSpanner)
-		if err != nil {
-			return nil, fmt.Errorf("engine: split_spanner: %w", err)
-		}
-		ok, err := core.SplitCorrectAuto(plan.p, ps, plan.s, limit)
-		switch {
-		case errors.Is(err, automata.ErrTooLarge):
-			plan.Verdicts.Note = appendNote(plan.Verdicts.Note, "split-correctness undecided: "+err.Error())
-		case err != nil:
-			return nil, fmt.Errorf("engine: split-correctness: %w", err)
-		default:
-			plan.Verdicts.SplitCorrect = core.VerdictOf(ok)
-			if ok {
-				plan.Strategy = StrategySplit
-				plan.ps = ps
-			}
-		}
-		plan.CompileTime = time.Since(t0)
-		return plan, nil
+		what, verdict = "split-correctness", &plan.Verdicts.SplitCorrect
 	}
-
-	ok, err := selfSplittable(plan.p, plan.s, limit)
+	ok, err := core.SplitCorrectAuto(plan.p, ps, plan.s, limit)
 	switch {
 	case errors.Is(err, automata.ErrTooLarge):
-		plan.Verdicts.Note = appendNote(plan.Verdicts.Note, "self-splittability undecided: "+err.Error())
+		plan.Verdicts.Note = appendNote(plan.Verdicts.Note, what+" undecided: "+err.Error())
 	case err != nil:
-		return nil, fmt.Errorf("engine: self-splittability: %w", err)
+		return nil, fmt.Errorf("engine: %s: %w", what, err)
 	default:
-		plan.Verdicts.SelfSplittable = core.VerdictOf(ok)
+		*verdict = core.VerdictOf(ok)
 		if ok {
 			plan.Strategy = StrategySplit
-			plan.ps = plan.p
+			plan.ps = ps
 		}
 	}
-	plan.CompileTime = time.Since(t0)
 	return plan, nil
 }
 
@@ -278,16 +286,4 @@ func (p *Plan) warm() {
 		// Prepares the fused groups and every member's compiled caches.
 		p.batch.multi.Prepare()
 	}
-}
-
-// selfSplittable mirrors the façade's procedure selection: the
-// polynomial Theorem 5.17 algorithm when the automata are deterministic
-// and the splitter disjoint, the general Theorem 5.16 procedure
-// otherwise.
-func selfSplittable(p *vsa.Automaton, s *core.Splitter, limit int) (bool, error) {
-	if p.Arity() > 0 && p.IsDeterministic() &&
-		s.Automaton().IsDeterministic() && s.IsDisjoint() {
-		return core.SelfSplittablePoly(p, s)
-	}
-	return core.SelfSplittable(p, s, limit)
 }

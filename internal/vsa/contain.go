@@ -20,13 +20,14 @@ type SymTab struct {
 	AtomsList []alphabet.Class
 	opSyms    map[OpSet]int
 	opOrder   []OpSet
+	atomSyms  map[alphabet.Class][]int // AtomSyms memo
 }
 
 // NewSymTab builds a shared symbol table for the given automata. All op
 // sets appearing on edges or finals are interned, as is the empty set.
 func NewSymTab(autos ...*Automaton) *SymTab {
 	var classes []alphabet.Class
-	t := &SymTab{opSyms: map[OpSet]int{}}
+	t := &SymTab{opSyms: map[OpSet]int{}, atomSyms: map[alphabet.Class][]int{}}
 	addOps := func(o OpSet) {
 		if _, ok := t.opSyms[o]; !ok {
 			t.opSyms[o] = len(t.opOrder) // resolved to symbol ids later
@@ -66,14 +67,21 @@ func (t *SymTab) OpSym(o OpSet) int {
 	return s
 }
 
-// AtomSyms returns the symbol ids of all atoms contained in class.
+// AtomSyms returns the symbol ids of all atoms contained in class. The
+// answer is computed once per distinct class — the automata of a pair
+// repeat a handful of classes over all their edges — and the returned
+// slice is shared: callers must not modify it.
 func (t *SymTab) AtomSyms(class alphabet.Class) []int {
+	if syms, ok := t.atomSyms[class]; ok {
+		return syms
+	}
 	var out []int
 	for i, a := range t.AtomsList {
 		if class.ContainsClass(a) {
 			out = append(out, i)
 		}
 	}
+	t.atomSyms[class] = out
 	return out
 }
 
@@ -145,67 +153,99 @@ func alignVars(a, b *Automaton) (*Automaton, error) {
 	return b.ReorderVars(a.Vars)
 }
 
+// comparison is the outcome of comparing two automata over one aligned
+// pair: b's variables reordered to a's, one symbol table over both, and
+// both translated to NFAs over its extended words — all built once,
+// however many containment directions run over them.
+type comparison struct {
+	tab       *SymTab
+	contained bool  // every direction asked for holds
+	witness   []int // else: a shortest extended word one side accepts alone
+}
+
+// compare decides L(a) ⊆ L(b) and, when bothWays is set and that holds,
+// L(b) ⊆ L(a). Each direction is the linear product of Theorem 4.3 when
+// its right-hand side is deterministic and automata.Contains bounded by
+// limit otherwise.
+func compare(a, b *Automaton, limit int, bothWays bool) (comparison, error) {
+	b, err := alignVars(a, b)
+	if err != nil {
+		return comparison{}, err
+	}
+	c := comparison{tab: NewSymTab(a, b)}
+	na, nb := a.WordNFA(c.tab), b.WordNFA(c.tab)
+	contains := func(x, y *automata.NFA) (err error) {
+		if y.IsDeterministic() {
+			c.contained, c.witness = automata.ContainsDet(x, y)
+		} else {
+			c.contained, c.witness, err = automata.Contains(x, y, limit)
+		}
+		return err
+	}
+	if err := contains(na, nb); err != nil || !c.contained || !bothWays {
+		return c, err
+	}
+	return c, contains(nb, na)
+}
+
+// counterExample decodes the witness of a failed comparison into a
+// document, choosing the smallest byte of each atom.
+func (c comparison) counterExample() (doc string, found bool) {
+	if c.contained {
+		return "", false
+	}
+	var buf []byte
+	for _, sym := range c.witness {
+		if sym < len(c.tab.AtomsList) {
+			b, _ := c.tab.AtomsList[sym].Min()
+			buf = append(buf, b)
+		}
+	}
+	return string(buf), true
+}
+
 // Contained decides ⟦a⟧ ⊆ ⟦b⟧ (Theorem 4.1). The general case uses an
 // on-the-fly subset construction and is exponential in the worst case —
-// the problem is PSPACE-complete — guarded by limit (≤ 0 means
+// the problem is PSPACE-complete — guarded by limit, which counts the
+// product nodes automata.Contains explores (≤ 0 means
 // automata.DefaultLimit). When b is deterministic the product-based
 // Theorem 4.3 procedure is used instead and limit is irrelevant.
 func Contained(a, b *Automaton, limit int) (bool, error) {
-	b2, err := alignVars(a, b)
-	if err != nil {
-		return false, err
-	}
-	tab := NewSymTab(a, b2)
-	na := a.WordNFA(tab)
-	nb := b2.WordNFA(tab)
-	if nb.IsDeterministic() {
-		ok, _ := automata.ContainsDet(na, nb)
-		return ok, nil
-	}
-	ok, _, err := automata.Contains(na, nb, limit)
-	return ok, err
+	c, err := compare(a, b, limit, false)
+	return c.contained, err
 }
 
-// Equivalent decides ⟦a⟧ = ⟦b⟧ by two containment checks.
+// Equivalent decides ⟦a⟧ = ⟦b⟧ by two containment checks over one
+// aligned pair: the symbol table and both word NFAs are built once and
+// shared by the two directions; each direction memoizes its subset
+// steps in its own automata.Subsets table. limit applies to each
+// direction separately and still counts explored product nodes.
 func Equivalent(a, b *Automaton, limit int) (bool, error) {
-	ok, err := Contained(a, b, limit)
-	if err != nil || !ok {
-		return ok, err
-	}
-	return Contained(b, a, limit)
+	c, err := compare(a, b, limit, true)
+	return c.contained, err
 }
 
 // CounterExample searches for a document and tuple accepted by a but not
-// by b; it returns found=false if none exists. The witness extraction
-// decodes the extended word returned by the underlying containment check
-// into a document (choosing the smallest byte of each atom).
+// by b; it returns found=false if none exists. The document is decoded
+// from a shortest extended word separating the two.
 func CounterExample(a, b *Automaton, limit int) (doc string, found bool, err error) {
-	b2, err := alignVars(a, b)
+	c, err := compare(a, b, limit, false)
 	if err != nil {
 		return "", false, err
 	}
-	tab := NewSymTab(a, b2)
-	na := a.WordNFA(tab)
-	nb := b2.WordNFA(tab)
-	var witness []int
-	var ok bool
-	if nb.IsDeterministic() {
-		ok, witness = automata.ContainsDet(na, nb)
-	} else {
-		ok, witness, err = automata.Contains(na, nb, limit)
-		if err != nil {
-			return "", false, err
-		}
+	doc, found = c.counterExample()
+	return doc, found, nil
+}
+
+// Distinguish searches for a document on which a and b disagree: one
+// accepted (with some tuple) by a but not by b or, failing that, by b
+// but not by a — CounterExample in both directions over one aligned
+// pair. found=false means the spanners are equivalent.
+func Distinguish(a, b *Automaton, limit int) (doc string, found bool, err error) {
+	c, err := compare(a, b, limit, true)
+	if err != nil {
+		return "", false, err
 	}
-	if ok {
-		return "", false, nil
-	}
-	var buf []byte
-	for _, sym := range witness {
-		if sym < len(tab.AtomsList) {
-			bch, _ := tab.AtomsList[sym].Min()
-			buf = append(buf, bch)
-		}
-	}
-	return string(buf), true, nil
+	doc, found = c.counterExample()
+	return doc, found, nil
 }

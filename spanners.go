@@ -249,12 +249,9 @@ func SplitCorrectWitness(p, ps *Spanner, s *Splitter) (ok bool, witness string, 
 	return core.SplitCorrectWitness(p.auto, ps.auto, s.s, DefaultLimit)
 }
 
-// SelfSplittable decides P = P ∘ S (Theorems 5.16–5.17).
+// SelfSplittable decides P = P ∘ S (Theorems 5.16–5.17), choosing
+// between the polynomial and the general procedure as SplitCorrect does.
 func SelfSplittable(p *Spanner, s *Splitter) (bool, error) {
-	if p.auto.Arity() > 0 && p.auto.IsDeterministic() &&
-		s.s.Automaton().IsDeterministic() && s.s.IsDisjoint() {
-		return core.SelfSplittablePoly(p.auto, s.s)
-	}
 	return core.SelfSplittable(p.auto, s.s, DefaultLimit)
 }
 
