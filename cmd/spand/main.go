@@ -18,8 +18,8 @@
 //	                   disjointness / locality verdicts for a formula
 //	                   pair, served from the plan cache.
 //	GET  /v1/stats     one consistent JSON snapshot: throughput counters
-//	                   (documents total and streamed incrementally,
-//	                   bytes, segments), cache hit rate, pool
+//	                   (documents total, streamed incrementally and
+//	                   evaluated whole, bytes, segments), cache hit rate, pool
 //	                   configuration and the force-stream flag, the
 //	                   pipeline-stage time breakdown (plan / segment /
 //	                   eval shares with p50/p90/p99, plus the nested
@@ -46,14 +46,18 @@
 // an admitted request always gets either its result or an explicit
 // error.
 //
-// A successful extraction responds with the plan section — strategy,
-// verdicts, cache_hit, plan_compile_ms — plus ingest ("inline",
-// "streamed" or "buffered"), vars, count and the tuples as arrays of
+// A successful extraction responds with the plan section — strategy
+// (what the verdicts justify), verdicts, cache_hit, plan_compile_ms —
+// plus ingest ("inline", "streamed" or "buffered"), execution (what ran
+// for this document: "split" on the executor, or "whole" on the request
+// goroutine when the plan is sequential or the document too small to
+// amortise the executor), vars, count and the tuples as arrays of
 // 1-based [start, end) spans:
 //
 //	{"strategy":"split-parallel",
 //	 "verdicts":{"disjoint":"yes","self_splittable":"yes","local":"yes"},
 //	 "cache_hit":false, "plan_compile_ms":1.234, "ingest":"inline",
+//	 "execution":"whole",
 //	 "vars":["y"], "count":2, "tuples":[[[6,21]],[[26,34]]]}
 //
 // Example:
@@ -146,7 +150,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "evaluation workers (0 = GOMAXPROCS)")
 		reqWork   = flag.Int("req-workers", 0, "executor workers any one request may use (0 = auto: ceil(2*workers/admit), so concurrent requests share the pool fairly; negative = uncapped)")
-		batch     = flag.Int("batch", 16, "segments per worker task for inline documents (streamed documents are dispatched one read chunk at a time)")
+		batch     = flag.Int("batch", 16, "segments per worker task for inline documents that take the split route (documents too small to amortise the executor are evaluated whole; streamed documents are dispatched one read chunk at a time)")
 		cacheSize = flag.Int("cache", 128, "plan cache capacity (entries, all tenants)")
 		cacheMB   = flag.Int64("cache-bytes", 0, "plan cache budget in bytes of estimated plan cost (0 = 64 MiB, negative = unlimited)")
 		tenPlans  = flag.Int("tenant-plans", 0, "per-tenant plan cache entry quota (0 = no carve-up)")

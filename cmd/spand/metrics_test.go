@@ -14,9 +14,13 @@ import (
 	"repro/internal/engine"
 )
 
-func extractBody() []byte {
+// extractBody is a request whose document is long enough to take the
+// split route, so the segment stage and the executor have work to report.
+func extractBody() []byte { return extractBodyOf(splitDoc) }
+
+func extractBodyOf(doc string) []byte {
 	body, _ := json.Marshal(map[string]string{
-		"spanner": emailFormula, "splitter": sentenceFormula, "doc": testDoc,
+		"spanner": emailFormula, "splitter": sentenceFormula, "doc": doc,
 	})
 	return body
 }
@@ -43,9 +47,9 @@ func mustPost(t *testing.T, url string, body []byte) {
 // are present with the expected values.
 func TestMetricsPrometheusFormat(t *testing.T) {
 	ts := startDaemon(t)
-	for i := 0; i < 3; i++ {
-		mustPost(t, ts.URL+"/v1/extract", extractBody())
-	}
+	mustPost(t, ts.URL+"/v1/extract", extractBody())
+	mustPost(t, ts.URL+"/v1/extract", extractBody())
+	mustPost(t, ts.URL+"/v1/extract", extractBodyOf(testDoc)) // small: evaluated whole
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +130,11 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	if got := values["spanners_engine_documents_total"]; got != 3 {
 		t.Fatalf("documents counter = %v, want 3", got)
 	}
+	if got := values["spanners_engine_documents_whole_total"]; got != 1 {
+		t.Fatalf("whole-documents counter = %v, want 1 (the small document)", got)
+	}
 	if values["spanners_engine_segments_total"] == 0 {
-		t.Fatal("segments counter is zero after three split extractions")
+		t.Fatal("segments counter is zero after two split extractions")
 	}
 	if values["spanners_plan_cache_hits_total"] < 2 {
 		t.Fatalf("cache hits = %v, want ≥ 2", values["spanners_plan_cache_hits_total"])

@@ -237,8 +237,8 @@ func TestMultipartResponseOKPath(t *testing.T) {
 	if err := json.Unmarshal(parts["end"], &end); err != nil {
 		t.Fatalf("bad epilogue %s: %v", parts["end"], err)
 	}
-	if end.Status != "ok" || end.Count != 3 {
-		t.Fatalf("epilogue = %+v, want ok with 3 tuples", end)
+	if end.Status != "ok" || end.Count != 3 || end.Execution != "whole" {
+		t.Fatalf("epilogue = %+v, want ok with 3 tuples from a small document evaluated whole", end)
 	}
 }
 

@@ -57,10 +57,16 @@ type extractResponse struct {
 	// Ingest reports how the document was consumed: "inline" (came with
 	// the JSON request), "streamed" (segmented incrementally while
 	// uploading) or "buffered" (read whole, then evaluated).
-	Ingest string       `json:"ingest"`
-	Vars   []string     `json:"vars"`
-	Count  int          `json:"count"`
-	Tuples [][]jsonSpan `json:"tuples"`
+	Ingest string `json:"ingest"`
+	// Execution reports the route this document took: "split" (segments
+	// on the executor) or "whole" (one evaluation on the request
+	// goroutine — every sequential plan, and a split-parallel plan's
+	// documents too small to amortise the executor). Strategy is what the
+	// verdicts justify; this is what ran.
+	Execution string       `json:"execution"`
+	Vars      []string     `json:"vars"`
+	Count     int          `json:"count"`
+	Tuples    [][]jsonSpan `json:"tuples"`
 }
 
 func planSection(plan *engine.Plan, hit bool) planResponse {
@@ -224,8 +230,8 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		// The document is already in memory; evaluate it directly
 		// instead of paying the chunked-ingestion machinery.
 		s.runExtract(w, r, ereq, "inline",
-			func(plan *engine.Plan) (*span.Relation, error) {
-				return s.eng.Extract(r.Context(), plan, req.Doc)
+			func(plan *engine.Plan) (*span.Relation, engine.Execution, error) {
+				return s.eng.Run(r.Context(), plan, req.Doc)
 			})
 	case "multipart/form-data":
 		mr, err := r.MultipartReader()
@@ -286,8 +292,8 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 // part).
 func (s *server) extract(w http.ResponseWriter, r *http.Request, req engine.Request, doc io.Reader) {
 	s.runExtract(w, r, req, "",
-		func(plan *engine.Plan) (*span.Relation, error) {
-			return s.eng.ExtractReader(r.Context(), plan, doc)
+		func(plan *engine.Plan) (*span.Relation, engine.Execution, error) {
+			return s.eng.RunReader(r.Context(), plan, doc)
 		})
 }
 
@@ -323,7 +329,11 @@ func extractErrStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-func (s *server) runExtract(w http.ResponseWriter, r *http.Request, req engine.Request, ingest string, run func(*engine.Plan) (*span.Relation, error)) {
+// extractFunc evaluates a planned request's document and reports the
+// route it took.
+type extractFunc func(*engine.Plan) (*span.Relation, engine.Execution, error)
+
+func (s *server) runExtract(w http.ResponseWriter, r *http.Request, req engine.Request, ingest string, run extractFunc) {
 	plan, hit, err := s.eng.Plan(r.Context(), req)
 	if err != nil {
 		writeError(w, planErrStatus(err), err)
@@ -340,7 +350,7 @@ func (s *server) runExtract(w http.ResponseWriter, r *http.Request, req engine.R
 		s.runExtractMultipart(w, plan, hit, ingest, run)
 		return
 	}
-	rel, err := run(plan)
+	rel, exec, err := run(plan)
 	if err != nil {
 		if ingest != "inline" {
 			// The document body was abandoned mid-read (stall, deadline,
@@ -356,6 +366,7 @@ func (s *server) runExtract(w http.ResponseWriter, r *http.Request, req engine.R
 	writeJSON(w, http.StatusOK, extractResponse{
 		planResponse: planSection(plan, hit),
 		Ingest:       ingest,
+		Execution:    exec.String(),
 		Vars:         plan.Vars(),
 		Count:        rel.Len(),
 		Tuples:       tuplesJSON(rel),
@@ -383,7 +394,12 @@ func acceptsMultipart(r *http.Request) bool {
 type epilogue struct {
 	Status string `json:"status"`
 	Count  int    `json:"count,omitempty"`
-	Error  string `json:"error,omitempty"`
+	// Execution is the route the document took ("whole" or "split"; see
+	// extractResponse). It is here and not in the "plan" part because a
+	// streamed document's route is known only once enough of it has
+	// arrived; batch epilogues omit it.
+	Execution string `json:"execution,omitempty"`
+	Error     string `json:"error,omitempty"`
 	// HTTPStatus is advisory: by the time the epilogue is written the
 	// 200 header is long gone, so mid-stream failures surface here.
 	HTTPStatus int `json:"http_status,omitempty"`
@@ -397,7 +413,7 @@ type epilogue struct {
 // the stream still terminates with a parseable error part instead of
 // an ambiguous truncation — a client that never sees an "end" part
 // knows the response is incomplete.
-func (s *server) runExtractMultipart(w http.ResponseWriter, plan *engine.Plan, hit bool, ingest string, run func(*engine.Plan) (*span.Relation, error)) {
+func (s *server) runExtractMultipart(w http.ResponseWriter, plan *engine.Plan, hit bool, ingest string, run extractFunc) {
 	// The response header goes out before the document has been read, so
 	// the connection must be full-duplex: without this, net/http drains
 	// the unconsumed request body at WriteHeader time — eating the
@@ -430,13 +446,13 @@ func (s *server) runExtractMultipart(w http.ResponseWriter, plan *engine.Plan, h
 	part("plan", planPart{planResponse: planSection(plan, hit), Ingest: ingest, Vars: plan.Vars()})
 	_ = rc.Flush() // the client sees the verdict while the document uploads
 
-	rel, err := run(plan)
+	rel, exec, err := run(plan)
 	if err != nil {
 		part("end", epilogue{Status: "error", Error: err.Error(), HTTPStatus: extractErrStatus(err)})
 		return
 	}
 	part("tuples", tuplesJSON(rel))
-	part("end", epilogue{Status: "ok", Count: rel.Len()})
+	part("end", epilogue{Status: "ok", Count: rel.Len(), Execution: exec.String()})
 }
 
 // extractBatchRequest is the JSON request body of /v1/extract-batch:
@@ -677,7 +693,8 @@ type statsResponse struct {
 }
 
 // handleStats serves GET /v1/stats: cache hit rate, throughput counters
-// (documents total and streamed incrementally), worker configuration,
+// (documents total, streamed incrementally and evaluated whole), worker
+// configuration,
 // whether the unsafe -stream-incremental override is active, the
 // pipeline-stage time breakdown and per-endpoint latency percentiles.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {

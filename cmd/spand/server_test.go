@@ -25,6 +25,12 @@ const (
 	testDoc = "write ann@example today. then bob@corp tomorrow! finally eve@host."
 )
 
+// splitDoc is testDoc repeated to ~66 KiB, twice the size below which the
+// engine evaluates a split-correct plan's document whole: the tests that
+// assert on the segmenter, the executor or streamed ingestion use it,
+// because testDoc itself never reaches them.
+var splitDoc = strings.Repeat(testDoc+" ", 1000)
+
 type extractResult struct {
 	Strategy string `json:"strategy"`
 	Verdicts struct {
@@ -33,11 +39,12 @@ type extractResult struct {
 		SplitCorrect   string `json:"split_correct"`
 		Local          string `json:"local"`
 	} `json:"verdicts"`
-	CacheHit bool       `json:"cache_hit"`
-	Ingest   string     `json:"ingest"`
-	Vars     []string   `json:"vars"`
-	Count    int        `json:"count"`
-	Tuples   [][][2]int `json:"tuples"`
+	CacheHit  bool       `json:"cache_hit"`
+	Ingest    string     `json:"ingest"`
+	Execution string     `json:"execution"`
+	Vars      []string   `json:"vars"`
+	Count     int        `json:"count"`
+	Tuples    [][][2]int `json:"tuples"`
 }
 
 func startDaemon(t *testing.T) *httptest.Server {
@@ -63,11 +70,11 @@ func decodeExtract(t *testing.T, resp *http.Response) extractResult {
 
 // oneShotTuples is the ground truth: the façade's ParallelEval on the
 // whole document.
-func oneShotTuples(t *testing.T) [][][2]int {
+func oneShotTuples(t *testing.T, doc string) [][][2]int {
 	t.Helper()
 	p := spanners.MustCompile(emailFormula)
 	s := spanners.MustCompileSplitter(sentenceFormula)
-	rel := spanners.ParallelEval(p, s, testDoc, 4)
+	rel := spanners.ParallelEval(p, s, doc, 4)
 	rel.Dedupe()
 	out := make([][][2]int, 0, rel.Len())
 	for _, tup := range rel.Tuples {
@@ -82,32 +89,41 @@ func oneShotTuples(t *testing.T) [][][2]int {
 
 func TestExtractJSONAndPlanCacheHit(t *testing.T) {
 	ts := startDaemon(t)
-	body, _ := json.Marshal(map[string]string{
-		"spanner": emailFormula, "splitter": sentenceFormula, "doc": testDoc,
-	})
-	post := func() extractResult {
+	post := func(doc string) extractResult {
+		body, _ := json.Marshal(map[string]string{
+			"spanner": emailFormula, "splitter": sentenceFormula, "doc": doc,
+		})
 		resp, err := http.Post(ts.URL+"/v1/extract", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return decodeExtract(t, resp)
 	}
-	first := post()
+	first := post(splitDoc)
 	if first.CacheHit {
 		t.Fatal("first request reported a cache hit")
 	}
-	if first.Strategy != "split-parallel" {
-		t.Fatalf("strategy = %q (verdicts %+v), want split-parallel", first.Strategy, first.Verdicts)
+	if first.Strategy != "split-parallel" || first.Execution != "split" {
+		t.Fatalf("strategy = %q, execution = %q (verdicts %+v), want split-parallel and split", first.Strategy, first.Execution, first.Verdicts)
 	}
-	if want := oneShotTuples(t); !reflect.DeepEqual(first.Tuples, want) {
+	if want := oneShotTuples(t, splitDoc); !reflect.DeepEqual(first.Tuples, want) {
 		t.Fatalf("tuples = %v, want %v", first.Tuples, want)
 	}
-	second := post()
+	second := post(splitDoc)
 	if !second.CacheHit {
 		t.Fatal("second identical request missed the plan cache")
 	}
 	if !reflect.DeepEqual(second.Tuples, first.Tuples) {
 		t.Fatal("cached plan changed the result")
+	}
+	// The same cached plan evaluates a small document whole, and says so.
+	small := post(testDoc)
+	if !small.CacheHit || small.Strategy != "split-parallel" || small.Execution != "whole" {
+		t.Fatalf("small document: cache_hit = %v, strategy = %q, execution = %q; want the cached split-parallel plan run whole",
+			small.CacheHit, small.Strategy, small.Execution)
+	}
+	if want := oneShotTuples(t, testDoc); !reflect.DeepEqual(small.Tuples, want) {
+		t.Fatalf("small document: tuples = %v, want %v", small.Tuples, want)
 	}
 
 	// The hit must be observable via /v1/stats.
@@ -123,8 +139,8 @@ func TestExtractJSONAndPlanCacheHit(t *testing.T) {
 	if st.PlanCache.Hits < 1 || st.PlanCache.Misses != 1 {
 		t.Fatalf("stats = %+v, want ≥1 hit and exactly 1 miss", st.PlanCache)
 	}
-	if st.Documents != 2 || st.Segments == 0 {
-		t.Fatalf("stats = %+v, want 2 documents and some segments", st)
+	if st.Documents != 3 || st.WholeDocs != 1 || st.Segments == 0 {
+		t.Fatalf("stats = %+v, want 3 documents, 1 of them evaluated whole, and some segments", st)
 	}
 }
 
@@ -154,18 +170,29 @@ func (r *slowChunks) Read(p []byte) (int, error) {
 func TestExtractStreamedBodyEqualsOneShot(t *testing.T) {
 	ts := startDaemon(t)
 	url := ts.URL + "/v1/extract?spanner=" + url.QueryEscape(emailFormula) + "&splitter=" + url.QueryEscape(sentenceFormula)
-	req, err := http.NewRequest("POST", url, &slowChunks{s: testDoc, n: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := decodeExtract(t, resp)
-	if want := oneShotTuples(t); !reflect.DeepEqual(got.Tuples, want) {
-		t.Fatalf("streamed tuples = %v, want one-shot ParallelEval %v", got.Tuples, want)
+	// A body that ends inside the engine's look-ahead is evaluated whole;
+	// a longer one is segmented while it uploads. Same plan, same ingest.
+	for _, tc := range []struct {
+		doc       string
+		read      int
+		execution string
+	}{{testDoc, 3, "whole"}, {splitDoc, 509, "split"}} {
+		req, err := http.NewRequest("POST", url, &slowChunks{s: tc.doc, n: tc.read})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/octet-stream")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := decodeExtract(t, resp)
+		if want := oneShotTuples(t, tc.doc); !reflect.DeepEqual(got.Tuples, want) {
+			t.Fatalf("%d-byte body: streamed tuples = %v, want one-shot ParallelEval %v", len(tc.doc), got.Tuples, want)
+		}
+		if got.Ingest != "streamed" || got.Execution != tc.execution {
+			t.Fatalf("%d-byte body: ingest = %q, execution = %q; want streamed and %s", len(tc.doc), got.Ingest, got.Execution, tc.execution)
+		}
 	}
 }
 
@@ -183,7 +210,7 @@ func TestExtractMultipartStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := decodeExtract(t, resp)
-	if want := oneShotTuples(t); !reflect.DeepEqual(got.Tuples, want) {
+	if want := oneShotTuples(t, testDoc); !reflect.DeepEqual(got.Tuples, want) {
 		t.Fatalf("multipart tuples = %v, want %v", got.Tuples, want)
 	}
 }
@@ -264,14 +291,14 @@ func TestProvenLocalSplitterStreamsByDefault(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 2, ChunkSize: 8})
 	ts := httptest.NewServer(newServer(eng))
 	defer ts.Close()
-	got := rawStream(t, ts, emailFormula, sentenceFormula, testDoc)
+	got := rawStream(t, ts, emailFormula, sentenceFormula, splitDoc)
 	if got.Ingest != "streamed" {
 		t.Fatalf("default daemon ingest = %q, want streamed (verdicts %+v)", got.Ingest, got.Verdicts)
 	}
 	if got.Verdicts.Local != "yes" {
 		t.Fatalf("verdicts = %+v, want local=yes", got.Verdicts)
 	}
-	if want := oneShotTuples(t); !reflect.DeepEqual(got.Tuples, want) {
+	if want := oneShotTuples(t, splitDoc); !reflect.DeepEqual(got.Tuples, want) {
 		t.Fatalf("streamed tuples = %v, want one-shot %v", got.Tuples, want)
 	}
 	st := eng.Stats()

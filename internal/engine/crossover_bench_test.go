@@ -1,0 +1,73 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/parallel"
+	"repro/internal/span"
+)
+
+// BenchmarkExtractCrossover locates the document size at which splitting
+// starts to pay on the machine it runs on — the measurement behind
+// breakEven and the table in DESIGN.md ("Where splitting pays"):
+//
+//	go test -run '^$' -bench ExtractCrossover -benchmem ./internal/engine
+//
+// Per size and corpus it times the two routes a split-correct plan may
+// take — whole (P.Eval on the calling goroutine) and split (Split +
+// SegmentsOf + parallel.SplitEvalCtx, what Extract did for every document
+// before it chose) at one worker and at the engine's request budget — and
+// Engine.Extract as shipped, which must track the whole route below
+// breakEven and the split route from there on.
+func BenchmarkExtractCrossover(b *testing.B) {
+	e := New(Config{})
+	plan := reviewPlan()
+	ctx := context.Background()
+	splitRoute := func(doc string, workers int) *span.Relation {
+		segs := parallel.SegmentsOf(doc, plan.s.Split(doc))
+		rel, _ := parallel.SplitEvalCtx(ctx, plan.ps, segs, parallel.Options{Workers: workers, Batch: e.cfg.Batch})
+		return rel
+	}
+	corpora := []struct {
+		name string
+		gen  func(n int) string
+	}{
+		{"dense", func(n int) string { return reviewDoc(1, n) }},
+		{"sparse", func(n int) string { return corpus.SparseSentiment(1, n, 64<<10)[:n] }},
+	}
+	for _, c := range corpora {
+		for _, kib := range []int{1, 2, 4, 8, 16, 32, 64, 256, 1 << 10, 2 << 10, 8 << 10} {
+			doc := c.gen(kib << 10)
+			routes := []struct {
+				name string
+				run  func() *span.Relation
+			}{
+				{"whole", func() *span.Relation { return plan.p.Eval(doc) }},
+				{"split-w1", func() *span.Relation { return splitRoute(doc, 1) }},
+				{fmt.Sprintf("split-w%d", e.cfg.RequestWorkers), func() *span.Relation { return splitRoute(doc, e.cfg.RequestWorkers) }},
+				{"extract", func() *span.Relation {
+					rel, err := e.Extract(ctx, plan, doc)
+					if err != nil {
+						b.Fatal(err)
+					}
+					return rel
+				}},
+			}
+			want := routes[0].run().Len()
+			for _, r := range routes {
+				b.Run(fmt.Sprintf("%s/%dKiB/%s", c.name, kib, r.name), func(b *testing.B) {
+					b.SetBytes(int64(len(doc)))
+					b.ReportAllocs()
+					for b.Loop() {
+						if got := r.run().Len(); got != want {
+							b.Fatalf("%d tuples, the whole route found %d", got, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}

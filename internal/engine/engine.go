@@ -22,16 +22,23 @@
 //   - Segment relations are shifted and merged into a deterministic
 //     (sorted, deduplicated) result, byte-identical to one-shot
 //     evaluation of the whole document.
+//   - That identity is the plan's verdict, P = P_S ∘ S, and it licenses
+//     either side: per document, the engine splits only where an
+//     executor run can pay for itself and evaluates smaller documents
+//     whole on the calling goroutine (splitPays; Execution reports the
+//     route taken).
 //
 // cmd/spand wraps the engine in an HTTP daemon.
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -165,13 +172,17 @@ func (c Config) withDefaults() Config {
 // counts the documents that were segmented incrementally while being
 // read (WillStream true: a proven-local splitter, or the
 // StreamIncremental override); Documents minus StreamedDocs were
-// buffered whole (or arrived inline). StreamForced echoes the
+// buffered whole (or arrived inline). WholeDocs counts the documents Run
+// and RunReader evaluated whole (ExecWhole): every document of a
+// sequential plan, and a split plan's documents too small to amortise
+// the executor. StreamForced echoes the
 // configured StreamIncremental override so operators can see whether
 // streamed documents are covered by proofs alone.
 type Stats struct {
 	UptimeSec      float64    `json:"uptime_sec"`
 	Documents      uint64     `json:"documents"`
 	StreamedDocs   uint64     `json:"streamed_docs"`
+	WholeDocs      uint64     `json:"whole_docs"`
 	Bytes          uint64     `json:"bytes"`
 	Segments       uint64     `json:"segments"`
 	SegmentsPerSec float64    `json:"segments_per_sec"`
@@ -252,20 +263,52 @@ func (e *Engine) Plan(ctx context.Context, req Request) (plan *Plan, hit bool, e
 	})
 }
 
-// Extract evaluates the plan on an in-memory document, using split
-// evaluation on the work-stealing executor when the plan's verdicts
-// justify it and sequential evaluation otherwise. The result is sorted and
-// deduplicated. Like the reader paths, Extract enforces
+// breakEven is the document size in bytes below which an executor run
+// cannot pay for itself: its fixed cost (~30 µs: deques, accumulators,
+// sessions, a second goroutine's start and join, the merge) divided by
+// what two ideally-scaling workers save per byte over one whole Eval
+// (~1.1 ns). DESIGN.md ("Where splitting pays") has the measured rows,
+// the arithmetic and the one benchmark command that re-derives it.
+const breakEven = 32 << 10
+
+// splitPays decides, per document, which side of P = P_S ∘ S a split plan
+// evaluates. It returns false — evaluate P whole on the calling goroutine —
+// only when the plan's own verdict makes that equivalent and the document
+// cannot amortise an executor run: the request has fewer than two workers
+// to spread it over, or it is shorter than breakEven. The verdict is
+// consulted rather than the Strategy field so that a plan forced to split
+// without a proof keeps the split semantics it asked for.
+func (e *Engine) splitPays(plan *Plan, docBytes int) bool {
+	if plan.Verdicts.SelfSplittable != core.VerdictYes && plan.Verdicts.SplitCorrect != core.VerdictYes {
+		return true
+	}
+	return e.cfg.RequestWorkers >= 2 && docBytes >= breakEven
+}
+
+// Extract evaluates the plan on an in-memory document; see Run, whose
+// relation and error it returns.
+func (e *Engine) Extract(ctx context.Context, plan *Plan, doc string) (*span.Relation, error) {
+	rel, _, err := e.Run(ctx, plan, doc)
+	return rel, err
+}
+
+// Run evaluates the plan on an in-memory document and reports the route
+// the document took. A split plan's document goes through the splitter
+// and the work-stealing executor (ExecSplit) when that can pay for itself
+// (see splitPays) and is otherwise evaluated whole on the calling
+// goroutine (ExecWhole), like every document of a sequential plan — the
+// plan's verdict makes the two routes return the same relation. The
+// result is sorted and deduplicated. Like the reader paths, Run enforces
 // Config.MaxDocBuffer: an inline document over the budget fails with
 // ErrDocTooLarge instead of being evaluated.
-func (e *Engine) Extract(ctx context.Context, plan *Plan, doc string) (*span.Relation, error) {
+func (e *Engine) Run(ctx context.Context, plan *Plan, doc string) (*span.Relation, Execution, error) {
 	if e.cfg.MaxDocBuffer > 0 && int64(len(doc)) > e.cfg.MaxDocBuffer {
-		return span.NewRelation(plan.p.Vars...),
+		return span.NewRelation(plan.p.Vars...), ExecWhole,
 			fmt.Errorf("%w (%d bytes > %d)", ErrDocTooLarge, len(doc), e.cfg.MaxDocBuffer)
 	}
 	e.m.documents.Inc()
 	e.m.bytes.Add(uint64(len(doc)))
-	if plan.Strategy == StrategySplit {
+	if plan.Strategy == StrategySplit && e.splitPays(plan, len(doc)) {
 		t0 := time.Now()
 		segs := parallel.SegmentsOf(doc, plan.s.Split(doc))
 		e.m.observeStage(StageSegment, time.Since(t0))
@@ -273,15 +316,16 @@ func (e *Engine) Extract(ctx context.Context, plan *Plan, doc string) (*span.Rel
 		t1 := time.Now()
 		rel, err := parallel.SplitEvalCtx(ctx, plan.ps, segs, e.evalOpts())
 		e.m.observeStage(StageEval, time.Since(t1))
-		return rel, wrapCtxErr(err)
+		return rel, ExecSplit, wrapCtxErr(err)
 	}
 	if err := ctx.Err(); err != nil {
-		return span.NewRelation(plan.p.Vars...), wrapCtxErr(err)
+		return span.NewRelation(plan.p.Vars...), ExecWhole, wrapCtxErr(err)
 	}
+	e.m.wholeDocs.Inc()
 	t0 := time.Now()
 	rel := plan.p.Eval(doc) // Eval returns a deduplicated, sorted relation
 	e.m.observeStage(StageEval, time.Since(t0))
-	return rel, nil
+	return rel, ExecWhole, nil
 }
 
 // WillStream reports whether ExtractReader would segment this plan's
@@ -307,32 +351,62 @@ func (e *Engine) WillStream(plan *Plan) bool {
 	return plan.Verdicts.Local == core.VerdictYes || e.cfg.StreamIncremental
 }
 
-// ExtractReader evaluates the plan on a document arriving as a stream.
-// For plans that stream (see WillStream: a proven-local disjoint
-// splitter, or the StreamIncremental override) the document is
-// segmented incrementally — segments already discovered are evaluated
-// by the work-stealing executor while later chunks are still being
-// read. Idle workers block on the bounded dispatch channel, so a
-// saturated pool stalls the segmenter and, through it, the reader —
-// backpressure reaches all the way to the network socket. Other plans buffer
-// the whole stream and fall back to Extract. When the plan's
-// Verdicts.Local is yes the result is guaranteed identical to Extract
-// on the concatenated stream; under the StreamIncremental override the
+// ExtractReader evaluates the plan on a document arriving as a stream;
+// see RunReader, whose relation and error it returns.
+func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*span.Relation, error) {
+	rel, _, err := e.RunReader(ctx, plan, r)
+	return rel, err
+}
+
+// RunReader evaluates the plan on a document arriving as a stream and
+// reports the route the document took. For plans that stream (see
+// WillStream: a proven-local disjoint splitter, or the StreamIncremental
+// override) the document is segmented incrementally — segments already
+// discovered are evaluated by the work-stealing executor while later
+// chunks are still being read. Idle workers block on the bounded dispatch
+// channel, so a saturated pool stalls the segmenter and, through it, the
+// reader — backpressure reaches all the way to the network socket. A
+// stream that ends inside its first breakEven bytes never gets that far:
+// it is a small document, and splitPays sends it whole through P.Eval on
+// the calling goroutine exactly as Run would. Plans that do not stream
+// buffer the whole stream and fall back to Run. When the plan's
+// Verdicts.Local is yes the result is guaranteed identical to Run on the
+// concatenated stream; under the StreamIncremental override the
 // guarantee is only as good as the operator's locality assertion.
 // Memory is bounded by Config.MaxDocBuffer on both paths.
-func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*span.Relation, error) {
-	if e.cfg.ReadTimeout > 0 {
-		// Guard both ingestion paths against a stalled stream: a reader
-		// that stops making progress fails the request with ErrReadStalled
-		// instead of pinning its admission token and workers.
-		r = newStallReader(r, e.cfg.ReadTimeout)
+func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.Relation, Execution, error) {
+	if e.cfg.ReadTimeout > 0 || ctx.Done() != nil {
+		// Guard every read below against a stream that stops: one that
+		// makes no progress for ReadTimeout fails the request with
+		// ErrReadStalled instead of pinning its admission token and
+		// workers, and a cancelled request returns even when its reader
+		// never does.
+		r = newStallReader(ctx, r, e.cfg.ReadTimeout)
 	}
 	if !e.WillStream(plan) {
 		doc, err := e.readAllBounded(ctx, r)
 		if err != nil {
-			return span.NewRelation(plan.p.Vars...), err
+			return span.NewRelation(plan.p.Vars...), ExecWhole, err
 		}
-		return e.Extract(ctx, plan, doc)
+		return e.Run(ctx, plan, doc)
+	}
+	if !e.splitPays(plan, 0) {
+		// Some documents of this plan are better off whole. Read up to the
+		// break-even before committing to the streamed route: a stream that
+		// ends first is one of them, and a longer one loses nothing — what
+		// was read becomes its first feed.
+		limit := breakEven
+		if e.cfg.MaxDocBuffer > 0 && e.cfg.MaxDocBuffer < int64(limit) {
+			limit = int(e.cfg.MaxDocBuffer)
+		}
+		prefix, eof, err := readPrefix(ctx, r, limit)
+		if err != nil {
+			return span.NewRelation(plan.p.Vars...), ExecWhole, err
+		}
+		if eof && !e.splitPays(plan, len(prefix)) {
+			return e.Run(ctx, plan, string(prefix))
+		}
+		r = io.MultiReader(bytes.NewReader(prefix), r)
 	}
 	e.m.documents.Inc()
 	e.m.streamedDocs.Inc()
@@ -435,7 +509,7 @@ func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*s
 			}
 		}
 	}
-	return rel, wrapCtxErr(err)
+	return rel, ExecSplit, wrapCtxErr(err)
 }
 
 // Stats snapshots the engine counters, the per-stage time breakdown,
@@ -448,6 +522,7 @@ func (e *Engine) Stats() Stats {
 		UptimeSec:      up.Seconds(),
 		Documents:      e.m.documents.Load(),
 		StreamedDocs:   e.m.streamedDocs.Load(),
+		WholeDocs:      e.m.wholeDocs.Load(),
 		Bytes:          e.m.bytes.Load(),
 		Segments:       segs,
 		Workers:        e.cfg.Workers,
@@ -474,8 +549,7 @@ func (e *Engine) evalOpts() parallel.Options {
 // once it exceeds Config.MaxDocBuffer. The context is checked between
 // reads so a request whose deadline fires mid-upload fails promptly
 // (typed via wrapCtxErr) instead of buffering a slow body forever; a
-// reader that stops returning at all is the stall guard's job
-// (Config.ReadTimeout), not the context's.
+// read that does not return at all is the stall guard's job.
 func (e *Engine) readAllBounded(ctx context.Context, r io.Reader) (string, error) {
 	var buf []byte
 	chunk := make([]byte, e.cfg.ChunkSize)
@@ -497,4 +571,32 @@ func (e *Engine) readAllBounded(ctx context.Context, r io.Reader) (string, error
 			return "", err
 		}
 	}
+}
+
+// readPrefix reads from r until limit bytes are in hand or the stream
+// ends, whichever comes first; eof reports the latter, in which case the
+// prefix is the whole document. It reads in 4 KiB steps into a buffer of
+// that size, so the short documents it exists for do not pay for a
+// limit-sized one; a stream that outgrows the first step gets the full
+// limit at once, not a doubling ladder.
+func readPrefix(ctx context.Context, r io.Reader, limit int) (prefix []byte, eof bool, err error) {
+	chunk := make([]byte, min(limit, 4<<10))
+	prefix = make([]byte, 0, len(chunk))
+	for len(prefix) < limit {
+		if err := ctx.Err(); err != nil {
+			return nil, false, wrapCtxErr(err)
+		}
+		n, err := r.Read(chunk[:min(len(chunk), limit-len(prefix))])
+		if len(prefix)+n > cap(prefix) {
+			prefix = slices.Grow(prefix, limit-len(prefix))
+		}
+		prefix = append(prefix, chunk[:n]...)
+		if err == io.EOF {
+			return prefix, true, nil
+		}
+		if err != nil {
+			return nil, false, err
+		}
+	}
+	return prefix, false, nil
 }

@@ -42,6 +42,17 @@ func mustPlan(t *testing.T, e *Engine, req Request) *Plan {
 	return plan
 }
 
+// splitOnly returns the plan without its split-correctness verdict: the
+// engine then has no licence to evaluate a document whole, so documents
+// of any size take the split route. The tests below use it to keep
+// pinning the segmenter, the producer and the executor on documents of a
+// few dozen bytes, where every chunk boundary can be enumerated.
+func splitOnly(plan *Plan) *Plan {
+	forced := *plan
+	forced.Verdicts.SelfSplittable, forced.Verdicts.SplitCorrect = core.VerdictUnknown, core.VerdictUnknown
+	return &forced
+}
+
 func TestPlanSelectsSplitStrategy(t *testing.T) {
 	e := newTestEngine()
 	plan := mustPlan(t, e, Request{Spanner: emailFormula, Splitter: sentenceFormula})
@@ -58,7 +69,7 @@ func TestPlanSelectsSplitStrategy(t *testing.T) {
 
 func TestExtractMatchesDirectEval(t *testing.T) {
 	e := newTestEngine()
-	plan := mustPlan(t, e, Request{Spanner: emailFormula, Splitter: sentenceFormula})
+	plan := splitOnly(mustPlan(t, e, Request{Spanner: emailFormula, Splitter: sentenceFormula}))
 	got, err := e.Extract(context.Background(), plan, emailDoc)
 	if err != nil {
 		t.Fatal(err)
@@ -74,21 +85,24 @@ func TestExtractMatchesDirectEval(t *testing.T) {
 
 func TestExtractEmptyDocument(t *testing.T) {
 	e := newTestEngine()
-	plan := mustPlan(t, e, Request{Spanner: emailFormula, Splitter: sentenceFormula})
-	got, err := e.Extract(context.Background(), plan, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 {
-		t.Fatalf("empty document yielded %v", got)
-	}
-	// Streaming an empty reader must agree.
-	streamed, err := e.ExtractReader(context.Background(), plan, strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !streamed.Equal(got) {
-		t.Fatalf("streamed empty doc %v != one-shot %v", streamed, got)
+	whole := mustPlan(t, e, Request{Spanner: emailFormula, Splitter: sentenceFormula})
+	// On both routes: evaluated whole, and split into S("").
+	for _, plan := range []*Plan{whole, splitOnly(whole)} {
+		got, err := e.Extract(context.Background(), plan, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != 0 {
+			t.Fatalf("empty document yielded %v", got)
+		}
+		// Streaming an empty reader must agree.
+		streamed, err := e.ExtractReader(context.Background(), plan, strings.NewReader(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !streamed.Equal(got) {
+			t.Fatalf("streamed empty doc %v != one-shot %v", streamed, got)
+		}
 	}
 }
 
@@ -153,7 +167,7 @@ func (r *fixedChunkReader) Read(p []byte) (int, error) {
 
 func TestStreamChunkBoundaryMidSegment(t *testing.T) {
 	e := newTestEngine()
-	plan := mustPlan(t, e, Request{Spanner: emailFormula, Splitter: sentenceFormula})
+	plan := splitOnly(mustPlan(t, e, Request{Spanner: emailFormula, Splitter: sentenceFormula}))
 	want, err := e.Extract(context.Background(), plan, emailDoc)
 	if err != nil {
 		t.Fatal(err)
@@ -344,11 +358,12 @@ func TestProvenLocalStreamsWithoutOverride(t *testing.T) {
 	if !e.WillStream(plan) {
 		t.Fatal("proven-local plan must stream without any override")
 	}
-	got, err := e.ExtractReader(context.Background(), plan, &fixedChunkReader{s: emailDoc, n: 3})
+	doc := strings.Repeat(emailDoc+" ", 2*breakEven/len(emailDoc)) // too long to be evaluated whole
+	got, err := e.ExtractReader(context.Background(), plan, &fixedChunkReader{s: doc, n: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.Extract(context.Background(), plan, emailDoc)
+	want, err := e.Extract(context.Background(), plan, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +574,7 @@ func TestRequestWorkersCapsParallelismNotResults(t *testing.T) {
 		t.Fatalf("Stats().RequestWorkers = %d, want 1", got)
 	}
 	req := Request{Spanner: emailFormula, Splitter: sentenceFormula}
-	doc := strings.Repeat(emailDoc+" ", 200)
+	doc := strings.Repeat(emailDoc+" ", 2*breakEven/len(emailDoc)) // long enough for the uncapped engine to split
 	want, err := full.Extract(context.Background(), mustPlan(t, full, req), doc)
 	if err != nil {
 		t.Fatalf("full: %v", err)

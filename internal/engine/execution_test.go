@@ -1,0 +1,252 @@
+package engine
+
+import (
+	"context"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/library"
+	"repro/internal/parallel"
+	"repro/internal/regexformula"
+	"repro/internal/span"
+	"repro/internal/vsa"
+)
+
+// The per-document choice between the two sides of P = P_S ∘ S rests on
+// the theorem holding on the bytes the engine returns, at the seam where
+// the choice flips. These tests pin that: for plans whose verdict is an
+// honest yes, evaluating whole, evaluating split (through parallel
+// directly, so no engine choice is involved) and the reference P.Eval
+// agree tuple for tuple at breakEven − 1, breakEven, breakEven + 1 and
+// around them; Run and RunReader take the route splitPays names and
+// return the same tuples; and a plan without the verdict never leaves the
+// split route.
+
+// decidedPlan builds a plan from library automata the way decidePlan does
+// from formulas: the verdicts are the decision procedures' own, so a yes
+// is a proof, not a test fixture's say-so.
+func decidedPlan(t testing.TB, p, ps *vsa.Automaton, s *core.Splitter) *Plan {
+	t.Helper()
+	plan := &Plan{p: p, s: s}
+	plan.Verdicts.Disjoint = core.VerdictOf(s.IsDisjoint())
+	local, err := s.IsLocal(0)
+	if err != nil {
+		t.Fatalf("locality: %v", err)
+	}
+	plan.Verdicts.Local = core.VerdictOf(local)
+	ok, err := core.SplitCorrectAuto(p, ps, s, 0)
+	if err != nil || !ok {
+		t.Fatalf("split-correctness: ok=%v err=%v; the pair must be decided yes", ok, err)
+	}
+	if ps == p {
+		plan.Verdicts.SelfSplittable = core.VerdictYes
+	} else {
+		plan.Verdicts.SplitCorrect = core.VerdictYes
+	}
+	plan.Strategy, plan.ps = StrategySplit, ps
+	plan.warm()
+	return plan
+}
+
+// sentimentInSentence is a split-spanner for NegativeSentiment by
+// Sentences that is not NegativeSentiment: inside a sentence there is no
+// terminator to look for, so it accepts only a space (or the segment
+// start) before "bad". On whole documents the two differ — on
+// "x.bad tea" only P matches.
+func sentimentInSentence() *vsa.Automaton {
+	return regexformula.MustCompile(`(.* )?bad (y{[a-z]+})(([^a-z].*)?|)`)
+}
+
+// executionCase is one licensed plan with a generator of documents of
+// any requested length.
+type executionCase struct {
+	name string
+	plan *Plan
+	doc  func(seed uint64, n int) string
+}
+
+// executionCases decides the plans afresh on every call — a few
+// milliseconds — so each test and the fuzz target own theirs.
+func executionCases(t testing.TB) []executionCase {
+	neg := library.NegativeSentiment()
+	mail := library.Emails()
+	emails := func(seed uint64, n int) string {
+		unit := emailDoc + " "
+		rot := int(seed) % len(unit)
+		return (strings.Repeat(unit, n/len(unit)+2))[rot : rot+n]
+	}
+	// reviewDoc sizes its corpus from n/256 reviews and so needs n ≥ 256.
+	reviews := func(seed uint64, n int) string { return reviewDoc(seed, max(n, 256))[:n] }
+	return []executionCase{
+		{"sentiment/sentences/self", decidedPlan(t, neg, neg, library.Sentences()), reviews},
+		{"sentiment/sentences/explicit", decidedPlan(t, neg, sentimentInSentence(), library.Sentences()), reviews},
+		{"sentiment/paragraphs/self", decidedPlan(t, neg, neg, library.Paragraphs()), reviews},
+		{"emails/sentences/self", decidedPlan(t, mail, mail, library.Sentences()), emails},
+	}
+}
+
+// sameTuples fails unless got holds exactly want's tuples in want's order
+// — both are canonical (sorted, deduplicated), so no re-sorting.
+func sameTuples(t *testing.T, what string, got, want *span.Relation) {
+	t.Helper()
+	if len(got.Tuples) != len(want.Tuples) {
+		t.Fatalf("%s: %d tuples, want %d", what, len(got.Tuples), len(want.Tuples))
+	}
+	for i := range got.Tuples {
+		if !got.Tuples[i].Equal(want.Tuples[i]) {
+			t.Fatalf("%s: tuple %d = %v, want %v", what, i, got.Tuples[i], want.Tuples[i])
+		}
+	}
+}
+
+// checkExecutionChoice holds one (plan, document) pair to the contract in
+// the file comment. e must have at least two request workers, so that the
+// document's length alone decides its route.
+func checkExecutionChoice(t *testing.T, e *Engine, plan *Plan, doc string, readSizes ...int) {
+	t.Helper()
+	ctx := context.Background()
+	want := plan.p.Eval(doc)
+	route := ExecWhole
+	if len(doc) >= breakEven {
+		route = ExecSplit
+	}
+	if pays := e.splitPays(plan, len(doc)); pays != (route == ExecSplit) {
+		t.Fatalf("%d bytes: splitPays = %v", len(doc), pays)
+	}
+	split := parallel.SplitEval(plan.ps, parallel.SegmentsOf(doc, plan.s.Split(doc)), e.cfg.RequestWorkers)
+	sameTuples(t, "split route vs P.Eval", split, want)
+	got, exec, err := e.Run(ctx, plan, doc)
+	if err != nil || exec != route {
+		t.Fatalf("%d bytes: Run took the %v route (err %v), want %v", len(doc), exec, err, route)
+	}
+	sameTuples(t, "Run vs P.Eval", got, want)
+	for _, n := range readSizes {
+		got, exec, err := e.RunReader(ctx, plan, &fixedChunkReader{s: doc, n: n})
+		if err != nil || exec != route {
+			t.Fatalf("%d bytes in reads of %d: RunReader took the %v route (err %v), want %v", len(doc), n, exec, err, route)
+		}
+		sameTuples(t, "RunReader vs P.Eval", got, want)
+	}
+}
+
+func TestExecutionChoiceEquivalence(t *testing.T) {
+	e := New(Config{Workers: 2})
+	rng := rand.New(rand.NewSource(16))
+	for _, c := range executionCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			if !e.WillStream(c.plan) {
+				t.Fatalf("verdicts %+v: the plan must stream, or RunReader never reaches the look-ahead", c.plan.Verdicts)
+			}
+			lengths := []int{0, 1, breakEven - 1, breakEven, breakEven + 1, rng.Intn(breakEven), breakEven + rng.Intn(2*breakEven)}
+			for i, n := range lengths {
+				checkExecutionChoice(t, e, c.plan, c.doc(uint64(i)+1, n), 1, 7, 4096)
+			}
+		})
+	}
+	st := e.Stats()
+	if st.WholeDocs == 0 || st.StreamedDocs == 0 || st.WholeDocs+st.Executor.Runs != st.Documents {
+		t.Fatalf("stats = %+v: want every document either evaluated whole or run on the executor, and both kinds seen", st)
+	}
+}
+
+// TestWholeRouteTouchesNoExecutor pins what the whole route skips and
+// what it reports: no segmentation, no executor run, no merge — one eval
+// stage interval and one whole document.
+func TestWholeRouteTouchesNoExecutor(t *testing.T) {
+	plan := executionCases(t)[0].plan
+	doc := reviewDoc(3, 2<<10)
+	for _, reader := range []bool{false, true} {
+		e := New(Config{Workers: 2})
+		var exec Execution
+		var err error
+		if reader {
+			_, exec, err = e.RunReader(context.Background(), plan, strings.NewReader(doc))
+		} else {
+			_, exec, err = e.Run(context.Background(), plan, doc)
+		}
+		if err != nil || exec != ExecWhole {
+			t.Fatalf("reader=%v: route %v, err %v", reader, exec, err)
+		}
+		st := e.Stats()
+		if st.Documents != 1 || st.WholeDocs != 1 || st.StreamedDocs != 0 || st.Bytes != uint64(len(doc)) || st.Segments != 0 {
+			t.Fatalf("reader=%v: counters %+v", reader, st)
+		}
+		if st.Stages["eval"].Count != 1 || st.Stages["segment"].Count != 0 || st.Stages["merge"].Count != 0 || st.Executor.Runs != 0 {
+			t.Fatalf("reader=%v: stages %+v, executor %+v; want one eval interval and nothing else", reader, st.Stages, st.Executor)
+		}
+	}
+}
+
+// TestUnlicensedPlanNeverRunsWhole: without a yes verdict the engine has
+// no proof that P(d) equals (P_S ∘ S)(d), so a split plan — forced, or
+// forged — keeps split semantics at every size and worker budget. The
+// plan here makes the difference visible: its split-spanner is not
+// split-correct for its spanner.
+func TestUnlicensedPlanNeverRunsWhole(t *testing.T) {
+	licensed := executionCases(t)[0].plan
+	forged := splitOnly(licensed)
+	forged.ps = library.Emails() // (P_S ∘ S)(d) ≠ P(d)
+	doc := "bad tea. mail ann@example now."
+	want := parallel.SplitEval(forged.ps, parallel.SegmentsOf(doc, forged.s.Split(doc)), 1)
+	if want.Len() != 1 {
+		t.Fatalf("split semantics found %v, want the one address", want)
+	}
+	for _, workers := range []int{1, 2} {
+		e := New(Config{Workers: workers, ChunkSize: 7})
+		got, exec, err := e.Run(context.Background(), forged, doc)
+		if err != nil || exec != ExecSplit {
+			t.Fatalf("workers=%d: Run took the %v route (err %v)", workers, exec, err)
+		}
+		sameTuples(t, "Run", got, want)
+		got, exec, err = e.RunReader(context.Background(), forged, strings.NewReader(doc))
+		if err != nil || exec != ExecSplit {
+			t.Fatalf("workers=%d: RunReader took the %v route (err %v)", workers, exec, err)
+		}
+		sameTuples(t, "RunReader", got, want)
+		if st := e.Stats(); st.WholeDocs != 0 || st.StreamedDocs != 1 {
+			t.Fatalf("workers=%d: stats %+v, want no whole documents and one streamed", workers, st)
+		}
+		// The licensed plan on one worker goes the other way at any size.
+		if _, exec, _ := e.Run(context.Background(), licensed, reviewDoc(1, 2*breakEven)); (exec == ExecWhole) != (workers == 1) {
+			t.Fatalf("workers=%d: a licensed %d-byte document took the %v route", workers, 2*breakEven, exec)
+		}
+	}
+}
+
+// FuzzWholeVsSplit drives checkExecutionChoice with fuzzed documents.
+// Raw fuzz inputs are far shorter than breakEven and would only ever see
+// the whole route, so shape stretches the input (repeated, then cut) to a
+// length at or around the seam; read is the reader's chunk size.
+func FuzzWholeVsSplit(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint16(7), "so bad tea. fine day! bad luck\nbad")
+	f.Add(uint8(1), uint8(1), uint16(1), "x.bad tea. a bad day.bad")
+	f.Add(uint8(2), uint8(2), uint16(4096), "bad one\n\nbad two. bad three\n")
+	f.Add(uint8(3), uint8(3), uint16(33), "write ann@example or bob@corp. eve@host!")
+	f.Add(uint8(0), uint8(4), uint16(500), "bad \x00\xff. bad b")
+	f.Add(uint8(3), uint8(5), uint16(3), "")
+	e := New(Config{Workers: 2})
+	cases := executionCases(f)
+	f.Fuzz(func(t *testing.T, sel, shape uint8, read uint16, doc string) {
+		c := cases[int(sel)%len(cases)]
+		n := len(doc)
+		switch shape % 6 {
+		case 1:
+			n = breakEven - 1
+		case 2:
+			n = breakEven
+		case 3:
+			n = breakEven + 1
+		case 4:
+			n = breakEven + len(doc)
+		case 5:
+			n = min(len(doc), 1<<10) // short enough for one-byte reads to be cheap
+			read = 1
+		}
+		if n > 0 && len(doc) > 0 {
+			doc = strings.Repeat(doc, n/len(doc)+1)[:n]
+		}
+		checkExecutionChoice(t, e, c.plan, doc, int(read)+1)
+	})
+}

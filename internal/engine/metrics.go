@@ -20,14 +20,15 @@ import (
 //	         wait when coalesced.
 //	segment  applying the splitter: the Split call on buffered
 //	         documents, the sum of incremental feed/flush calls on
-//	         streamed ones.
-//	eval     the evaluation call (sequential Eval, or the split
+//	         streamed ones. A document evaluated whole (ExecWhole)
+//	         records nothing here.
+//	eval     the evaluation call (the whole-document Eval, or the split
 //	         executor run including its final merge). On the streaming
 //	         path evaluation overlaps ingestion, so this stage's wall
 //	         time includes time blocked on the reader.
 //	merge    the executor's final merge (concatenate + offset-sort +
 //	         dedupe) — a sub-interval of eval, recorded by the executor
-//	         itself.
+//	         itself, so never for a document evaluated whole.
 //	decide   the paper's decision procedures inside a cold compilation
 //	         (disjointness, locality, split-correctness or
 //	         self-splittability; Plan.DecideTime) — a sub-interval of
@@ -67,6 +68,7 @@ type Metrics struct {
 
 	documents    obs.Counter
 	streamedDocs obs.Counter
+	wholeDocs    obs.Counter
 	bytes        obs.Counter
 	segments     obs.Counter
 
@@ -98,6 +100,7 @@ func newMetrics(e *Engine) *Metrics {
 		func() float64 { return time.Since(e.start).Seconds() })
 	r.BindCounter("spanners_engine_documents_total", "documents evaluated", &m.documents)
 	r.BindCounter("spanners_engine_documents_streamed_total", "documents segmented incrementally while streaming", &m.streamedDocs)
+	r.BindCounter("spanners_engine_documents_whole_total", "documents evaluated whole on the request goroutine (sequential plans, and split plans' documents too small to amortise the executor)", &m.wholeDocs)
 	r.BindCounter("spanners_engine_bytes_total", "document bytes ingested", &m.bytes)
 	r.BindCounter("spanners_engine_segments_total", "segments dispatched to evaluation", &m.segments)
 	r.BindCounter("spanners_engine_segmenter_resumed_feeds_total", "chunk feeds consumed by the resumable compiled scanner", &m.segResumed)

@@ -19,11 +19,13 @@ const (
 	// document — the fallback whenever split evaluation is not known to
 	// be equivalent.
 	StrategySequential Strategy = iota
-	// StrategySplit applies the splitter, evaluates the split-spanner on
-	// every segment on the work-stealing executor, and merges the shifted
-	// results —
-	// the paper's split-then-distribute plan, safe because the plan's
-	// verdict established P = P_S ∘ S.
+	// StrategySplit is the paper's split-then-distribute plan: apply the
+	// splitter, evaluate the split-spanner on every segment on the
+	// work-stealing executor, merge the shifted results. The plan's verdict
+	// established P = P_S ∘ S, and an equivalence licenses either side, so
+	// the strategy says what the plan may do, not what every document gets:
+	// a document too small to amortise an executor run is evaluated whole
+	// (see Engine.splitPays), and Execution reports which route it took.
 	StrategySplit
 )
 
@@ -36,6 +38,27 @@ func (s Strategy) String() string {
 
 // MarshalText renders the strategy for JSON consumers.
 func (s Strategy) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// Execution is the route one document took through a plan — what ran, as
+// opposed to Strategy, which is what the verdicts justify.
+type Execution int8
+
+const (
+	// ExecWhole is one P.Eval over the whole document on the calling
+	// goroutine: every document of a sequential plan, and the documents of
+	// a split-correct plan that cannot amortise an executor run.
+	ExecWhole Execution = iota
+	// ExecSplit is (P_S ∘ S)(d): the splitter's segments evaluated on the
+	// work-stealing executor and merged.
+	ExecSplit
+)
+
+func (x Execution) String() string {
+	if x == ExecSplit {
+		return "split"
+	}
+	return "whole"
+}
 
 // Request names an extraction plan: a spanner formula, optionally a
 // splitter formula, and optionally an explicit split-spanner formula.

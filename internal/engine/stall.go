@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"context"
 	"io"
 	"time"
 )
 
-// stallReader enforces a read-progress timeout on a document stream.
+// stallReader makes reads of a document stream give up: on a
+// read-progress timeout, and when the request's context is done.
 // Before it existed, ExtractReader on a stalled request body (a client
 // that opened a streamed upload and then went silent without closing
 // the connection) blocked its producer goroutine in Read indefinitely
@@ -22,10 +24,14 @@ import (
 // never overwritten, and steady-state operation allocates nothing. On a
 // timeout the pump goroutine stays parked in the underlying Read until
 // that read returns (for an HTTP body, when the server tears the
-// request down); it then exits without touching the consumer again.
+// request down); it then exits without touching the consumer again. A
+// done context ends a wait the same way, with the context's error — the
+// engine reads a small document's bytes on the request goroutine, and a
+// cancelled request must return even if its reader never does.
 type stallReader struct {
+	ctx     context.Context
 	r       io.Reader
-	timeout time.Duration
+	timeout time.Duration // 0: no progress timeout, only ctx ends a wait
 
 	res     chan stallChunk // pump → consumer, capacity 1 (one chunk of readahead)
 	started bool
@@ -41,9 +47,9 @@ type stallChunk struct {
 	err  error
 }
 
-// newStallReader wraps r; timeout must be positive.
-func newStallReader(r io.Reader, timeout time.Duration) *stallReader {
-	return &stallReader{r: r, timeout: timeout, res: make(chan stallChunk, 1)}
+// newStallReader wraps r.
+func newStallReader(ctx context.Context, r io.Reader, timeout time.Duration) *stallReader {
+	return &stallReader{ctx: ctx, r: r, timeout: timeout, res: make(chan stallChunk, 1)}
 }
 
 // pump owns the underlying reader, rotating through three buffers.
@@ -56,8 +62,11 @@ func newStallReader(r io.Reader, timeout time.Duration) *stallReader {
 // last read of buffer k happened-before it.
 func (s *stallReader) pump() {
 	const bufSize = 64 << 10
-	bufs := [3][]byte{make([]byte, bufSize), make([]byte, bufSize), make([]byte, bufSize)}
+	var bufs [3][]byte // each made on first use: a short stream ends before the third
 	for i := 0; ; i = (i + 1) % 3 {
+		if bufs[i] == nil {
+			bufs[i] = make([]byte, bufSize)
+		}
 		n, err := s.r.Read(bufs[i])
 		s.res <- stallChunk{data: bufs[i][:n], err: err}
 		if err != nil {
@@ -85,14 +94,18 @@ func (s *stallReader) Read(p []byte) (int, error) {
 			s.done = true
 			return 0, s.cur.err
 		}
-		timer := time.NewTimer(s.timeout)
+		var timeout <-chan time.Time
+		if s.timeout > 0 {
+			timeout = time.After(s.timeout)
+		}
 		select {
 		case c := <-s.res:
-			timer.Stop()
 			s.cur, s.off = c, 0
-		case <-timer.C:
+		case <-timeout:
 			s.stalled = true
 			return 0, ErrReadStalled
+		case <-s.ctx.Done():
+			return 0, wrapCtxErr(s.ctx.Err())
 		}
 	}
 	n := copy(p, s.cur.data[s.off:])

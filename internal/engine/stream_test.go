@@ -214,11 +214,13 @@ func TestStreamedBailMidDocument(t *testing.T) {
 	p := regexformula.MustCompile(emailFormula)
 	// Blocks exist only on documents ending in '!', so the splitter is
 	// not local; streaming it is the operator's override, and sound here
-	// because the fallback holds everything until the flush.
+	// because the fallback holds everything until the flush. The plan
+	// carries no split-correctness verdict, so its 11 KB document is not
+	// evaluated whole and does meet the segmenter.
 	plan := &Plan{
 		p: p, ps: p, s: s,
 		Strategy: StrategySplit,
-		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes, SelfSplittable: core.VerdictYes, Local: core.VerdictNo},
+		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes, Local: core.VerdictNo},
 	}
 	doc := strings.Repeat("write to ann@example or bob@corp. then ping eve@host. ", 200) + "done!"
 	want := p.Eval(doc)

@@ -152,34 +152,44 @@ func newExecutor(ctx context.Context, ev evaluator, nw, ndest, grain int, recv f
 	return x
 }
 
-// deal distributes pre-chunked work round-robin across the worker
-// deques before the workers start (slice mode). Round-robin, not
-// blocks: neighboring chunks cover neighboring document regions with
-// similar match density, so interleaving them balances the expected
-// load per worker before any steal is needed.
-func (x *executor) deal(chunks []chunk) {
+// runChunks is slice mode: the chunks are dealt round-robin across the
+// deques of min(workers, len(chunks)) workers — a worker beyond the chunk
+// count could only come up empty and exit — and the run is driven to its
+// merge. Round-robin, not blocks: neighboring chunks cover neighboring
+// document regions with similar match density, so interleaving them
+// balances the expected load per worker before any steal is needed.
+func runChunks(ctx context.Context, ev evaluator, workers, ndest, grain int, chunks []chunk, m *ExecMetrics) []*span.Relation {
+	x := newExecutor(ctx, ev, min(workers, len(chunks)), ndest, grain, nil, m)
 	for i, c := range chunks {
 		x.deques[i%len(x.deques)].push(c)
 	}
+	return x.run()
 }
 
-// run spawns the workers, waits for them, and merges. The merged
-// relations are deduplicated and offset-sorted, one per destination —
-// deterministic regardless of the steal schedule. On cancellation the
-// workers stop between chunks and whatever they had accumulated is
-// merged and returned (the partial-result contract of SplitEvalCtx).
+// run drives the workers to completion and merges. The calling goroutine
+// is worker 0 and only the others are spawned, so a run with one worker —
+// one dealt chunk, a one-worker budget — starts no goroutine at all, and
+// a run with none (slice mode, nothing dealt) goes straight to the merge.
+// The merged relations are deduplicated and offset-sorted, one per
+// destination — deterministic regardless of the steal schedule. On
+// cancellation the workers stop between chunks and whatever they had
+// accumulated is merged and returned (the partial-result contract of
+// SplitEvalCtx).
 func (x *executor) run() []*span.Relation {
 	var t0 time.Time
 	if x.m != nil {
 		t0 = time.Now()
 	}
 	var wg sync.WaitGroup
-	for id := range x.deques {
+	for id := 1; id < len(x.deques); id++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			x.worker(id)
 		}()
+	}
+	if len(x.deques) > 0 {
+		x.worker(0)
 	}
 	wg.Wait()
 	if x.m == nil {

@@ -1,8 +1,11 @@
 package parallel
 
 import (
+	"bytes"
 	"context"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -255,4 +258,112 @@ func TestSplitEvalEmptySegments(t *testing.T) {
 	want := Sequential(p, "bad tea.")
 	want.Dedupe()
 	relIdentical(t, "more workers than chunks", got, want)
+}
+
+// spyEval wraps the single-spanner evaluator and records, per session —
+// the executor takes exactly one per started worker — whether it was
+// taken on the goroutine that called run.
+type spyEval struct {
+	singleEval
+	mu       sync.Mutex
+	onCaller []bool
+}
+
+func (e *spyEval) session(acc *accumulator) session {
+	// The caller's stack still has the test function on it; a spawned
+	// worker's starts at the executor's go statement.
+	stack := make([]byte, 4<<10)
+	stack = stack[:runtime.Stack(stack, false)]
+	e.mu.Lock()
+	e.onCaller = append(e.onCaller, bytes.Contains(stack, []byte("TestExecutorWorkerCount")))
+	e.mu.Unlock()
+	return e.singleEval.session(acc)
+}
+
+// TestExecutorWorkerCount pins how many workers a run starts and where:
+// slice mode never more than it has chunks (none for none), channel mode
+// its full budget, and in both the calling goroutine is one of them.
+func TestExecutorWorkerCount(t *testing.T) {
+	p := library.NegativeSentiment()
+	doc := "bad tea. bad mood. fine day. bad luck."
+	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
+	want := Sequential(p, doc)
+	want.Dedupe()
+	for _, tc := range []struct {
+		name    string
+		chunks  [][]Segment // nil: feed segs through a channel instead
+		workers int
+		started int
+	}{
+		{"no chunks", [][]Segment{}, 4, 0},
+		{"one chunk", [][]Segment{segs}, 4, 1},
+		{"two chunks", [][]Segment{segs[:2], segs[2:]}, 4, 2},
+		{"more chunks than workers", [][]Segment{segs[:1], segs[1:2], segs[2:]}, 2, 2},
+		{"channel", nil, 3, 3},
+	} {
+		ev := &spyEval{singleEval: singleEval{p}}
+		m := &ExecMetrics{}
+		var rels []*span.Relation
+		if tc.chunks != nil {
+			var chunks []chunk
+			for _, s := range tc.chunks {
+				chunks = append(chunks, chunk{segs: s})
+			}
+			rels = runChunks(context.Background(), ev, tc.workers, 1, 0, chunks, m)
+		} else {
+			feed := make(chan []Segment, 1)
+			feed <- segs
+			close(feed)
+			recv := func(context.Context) (chunk, bool) {
+				s, ok := <-feed
+				return chunk{segs: s}, ok
+			}
+			rels = newExecutor(context.Background(), ev, tc.workers, 1, streamGrain, recv, m).run()
+		}
+		expect := want
+		if tc.started == 0 {
+			expect = span.NewRelation(p.Vars...)
+		}
+		relIdentical(t, tc.name, rels[0], expect)
+		onCaller := 0
+		for _, c := range ev.onCaller {
+			if c {
+				onCaller++
+			}
+		}
+		if len(ev.onCaller) != tc.started || onCaller != min(tc.started, 1) {
+			t.Errorf("%s: %d workers started, %d of them on the caller; want %d and %d",
+				tc.name, len(ev.onCaller), onCaller, tc.started, min(tc.started, 1))
+		}
+		if m.Runs.Load() != 1 {
+			t.Errorf("%s: %d runs recorded, want 1", tc.name, m.Runs.Load())
+		}
+	}
+}
+
+// TestSplitEvalSmallRunAllocatesSmallArena pins the arena's geometric
+// growth where it matters: a run whose workers see a handful of tuples
+// must not allocate a steady-state slab (64 KiB) for each of them.
+func TestSplitEvalSmallRunAllocatesSmallArena(t *testing.T) {
+	p := library.NegativeSentiment()
+	doc := strings.Repeat("bad tea. bad mood. fine day. bad luck. ", 5)
+	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
+	opts := Options{Workers: 2, Batch: 4}
+	run := func() int {
+		rel, _ := SplitEvalCtx(context.Background(), p, segs, opts)
+		return rel.Len()
+	}
+	if n := run(); n == 0 || n > 16 {
+		t.Fatalf("%d tuples, want 1..16", n)
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 8<<10 {
+		t.Fatalf("a %d-segment, ≤16-tuple run allocated %d bytes, want < 8 KiB", len(segs), perRun)
+	}
 }

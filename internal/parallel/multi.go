@@ -30,7 +30,5 @@ func MultiEvalCtx(ctx context.Context, m *vsa.Multi, segments []Segment, opts Op
 	// Destinations index member queries, not documents: every chunk is
 	// dealt with dest 0 and the fused evaluator demultiplexes into the
 	// accumulator's per-query relations directly.
-	x := newExecutor(ctx, multiEval{m}, opts.workers(), m.Len(), grain, nil, opts.Metrics)
-	x.deal(chunked(0, segments, grain, nil))
-	return x.run(), ctx.Err()
+	return runChunks(ctx, multiEval{m}, opts.workers(), m.Len(), grain, chunked(0, segments, grain, nil), opts.Metrics), ctx.Err()
 }

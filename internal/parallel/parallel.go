@@ -121,9 +121,7 @@ func SplitEval(ps *vsa.Automaton, segments []Segment, workers int) *span.Relatio
 // context the result equals SplitEval's.
 func SplitEvalCtx(ctx context.Context, ps *vsa.Automaton, segments []Segment, opts Options) (*span.Relation, error) {
 	grain := opts.grain(len(segments))
-	x := newExecutor(ctx, singleEval{ps}, opts.workers(), 1, grain, nil, opts.Metrics)
-	x.deal(chunked(0, segments, grain, nil))
-	rels := x.run()
+	rels := runChunks(ctx, singleEval{ps}, opts.workers(), 1, grain, chunked(0, segments, grain, nil), opts.Metrics)
 	return rels[0], ctx.Err()
 }
 
@@ -173,13 +171,11 @@ func CollectionEval(p *vsa.Automaton, docsIn []string, workers int) []*span.Rela
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	x := newExecutor(context.Background(), singleEval{p}, workers, len(docsIn), 0, nil, nil)
 	chunks := make([]chunk, len(docsIn))
 	for i, d := range docsIn {
 		chunks[i] = chunk{dest: i, segs: []Segment{{Span: span.Span{Start: 1, End: len(d) + 1}, Text: d}}}
 	}
-	x.deal(chunks)
-	return x.run()
+	return runChunks(context.Background(), singleEval{p}, workers, len(docsIn), 0, chunks, nil)
 }
 
 // CollectionEvalSplit evaluates a split-correct plan over a collection:

@@ -1,10 +1,13 @@
 package span
 
-// TupleArena carves Tuples out of large shared slabs, so that a worker
+// TupleArena carves Tuples out of shared slabs, so that a worker
 // accumulating many small tuples (the split-evaluation executor appends
 // one per extraction result) performs one slab allocation per few
-// thousand spans instead of one allocation per tuple. The zero value is
-// ready to use.
+// thousand spans instead of one allocation per tuple. Slabs grow
+// geometrically — the first holds tupleArenaMinSlab spans, each later one
+// twice the last up to tupleArenaMaxSlab — so a worker that sees a
+// handful of results allocates a kilobyte, not the steady-state slab.
+// The zero value is ready to use.
 //
 // Tuples returned by Tuple remain valid for the lifetime of the arena's
 // slabs; the garbage collector keeps a slab alive as long as any tuple
@@ -14,12 +17,17 @@ package span
 // A TupleArena is not safe for concurrent use; give each worker its own.
 type TupleArena struct {
 	slab []Span
+	next int // size of the next slab in spans; 0 means tupleArenaMinSlab
 }
 
-// tupleArenaSlab is the slab size in spans; at 16 bytes per Span one
-// slab is 64 KiB — big enough to amortize allocation, small enough not
-// to strand memory on workers that see few results.
-const tupleArenaSlab = 4096
+// Slab sizes in spans, 16 bytes each: the first slab is 1 KiB, the
+// steady-state one 64 KiB — big enough to amortize allocation. A worker
+// that does see many results reaches it after six smaller slabs
+// (4 032 spans).
+const (
+	tupleArenaMinSlab = 64
+	tupleArenaMaxSlab = 4096
+)
 
 // Tuple returns a zeroed n-span tuple carved from the current slab,
 // starting a fresh slab when fewer than n spans remain. The returned
@@ -27,10 +35,8 @@ const tupleArenaSlab = 4096
 // neighboring tuple.
 func (a *TupleArena) Tuple(n int) Tuple {
 	if cap(a.slab)-len(a.slab) < n {
-		size := tupleArenaSlab
-		if size < n {
-			size = n
-		}
+		size := max(a.next, tupleArenaMinSlab, n)
+		a.next = min(2*size, tupleArenaMaxSlab)
 		a.slab = make([]Span, 0, size)
 	}
 	lo := len(a.slab)

@@ -1,6 +1,9 @@
 package span
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestTupleArenaCarving(t *testing.T) {
 	var a TupleArena
@@ -42,12 +45,39 @@ func TestTupleArenaCarving(t *testing.T) {
 
 func TestTupleArenaOversizedAndEmpty(t *testing.T) {
 	var a TupleArena
-	big := a.Tuple(2 * tupleArenaSlab)
-	if len(big) != 2*tupleArenaSlab {
+	big := a.Tuple(2 * tupleArenaMaxSlab)
+	if len(big) != 2*tupleArenaMaxSlab {
 		t.Fatalf("oversized tuple len=%d", len(big))
 	}
 	empty := a.Tuple(0)
 	if len(empty) != 0 {
 		t.Fatalf("empty tuple len=%d", len(empty))
+	}
+}
+
+// TestTupleArenaGrowsGeometrically pins the slab schedule: a worker that
+// produces a handful of tuples must not pay for the steady-state slab,
+// and one that produces many must reach it after six doublings.
+func TestTupleArenaGrowsGeometrically(t *testing.T) {
+	var a TupleArena
+	few := testing.AllocsPerRun(10, func() {
+		a = TupleArena{}
+		for i := 0; i < 16; i++ {
+			a.Tuple(1)
+		}
+	})
+	if few != 1 || cap(a.slab) != tupleArenaMinSlab {
+		t.Fatalf("16 one-span tuples: %v allocations, slab of %d spans; want 1 allocation of %d", few, cap(a.slab), tupleArenaMinSlab)
+	}
+	a = TupleArena{}
+	var slabs []int
+	for i := 0; i < 3*tupleArenaMaxSlab; i++ {
+		if a.Tuple(1); len(a.slab) == 1 {
+			slabs = append(slabs, cap(a.slab))
+		}
+	}
+	want := []int{64, 128, 256, 512, 1024, 2048, 4096, 4096, 4096}
+	if !slices.Equal(slabs, want) {
+		t.Fatalf("slab sizes %v, want %v", slabs, want)
 	}
 }
