@@ -245,3 +245,102 @@ func TestExtractBatchShed429(t *testing.T) {
 		t.Fatalf("post-release batch = %+v, want 3 emails", ok.Queries)
 	}
 }
+
+// stalledBatch posts a raw-body batch whose upload sends a few bytes and
+// then goes silent, to a daemon with a 50 ms read timeout. The silence
+// ends after 3 s whatever happens, so a daemon that sits the stall out
+// answers — with a status the caller rejects — instead of hanging the
+// test.
+func stalledBatch(t *testing.T, hdr map[string]string) *http.Response {
+	t.Helper()
+	eng := engine.New(engine.Config{Workers: 2, ReadTimeout: 50 * time.Millisecond})
+	ts := httptest.NewServer(newServer(eng))
+	t.Cleanup(ts.Close)
+	pr, pw := io.Pipe()
+	watchdog := time.AfterFunc(3*time.Second, func() { pw.Close() })
+	t.Cleanup(func() { // runs before ts.Close, which waits for the handler
+		watchdog.Stop()
+		pw.Close()
+	})
+	go pw.Write([]byte("some bytes, then silence. "))
+	q := url.Values{"spanner": {emailFormula, abBatchFormula}}
+	req, _ := http.NewRequest("POST", ts.URL+"/v1/extract-batch?"+q.Encode(), pr)
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
+}
+
+// TestExtractBatchStalledUploadMapsTo408: a raw batch body goes through
+// the engine's stall guard like /v1/extract's — a client that stops
+// sending gets 408 and loses its connection (and its admission token)
+// instead of holding both until it hangs up.
+func TestExtractBatchStalledUploadMapsTo408(t *testing.T) {
+	resp := stalledBatch(t, nil)
+	b, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("status = %d (%s), want 408 for a stalled upload", resp.StatusCode, b)
+	}
+	if !resp.Close {
+		t.Error("408 without Connection: close — the server would block draining the stalled body")
+	}
+}
+
+// TestExtractBatchMultipartStallEpilogue is the multipart twin: the 200
+// header is on the wire when the upload stalls, so the 408 rides in the
+// "end" epilogue.
+func TestExtractBatchMultipartStallEpilogue(t *testing.T) {
+	resp := stalledBatch(t, map[string]string{"Accept": "multipart/mixed"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (the header precedes the failure)", resp.StatusCode)
+	}
+	parts := readMultipartResponse(t, resp)
+	var end epilogue
+	if err := json.Unmarshal(parts["end"], &end); err != nil {
+		t.Fatalf("bad epilogue %s: %v", parts["end"], err)
+	}
+	if end.Status != "error" || end.HTTPStatus != http.StatusRequestTimeout {
+		t.Fatalf("epilogue = %+v, want an error with http_status 408", end)
+	}
+	if _, ok := parts["results"]; ok {
+		t.Fatal("failed batch must not emit a results part")
+	}
+}
+
+// countingReader counts the bytes handed out of an endless document.
+type countingReader struct{ n int }
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	c.n += len(p)
+	return len(p), nil
+}
+
+// TestExtractBatchRawOverBudgetIs413: the engine's MaxDocBuffer bounds
+// what a raw batch body may pin, not the 64 MiB JSON limit — the upload
+// is refused as soon as it outgrows the budget, having been read no
+// further than the budget plus the chunk that crossed it. The handler
+// is called directly so the count is the server's reads alone, with no
+// socket buffers in between.
+func TestExtractBatchRawOverBudgetIs413(t *testing.T) {
+	const budget, chunk = 128 << 10, 64 << 10
+	h := newServer(engine.New(engine.Config{Workers: 2, MaxDocBuffer: budget, ChunkSize: chunk}))
+	body := &countingReader{}
+	q := url.Values{"spanner": {emailFormula}}
+	req := httptest.NewRequest("POST", "/v1/extract-batch?"+q.Encode(), io.LimitReader(body, 8<<20))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d (%s), want 413", rec.Code, rec.Body)
+	}
+	if body.n > budget+chunk {
+		t.Errorf("read %d bytes of an over-budget body, want ≤ %d (budget + one chunk)", body.n, budget+chunk)
+	}
+}

@@ -347,7 +347,19 @@ func (s *server) runExtract(w http.ResponseWriter, r *http.Request, req engine.R
 		}
 	}
 	if acceptsMultipart(r) {
-		s.runExtractMultipart(w, plan, hit, ingest, run)
+		type planPart struct {
+			planResponse
+			Ingest string   `json:"ingest"`
+			Vars   []string `json:"vars"`
+		}
+		respondMultipart(w, planPart{planResponse: planSection(plan, hit), Ingest: ingest, Vars: plan.Vars()}, "tuples",
+			func() (any, epilogue, error) {
+				rel, exec, err := run(plan)
+				if err != nil {
+					return nil, epilogue{}, err
+				}
+				return tuplesJSON(rel), epilogue{Status: "ok", Count: rel.Len(), Execution: exec.String()}, nil
+			})
 		return
 	}
 	rel, exec, err := run(plan)
@@ -405,15 +417,17 @@ type epilogue struct {
 	HTTPStatus int `json:"http_status,omitempty"`
 }
 
-// runExtractMultipart answers with multipart/mixed: a "plan" part
-// written (and flushed) before evaluation starts, a "tuples" part on
-// success, and always a terminal "end" epilogue part. The epilogue is
-// what makes mid-stream failure explicit: when the engine surfaces
-// context.Canceled or a deadline after the 200 header has been sent,
-// the stream still terminates with a parseable error part instead of
-// an ambiguous truncation — a client that never sees an "end" part
-// knows the response is incomplete.
-func (s *server) runExtractMultipart(w http.ResponseWriter, plan *engine.Plan, hit bool, ingest string, run extractFunc) {
+// respondMultipart answers an extraction with multipart/mixed: the
+// "plan" part written (and flushed) before run evaluates anything, the
+// part called name with run's result on success, and always a terminal
+// "end" epilogue part. The epilogue is what makes mid-stream failure
+// explicit: when run fails (the engine surfaces context.Canceled, a
+// deadline, a stalled or oversized upload) after the 200 header has been
+// sent, the stream still terminates with a parseable error part carrying
+// the status the failure would have had, instead of an ambiguous
+// truncation — a client that never sees an "end" part knows the response
+// is incomplete.
+func respondMultipart(w http.ResponseWriter, plan any, name string, run func() (result any, end epilogue, err error)) {
 	// The response header goes out before the document has been read, so
 	// the connection must be full-duplex: without this, net/http drains
 	// the unconsumed request body at WriteHeader time — eating the
@@ -438,21 +452,16 @@ func (s *server) runExtractMultipart(w http.ResponseWriter, plan *engine.Plan, h
 		_ = enc.Encode(v)
 	}
 
-	type planPart struct {
-		planResponse
-		Ingest string   `json:"ingest"`
-		Vars   []string `json:"vars"`
-	}
-	part("plan", planPart{planResponse: planSection(plan, hit), Ingest: ingest, Vars: plan.Vars()})
+	part("plan", plan)
 	_ = rc.Flush() // the client sees the verdict while the document uploads
 
-	rel, exec, err := run(plan)
+	result, end, err := run()
 	if err != nil {
 		part("end", epilogue{Status: "error", Error: err.Error(), HTTPStatus: extractErrStatus(err)})
 		return
 	}
-	part("tuples", tuplesJSON(rel))
-	part("end", epilogue{Status: "ok", Count: rel.Len(), Execution: exec.String()})
+	part(name, result)
+	part("end", end)
 }
 
 // extractBatchRequest is the JSON request body of /v1/extract-batch:
@@ -544,17 +553,30 @@ func (s *server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	run := func() ([]engine.BatchResult, error) {
-		doc := req.Doc
-		if !inline {
-			var err error
-			if doc, err = readBatchDoc(r.Context(), r.Body); err != nil {
-				return nil, err
-			}
+		if inline {
+			return s.eng.ExtractBatch(r.Context(), plan, req.Doc)
 		}
-		return s.eng.ExtractBatch(r.Context(), plan, doc)
+		// The raw body is the document: read behind the engine's stall
+		// guard and MaxDocBuffer, like /v1/extract's buffered uploads.
+		return s.eng.ExtractBatchReader(r.Context(), plan, r.Body)
 	}
+	resp := extractBatchResponse{CacheHit: hit, PlanCompileMS: float64(plan.CompileTime.Microseconds()) / 1000}
 	if acceptsMultipart(r) {
-		s.runBatchMultipart(w, plan, hit, req.Spanners, run)
+		// The "plan" part is the response with the per-query compile
+		// verdicts and no tuples yet; "results" the evaluated queries.
+		resp.Queries = batchQueries(plan, req.Spanners, nil)
+		respondMultipart(w, resp, "results", func() (any, epilogue, error) {
+			results, err := run()
+			if err != nil {
+				return nil, epilogue{}, err
+			}
+			queries := batchQueries(plan, req.Spanners, results)
+			total := 0
+			for _, q := range queries {
+				total += q.Count
+			}
+			return queries, epilogue{Status: "ok", Count: total}, nil
+		})
 		return
 	}
 	results, err := run()
@@ -565,93 +587,8 @@ func (s *server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, extractErrStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, extractBatchResponse{
-		CacheHit:      hit,
-		PlanCompileMS: float64(plan.CompileTime.Microseconds()) / 1000,
-		Queries:       batchQueries(plan, req.Spanners, results),
-	})
-}
-
-// readBatchDoc buffers a raw-body document for a batch request, checking
-// the request context between chunks so a deadline firing mid-upload
-// fails promptly (and maps to 504 via extractErrStatus), and bounding
-// the buffer like JSON bodies. The engine's own MaxDocBuffer still
-// applies to whatever is read.
-func readBatchDoc(ctx context.Context, r io.Reader) (string, error) {
-	var buf []byte
-	chunk := make([]byte, 64<<10)
-	for {
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
-		n, err := r.Read(chunk)
-		if n > 0 {
-			if len(buf)+n > maxJSONBody {
-				return "", fmt.Errorf("%w (> %d bytes)", engine.ErrDocTooLarge, maxJSONBody)
-			}
-			buf = append(buf, chunk[:n]...)
-		}
-		if err == io.EOF {
-			return string(buf), nil
-		}
-		if err != nil {
-			return "", err
-		}
-	}
-}
-
-// runBatchMultipart answers a batch extraction with multipart/mixed,
-// mirroring runExtractMultipart: the "plan" part (per-query compile
-// verdicts) is flushed before the document is consumed, a "results" part
-// with the per-query tuples follows on success, and the stream always
-// terminates with an "end" epilogue — carrying the error and its
-// would-be HTTP status when the deadline (or any document-level failure)
-// fires mid-batch after the 200 header is on the wire.
-func (s *server) runBatchMultipart(w http.ResponseWriter, plan *engine.Plan, hit bool, spanners []string, run func() ([]engine.BatchResult, error)) {
-	rc := http.NewResponseController(w)
-	_ = rc.EnableFullDuplex()
-	mw := multipart.NewWriter(w)
-	defer mw.Close()
-	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
-	w.WriteHeader(http.StatusOK)
-
-	part := func(name string, v any) {
-		h := textproto.MIMEHeader{}
-		h.Set("Content-Type", "application/json")
-		h.Set("Content-Disposition", `inline; name="`+name+`"`)
-		pw, err := mw.CreatePart(h)
-		if err != nil {
-			return // client gone; nothing left to say
-		}
-		enc := json.NewEncoder(pw)
-		enc.SetEscapeHTML(false)
-		_ = enc.Encode(v)
-	}
-
-	type batchPlanPart struct {
-		CacheHit      bool               `json:"cache_hit"`
-		PlanCompileMS float64            `json:"plan_compile_ms"`
-		Queries       []batchQueryResult `json:"queries"`
-	}
-	part("plan", batchPlanPart{
-		CacheHit:      hit,
-		PlanCompileMS: float64(plan.CompileTime.Microseconds()) / 1000,
-		Queries:       batchQueries(plan, spanners, nil),
-	})
-	_ = rc.Flush()
-
-	results, err := run()
-	if err != nil {
-		part("end", epilogue{Status: "error", Error: err.Error(), HTTPStatus: extractErrStatus(err)})
-		return
-	}
-	queries := batchQueries(plan, spanners, results)
-	total := 0
-	for _, q := range queries {
-		total += q.Count
-	}
-	part("results", queries)
-	part("end", epilogue{Status: "ok", Count: total})
+	resp.Queries = batchQueries(plan, req.Spanners, results)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleCheck serves POST /v1/check: it returns the plan's verdicts

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -238,4 +239,20 @@ func (e *Engine) ExtractBatch(ctx context.Context, plan *Plan, doc string) ([]Ba
 		}
 	}
 	return out, wrapCtxErr(err)
+}
+
+// ExtractBatchReader is ExtractBatch on a document stream. A fused batch
+// evaluates its document as one segment, so the stream is buffered whole
+// — behind the same guards as RunReader's buffered branch: a stream that
+// stalls past Config.ReadTimeout fails with ErrReadStalled, a done
+// context ends the read, and at most Config.MaxDocBuffer is held.
+func (e *Engine) ExtractBatchReader(ctx context.Context, plan *Plan, r io.Reader) ([]BatchResult, error) {
+	if e.cfg.ReadTimeout > 0 || ctx.Done() != nil {
+		r = newStallReader(ctx, r, e.cfg.ReadTimeout)
+	}
+	doc, err := e.readAllBounded(ctx, r)
+	if err != nil {
+		return nil, err
+	}
+	return e.ExtractBatch(ctx, plan, doc)
 }

@@ -11,7 +11,9 @@
 //
 //   - vsa's Boolean-evaluation DFA (payload: subset contains a final
 //     state),
-//   - vsa's forward end-detection scan DFA (payload: end/finals flags),
+//   - vsa's forward end-detection scan DFA, over a scan group of 1–64
+//     member automata — the one scan behind single- and multi-query
+//     evaluation alike (payload: per-member end/finals bitmaps),
 //   - vsa's backward start-narrowing DFA (payload: per-class core-start
 //     flags; uses seed injection),
 //   - core's compiled splitter scanner (payload: per-class open/close/

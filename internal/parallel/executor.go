@@ -71,24 +71,23 @@ func (e *singleSession) close() { e.s.Close() }
 
 // multiEval evaluates a fused multi-query set; chunk destinations are
 // ignored (every chunk is dealt with dest 0) and the relation index is
-// the member-query index instead. The fused path sees one segment per
-// document, so its session hoists only the relation lookup.
+// the member-query index instead.
 type multiEval struct{ m *vsa.Multi }
 
 func (e multiEval) prepare()            { e.m.Prepare() }
 func (e multiEval) vars(q int) []string { return e.m.Member(q).Vars }
 func (e multiEval) session(acc *accumulator) session {
-	return &multiSession{m: e.m, rel: acc.rel, arena: &acc.arena}
+	return &multiSession{s: e.m.NewSession(), rel: acc.rel, arena: &acc.arena}
 }
 
 type multiSession struct {
-	m     *vsa.Multi
+	s     vsa.MultiSession
 	rel   func(int) *span.Relation
 	arena *span.TupleArena
 }
 
-func (e *multiSession) eval(seg Segment, _ int) { e.m.EvalAppend(seg.Text, seg.Span, e.rel, e.arena) }
-func (e *multiSession) close()                  {}
+func (e *multiSession) eval(seg Segment, _ int) { e.s.EvalAppend(seg.Text, seg.Span, e.rel, e.arena) }
+func (e *multiSession) close()                  { e.s.Close() }
 
 // executor is one split-evaluation run: a set of workers, their deques
 // and accumulators, and (in streaming mode) the feed they block on when

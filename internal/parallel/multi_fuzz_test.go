@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -94,10 +95,10 @@ func chopSegments(doc string, n int) []Segment {
 // FuzzMultiVsSequential is the multi-query evaluator's correctness
 // contract: a fused MultiEval over a random query set (2–8 formulas from
 // the seven families) must be byte-identical per query to evaluating
-// each member separately — with the whole document as one segment
-// against member Eval, and over chopped segments against the member's
-// own SplitEval — including members with the prefilter disabled (the
-// `disable` bitmap) and across worker counts.
+// each member separately and to EvalReference — with the whole document
+// as one segment against member Eval, and over chopped segments against
+// the member's own SplitEval — including members with the prefilter
+// disabled (the `disable` bitmap) and across worker counts.
 func FuzzMultiVsSequential(f *testing.F) {
 	longGap := strings.Repeat(" ", 500)
 	f.Add(uint64(0x0100), byte(0), byte(1), int64(1), uint8(2), uint8(0), "one. two! three\nfour.")
@@ -129,35 +130,63 @@ func FuzzMultiVsSequential(f *testing.F) {
 		}
 		m := vsa.NewMulti(members...)
 
-		// Whole document, one segment: per query against standalone Eval.
+		// Whole document, one segment: per query against standalone Eval
+		// and the reference simulation.
 		whole := []Segment{{Span: span.Span{Start: 1, End: len(doc) + 1}, Text: doc}}
-		var base []*span.Relation
 		for _, w := range []int{1, 3} {
 			rels := MultiEval(m, whole, w)
 			for q, got := range rels {
-				want := members[q].Eval(doc)
-				if !got.Equal(want) {
-					t.Fatalf("workers=%d query %d diverged on %q:\nfused:      %v\nstandalone: %v",
-						w, q, doc, got, want)
+				if d := threeWayDiff(got, members[q].Eval(doc), members[q].EvalReference(doc)); d != "" {
+					t.Fatalf("workers=%d query %d diverged on %q:\n%s", w, q, doc, d)
 				}
-			}
-			if base == nil {
-				base = rels
 			}
 		}
 
 		// Chopped segments: per query against the member's own SplitEval
-		// over the same segments, across worker counts.
+		// over the same segments, across worker counts, and against the
+		// reference simulation of every segment, shifted into place.
 		segs := chopSegments(doc, 7)
 		for _, w := range []int{1, 4} {
 			rels := MultiEval(m, segs, w)
 			for q, got := range rels {
-				want := SplitEval(members[q], segs, 1)
-				if !got.Equal(want) {
-					t.Fatalf("chopped workers=%d query %d diverged on %q:\nfused: %v\nsplit: %v",
-						w, q, doc, got, want)
+				ref := span.NewRelation(members[q].Vars...)
+				for _, seg := range segs {
+					ref.Tuples = append(ref.Tuples, members[q].EvalReference(seg.Text).ShiftAll(seg.Span).Tuples...)
+				}
+				if d := threeWayDiff(got, SplitEval(members[q], segs, 1), ref); d != "" {
+					t.Fatalf("chopped workers=%d query %d diverged on %q:\n%s", w, q, doc, d)
 				}
 			}
 		}
 	})
+}
+
+// onlyIn returns the tuples of a that b lacks.
+func onlyIn(a, b *span.Relation) []span.Tuple {
+	var out []span.Tuple
+	for _, t := range a.Tuples {
+		if !b.Has(t) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// threeWayDiff holds one query's results to each other — the fused
+// MultiEval, the member evaluated alone, and EvalReference. Fused and
+// standalone run the same forward scan in internal/vsa, so only the
+// reference leg ties them to the semantics. It returns "" when all three
+// agree, else one line per differing pair with the spans only in each
+// side.
+func threeWayDiff(fused, standalone, reference *span.Relation) string {
+	var b strings.Builder
+	pair := func(xn string, x *span.Relation, yn string, y *span.Relation) {
+		if !x.Equal(y) {
+			fmt.Fprintf(&b, "%s ≠ %s: only %s %v, only %s %v\n", xn, yn, xn, onlyIn(x, y), yn, onlyIn(y, x))
+		}
+	}
+	pair("fused", fused, "standalone", standalone)
+	pair("standalone", standalone, "reference", reference)
+	pair("fused", fused, "reference", reference)
+	return b.String()
 }

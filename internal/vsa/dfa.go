@@ -19,8 +19,8 @@ import (
 // cross-checked by fuzzing.
 //
 // Determinization itself lives in internal/lazydfa — the interning,
-// overflow and locking machinery is shared with the forward scan DFA
-// (window.go), the backward narrowing DFA (reverse.go) and core's
+// overflow and locking machinery is shared with the scan groups' forward
+// DFA (window.go), the backward narrowing DFA (reverse.go) and core's
 // compiled splitter scanner. This client's payload is a single bool:
 // whether the subset contains a final-bearing state.
 

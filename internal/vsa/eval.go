@@ -220,8 +220,14 @@ type Session struct {
 	p   *evalProg
 	loc *localizer
 	pf  PrefilterInfo
-	ws  *windowScratch // nil until a document passes the factor gate
-	sc  *evalScratch   // nil until a document needs the tagged simulation
+	sessionScratch
+}
+
+// sessionScratch is the pooled scratch a Session or MultiSession holds
+// from first need to Close.
+type sessionScratch struct {
+	ws *scanScratch // nil until a document reaches a forward scan
+	sc *evalScratch // nil until a document needs the tagged simulation
 }
 
 // NewSession returns a Session on a, by value so that a one-shot use
@@ -231,15 +237,33 @@ func (a *Automaton) NewSession() Session {
 }
 
 // Close returns the session's scratch to the pools.
-func (s *Session) Close() {
+func (s *sessionScratch) Close() {
 	if s.ws != nil {
-		windowPool.Put(s.ws)
+		scanPool.Put(s.ws)
 		s.ws = nil
 	}
 	if s.sc != nil {
 		scratchPool.Put(s.sc)
 		s.sc = nil
 	}
+}
+
+// scan returns the session's forward-scan scratch, acquiring it on
+// first use.
+func (s *sessionScratch) scan() *scanScratch {
+	if s.ws == nil {
+		s.ws = scanPool.Get().(*scanScratch)
+	}
+	return s.ws
+}
+
+// run starts the tagged simulation of one document by a on the
+// session's evalScratch, acquiring it on first use.
+func (s *sessionScratch) run(a *Automaton, p *evalProg, rel *span.Relation, doc string, delta int, arena *span.TupleArena) evalRun {
+	if s.sc == nil {
+		s.sc = scratchPool.Get().(*evalScratch)
+	}
+	return newEvalRun(a, p, s.sc, rel, doc, delta, arena)
 }
 
 // EvalAppend evaluates the session's automaton on doc under
@@ -281,15 +305,14 @@ func (s *Session) EvalAppend(doc string, by span.Span, rel *span.Relation, arena
 	}
 	delta := by.Start - 1
 	if loc.ok {
-		if s.ws == nil {
-			s.ws = windowPool.Get().(*windowScratch)
-		}
-		ws := s.ws
-		if loc.scan.forward(p, doc, ws) {
-			if m != nil && ws.skippedBytes > 0 {
-				m.PrefilterSkippedBytes.Add(uint64(ws.skippedBytes))
+		// The automaton's own scan group has one member, slot 0, always
+		// admitted (the factor gate above is this caller's admission).
+		g, ws := loc.group, s.scan()
+		if g.forward(doc, dfaStart, ws) {
+			if m != nil && ws.skipped > 0 {
+				m.PrefilterSkippedBytes.Add(uint64(ws.skipped))
 			}
-			if len(ws.ends) == 0 && !ws.finalsAtEnd {
+			if len(ws.ends[0]) == 0 && ws.finals == 0 {
 				// No boundary where a match can complete: ⟦a⟧(d) = ∅,
 				// and the simulation machinery was never touched.
 				if m != nil {
@@ -298,7 +321,7 @@ func (s *Session) EvalAppend(doc string, by span.Span, rel *span.Relation, arena
 				}
 				return
 			}
-			if loc.narrow(p, doc, ws) {
+			if g.narrow(0, doc, ws) {
 				if m != nil {
 					now := time.Now()
 					m.LocalizeNS.AddDuration(now.Sub(t0))
@@ -310,11 +333,8 @@ func (s *Session) EvalAppend(doc string, by span.Span, rel *span.Relation, arena
 					}
 					m.WindowBytes.Add(wb)
 				}
-				run := s.run(rel, doc, delta, arena)
-				for _, w := range ws.windows {
-					seed := loc.seedAt(p, doc, w.lo, ws)
-					run.window(w.lo, w.hi, seed, w.hi == len(doc))
-				}
+				run := s.run(a, p, rel, doc, delta, arena)
+				g.simulate(0, doc, ws, &run)
 				if m != nil {
 					m.SimNS.AddDuration(time.Since(t0))
 				}
@@ -338,20 +358,11 @@ func (s *Session) EvalAppend(doc string, by span.Span, rel *span.Relation, arena
 		}
 		return
 	}
-	run := s.run(rel, doc, delta, arena)
+	run := s.run(a, p, rel, doc, delta, arena)
 	run.window(0, len(doc), nil, true)
 	if m != nil {
 		m.SimNS.AddDuration(time.Since(t0))
 	}
-}
-
-// run starts the tagged simulation of one document on the session's
-// evalScratch, acquiring it on first use.
-func (s *Session) run(rel *span.Relation, doc string, delta int, arena *span.TupleArena) evalRun {
-	if s.sc == nil {
-		s.sc = acquireEvalScratch(s.p)
-	}
-	return newEvalRun(s.a, s.p, s.sc, rel, doc, delta, arena)
 }
 
 // evalRun bundles the per-evaluation state shared by every window of one
@@ -369,10 +380,10 @@ type evalRun struct {
 	delta  int // added to every emitted position (EvalAppend's shift)
 }
 
-// acquireEvalScratch takes an evalScratch from the pool and sizes its
-// fixed buffers for p. The caller returns it with scratchPool.Put.
-func acquireEvalScratch(p *evalProg) *evalScratch {
-	sc := scratchPool.Get().(*evalScratch)
+// newEvalRun starts one document's evaluation on sc, sizing its fixed
+// buffers for p. It returns the run by value so that the per-segment hot
+// path keeps it on the stack.
+func newEvalRun(a *Automaton, p *evalProg, sc *evalScratch, rel *span.Relation, doc string, delta int, arena *span.TupleArena) evalRun {
 	stride := 2 * p.nv
 	if cap(sc.tmp) < stride {
 		sc.tmp = make([]int32, stride)
@@ -380,13 +391,6 @@ func acquireEvalScratch(p *evalProg) *evalScratch {
 	if cap(sc.emitBuf) < 4*stride {
 		sc.emitBuf = make([]byte, 4*stride)
 	}
-	return sc
-}
-
-// newEvalRun starts one document's evaluation on sc (sized for p by
-// acquireEvalScratch). It returns the run by value so that the
-// per-segment hot path keeps it on the stack.
-func newEvalRun(a *Automaton, p *evalProg, sc *evalScratch, rel *span.Relation, doc string, delta int, arena *span.TupleArena) evalRun {
 	// clear() costs O(buckets), and a map keeps the bucket array of its
 	// largest-ever use: after one tuple-heavy evaluation, clearing per
 	// call would tax every later small evaluation (57k segment evals each
@@ -400,7 +404,7 @@ func newEvalRun(a *Automaton, p *evalProg, sc *evalScratch, rel *span.Relation, 
 	case len(sc.seen) > 0:
 		clear(sc.seen)
 	}
-	return evalRun{a: a, p: p, sc: sc, rel: rel, arena: arena, doc: doc, stride: 2 * p.nv, delta: delta}
+	return evalRun{a: a, p: p, sc: sc, rel: rel, arena: arena, doc: doc, stride: stride, delta: delta}
 }
 
 // emit deduplicates and materializes one result tuple. Windows are

@@ -4,8 +4,10 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/library"
 	"repro/internal/regexformula"
 	"repro/internal/span"
+	"repro/internal/vsa"
 )
 
 // TestEvalAppendMatchesEvalShiftAll checks the accumulator form against
@@ -103,5 +105,55 @@ func TestEvalAppendOneShotAllocatesNothing(t *testing.T) {
 		if rel.Len() != 0 {
 			t.Fatalf("segment %q unexpectedly matched: %v", seg, rel)
 		}
+	}
+}
+
+// TestMultiSessionAllocationsPerSegment pins the per-call fixed cost of
+// the Multi entry point to the Session's: a sentence-split document is
+// some 25 000 evaluation calls per megabyte, and both sessions hold the
+// same scratch, so a Multi of one member may allocate no more per
+// segment than the member's own Session — what is left is result
+// tuples, which are the same.
+func TestMultiSessionAllocationsPerSegment(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	neg := library.NegativeSentiment()
+	neg.Prepare()
+	doc := scanReviewDoc(256 << 10)
+	var segs []scanPiece
+	for _, sp := range library.FastSentenceSplit(doc) {
+		segs = append(segs, scanPiece{sp.In(doc), sp})
+	}
+	nseg := float64(len(segs))
+	if nseg < 5000 {
+		t.Fatalf("only %v segments: the corpus lost its sentence density", nseg)
+	}
+	single := testing.AllocsPerRun(5, func() {
+		rel := span.NewRelation(neg.Vars...)
+		var arena span.TupleArena
+		s := neg.NewSession()
+		for _, p := range segs {
+			s.EvalAppend(p.text, p.by, rel, &arena)
+		}
+		s.Close()
+	})
+	m := vsa.NewMulti(neg)
+	m.Prepare()
+	multi := testing.AllocsPerRun(5, func() {
+		rel := span.NewRelation(neg.Vars...)
+		relOf := func(int) *span.Relation { return rel }
+		var arena span.TupleArena
+		s := m.NewSession()
+		for _, p := range segs {
+			s.EvalAppend(p.text, p.by, relOf, &arena)
+		}
+		s.Close()
+	})
+	t.Logf("%v segments: %.3f allocations per segment through Session, %.3f through MultiSession", nseg, single/nseg, multi/nseg)
+	// One segment in a thousand of slack: the relOf closure and whatever
+	// a pooled scratch had to grow.
+	if multi/nseg > single/nseg+0.001 {
+		t.Errorf("MultiSession: %.3f allocations per segment, Session %.3f", multi/nseg, single/nseg)
 	}
 }

@@ -1,6 +1,7 @@
 package vsa
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -10,9 +11,40 @@ import (
 	"repro/internal/span"
 )
 
+// onlyIn returns the tuples of a that b lacks.
+func onlyIn(a, b *span.Relation) []span.Tuple {
+	var out []span.Tuple
+	for _, t := range a.Tuples {
+		if !b.Has(t) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// threeWayDiff holds one query's results to each other — the fused pass,
+// the automaton's own Eval, and EvalReference, the map-based simulation
+// that shares no code with either. Fused and standalone run the same
+// forward scan, so only the reference leg ties them to the semantics. It
+// returns "" when all three agree, else one line per differing pair with
+// the spans only in each side.
+func threeWayDiff(fused, standalone, reference *span.Relation) string {
+	var b strings.Builder
+	pair := func(xn string, x *span.Relation, yn string, y *span.Relation) {
+		if !x.Equal(y) {
+			fmt.Fprintf(&b, "%s ≠ %s: only %s %v, only %s %v\n", xn, yn, xn, onlyIn(x, y), yn, onlyIn(y, x))
+		}
+	}
+	pair("fused", fused, "standalone", standalone)
+	pair("standalone", standalone, "reference", reference)
+	pair("fused", fused, "reference", reference)
+	return b.String()
+}
+
 // assertMultiMatchesStandalone compares every member relation of a fused
 // evaluation against the member automaton's own standalone Eval — the
-// demultiplexing contract Multi promises.
+// demultiplexing contract Multi promises — and both against
+// EvalReference.
 func assertMultiMatchesStandalone(t *testing.T, m *Multi, doc string) {
 	t.Helper()
 	rels := m.Eval(doc)
@@ -20,9 +52,9 @@ func assertMultiMatchesStandalone(t *testing.T, m *Multi, doc string) {
 		t.Fatalf("Eval returned %d relations for %d members", len(rels), m.Len())
 	}
 	for i, got := range rels {
-		want := m.Member(i).Eval(doc)
-		if !got.Equal(want) {
-			t.Errorf("member %d on %q:\nfused:      %v\nstandalone: %v", i, doc, got, want)
+		a := m.Member(i)
+		if d := threeWayDiff(got, a.Eval(doc), a.EvalReference(doc)); d != "" {
+			t.Errorf("member %d on %q:\n%s", i, doc, d)
 		}
 	}
 }
@@ -152,6 +184,104 @@ func TestMultiMatchesStandalone(t *testing.T) {
 	}
 }
 
+// TestSingleIsUnaryMulti pins the one scan from both of its entry
+// points: for every automaton of the window and multi tables —
+// including the ones that never reach a group (nullary, status-less),
+// one that overflows every group it is in, and a DisablePrefilter copy —
+// a.Eval, NewMulti(a).Eval()[0] and a.EvalReference agree, and the
+// fallback ladder only steps down: the Multi hands an overflowing member
+// to the member's own evaluation exactly once per document, and that
+// evaluation takes the whole-document rung exactly once.
+func TestSingleIsUnaryMulti(t *testing.T) {
+	nullary := NewAutomaton()
+	nullary.AddEdge(0, 0, alphabet.Any, 0)
+	nullary.AddFinal(0, 0)
+	stepped := buildUnanchoredAB(t)
+	stepped.DisablePrefilter()
+
+	long := strings.Repeat(".", 3*checkpointStride)
+	rng := rand.New(rand.NewSource(42))
+	var ab strings.Builder
+	for i := 0; i < 1<<14; i++ {
+		ab.WriteByte("ab"[rng.Intn(2)])
+	}
+	docs := []string{
+		"", "a", "ab", "ac", "bc", "cd", "aa.bb.aa", "xxaxxbxx", long,
+		long + "aab" + long, "a" + long + "b", long + "ab" + long + "cd",
+		strings.Repeat("ab", 2*checkpointStride),
+		ab.String(), // overflows extractorBlowup(16)'s scan DFA
+	}
+	cases := []struct {
+		name string
+		a    *Automaton
+		// solo: no localizer, never in a group. overflows: the last
+		// document overflows the member's group at any size.
+		solo, overflows bool
+	}{
+		{"a-plus", extractorAPlus(), false, false},
+		{"prefix-anchored", extractorPrefixAnchored(), false, false},
+		{"suffix-anchored", extractorSuffixAnchored(), false, false},
+		{"zero-width", extractorZeroWidth(), false, false},
+		{"unanchored-ab", buildUnanchoredAB(t), false, false},
+		{"unanchored-cd", buildUnanchoredCD(t), false, false},
+		{"anchored-ab", buildAnchoredAB(t), false, false},
+		{"anchored-cd", buildAnchoredCD(t), false, false},
+		{"empty-language", buildEmptyLanguage(), false, false},
+		{"stepped", stepped, false, false},
+		{"nullary", nullary, true, false},
+		{"non-localizable", buildNonLocalizable(t), true, false},
+		{"blowup-16", extractorBlowup(16), false, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewMulti(c.a)
+			var mm MultiMetrics
+			var em EvalMetrics
+			m.SetMetrics(&mm)
+			m.Prepare()
+			if c.solo != (len(m.groups) == 0) {
+				t.Fatalf("%d groups, solo=%v", len(m.groups), c.solo)
+			}
+			if !c.solo {
+				g, own := m.groups[0].scanGroup, c.a.localizer().group
+				if len(g.autos) != 1 || len(own.autos) != 1 || g.nclasses != own.nclasses || g.classOf != own.classOf || g.noSkip != own.noSkip {
+					t.Fatal("the Multi's group of one and the automaton's own group differ in shape")
+				}
+			}
+			for _, doc := range docs {
+				// Only the Multi's evaluation is instrumented, so the
+				// member counters below count its fallbacks alone.
+				c.a.SetEvalMetrics(&em)
+				fused := m.Eval(doc)[0]
+				c.a.SetEvalMetrics(nil)
+				if d := threeWayDiff(fused, c.a.Eval(doc), c.a.EvalReference(doc)); d != "" {
+					t.Errorf("on %q:\n%s", doc, d)
+				}
+			}
+			// Member fallbacks: every document for a solo member, the one
+			// overflowing document otherwise; each reached the whole-document
+			// rung (counted for documents ≥ MetricsMinDocBytes — only the
+			// last) at most once, and nothing evaluated the Multi again.
+			wantFallbacks, wantWhole := uint64(0), uint64(0)
+			switch {
+			case c.solo:
+				wantFallbacks, wantWhole = uint64(len(docs)), 1
+			case c.overflows:
+				wantFallbacks, wantWhole = 1, 1
+			}
+			if got := mm.MemberFallbacks.Load(); got != wantFallbacks {
+				t.Errorf("MemberFallbacks = %d, want %d", got, wantFallbacks)
+			}
+			if got := em.Fallbacks.Load(); got != wantWhole {
+				t.Errorf("whole-document fallbacks = %d, want %d", got, wantWhole)
+			}
+			if c.a.PrefilterDisabled() && (!m.groups[0].noSkip || mm.FusedSkippedBytes.Load() != 0) {
+				t.Error("DisablePrefilter copy did not get a fully stepped scan")
+			}
+		})
+	}
+}
+
 // TestMultiDuplicateMembers: the same query registered several times in
 // one batch (the same pointer twice AND a structurally identical twin)
 // must yield the identical relation in every slot.
@@ -247,11 +377,12 @@ func TestMultiAdmissionAllRejected(t *testing.T) {
 }
 
 // TestMultiStartStateCache: each distinct admission mask interns one
-// fused start state, cached across evaluations.
+// fused start state, cached across evaluations — the partial masks in
+// the group's map, the full mask as the state the group interned first.
 func TestMultiStartStateCache(t *testing.T) {
 	m := NewMulti(buildUnanchoredAB(t), buildAnchoredCD(t))
 	docs := []string{
-		"zabz.cdz", // both admitted (mask 11, pre-interned at build)
+		"zabz.cdz", // both admitted (mask 11, dfaStart since build)
 		"zabz",     // AB only (mask 01)
 		"cdzz",     // CD only (mask 10)
 		"zzzz",     // neither: early return, no start state
@@ -268,8 +399,11 @@ func TestMultiStartStateCache(t *testing.T) {
 	g.mu.Lock()
 	n := len(g.starts)
 	g.mu.Unlock()
-	if n != 3 {
-		t.Errorf("start-state cache holds %d masks, want 3 (full, AB-only, CD-only)", n)
+	if n != 2 {
+		t.Errorf("start-state cache holds %d masks, want 2 (AB-only, CD-only)", n)
+	}
+	if got := g.startFor(g.fullMask); got != dfaStart {
+		t.Errorf("full admission starts at state %d, want dfaStart", got)
 	}
 }
 
@@ -498,9 +632,9 @@ func TestMultiConcurrent(t *testing.T) {
 }
 
 // FuzzMultiVsMembers fuzzes the fused evaluation against per-member
-// standalone Eval on random functional automata (the generator of
-// dfa_test.go): the in-package complement of the formula-level
-// differential in parallel.FuzzMultiVsSequential.
+// standalone Eval and EvalReference on random functional automata (the
+// generator of dfa_test.go): the in-package complement of the
+// formula-level differential in parallel.FuzzMultiVsSequential.
 func FuzzMultiVsMembers(f *testing.F) {
 	f.Add(int64(1), int64(2), "abab")
 	f.Add(int64(3), int64(4), "")
@@ -517,10 +651,9 @@ func FuzzMultiVsMembers(f *testing.F) {
 		m := NewMulti(a, b, a)
 		rels := m.Eval(doc)
 		for i, got := range rels {
-			want := m.Member(i).Eval(doc)
-			if !got.Equal(want) {
-				t.Fatalf("member %d diverged on %q:\nfused:      %v\nstandalone: %v\n%s",
-					i, doc, got, want, m.Member(i))
+			mem := m.Member(i)
+			if d := threeWayDiff(got, mem.Eval(doc), mem.EvalReference(doc)); d != "" {
+				t.Fatalf("member %d diverged on %q:\n%s%s", i, doc, d, mem)
 			}
 		}
 	})

@@ -23,7 +23,7 @@ import (
 //     transition table per byte. Every non-trigger byte maps the whole
 //     set to one state, so the DFA state at any skipped boundary is
 //     Sync(previous byte): forward-scan checkpoints filled during a
-//     skip are the true states and window re-seeding (localizer.seedAt)
+//     skip are the true states and window re-seeding (scanGroup.seedAt)
 //     is untouched. A single self-looping state is the degenerate
 //     one-element set; the set form is what makes word-structured text
 //     skippable, where the scan oscillates between a mid-word and a
@@ -467,13 +467,14 @@ func (p *evalProg) skipSetBool(w *lazydfa.Walker[bool], cur int32) *lazydfa.Skip
 		}, cur)
 }
 
-// skipSetScan is the forward-scan variant. States flagged scanFlagEnd
-// never enter a skip set: every boundary there is a candidate match end
-// that the run-length encoder must see. scanFlagFinals is only read at
-// the end of the document, where the state is sync-exact.
-func (s *scanProg) skipSetScan(p *evalProg, w *lazydfa.Walker[uint8], cur int32) *lazydfa.SkipSet {
-	return BuildSkipSet(s.nclasses, p.classOf[:],
-		func(q int32) bool { return q >= dfaStart && w.States[q].Payload&scanFlagEnd == 0 },
+// skipSet is the forward-scan variant, around state cur of a scan
+// group's DFA. States with any end bit never enter a skip set: every
+// boundary there is a candidate match end that some member's run-length
+// encoder must see. fin bits are only read at the end of the document,
+// where the state is sync-exact.
+func (g *scanGroup) skipSet(w *lazydfa.Walker[scanFlags], cur int32) *lazydfa.SkipSet {
+	return BuildSkipSet(g.nclasses, g.classOf[:],
+		func(q int32) bool { return q >= dfaStart && w.States[q].Payload.end == 0 },
 		nil,
 		func(q int32, c uint8) (int32, bool) {
 			t := w.States[q].Trans(c)
@@ -502,7 +503,7 @@ const buildRounds = 6
 // probe returns a state's transition on a class (ok=false aborts the
 // build — e.g. an Overflow row is unknowable). eligible vetoes states
 // that may not be skipped through (sentinels, states with per-boundary
-// obligations such as scanFlagEnd). eventful (optional) marks
+// obligations such as a candidate match end). eventful (optional) marks
 // state×class pairs where a client event fires; those classes trigger.
 // classOf maps bytes to classes. Exposed for core's splitter scanner,
 // the fourth lazydfa client.

@@ -44,8 +44,6 @@ type revPayload struct {
 // instead of a frontier member: reaching the target backwards over that
 // class means a match core can begin at the boundary just crossed.
 type revProg struct {
-	nstates   int
-	nclasses  int
 	succ      [][]int32
 	startPred []bool
 	// seedEnd is the registered seed of the emit states: the backward
@@ -64,8 +62,6 @@ type revProg struct {
 func buildRevProg(p *evalProg, a *Automaton, st []Status, end []bool) *revProg {
 	nc, n := p.nclasses, p.nstates
 	r := &revProg{
-		nstates:   n,
-		nclasses:  nc,
 		succ:      make([][]int32, n*nc),
 		startPred: make([]bool, n*nc),
 	}

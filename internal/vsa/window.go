@@ -1,8 +1,8 @@
 package vsa
 
 // This file implements bidirectional match-window localization, the
-// optimization that lets Eval pay the tagged frontier simulation only
-// where matches can actually live. The spanner shapes that dominate
+// optimization that lets evaluation pay the tagged frontier simulation
+// only where matches can actually live. The spanner shapes that dominate
 // extraction workloads — Σ*·extraction·Σ* and friends — spend almost the
 // whole document in a variable-free prefix or suffix; the simulation's
 // per-byte cost (frontier scan, assignment arena, dedup table) is wasted
@@ -30,14 +30,28 @@ package vsa
 // Every run's core lies inside a window by construction, and every seeded
 // state is genuinely reachable, so windowed evaluation is byte-identical
 // to whole-document evaluation (fuzz-verified against EvalReference).
+//
+// There is ONE forward scan. It runs over a scanGroup: the disjoint union
+// of up to 64 members' scan automata (the spanner-algebra union
+// construction of Maturana, Riveros & Vrgoč, restricted to the Boolean
+// scan layer), whose DFA payload says per member whether the subset holds
+// an end state or a final-bearing state. An automaton's own localizer
+// holds the group of one member — itself — and a Multi (multi.go) holds
+// groups of many; Session.EvalAppend and MultiSession.EvalAppend reach
+// the same forward, seedAt, narrow and simulate, on the same scanScratch.
+// One member is not a special case of that code, only its smallest input.
+//
 // When the analysis cannot apply — nullary automata, no per-state status,
-// or a DFA state-bound overflow — Eval falls back to the PR 2 path:
-// EvalBool prescan plus whole-document simulation.
+// or a DFA state-bound overflow — evaluation only ever steps down: from a
+// group of many to each member's group of one (multi.go), and from there
+// to the EvalBool prescan plus one whole-document simulation.
 
 import (
+	"math/bits"
 	"strings"
 	"sync"
 
+	"repro/internal/alphabet"
 	"repro/internal/lazydfa"
 )
 
@@ -47,6 +61,18 @@ import (
 // halving the replay cost on match-dense documents.
 const checkpointStride = 32
 
+// maxGroupMembers bounds one scan group: the payload's end and finals
+// bitmaps (and a Multi's admission masks) are uint64s indexed by the
+// member's slot within its group.
+const maxGroupMembers = 64
+
+// maxGroupDFAStates bounds one group's lazy DFA. The fused subset space
+// is (at worst) the product of the members' subset spaces, so the bound
+// scales with the group size — maxDFAStates per member, which for one
+// member is the bound of every other DFA in this package — up to this
+// cap. Overflowing it is not an error, just the next rung of the ladder.
+const maxGroupDFAStates = 1 << 16
+
 // window is a byte range [lo, hi) of the document that the tagged
 // simulation must cover.
 type window struct {
@@ -54,9 +80,10 @@ type window struct {
 }
 
 // localizer is the compiled bidirectional match-window machinery of an
-// automaton: per-state statuses, the forward scan program and the
-// backward narrowing program. Built once under localOnce and read-only
-// afterwards; the lazy DFAs beneath it carry their own locks.
+// automaton: per-state statuses, the scan NFA tables, the backward
+// narrowing program, and the one-member scan group that evaluation of
+// this automaton alone scans with. Built once under localOnce and
+// read-only afterwards; the lazy DFAs beneath it carry their own locks.
 type localizer struct {
 	ok     bool
 	reason string // why localized evaluation is disabled, when !ok
@@ -64,6 +91,7 @@ type localizer struct {
 	status []Status
 	scan   *scanProg
 	rev    *revProg
+	group  *scanGroup
 }
 
 // localizer returns the compiled window localizer, building it on first
@@ -100,48 +128,29 @@ func (a *Automaton) buildLocalizer() *localizer {
 		end[q] = st[q] == all && uni[q]
 	}
 	loc.status = st
-	loc.scan = buildScanProg(p, a.Start, end)
-	loc.scan.noSkip = a.prefDisabled
+	loc.scan = buildScanProg(p, end)
 	loc.rev = buildRevProg(p, a, st, end)
+	loc.group = newScanGroup([]*Automaton{a}, []*localizer{loc})
 	loc.ok = true
 	return loc
 }
 
 // ---------- forward end-detection ----------
 
-const (
-	// scanFlagEnd marks a scan-DFA subset containing an emit state: the
-	// current boundary is a candidate match end.
-	scanFlagEnd uint8 = 1 << iota
-	// scanFlagFinals marks a subset containing a state with final
-	// operation sets: at the document end this boundary can accept.
-	scanFlagFinals
-)
-
-// scanProg is the forward end-detection program: the automaton with
+// scanProg is one member's forward end-detection NFA: the automaton with
 // variable operations stripped and emit states truncated (their outgoing
-// edges removed, mirroring evaluation's emit-and-drop), compiled into
-// per-(state, class) successor lists plus a lazily determinized DFA
-// (internal/lazydfa) whose per-state payload is the end/finals flag byte
-// of the subset.
+// edges removed, mirroring evaluation's emit-and-drop), as per-(state,
+// class) successor lists plus the two per-state facts a group's payload
+// is made of. Determinization belongs to the scanGroup.
 type scanProg struct {
-	nstates  int
-	nclasses int
 	succ     [][]int32 // per state*nclasses: deduplicated successors
 	end      []bool
 	hasFinal []bool
-	dfa      *lazydfa.DFA[uint8]
-	// skips memoizes per-DFA-state trigger sets for the forward-scan
-	// skip loop (see prefilter.go); noSkip honors DisablePrefilter.
-	skips  lazydfa.SkipCache
-	noSkip bool
 }
 
-func buildScanProg(p *evalProg, start int, end []bool) *scanProg {
+func buildScanProg(p *evalProg, end []bool) *scanProg {
 	nc, n := p.nclasses, p.nstates
 	s := &scanProg{
-		nstates:  n,
-		nclasses: nc,
 		succ:     make([][]int32, n*nc),
 		end:      end,
 		hasFinal: p.hasFinal,
@@ -165,58 +174,172 @@ func buildScanProg(p *evalProg, start int, end []bool) *scanProg {
 			s.succ[q*nc+c] = out
 		}
 	}
-	s.dfa = lazydfa.New(lazydfa.Config[uint8]{
-		Classes:   nc,
-		States:    n,
-		MaxStates: maxDFAStates,
-		Succ: func(q int32, c uint8, emit func(int32)) {
-			for _, to := range s.succ[int(q)*nc+int(c)] {
-				emit(to)
-			}
-		},
-		Payload: s.flagsOf,
-	})
-	s.dfa.Intern([]int32{int32(start)}) // = dfaStart
 	return s
 }
 
-func (s *scanProg) flagsOf(set []int32) uint8 {
-	var f uint8
-	for _, q := range set {
-		if s.end[q] {
-			f |= scanFlagEnd
-		}
-		if s.hasFinal[q] {
-			f |= scanFlagFinals
-		}
-	}
-	return f
+// scanFlags is the scan DFA's per-state payload: per-member-slot bitmaps
+// saying whose subset contains an emit-truncated end state (end) and
+// whose contains a final-bearing state (fin).
+type scanFlags struct {
+	end uint64
+	fin uint64
 }
 
-// forward runs the end-detection pass: one truncated-DFA lookup per byte.
-// It records candidate match-end boundaries (as [lo, hi) runs), DFA state
-// checkpoints every checkpointStride boundaries, and whether the document
-// can accept at its end, all into ws. It returns false if the DFA
-// overflowed its state bound — the caller then falls back to
-// whole-document evaluation. A dead frontier ends the pass early: no
-// later boundary can complete a match.
-func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
+// scanGroup is the unit the forward scan runs over: up to
+// maxGroupMembers localizable automata, the byte-class table of their
+// combined partition, the disjoint union of their scan NFAs and its lazy
+// DFA.
+//
+//   - Fused NFA states are member scan states shifted by a per-member
+//     base offset, so member s's state q becomes base[s]+q and no two
+//     members' states collide. There are no cross-member edges, so the
+//     reachable subset at every boundary is exactly the union of the
+//     per-member subsets — the projection [base[s], base[s]+nₛ) of a
+//     fused subset IS member s's subset, which is what makes every
+//     per-member artifact below independent of who else is in the group.
+//   - Demultiplexing is reading the payload's bitmaps: the single pass
+//     yields each member its own candidate match-end runs and its own
+//     finals-at-end flag.
+//   - Variable tags never enter the group. The tagged frontier simulation
+//     (the only part that touches OpSets) runs per member, on the
+//     member's own compiled program, inside the member's own narrowed
+//     windows — so MaxVars bounds each member, not the group, and no tag
+//     renaming or collision handling is needed.
+//
+// The state interned first, dfaStart, is the start subset of all members
+// together; a Multi interns more for partial admission masks.
+type scanGroup struct {
+	autos []*Automaton
+	progs []*evalProg
+	locs  []*localizer
+
+	base     []int32 // fused-state offset per slot
+	nstates  int     // total fused NFA states
+	nclasses int     // combined byte classes
+	classOf  [256]uint8
+	classMap [][]uint8 // per slot: combined class → member class
+	owner    []uint8   // fused NFA state → slot
+	local    []int32   // fused NFA state → member-local state
+
+	// noSkip honors DisablePrefilter: one member opting out disables the
+	// skip loop for the whole group — skips never change results, but
+	// DisablePrefilter promises a fully stepped scan and the differential
+	// tests hold the scan to it.
+	noSkip bool
+
+	dfa *lazydfa.DFA[scanFlags]
+	// skips memoizes per-DFA-state trigger sets for the skip loop (see
+	// prefilter.go).
+	skips lazydfa.SkipCache
+}
+
+// newScanGroup fuses the scan programs of autos, whose localizers are
+// locs (passed in, not looked up: a localizer builds its own one-member
+// group while it is itself still under construction).
+func newScanGroup(autos []*Automaton, locs []*localizer) *scanGroup {
+	g := &scanGroup{autos: autos, locs: locs}
+	var classes []alphabet.Class
+	for _, a := range autos {
+		g.progs = append(g.progs, a.prog())
+		g.noSkip = g.noSkip || a.prefDisabled
+		classes = append(classes, a.Classes()...)
+	}
+	var reps []byte
+	g.classOf, reps = alphabet.ClassTable(classes)
+	g.nclasses = len(reps)
+	for _, p := range g.progs {
+		// The combined partition refines every member's: all bytes of a
+		// combined class share the member class of any representative.
+		// (Of one member it is that member's partition.)
+		cm := make([]uint8, g.nclasses)
+		for c, rep := range reps {
+			cm[c] = p.classOf[rep]
+		}
+		g.classMap = append(g.classMap, cm)
+		g.base = append(g.base, int32(g.nstates))
+		g.nstates += p.nstates
+	}
+	g.owner = make([]uint8, g.nstates)
+	g.local = make([]int32, g.nstates)
+	for s, p := range g.progs {
+		for q := 0; q < p.nstates; q++ {
+			g.owner[int(g.base[s])+q] = uint8(s)
+			g.local[int(g.base[s])+q] = int32(q)
+		}
+	}
+	g.dfa = lazydfa.New(lazydfa.Config[scanFlags]{
+		Classes:   g.nclasses,
+		States:    g.nstates,
+		MaxStates: min(maxDFAStates*len(autos), maxGroupDFAStates),
+		Succ: func(q int32, c uint8, emit func(int32)) {
+			s := g.owner[q]
+			mc := g.classMap[s][c]
+			for _, to := range g.locs[s].scan.succ[int(g.local[q])*g.progs[s].nclasses+int(mc)] {
+				emit(g.base[s] + to)
+			}
+		},
+		Payload: func(set []int32) scanFlags {
+			var f scanFlags
+			for _, q := range set {
+				s := g.owner[q]
+				scan := g.locs[s].scan
+				if scan.end[g.local[q]] {
+					f.end |= 1 << s
+				}
+				if scan.hasFinal[g.local[q]] {
+					f.fin |= 1 << s
+				}
+			}
+			return f
+		},
+	})
+	g.dfa.Intern(g.startSet(^uint64(0))) // = dfaStart
+	return g
+}
+
+// startSet builds the start subset of an admission mask: the admitted
+// members' start states, shifted by their bases (ascending, hence
+// already sorted and duplicate-free as Intern requires).
+func (g *scanGroup) startSet(mask uint64) []int32 {
+	set := make([]int32, 0, len(g.autos))
+	for s, a := range g.autos {
+		if mask&(1<<s) != 0 {
+			set = append(set, g.base[s]+int32(a.Start))
+		}
+	}
+	return set
+}
+
+// forward runs the end-detection pass from DFA state start: one lookup
+// per byte. It records DFA state checkpoints every checkpointStride
+// boundaries, every member's candidate match-end boundaries (as [lo, hi)
+// runs, demultiplexed from the payload's end bitmap), and the finals
+// bitmap at the document end, all into ws. It returns false if the DFA
+// overflowed its state bound — the caller then takes the next rung of
+// the ladder. A dead frontier ends the pass early: no later boundary can
+// complete any member's match.
+func (g *scanGroup) forward(doc string, start int32, ws *scanScratch) bool {
 	const rlockChunk = 1 << 12
 	// The walker and the document live in ws, where the skip callbacks
 	// bound at its construction read them; the read lock is held from
 	// here to endPass and no further.
-	ws.scan, ws.p, ws.doc = s, p, doc
-	ws.w = s.dfa.Walk()
+	ws.g, ws.doc = g, doc
+	ws.w = g.dfa.Walk()
 	defer ws.endPass()
 	w := &ws.w
-	cur := dfaStart
-	ws.checkpoints = append(ws.checkpoints[:0], dfaStart)
-	ws.ends = ws.ends[:0]
-	ws.finalsAtEnd = false
-	ws.skippedBytes = 0
+	cur := start
+	ws.checkpoints = append(ws.checkpoints[:0], start)
+	for len(ws.ends) < len(g.autos) {
+		ws.ends = append(ws.ends, nil)
+	}
+	for s := range g.autos {
+		ws.ends[s] = ws.ends[s][:0]
+	}
+	ws.finals = 0
+	ws.skipped = 0
 	var gate lazydfa.SkipGate
-	if !s.noSkip {
-		gate.Init(&s.skips)
+	if !g.noSkip {
+		gate.Init(&g.skips)
 		gate.Bind(ws.build, ws.index)
 	}
 	for i := 0; i < len(doc); i++ {
@@ -224,7 +347,7 @@ func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
 			// Let pending writers in periodically; see EvalBool.
 			w.Yield()
 		}
-		c := p.classOf[doc[i]]
+		c := g.classOf[doc[i]]
 		t := w.States[cur].Trans(c)
 		if t <= dfaDead { // rare: unresolved, overflowed or dead
 			if t == dfaUnknown {
@@ -237,11 +360,11 @@ func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
 				return true
 			}
 		}
-		if !s.noSkip {
+		if !g.noSkip {
 			// The walk is confined to a synchronized state set: jump to the
-			// next byte that can break out. skipSetScan keeps scanFlagEnd
-			// states out of every set, so no skipped boundary could have
-			// needed an ends entry, and the state at each skipped boundary
+			// next byte that can break out. skipSet keeps states with any end
+			// bit out of every set, so no skipped boundary could have owed a
+			// member an ends entry, and the state at each skipped boundary
 			// is a pure function of the byte before it (sk.Sync) — that is
 			// the skip's soundness invariant.
 			if sk := gate.Step(cur, t); sk != nil {
@@ -259,7 +382,7 @@ func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
 							ws.checkpoints = append(ws.checkpoints, sk.Sync(doc[cb-1]))
 						}
 					}
-					ws.skippedBytes += j - (i + 1)
+					ws.skipped += j - (i + 1)
 					if j-(i+1) >= rlockChunk {
 						w.Yield()
 					}
@@ -273,29 +396,33 @@ func (s *scanProg) forward(p *evalProg, doc string, ws *windowScratch) bool {
 		if b&(checkpointStride-1) == 0 {
 			ws.checkpoints = append(ws.checkpoints, cur)
 		}
-		if w.States[cur].Payload&scanFlagEnd != 0 {
-			if n := len(ws.ends); n > 0 && ws.ends[n-1] == int32(b) {
-				ws.ends[n-1] = int32(b + 1)
+		// Demultiplex the boundary to every member whose subset holds an
+		// end state, run-length-encoded per member.
+		for e := w.States[cur].Payload.end; e != 0; e &= e - 1 {
+			s := bits.TrailingZeros64(e)
+			runs := ws.ends[s]
+			if n := len(runs); n > 0 && runs[n-1] == int32(b) {
+				runs[n-1] = int32(b + 1)
 			} else {
-				ws.ends = append(ws.ends, int32(b), int32(b+1))
+				ws.ends[s] = append(runs, int32(b), int32(b+1))
 			}
 		}
 	}
-	ws.finalsAtEnd = w.States[cur].Payload&scanFlagFinals != 0
+	ws.finals = w.States[cur].Payload.fin
 	return true
 }
 
-// seedAt returns the status-0 states reachable at boundary lo — the exact
-// pre-core frontier of whole-document evaluation, every cell of which
-// carries the all-unset assignment — reconstructed by replaying the scan
-// DFA from the nearest checkpoint. The result aliases ws.seed.
-func (loc *localizer) seedAt(p *evalProg, doc string, lo int, ws *windowScratch) []int32 {
-	s := loc.scan
+// seedAt returns member slot's status-0 states reachable at boundary lo —
+// the exact pre-core frontier of whole-document evaluation, every cell of
+// which carries the all-unset assignment — reconstructed by replaying the
+// scan DFA from the nearest checkpoint and projecting the subset onto the
+// member's state range. The result aliases ws.seed.
+func (g *scanGroup) seedAt(slot int, doc string, lo int, ws *scanScratch) []int32 {
 	k := lo / checkpointStride
 	cur := ws.checkpoints[k]
-	w := s.dfa.Walk()
+	w := g.dfa.Walk()
 	for i := k * checkpointStride; i < lo; i++ {
-		c := p.classOf[doc[i]]
+		c := g.classOf[doc[i]]
 		t := w.States[cur].Trans(c)
 		if t == dfaUnknown {
 			// The forward pass resolved every transition on this path;
@@ -309,26 +436,39 @@ func (loc *localizer) seedAt(p *evalProg, doc string, lo int, ws *windowScratch)
 		cur = t
 	}
 	ws.seed = ws.seed[:0]
+	base := g.base[slot]
+	limit := base + int32(g.progs[slot].nstates)
+	status := g.locs[slot].status
 	for _, q := range w.States[cur].Set {
-		if loc.status[q] == 0 {
-			ws.seed = append(ws.seed, q)
+		if q >= base && q < limit && status[q-base] == 0 {
+			ws.seed = append(ws.seed, q-base)
 		}
 	}
 	w.Release()
 	return ws.seed
 }
 
+// simulate runs member slot's tagged simulation inside the windows narrow
+// left in ws, each seeded from the forward pass's checkpoints.
+func (g *scanGroup) simulate(slot int, doc string, ws *scanScratch, run *evalRun) {
+	for _, wd := range ws.windows {
+		run.window(wd.lo, wd.hi, g.seedAt(slot, doc, wd.lo, ws), wd.hi == len(doc))
+	}
+}
+
 // ---------- backward start-narrowing ----------
 
-// narrow runs the backward pass over the candidate ends collected by
-// forward, right to left. Ends whose backward frontiers touch share one
-// union frontier and merge into a single window, so windows come out
-// disjoint and each run's core — traced by the reversed program from the
-// end where the run completes down to its first variable operation — lies
-// entirely inside one of them. It fills ws.windows in document order and
-// returns false if the backward DFA overflowed its state bound.
-func (loc *localizer) narrow(p *evalProg, doc string, ws *windowScratch) bool {
-	r := loc.rev
+// narrow runs member slot's backward pass over the candidate ends forward
+// collected for it, right to left. Ends whose backward frontiers touch
+// share one union frontier and merge into a single window, so windows
+// come out disjoint and each run's core — traced by the reversed program
+// from the end where the run completes down to its first variable
+// operation — lies entirely inside one of them. It fills ws.windows in
+// document order and returns false if the backward DFA overflowed its
+// state bound.
+func (g *scanGroup) narrow(slot int, doc string, ws *scanScratch) bool {
+	p, r := g.progs[slot], g.locs[slot].rev
+	ends := ws.ends[slot]
 	ws.windows = ws.windows[:0]
 	activeTop, sMin := -1, -1
 	cur := dfaDead
@@ -395,11 +535,11 @@ func (loc *localizer) narrow(p *evalProg, doc string, ws *windowScratch) bool {
 			sMin = e
 		}
 	}
-	if ws.finalsAtEnd {
+	if ws.finals&(1<<slot) != 0 {
 		seedPoint(len(doc), true)
 	}
-	for i := len(ws.ends); i >= 2 && !overflow; i -= 2 {
-		lo, hi := int(ws.ends[i-2]), int(ws.ends[i-1])
+	for i := len(ends); i >= 2 && !overflow; i -= 2 {
+		lo, hi := int(ends[i-2]), int(ends[i-1])
 		for e := hi - 1; e >= lo && !overflow; e-- {
 			seedPoint(e, false)
 		}
@@ -420,36 +560,38 @@ func (loc *localizer) narrow(p *evalProg, doc string, ws *windowScratch) bool {
 	return true
 }
 
-// windowScratch holds the per-evaluation buffers of the localizer. Eval
-// is called concurrently by the worker pools on a shared automaton, so
-// scratch is pooled (sync.Pool) rather than cached on the automaton:
-// concurrent windows share nothing but the frozen programs. A Session
-// keeps one for its lifetime; one-shot calls take one per call.
-type windowScratch struct {
-	checkpoints []int32
-	ends        []int32 // candidate match-end boundaries, as [lo, hi) runs
-	windows     []window
-	seed        []int32
-	finalsAtEnd bool
-	// skippedBytes counts bytes the forward pass jumped over via the
-	// literal-prefilter skip loop; flushed into EvalMetrics by EvalAppend.
-	skippedBytes int
+// ---------- scratch ----------
 
-	// The forward pass in flight: its program, read-locked walker and
+// scanScratch holds the per-evaluation buffers of the localizer.
+// Evaluation is called concurrently by the worker pools on shared
+// automata, so scratch is pooled (sync.Pool) rather than cached on the
+// automaton: concurrent evaluations share nothing but the frozen
+// programs. A Session or MultiSession keeps one for its lifetime;
+// one-shot calls take one per call.
+type scanScratch struct {
+	checkpoints []int32
+	ends        [][]int32 // per slot: candidate match-end boundaries, as [lo, hi) runs
+	finals      uint64    // the payload's fin bitmap at the document end
+	// skipped counts bytes the forward pass jumped over via the
+	// literal-prefilter skip loop; callers flush it into their metrics.
+	skipped int
+	windows []window // narrow's result for the member being evaluated
+	seed    []int32
+
+	// The forward pass in flight: its group, read-locked walker and
 	// document, set by forward and dropped by endPass. They are fields so
 	// that build and index — the SkipGate callbacks, closures over this
-	// scratch made once in newWindowScratch — cost nothing per document.
-	scan  *scanProg
-	p     *evalProg
-	w     lazydfa.Walker[uint8]
+	// scratch made once in newScanScratch — cost nothing per document.
+	g     *scanGroup
+	w     lazydfa.Walker[scanFlags]
 	doc   string
 	build func(q int32) *lazydfa.SkipSet
 	index func(from, to int, b byte) int
 }
 
-func newWindowScratch() *windowScratch {
-	ws := new(windowScratch)
-	ws.build = func(q int32) *lazydfa.SkipSet { return ws.scan.skipSetScan(ws.p, &ws.w, q) }
+func newScanScratch() *scanScratch {
+	ws := new(scanScratch)
+	ws.build = func(q int32) *lazydfa.SkipSet { return ws.g.skipSet(&ws.w, q) }
 	ws.index = func(from, to int, b byte) int {
 		if i := strings.IndexByte(ws.doc[from:to], b); i >= 0 {
 			return from + i
@@ -460,22 +602,12 @@ func newWindowScratch() *windowScratch {
 }
 
 // endPass ends the forward pass: the scan DFA's read lock is released
-// and the scratch lets go of the document and programs, which a pooled
+// and the scratch lets go of the document and group, which a pooled
 // scratch must not keep alive.
-func (ws *windowScratch) endPass() {
+func (ws *scanScratch) endPass() {
 	ws.w.Release()
-	ws.w = lazydfa.Walker[uint8]{}
-	ws.scan, ws.p, ws.doc = nil, nil, ""
+	ws.w = lazydfa.Walker[scanFlags]{}
+	ws.g, ws.doc = nil, ""
 }
 
-var windowPool = sync.Pool{New: func() any { return newWindowScratch() }}
-
-func sortInt32s(xs []int32) {
-	// Subsets are tiny (frontier-sized); insertion sort beats sort.Slice
-	// and allocates nothing.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
+var scanPool = sync.Pool{New: func() any { return newScanScratch() }}

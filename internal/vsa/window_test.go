@@ -234,5 +234,10 @@ func FuzzEvalWindowVsReference(f *testing.F) {
 		if !got.Equal(want) {
 			t.Fatalf("windowed Eval disagrees on %q:\nwindowed: %v\nreference: %v\n%s", doc, got, want, a)
 		}
+		// The same automaton as a Multi of one: the other entry point to
+		// the same scan.
+		if d := threeWayDiff(NewMulti(a).Eval(doc)[0], got, want); d != "" {
+			t.Fatalf("Multi of one disagrees on %q:\n%s%s", doc, d, a)
+		}
 	})
 }
