@@ -133,6 +133,9 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	if got := values["spanners_engine_documents_whole_total"]; got != 1 {
 		t.Fatalf("whole-documents counter = %v, want 1 (the small document)", got)
 	}
+	if got := values["spanners_engine_documents_chunked_total"]; got != 2 {
+		t.Fatalf("chunked-documents counter = %v, want 2 (the large documents)", got)
+	}
 	if values["spanners_engine_segments_total"] == 0 {
 		t.Fatal("segments counter is zero after two split extractions")
 	}

@@ -12,6 +12,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -215,30 +217,37 @@ func readMultipartResponse(t *testing.T, resp *http.Response) map[string]json.Ra
 
 func TestMultipartResponseOKPath(t *testing.T) {
 	ts := startDaemon(t)
-	body, _ := json.Marshal(map[string]string{
-		"spanner": emailFormula, "splitter": sentenceFormula, "doc": testDoc,
-	})
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/extract", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", "multipart/mixed")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	parts := readMultipartResponse(t, resp)
-	if _, ok := parts["plan"]; !ok {
-		t.Fatalf("no plan part in %v", parts)
-	}
-	if _, ok := parts["tuples"]; !ok {
-		t.Fatalf("no tuples part in %v", parts)
-	}
-	var end epilogue
-	if err := json.Unmarshal(parts["end"], &end); err != nil {
-		t.Fatalf("bad epilogue %s: %v", parts["end"], err)
-	}
-	if end.Status != "ok" || end.Count != 3 || end.Execution != "whole" {
-		t.Fatalf("epilogue = %+v, want ok with 3 tuples from a small document evaluated whole", end)
+	for _, tc := range []struct {
+		doc       string
+		count     int
+		execution string
+	}{{testDoc, 3, "whole"}, {splitDoc, 3000, "chunked"}} {
+		body, _ := json.Marshal(map[string]string{
+			"spanner": emailFormula, "splitter": sentenceFormula, "doc": tc.doc,
+		})
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/extract", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Accept", "multipart/mixed")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		parts := readMultipartResponse(t, resp)
+		if _, ok := parts["plan"]; !ok {
+			t.Fatalf("no plan part in %v", parts)
+		}
+		var tuples [][][2]int
+		if err := json.Unmarshal(parts["tuples"], &tuples); err != nil || len(tuples) != tc.count {
+			t.Fatalf("tuples part: %d rows (err %v), want %d", len(tuples), err, tc.count)
+		}
+		var end epilogue
+		if err := json.Unmarshal(parts["end"], &end); err != nil {
+			t.Fatalf("bad epilogue %s: %v", parts["end"], err)
+		}
+		if end.Status != "ok" || end.Count != tc.count || end.Execution != tc.execution {
+			t.Fatalf("epilogue = %+v, want ok with %d tuples from a document evaluated %s", end, tc.count, tc.execution)
+		}
 	}
 }
 
@@ -455,5 +464,46 @@ func TestChaosDrainUnderLoad(t *testing.T) {
 	st := lim.Snapshot()
 	if st.InUse != 0 || st.QueueDepth != 0 {
 		t.Fatalf("limiter leaked after drain: %+v", st)
+	}
+}
+
+// TestOverBudgetUploadsLeaveNoPump: a client that keeps sending after the
+// daemon has answered 413 must cost the daemon nothing once its
+// connection is gone. The engine's stall guard reads the body on a pump
+// goroutine; before the pump could be told its consumer had returned,
+// every such upload left one parked for the life of the process, holding
+// its read buffers and the request body.
+func TestOverBudgetUploadsLeaveNoPump(t *testing.T) {
+	pumps := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "stallReader).pump")
+	}
+	base := pumps()
+	eng := engine.New(engine.Config{Workers: 2, MaxDocBuffer: 128 << 10, ReadTimeout: 5 * time.Second})
+	ts := httptest.NewServer(newServer(eng))
+	defer ts.Close()
+	target := ts.URL + "/v1/extract?spanner=" + url.QueryEscape(emailFormula)
+	refused := 0
+	for i := 0; i < 20; i++ {
+		resp, err := http.Post(target, "application/octet-stream", io.LimitReader(&countingReader{}, 4<<20))
+		if err != nil {
+			continue // the connection went down under the upload before the answer was read
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("upload %d: status %d, want 413", i, resp.StatusCode)
+		}
+		refused++
+	}
+	if refused < 10 {
+		t.Fatalf("only %d of 20 uploads were answered; the test needs the 413 path", refused)
+	}
+	ts.CloseClientConnections()
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); pumps() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d stallReader pump goroutines still alive after %d refused uploads, %d before them", pumps(), refused, base)
+		}
 	}
 }

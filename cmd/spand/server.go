@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/textproto"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -40,10 +42,6 @@ func (r extractRequest) engineRequest() engine.Request {
 	return engine.Request{Spanner: r.Spanner, SplitSpanner: r.SplitSpanner, Splitter: r.Splitter}
 }
 
-// jsonSpan renders a span as [start, end] in the paper's 1-based
-// convention.
-type jsonSpan [2]int
-
 // planResponse is the shared verdict section of responses.
 type planResponse struct {
 	Strategy      string            `json:"strategy"`
@@ -59,14 +57,16 @@ type extractResponse struct {
 	// uploading) or "buffered" (read whole, then evaluated).
 	Ingest string `json:"ingest"`
 	// Execution reports the route this document took: "split" (segments
-	// on the executor) or "whole" (one evaluation on the request
+	// on the executor), "chunked" (the same at chunk grain: the spanner
+	// once per run of consecutive segments, where the splitter is proven
+	// cut-independent) or "whole" (one evaluation on the request
 	// goroutine — every sequential plan, and a split-parallel plan's
 	// documents too small to amortise the executor). Strategy is what the
 	// verdicts justify; this is what ran.
-	Execution string       `json:"execution"`
-	Vars      []string     `json:"vars"`
-	Count     int          `json:"count"`
-	Tuples    [][]jsonSpan `json:"tuples"`
+	Execution string   `json:"execution"`
+	Vars      []string `json:"vars"`
+	Count     int      `json:"count"`
+	// "tuples" follows as the final member, rendered by appendTuples.
 }
 
 func planSection(plan *engine.Plan, hit bool) planResponse {
@@ -78,20 +78,27 @@ func planSection(plan *engine.Plan, hit bool) planResponse {
 	}
 }
 
-// tuplesJSON renders a relation's rows, all carved from one flat backing
-// array: two allocations per response, not one per tuple.
-func tuplesJSON(rel *span.Relation) [][]jsonSpan {
-	out := make([][]jsonSpan, len(rel.Tuples))
-	flat := make([]jsonSpan, len(rel.Tuples)*len(rel.Vars))
+// appendTuples appends a relation's rows as JSON, [[[start,end],…],…] with
+// one 1-based [start,end] pair per variable: byte for byte what
+// encoding/json makes of [][][2]int, without reflecting over every row.
+func appendTuples(dst []byte, rel *span.Relation) json.RawMessage {
+	dst = append(slices.Grow(dst, 2+len(rel.Tuples)*(2+18*len(rel.Vars))), '[') // 7-digit offsets fit
 	for i, t := range rel.Tuples {
-		row := flat[:len(t):len(t)]
-		flat = flat[len(t):]
-		for j, s := range t {
-			row[j] = jsonSpan{s.Start, s.End}
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		out[i] = row
+		dst = append(dst, '[')
+		for j, s := range t {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(append(dst, '['), int64(s.Start), 10)
+			dst = strconv.AppendInt(append(dst, ','), int64(s.End), 10)
+			dst = append(dst, ']')
+		}
+		dst = append(dst, ']')
 	}
-	return out
+	return append(dst, ']')
 }
 
 // serverConfig is the daemon-level (non-engine) serving policy.
@@ -197,9 +204,35 @@ func (s *server) tenantOf(r *http.Request) string {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	encodeJSON(w, v)
+}
+
+// encodeJSON writes v as one line of JSON. A json.RawMessage is written as
+// it stands: encoding/json would validate and compact it byte by byte,
+// which costs more than reflecting over the rows it was built to spare.
+func encodeJSON(w io.Writer, v any) {
+	if raw, ok := v.(json.RawMessage); ok {
+		_, _ = w.Write(append(raw, '\n'))
+		return
+	}
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
+}
+
+// appendJSON appends v's JSON as encodeJSON writes it, less the newline.
+func appendJSON(dst []byte, v any) []byte {
+	var b bytes.Buffer
+	encodeJSON(&b, v)
+	return append(dst, b.Bytes()[:b.Len()-1]...)
+}
+
+// openObject appends v's JSON object — v marshals to a non-empty one — up
+// to its closing brace, and the key of one more member. The caller appends
+// that member's value, JSON it renders itself, and the '}'.
+func openObject(dst []byte, v any, key string) []byte {
+	dst = appendJSON(dst, v)
+	return append(dst[:len(dst)-1], `,"`+key+`":`...)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -358,7 +391,7 @@ func (s *server) runExtract(w http.ResponseWriter, r *http.Request, req engine.R
 				if err != nil {
 					return nil, epilogue{}, err
 				}
-				return tuplesJSON(rel), epilogue{Status: "ok", Count: rel.Len(), Execution: exec.String()}, nil
+				return appendTuples(nil, rel), epilogue{Status: "ok", Count: rel.Len(), Execution: exec.String()}, nil
 			})
 		return
 	}
@@ -375,14 +408,14 @@ func (s *server) runExtract(w http.ResponseWriter, r *http.Request, req engine.R
 		writeError(w, extractErrStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, extractResponse{
+	body := openObject(nil, extractResponse{
 		planResponse: planSection(plan, hit),
 		Ingest:       ingest,
 		Execution:    exec.String(),
 		Vars:         plan.Vars(),
 		Count:        rel.Len(),
-		Tuples:       tuplesJSON(rel),
-	})
+	}, "tuples")
+	writeJSON(w, http.StatusOK, append(appendTuples(body, rel), '}'))
 }
 
 // acceptsMultipart reports whether the client asked for the streamed
@@ -406,8 +439,8 @@ func acceptsMultipart(r *http.Request) bool {
 type epilogue struct {
 	Status string `json:"status"`
 	Count  int    `json:"count,omitempty"`
-	// Execution is the route the document took ("whole" or "split"; see
-	// extractResponse). It is here and not in the "plan" part because a
+	// Execution is the route the document took ("whole", "split" or
+	// "chunked"; see extractResponse). It is here and not in the "plan" part because a
 	// streamed document's route is known only once enough of it has
 	// arrived; batch epilogues omit it.
 	Execution string `json:"execution,omitempty"`
@@ -447,9 +480,7 @@ func respondMultipart(w http.ResponseWriter, plan any, name string, run func() (
 		if err != nil {
 			return // client gone; nothing left to say
 		}
-		enc := json.NewEncoder(pw)
-		enc.SetEscapeHTML(false)
-		_ = enc.Encode(v)
+		encodeJSON(pw, v)
 	}
 
 	part("plan", plan)
@@ -477,42 +508,46 @@ type extractBatchRequest struct {
 // bad formula in a batch must not fail its siblings (the whole-batch
 // statuses are reserved for document-level failures: 413, 504, 429).
 type batchQueryResult struct {
-	Spanner string       `json:"spanner"`
-	Vars    []string     `json:"vars,omitempty"`
-	Count   int          `json:"count"`
-	Tuples  [][]jsonSpan `json:"tuples,omitempty"`
-	Error   string       `json:"error,omitempty"`
+	Spanner string   `json:"spanner"`
+	Vars    []string `json:"vars,omitempty"`
+	Count   int      `json:"count"`
+	Error   string   `json:"error,omitempty"`
+	// "tuples" follows as the final member when the query found any (a
+	// slot has an error or tuples, never both); see appendQueries.
 }
 
+// extractBatchResponse is the batch response up to its final member,
+// "queries": a []batchQueryResult in the multipart "plan" part, rendered
+// by appendQueries once the tuples are in.
 type extractBatchResponse struct {
-	CacheHit      bool               `json:"cache_hit"`
-	PlanCompileMS float64            `json:"plan_compile_ms"`
-	Queries       []batchQueryResult `json:"queries"`
+	CacheHit      bool    `json:"cache_hit"`
+	PlanCompileMS float64 `json:"plan_compile_ms"`
 }
 
-func batchQueries(plan *engine.Plan, spanners []string, results []engine.BatchResult) []batchQueryResult {
-	out := make([]batchQueryResult, len(spanners))
+// appendQueries appends the batch's queries as a JSON array and returns it
+// with their summed tuple count. With results, each query carries its
+// count and — as the final member "tuples", when it found any — its rows;
+// without, the array is the pre-evaluation view of the multipart "plan"
+// part: formulas and their memoized compile verdicts.
+func appendQueries(dst []byte, plan *engine.Plan, spanners []string, results []engine.BatchResult) (json.RawMessage, int) {
+	dst, total := append(dst, '['), 0
 	for i, src := range spanners {
-		out[i].Spanner = src
-		if results != nil {
-			if r := results[i]; r.Err != nil {
-				out[i].Error = r.Err.Error()
-			} else if r.Rel != nil {
-				out[i].Vars = r.Rel.Vars
-				out[i].Count = r.Rel.Len()
-				out[i].Tuples = tuplesJSON(r.Rel)
-			}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		q := batchQueryResult{Spanner: src, Vars: plan.BatchVars(i)}
+		if err := plan.BatchErr(i); err != nil { // what results[i].Err repeats
+			q.Error = err.Error()
+		}
+		if results != nil && results[i].Rel != nil && results[i].Rel.Len() > 0 {
+			rel := results[i].Rel
+			q.Count, total = rel.Len(), total+rel.Len()
+			dst = append(appendTuples(openObject(dst, q, "tuples"), rel), '}')
 			continue
 		}
-		// Pre-evaluation view (the multipart plan part): formulas and
-		// their memoized compile verdicts, no tuples yet.
-		if err := plan.BatchErr(i); err != nil {
-			out[i].Error = err.Error()
-		} else {
-			out[i].Vars = plan.BatchVars(i)
-		}
+		dst = appendJSON(dst, q)
 	}
-	return out
+	return append(dst, ']'), total
 }
 
 // handleExtractBatch serves POST /v1/extract-batch: one document, N
@@ -560,21 +595,17 @@ func (s *server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		// guard and MaxDocBuffer, like /v1/extract's buffered uploads.
 		return s.eng.ExtractBatchReader(r.Context(), plan, r.Body)
 	}
-	resp := extractBatchResponse{CacheHit: hit, PlanCompileMS: float64(plan.CompileTime.Microseconds()) / 1000}
+	head := openObject(nil, extractBatchResponse{CacheHit: hit, PlanCompileMS: float64(plan.CompileTime.Microseconds()) / 1000}, "queries")
 	if acceptsMultipart(r) {
 		// The "plan" part is the response with the per-query compile
 		// verdicts and no tuples yet; "results" the evaluated queries.
-		resp.Queries = batchQueries(plan, req.Spanners, nil)
-		respondMultipart(w, resp, "results", func() (any, epilogue, error) {
+		planPart, _ := appendQueries(head, plan, req.Spanners, nil)
+		respondMultipart(w, append(planPart, '}'), "results", func() (any, epilogue, error) {
 			results, err := run()
 			if err != nil {
 				return nil, epilogue{}, err
 			}
-			queries := batchQueries(plan, req.Spanners, results)
-			total := 0
-			for _, q := range queries {
-				total += q.Count
-			}
+			queries, total := appendQueries(nil, plan, req.Spanners, results)
 			return queries, epilogue{Status: "ok", Count: total}, nil
 		})
 		return
@@ -587,15 +618,18 @@ func (s *server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, extractErrStatus(err), err)
 		return
 	}
-	resp.Queries = batchQueries(plan, req.Spanners, results)
-	writeJSON(w, http.StatusOK, resp)
+	body, _ := appendQueries(head, plan, req.Spanners, results)
+	writeJSON(w, http.StatusOK, append(body, '}'))
 }
 
 // handleCheck serves POST /v1/check: it returns the plan's verdicts
 // (split-correctness / self-splittability / disjointness / locality)
 // without evaluating anything — the "local" verdict tells a client
 // whether this daemon will stream the pair's documents incrementally
-// without any -stream-incremental override. Verdicts are served from
+// without any -stream-incremental override, and "cut_safe" (the
+// splitter's core.Splitter.CutSafe, computed here if no document has
+// asked yet) whether, with "local" and a yes on the pair itself, large
+// documents run "chunked". Verdicts are served from
 // the plan cache, so repeated and concurrent checks of the same pair
 // run the PSPACE procedures once.
 func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
@@ -611,7 +645,11 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, planErrStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, planSection(plan, hit))
+	splitter := plan.SplitterOf()
+	writeJSON(w, http.StatusOK, struct {
+		planResponse
+		CutSafe bool `json:"cut_safe"`
+	}{planSection(plan, hit), splitter != nil && splitter.CutSafe()})
 }
 
 // statsResponse is the GET /v1/stats body: the engine's snapshot

@@ -103,8 +103,8 @@ func TestExtractJSONAndPlanCacheHit(t *testing.T) {
 	if first.CacheHit {
 		t.Fatal("first request reported a cache hit")
 	}
-	if first.Strategy != "split-parallel" || first.Execution != "split" {
-		t.Fatalf("strategy = %q, execution = %q (verdicts %+v), want split-parallel and split", first.Strategy, first.Execution, first.Verdicts)
+	if first.Strategy != "split-parallel" || first.Execution != "chunked" {
+		t.Fatalf("strategy = %q, execution = %q (verdicts %+v), want split-parallel and chunked", first.Strategy, first.Execution, first.Verdicts)
 	}
 	if want := oneShotTuples(t, splitDoc); !reflect.DeepEqual(first.Tuples, want) {
 		t.Fatalf("tuples = %v, want %v", first.Tuples, want)
@@ -139,8 +139,8 @@ func TestExtractJSONAndPlanCacheHit(t *testing.T) {
 	if st.PlanCache.Hits < 1 || st.PlanCache.Misses != 1 {
 		t.Fatalf("stats = %+v, want ≥1 hit and exactly 1 miss", st.PlanCache)
 	}
-	if st.Documents != 3 || st.WholeDocs != 1 || st.Segments == 0 {
-		t.Fatalf("stats = %+v, want 3 documents, 1 of them evaluated whole, and some segments", st)
+	if st.Documents != 3 || st.WholeDocs != 1 || st.ChunkedDocs != 2 || st.Segments == 0 {
+		t.Fatalf("stats = %+v, want 3 documents, 1 evaluated whole and 2 chunked, and some segments", st)
 	}
 }
 
@@ -176,7 +176,7 @@ func TestExtractStreamedBodyEqualsOneShot(t *testing.T) {
 		doc       string
 		read      int
 		execution string
-	}{{testDoc, 3, "whole"}, {splitDoc, 509, "split"}} {
+	}{{testDoc, 3, "whole"}, {splitDoc, 509, "chunked"}} {
 		req, err := http.NewRequest("POST", url, &slowChunks{s: tc.doc, n: tc.read})
 		if err != nil {
 			t.Fatal(err)
@@ -240,13 +240,16 @@ func TestCheckConcurrentSingleFlight(t *testing.T) {
 				errs <- fmt.Errorf("status %d: %s", resp.StatusCode, b)
 				return
 			}
-			var out extractResult
+			var out struct {
+				extractResult
+				CutSafe bool `json:"cut_safe"`
+			}
 			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 				errs <- err
 				return
 			}
-			if out.Verdicts.SelfSplittable != "yes" || out.Verdicts.Disjoint != "yes" {
-				errs <- fmt.Errorf("unexpected verdicts %+v", out.Verdicts)
+			if out.Verdicts.SelfSplittable != "yes" || out.Verdicts.Disjoint != "yes" || !out.CutSafe {
+				errs <- fmt.Errorf("unexpected verdicts %+v, cut_safe %v", out.Verdicts, out.CutSafe)
 			}
 		}()
 	}

@@ -97,6 +97,28 @@ package core
 // satisfy L1–L3. Splitters whose segmentation depends on unbounded
 // right context (e.g. blocks that only count if the document ends in
 // '!') fail L1 and are correctly left to the buffer-all path.
+//
+// # Corollary: cut independence
+//
+// The segmenter cuts only at the start of a buffer's last span, but L3
+// walks every frontier at which a span can start, so the same proof
+// licenses a cut at the start of *any* span: for [a, ·⟩ ∈ S(d), the spans
+// of S(d[a:]) are the spans of S(d) that start at or after a. A local
+// splitter whose scanner is also cut-safe (Splitter.CutSafe, splitscan.go:
+// the document may be truncated at any span end) is therefore *cut
+// independent*: for a chunk t = d[a:b) running from a span start to a
+// span end, S(t) is exactly S(d) restricted to t, shifted. Split-
+// correctness holds on every document, chunks included, so
+// P(t) = (P_S ∘ S)(t) is the chunk's share of (P_S ∘ S)(d) = P(d) — the
+// engine may evaluate P once per chunk of consecutive segments instead
+// of P_S once per segment (internal/engine, chunked; DESIGN.md, "Grain").
+// CutSafe restates L1 (an open state accepts the empty continuation, so
+// a close can fire at the truncated end) and L2 (nothing else fires
+// there) on the scanner's states, and adds what locality does not need:
+// an empty span must not share a boundary with a close, must be emitted
+// at a truncated end exactly where it is emitted before a byte, and the
+// scanner must never bail. FuzzCutIndependence (internal/engine) holds
+// the pair of verdicts to the property against SplitReference.
 
 import (
 	"fmt"

@@ -186,6 +186,64 @@ func TestIsLocalDegenerate(t *testing.T) {
 	}
 }
 
+// CutSafe is the right half of cut independence (the corollary in
+// locality.go): truncating a document at a span end must leave exactly the
+// spans before the cut. The separator-driven library splitters have it;
+// the refusals each come with the document on which a cut goes wrong, so
+// none of them is the check being merely cautious.
+func TestCutSafeLibrarySplitters(t *testing.T) {
+	for name, s := range map[string]*core.Splitter{
+		"sentences":     library.Sentences(),
+		"paragraphs":    library.Paragraphs(),
+		"tokens":        library.Tokens(),
+		"http-requests": library.HTTPRequests(),
+		"empty-doc":     mustSplitter(t, "(x{})"),
+		"first-block":   mustSplitter(t, "(x{[^.]*})(\\.[^.]*)*"),
+	} {
+		if !s.CutSafe() {
+			t.Errorf("%s: CutSafe = false, want true", name)
+		}
+	}
+	for _, c := range []struct {
+		name, src string
+		// On doc, S has the span [lo, hi⟩, yet S(doc[lo-1:hi-1]) is not
+		// that span alone — wantCut spans instead.
+		doc     string
+		lo, hi  int
+		wantCut int
+	}{
+		// A sentence counts only once its '.' has been read: the close
+		// needs one more byte than the span, and the cut takes it away.
+		{"close-needs-next-byte", "(x{[^.]*})\\..*|.*\\.(x{[^.]*})\\..*", "ab.cd", 1, 3, 0},
+		// The same for an empty span marking each '.': local (it is
+		// stateless), but the chunk holding the mark is the empty string.
+		{"wrap-needs-next-byte", ".*(x{})\\..*", "a.b", 2, 2, 0},
+		// Words, plus an empty span at the end of a document that does not
+		// end in '.': where a word closes, a shorter document has two spans.
+		{"end-wrap-at-a-close", "(x{[^.]+})(\\..*)?|.*\\.(x{[^.]+})(\\..*)?|(.*[^.])?(x{})", "ab.c", 1, 3, 2},
+	} {
+		s := mustSplitter(t, c.src)
+		if !s.IsDisjoint() {
+			t.Fatalf("%s: not disjoint; the case must reach the scanner", c.name)
+		}
+		if s.CutSafe() {
+			t.Errorf("%s: CutSafe = true, want false", c.name)
+		}
+		want := span.Span{Start: c.lo, End: c.hi}
+		found := false
+		for _, sp := range s.SplitReference(c.doc) {
+			found = found || sp == want
+		}
+		if cut := s.SplitReference(c.doc[c.lo-1 : c.hi-1]); !found || len(cut) != c.wantCut {
+			t.Errorf("%s: S(%q) has %v: %v, and the cut has %v, want %d spans; the witness is stale",
+				c.name, c.doc, want, found, cut, c.wantCut)
+		}
+	}
+	if library.NGrams(2).CutSafe() {
+		t.Error("2-grams: CutSafe = true for a splitter that is not disjoint")
+	}
+}
+
 // A starved state budget must surface as automata.ErrTooLarge (verdict
 // unknown), never as a false "local". The smallest sufficient budgets
 // are pinned: they are the sizes of the largest subset space the

@@ -75,9 +75,18 @@ type splitScanner struct {
 // scanner returns the compiled scanner, building it on first use, or
 // nil when the splitter does not admit one (it is not disjoint).
 func (s *Splitter) scanner() *splitScanner {
-	s.scanOnce.Do(func() { s.scanVal = buildSplitScanner(s) })
+	s.scanOnce.Do(func() {
+		s.scanVal = buildSplitScanner(s)
+		s.scanBuilt.Store(true)
+	})
 	return s.scanVal
 }
+
+// ScannerBuilt reports whether the scanner has been compiled yet: by the
+// first Split, ScanRun or CutSafe, and by nothing at plan compilation —
+// a plan whose documents are all evaluated whole never pays for it, which
+// the engine's tests hold its planner to.
+func (s *Splitter) ScannerBuilt() bool { return s.scanBuilt.Load() }
 
 func buildSplitScanner(s *Splitter) *splitScanner {
 	if !s.IsDisjoint() {
@@ -232,6 +241,69 @@ func (sc *splitScanner) skipSet(w *lazydfa.Walker[scanPayload], cur int32) *lazy
 			}
 			return t, true
 		}, cur)
+}
+
+// CutSafe reports whether a document may be truncated at any span end
+// without changing the spans before the cut: for every document d and
+// span [a, b⟩ ∈ S(d), the scanner run on d[:b-1] emits exactly the spans
+// it emits on d up to and including [a, b⟩, and never bails. Together
+// with a locality proof (IsLocal, which licenses restarting at any span
+// start) this is cut independence — S applied to a chunk of d that
+// starts at a span start and ends at a span end is S(d) restricted to
+// that chunk — which is what lets the engine evaluate P once per chunk
+// instead of P_S once per segment (see locality.go, "Corollary").
+//
+// It is decided on the scanner's subset DFA, explored to closure (a
+// handful of states for separator-driven splitters; a DFA that overflows
+// its state bound is not cut-safe): no reachable (state, class) pair may
+// raise evBail, and every evClose or evWrap must fire alone, in a state
+// whose document-end events are exactly that one span — truncating the
+// document at the event's boundary then makes Flush emit what the event
+// emitted, nothing less (a close that needed the next byte) and nothing
+// more (an empty span the longer document does not have there). The
+// closure also fills every transition, so a cut-safe scanner can no
+// longer overflow mid-document. The answer is memoized, and computed on
+// first use rather than with the plan's verdicts: building the scanner
+// is wasted on a plan whose documents are all evaluated whole.
+func (s *Splitter) CutSafe() bool {
+	s.cutOnce.Do(func() {
+		if sc := s.scanner(); sc != nil {
+			s.cutVal = sc.cutSafe()
+		}
+	})
+	return s.cutVal
+}
+
+func (sc *splitScanner) cutSafe() bool {
+	w := sc.dfa.Walk()
+	defer w.Release()
+	seen := map[int32]bool{sc.start: true}
+	queue := []int32{sc.start}
+	for len(queue) > 0 {
+		q := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for c := 0; c < sc.nclasses; c++ {
+			pl := &w.States[q].Payload // re-read per class: Resolve may move States
+			ev := pl.ev[c]
+			closes, wraps := ev&evClose != 0, ev&evWrap != 0
+			if ev&evBail != 0 || closes && wraps ||
+				(closes || wraps) && (pl.endClose != closes || pl.endWrap != wraps) {
+				return false
+			}
+			t := w.States[q].Trans(uint8(c))
+			if t == lazydfa.Unknown {
+				t = w.Resolve(q, uint8(c))
+			}
+			if t == lazydfa.Overflow {
+				return false
+			}
+			if !seen[t] {
+				seen[t] = true
+				queue = append(queue, t)
+			}
+		}
+	}
+	return true
 }
 
 // usefulStates marks the states lying on some accepting run: reachable

@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/span"
 	"repro/internal/vsa"
@@ -32,8 +33,13 @@ type Splitter struct {
 
 	// scanOnce memoizes the compiled splitter scanner (splitscan.go);
 	// scanVal stays nil for non-disjoint splitters.
-	scanOnce sync.Once
-	scanVal  *splitScanner
+	scanOnce  sync.Once
+	scanVal   *splitScanner
+	scanBuilt atomic.Bool
+
+	// cutOnce memoizes CutSafe (splitscan.go).
+	cutOnce sync.Once
+	cutVal  bool
 }
 
 // NewSplitter wraps a unary automaton as a splitter.

@@ -248,7 +248,9 @@ func (e *Engine) ExtractBatch(ctx context.Context, plan *Plan, doc string) ([]Ba
 // context ends the read, and at most Config.MaxDocBuffer is held.
 func (e *Engine) ExtractBatchReader(ctx context.Context, plan *Plan, r io.Reader) ([]BatchResult, error) {
 	if e.cfg.ReadTimeout > 0 || ctx.Done() != nil {
-		r = newStallReader(ctx, r, e.cfg.ReadTimeout)
+		sr := newStallReader(ctx, r, e.cfg.ReadTimeout)
+		defer sr.stop()
+		r = sr
 	}
 	doc, err := e.readAllBounded(ctx, r)
 	if err != nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
@@ -16,12 +17,16 @@ import (
 //
 //	go test -run '^$' -bench ExtractCrossover -benchmem ./internal/engine
 //
-// Per size and corpus it times the two routes a split-correct plan may
-// take — whole (P.Eval on the calling goroutine) and split (Split +
-// SegmentsOf + parallel.SplitEvalCtx, what Extract did for every document
-// before it chose) at one worker and at the engine's request budget — and
-// Engine.Extract as shipped, which must track the whole route below
-// breakEven and the split route from there on.
+// Per size and corpus it times the routes a split-correct plan may
+// take — whole (P.Eval on the calling goroutine), split per segment (Split
+// + SegmentsOf + parallel.SplitEvalCtx with P_S, what Extract did for
+// every document before it chose; the baseline the chunk grain is compared
+// with) at one worker and at the engine's request budget, and split per
+// chunk (the same Split, then P once per ChunkSize bytes of segments) at
+// one worker — and the engine as shipped: Extract, which must track the
+// whole route below breakEven and the chunked route from there on, and
+// reader, ExtractReader over the document as a stream, whose chunks are
+// the feeds of the resumable scan instead of a Split up front.
 func BenchmarkExtractCrossover(b *testing.B) {
 	e := New(Config{})
 	plan := reviewPlan()
@@ -29,6 +34,11 @@ func BenchmarkExtractCrossover(b *testing.B) {
 	splitRoute := func(doc string, workers int) *span.Relation {
 		segs := parallel.SegmentsOf(doc, plan.s.Split(doc))
 		rel, _ := parallel.SplitEvalCtx(ctx, plan.ps, segs, parallel.Options{Workers: workers, Batch: e.cfg.Batch})
+		return rel
+	}
+	chunkRoute := func(doc string) *span.Relation {
+		chunks := chunksOf(doc, plan.s.Split(doc), e.cfg.ChunkSize)
+		rel, _ := parallel.SplitEvalCtx(ctx, plan.p, chunks, parallel.Options{Workers: 1, Batch: 1})
 		return rel
 	}
 	corpora := []struct {
@@ -47,9 +57,17 @@ func BenchmarkExtractCrossover(b *testing.B) {
 			}{
 				{"whole", func() *span.Relation { return plan.p.Eval(doc) }},
 				{"split-w1", func() *span.Relation { return splitRoute(doc, 1) }},
+				{"chunked-w1", func() *span.Relation { return chunkRoute(doc) }},
 				{fmt.Sprintf("split-w%d", e.cfg.RequestWorkers), func() *span.Relation { return splitRoute(doc, e.cfg.RequestWorkers) }},
 				{"extract", func() *span.Relation {
 					rel, err := e.Extract(ctx, plan, doc)
+					if err != nil {
+						b.Fatal(err)
+					}
+					return rel
+				}},
+				{"reader", func() *span.Relation {
+					rel, err := e.ExtractReader(ctx, plan, strings.NewReader(doc))
 					if err != nil {
 						b.Fatal(err)
 					}

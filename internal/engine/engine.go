@@ -26,7 +26,9 @@
 //     either side: per document, the engine splits only where an
 //     executor run can pay for itself and evaluates smaller documents
 //     whole on the calling goroutine (splitPays; Execution reports the
-//     route taken).
+//     route taken). Where the splitter is also proven cut-independent the
+//     split side is evaluated at chunk grain — P once per ChunkSize bytes
+//     of consecutive segments, not P_S once per segment (chunked).
 //
 // cmd/spand wraps the engine in an HTTP daemon.
 package engine
@@ -65,10 +67,14 @@ type Config struct {
 	// Batch is the number of segments grouped into one dispatched task —
 	// the executor's scheduling grain — on the inline path (Extract;
 	// default 16). Streamed documents (ExtractReader) are dispatched one
-	// feed at a time and re-split by the executor itself. Results never
-	// depend on it.
+	// feed at a time and re-split by the executor itself, and the chunked
+	// route (ExecChunked) deals one chunk per task. Results never depend
+	// on it.
 	Batch int
-	// ChunkSize is the read size for streaming ingestion (default 64 KiB).
+	// ChunkSize is the read size for streaming ingestion (default 64 KiB),
+	// and with it the grain of the chunked route (ExecChunked): a streamed
+	// document is evaluated one feed at a time, an inline one in runs of
+	// consecutive segments of at most this many bytes.
 	ChunkSize int
 	// StateLimit bounds the decision procedures' state space; 0 selects
 	// the library default. Plans whose verdict exceeds the limit degrade
@@ -175,7 +181,10 @@ func (c Config) withDefaults() Config {
 // buffered whole (or arrived inline). WholeDocs counts the documents Run
 // and RunReader evaluated whole (ExecWhole): every document of a
 // sequential plan, and a split plan's documents too small to amortise
-// the executor. StreamForced echoes the
+// the executor. ChunkedDocs counts the documents that took the split route
+// at chunk grain (ExecChunked); Segments counts the splitter's spans on
+// either grain, while Executor.Segments counts the units the executor
+// evaluated — chunks, for those documents. StreamForced echoes the
 // configured StreamIncremental override so operators can see whether
 // streamed documents are covered by proofs alone.
 type Stats struct {
@@ -183,6 +192,7 @@ type Stats struct {
 	Documents      uint64     `json:"documents"`
 	StreamedDocs   uint64     `json:"streamed_docs"`
 	WholeDocs      uint64     `json:"whole_docs"`
+	ChunkedDocs    uint64     `json:"chunked_docs"`
 	Bytes          uint64     `json:"bytes"`
 	Segments       uint64     `json:"segments"`
 	SegmentsPerSec float64    `json:"segments_per_sec"`
@@ -279,10 +289,50 @@ const breakEven = 32 << 10
 // consulted rather than the Strategy field so that a plan forced to split
 // without a proof keeps the split semantics it asked for.
 func (e *Engine) splitPays(plan *Plan, docBytes int) bool {
-	if plan.Verdicts.SelfSplittable != core.VerdictYes && plan.Verdicts.SplitCorrect != core.VerdictYes {
+	if !licensed(plan) {
 		return true
 	}
 	return e.cfg.RequestWorkers >= 2 && docBytes >= breakEven
+}
+
+// licensed reports whether the plan's own verdict proves P = P_S ∘ S.
+func licensed(plan *Plan) bool {
+	return plan.Verdicts.SelfSplittable == core.VerdictYes || plan.Verdicts.SplitCorrect == core.VerdictYes
+}
+
+// chunked decides the grain of a split plan's split route, and is the only
+// place it is decided. It returns true — evaluate P once per chunk of
+// consecutive segments (ExecChunked) instead of P_S once per segment —
+// when three proofs are in hand: the plan's own verdict (P = P_S ∘ S on
+// every document, hence on every chunk), the locality verdict (a chunk may
+// start at any span start; the StreamIncremental override is an assertion
+// and does not count) and the splitter's cut safety (a chunk may end at any
+// span end). The last two are cut independence — S on such a chunk t of d
+// is S(d) restricted to t — so P(t) = (P_S ∘ S)(t) is exactly the chunk's
+// share of (P_S ∘ S)(d) = P(d); DESIGN.md ("Grain") has the proof. CutSafe
+// builds the splitter's scanner, so it is asked last, and only for
+// documents already on the split route: a plan whose documents all run
+// whole never pays for it.
+func chunked(plan *Plan) bool {
+	return licensed(plan) && plan.Verdicts.Local == core.VerdictYes && plan.s.CutSafe()
+}
+
+// chunksOf groups doc's splitter spans — disjoint and in document order —
+// into runs of at most size bytes (a longer span is a run of its own) and
+// returns one work unit per run, reaching from its first span's start to
+// its last span's end.
+func chunksOf(doc string, spans []span.Span, size int) []parallel.Segment {
+	var out []parallel.Segment
+	for i := 0; i < len(spans); {
+		lo, j := spans[i].Start, i+1
+		for j < len(spans) && spans[j].End-lo <= size {
+			j++
+		}
+		run := span.Span{Start: lo, End: spans[j-1].End}
+		out = append(out, parallel.Segment{Span: run, Text: run.In(doc)})
+		i = j
+	}
+	return out
 }
 
 // Extract evaluates the plan on an in-memory document; see Run, whose
@@ -294,10 +344,11 @@ func (e *Engine) Extract(ctx context.Context, plan *Plan, doc string) (*span.Rel
 
 // Run evaluates the plan on an in-memory document and reports the route
 // the document took. A split plan's document goes through the splitter
-// and the work-stealing executor (ExecSplit) when that can pay for itself
+// and the work-stealing executor (ExecSplit, or ExecChunked where chunked
+// proves the coarser grain) when that can pay for itself
 // (see splitPays) and is otherwise evaluated whole on the calling
 // goroutine (ExecWhole), like every document of a sequential plan — the
-// plan's verdict makes the two routes return the same relation. The
+// plan's verdict makes the routes return the same relation. The
 // result is sorted and deduplicated. Like the reader paths, Run enforces
 // Config.MaxDocBuffer: an inline document over the budget fails with
 // ErrDocTooLarge instead of being evaluated.
@@ -310,13 +361,22 @@ func (e *Engine) Run(ctx context.Context, plan *Plan, doc string) (*span.Relatio
 	e.m.bytes.Add(uint64(len(doc)))
 	if plan.Strategy == StrategySplit && e.splitPays(plan, len(doc)) {
 		t0 := time.Now()
-		segs := parallel.SegmentsOf(doc, plan.s.Split(doc))
+		spans := plan.s.Split(doc)
+		exec, ev, opts := ExecSplit, plan.ps, e.evalOpts()
+		var segs []parallel.Segment
+		if chunked(plan) {
+			e.m.chunkedDocs.Inc()
+			exec, ev, opts.Batch = ExecChunked, plan.p, 1 // one chunk per executor task
+			segs = chunksOf(doc, spans, e.cfg.ChunkSize)
+		} else {
+			segs = parallel.SegmentsOf(doc, spans)
+		}
 		e.m.observeStage(StageSegment, time.Since(t0))
-		e.m.segments.Add(uint64(len(segs)))
+		e.m.segments.Add(uint64(len(spans)))
 		t1 := time.Now()
-		rel, err := parallel.SplitEvalCtx(ctx, plan.ps, segs, e.evalOpts())
+		rel, err := parallel.SplitEvalCtx(ctx, ev, segs, opts)
 		e.m.observeStage(StageEval, time.Since(t1))
-		return rel, ExecSplit, wrapCtxErr(err)
+		return rel, exec, wrapCtxErr(err)
 	}
 	if err := ctx.Err(); err != nil {
 		return span.NewRelation(plan.p.Vars...), ExecWhole, wrapCtxErr(err)
@@ -363,7 +423,9 @@ func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*s
 // WillStream: a proven-local disjoint splitter, or the StreamIncremental
 // override) the document is segmented incrementally — segments already
 // discovered are evaluated by the work-stealing executor while later
-// chunks are still being read. Idle workers block on the bounded dispatch
+// chunks are still being read, one by one (ExecSplit) or, where chunked
+// proves it equivalent, each feed's segments as one chunk (ExecChunked).
+// Idle workers block on the bounded dispatch
 // channel, so a saturated pool stalls the segmenter and, through it, the
 // reader — backpressure reaches all the way to the network socket. A
 // stream that ends inside its first breakEven bytes never gets that far:
@@ -381,7 +443,9 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 		// ErrReadStalled instead of pinning its admission token and
 		// workers, and a cancelled request returns even when its reader
 		// never does.
-		r = newStallReader(ctx, r, e.cfg.ReadTimeout)
+		sr := newStallReader(ctx, r, e.cfg.ReadTimeout)
+		defer sr.stop()
+		r = sr
 	}
 	if !e.WillStream(plan) {
 		doc, err := e.readAllBounded(ctx, r)
@@ -410,6 +474,11 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 	}
 	e.m.documents.Inc()
 	e.m.streamedDocs.Inc()
+	exec, ev, chunks := ExecSplit, plan.ps, chunked(plan)
+	if chunks {
+		e.m.chunkedDocs.Inc()
+		exec, ev = ExecChunked, plan.p
+	}
 
 	// One batch per feed: capacity Workers bounds the queued work at that
 	// many chunks' worth of segments.
@@ -417,7 +486,7 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 	readErr := make(chan error, 1)
 	go func() {
 		defer close(batches)
-		g := e.newDocSegmenter(plan)
+		g := e.newDocSegmenter(plan, chunks)
 		chunk := make([]byte, e.cfg.ChunkSize)
 		// Segmentation time accumulates across the incremental feed/flush
 		// calls and is recorded once per document when the producer exits.
@@ -432,7 +501,9 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 			if len(segs) == 0 {
 				return true
 			}
-			e.m.segments.Add(uint64(len(segs)))
+			if !chunks { // a chunk's spans were counted where it was cut
+				e.m.segments.Add(uint64(len(segs)))
+			}
 			select {
 			case batches <- segs:
 				return true
@@ -480,7 +551,7 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 	}()
 
 	t0 := time.Now()
-	rel, err := parallel.SplitEvalBatches(ctx, plan.ps, batches,
+	rel, err := parallel.SplitEvalBatches(ctx, ev, batches,
 		parallel.Options{Workers: e.cfg.RequestWorkers, Metrics: &e.m.exec})
 	// On this path evaluation overlaps ingestion, so the eval stage's
 	// wall time includes time the workers spent blocked on the reader.
@@ -509,7 +580,7 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 			}
 		}
 	}
-	return rel, ExecSplit, wrapCtxErr(err)
+	return rel, exec, wrapCtxErr(err)
 }
 
 // Stats snapshots the engine counters, the per-stage time breakdown,
@@ -523,6 +594,7 @@ func (e *Engine) Stats() Stats {
 		Documents:      e.m.documents.Load(),
 		StreamedDocs:   e.m.streamedDocs.Load(),
 		WholeDocs:      e.m.wholeDocs.Load(),
+		ChunkedDocs:    e.m.chunkedDocs.Load(),
 		Bytes:          e.m.bytes.Load(),
 		Segments:       segs,
 		Workers:        e.cfg.Workers,

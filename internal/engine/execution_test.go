@@ -17,12 +17,14 @@ import (
 // The per-document choice between the two sides of P = P_S ∘ S rests on
 // the theorem holding on the bytes the engine returns, at the seam where
 // the choice flips. These tests pin that: for plans whose verdict is an
-// honest yes, evaluating whole, evaluating split (through parallel
-// directly, so no engine choice is involved) and the reference P.Eval
-// agree tuple for tuple at breakEven − 1, breakEven, breakEven + 1 and
-// around them; Run and RunReader take the route splitPays names and
-// return the same tuples; and a plan without the verdict never leaves the
-// split route.
+// honest yes, evaluating whole, evaluating split at either grain — P_S per
+// segment, P per chunk of segments (through parallel directly, so no
+// engine choice is involved) — and the reference P.Eval agree tuple for
+// tuple at breakEven − 1, breakEven, breakEven + 1 and around them, and
+// around the chunk size; Run and RunReader take the route splitPays and
+// chunked name and return the same tuples; a plan without the verdict
+// never leaves the split route, and one missing any of chunked's three
+// proofs never leaves the per-segment grain.
 
 // decidedPlan builds a plan from library automata the way decidePlan does
 // from formulas: the verdicts are the decision procedures' own, so a yes
@@ -102,21 +104,30 @@ func sameTuples(t *testing.T, what string, got, want *span.Relation) {
 }
 
 // checkExecutionChoice holds one (plan, document) pair to the contract in
-// the file comment. e must have at least two request workers, so that the
-// document's length alone decides its route.
+// the file comment. Every plan of executionCases has a proven-local,
+// cut-safe splitter, so its split route is the chunked one. e must have at
+// least two request workers, so that the document's length alone decides
+// its route.
 func checkExecutionChoice(t *testing.T, e *Engine, plan *Plan, doc string, readSizes ...int) {
 	t.Helper()
 	ctx := context.Background()
 	want := plan.p.Eval(doc)
 	route := ExecWhole
 	if len(doc) >= breakEven {
-		route = ExecSplit
+		route = ExecChunked
 	}
-	if pays := e.splitPays(plan, len(doc)); pays != (route == ExecSplit) {
-		t.Fatalf("%d bytes: splitPays = %v", len(doc), pays)
+	if pays := e.splitPays(plan, len(doc)); pays != (route != ExecWhole) || !chunked(plan) {
+		t.Fatalf("%d bytes: splitPays = %v, chunked = %v", len(doc), pays, chunked(plan))
 	}
-	split := parallel.SplitEval(plan.ps, parallel.SegmentsOf(doc, plan.s.Split(doc)), e.cfg.RequestWorkers)
+	spans := plan.s.Split(doc)
+	split := parallel.SplitEval(plan.ps, parallel.SegmentsOf(doc, spans), e.cfg.RequestWorkers)
 	sameTuples(t, "split route vs P.Eval", split, want)
+	// Chunk grain at the engine's size and at sizes that cut after every
+	// span and every few: P on each chunk, whatever the document's length.
+	for _, size := range []int{1, 97, e.cfg.ChunkSize} {
+		chunks := parallel.SplitEval(plan.p, chunksOf(doc, spans, size), e.cfg.RequestWorkers)
+		sameTuples(t, "chunked route vs P.Eval", chunks, want)
+	}
 	got, exec, err := e.Run(ctx, plan, doc)
 	if err != nil || exec != route {
 		t.Fatalf("%d bytes: Run took the %v route (err %v), want %v", len(doc), exec, err, route)
@@ -143,11 +154,79 @@ func TestExecutionChoiceEquivalence(t *testing.T) {
 			for i, n := range lengths {
 				checkExecutionChoice(t, e, c.plan, c.doc(uint64(i)+1, n), 1, 7, 4096)
 			}
+			// Around the chunk size: the last chunk is one byte, is missing
+			// one, and the document is a few chunks and a bit.
+			size := e.cfg.ChunkSize
+			for i, n := range []int{size - 1, size, size + 1, 3*size + 7} {
+				checkExecutionChoice(t, e, c.plan, c.doc(uint64(i)+8, n), 7, 4096, size)
+			}
+			// filler has none of the splitters' separators: one span that
+			// straddles three feeds and closes only after them, and a
+			// document whose only span closes at its end — no feed yields
+			// a chunk before the flush does.
+			filler := strings.Repeat("so bad weather cc bob@corp ", (2*size+breakEven)/27+1)
+			checkExecutionChoice(t, e, c.plan, c.doc(12, breakEven)+"\n"+filler+".\n"+c.doc(13, breakEven), 4096, size)
+			checkExecutionChoice(t, e, c.plan, filler, 4096, size)
 		})
 	}
 	st := e.Stats()
 	if st.WholeDocs == 0 || st.StreamedDocs == 0 || st.WholeDocs+st.Executor.Runs != st.Documents {
 		t.Fatalf("stats = %+v: want every document either evaluated whole or run on the executor, and both kinds seen", st)
+	}
+	if st.ChunkedDocs != st.Executor.Runs || st.Segments <= st.Executor.Segments {
+		t.Fatalf("stats = %+v: want every executor run a chunked document, and splitter spans counted, not chunks", st)
+	}
+}
+
+// TestChunkedNeedsAllThreeProofs: the chunk grain is licensed by the plan's
+// own verdict, the proven locality verdict and the splitter's cut safety
+// together. Take any one away — a forged split plan, a splitter streamed
+// on the operator's StreamIncremental say-so, a local splitter that is not
+// cut-safe — and the document stays on the per-segment route, reported as
+// "split". The last plan is the reason the third proof exists: its
+// splitter marks every '.' with an empty span, so each chunk of segments
+// is the empty string, P finds nothing in it, and only P_S per segment
+// returns P(d).
+func TestChunkedNeedsAllThreeProofs(t *testing.T) {
+	licensed := executionCases(t)[0].plan
+	unproven := *licensed
+	unproven.Verdicts.Local = core.VerdictUnknown
+	marks := decidedPlan(t, regexformula.MustCompile(`.*(y{})\..*`), regexformula.MustCompile(`y{}`),
+		core.MustSplitter(regexformula.MustCompile(`.*(x{})\..*`)))
+	if marks.Verdicts.Local != core.VerdictYes || marks.s.CutSafe() {
+		t.Fatalf("the marking splitter must be proven local and not cut-safe (verdicts %+v, CutSafe %v)", marks.Verdicts, marks.s.CutSafe())
+	}
+	reviews := reviewDoc(5, 2*breakEven)
+	for _, c := range []struct {
+		name string
+		plan *Plan
+		doc  string
+	}{
+		{"forged", splitOnly(licensed), reviews},
+		{"stream-forced", &unproven, reviews},
+		{"not-cut-safe", marks, strings.Repeat("ab.", breakEven)},
+	} {
+		e := New(Config{Workers: 2, StreamIncremental: true})
+		if !e.WillStream(c.plan) {
+			t.Fatalf("%s: the plan must stream", c.name)
+		}
+		want := c.plan.p.Eval(c.doc)
+		got, exec, err := e.Run(context.Background(), c.plan, c.doc)
+		if err != nil || exec != ExecSplit {
+			t.Fatalf("%s: Run took the %v route (err %v), want %v", c.name, exec, err, ExecSplit)
+		}
+		sameTuples(t, c.name+": Run vs P.Eval", got, want)
+		got, exec, err = e.RunReader(context.Background(), c.plan, strings.NewReader(c.doc))
+		if err != nil || exec != ExecSplit {
+			t.Fatalf("%s: RunReader took the %v route (err %v), want %v", c.name, exec, err, ExecSplit)
+		}
+		sameTuples(t, c.name+": RunReader vs P.Eval", got, want)
+		if st := e.Stats(); st.ChunkedDocs != 0 || st.Executor.Runs != 2 {
+			t.Fatalf("%s: stats %+v, want two executor runs and no chunked document", c.name, st)
+		}
+	}
+	if exec := ExecChunked.String(); exec != "chunked" {
+		t.Fatalf("ExecChunked reads %q", exec)
 	}
 }
 

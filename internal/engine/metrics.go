@@ -69,6 +69,7 @@ type Metrics struct {
 	documents    obs.Counter
 	streamedDocs obs.Counter
 	wholeDocs    obs.Counter
+	chunkedDocs  obs.Counter
 	bytes        obs.Counter
 	segments     obs.Counter
 
@@ -101,8 +102,9 @@ func newMetrics(e *Engine) *Metrics {
 	r.BindCounter("spanners_engine_documents_total", "documents evaluated", &m.documents)
 	r.BindCounter("spanners_engine_documents_streamed_total", "documents segmented incrementally while streaming", &m.streamedDocs)
 	r.BindCounter("spanners_engine_documents_whole_total", "documents evaluated whole on the request goroutine (sequential plans, and split plans' documents too small to amortise the executor)", &m.wholeDocs)
+	r.BindCounter("spanners_engine_documents_chunked_total", "documents whose split route ran at chunk grain: the spanner evaluated once per chunk of consecutive segments", &m.chunkedDocs)
 	r.BindCounter("spanners_engine_bytes_total", "document bytes ingested", &m.bytes)
-	r.BindCounter("spanners_engine_segments_total", "segments dispatched to evaluation", &m.segments)
+	r.BindCounter("spanners_engine_segments_total", "splitter spans of documents on the split route, at either grain", &m.segments)
 	r.BindCounter("spanners_engine_segmenter_resumed_feeds_total", "chunk feeds consumed by the resumable compiled scanner", &m.segResumed)
 	r.BindCounter("spanners_engine_segmenter_rescanned_bytes_total", "bytes re-scanned by the re-splitting fallback segmenter", &m.segRescanned)
 	r.BindCounter("spanners_engine_segmenter_bails_total", "compiled-scanner bails to the fallback segmenter", &m.segBails)
@@ -133,7 +135,7 @@ func newMetrics(e *Engine) *Metrics {
 	r.BindCounter("spanners_exec_runs_total", "split-executor runs", &m.exec.Runs)
 	r.BindCounter("spanners_exec_steals_total", "successful chunk steals", &m.exec.Steals)
 	r.BindCounter("spanners_exec_chunks_total", "chunks executed", &m.exec.Chunks)
-	r.BindCounter("spanners_exec_segments_total", "segments evaluated by the executor", &m.exec.Segments)
+	r.BindCounter("spanners_exec_segments_total", "units evaluated by the executor: segments, or chunks of them on the chunked route", &m.exec.Segments)
 	r.BindCounter("spanners_exec_eval_bytes_total", "segment bytes evaluated by the executor", &m.exec.EvalBytes)
 	r.BindDurationCounter("spanners_exec_busy_seconds_total", "summed worker time spent executing chunks", &m.exec.BusyNS)
 	r.BindDurationCounter("spanners_exec_run_seconds_total", "summed executor run wall time", &m.exec.RunNS)

@@ -51,11 +51,19 @@ const (
 	// ExecSplit is (P_S ∘ S)(d): the splitter's segments evaluated on the
 	// work-stealing executor and merged.
 	ExecSplit
+	// ExecChunked is the split route at chunk grain: P evaluated once per
+	// ChunkSize-sized run of consecutive segments on the executor, which
+	// the plan's verdict and cut independence of its splitter make equal
+	// to (P_S ∘ S)(d) (see chunked).
+	ExecChunked
 )
 
 func (x Execution) String() string {
-	if x == ExecSplit {
+	switch x {
+	case ExecSplit:
 		return "split"
+	case ExecChunked:
+		return "chunked"
 	}
 	return "whole"
 }

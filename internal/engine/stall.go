@@ -28,12 +28,19 @@ import (
 // done context ends a wait the same way, with the context's error — the
 // engine reads a small document's bytes on the request goroutine, and a
 // cancelled request must return even if its reader never does.
+//
+// Whoever creates a stallReader calls stop on every return path. A
+// consumer that leaves before the stream ends — over the size budget,
+// past its deadline, cancelled — receives nothing more, and a pump that
+// could only hand its chunks to the consumer would park on the second
+// one for the life of the process, pinning its buffers and the body.
 type stallReader struct {
 	ctx     context.Context
 	r       io.Reader
 	timeout time.Duration // 0: no progress timeout, only ctx ends a wait
 
 	res     chan stallChunk // pump → consumer, capacity 1 (one chunk of readahead)
+	quit    chan struct{}   // closed by stop: the consumer is gone
 	started bool
 	stalled bool // sticky: once timed out, every Read fails
 
@@ -49,8 +56,14 @@ type stallChunk struct {
 
 // newStallReader wraps r.
 func newStallReader(ctx context.Context, r io.Reader, timeout time.Duration) *stallReader {
-	return &stallReader{ctx: ctx, r: r, timeout: timeout, res: make(chan stallChunk, 1)}
+	return &stallReader{ctx: ctx, r: r, timeout: timeout, res: make(chan stallChunk, 1), quit: make(chan struct{})}
 }
+
+// stop tells the pump its consumer has returned: the pump exits at its
+// next hand-over instead of waiting for a receive that will not come.
+// Call it exactly once, when nothing will Read again unless its context
+// is done (RunReader's producer outlives it only then).
+func (s *stallReader) stop() { close(s.quit) }
 
 // pump owns the underlying reader, rotating through three buffers.
 // Three, not two: at any instant the consumer may hold chunk k, the
@@ -68,7 +81,11 @@ func (s *stallReader) pump() {
 			bufs[i] = make([]byte, bufSize)
 		}
 		n, err := s.r.Read(bufs[i])
-		s.res <- stallChunk{data: bufs[i][:n], err: err}
+		select {
+		case s.res <- stallChunk{data: bufs[i][:n], err: err}:
+		case <-s.quit:
+			return
+		}
 		if err != nil {
 			return
 		}

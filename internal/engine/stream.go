@@ -31,9 +31,12 @@ type docSegmenter interface {
 // splitter compiled one (every disjoint splitter the scanner's
 // committed-emission analysis covers), the re-splitting fallback
 // otherwise. Both are licensed by the same streaming precondition
-// (WillStream): disjointness plus proven or asserted locality.
-func (e *Engine) newDocSegmenter(plan *Plan) docSegmenter {
+// (WillStream): disjointness plus proven or asserted locality. chunks
+// selects the chunked route's grain (see chunked, which implies a
+// scanner): one segment per feed, covering all the spans it committed.
+func (e *Engine) newDocSegmenter(plan *Plan, chunks bool) docSegmenter {
 	if g, ok := newScanSegmenter(plan.s, e.m); ok {
+		g.chunks = chunks
 		return g
 	}
 	g := newSegmenter(plan.s)
@@ -51,10 +54,22 @@ func (e *Engine) newDocSegmenter(plan *Plan) docSegmenter {
 // same locality property the buffered cut uses. Spans the scanner
 // already committed are filtered out of the fallback's output by
 // document order.
+//
+// With chunks set the unit of output is the feed, not the span: emit
+// returns one segment reaching from the feed's first committed span to
+// its last, to be evaluated with P (cut independence makes it a document
+// in its own right; see chunked). There is then no per-segment evaluator
+// to hand a fallback's segments to, so a bail — which CutSafe's closure
+// over the scanner's states leaves to broken invariants only — keeps
+// buffering from Anchor and flush returns the rest of the document as its
+// last chunk. That chunk starts at a span start, so P on it is again
+// (P_S ∘ S) on it, and tuples from spans an earlier chunk already covered
+// are duplicates the merge removes.
 type scanSegmenter struct {
-	run *core.ScanRun
-	s   *core.Splitter
-	m   *Metrics
+	run    *core.ScanRun
+	s      *core.Splitter
+	m      *Metrics
+	chunks bool
 
 	buf []byte // retained document suffix, starting at global offset off
 	off int    // 0-based global byte offset of buf[0]
@@ -92,13 +107,19 @@ func (g *scanSegmenter) emit(spans []span.Span) []parallel.Segment {
 	if len(spans) == 0 {
 		return nil
 	}
-	lo := spans[0].Start
-	text := string(g.buf[lo-1-g.off : spans[len(spans)-1].End-1-g.off])
+	lo, hi := spans[0].Start, spans[len(spans)-1].End
+	text := string(g.buf[lo-1-g.off : hi-1-g.off])
+	g.last = spans[len(spans)-1]
+	if g.chunks {
+		if g.m != nil {
+			g.m.segments.Add(uint64(len(spans)))
+		}
+		return []parallel.Segment{{Span: span.Span{Start: lo, End: hi}, Text: text}}
+	}
 	out := make([]parallel.Segment, len(spans))
 	for i, sp := range spans {
 		out[i] = parallel.Segment{Span: sp, Text: text[sp.Start-lo : sp.End-lo]}
 	}
-	g.last = spans[len(spans)-1]
 	return out
 }
 
@@ -121,10 +142,14 @@ func (g *scanSegmenter) filter(segs []parallel.Segment) []parallel.Segment {
 }
 
 // bail hands the stream over to the re-splitting fallback, seeded with
-// the retained suffix from the scanner's Anchor.
+// the retained suffix from the scanner's Anchor. On the chunked route it
+// hands nothing over: the buffer keeps growing from Anchor until flush.
 func (g *scanSegmenter) bail() {
 	if g.m != nil {
 		g.m.segBails.Inc()
+	}
+	if g.chunks {
+		return
 	}
 	anchor := g.run.Anchor()
 	fb := newSegmenter(g.s)
@@ -141,6 +166,9 @@ func (g *scanSegmenter) feed(chunk []byte) []parallel.Segment {
 		return g.filter(g.fb.feed(chunk))
 	}
 	g.buf = append(g.buf, chunk...)
+	if g.run.Bailed() {
+		return nil // chunked route: the rest of the document is flush's last chunk
+	}
 	if g.m != nil {
 		g.m.segResumed.Inc()
 	}
@@ -149,7 +177,9 @@ func (g *scanSegmenter) feed(chunk []byte) []parallel.Segment {
 	g.spans = spans
 	if !ok {
 		g.bail()
-		return append(out, g.filter(g.fb.feed(nil))...)
+		if g.fb != nil {
+			return append(out, g.filter(g.fb.feed(nil))...)
+		}
 	}
 	if cut := g.run.Anchor() - g.off; cut > 0 {
 		g.off += cut
@@ -163,12 +193,20 @@ func (g *scanSegmenter) flush() []parallel.Segment {
 	if g.fb != nil {
 		return g.filter(g.fb.flush())
 	}
+	bailed := g.run.Bailed()
 	spans, ok := g.run.Flush(g.spans[:0])
 	out := g.emit(spans)
 	g.spans = spans
 	if !ok {
-		g.bail()
-		out = append(out, g.filter(g.fb.flush())...)
+		if !bailed {
+			g.bail()
+		}
+		if g.fb != nil {
+			out = append(out, g.filter(g.fb.flush())...)
+		} else {
+			rest := span.Span{Start: g.run.Anchor() + 1, End: g.off + len(g.buf) + 1}
+			out = append(out, parallel.Segment{Span: rest, Text: string(g.buf[rest.Start-1-g.off:])})
+		}
 	}
 	g.buf = g.buf[:0]
 	return out

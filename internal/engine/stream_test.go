@@ -67,20 +67,28 @@ func TestSegmenterCarryKeepsBufferSmall(t *testing.T) {
 }
 
 // collectScan runs the scanner-backed segmenter over doc in chunks of
-// size n.
+// size n; collectChunks does the same at chunk grain, one segment per
+// feed that committed spans.
 func collectScan(t *testing.T, s *core.Splitter, doc string, n int) []parallel.Segment {
+	t.Helper()
+	return collectFeeds(t, s, doc, n, false)
+}
+
+func collectChunks(t *testing.T, s *core.Splitter, doc string, n int) []parallel.Segment {
+	t.Helper()
+	return collectFeeds(t, s, doc, n, true)
+}
+
+func collectFeeds(t *testing.T, s *core.Splitter, doc string, n int, chunks bool) []parallel.Segment {
 	t.Helper()
 	g, ok := newScanSegmenter(s, nil)
 	if !ok {
 		t.Fatalf("splitter has no compiled scanner")
 	}
+	g.chunks = chunks
 	var out []parallel.Segment
 	for lo := 0; lo < len(doc); lo += n {
-		hi := lo + n
-		if hi > len(doc) {
-			hi = len(doc)
-		}
-		out = append(out, g.feed([]byte(doc[lo:hi]))...)
+		out = append(out, g.feed([]byte(doc[lo:min(lo+n, len(doc))]))...)
 	}
 	return append(out, g.flush()...)
 }
@@ -149,6 +157,59 @@ func TestScanSegmenterBailFallsBackWithoutDuplicates(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("doc %q chunk %d: segment %d = %+v, want %+v", doc, n, i, got[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// TestScanSegmenterChunksCoverEverySpan pins the chunk grain's geometry
+// at every read size: a chunk's text is the document between its bounds,
+// it starts at a span start and ends at a span end, chunks come in
+// document order without overlapping, and every span of S(d) lies in
+// exactly one — so the per-chunk relations partition (P_S ∘ S)(d).
+func TestScanSegmenterChunksCoverEverySpan(t *testing.T) {
+	s := library.Sentences()
+	for _, doc := range []string{"", ".", "no terminator at all", "one. two! three? four\nfive.", "..!!..", "a.b.c.d.e.f.g.h"} {
+		spans := s.Split(doc)
+		for n := 1; n <= len(doc)+1; n++ {
+			next := 0 // first span no chunk has covered yet
+			for _, c := range collectChunks(t, s, doc, n) {
+				if c.Text != c.Span.In(doc) {
+					t.Fatalf("doc %q read %d: chunk %v carries %q", doc, n, c.Span, c.Text)
+				}
+				if next == len(spans) || c.Span.Start != spans[next].Start {
+					t.Fatalf("doc %q read %d: chunk %v does not start at the next span of %v", doc, n, c.Span, spans[next:])
+				}
+				for next < len(spans) && spans[next].End <= c.Span.End {
+					next++
+				}
+				if spans[next-1].End != c.Span.End {
+					t.Fatalf("doc %q read %d: chunk %v does not end at a span end of %v", doc, n, c.Span, spans)
+				}
+			}
+			if next != len(spans) {
+				t.Fatalf("doc %q read %d: spans %v were never covered", doc, n, spans[next:])
+			}
+		}
+	}
+}
+
+// TestScanSegmenterChunkedBailKeepsTheRest drives the chunk grain into the
+// one place CutSafe's closure check keeps the engine out of: a scanner
+// that bails. Nothing is handed to a per-segment fallback — the evaluator
+// behind this segmenter holds P — so everything from the scanner's anchor
+// on must come back from flush as the document's last chunk.
+func TestScanSegmenterChunkedBailKeepsTheRest(t *testing.T) {
+	s := core.MustSplitter(regexformula.MustCompile(
+		"(x{[^.!]*})(\\.[^.!]*)*!|[^.!]*(\\.[^.!]*)*\\.(x{[^.!]*})(\\.[^.!]*)*!"))
+	if s.CutSafe() {
+		t.Fatal("the suffix-conditioned splitter must not be cut-safe")
+	}
+	for _, doc := range []string{"ab.cd.ef!", "ab.cd", "a.b.c.d.e!"} {
+		for n := 1; n <= len(doc)+1; n++ {
+			got := collectChunks(t, s, doc, n)
+			if len(got) != 1 || got[0].Span.Start != 1 || got[0].Text != doc {
+				t.Fatalf("doc %q read %d: chunks %v, want the whole document from the anchor", doc, n, got)
 			}
 		}
 	}

@@ -1,12 +1,12 @@
 package parallel
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/regexformula"
+	"repro/internal/reltest"
 	"repro/internal/span"
 	"repro/internal/vsa"
 )
@@ -136,7 +136,7 @@ func FuzzMultiVsSequential(f *testing.F) {
 		for _, w := range []int{1, 3} {
 			rels := MultiEval(m, whole, w)
 			for q, got := range rels {
-				if d := threeWayDiff(got, members[q].Eval(doc), members[q].EvalReference(doc)); d != "" {
+				if d := reltest.ThreeWayDiff("fused", got, "standalone", members[q].Eval(doc), members[q].EvalReference(doc)); d != "" {
 					t.Fatalf("workers=%d query %d diverged on %q:\n%s", w, q, doc, d)
 				}
 			}
@@ -153,40 +153,10 @@ func FuzzMultiVsSequential(f *testing.F) {
 				for _, seg := range segs {
 					ref.Tuples = append(ref.Tuples, members[q].EvalReference(seg.Text).ShiftAll(seg.Span).Tuples...)
 				}
-				if d := threeWayDiff(got, SplitEval(members[q], segs, 1), ref); d != "" {
+				if d := reltest.ThreeWayDiff("fused", got, "standalone", SplitEval(members[q], segs, 1), ref); d != "" {
 					t.Fatalf("chopped workers=%d query %d diverged on %q:\n%s", w, q, doc, d)
 				}
 			}
 		}
 	})
-}
-
-// onlyIn returns the tuples of a that b lacks.
-func onlyIn(a, b *span.Relation) []span.Tuple {
-	var out []span.Tuple
-	for _, t := range a.Tuples {
-		if !b.Has(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// threeWayDiff holds one query's results to each other — the fused
-// MultiEval, the member evaluated alone, and EvalReference. Fused and
-// standalone run the same forward scan in internal/vsa, so only the
-// reference leg ties them to the semantics. It returns "" when all three
-// agree, else one line per differing pair with the spans only in each
-// side.
-func threeWayDiff(fused, standalone, reference *span.Relation) string {
-	var b strings.Builder
-	pair := func(xn string, x *span.Relation, yn string, y *span.Relation) {
-		if !x.Equal(y) {
-			fmt.Fprintf(&b, "%s ≠ %s: only %s %v, only %s %v\n", xn, yn, xn, onlyIn(x, y), yn, onlyIn(y, x))
-		}
-	}
-	pair("fused", fused, "standalone", standalone)
-	pair("standalone", standalone, "reference", reference)
-	pair("fused", fused, "reference", reference)
-	return b.String()
 }

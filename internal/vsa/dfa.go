@@ -271,9 +271,12 @@ type evalScratch struct {
 	tmp         []int32
 	table       []cellSlot
 	ver         uint32
-	// Cross-window tuple dedup of one evaluation (see evalRun.emit);
-	// the map is cleared, not reallocated, between evaluations.
+	// Cross-window tuple dedup of one evaluation (see evalRun.emit); the
+	// map is cleared, not reallocated, between evaluations, unless seenMax
+	// — the most tuples it has held since it was made, hence the size of
+	// the bucket array a clear sweeps — says otherwise (see newEvalRun).
 	seen    map[string]bool
+	seenMax int
 	emitBuf []byte
 }
 

@@ -394,13 +394,19 @@ func newEvalRun(a *Automaton, p *evalProg, sc *evalScratch, rel *span.Relation, 
 	// clear() costs O(buckets), and a map keeps the bucket array of its
 	// largest-ever use: after one tuple-heavy evaluation, clearing per
 	// call would tax every later small evaluation (57k segment evals each
-	// sweeping a 12k-tuple map's buckets). Maps that grew past the
-	// threshold are dropped instead, so surviving maps are always cheap
-	// to clear — and the common segment, which emitted nothing, skips
-	// the call.
+	// sweeping a 12k-tuple map's buckets). So a map is dropped, not
+	// cleared, when the most tuples it ever held are out of proportion to
+	// the document about to be evaluated — more than seenKeep, and more
+	// than one per seenBytesPerTuple bytes of it. Sweeping what is left
+	// costs a small fraction of scanning the document (a bucket is a few
+	// ns, a byte about one), a chunk or a whole document reuses the map
+	// its predecessor grew instead of growing its own, and the common
+	// segment, which emitted nothing, skips the call.
+	const seenKeep, seenBytesPerTuple = 256, 16
+	sc.seenMax = max(sc.seenMax, len(sc.seen))
 	switch {
-	case sc.seen == nil || len(sc.seen) > 256:
-		sc.seen = make(map[string]bool)
+	case sc.seen == nil || sc.seenMax > seenKeep && sc.seenMax > len(doc)/seenBytesPerTuple:
+		sc.seen, sc.seenMax = make(map[string]bool), 0
 	case len(sc.seen) > 0:
 		clear(sc.seen)
 	}

@@ -1,45 +1,15 @@
 package vsa
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/alphabet"
+	"repro/internal/reltest"
 	"repro/internal/span"
 )
-
-// onlyIn returns the tuples of a that b lacks.
-func onlyIn(a, b *span.Relation) []span.Tuple {
-	var out []span.Tuple
-	for _, t := range a.Tuples {
-		if !b.Has(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// threeWayDiff holds one query's results to each other — the fused pass,
-// the automaton's own Eval, and EvalReference, the map-based simulation
-// that shares no code with either. Fused and standalone run the same
-// forward scan, so only the reference leg ties them to the semantics. It
-// returns "" when all three agree, else one line per differing pair with
-// the spans only in each side.
-func threeWayDiff(fused, standalone, reference *span.Relation) string {
-	var b strings.Builder
-	pair := func(xn string, x *span.Relation, yn string, y *span.Relation) {
-		if !x.Equal(y) {
-			fmt.Fprintf(&b, "%s ≠ %s: only %s %v, only %s %v\n", xn, yn, xn, onlyIn(x, y), yn, onlyIn(y, x))
-		}
-	}
-	pair("fused", fused, "standalone", standalone)
-	pair("standalone", standalone, "reference", reference)
-	pair("fused", fused, "reference", reference)
-	return b.String()
-}
 
 // assertMultiMatchesStandalone compares every member relation of a fused
 // evaluation against the member automaton's own standalone Eval — the
@@ -53,7 +23,7 @@ func assertMultiMatchesStandalone(t *testing.T, m *Multi, doc string) {
 	}
 	for i, got := range rels {
 		a := m.Member(i)
-		if d := threeWayDiff(got, a.Eval(doc), a.EvalReference(doc)); d != "" {
+		if d := reltest.ThreeWayDiff("fused", got, "standalone", a.Eval(doc), a.EvalReference(doc)); d != "" {
 			t.Errorf("member %d on %q:\n%s", i, doc, d)
 		}
 	}
@@ -254,7 +224,7 @@ func TestSingleIsUnaryMulti(t *testing.T) {
 				c.a.SetEvalMetrics(&em)
 				fused := m.Eval(doc)[0]
 				c.a.SetEvalMetrics(nil)
-				if d := threeWayDiff(fused, c.a.Eval(doc), c.a.EvalReference(doc)); d != "" {
+				if d := reltest.ThreeWayDiff("fused", fused, "standalone", c.a.Eval(doc), c.a.EvalReference(doc)); d != "" {
 					t.Errorf("on %q:\n%s", doc, d)
 				}
 			}
@@ -652,7 +622,7 @@ func FuzzMultiVsMembers(f *testing.F) {
 		rels := m.Eval(doc)
 		for i, got := range rels {
 			mem := m.Member(i)
-			if d := threeWayDiff(got, mem.Eval(doc), mem.EvalReference(doc)); d != "" {
+			if d := reltest.ThreeWayDiff("fused", got, "standalone", mem.Eval(doc), mem.EvalReference(doc)); d != "" {
 				t.Fatalf("member %d diverged on %q:\n%s%s", i, doc, d, mem)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/alphabet"
+	"repro/internal/reltest"
 )
 
 // rawSigmaStar appends a Σ*-loop between from and to on r.
@@ -236,7 +237,7 @@ func FuzzEvalWindowVsReference(f *testing.F) {
 		}
 		// The same automaton as a Multi of one: the other entry point to
 		// the same scan.
-		if d := threeWayDiff(NewMulti(a).Eval(doc)[0], got, want); d != "" {
+		if d := reltest.ThreeWayDiff("multi of one", NewMulti(a).Eval(doc)[0], "eval", got, want); d != "" {
 			t.Fatalf("Multi of one disagrees on %q:\n%s%s", doc, d, a)
 		}
 	})
