@@ -92,7 +92,6 @@ import (
 // drain path is testable without a process and a real SIGTERM.
 type daemon struct {
 	srv        *http.Server
-	eng        *engine.Engine
 	cancelBase context.CancelFunc
 	drain      time.Duration
 }
@@ -108,7 +107,6 @@ func newDaemon(addr string, eng *engine.Engine, cfg serverConfig, drain time.Dur
 			ReadHeaderTimeout: 10 * time.Second,
 			BaseContext:       func(net.Listener) context.Context { return base },
 		},
-		eng:        eng,
 		cancelBase: cancel,
 		drain:      drain,
 	}
@@ -131,13 +129,13 @@ func (d *daemon) shutdown() error {
 	ctx, cancel := context.WithTimeout(context.Background(), d.drain)
 	defer cancel()
 	err := d.srv.Shutdown(ctx)
+	// Nothing is in flight any more (tidy up the base context), or the
+	// drain deadline passed: cancel every in-flight request's context and
+	// tear the connections down.
+	d.cancelBase()
 	if err == nil {
-		d.cancelBase() // nothing in flight; tidy up the base context
 		return nil
 	}
-	// Drain deadline exceeded: cancel every in-flight request's context
-	// and tear the connections down.
-	d.cancelBase()
 	closeErr := d.srv.Close()
 	if closeErr != nil && !errors.Is(closeErr, http.ErrServerClosed) {
 		return closeErr
@@ -189,9 +187,6 @@ func main() {
 		// other admitted requests.
 		requestWorkers = (2*nWorkers + tokens - 1) / tokens
 	}
-	if requestWorkers < 0 {
-		requestWorkers = 0 // uncapped: engine default (= Workers)
-	}
 
 	eng := engine.New(engine.Config{
 		PlanCache:         *cacheSize,
@@ -199,7 +194,7 @@ func main() {
 		TenantPlans:       *tenPlans,
 		TenantPlanBytes:   *tenBytes,
 		Workers:           nWorkers,
-		RequestWorkers:    requestWorkers,
+		RequestWorkers:    requestWorkers, // ≤ 0: uncapped, the engine's default
 		Batch:             *batch,
 		ChunkSize:         *chunk,
 		StateLimit:        *limit,

@@ -23,11 +23,11 @@ import (
 	"repro/internal/span"
 )
 
-// maxJSONBody bounds JSON request bodies. Streamed documents (raw or
-// multipart bodies) may be arbitrarily long on the incremental path;
-// whatever the engine must hold in memory (whole buffered documents,
-// the streaming carry-over) is bounded by its MaxDocBuffer budget and
-// rejected with 413 beyond it.
+// maxJSONBody bounds JSON request bodies (413 beyond it; see decodeJSON).
+// Streamed documents (raw or multipart bodies) may be arbitrarily long on
+// the incremental path; whatever the engine must hold in memory (whole
+// buffered documents, the streaming carry-over) is bounded by its
+// MaxDocBuffer budget and rejected with 413 beyond it.
 const maxJSONBody = 64 << 20
 
 // extractRequest is the JSON request body of /v1/extract and /v1/check.
@@ -38,8 +38,8 @@ type extractRequest struct {
 	Doc          string `json:"doc,omitempty"`
 }
 
-func (r extractRequest) engineRequest() engine.Request {
-	return engine.Request{Spanner: r.Spanner, SplitSpanner: r.SplitSpanner, Splitter: r.Splitter}
+func (r extractRequest) engineRequest(tenant string) engine.Request {
+	return engine.Request{Spanner: r.Spanner, SplitSpanner: r.SplitSpanner, Splitter: r.Splitter, Tenant: tenant}
 }
 
 // planResponse is the shared verdict section of responses.
@@ -113,6 +113,8 @@ type serverConfig struct {
 	// tenantHeader names the HTTP header carrying the tenant key for the
 	// plan cache's per-tenant quotas. Empty disables tenant attribution.
 	tenantHeader string
+	// maxJSON bounds JSON request bodies; 0 selects maxJSONBody.
+	maxJSON int64
 }
 
 type server struct {
@@ -131,6 +133,9 @@ func newServer(eng *engine.Engine) http.Handler {
 // metrics live in the engine's registry, so GET /metrics exposes the
 // whole stack's series on one page.
 func newServerWith(eng *engine.Engine, cfg serverConfig) http.Handler {
+	if cfg.maxJSON == 0 {
+		cfg.maxJSON = maxJSONBody
+	}
 	s := &server{eng: eng, m: newHTTPMetrics(eng.Registry()), cfg: cfg}
 	if cfg.limiter != nil {
 		cfg.limiter.Register(eng.Registry())
@@ -195,10 +200,7 @@ func (s *server) writeShed(w http.ResponseWriter, err error) {
 // tenantOf extracts the request's tenant key for the plan cache's
 // per-tenant quotas.
 func (s *server) tenantOf(r *http.Request) string {
-	if s.cfg.tenantHeader == "" {
-		return ""
-	}
-	return r.Header.Get(s.cfg.tenantHeader)
+	return r.Header.Get(s.cfg.tenantHeader) // "" for the empty name
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -239,6 +241,31 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// bodyError answers a request whose body — or the part of it called what —
+// could not be read or parsed: 413 naming the limit when it ran into its
+// http.MaxBytesReader, else 400. Connection: close skips draining the rest
+// of an oversized body (the metrics wrapper hides w from the reader's hook).
+func bodyError(w http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		w.Header().Set("Connection", "close")
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s exceeds %d bytes", what, tooBig.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
+}
+
+// decodeJSON reads a JSON request body of at most limit bytes into v, or
+// answers the request (see bodyError) and returns false. A limit that only
+// truncated would have the decoder call a large inline document malformed.
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err != nil {
+		bodyError(w, "JSON body", err)
+	}
+	return err == nil
+}
+
 // handleExtract serves POST /v1/extract. Three request shapes:
 //
 //   - application/json: {"spanner", "splitter", "split_spanner", "doc"}
@@ -254,18 +281,10 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	switch ctype {
 	case "application/json":
 		var req extractRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, maxJSONBody)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+		if !decodeJSON(w, r, s.cfg.maxJSON, &req) {
 			return
 		}
-		ereq := req.engineRequest()
-		ereq.Tenant = s.tenantOf(r)
-		// The document is already in memory; evaluate it directly
-		// instead of paying the chunked-ingestion machinery.
-		s.runExtract(w, r, ereq, "inline",
-			func(plan *engine.Plan) (*span.Relation, engine.Execution, error) {
-				return s.eng.Run(r.Context(), plan, req.Doc)
-			})
+		s.runExtract(w, r, req.engineRequest(s.tenantOf(r)), req.Doc, nil)
 	case "multipart/form-data":
 		mr, err := r.MultipartReader()
 		if err != nil {
@@ -286,18 +305,13 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 			if part.FormName() == "doc" {
 				// Formula fields must precede the doc part so the plan
 				// exists before streaming begins.
-				s.extract(w, r, req, part)
+				s.runExtract(w, r, req, "", part)
 				return
 			}
 			const maxFormula = 1 << 20
-			val, err := io.ReadAll(io.LimitReader(part, maxFormula+1))
+			val, err := io.ReadAll(http.MaxBytesReader(w, part, maxFormula))
 			if err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
-			}
-			if len(val) > maxFormula {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("multipart field %q exceeds %d bytes", part.FormName(), maxFormula))
+				bodyError(w, fmt.Sprintf("multipart field %q", part.FormName()), err)
 				return
 			}
 			switch part.FormName() {
@@ -317,17 +331,8 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 			SplitSpanner: q.Get("split_spanner"),
 			Tenant:       s.tenantOf(r),
 		}
-		s.extract(w, r, req, r.Body)
+		s.runExtract(w, r, req, "", r.Body)
 	}
-}
-
-// extract serves a document arriving as a stream (raw body or multipart
-// part).
-func (s *server) extract(w http.ResponseWriter, r *http.Request, req engine.Request, doc io.Reader) {
-	s.runExtract(w, r, req, "",
-		func(plan *engine.Plan) (*span.Relation, engine.Execution, error) {
-			return s.eng.RunReader(r.Context(), plan, doc)
-		})
 }
 
 // planErrStatus classifies a Plan error: a coalesced waiter can see its
@@ -362,22 +367,27 @@ func extractErrStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// extractFunc evaluates a planned request's document and reports the
-// route it took.
-type extractFunc func(*engine.Plan) (*span.Relation, engine.Execution, error)
-
-func (s *server) runExtract(w http.ResponseWriter, r *http.Request, req engine.Request, ingest string, run extractFunc) {
+// runExtract plans the request and evaluates its document: stream (a raw
+// request body or a multipart part), or, when stream is nil, doc — an
+// inline document is evaluated directly, not through chunked ingestion.
+func (s *server) runExtract(w http.ResponseWriter, r *http.Request, req engine.Request, doc string, stream io.Reader) {
 	plan, hit, err := s.eng.Plan(r.Context(), req)
 	if err != nil {
 		writeError(w, planErrStatus(err), err)
 		return
 	}
-	if ingest == "" {
+	ingest := "inline"
+	if stream != nil {
+		ingest = "buffered"
 		if s.eng.WillStream(plan) {
 			ingest = "streamed"
-		} else {
-			ingest = "buffered"
 		}
+	}
+	run := func() (*span.Relation, engine.Execution, error) {
+		if stream == nil {
+			return s.eng.Run(r.Context(), plan, doc)
+		}
+		return s.eng.RunReader(r.Context(), plan, stream)
 	}
 	if acceptsMultipart(r) {
 		type planPart struct {
@@ -387,7 +397,7 @@ func (s *server) runExtract(w http.ResponseWriter, r *http.Request, req engine.R
 		}
 		respondMultipart(w, planPart{planResponse: planSection(plan, hit), Ingest: ingest, Vars: plan.Vars()}, "tuples",
 			func() (any, epilogue, error) {
-				rel, exec, err := run(plan)
+				rel, exec, err := run()
 				if err != nil {
 					return nil, epilogue{}, err
 				}
@@ -395,9 +405,9 @@ func (s *server) runExtract(w http.ResponseWriter, r *http.Request, req engine.R
 			})
 		return
 	}
-	rel, exec, err := run(plan)
+	rel, exec, err := run()
 	if err != nil {
-		if ingest != "inline" {
+		if stream != nil {
 			// The document body was abandoned mid-read (stall, deadline,
 			// size cap, cancellation). The connection cannot be reused, and
 			// — decisive for the 408 path — without Connection: close the
@@ -567,13 +577,11 @@ func appendQueries(dst []byte, plan *engine.Plan, spanners []string, results []e
 func (s *server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 	ctype, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	var req extractBatchRequest
-	inline := false
-	if ctype == "application/json" {
-		if err := json.NewDecoder(io.LimitReader(r.Body, maxJSONBody)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+	inline := ctype == "application/json"
+	if inline {
+		if !decodeJSON(w, r, s.cfg.maxJSON, &req) {
 			return
 		}
-		inline = true
 	} else {
 		req.Spanners = r.URL.Query()["spanner"]
 	}
@@ -634,13 +642,10 @@ func (s *server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 // run the PSPACE procedures once.
 func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	var req extractRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxJSONBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+	if !decodeJSON(w, r, s.cfg.maxJSON, &req) {
 		return
 	}
-	ereq := req.engineRequest()
-	ereq.Tenant = s.tenantOf(r)
-	plan, hit, err := s.eng.Plan(r.Context(), ereq)
+	plan, hit, err := s.eng.Plan(r.Context(), req.engineRequest(s.tenantOf(r)))
 	if err != nil {
 		writeError(w, planErrStatus(err), err)
 		return

@@ -10,7 +10,7 @@
 // connection count:
 //
 //	spand -addr :8080 &
-//	spanload -target http://127.0.0.1:8080 -conns 1,4,16 -dur 5s -json BENCH_PR6.json
+//	spanload -target http://127.0.0.1:8080 -conns 1,4,16 -dur 5s -json concurrency.json
 //
 // -overload selects the OVERLOAD experiment instead: after closed-loop
 // baselines (one connection for the latency reference, NumCPU
@@ -20,7 +20,7 @@
 // request is a 429 with Retry-After, nothing else fails:
 //
 //	spand -addr :8080 -admit 4 -admit-queue 8 &
-//	spanload -target http://127.0.0.1:8080 -overload -rates 1,2,3 -json BENCH_PR8.json
+//	spanload -target http://127.0.0.1:8080 -overload -rates 1,2,3 -json overload.json
 //
 // In overload mode spanload exits non-zero when the contract is
 // violated: any non-429 error, any 429 without a valid Retry-After, or

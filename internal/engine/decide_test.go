@@ -157,8 +157,11 @@ func TestPlanCompilationLeavesScannerUnbuilt(t *testing.T) {
 	if _, exec, err := e.Run(context.Background(), plan, emailDoc); err != nil || exec != ExecWhole {
 		t.Fatalf("small document took the %v route (err %v)", exec, err)
 	}
+	if _, exec, err := e.RunReader(context.Background(), plan, strings.NewReader(emailDoc)); err != nil || exec != ExecWhole {
+		t.Fatalf("small streamed document took the %v route (err %v)", exec, err)
+	}
 	if plan.s.ScannerBuilt() {
-		t.Fatal("planning and a whole-route document built the splitter's scanner")
+		t.Fatal("planning and whole-route documents built the splitter's scanner")
 	}
 	doc := strings.Repeat(emailDoc+" ", breakEven/len(emailDoc)+1)
 	if _, exec, err := e.Run(context.Background(), plan, doc); err != nil || exec != ExecChunked {

@@ -208,7 +208,7 @@ type Stats struct {
 	// StageStats.Share).
 	Stages map[string]StageStats `json:"stages"`
 	// Segmenter reports how streamed documents were segmented: resumable
-	// compiled-scanner feeds versus fallback re-scanned bytes and bails.
+	// compiled-scanner feeds, and scanner bails.
 	Segmenter SegmenterStats `json:"segmenter"`
 	// Executor reports the work-stealing executor's scheduling counters.
 	Executor ExecStats `json:"executor"`
@@ -403,7 +403,7 @@ func (e *Engine) Run(ctx context.Context, plan *Plan, doc string) (*span.Relatio
 //
 // Everything else buffers, since incremental segmentation of a
 // disjoint-but-non-local splitter can silently mis-segment. See
-// segmenter and internal/core/locality.go.
+// scanSegmenter and internal/core/locality.go.
 func (e *Engine) WillStream(plan *Plan) bool {
 	if plan.Strategy != StrategySplit || plan.Verdicts.Disjoint != core.VerdictYes {
 		return false
@@ -447,14 +447,8 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 		defer sr.stop()
 		r = sr
 	}
-	if !e.WillStream(plan) {
-		doc, err := e.readAllBounded(ctx, r)
-		if err != nil {
-			return span.NewRelation(plan.p.Vars...), ExecWhole, err
-		}
-		return e.Run(ctx, plan, doc)
-	}
-	if !e.splitPays(plan, 0) {
+	stream := e.WillStream(plan)
+	if stream && !e.splitPays(plan, 0) {
 		// Some documents of this plan are better off whole. Read up to the
 		// break-even before committing to the streamed route: a stream that
 		// ends first is one of them, and a longer one loses nothing — what
@@ -472,6 +466,20 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 		}
 		r = io.MultiReader(bytes.NewReader(prefix), r)
 	}
+	var run *core.ScanRun
+	if stream {
+		// nil for a forged plan only: WillStream demands Disjoint == yes,
+		// decidePlan takes that verdict from Splitter.IsDisjoint, and the
+		// disjoint splitters are exactly those with a compiled scanner.
+		run, _ = plan.s.NewScanRun()
+	}
+	if run == nil {
+		doc, err := e.readAllBounded(ctx, r)
+		if err != nil {
+			return span.NewRelation(plan.p.Vars...), ExecWhole, err
+		}
+		return e.Run(ctx, plan, doc)
+	}
 	e.m.documents.Inc()
 	e.m.streamedDocs.Inc()
 	exec, ev, chunks := ExecSplit, plan.ps, chunked(plan)
@@ -486,7 +494,7 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 	readErr := make(chan error, 1)
 	go func() {
 		defer close(batches)
-		g := e.newDocSegmenter(plan, chunks)
+		g := &scanSegmenter{run: run, s: plan.s, m: e.m, chunks: chunks}
 		chunk := make([]byte, e.cfg.ChunkSize)
 		// Segmentation time accumulates across the incremental feed/flush
 		// calls and is recorded once per document when the producer exits.

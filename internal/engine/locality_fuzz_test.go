@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,42 +74,72 @@ func randomSplitterFormula(rng *rand.Rand) string {
 	return ctx[rng.Intn(len(ctx))] + "(x{" + piece(2) + "})" + ctx[rng.Intn(len(ctx))]
 }
 
-// chunkedSegments drives the engine's real segmenters over doc in fixed
-// n-byte chunks the way ExtractReader does — one read buffer reused for
-// every chunk, here scribbled over with separator bytes after each feed —
-// and holds every emitted segment to the end, so a Text that aliased the
-// read buffer or the segmenter's compacted carry-over would come back
-// changed. It returns one segmentation per segmenter: the re-splitting
-// fallback and, when the splitter compiled a scanner, the scanner-backed
-// one whose segments share one string per feed.
-func chunkedSegments(s *core.Splitter, doc string, n int) [][]parallel.Segment {
-	segmenters := []docSegmenter{newSegmenter(s)}
-	if g, ok := newScanSegmenter(s, nil); ok {
-		segmenters = append(segmenters, g)
-	}
-	outs := make([][]parallel.Segment, len(segmenters))
+// chunkedSegments drives the engine's segmenter over doc in fixed n-byte
+// chunks the way RunReader does — one read buffer reused for every chunk,
+// here scribbled over with separator bytes after each feed — and holds
+// every emitted segment to the end, so a Text that aliased the read buffer
+// or the segmenter's compacted carry-over would come back changed. bailed
+// reports whether the scanner gave up on the way.
+func chunkedSegments(t testing.TB, s *core.Splitter, doc string, n int, chunks bool) (segs []parallel.Segment, bailed bool) {
+	g := newTestSegmenter(t, s, chunks)
+	var out []parallel.Segment
 	chunk := make([]byte, n)
-	for i, g := range segmenters {
-		for lo := 0; lo < len(doc); lo += n {
-			m := copy(chunk, doc[lo:])
-			outs[i] = append(outs[i], g.feed(chunk[:m])...)
-			for j := range chunk {
-				chunk[j] = ".;! \n"[j%5]
-			}
+	for lo := 0; lo < len(doc); lo += n {
+		m := copy(chunk, doc[lo:])
+		out = append(out, g.feed(chunk[:m])...)
+		for j := range chunk {
+			chunk[j] = ".;! \n"[j%5]
 		}
-		outs[i] = append(outs[i], g.flush()...)
 	}
-	return outs
+	return append(out, g.flush()...), g.run.Bailed()
+}
+
+// checkBothGrains holds the segmenter to S(d) at both grains for one read
+// size: per segment, byte-identical to the one-shot segmentation; at chunk
+// grain, the geometry TestScanSegmenterChunksCoverEverySpan states — every
+// chunk is the document between a span start and a span end, chunks come
+// in document order, and every span of S(d) lies in exactly one. The one
+// exception is the bail protocol's: the tail chunk starts at the scanner's
+// anchor, which may be the start of the last span an earlier chunk covered.
+func checkBothGrains(t testing.TB, s *core.Splitter, doc string, n int, want []parallel.Segment) error {
+	got, _ := chunkedSegments(t, s, doc, n, false)
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("chunk=%d per segment:\ngot:  %v\nwant: %v", n, got, want)
+	}
+	chunks, bailed := chunkedSegments(t, s, doc, n, true)
+	next := 0 // first span no chunk has covered yet
+	for i, c := range chunks {
+		if c.Text != c.Span.In(doc) {
+			return fmt.Errorf("chunk=%d: chunk %v carries %q", n, c.Span, c.Text)
+		}
+		if bailed && i == len(chunks)-1 && next > 0 && c.Span.Start == want[next-1].Span.Start {
+			next--
+		}
+		if next == len(want) || c.Span.Start != want[next].Span.Start {
+			return fmt.Errorf("chunk=%d: chunk %v does not start at the next span of %v", n, c.Span, want[next:])
+		}
+		for next < len(want) && want[next].Span.End <= c.Span.End {
+			next++
+		}
+		if want[next-1].Span.End != c.Span.End {
+			return fmt.Errorf("chunk=%d: chunk %v does not end at a span end of %v", n, c.Span, want)
+		}
+	}
+	if next != len(want) {
+		return fmt.Errorf("chunk=%d: spans %v were never covered by a chunk", n, want[next:])
+	}
+	return nil
 }
 
 // FuzzLocalityVsBuffered is the soundness contract of the locality
 // decision procedure: whenever IsLocal proves a fuzzed splitter local,
-// both of the engine's incremental segmenters must produce byte-identical
-// segmentations at adversarial chunk sizes — 1 (every boundary lands
-// mid-segment), 7 (misaligned with everything) and 4096 (typically one
-// chunk) — on fuzzed documents. A failure here means a "local" verdict
-// admitted a splitter that incremental streaming mis-segments, i.e. a
-// hole in the procedure's proof, not a flaky test.
+// the engine's incremental segmenter must reproduce the one-shot
+// segmentation at both grains (see checkBothGrains) at adversarial chunk
+// sizes — 1 (every boundary lands mid-segment), 7 (misaligned with
+// everything) and 4096 (typically one chunk) — on fuzzed documents. A
+// failure here means a "local" verdict admitted a splitter that
+// incremental streaming mis-segments, i.e. a hole in the procedure's
+// proof, not a flaky test.
 func FuzzLocalityVsBuffered(f *testing.F) {
 	f.Add(uint8(0), byte(0), byte(1), int64(1), "one. two! three\nfour.")
 	f.Add(uint8(1), byte(4), byte(3), int64(2), "a b  c\nd ")
@@ -139,17 +170,8 @@ func FuzzLocalityVsBuffered(f *testing.F) {
 		}
 		want := parallel.SegmentsOf(doc, s.Split(doc))
 		for _, n := range []int{1, 7, 4096} {
-			for k, got := range chunkedSegments(s, doc, n) {
-				if len(got) != len(want) {
-					t.Fatalf("chunk=%d segmenter=%d: %d segments, want %d\nsplitter: %s\ndoc: %q\ngot:  %v\nwant: %v",
-						n, k, len(got), len(want), src, doc, got, want)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("chunk=%d segmenter=%d: segment %d = %+v, want %+v\nsplitter: %s\ndoc: %q",
-							n, k, i, got[i], want[i], src, doc)
-					}
-				}
+			if err := checkBothGrains(t, s, doc, n, want); err != nil {
+				t.Fatalf("%v\nsplitter: %s\ndoc: %q", err, src, doc)
 			}
 		}
 	})
@@ -183,10 +205,8 @@ func TestLocalityFuzzCorpusSmoke(t *testing.T) {
 			for _, doc := range docs {
 				want := parallel.SegmentsOf(doc, s.Split(doc))
 				for _, n := range []int{1, 7, 4096} {
-					for k, got := range chunkedSegments(s, doc, n) {
-						if fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("mode=%d chunk=%d segmenter=%d doc=%q splitter=%s:\ngot:  %v\nwant: %v", mode, n, k, doc, src, got, want)
-						}
+					if err := checkBothGrains(t, s, doc, n, want); err != nil {
+						t.Fatalf("mode=%d doc=%q splitter=%s: %v", mode, doc, src, err)
 					}
 				}
 			}

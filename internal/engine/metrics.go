@@ -75,12 +75,11 @@ type Metrics struct {
 
 	// Streaming-segmenter counters. segResumed counts chunk feeds the
 	// compiled scanner consumed by resuming from saved DFA state (each
-	// byte scanned exactly once); segRescanned counts bytes the
-	// re-splitting fallback scanned more than once; segBails counts
-	// mid-document scanner bails that handed a stream to the fallback.
-	segResumed   obs.Counter
-	segRescanned obs.Counter
-	segBails     obs.Counter
+	// byte scanned exactly once); segBails counts mid-document scanner
+	// bails, after which a stream is buffered from the scanner's anchor
+	// and segmented at the flush.
+	segResumed obs.Counter
+	segBails   obs.Counter
 
 	stages [numStages]obs.Histogram // wall ns per request, by Stage
 	decide obs.Histogram            // wall ns per cold compilation (nested in plan)
@@ -106,8 +105,7 @@ func newMetrics(e *Engine) *Metrics {
 	r.BindCounter("spanners_engine_bytes_total", "document bytes ingested", &m.bytes)
 	r.BindCounter("spanners_engine_segments_total", "splitter spans of documents on the split route, at either grain", &m.segments)
 	r.BindCounter("spanners_engine_segmenter_resumed_feeds_total", "chunk feeds consumed by the resumable compiled scanner", &m.segResumed)
-	r.BindCounter("spanners_engine_segmenter_rescanned_bytes_total", "bytes re-scanned by the re-splitting fallback segmenter", &m.segRescanned)
-	r.BindCounter("spanners_engine_segmenter_bails_total", "compiled-scanner bails to the fallback segmenter", &m.segBails)
+	r.BindCounter("spanners_engine_segmenter_bails_total", "compiled-scanner bails: streamed documents buffered from the scanner's anchor to their end", &m.segBails)
 
 	for s := Stage(0); s < numStages; s++ {
 		r.BindDurationHistogram(`spanners_engine_stage_seconds{stage="`+s.String()+`"}`,
@@ -197,15 +195,13 @@ type StageStats struct {
 	P99MS float64 `json:"p99_ms,omitempty"`
 }
 
-// SegmenterStats is the /v1/stats view of the streaming segmenter: how
-// much of the segmentation ran on the resumable compiled scanner
-// (ResumedFeeds, every byte scanned once) versus the re-splitting
-// fallback (RescannedBytes, the extra work it pays), and how often a
-// scanner bailed mid-document (Bails).
+// SegmenterStats is the /v1/stats view of the streaming segmenter: the
+// feeds its resumable compiled scanner consumed (ResumedFeeds, every
+// byte scanned once) and how often a scanner bailed mid-document
+// (Bails), leaving the rest of that document to be buffered.
 type SegmenterStats struct {
-	ResumedFeeds   uint64 `json:"resumed_feeds"`
-	RescannedBytes uint64 `json:"rescanned_bytes"`
-	Bails          uint64 `json:"bails"`
+	ResumedFeeds uint64 `json:"resumed_feeds"`
+	Bails        uint64 `json:"bails"`
 }
 
 // ExecStats is the /v1/stats view of the work-stealing executor.
@@ -288,9 +284,8 @@ func (m *Metrics) execStats(workers int) ExecStats {
 
 func (m *Metrics) segmenterStats() SegmenterStats {
 	return SegmenterStats{
-		ResumedFeeds:   m.segResumed.Load(),
-		RescannedBytes: m.segRescanned.Load(),
-		Bails:          m.segBails.Load(),
+		ResumedFeeds: m.segResumed.Load(),
+		Bails:        m.segBails.Load(),
 	}
 }
 

@@ -1,0 +1,167 @@
+package engine
+
+import (
+	"context"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/library"
+	"repro/internal/parallel"
+	"repro/internal/refword"
+	"repro/internal/regexformula"
+	"repro/internal/reltest"
+	"repro/internal/span"
+	"repro/internal/vsa"
+)
+
+// The other differentials of this package compare neighbouring layers and
+// are anchored at EvalReference, which shares the automaton pipeline with
+// the code under test. This one is anchored at the paper's semantics: on
+// documents short enough to enumerate, the expected relation is
+// {t : the ref-word of (d, t) is accepted by P} over all span tuples of d
+// (internal/refword, which simulates the automaton's extended transitions
+// and nothing else), and every route a streamed document can take is held
+// to it — including the two a scanner bail reroutes.
+
+// refwordRelation enumerates ⟦a⟧(d) by the definition.
+func refwordRelation(a *vsa.Automaton, doc string) *span.Relation {
+	rel := span.NewRelation(a.Vars...)
+	t := make(span.Tuple, a.Arity())
+	var fill func(v int)
+	fill = func(v int) {
+		if v == len(t) {
+			if refword.Accepts(a, refword.Encode(doc, t)) {
+				rel.Tuples = append(rel.Tuples, slices.Clone(t))
+			}
+			return
+		}
+		for i := 1; i <= len(doc)+1; i++ {
+			for j := i; j <= len(doc)+1; j++ {
+				t[v] = span.Span{Start: i, End: j}
+				fill(v + 1)
+			}
+		}
+	}
+	fill(0)
+	return rel
+}
+
+// oracleDocs returns the case's table plus seeded random concatenations of
+// its fragments, none longer than limit bytes.
+func oracleDocs(rng *rand.Rand, table, fragments []string, limit, random int) []string {
+	docs := slices.Clone(table)
+	for range random {
+		var b strings.Builder
+		for n := rng.Intn(8); n > 0; n-- {
+			if f := fragments[rng.Intn(len(fragments))]; b.Len()+len(f) <= limit {
+				b.WriteString(f)
+			}
+		}
+		docs = append(docs, b.String())
+	}
+	return docs
+}
+
+// bailingPlan is a pair whose splitter commits spans and then bails: S
+// selects every maximal run of a/b — always, so the scanner commits those
+// closes — and marks every ',' with an empty span only on documents that
+// end in '!', which no scanner can commit. P is S itself and P_S selects
+// the whole segment, so P = P_S ∘ S on every document. S is not local by
+// the procedure's standard (its output depends on the suffix), but neither
+// rule looks at the prefix, so cutting at a span start — what the bail
+// protocol does — is sound; not being cut-safe, it reaches the chunk grain
+// only here, never through the engine.
+func bailingPlan() *Plan {
+	runs := func(v string) string {
+		run := "(" + v + "{[ab]+})"
+		return run + "([^ab].*)?|.*[^ab]" + run + "([^ab].*)?|.*(" + v + "{}),.*!"
+	}
+	return &Plan{
+		p:        regexformula.MustCompile(runs("y")),
+		ps:       regexformula.MustCompile("y{.*}"),
+		s:        core.MustSplitter(regexformula.MustCompile(runs("x"))),
+		Strategy: StrategySplit,
+		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes},
+	}
+}
+
+func TestRoutesAgainstRefWordOracle(t *testing.T) {
+	sentences := []string{"", ".", "bad tea", "x.bad tea. a bad day", "so bad tea! bad\nbad x", "bad a?bad b.bad c\n", "cc bob@corp. a@b!x@"}
+	prose := []string{"bad ", "tea", "a", " ", ".", "!", "\n", "?", "@", "b@c", "x1"}
+	type oracleCase struct {
+		name             string
+		plan             *Plan
+		table, fragments []string
+		limit            int
+	}
+	var cases []oracleCase
+	for _, c := range executionCases(t) {
+		cases = append(cases, oracleCase{c.name, c.plan, sentences, prose, 24})
+	}
+	pay := library.FinanceEvents()
+	cases = append(cases,
+		oracleCase{"finance/sentences/self", decidedPlan(t, pay, pay, library.Sentences()),
+			[]string{"", "Ab paid Cd", "Ab paid C.", "Ab paid Cd."}, []string{"Ab", "Cd", " paid ", ".", " ", "x"}, 11},
+		oracleCase{"runs-and-marks/bails", bailingPlan(),
+			[]string{"", "ab ,b!", "ab b ,a", "ab,b!", ",!", "ab a,b ,!", "a b a", "ab a,b! ,b"}, []string{"a", "b", "ab", " ", ",", "!", "x"}, 24})
+
+	rng := rand.New(rand.NewSource(22))
+	engines := map[int]*Engine{}
+	for _, n := range []int{1, 3} {
+		engines[n] = New(Config{Workers: 2, ChunkSize: n, StreamIncremental: true})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, ps, s := c.plan.p, c.plan.ps, c.plan.s
+			committedThenBailed, tuples := false, 0
+			for _, doc := range oracleDocs(rng, c.table, c.fragments, c.limit, 24) {
+				want := refwordRelation(p, doc)
+				tuples += want.Len()
+				eval := p.Eval(doc)
+				hold := func(route string, got *span.Relation) {
+					t.Helper()
+					if d := reltest.ThreeWayDiff("P.Eval", eval, route, got, want); d != "" {
+						t.Fatalf("doc %q: %s", doc, d)
+					}
+				}
+				var spans []span.Span
+				for _, tu := range refwordRelation(s.Automaton(), doc).Tuples {
+					spans = append(spans, tu[0])
+				}
+				slices.SortFunc(spans, span.Span.Compare)
+				if ref := s.SplitReference(doc); !slices.Equal(ref, spans) {
+					t.Fatalf("doc %q: SplitReference = %v, the ref-word semantics give %v", doc, ref, spans)
+				}
+				hold("P_S ∘ S", parallel.SplitEval(ps, parallel.SegmentsOf(doc, spans), 1))
+				for _, n := range []int{1, 3} {
+					segs, _ := chunkedSegments(t, s, doc, n, false)
+					if !slices.Equal(segs, parallel.SegmentsOf(doc, spans)) {
+						t.Fatalf("doc %q read %d: streamed segments %v, the ref-word semantics give %v", doc, n, segs, spans)
+					}
+					hold("streamed per segment", parallel.SplitEval(ps, segs, 1))
+					chunks, bailed := chunkedSegments(t, s, doc, n, true)
+					hold("streamed per chunk", parallel.SplitEval(p, chunks, 1))
+					if bailed && len(chunks) > 1 {
+						committedThenBailed = true
+					}
+					// The engine's own choice: whole for a licensed plan's
+					// small document, streamed per segment for the unproven one.
+					got, _, err := engines[n].RunReader(context.Background(), c.plan, &fixedChunkReader{s: doc, n: n})
+					if err != nil {
+						t.Fatalf("doc %q read %d: RunReader: %v", doc, n, err)
+					}
+					hold("RunReader", got)
+				}
+			}
+			if tuples == 0 {
+				t.Fatal("every expected relation was empty")
+			}
+			if bails := strings.HasSuffix(c.name, "/bails"); bails != committedThenBailed {
+				t.Fatalf("a scanner committed spans and then bailed: %v, want %v", committedThenBailed, bails)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -12,85 +13,30 @@ import (
 	"repro/internal/regexformula"
 )
 
-// collect runs the segmenter over doc in chunks of size n and returns
-// all emitted segments in order.
-func collect(doc string, n int) []parallel.Segment {
-	g := newSegmenter(library.Sentences())
-	var out []parallel.Segment
-	for lo := 0; lo < len(doc); lo += n {
-		hi := lo + n
-		if hi > len(doc) {
-			hi = len(doc)
-		}
-		out = append(out, g.feed([]byte(doc[lo:hi]))...)
-	}
-	return append(out, g.flush()...)
-}
-
-func TestSegmenterMatchesOneShotSplit(t *testing.T) {
-	docs := []string{
-		"",
-		".",
-		"no terminator at all",
-		"one. two! three? four\nfive.",
-		"trailing terminator.",
-		"..!!..",
-		"a.b.c.d.e.f.g.h",
-	}
-	s := library.Sentences()
-	for _, doc := range docs {
-		want := parallel.SegmentsOf(doc, s.Split(doc))
-		for n := 1; n <= len(doc)+1; n++ {
-			got := collect(doc, n)
-			if len(got) != len(want) {
-				t.Fatalf("doc %q chunk %d: %d segments, want %d (%v vs %v)", doc, n, len(got), len(want), got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("doc %q chunk %d: segment %d = %+v, want %+v", doc, n, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestSegmenterCarryKeepsBufferSmall(t *testing.T) {
-	// After feeding many complete sentences the buffer must hold only
-	// the still-open tail, not the whole document.
-	g := newSegmenter(library.Sentences())
-	for i := 0; i < 100; i++ {
-		g.feed([]byte("a sentence here. "))
-	}
-	if len(g.buf) > 64 {
-		t.Fatalf("buffer grew to %d bytes; carry-over is not trimming", len(g.buf))
-	}
-}
-
-// collectScan runs the scanner-backed segmenter over doc in chunks of
-// size n; collectChunks does the same at chunk grain, one segment per
-// feed that committed spans.
+// collectScan runs the segmenter over doc in chunks of size n (through
+// chunkedSegments' recycled read buffer); collectChunks does the same at
+// chunk grain, one segment per feed that committed spans.
 func collectScan(t *testing.T, s *core.Splitter, doc string, n int) []parallel.Segment {
 	t.Helper()
-	return collectFeeds(t, s, doc, n, false)
+	segs, _ := chunkedSegments(t, s, doc, n, false)
+	return segs
 }
 
 func collectChunks(t *testing.T, s *core.Splitter, doc string, n int) []parallel.Segment {
 	t.Helper()
-	return collectFeeds(t, s, doc, n, true)
+	segs, _ := chunkedSegments(t, s, doc, n, true)
+	return segs
 }
 
-func collectFeeds(t *testing.T, s *core.Splitter, doc string, n int, chunks bool) []parallel.Segment {
+// newTestSegmenter builds the engine's segmenter outside an engine (no
+// metrics), as RunReader does for a plan that streams.
+func newTestSegmenter(t testing.TB, s *core.Splitter, chunks bool) *scanSegmenter {
 	t.Helper()
-	g, ok := newScanSegmenter(s, nil)
+	run, ok := s.NewScanRun()
 	if !ok {
 		t.Fatalf("splitter has no compiled scanner")
 	}
-	g.chunks = chunks
-	var out []parallel.Segment
-	for lo := 0; lo < len(doc); lo += n {
-		out = append(out, g.feed([]byte(doc[lo:min(lo+n, len(doc))]))...)
-	}
-	return append(out, g.flush()...)
+	return &scanSegmenter{run: run, s: s, chunks: chunks}
 }
 
 func TestScanSegmenterMatchesOneShotSplit(t *testing.T) {
@@ -121,28 +67,24 @@ func TestScanSegmenterMatchesOneShotSplit(t *testing.T) {
 }
 
 func TestScanSegmenterCarryKeepsBufferSmall(t *testing.T) {
-	g, ok := newScanSegmenter(library.Sentences(), nil)
-	if !ok {
-		t.Fatal("sentence splitter has no compiled scanner")
-	}
+	g := newTestSegmenter(t, library.Sentences(), false)
 	for i := 0; i < 100; i++ {
 		g.feed([]byte("a sentence here. "))
 	}
 	if g.buffered() > 64 {
 		t.Fatalf("buffer grew to %d bytes; anchor trimming is not working", g.buffered())
 	}
-	if g.fb != nil {
-		t.Fatal("sentence scanner bailed to the fallback segmenter")
+	if g.run.Bailed() {
+		t.Fatal("sentence scanner bailed")
 	}
 }
 
-func TestScanSegmenterBailFallsBackWithoutDuplicates(t *testing.T) {
+func TestScanSegmenterBailSplitsTheTailWithoutDuplicates(t *testing.T) {
 	// Blocks are valid only on documents ending in '!': the scanner can
 	// never commit a close mid-document, so it bails at the first
-	// separator and the fallback segmenter must take over from the
-	// anchor without duplicating or dropping segments.
-	auto := regexformula.MustCompile("(x{[^.!]*})(\\.[^.!]*)*!|[^.!]*(\\.[^.!]*)*\\.(x{[^.!]*})(\\.[^.!]*)*!")
-	s := core.MustSplitter(auto)
+	// separator and flush must split the tail from the anchor without
+	// duplicating or dropping segments.
+	s := suffixConditioned()
 	if _, ok := s.NewScanRun(); !ok {
 		t.Skip("splitter has no compiled scanner")
 	}
@@ -196,12 +138,11 @@ func TestScanSegmenterChunksCoverEverySpan(t *testing.T) {
 
 // TestScanSegmenterChunkedBailKeepsTheRest drives the chunk grain into the
 // one place CutSafe's closure check keeps the engine out of: a scanner
-// that bails. Nothing is handed to a per-segment fallback — the evaluator
-// behind this segmenter holds P — so everything from the scanner's anchor
-// on must come back from flush as the document's last chunk.
+// that bails. The evaluator behind this segmenter holds P, so the tail is
+// not split: everything from the scanner's anchor on must come back from
+// flush as the document's last chunk.
 func TestScanSegmenterChunkedBailKeepsTheRest(t *testing.T) {
-	s := core.MustSplitter(regexformula.MustCompile(
-		"(x{[^.!]*})(\\.[^.!]*)*!|[^.!]*(\\.[^.!]*)*\\.(x{[^.!]*})(\\.[^.!]*)*!"))
+	s := suffixConditioned()
 	if s.CutSafe() {
 		t.Fatal("the suffix-conditioned splitter must not be cut-safe")
 	}
@@ -265,17 +206,16 @@ func TestStreamedSharedFeedText(t *testing.T) {
 	}
 }
 
-// TestStreamedBailMidDocument is TestScanSegmenterBailFallsBackWithoutDuplicates
-// one layer up: the scanner bails at the first separator, the
-// re-splitting fallback takes over from the anchor, and the streamed
-// relation is still byte-identical to Eval on the whole document.
+// TestStreamedBailMidDocument is TestScanSegmenterBailSplitsTheTailWithoutDuplicates
+// one layer up: the scanner bails at the first separator, the rest of the
+// document is buffered from the anchor and split at the flush, and the
+// streamed relation is still byte-identical to Eval on the whole document.
 func TestStreamedBailMidDocument(t *testing.T) {
-	s := core.MustSplitter(regexformula.MustCompile(
-		"(x{[^.!]*})(\\.[^.!]*)*!|[^.!]*(\\.[^.!]*)*\\.(x{[^.!]*})(\\.[^.!]*)*!"))
+	s := suffixConditioned()
 	p := regexformula.MustCompile(emailFormula)
 	// Blocks exist only on documents ending in '!', so the splitter is
 	// not local; streaming it is the operator's override, and sound here
-	// because the fallback holds everything until the flush. The plan
+	// because a bailed segmenter holds everything until the flush. The plan
 	// carries no split-correctness verdict, so its 11 KB document is not
 	// evaluated whole and does meet the segmenter.
 	plan := &Plan{
@@ -300,5 +240,84 @@ func TestStreamedBailMidDocument(t *testing.T) {
 		if st := e.Stats(); st.Segmenter.Bails != 1 {
 			t.Fatalf("chunk=%d: %d scanner bails, want 1", n, st.Segmenter.Bails)
 		}
+	}
+}
+
+// suffixConditioned is the splitter of the bail tests above: sentence-like
+// blocks that exist only on documents ending in '!', so its scanner bails
+// at the first separator.
+func suffixConditioned() *core.Splitter {
+	return core.MustSplitter(regexformula.MustCompile(
+		"(x{[^.!]*})(\\.[^.!]*)*!|[^.!]*(\\.[^.!]*)*\\.(x{[^.!]*})(\\.[^.!]*)*!"))
+}
+
+// TestBailedCarryOverIsBounded: a bail turns the rest of the document into
+// carry-over, and the carry-over is what Config.MaxDocBuffer bounds. At
+// either grain the segmenter reports every byte it holds from the anchor
+// on; through the engine (the per-segment grain — a splitter that bails is
+// not cut-safe, so no plan over it is chunked) a 1 MiB document under a
+// 64 KiB budget fails with the typed ErrDocTooLarge instead of being
+// buffered whole.
+func TestBailedCarryOverIsBounded(t *testing.T) {
+	s := suffixConditioned()
+	doc := strings.Repeat("ab.cd.", 1<<20/6) + "ef!"
+	for _, chunks := range []bool{false, true} {
+		g := newTestSegmenter(t, s, chunks)
+		for lo := 0; lo < len(doc); lo += 64 << 10 {
+			if segs := g.feed([]byte(doc[lo:min(lo+64<<10, len(doc))])); len(segs) != 0 {
+				t.Fatalf("chunks=%v: a feed committed %d segments of a splitter that cannot commit", chunks, len(segs))
+			}
+		}
+		if !g.run.Bailed() || g.buffered() != len(doc) {
+			t.Fatalf("chunks=%v: bailed %v with %d of %d bytes buffered", chunks, g.run.Bailed(), g.buffered(), len(doc))
+		}
+	}
+	p := regexformula.MustCompile(emailFormula)
+	plan := &Plan{
+		p: p, ps: p, s: s,
+		Strategy: StrategySplit,
+		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes, Local: core.VerdictNo},
+	}
+	e := New(Config{Workers: 2, StreamIncremental: true, MaxDocBuffer: 64 << 10})
+	_, exec, err := e.RunReader(context.Background(), plan, strings.NewReader(doc))
+	if !errors.Is(err, ErrDocTooLarge) || exec != ExecSplit {
+		t.Fatalf("route %v, err %v; want ErrDocTooLarge on the streamed route", exec, err)
+	}
+	if st := e.Stats(); st.Segmenter.Bails != 1 || st.Bytes > 4*64<<10 {
+		t.Fatalf("stats %+v: want one bail and the read stopped within a few feeds of the budget", st)
+	}
+}
+
+// TestForgedDisjointPlanBuffers: WillStream trusts Verdicts.Disjoint, and
+// only a plan built by hand can carry a yes the splitter does not back. Its
+// splitter has no scanner, so RunReader buffers the stream and answers as
+// Run does.
+func TestForgedDisjointPlanBuffers(t *testing.T) {
+	s := library.NGrams(2)
+	if _, ok := s.NewScanRun(); ok || s.IsDisjoint() {
+		t.Fatal("the 2-gram splitter must be non-disjoint and scanner-less")
+	}
+	p := regexformula.MustCompile(emailFormula)
+	plan := &Plan{
+		p: p, ps: p, s: s,
+		Strategy: StrategySplit,
+		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes, Local: core.VerdictYes},
+	}
+	e := New(Config{Workers: 2, ChunkSize: 7})
+	if !e.WillStream(plan) {
+		t.Fatal("the forged verdicts must pass WillStream, or the test proves nothing")
+	}
+	doc := strings.Repeat(emailDoc+" ", 8)
+	want, wantExec, err := e.Run(context.Background(), plan, doc)
+	if err != nil || want.Len() == 0 {
+		t.Fatalf("Run: %d tuples, err %v", want.Len(), err)
+	}
+	got, exec, err := e.RunReader(context.Background(), plan, &fixedChunkReader{s: doc, n: 7})
+	if err != nil || exec != wantExec {
+		t.Fatalf("RunReader took the %v route (err %v), Run took %v", exec, err, wantExec)
+	}
+	sameTuples(t, "RunReader vs Run", got, want)
+	if st := e.Stats(); st.StreamedDocs != 0 || st.Documents != 2 {
+		t.Fatalf("stats %+v: want two documents, neither streamed", st)
 	}
 }

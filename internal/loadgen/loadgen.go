@@ -93,7 +93,7 @@ type Result struct {
 	P99MS       float64 `json:"p99_ms"`
 }
 
-// Snapshot is the written benchmark artifact (BENCH_PR6.json).
+// Snapshot is what spanload -json writes for the CONCURRENCY experiment.
 type Snapshot struct {
 	Experiment string   `json:"experiment"` // "CONCURRENCY"
 	GoVersion  string   `json:"go_version"`

@@ -99,7 +99,7 @@ type OverloadRow struct {
 	AdmittedP99MS float64 `json:"admitted_p99_ms"`
 }
 
-// OverloadSnapshot is the written benchmark artifact (BENCH_PR8.json).
+// OverloadSnapshot is what spanload -overload -json writes.
 type OverloadSnapshot struct {
 	Experiment string `json:"experiment"` // "OVERLOAD"
 	GoVersion  string `json:"go_version"`

@@ -48,8 +48,8 @@ func TestPrefilterFormulaFactors(t *testing.T) {
 }
 
 // TestPrefilterLibraryNegativeSentiment pins the factor of the benchmark
-// suite's headline extractor: the sparse-corpus speedups claimed in
-// BENCH_PR9.json rest on this gate being armed.
+// suite's headline extractor: the sparse-corpus rates of the ledger
+// (vsa.eval_mbps, vsa.evalbool_mbps) rest on this gate being armed.
 func TestPrefilterLibraryNegativeSentiment(t *testing.T) {
 	pf := library.NegativeSentiment().Prefilter()
 	if pf.Reason != vsa.PrefilterOK || pf.Factor != "bad " {
