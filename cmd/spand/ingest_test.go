@@ -1,0 +1,132 @@
+package main
+
+import (
+	"io"
+	"mime/multipart"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/engine"
+)
+
+// stallPumps counts the goroutines inside the engine's stall-guard pump.
+func stallPumps() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "stallReader).pump")
+}
+
+// TestDeclaredOverBudgetUploadIs413Unread: a raw body whose
+// Content-Length is already over -max-doc is refused before it is read,
+// on both endpoints. It used to be buffered up to the budget first — a
+// 1 GiB upload pinned 256 MiB and an admission token on its way to the
+// same 413. The handler is called directly so the count is the server's
+// reads alone. (TestOverBudgetUploadsLeaveNoPump is the undeclared twin:
+// a chunked body can only be measured as it arrives.)
+func TestDeclaredOverBudgetUploadIs413Unread(t *testing.T) {
+	h := newServer(engine.New(engine.Config{Workers: 2, MaxDocBuffer: 128 << 10, ReadTimeout: time.Second}))
+	q := url.Values{"spanner": {emailFormula}}.Encode()
+	for _, endpoint := range []string{"/v1/extract", "/v1/extract-batch"} {
+		body := &countingReader{}
+		req := httptest.NewRequest("POST", endpoint+"?"+q, body)
+		req.ContentLength = 1 << 30
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status = %d (%s), want 413", endpoint, rec.Code, rec.Body)
+		}
+		if rec.Header().Get("Connection") != "close" {
+			t.Errorf("%s: 413 without Connection: close — the server would drain the gigabyte it refused", endpoint)
+		}
+		if body.n != 0 {
+			t.Errorf("%s: read %d bytes of a body declared over the budget, want none", endpoint, body.n)
+		}
+	}
+}
+
+// TestDeclaredLengthReservesAtMostPresize: a Content-Length is a claim
+// that costs its sender nothing. A request that declares the whole
+// -max-doc budget (256 MiB by default), sends one byte and goes silent is
+// answered 408 after -read-timeout like any stalled upload, leaves no
+// pump behind, and made the daemon allocate no more than the engine's
+// presize bound (16 MiB) on the strength of the declaration. A multipart
+// doc part declares nothing and stalls to the same 408.
+func TestDeclaredLengthReservesAtMostPresize(t *testing.T) {
+	const maxDoc, presize = 256 << 20, 16 << 20
+	base := stallPumps()
+	eng := engine.New(engine.Config{Workers: 2, ReadTimeout: 50 * time.Millisecond})
+	ts := httptest.NewServer(newServer(eng))
+	defer ts.Close()
+	target := ts.URL + "/v1/extract?spanner=" + url.QueryEscape(emailFormula)
+
+	// stalled posts a body that delivers head and then nothing; the silence
+	// ends after 3 s whatever happens, so a daemon that sits the stall out
+	// answers — with a status the test rejects — instead of hanging it.
+	stalled := func(what, contentType string, declared int64, head string) {
+		t.Helper()
+		pr, pw := io.Pipe()
+		defer pw.Close()
+		defer time.AfterFunc(3*time.Second, func() { pw.Close() }).Stop()
+		go io.WriteString(pw, head)
+		req, _ := http.NewRequest("POST", target, pr)
+		req.ContentLength = declared
+		req.Header.Set("Content-Type", contentType)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusRequestTimeout {
+			t.Fatalf("%s: status = %d (%s), want 408", what, resp.StatusCode, b)
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stalled("raw body declaring -max-doc", "application/octet-stream", maxDoc, "x")
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= presize+1<<20 {
+		t.Errorf("a declared %d-byte body that sent one byte made the daemon allocate %d bytes, want < presize + 1 MiB", maxDoc, grew)
+	}
+
+	var form strings.Builder
+	mw := multipart.NewWriter(&form)
+	mw.WriteField("spanner", emailFormula)
+	mw.CreateFormFile("doc", "doc.txt")
+	stalled("multipart doc part", mw.FormDataContentType(), -1, form.String()+"some bytes, then silence. ")
+
+	ts.CloseClientConnections()
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); stallPumps() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d stallReader pump goroutines still alive after the stalled uploads, %d before them", stallPumps(), base)
+		}
+	}
+}
+
+// TestPprofStaysOffTheServicePort: -pprof serves net/http/pprof from a
+// mux and a listener of its own; the service port never answers for it,
+// with the flag or without.
+func TestPprofStaysOffTheServicePort(t *testing.T) {
+	get := func(h http.Handler) int {
+		ts := httptest.NewServer(h)
+		defer ts.Close()
+		resp, err := http.Get(ts.URL + "/debug/pprof/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get(newServer(engine.New(engine.Config{Workers: 2}))); code != http.StatusNotFound {
+		t.Errorf("service port: GET /debug/pprof/ = %d, want 404", code)
+	}
+	if code := get(pprofMux()); code != http.StatusOK {
+		t.Errorf("pprof listener: GET /debug/pprof/ = %d, want 200", code)
+	}
+}

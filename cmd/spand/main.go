@@ -40,7 +40,8 @@
 // bounds upload progress (stalled body → 408), -max-doc bounds
 // buffered document memory (→ 413), and -req-workers caps how much of
 // the evaluation pool one request may occupy. /v1/stats and /metrics
-// stay un-gated so the daemon remains observable while saturated. On
+// stay un-gated so the daemon remains observable while saturated;
+// -pprof <addr> adds net/http/pprof on a listener of its own. On
 // SIGTERM or SIGINT the daemon stops accepting, gives in-flight
 // requests -drain to finish, then cancels the stragglers' contexts —
 // an admitted request always gets either its result or an explicit
@@ -164,6 +165,7 @@ func main() {
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-drain budget on SIGTERM: in-flight requests get this long to finish before their contexts are cancelled")
 		streamInc = flag.Bool("stream-incremental", false, "UNSAFE: force incremental segmentation for split plans whose splitter the locality decision procedure could not prove local (those proven local stream automatically); asserts every deployed splitter is local anyway — a wrong assertion silently mis-extracts")
 		maxDoc    = flag.Int64("max-doc", 0, "per-document memory budget in bytes (0 = 256 MiB, negative = unlimited)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener and never on -addr (empty = off), e.g. 127.0.0.1:6060")
 	)
 	flag.Parse()
 
@@ -208,6 +210,15 @@ func main() {
 		tenantHeader: *tenHdr,
 	}, *drain)
 
+	if *pprofAddr != "" {
+		go servePprof(*pprofAddr)
+	} else {
+		// Linking net/http/pprof keeps runtime.MemProfile reachable, and with
+		// it the runtime's heap sampling (a stack per 512 KiB allocated, a
+		// 1.4 MiB bucket table): 1–2 MiB resident on every BENCHMARK.json
+		// workload, for a profile nobody can fetch.
+		runtime.MemProfileRate = 0
+	}
 	go func() {
 		st := eng.Stats()
 		if lim != nil {

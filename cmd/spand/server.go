@@ -331,9 +331,19 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 			SplitSpanner: q.Get("split_spanner"),
 			Tenant:       s.tenantOf(r),
 		}
-		s.runExtract(w, r, req, "", r.Body)
+		s.runExtract(w, r, req, "", rawBody{r})
 	}
 }
+
+// rawBody is a request's body as the document. Its Content-Length (-1 for
+// a chunked body, which declares nothing) is the Len() the engine's
+// buffered route sizes its one buffer from, and refuses by — unread —
+// when it is already over -max-doc. net/http never delivers more than was
+// declared.
+type rawBody struct{ r *http.Request }
+
+func (b rawBody) Read(p []byte) (int, error) { return b.r.Body.Read(p) }
+func (b rawBody) Len() int                   { return int(min(b.r.ContentLength, math.MaxInt)) }
 
 // planErrStatus classifies a Plan error: a coalesced waiter can see its
 // own context die while the plan is still compiling. A client
@@ -601,7 +611,7 @@ func (s *server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		// The raw body is the document: read behind the engine's stall
 		// guard and MaxDocBuffer, like /v1/extract's buffered uploads.
-		return s.eng.ExtractBatchReader(r.Context(), plan, r.Body)
+		return s.eng.ExtractBatchReader(r.Context(), plan, rawBody{r})
 	}
 	head := openObject(nil, extractBatchResponse{CacheHit: hit, PlanCompileMS: float64(plan.CompileTime.Microseconds()) / 1000}, "queries")
 	if acceptsMultipart(r) {

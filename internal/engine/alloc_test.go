@@ -2,8 +2,12 @@ package engine
 
 import (
 	"context"
+	"io"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -65,5 +69,76 @@ func TestSplitPathAllocationsPerSegment(t *testing.T) {
 	}
 	if inline/nseg > limit {
 		t.Errorf("Extract: %.2f allocations per segment, want ≤ %v", inline/nseg, limit)
+	}
+}
+
+// bytesPerRun is the mean growth of runtime.MemStats.TotalAlloc over runs
+// calls of f: every heap byte allocated, collected since or not. The
+// collector is off meanwhile: a cycle empties the evaluators' sync.Pools,
+// and refilling them would be counted as f's.
+func bytesPerRun(runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f() // pools, lazy tables and the plan's caches fill outside the count
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestBufferedIngestBytesPerDocument is the deterministic twin of the
+// large-sparse-seq benchmark claim: a buffered 2 MiB document behind the
+// stall guard is allocated once when its stream declares a length, and at
+// most twice over (the doubling ladder's 64 KiB … 2 MiB sum) when it does
+// not. Growing a slice by append and copying it into a string, as
+// readAllBounded did, allocated six times the document. The document has
+// no '@', so the e-mail spanner's evaluation is one prefilter miss and
+// what is counted is ingest (the evaluators' pooled scratch comes and
+// goes with the collector and, under -race, at random).
+func TestBufferedIngestBytesPerDocument(t *testing.T) {
+	doc := sparseDoc(2 << 20)
+	e := New(Config{Workers: 2, ReadTimeout: time.Minute})
+	plan := mustPlan(t, e, Request{Spanner: emailFormula}) // sequential: buffers
+	ctx := context.Background()
+	for _, c := range []struct {
+		name  string
+		open  func() io.Reader
+		limit float64
+	}{
+		{"declared", func() io.Reader { return strings.NewReader(doc) }, 1.25},
+		{"undeclared", func() io.Reader { return unsized{strings.NewReader(doc)} }, 3},
+	} {
+		per := bytesPerRun(5, func() {
+			if _, err := e.ExtractReader(ctx, plan, c.open()); err != nil {
+				t.Fatal(err)
+			}
+		}) / float64(len(doc))
+		t.Logf("%s length: %.2f bytes allocated per document byte", c.name, per)
+		if per > c.limit {
+			t.Errorf("%s length: %.2f bytes allocated per document byte, want ≤ %v", c.name, per, c.limit)
+		}
+	}
+}
+
+// TestSmallStreamAllocatesSmall: a 2 KiB stream that says so does not pay
+// for the buffers of a large one — it used to cost a 64 KiB read chunk and
+// two 64 KiB pump buffers — on the buffered route or through a split
+// plan's look-ahead.
+func TestSmallStreamAllocatesSmall(t *testing.T) {
+	doc := reviewDoc(1, 2<<10)
+	e := New(Config{Workers: 2, ReadTimeout: time.Minute})
+	ctx := context.Background()
+	for name, plan := range map[string]*Plan{"sequential": sequentialPlan(), "split": reviewPlan()} {
+		per := bytesPerRun(100, func() {
+			if _, err := e.ExtractReader(ctx, plan, strings.NewReader(doc)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s plan: %.0f bytes allocated per 2 KiB document", name, per)
+		if per > 16<<10 {
+			t.Errorf("%s plan: %.0f bytes allocated per 2 KiB document, want ≤ 16 KiB", name, per)
+		}
 	}
 }

@@ -247,12 +247,9 @@ func (e *Engine) ExtractBatch(ctx context.Context, plan *Plan, doc string) ([]Ba
 // stalls past Config.ReadTimeout fails with ErrReadStalled, a done
 // context ends the read, and at most Config.MaxDocBuffer is held.
 func (e *Engine) ExtractBatchReader(ctx context.Context, plan *Plan, r io.Reader) ([]BatchResult, error) {
-	if e.cfg.ReadTimeout > 0 || ctx.Done() != nil {
-		sr := newStallReader(ctx, r, e.cfg.ReadTimeout)
-		defer sr.stop()
-		r = sr
-	}
-	doc, err := e.readAllBounded(ctx, r)
+	r, hint, stop := e.guard(ctx, r)
+	defer stop()
+	doc, err := e.readAllBounded(ctx, r, hint)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/corpus"
 	"repro/internal/parallel"
 	"repro/internal/span"
 )
@@ -46,7 +45,7 @@ func BenchmarkExtractCrossover(b *testing.B) {
 		gen  func(n int) string
 	}{
 		{"dense", func(n int) string { return reviewDoc(1, n) }},
-		{"sparse", func(n int) string { return corpus.SparseSentiment(1, n, 64<<10)[:n] }},
+		{"sparse", sparseDoc},
 	}
 	for _, c := range corpora {
 		for _, kib := range []int{1, 2, 4, 8, 16, 32, 64, 256, 1 << 10, 2 << 10, 8 << 10} {

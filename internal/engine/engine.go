@@ -34,13 +34,12 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -437,16 +436,8 @@ func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*s
 // guarantee is only as good as the operator's locality assertion.
 // Memory is bounded by Config.MaxDocBuffer on both paths.
 func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.Relation, Execution, error) {
-	if e.cfg.ReadTimeout > 0 || ctx.Done() != nil {
-		// Guard every read below against a stream that stops: one that
-		// makes no progress for ReadTimeout fails the request with
-		// ErrReadStalled instead of pinning its admission token and
-		// workers, and a cancelled request returns even when its reader
-		// never does.
-		sr := newStallReader(ctx, r, e.cfg.ReadTimeout)
-		defer sr.stop()
-		r = sr
-	}
+	r, hint, stop := e.guard(ctx, r)
+	defer stop()
 	stream := e.WillStream(plan)
 	if stream && !e.splitPays(plan, 0) {
 		// Some documents of this plan are better off whole. Read up to the
@@ -454,17 +445,21 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 		// ends first is one of them, and a longer one loses nothing — what
 		// was read becomes its first feed.
 		limit := breakEven
+		if 0 < hint && hint < limit {
+			limit = hint + 1 // a short stream's end is one byte past what it declares
+		}
 		if e.cfg.MaxDocBuffer > 0 && e.cfg.MaxDocBuffer < int64(limit) {
 			limit = int(e.cfg.MaxDocBuffer)
 		}
-		prefix, eof, err := readPrefix(ctx, r, limit)
-		if err != nil {
+		var prefix strings.Builder
+		_, err := io.CopyN(&prefix, r, int64(limit))
+		if err != nil && err != io.EOF {
 			return span.NewRelation(plan.p.Vars...), ExecWhole, err
 		}
-		if eof && !e.splitPays(plan, len(prefix)) {
-			return e.Run(ctx, plan, string(prefix))
+		if err == io.EOF && !e.splitPays(plan, prefix.Len()) {
+			return e.Run(ctx, plan, prefix.String())
 		}
-		r = io.MultiReader(bytes.NewReader(prefix), r)
+		r = io.MultiReader(strings.NewReader(prefix.String()), r)
 	}
 	var run *core.ScanRun
 	if stream {
@@ -474,7 +469,7 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 		run, _ = plan.s.NewScanRun()
 	}
 	if run == nil {
-		doc, err := e.readAllBounded(ctx, r)
+		doc, err := e.readAllBounded(ctx, r, hint)
 		if err != nil {
 			return span.NewRelation(plan.p.Vars...), ExecWhole, err
 		}
@@ -495,7 +490,7 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 	go func() {
 		defer close(batches)
 		g := &scanSegmenter{run: run, s: plan.s, m: e.m, chunks: chunks}
-		chunk := make([]byte, e.cfg.ChunkSize)
+		var chunk []byte
 		// Segmentation time accumulates across the incremental feed/flush
 		// calls and is recorded once per document when the producer exits.
 		var segDur time.Duration
@@ -519,8 +514,12 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 				return false
 			}
 		}
-		for {
+		for read := 0; ; {
+			if size := sizedTo(e.cfg.ChunkSize, hint, read); len(chunk) < size {
+				chunk = make([]byte, size)
+			}
 			n, err := r.Read(chunk)
+			read += n
 			if n > 0 {
 				e.m.bytes.Add(uint64(n))
 				t0 := time.Now()
@@ -625,58 +624,110 @@ func (e *Engine) evalOpts() parallel.Options {
 	return parallel.Options{Workers: e.cfg.RequestWorkers, Batch: e.cfg.Batch, Metrics: &e.m.exec}
 }
 
-// readAllBounded reads the whole stream, failing with ErrDocTooLarge
-// once it exceeds Config.MaxDocBuffer. The context is checked between
-// reads so a request whose deadline fires mid-upload fails promptly
-// (typed via wrapCtxErr) instead of buffering a slow body forever; a
-// read that does not return at all is the stall guard's job.
-func (e *Engine) readAllBounded(ctx context.Context, r io.Reader) (string, error) {
-	var buf []byte
-	chunk := make([]byte, e.cfg.ChunkSize)
-	for {
-		if err := ctx.Err(); err != nil {
-			return "", wrapCtxErr(err)
-		}
-		n, err := r.Read(chunk)
-		if n > 0 {
-			if e.cfg.MaxDocBuffer > 0 && int64(len(buf)+n) > e.cfg.MaxDocBuffer {
-				return "", fmt.Errorf("%w (> %d bytes)", ErrDocTooLarge, e.cfg.MaxDocBuffer)
-			}
-			buf = append(buf, chunk[:n]...)
-		}
-		if err == io.EOF {
-			return string(buf), nil
-		}
-		if err != nil {
-			return "", err
-		}
+// presize bounds the capacity a stream's declared length reserves before
+// its first byte arrives: what a client can make the daemon set aside
+// without uploading is presize per admitted request (spand -admit). 16 MiB
+// is 8× the largest document of BENCHMARK.json and a sixteenth of the
+// default MaxDocBuffer; a longer document starts there and doubles.
+const presize = 16 << 20
+
+// sizedTo is the size of a read buffer for a stream that declared hint
+// bytes and has delivered read of them: size, or hint where the stream is
+// shorter by its own account — until it delivers more than it declared,
+// which voids the hint, so that under-reporting buys no small reads.
+func sizedTo(size, hint, read int) int {
+	if 0 < hint && hint < size && read <= hint {
+		return hint
 	}
+	return size
 }
 
-// readPrefix reads from r until limit bytes are in hand or the stream
-// ends, whichever comes first; eof reports the latter, in which case the
-// prefix is the whole document. It reads in 4 KiB steps into a buffer of
-// that size, so the short documents it exists for do not pay for a
-// limit-sized one; a stream that outgrows the first step gets the full
-// limit at once, not a doubling ladder.
-func readPrefix(ctx context.Context, r io.Reader, limit int) (prefix []byte, eof bool, err error) {
-	chunk := make([]byte, min(limit, 4<<10))
-	prefix = make([]byte, 0, len(chunk))
-	for len(prefix) < limit {
-		if err := ctx.Err(); err != nil {
-			return nil, false, wrapCtxErr(err)
-		}
-		n, err := r.Read(chunk[:min(len(chunk), limit-len(prefix))])
-		if len(prefix)+n > cap(prefix) {
-			prefix = slices.Grow(prefix, limit-len(prefix))
-		}
-		prefix = append(prefix, chunk[:n]...)
-		if err == io.EOF {
-			return prefix, true, nil
-		}
-		if err != nil {
-			return nil, false, err
-		}
+// guard reads the length r declares through the optional Len method
+// (*strings.Reader, *bytes.Reader, *bytes.Buffer, cmd/spand's body with a
+// Content-Length; ≤ 0 is none) — it sizes buffers and refuses a
+// declared-too-large document unread, no answer depends on it — and puts
+// r behind the stall guard (see stallReader) when a read can be given up
+// on: ReadTimeout is set or ctx can end. The caller defers stop.
+func (e *Engine) guard(ctx context.Context, r io.Reader) (guarded io.Reader, hint int, stop func()) {
+	if l, ok := r.(interface{ Len() int }); ok {
+		hint = l.Len()
 	}
-	return prefix, false, nil
+	if e.cfg.ReadTimeout <= 0 && ctx.Done() == nil {
+		return r, hint, func() {}
+	}
+	sr := newStallReader(ctx, r, e.cfg.ReadTimeout, hint)
+	return sr, hint, sr.stop
+}
+
+// readAllBounded reads the whole stream into one buffer and returns it as
+// the document, failing with ErrDocTooLarge once it exceeds
+// Config.MaxDocBuffer — before the first read when hint already does. The
+// copy is io.Copy's: from a stallReader each pumped chunk, from a
+// *strings.Reader the whole document at once.
+func (e *Engine) readAllBounded(ctx context.Context, r io.Reader, hint int) (string, error) {
+	d := docBuffer{ctx: ctx, max: e.cfg.MaxDocBuffer, hint: hint, b: new(strings.Builder)}
+	if err := d.reserve(hint); err != nil {
+		return "", err
+	}
+	if _, err := io.Copy(&d, r); err != nil {
+		return "", err
+	}
+	return d.b.String(), nil
+}
+
+// docBuffer is readAllBounded's destination: a strings.Builder — so the
+// bytes become the document without another copy — whose every write
+// first checks the context and the budget, so a request whose deadline
+// fires mid-upload fails promptly (typed via wrapCtxErr) instead of
+// buffering a slow body forever; a read that does not return at all is
+// the stall guard's job.
+type docBuffer struct {
+	ctx  context.Context
+	max  int64
+	hint int
+	b    *strings.Builder
+}
+
+// reserve admits n more bytes and makes room for them: the first time
+// (readAllBounded's, for the stream's hint) for presize at most, after
+// that for twice what there was — append's 1.25× would move a long
+// document seven times — up to a hint that still holds. The room is a new
+// Builder: Builder.Grow(n) adds n to twice the capacity it has.
+func (d *docBuffer) reserve(n int) error {
+	size := d.b.Len() + n
+	if err := d.ctx.Err(); err != nil {
+		return wrapCtxErr(err)
+	} else if d.max > 0 && int64(size) > d.max {
+		return fmt.Errorf("%w (> %d bytes)", ErrDocTooLarge, d.max)
+	} else if size <= d.b.Cap() {
+		return nil
+	}
+	grown := max(2*d.b.Cap(), size)
+	if size <= d.hint {
+		grown = min(grown, d.hint)
+	}
+	if d.b.Cap() == 0 {
+		grown = min(grown, presize)
+	}
+	b := new(strings.Builder)
+	b.Grow(grown)
+	b.WriteString(d.b.String())
+	d.b = b
+	return nil
+}
+
+func (d *docBuffer) Write(p []byte) (int, error) {
+	if err := d.reserve(len(p)); err != nil {
+		return 0, err
+	}
+	return d.b.Write(p)
+}
+
+// WriteString is what (*strings.Reader).WriteTo hands an unguarded
+// document to, whole; without it io.WriteString copies it to a []byte first.
+func (d *docBuffer) WriteString(s string) (int, error) {
+	if err := d.reserve(len(s)); err != nil {
+		return 0, err
+	}
+	return d.b.WriteString(s)
 }

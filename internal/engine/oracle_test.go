@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"io"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/library"
@@ -24,7 +26,8 @@ import (
 // {t : the ref-word of (d, t) is accepted by P} over all span tuples of d
 // (internal/refword, which simulates the automaton's extended transitions
 // and nothing else), and every route a streamed document can take is held
-// to it — including the two a scanner bail reroutes.
+// to it — including the two a scanner bail reroutes, and the buffered
+// route from a stream with and without a declared length.
 
 // refwordRelation enumerates ⟦a⟧(d) by the definition.
 func refwordRelation(a *vsa.Automaton, doc string) *span.Relation {
@@ -113,6 +116,7 @@ func TestRoutesAgainstRefWordOracle(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		engines[n] = New(Config{Workers: 2, ChunkSize: n, StreamIncremental: true})
 	}
+	buffering := New(Config{Workers: 2, ReadTimeout: time.Minute})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			p, ps, s := c.plan.p, c.plan.ps, c.plan.s
@@ -136,6 +140,16 @@ func TestRoutesAgainstRefWordOracle(t *testing.T) {
 					t.Fatalf("doc %q: SplitReference = %v, the ref-word semantics give %v", doc, ref, spans)
 				}
 				hold("P_S ∘ S", parallel.SplitEval(ps, parallel.SegmentsOf(doc, spans), 1))
+				// The buffered route — P alone, so nothing streams — behind the
+				// stall guard, from a stream that declares its length and one
+				// that does not.
+				for _, r := range []io.Reader{strings.NewReader(doc), unsized{strings.NewReader(doc)}} {
+					got, _, err := buffering.RunReader(context.Background(), &Plan{p: p}, r)
+					if err != nil {
+						t.Fatalf("doc %q: buffered RunReader: %v", doc, err)
+					}
+					hold("RunReader, buffered", got)
+				}
 				for _, n := range []int{1, 3} {
 					segs, _ := chunkedSegments(t, s, doc, n, false)
 					if !slices.Equal(segs, parallel.SegmentsOf(doc, spans)) {

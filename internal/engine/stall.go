@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"io"
+	"math"
 	"time"
 )
 
@@ -37,16 +38,16 @@ import (
 type stallReader struct {
 	ctx     context.Context
 	r       io.Reader
-	timeout time.Duration // 0: no progress timeout, only ctx ends a wait
+	timeout time.Duration
+	hint    int // the length the stream declared (Engine.guard); ≤ 0: none
 
 	res     chan stallChunk // pump → consumer, capacity 1 (one chunk of readahead)
 	quit    chan struct{}   // closed by stop: the consumer is gone
+	timer   *time.Timer     // the progress timeout, re-armed before every wait
 	started bool
-	stalled bool // sticky: once timed out, every Read fails
 
-	cur  stallChunk // chunk currently being consumed
-	off  int        // consumed prefix of cur.data
-	done bool       // cur.err was delivered; underlying stream is finished
+	cur stallChunk // chunk being consumed; its error, once set, is every later read's
+	off int        // consumed prefix of cur.data
 }
 
 type stallChunk struct {
@@ -54,9 +55,14 @@ type stallChunk struct {
 	err  error
 }
 
-// newStallReader wraps r.
-func newStallReader(ctx context.Context, r io.Reader, timeout time.Duration) *stallReader {
-	return &stallReader{ctx: ctx, r: r, timeout: timeout, res: make(chan stallChunk, 1), quit: make(chan struct{})}
+// newStallReader wraps r. A timeout of 0 is no progress timeout: only ctx
+// ends a wait.
+func newStallReader(ctx context.Context, r io.Reader, timeout time.Duration, hint int) *stallReader {
+	if timeout <= 0 {
+		timeout = math.MaxInt64
+	}
+	return &stallReader{ctx: ctx, r: r, timeout: timeout, hint: hint, timer: time.NewTimer(timeout),
+		res: make(chan stallChunk, 1), quit: make(chan struct{})}
 }
 
 // stop tells the pump its consumer has returned: the pump exits at its
@@ -74,13 +80,14 @@ func (s *stallReader) stop() { close(s.quit) }
 // previous one, so by the time the pump starts chunk k+3 the consumer's
 // last read of buffer k happened-before it.
 func (s *stallReader) pump() {
-	const bufSize = 64 << 10
 	var bufs [3][]byte // each made on first use: a short stream ends before the third
-	for i := 0; ; i = (i + 1) % 3 {
-		if bufs[i] == nil {
-			bufs[i] = make([]byte, bufSize)
+	for i, read := 0, 0; ; i = (i + 1) % 3 {
+		// A 2 KiB body does not pay for 64 KiB buffers.
+		if size := sizedTo(64<<10, s.hint, read); len(bufs[i]) < size {
+			bufs[i] = make([]byte, size)
 		}
 		n, err := s.r.Read(bufs[i])
+		read += n
 		select {
 		case s.res <- stallChunk{data: bufs[i][:n], err: err}:
 		case <-s.quit:
@@ -92,40 +99,61 @@ func (s *stallReader) pump() {
 	}
 }
 
-// Read serves buffered bytes first, then waits up to the timeout for
-// the pump's next chunk. A chunk's data and error are delivered in
-// order (data first), matching io.Reader semantics.
-func (s *stallReader) Read(p []byte) (int, error) {
-	if s.stalled {
-		return 0, ErrReadStalled
+// next replaces the exhausted current chunk with the pump's next one,
+// waiting up to the timeout for it. A timeout is sticky, like the stream's
+// own error: every later read fails with it.
+func (s *stallReader) next() error {
+	if s.cur.err != nil {
+		return s.cur.err
 	}
 	if !s.started {
 		s.started = true
 		go s.pump()
 	}
+	s.timer.Reset(s.timeout) // go.mod ≥ 1.23: no stale tick survives a Reset
+	select {
+	case s.cur = <-s.res:
+		s.off = 0
+		return nil
+	case <-s.timer.C:
+		s.cur, s.off = stallChunk{err: ErrReadStalled}, 0
+		return ErrReadStalled
+	case <-s.ctx.Done():
+		return wrapCtxErr(s.ctx.Err())
+	}
+}
+
+// Read serves buffered bytes first, then waits for the pump's next
+// chunk. A chunk's data and error are delivered in order (data first),
+// matching io.Reader semantics.
+func (s *stallReader) Read(p []byte) (int, error) {
 	for s.off == len(s.cur.data) {
-		if s.done {
-			return 0, s.cur.err
-		}
-		if s.cur.err != nil {
-			s.done = true
-			return 0, s.cur.err
-		}
-		var timeout <-chan time.Time
-		if s.timeout > 0 {
-			timeout = time.After(s.timeout)
-		}
-		select {
-		case c := <-s.res:
-			s.cur, s.off = c, 0
-		case <-timeout:
-			s.stalled = true
-			return 0, ErrReadStalled
-		case <-s.ctx.Done():
-			return 0, wrapCtxErr(s.ctx.Err())
+		if err := s.next(); err != nil {
+			return 0, err
 		}
 	}
 	n := copy(p, s.cur.data[s.off:])
 	s.off += n
 	return n, nil
+}
+
+// WriteTo hands every pumped chunk straight to w — io.Copy prefers it to
+// Read, so a buffered document goes from the pump's buffer into its
+// destination without a stop in a third one. The guards are Read's.
+func (s *stallReader) WriteTo(w io.Writer) (n int64, err error) {
+	for {
+		if s.off < len(s.cur.data) {
+			m, err := w.Write(s.cur.data[s.off:])
+			s.off += m
+			n += int64(m)
+			if err != nil {
+				return n, err
+			}
+		}
+		if err := s.next(); err == io.EOF {
+			return n, nil
+		} else if err != nil {
+			return n, err
+		}
+	}
 }
