@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -342,5 +343,85 @@ func TestExtractBatchRawOverBudgetIs413(t *testing.T) {
 	}
 	if body.n > budget+chunk {
 		t.Errorf("read %d bytes of an over-budget body, want ≤ %d (budget + one chunk)", body.n, budget+chunk)
+	}
+}
+
+// TestOneQueryBatchAnswersLikeExtract pins the one request path at the
+// daemon: /v1/extract?spanner=X and /v1/extract-batch?spanner=X return the
+// same tuple bytes and count, from a raw body and from inline JSON, and
+// under Accept: multipart/mixed the same result tuples and epilogue count.
+func TestOneQueryBatchAnswersLikeExtract(t *testing.T) {
+	ts := startDaemon(t)
+	doc := "ab " + testDoc + " ab"
+	type query struct {
+		Count  int             `json:"count"`
+		Tuples json.RawMessage `json:"tuples"`
+	}
+	post := func(endpoint, formula string, raw, multi bool) *http.Response {
+		t.Helper()
+		var body []byte
+		u, ctype := ts.URL+endpoint, "application/json"
+		switch {
+		case raw:
+			u, ctype, body = u+"?"+url.Values{"spanner": {formula}}.Encode(), "application/octet-stream", []byte(doc)
+		case endpoint == "/v1/extract":
+			body, _ = json.Marshal(map[string]string{"spanner": formula, "doc": doc})
+		default:
+			body, _ = json.Marshal(map[string]any{"spanners": []string{formula}, "doc": doc})
+		}
+		req, _ := http.NewRequest("POST", u, bytes.NewReader(body))
+		req.Header.Set("Content-Type", ctype)
+		if multi {
+			req.Header.Set("Accept", "multipart/mixed")
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			b, _ := io.ReadAll(resp.Body)
+			t.Fatalf("%s: status %d: %s", endpoint, resp.StatusCode, b)
+		}
+		return resp
+	}
+	unmarshal := func(data []byte, v any) {
+		t.Helper()
+		if err := json.Unmarshal(data, v); err != nil {
+			t.Fatalf("bad JSON %s: %v", data, err)
+		}
+	}
+	for _, formula := range []string{emailFormula, abBatchFormula} {
+		for _, raw := range []bool{false, true} {
+			what := fmt.Sprintf("%s, raw=%v", formula, raw)
+			var single query
+			var batch struct{ Queries []query }
+			for endpoint, v := range map[string]any{"/v1/extract": &single, "/v1/extract-batch": &batch} {
+				resp := post(endpoint, formula, raw, false)
+				data, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				unmarshal(data, v)
+			}
+			if len(batch.Queries) != 1 || single.Count == 0 || batch.Queries[0].Count != single.Count || !bytes.Equal(batch.Queries[0].Tuples, single.Tuples) {
+				t.Fatalf("%s: /v1/extract-batch %+v, /v1/extract %+v", what, batch.Queries, single)
+			}
+
+			resp := post("/v1/extract", formula, raw, true)
+			singleParts := readMultipartResponse(t, resp)
+			resp.Body.Close()
+			resp = post("/v1/extract-batch", formula, raw, true)
+			batchParts := readMultipartResponse(t, resp)
+			resp.Body.Close()
+			var singleEnd, batchEnd epilogue
+			var results []query
+			unmarshal(singleParts["end"], &singleEnd)
+			unmarshal(batchParts["end"], &batchEnd)
+			unmarshal(batchParts["results"], &results)
+			if singleEnd.Status != "ok" || batchEnd.Status != "ok" || batchEnd.Count != singleEnd.Count || singleEnd.Count != single.Count {
+				t.Fatalf("%s: multipart epilogues %+v (batch) and %+v (extract), want ok with %d tuples", what, batchEnd, singleEnd, single.Count)
+			}
+			if len(results) != 1 || !bytes.Equal(results[0].Tuples, bytes.TrimSpace(singleParts["tuples"])) || !bytes.Equal(results[0].Tuples, single.Tuples) {
+				t.Fatalf("%s: multipart results %s, tuples part %s", what, batchParts["results"], singleParts["tuples"])
+			}
+		}
 	}
 }

@@ -11,23 +11,24 @@
 //	                   (split-correct plan, disjoint splitter, locality
 //	                   decided on the splitter automaton — no flags
 //	                   needed); otherwise it is buffered whole, which is
-//	                   sound for every splitter. -stream-incremental
-//	                   force-streams plans whose verdict is no/unknown:
-//	                   an unsafe operator assertion of locality.
+//	                   sound for every splitter.
+//	POST /v1/extract-batch
+//	                   the same for N spanner formulas in one fused pass;
+//	                   a single query is the one-member batch.
 //	POST /v1/check     split-correctness / self-splittability /
 //	                   disjointness / locality verdicts for a formula
 //	                   pair, served from the plan cache.
 //	GET  /v1/stats     one consistent JSON snapshot: throughput counters
 //	                   (documents total, streamed incrementally and
-//	                   evaluated whole, bytes, segments), cache hit rate, pool
-//	                   configuration and the force-stream flag, the
-//	                   pipeline-stage time breakdown (plan / segment /
-//	                   eval shares with p50/p90/p99, plus the nested
-//	                   merge / localize / sim stages and decide, the
-//	                   decision procedures' part of plan), work-stealing
-//	                   executor statistics, and per-endpoint request
-//	                   counts, error counts and latency percentiles with
-//	                   the current in-flight gauge.
+//	                   evaluated whole, bytes, segments), cache hit rate,
+//	                   pool configuration, the pipeline-stage time
+//	                   breakdown (plan / segment / eval shares with
+//	                   p50/p90/p99, plus the nested merge / localize /
+//	                   sim stages and decide, the decision procedures'
+//	                   part of plan), work-stealing executor statistics,
+//	                   and per-endpoint request counts, error counts and
+//	                   latency percentiles with the current in-flight
+//	                   gauge.
 //	GET  /metrics      the same instrumentation in the Prometheus text
 //	                   exposition format, for scraping.
 //
@@ -50,10 +51,11 @@
 // A successful extraction responds with the plan section — strategy
 // (what the verdicts justify), verdicts, cache_hit, plan_compile_ms —
 // plus ingest ("inline", "streamed" or "buffered"), execution (what ran
-// for this document: "split" on the executor, or "whole" on the request
-// goroutine when the plan is sequential or the document too small to
-// amortise the executor), vars, count and the tuples as arrays of
-// 1-based [start, end) spans:
+// for this document: "split" on the executor, "chunked" — the same at
+// chunk grain, where the splitter is proven cut-independent — or "whole"
+// on the request goroutine when the plan is sequential or the document
+// too small to amortise the executor), vars, count and the tuples as
+// arrays of 1-based [start, end) spans:
 //
 //	{"strategy":"split-parallel",
 //	 "verdicts":{"disjoint":"yes","self_splittable":"yes","local":"yes"},
@@ -163,7 +165,6 @@ func main() {
 		admitQ    = flag.Int("admit-queue", 0, "admission wait-queue capacity; arrivals beyond it answer 429 (0 = 4*admit, negative = no queue)")
 		admitWait = flag.Duration("admit-wait", 500*time.Millisecond, "max time a request may wait for admission before a 429")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-drain budget on SIGTERM: in-flight requests get this long to finish before their contexts are cancelled")
-		streamInc = flag.Bool("stream-incremental", false, "UNSAFE: force incremental segmentation for split plans whose splitter the locality decision procedure could not prove local (those proven local stream automatically); asserts every deployed splitter is local anyway — a wrong assertion silently mis-extracts")
 		maxDoc    = flag.Int64("max-doc", 0, "per-document memory budget in bytes (0 = 256 MiB, negative = unlimited)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener and never on -addr (empty = off), e.g. 127.0.0.1:6060")
 	)
@@ -191,18 +192,17 @@ func main() {
 	}
 
 	eng := engine.New(engine.Config{
-		PlanCache:         *cacheSize,
-		PlanCacheBytes:    *cacheMB,
-		TenantPlans:       *tenPlans,
-		TenantPlanBytes:   *tenBytes,
-		Workers:           nWorkers,
-		RequestWorkers:    requestWorkers, // ≤ 0: uncapped, the engine's default
-		Batch:             *batch,
-		ChunkSize:         *chunk,
-		StateLimit:        *limit,
-		StreamIncremental: *streamInc,
-		MaxDocBuffer:      *maxDoc,
-		ReadTimeout:       *readTmo,
+		PlanCache:       *cacheSize,
+		PlanCacheBytes:  *cacheMB,
+		TenantPlans:     *tenPlans,
+		TenantPlanBytes: *tenBytes,
+		Workers:         nWorkers,
+		RequestWorkers:  requestWorkers, // ≤ 0: uncapped, the engine's default
+		Batch:           *batch,
+		ChunkSize:       *chunk,
+		StateLimit:      *limit,
+		MaxDocBuffer:    *maxDoc,
+		ReadTimeout:     *readTmo,
 	})
 	d := newDaemon(*addr, eng, serverConfig{
 		limiter:      lim,

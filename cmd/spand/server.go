@@ -266,6 +266,17 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	return err == nil
 }
 
+// extraction is one parsed request of either extraction endpoint: the
+// single query of /v1/extract or the formulas of /v1/extract-batch, and
+// the document — inline, or the stream it arrives on.
+type extraction struct {
+	req      engine.Request // the single query; a batch's tenant
+	batch    bool
+	spanners []string // the batch's formulas
+	doc      string
+	stream   io.Reader // nil: doc is inline
+}
+
 // handleExtract serves POST /v1/extract. Three request shapes:
 //
 //   - application/json: {"spanner", "splitter", "split_spanner", "doc"}
@@ -277,6 +288,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 //   - anything else: the body is the document stream and the formulas
 //     come from the query parameters ?spanner=…&splitter=…&split_spanner=….
 func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
+	x := extraction{req: engine.Request{Tenant: s.tenantOf(r)}}
 	ctype, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	switch ctype {
 	case "application/json":
@@ -284,19 +296,17 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		if !decodeJSON(w, r, s.cfg.maxJSON, &req) {
 			return
 		}
-		s.runExtract(w, r, req.engineRequest(s.tenantOf(r)), req.Doc, nil)
+		x.req, x.doc = req.engineRequest(x.req.Tenant), req.Doc
 	case "multipart/form-data":
 		mr, err := r.MultipartReader()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		req := engine.Request{Tenant: s.tenantOf(r)}
-		for {
+		for x.stream == nil {
 			part, err := mr.NextPart()
 			if err == io.EOF {
-				writeError(w, http.StatusBadRequest, errors.New(`multipart body has no "doc" part`))
-				return
+				err = errors.New(`multipart body has no "doc" part`)
 			}
 			if err != nil {
 				writeError(w, http.StatusBadRequest, err)
@@ -305,8 +315,8 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 			if part.FormName() == "doc" {
 				// Formula fields must precede the doc part so the plan
 				// exists before streaming begins.
-				s.runExtract(w, r, req, "", part)
-				return
+				x.stream = part
+				continue
 			}
 			const maxFormula = 1 << 20
 			val, err := io.ReadAll(http.MaxBytesReader(w, part, maxFormula))
@@ -316,23 +326,48 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 			}
 			switch part.FormName() {
 			case "spanner":
-				req.Spanner = string(val)
+				x.req.Spanner = string(val)
 			case "splitter":
-				req.Splitter = string(val)
+				x.req.Splitter = string(val)
 			case "split_spanner":
-				req.SplitSpanner = string(val)
+				x.req.SplitSpanner = string(val)
 			}
 		}
 	default:
 		q := r.URL.Query()
-		req := engine.Request{
+		x.req = engine.Request{
 			Spanner:      q.Get("spanner"),
 			Splitter:     q.Get("splitter"),
 			SplitSpanner: q.Get("split_spanner"),
-			Tenant:       s.tenantOf(r),
+			Tenant:       x.req.Tenant,
 		}
-		s.runExtract(w, r, req, "", rawBody{r})
+		x.stream = rawBody{r}
 	}
+	s.extract(w, r, x)
+}
+
+// handleExtractBatch serves POST /v1/extract-batch: one document, N
+// registered spanner formulas, one shared evaluation pass. Two request
+// shapes:
+//
+//   - application/json: {"spanners": [...], "doc": "..."} with the
+//     document inline.
+//   - anything else: the body is the document and the formulas come from
+//     repeated ?spanner=… query parameters.
+//
+// A formula that does not compile fails its own query, not the batch.
+func (s *server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
+	x := extraction{req: engine.Request{Tenant: s.tenantOf(r)}, batch: true}
+	if ctype, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); ctype == "application/json" {
+		var req extractBatchRequest
+		if !decodeJSON(w, r, s.cfg.maxJSON, &req) {
+			return
+		}
+		x.spanners, x.doc = req.Spanners, req.Doc
+	} else {
+		x.spanners, x.stream = r.URL.Query()["spanner"], rawBody{r}
+	}
+	s.extract(w, r, x)
 }
 
 // rawBody is a request's body as the document. Its Content-Length (-1 for
@@ -346,16 +381,11 @@ func (b rawBody) Read(p []byte) (int, error) { return b.r.Body.Read(p) }
 func (b rawBody) Len() int                   { return int(min(b.r.ContentLength, math.MaxInt)) }
 
 // planErrStatus classifies a Plan error: a coalesced waiter can see its
-// own context die while the plan is still compiling. A client
-// cancellation is the client's doing (499); the server's own deadline
-// budget running out is the server giving up (504). Anything else is a
-// bad formula.
+// own context die while the plan is still compiling, which extractErrStatus
+// maps (499 or 504). Anything else is a bad formula, or an empty batch.
 func planErrStatus(err error) int {
-	switch {
-	case errors.Is(err, engine.ErrDeadlineExceeded), errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return 499
+	if status := extractErrStatus(err); status != http.StatusInternalServerError {
+		return status
 	}
 	return http.StatusBadRequest
 }
@@ -377,47 +407,68 @@ func extractErrStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// runExtract plans the request and evaluates its document: stream (a raw
-// request body or a multipart part), or, when stream is nil, doc — an
-// inline document is evaluated directly, not through chunked ingestion.
-func (s *server) runExtract(w http.ResponseWriter, r *http.Request, req engine.Request, doc string, stream io.Reader) {
-	plan, hit, err := s.eng.Plan(r.Context(), req)
+// extract plans x, evaluates its document — an inline one directly, not
+// through chunked ingestion — and answers, for both endpoints: one JSON
+// body or, when the client accepts multipart/mixed, a stream of parts —
+// "plan", written and flushed before the document is read; the result
+// ("tuples", or a batch's "results") on success; and always a terminal
+// "end" epilogue. The epilogue is what makes a failure after the 200
+// header explicit: when evaluation fails (the engine surfaces
+// context.Canceled, a deadline, a stalled or oversized upload) the stream
+// still ends with a parseable error part carrying the status the failure
+// would have had, instead of an ambiguous truncation — a client that never
+// sees an "end" part knows the response is incomplete.
+func (s *server) extract(w http.ResponseWriter, r *http.Request, x extraction) {
+	var plan *engine.Plan
+	var hit bool
+	var err error
+	if x.batch {
+		plan, hit, err = s.eng.PlanBatch(r.Context(), engine.BatchRequest{Spanners: x.spanners, Tenant: x.req.Tenant})
+	} else {
+		plan, hit, err = s.eng.Plan(r.Context(), x.req)
+	}
 	if err != nil {
 		writeError(w, planErrStatus(err), err)
 		return
 	}
 	ingest := "inline"
-	if stream != nil {
+	if x.stream != nil {
 		ingest = "buffered"
 		if s.eng.WillStream(plan) {
 			ingest = "streamed"
 		}
 	}
-	run := func() (*span.Relation, engine.Execution, error) {
-		if stream == nil {
-			return s.eng.Run(r.Context(), plan, doc)
+	var mw *multipart.Writer
+	part := func(name string, v any) {
+		h := textproto.MIMEHeader{}
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Disposition", `inline; name="`+name+`"`)
+		pw, err := mw.CreatePart(h)
+		if err != nil {
+			return // client gone; nothing left to say
 		}
-		return s.eng.RunReader(r.Context(), plan, stream)
+		encodeJSON(pw, v)
 	}
 	if acceptsMultipart(r) {
-		type planPart struct {
-			planResponse
-			Ingest string   `json:"ingest"`
-			Vars   []string `json:"vars"`
-		}
-		respondMultipart(w, planPart{planResponse: planSection(plan, hit), Ingest: ingest, Vars: plan.Vars()}, "tuples",
-			func() (any, epilogue, error) {
-				rel, exec, err := run()
-				if err != nil {
-					return nil, epilogue{}, err
-				}
-				return appendTuples(nil, rel), epilogue{Status: "ok", Count: rel.Len(), Execution: exec.String()}, nil
-			})
-		return
+		// The response header goes out before the document has been read, so
+		// the connection must be full-duplex: without this, net/http drains
+		// the unconsumed request body at WriteHeader time — eating the
+		// document the engine is about to evaluate.
+		rc := http.NewResponseController(w)
+		_ = rc.EnableFullDuplex()
+		mw = multipart.NewWriter(w)
+		defer mw.Close()
+		w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
+		w.WriteHeader(http.StatusOK)
+		part("plan", x.planPart(plan, hit, ingest))
+		_ = rc.Flush() // the client sees the verdict while the document uploads
 	}
-	rel, exec, err := run()
-	if err != nil {
-		if stream != nil {
+	results, exec, err := s.eng.Answer(r.Context(), plan, x.doc, x.stream)
+	switch {
+	case err != nil && mw != nil:
+		part("end", epilogue{Status: "error", Error: err.Error(), HTTPStatus: extractErrStatus(err)})
+	case err != nil:
+		if x.stream != nil {
 			// The document body was abandoned mid-read (stall, deadline,
 			// size cap, cancellation). The connection cannot be reused, and
 			// — decisive for the 408 path — without Connection: close the
@@ -426,16 +477,57 @@ func (s *server) runExtract(w http.ResponseWriter, r *http.Request, req engine.R
 			w.Header().Set("Connection", "close")
 		}
 		writeError(w, extractErrStatus(err), err)
-		return
+	case mw != nil:
+		result, count := x.answer(nil, plan, results)
+		name, end := "tuples", epilogue{Status: "ok", Count: count, Execution: exec.String()}
+		if x.batch {
+			name, end.Execution = "results", ""
+		}
+		part(name, result)
+		part("end", end)
+	default:
+		body, _ := x.answer(x.head(plan, hit, ingest, exec, results), plan, results)
+		writeJSON(w, http.StatusOK, append(body, '}'))
 	}
-	body := openObject(nil, extractResponse{
+}
+
+// planPart is x's multipart "plan" part: the plan section with the ingest
+// mode and the variables, or a batch's response before evaluation — the
+// per-query formulas, variables and compile errors.
+func (x extraction) planPart(plan *engine.Plan, hit bool, ingest string) any {
+	if x.batch {
+		queries, _ := appendQueries(x.head(plan, hit, ingest, 0, nil), plan, x.spanners, nil)
+		return append(queries, '}')
+	}
+	return struct {
+		planResponse
+		Ingest string   `json:"ingest"`
+		Vars   []string `json:"vars"`
+	}{planSection(plan, hit), ingest, plan.Vars()}
+}
+
+// head opens x's JSON response up to the key of its final member —
+// "tuples", or a batch's "queries" — whose value answer appends.
+func (x extraction) head(plan *engine.Plan, hit bool, ingest string, exec engine.Execution, results []engine.BatchResult) []byte {
+	if x.batch {
+		return openObject(nil, extractBatchResponse{CacheHit: hit, PlanCompileMS: float64(plan.CompileTime.Microseconds()) / 1000}, "queries")
+	}
+	return openObject(nil, extractResponse{
 		planResponse: planSection(plan, hit),
 		Ingest:       ingest,
 		Execution:    exec.String(),
 		Vars:         plan.Vars(),
-		Count:        rel.Len(),
+		Count:        results[0].Rel.Len(),
 	}, "tuples")
-	writeJSON(w, http.StatusOK, append(appendTuples(body, rel), '}'))
+}
+
+// answer appends x's evaluated result to dst — the query's tuples, or a
+// batch's queries — and returns it with its tuple count.
+func (x extraction) answer(dst []byte, plan *engine.Plan, results []engine.BatchResult) (json.RawMessage, int) {
+	if x.batch {
+		return appendQueries(dst, plan, x.spanners, results)
+	}
+	return appendTuples(dst, results[0].Rel), results[0].Rel.Len()
 }
 
 // acceptsMultipart reports whether the client asked for the streamed
@@ -460,9 +552,9 @@ type epilogue struct {
 	Status string `json:"status"`
 	Count  int    `json:"count,omitempty"`
 	// Execution is the route the document took ("whole", "split" or
-	// "chunked"; see extractResponse). It is here and not in the "plan" part because a
-	// streamed document's route is known only once enough of it has
-	// arrived; batch epilogues omit it.
+	// "chunked"; see extractResponse). It is here and not in the "plan"
+	// part because a streamed document's route is known only once enough
+	// of it has arrived; batch epilogues omit it.
 	Execution string `json:"execution,omitempty"`
 	Error     string `json:"error,omitempty"`
 	// HTTPStatus is advisory: by the time the epilogue is written the
@@ -470,54 +562,9 @@ type epilogue struct {
 	HTTPStatus int `json:"http_status,omitempty"`
 }
 
-// respondMultipart answers an extraction with multipart/mixed: the
-// "plan" part written (and flushed) before run evaluates anything, the
-// part called name with run's result on success, and always a terminal
-// "end" epilogue part. The epilogue is what makes mid-stream failure
-// explicit: when run fails (the engine surfaces context.Canceled, a
-// deadline, a stalled or oversized upload) after the 200 header has been
-// sent, the stream still terminates with a parseable error part carrying
-// the status the failure would have had, instead of an ambiguous
-// truncation — a client that never sees an "end" part knows the response
-// is incomplete.
-func respondMultipart(w http.ResponseWriter, plan any, name string, run func() (result any, end epilogue, err error)) {
-	// The response header goes out before the document has been read, so
-	// the connection must be full-duplex: without this, net/http drains
-	// the unconsumed request body at WriteHeader time — eating the
-	// document the engine is about to evaluate.
-	rc := http.NewResponseController(w)
-	_ = rc.EnableFullDuplex()
-	mw := multipart.NewWriter(w)
-	defer mw.Close()
-	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
-	w.WriteHeader(http.StatusOK)
-
-	part := func(name string, v any) {
-		h := textproto.MIMEHeader{}
-		h.Set("Content-Type", "application/json")
-		h.Set("Content-Disposition", `inline; name="`+name+`"`)
-		pw, err := mw.CreatePart(h)
-		if err != nil {
-			return // client gone; nothing left to say
-		}
-		encodeJSON(pw, v)
-	}
-
-	part("plan", plan)
-	_ = rc.Flush() // the client sees the verdict while the document uploads
-
-	result, end, err := run()
-	if err != nil {
-		part("end", epilogue{Status: "error", Error: err.Error(), HTTPStatus: extractErrStatus(err)})
-		return
-	}
-	part(name, result)
-	part("end", end)
-}
-
 // extractBatchRequest is the JSON request body of /v1/extract-batch:
 // one document, many spanner formulas, answered by one fused pass
-// (engine.PlanBatch / ExtractBatch).
+// (engine.PlanBatch, then Engine.Answer like /v1/extract).
 type extractBatchRequest struct {
 	Spanners []string `json:"spanners"`
 	Doc      string   `json:"doc,omitempty"`
@@ -570,86 +617,15 @@ func appendQueries(dst []byte, plan *engine.Plan, spanners []string, results []e
 	return append(dst, ']'), total
 }
 
-// handleExtractBatch serves POST /v1/extract-batch: one document, N
-// registered spanner formulas, one shared evaluation pass. Two request
-// shapes:
-//
-//   - application/json: {"spanners": [...], "doc": "..."} with the
-//     document inline.
-//   - anything else: the body is the document and the formulas come from
-//     repeated ?spanner=… query parameters.
-//
-// With Accept: multipart/mixed the response is streamed with the PR 8
-// epilogue contract: a "plan" part (per-query formulas, variables and
-// compile errors) flushed before the document is consumed, a "results"
-// part on success, and always a terminal "end" part — error epilogue
-// included when the deadline fires mid-batch.
-func (s *server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
-	ctype, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	var req extractBatchRequest
-	inline := ctype == "application/json"
-	if inline {
-		if !decodeJSON(w, r, s.cfg.maxJSON, &req) {
-			return
-		}
-	} else {
-		req.Spanners = r.URL.Query()["spanner"]
-	}
-	plan, hit, err := s.eng.PlanBatch(r.Context(), engine.BatchRequest{
-		Spanners: req.Spanners, Tenant: s.tenantOf(r),
-	})
-	if err != nil {
-		// Whole-batch planning failures: an empty batch, or the deadline
-		// dying while coalesced on an in-flight compilation. Per-formula
-		// compile errors never land here — they ride in the plan's slots.
-		writeError(w, planErrStatus(err), err)
-		return
-	}
-	run := func() ([]engine.BatchResult, error) {
-		if inline {
-			return s.eng.ExtractBatch(r.Context(), plan, req.Doc)
-		}
-		// The raw body is the document: read behind the engine's stall
-		// guard and MaxDocBuffer, like /v1/extract's buffered uploads.
-		return s.eng.ExtractBatchReader(r.Context(), plan, rawBody{r})
-	}
-	head := openObject(nil, extractBatchResponse{CacheHit: hit, PlanCompileMS: float64(plan.CompileTime.Microseconds()) / 1000}, "queries")
-	if acceptsMultipart(r) {
-		// The "plan" part is the response with the per-query compile
-		// verdicts and no tuples yet; "results" the evaluated queries.
-		planPart, _ := appendQueries(head, plan, req.Spanners, nil)
-		respondMultipart(w, append(planPart, '}'), "results", func() (any, epilogue, error) {
-			results, err := run()
-			if err != nil {
-				return nil, epilogue{}, err
-			}
-			queries, total := appendQueries(nil, plan, req.Spanners, results)
-			return queries, epilogue{Status: "ok", Count: total}, nil
-		})
-		return
-	}
-	results, err := run()
-	if err != nil {
-		if !inline {
-			w.Header().Set("Connection", "close") // body abandoned mid-read
-		}
-		writeError(w, extractErrStatus(err), err)
-		return
-	}
-	body, _ := appendQueries(head, plan, req.Spanners, results)
-	writeJSON(w, http.StatusOK, append(body, '}'))
-}
-
 // handleCheck serves POST /v1/check: it returns the plan's verdicts
 // (split-correctness / self-splittability / disjointness / locality)
 // without evaluating anything — the "local" verdict tells a client
-// whether this daemon will stream the pair's documents incrementally
-// without any -stream-incremental override, and "cut_safe" (the
-// splitter's core.Splitter.CutSafe, computed here if no document has
-// asked yet) whether, with "local" and a yes on the pair itself, large
-// documents run "chunked". Verdicts are served from
-// the plan cache, so repeated and concurrent checks of the same pair
-// run the PSPACE procedures once.
+// whether this daemon will stream the pair's documents incrementally,
+// and "cut_safe" (the splitter's core.Splitter.CutSafe, computed here if
+// no document has asked yet) whether, with "local" and a yes on the pair
+// itself, large documents run "chunked". Verdicts are served from the
+// plan cache, so repeated and concurrent checks of the same pair run the
+// PSPACE procedures once.
 func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	var req extractRequest
 	if !decodeJSON(w, r, s.cfg.maxJSON, &req) {
@@ -683,10 +659,9 @@ type statsResponse struct {
 }
 
 // handleStats serves GET /v1/stats: cache hit rate, throughput counters
-// (documents total, streamed incrementally and evaluated whole), worker
-// configuration,
-// whether the unsafe -stream-incremental override is active, the
-// pipeline-stage time breakdown and per-endpoint latency percentiles.
+// (documents total, streamed incrementally, evaluated whole and chunked),
+// worker configuration, the pipeline-stage time breakdown and
+// per-endpoint latency percentiles.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{
 		Stats:     s.eng.Stats(),

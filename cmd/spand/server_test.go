@@ -286,10 +286,9 @@ func rawStream(t *testing.T, ts *httptest.Server, spanner, splitter, doc string)
 }
 
 func TestProvenLocalSplitterStreamsByDefault(t *testing.T) {
-	// The sentence splitter is proven local by the plan's verdict, so a
-	// daemon with NO -stream-incremental flag must segment the upload
-	// incrementally — correctness by proof, not by operator promise —
-	// and report it: ingest "streamed", verdict local=yes, and the
+	// The sentence splitter is proven local by the plan's verdict, so the
+	// daemon must segment the upload incrementally — correctness by
+	// proof — and report it: ingest "streamed", verdict local=yes, and the
 	// streamed-documents counter in /v1/stats.
 	eng := engine.New(engine.Config{Workers: 2, ChunkSize: 8})
 	ts := httptest.NewServer(newServer(eng))
@@ -305,15 +304,15 @@ func TestProvenLocalSplitterStreamsByDefault(t *testing.T) {
 		t.Fatalf("streamed tuples = %v, want one-shot %v", got.Tuples, want)
 	}
 	st := eng.Stats()
-	if st.StreamedDocs != 1 || st.StreamForced {
-		t.Fatalf("stats = %+v, want exactly one streamed document and no force flag", st)
+	if st.StreamedDocs != 1 {
+		t.Fatalf("stats = %+v, want exactly one streamed document", st)
 	}
 }
 
 func TestUnprovenSplitterBuffersByDefault(t *testing.T) {
 	// A disjoint splitter the locality procedure refuses ('.'-separated
-	// blocks minus the first) must be buffered whole unless the operator
-	// forces streaming; either way the ingest mode is reported.
+	// blocks minus the first) must be buffered whole, and the ingest mode
+	// says so.
 	const nonLocalSplitter = `[^.]*\.([^.]*\.)*(x{[^.]*})(\.[^.]*)*`
 	const doc = "x@y.a@b.c@d."
 	def := httptest.NewServer(newServer(engine.New(engine.Config{Workers: 2, ChunkSize: 8})))

@@ -19,9 +19,7 @@ type Engine = engine.Engine
 
 // EngineConfig tunes an Engine; the zero value selects defaults
 // (GOMAXPROCS workers, 128-plan cache, 16-segment batches, 64 KiB
-// chunks, stream-when-proven-local). EngineConfig.StreamIncremental is
-// a force-override with unsafe-assertion semantics — see
-// engine.Config.StreamIncremental for its exact contract.
+// chunks, stream-when-proven-local).
 type EngineConfig = engine.Config
 
 // EngineStats is a monitoring snapshot of an Engine.

@@ -5,17 +5,15 @@
 //     locality is decided on its automaton (core.Splitter.IsLocal), so
 //     the engine segments uploads incrementally with no configuration —
 //     correctness by proof.
-//  2. Forced -stream-incremental: a disjoint splitter the procedure
-//     refuses (the values of a "key value value …!" record: every word
-//     but the first, and only when the record ends in '!') can be
-//     force-streamed, but the flag is an unsafe assertion — this program
-//     shows the silent mis-extraction a wrong assertion causes.
-//  3. Buffer-all fallback: the same unproven splitter on a default
-//     engine is buffered whole, which is sound for every splitter.
-//
-// Modes 2 and 3 use a record of some 36 KB: a stream that ends inside its
-// first 32 KiB is evaluated whole, whatever the flags, and never meets the
-// incremental segmenter.
+//  2. Forced streaming: a disjoint splitter the procedure refuses (the
+//     values of a "key value value …!" record: every word but the first,
+//     and only when the record ends in '!'), segmented incrementally
+//     anyway. The engine offers no way to do that; this program drives
+//     the splitter's resumable scanner by hand, as the engine's streamed
+//     route would, and shows the silent mis-extraction the locality proof
+//     rules out.
+//  3. Buffer-all fallback: the unproven splitter on the engine is
+//     buffered whole, which is sound for every splitter.
 //
 // Run with: go run ./examples/streaming
 package main
@@ -29,6 +27,10 @@ import (
 	"strings"
 
 	spanners "repro"
+	"repro/internal/core"
+	"repro/internal/parallel"
+	"repro/internal/regexformula"
+	"repro/internal/span"
 )
 
 const (
@@ -76,7 +78,7 @@ func run(w io.Writer, name string, cfg spanners.EngineConfig, req spanners.Extra
 	}
 	fmt.Fprintf(w, "%s\n", name)
 	fmt.Fprintf(w, "  doc: %q (%d bytes)\n", preview, len(doc))
-	fmt.Fprintf(w, "  strategy=%v disjoint=%v local=%v → streams without flag: %v\n",
+	fmt.Fprintf(w, "  strategy=%v disjoint=%v local=%v → streams: %v\n",
 		plan.Strategy, plan.Verdicts.Disjoint, plan.Verdicts.Local,
 		plan.Verdicts.Local.String() == "yes")
 	fmt.Fprintf(w, "  streamed %d tuples vs one-shot %d tuples — identical: %v\n\n",
@@ -106,8 +108,10 @@ func report(w io.Writer) {
 		spanners.ExtractRequest{Spanner: wordFormula, Splitter: unigramFormula},
 		"alpha beta gamma delta epsilon!")
 
-	// Mode 3: the unproven splitter on a default engine buffers the
-	// whole stream — slower to first result, but always correct.
+	// Mode 3: the unproven splitter on the engine buffers the whole
+	// stream — slower to first result, but always correct. The record is
+	// some 36 KB: a stream that ends inside its first 32 KiB is evaluated
+	// whole and never meets the incremental segmenter.
 	valuesReq := spanners.ExtractRequest{
 		Spanner:      recordValuesFormula,
 		SplitSpanner: segWordFormula,
@@ -120,18 +124,50 @@ func report(w io.Writer) {
 		spanners.EngineConfig{Workers: 2},
 		valuesReq, record)
 
-	// Mode 2: forcing the unproven splitter on the same record. No value
-	// can be committed before the closing '!' has been seen, so the
-	// incremental segmenter gives up at the first one, keeps buffering
-	// from where that value starts — the last byte offset it knows to be
-	// a segment start — and splits "first value … last!" once the stream
-	// ends. Cutting the document there would be sound for a local
-	// splitter. This one reads "first" as the record's key: the first
-	// value is silently missing from the result. This divergence is
-	// exactly what the locality proof rules out.
-	run(w, "2· forced -stream-incremental (record values; UNSAFE)",
-		spanners.EngineConfig{Workers: 2, StreamIncremental: true},
-		valuesReq, record)
+	// Mode 2: streaming the unproven splitter over the same record. No
+	// value can be committed before the closing '!' has been seen, so the
+	// scanner gives up at the first one; the rest of the stream is kept
+	// from where that value starts — the last byte offset the scanner knows
+	// to be a segment start — and split once it ends. Cutting the document
+	// there would be sound for a local splitter. This one reads "first" as
+	// the record's key: the first value is silently missing from the
+	// result. This divergence is exactly what the locality proof rules out.
+	values := core.MustSplitter(regexformula.MustCompile(valuesFormula))
+	spans, anchor := forcedStream(values, record, 64<<10)
+	forced := parallel.SplitEval(regexformula.MustCompile(segWordFormula), parallel.SegmentsOf(record, spans), 2)
+	oneShot := regexformula.MustCompile(recordValuesFormula).Eval(record)
+	fmt.Fprintf(w, "2· forced stream of the unproven splitter (record values; UNSAFE)\n")
+	fmt.Fprintf(w, "  doc: %q (%d bytes)\n", record[:24]+"…"+record[len(record)-12:], len(record))
+	fmt.Fprintf(w, "  scanner bailed; the tail from byte %d was split on its own\n", anchor)
+	fmt.Fprintf(w, "  streamed %d tuples vs one-shot %d tuples — identical: %v\n\n",
+		forced.Len(), oneShot.Len(), forced.Equal(oneShot))
+}
+
+// forcedStream segments doc the way the engine's streamed route would if
+// it trusted s to be local: the scanner is fed read-sized chunks, and once
+// it bails the tail from its anchor is split on its own at the end, spans
+// the scanner already committed dropped. It returns the spans and the
+// anchor (0-based) the tail was cut at.
+func forcedStream(s *core.Splitter, doc string, read int) ([]span.Span, int) {
+	run, ok := s.NewScanRun()
+	if !ok {
+		log.Fatal("the splitter has no scanner")
+	}
+	var spans []span.Span
+	for lo := 0; lo < len(doc) && !run.Bailed(); lo += read {
+		spans, _ = run.Feed([]byte(doc[lo:min(lo+read, len(doc))]), spans)
+	}
+	spans, ok = run.Flush(spans)
+	if ok {
+		log.Fatal("the scanner was expected to bail")
+	}
+	tail := span.Span{Start: run.Anchor() + 1, End: len(doc) + 1}
+	for _, sp := range s.Split(tail.In(doc)) {
+		if at := sp.Shift(tail); len(spans) == 0 || at.Compare(spans[len(spans)-1]) > 0 {
+			spans = append(spans, at)
+		}
+	}
+	return spans, run.Anchor()
 }
 
 func main() { report(os.Stdout) }

@@ -4,13 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/reltest"
+	"repro/internal/span"
 )
 
 const (
 	abFormula = `.*(x{ab}).*|(x{ab}).*`
 	cdFormula = `.*(x{cd}).*|(x{cd}).*`
+	// sentimentFormula is library.NegativeSentiment's formula.
+	sentimentFormula = `(.*[ .!?\n])?bad (y{[a-z]+})(([^a-z].*)?|)`
 )
 
 func mustPlanBatch(t *testing.T, e *Engine, req BatchRequest) *Plan {
@@ -55,8 +63,8 @@ func TestExtractBatchMatchesSingleExtract(t *testing.T) {
 func TestExtractBatchPerQueryErrors(t *testing.T) {
 	e := newTestEngine()
 	plan := mustPlanBatch(t, e, BatchRequest{Spanners: []string{abFormula, "(x{unclosed", ""}})
-	if !plan.IsBatch() || plan.BatchLen() != 3 {
-		t.Fatalf("IsBatch=%v BatchLen=%d, want batch of 3", plan.IsBatch(), plan.BatchLen())
+	if n := len(plan.slot); n != 3 {
+		t.Fatalf("%d slots, want 3", n)
 	}
 	if plan.BatchErr(0) != nil {
 		t.Fatalf("slot 0 should compile, got %v", plan.BatchErr(0))
@@ -99,7 +107,7 @@ func TestExtractBatchAllFormulasBad(t *testing.T) {
 func TestExtractBatchDuplicateFormulasShareOneMember(t *testing.T) {
 	e := newTestEngine()
 	plan := mustPlanBatch(t, e, BatchRequest{Spanners: []string{abFormula, abFormula, cdFormula}})
-	if n := len(plan.batch.members); n != 2 {
+	if n := len(plan.members); n != 2 {
 		t.Fatalf("distinct members = %d, want 2 (duplicates deduplicated)", n)
 	}
 	results, err := e.ExtractBatch(context.Background(), plan, "ab cd")
@@ -121,11 +129,58 @@ func TestPlanBatchEmpty(t *testing.T) {
 	}
 }
 
-func TestExtractBatchRejectsSinglePlan(t *testing.T) {
-	e := newTestEngine()
-	plan := mustPlan(t, e, Request{Spanner: abFormula})
-	if _, err := e.ExtractBatch(context.Background(), plan, "ab"); err == nil {
-		t.Fatal("ExtractBatch on a single plan should fail")
+// TestOneMemberBatchIsTheSingleQuery pins the one request path: a
+// single-query plan is the one-member batch. For the batch formulas and
+// for executionCases' spanners as sequential plans, slot 0 of both
+// ExtractBatch(PlanBatch([X])) and ExtractBatch(Plan(X)) equals
+// Extract(Plan(X)) and EvalReference, on an inline document and on
+// streams with and without a declared length.
+func TestOneMemberBatchIsTheSingleQuery(t *testing.T) {
+	e := New(Config{Workers: 2, ReadTimeout: time.Minute})
+	ctx := context.Background()
+	cases := executionCases(t)
+	for _, f := range []string{emailFormula, abFormula, cdFormula, sentimentFormula} {
+		single := mustPlan(t, e, Request{Spanner: f})
+		batch := mustPlanBatch(t, e, BatchRequest{Spanners: []string{f}})
+		for i, c := range cases {
+			doc := c.doc(uint64(i)+1, 8<<10) + " ab cd"
+			want := single.p.EvalReference(doc)
+			for _, input := range []struct {
+				name string
+				open func() io.Reader // nil: inline
+			}{
+				{"inline", nil},
+				{"sized", func() io.Reader { return strings.NewReader(doc) }},
+				{"unsized", func() io.Reader { return unsized{strings.NewReader(doc)} }},
+			} {
+				extract := func(plan *Plan) ([]BatchResult, *span.Relation) {
+					t.Helper()
+					var results []BatchResult
+					var rel *span.Relation
+					var err, berr error
+					if input.open == nil {
+						results, berr = e.ExtractBatch(ctx, plan, doc)
+						rel, err = e.Extract(ctx, plan, doc)
+					} else {
+						results, berr = e.ExtractBatchReader(ctx, plan, input.open())
+						rel, err = e.ExtractReader(ctx, plan, input.open())
+					}
+					if err != nil || berr != nil || len(results) != 1 || results[0].Err != nil {
+						t.Fatalf("%s on %s, %s: results %+v, errors %v / %v", f, c.name, input.name, results, berr, err)
+					}
+					return results, rel
+				}
+				what := fmt.Sprintf("%s on %s, %s", f, c.name, input.name)
+				fused, _ := extract(batch)
+				slot, rel := extract(single)
+				if d := reltest.ThreeWayDiff("ExtractBatch(PlanBatch)", fused[0].Rel, "Extract(Plan)", rel, want); d != "" {
+					t.Fatalf("%s:\n%s", what, d)
+				}
+				if d := reltest.ThreeWayDiff("ExtractBatch(Plan)", slot[0].Rel, "Extract(Plan)", rel, want); d != "" {
+					t.Fatalf("%s:\n%s", what, d)
+				}
+			}
+		}
 	}
 }
 

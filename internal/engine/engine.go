@@ -12,13 +12,12 @@
 //     (concurrent requests for the same (spanner, splitter) pair run
 //     the decision procedures exactly once).
 //   - Documents may arrive as io.Reader streams: when the locality
-//     verdict proves it safe (or the operator forces it), the splitter
-//     is applied incrementally with carry-over across chunk boundaries,
-//     and completed segments are dispatched to the work-stealing
-//     split-evaluation executor (internal/parallel) with configurable
-//     batching and backpressure while the tail of the document is still
-//     being read; otherwise the stream is buffered whole, which is
-//     sound for arbitrary splitters.
+//     verdict proves it safe, the splitter is applied incrementally with
+//     carry-over across chunk boundaries, and completed segments are
+//     dispatched to the work-stealing split-evaluation executor
+//     (internal/parallel) with configurable batching and backpressure
+//     while the tail of the document is still being read; otherwise the
+//     stream is buffered whole, which is sound for arbitrary splitters.
 //   - Segment relations are shifted and merged into a deterministic
 //     (sorted, deduplicated) result, byte-identical to one-shot
 //     evaluation of the whole document.
@@ -29,6 +28,9 @@
 //     route taken). Where the splitter is also proven cut-independent the
 //     split side is evaluated at chunk grain — P once per ChunkSize bytes
 //     of consecutive segments, not P_S once per segment (chunked).
+//   - A plan answers 1…N queries: a single query is the one-member case
+//     of a batch, which shares one pass per document (vsa.Multi). Every
+//     entry point runs the one evaluation path, run.
 //
 // cmd/spand wraps the engine in an HTTP daemon.
 package engine
@@ -45,6 +47,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/span"
+	"repro/internal/vsa"
 )
 
 // Config tunes an Engine. The zero value selects sensible defaults.
@@ -79,20 +82,6 @@ type Config struct {
 	// the library default. Plans whose verdict exceeds the limit degrade
 	// to sequential evaluation instead of failing.
 	StateLimit int
-	// StreamIncremental force-enables incremental segmentation of
-	// streamed documents for split plans whose splitter the locality
-	// decision procedure (core.Splitter.IsLocal) could NOT prove local.
-	// It is an unsafe assertion: incremental segmentation of a
-	// non-local splitter can silently mis-segment, and with this flag
-	// set the engine trusts the operator's claim instead of a proof.
-	// The flag is never needed for provably local splitters — those
-	// stream automatically (see WillStream) — and it never makes a
-	// sequential or non-disjoint plan stream. The default (false)
-	// streams exactly the split plans whose Verdicts.Local is yes and
-	// buffers everything else whole — including plans whose splitter is
-	// local but whose strategy settled on sequential — which is sound
-	// for arbitrary splitters.
-	StreamIncremental bool
 	// MaxDocBuffer caps the bytes the engine will hold in memory for one
 	// document: the whole document on the buffered paths (including
 	// inline documents given to Extract), the carry-over buffer — the
@@ -175,17 +164,14 @@ func (c Config) withDefaults() Config {
 
 // Stats is a snapshot of engine counters for monitoring. StreamedDocs
 // counts the documents that were segmented incrementally while being
-// read (WillStream true: a proven-local splitter, or the
-// StreamIncremental override); Documents minus StreamedDocs were
-// buffered whole (or arrived inline). WholeDocs counts the documents Run
-// and RunReader evaluated whole (ExecWhole): every document of a
-// sequential plan, and a split plan's documents too small to amortise
-// the executor. ChunkedDocs counts the documents that took the split route
-// at chunk grain (ExecChunked); Segments counts the splitter's spans on
-// either grain, while Executor.Segments counts the units the executor
-// evaluated — chunks, for those documents. StreamForced echoes the
-// configured StreamIncremental override so operators can see whether
-// streamed documents are covered by proofs alone.
+// read (WillStream true: a proven-local splitter); Documents minus
+// StreamedDocs were buffered whole (or arrived inline). WholeDocs counts
+// the documents evaluated whole (ExecWhole): every document of a
+// sequential or batch plan, and a split plan's documents too small to
+// amortise the executor. ChunkedDocs counts the documents that took the
+// split route at chunk grain (ExecChunked); Segments counts the
+// splitter's spans on either grain, while Executor.Segments counts the
+// units the executor evaluated — chunks, for those documents.
 type Stats struct {
 	UptimeSec      float64    `json:"uptime_sec"`
 	Documents      uint64     `json:"documents"`
@@ -198,7 +184,6 @@ type Stats struct {
 	Workers        int        `json:"workers"`
 	RequestWorkers int        `json:"request_workers"`
 	Batch          int        `json:"batch"`
-	StreamForced   bool       `json:"stream_forced"`
 	PlanCache      CacheStats `json:"plan_cache"`
 	// Stages breaks request-path time down by pipeline stage — plan,
 	// segment, eval as top-level stages whose shares sum to 1, plus the
@@ -242,11 +227,25 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Plan returns the compiled, verdict-annotated plan for the request,
-// serving it from the plan cache when possible. hit reports whether the
-// expensive work (compilation + decision procedures) was skipped —
-// either a completed cached plan or a coalesced in-flight compilation.
+// Plan returns the compiled, verdict-annotated one-member plan for the
+// request, serving it from the plan cache when possible. hit reports
+// whether the expensive work (compilation + decision procedures) was
+// skipped — either a completed cached plan or a coalesced in-flight
+// compilation.
 func (e *Engine) Plan(ctx context.Context, req Request) (plan *Plan, hit bool, err error) {
+	return e.plan(ctx, req.Tenant, req.key(), func() (*Plan, error) { return compilePlan(req, e.cfg.StateLimit) })
+}
+
+// PlanBatch returns the plan of a batch request, one member slot per
+// formula, from the same cache as Plan (same LRU, byte budgets and tenant
+// quotas). A formula that fails to compile does not fail the batch: its
+// error is memoized in its slot (BatchErr).
+func (e *Engine) PlanBatch(ctx context.Context, req BatchRequest) (plan *Plan, hit bool, err error) {
+	return e.plan(ctx, req.Tenant, req.key(), func() (*Plan, error) { return compileBatchPlan(req) })
+}
+
+// plan serves the plan cached under key, compiling it on a miss.
+func (e *Engine) plan(ctx context.Context, tenant, key string, compile func() (*Plan, error)) (plan *Plan, hit bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, wrapCtxErr(err)
 	}
@@ -255,18 +254,25 @@ func (e *Engine) Plan(ctx context.Context, req Request) (plan *Plan, hit bool, e
 		e.m.observeStage(StagePlan, time.Since(t0))
 		err = wrapCtxErr(err)
 	}()
-	return e.cache.get(ctx, req.Tenant, req.key(), func() (*Plan, error) {
-		p, err := compilePlan(req, e.cfg.StateLimit)
+	return e.cache.get(ctx, tenant, key, func() (*Plan, error) {
+		p, err := compile()
 		if err != nil {
 			return nil, err
 		}
 		e.m.decide.RecordDuration(p.DecideTime)
 		// Attach the engine's evaluation metrics to the automatons the
-		// plan will evaluate with. The cache is per-engine, so a cached
-		// plan always reports into its own engine's counters.
-		p.p.SetEvalMetrics(&e.m.eval)
+		// plan will evaluate with: the members and P_S to the evaluation
+		// series, the fused evaluator to the multi-query one. The cache is
+		// per-engine, so a cached plan always reports into its own
+		// engine's counters.
+		for _, a := range p.members {
+			a.SetEvalMetrics(&e.m.eval)
+		}
 		if p.ps != nil {
 			p.ps.SetEvalMetrics(&e.m.eval)
+		}
+		if p.multi != nil {
+			p.multi.SetMetrics(&e.m.multi)
 		}
 		return p, nil
 	})
@@ -304,14 +310,13 @@ func licensed(plan *Plan) bool {
 // consecutive segments (ExecChunked) instead of P_S once per segment —
 // when three proofs are in hand: the plan's own verdict (P = P_S ∘ S on
 // every document, hence on every chunk), the locality verdict (a chunk may
-// start at any span start; the StreamIncremental override is an assertion
-// and does not count) and the splitter's cut safety (a chunk may end at any
-// span end). The last two are cut independence — S on such a chunk t of d
-// is S(d) restricted to t — so P(t) = (P_S ∘ S)(t) is exactly the chunk's
-// share of (P_S ∘ S)(d) = P(d); DESIGN.md ("Grain") has the proof. CutSafe
-// builds the splitter's scanner, so it is asked last, and only for
-// documents already on the split route: a plan whose documents all run
-// whole never pays for it.
+// start at any span start) and the splitter's cut safety (a chunk may end
+// at any span end). The last two are cut independence — S on such a chunk
+// t of d is S(d) restricted to t — so P(t) = (P_S ∘ S)(t) is exactly the
+// chunk's share of (P_S ∘ S)(d) = P(d); DESIGN.md ("Grain") has the
+// proof. CutSafe builds the splitter's scanner, so it is asked last, and
+// only for documents already on the split route: a plan whose documents
+// all run whole never pays for it.
 func chunked(plan *Plan) bool {
 	return licensed(plan) && plan.Verdicts.Local == core.VerdictYes && plan.s.CutSafe()
 }
@@ -334,38 +339,145 @@ func chunksOf(doc string, spans []span.Span, size int) []parallel.Segment {
 	return out
 }
 
-// Extract evaluates the plan on an in-memory document; see Run, whose
-// relation and error it returns.
+// Run evaluates the plan's first member on an in-memory document and
+// reports the route the document took; see run.
+func (e *Engine) Run(ctx context.Context, plan *Plan, doc string) (*span.Relation, Execution, error) {
+	rels, exec, err := e.run(ctx, plan, doc, nil)
+	return rels[0], exec, err
+}
+
+// RunReader is Run on a document arriving as a stream.
+func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.Relation, Execution, error) {
+	rels, exec, err := e.run(ctx, plan, "", r)
+	return rels[0], exec, err
+}
+
+// Extract is Run without the route.
 func (e *Engine) Extract(ctx context.Context, plan *Plan, doc string) (*span.Relation, error) {
 	rel, _, err := e.Run(ctx, plan, doc)
 	return rel, err
 }
 
-// Run evaluates the plan on an in-memory document and reports the route
-// the document took. A split plan's document goes through the splitter
-// and the work-stealing executor (ExecSplit, or ExecChunked where chunked
-// proves the coarser grain) when that can pay for itself
-// (see splitPays) and is otherwise evaluated whole on the calling
-// goroutine (ExecWhole), like every document of a sequential plan — the
-// plan's verdict makes the routes return the same relation. The
-// result is sorted and deduplicated. Like the reader paths, Run enforces
-// Config.MaxDocBuffer: an inline document over the budget fails with
-// ErrDocTooLarge instead of being evaluated.
-func (e *Engine) Run(ctx context.Context, plan *Plan, doc string) (*span.Relation, Execution, error) {
-	if e.cfg.MaxDocBuffer > 0 && int64(len(doc)) > e.cfg.MaxDocBuffer {
-		return span.NewRelation(plan.p.Vars...), ExecWhole,
-			fmt.Errorf("%w (%d bytes > %d)", ErrDocTooLarge, len(doc), e.cfg.MaxDocBuffer)
+// ExtractReader is RunReader without the route.
+func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*span.Relation, error) {
+	rel, _, err := e.RunReader(ctx, plan, r)
+	return rel, err
+}
+
+// Answer evaluates the plan on one document — doc, or the stream r when r
+// is non-nil — and returns one result per member slot, in slot order, with
+// the route the document took; see run. Document-level failures (size
+// cap, stall, deadline) are the error and apply to every slot; a slot's
+// compile error rides in its result.
+func (e *Engine) Answer(ctx context.Context, plan *Plan, doc string, r io.Reader) ([]BatchResult, Execution, error) {
+	rels, exec, err := e.run(ctx, plan, doc, r)
+	return plan.results(rels), exec, err
+}
+
+// ExtractBatch is Answer on an in-memory document, without the route.
+func (e *Engine) ExtractBatch(ctx context.Context, plan *Plan, doc string) ([]BatchResult, error) {
+	results, _, err := e.Answer(ctx, plan, doc, nil)
+	return results, err
+}
+
+// ExtractBatchReader is Answer on a document stream, without the route.
+func (e *Engine) ExtractBatchReader(ctx context.Context, plan *Plan, r io.Reader) ([]BatchResult, error) {
+	results, _, err := e.Answer(ctx, plan, "", r)
+	return results, err
+}
+
+// WillStream reports whether a document stream of this plan is segmented
+// incrementally (true) or buffered whole (false). It streams exactly the
+// split plans whose splitter the locality decision procedure
+// (core.Splitter.IsLocal, run once at plan compilation) proved local:
+// incremental segmentation is then byte-identical to whole-document
+// segmentation for every document and chunking. Everything else buffers,
+// since incremental segmentation of a splitter without that proof can
+// silently mis-segment. See scanSegmenter and internal/core/locality.go.
+func (e *Engine) WillStream(plan *Plan) bool {
+	return plan.Strategy == StrategySplit && plan.Verdicts.Local == core.VerdictYes
+}
+
+// run is the one evaluation path under every entry point above. It
+// evaluates the plan on one document — doc, or the stream r when r is
+// non-nil — and returns one relation per member (sorted, deduplicated)
+// with the route the document took.
+//
+// A split plan's document goes through the splitter and the work-stealing
+// executor (ExecSplit, or ExecChunked where chunked proves the coarser
+// grain) when that can pay for itself (see splitPays) and is otherwise
+// evaluated whole on the calling goroutine (ExecWhole), like every
+// document of a sequential plan — the plan's verdict makes the routes
+// return the same relation. A plan of several members has no splitter:
+// its documents run whole, one fused pass for all of them.
+//
+// A stream is read behind the stall guard (see guard). For a plan that
+// streams (see WillStream) it is segmented incrementally: segments already
+// discovered are evaluated by the executor while later chunks are still
+// being read, one by one (ExecSplit) or, where chunked proves it
+// equivalent, each feed's segments as one chunk (ExecChunked). Idle
+// workers block on the bounded dispatch channel, so a saturated pool
+// stalls the segmenter and, through it, the reader — backpressure reaches
+// all the way to the network socket. A stream that ends inside its first
+// breakEven bytes never gets that far (see ingest). Every other stream is
+// read whole first. Memory is bounded by Config.MaxDocBuffer on every
+// route: a document over the budget fails with ErrDocTooLarge instead of
+// being evaluated.
+func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) ([]*span.Relation, Execution, error) {
+	var scan *core.ScanRun
+	var hint int
+	if r != nil {
+		var stop func()
+		r, hint, stop = e.guard(ctx, r)
+		defer stop()
+		var err error
+		if doc, scan, r, err = e.ingest(ctx, plan, r, hint); err != nil {
+			return plan.none(), ExecWhole, err
+		}
+	}
+	if scan == nil && e.cfg.MaxDocBuffer > 0 && int64(len(doc)) > e.cfg.MaxDocBuffer {
+		return plan.none(), ExecWhole, fmt.Errorf("%w (%d bytes > %d)", ErrDocTooLarge, len(doc), e.cfg.MaxDocBuffer)
 	}
 	e.m.documents.Inc()
-	e.m.bytes.Add(uint64(len(doc)))
-	if plan.Strategy == StrategySplit && e.splitPays(plan, len(doc)) {
+	if scan != nil {
+		e.m.streamedDocs.Inc()
+	} else {
+		e.m.bytes.Add(uint64(len(doc)))
+		if plan.p == nil { // no member compiled: nothing to evaluate
+			return plan.none(), ExecWhole, nil
+		}
+		if plan.Strategy != StrategySplit || !e.splitPays(plan, len(doc)) {
+			if err := ctx.Err(); err != nil {
+				return plan.none(), ExecWhole, wrapCtxErr(err)
+			}
+			e.m.wholeDocs.Inc()
+			t0 := time.Now()
+			var rels []*span.Relation
+			if plan.multi != nil {
+				rels = plan.multi.Eval(doc)
+			} else {
+				rels = []*span.Relation{plan.p.Eval(doc)} // Eval returns a deduplicated, sorted relation
+			}
+			e.m.observeStage(StageEval, time.Since(t0))
+			return rels, ExecWhole, nil
+		}
+	}
+	exec, ev, chunks := ExecSplit, plan.ps, chunked(plan)
+	if chunks {
+		e.m.chunkedDocs.Inc()
+		exec, ev = ExecChunked, plan.p
+	}
+	var rel *span.Relation
+	var err error
+	if scan != nil {
+		rel, err = e.stream(ctx, plan, scan, r, hint, ev, chunks)
+	} else {
 		t0 := time.Now()
 		spans := plan.s.Split(doc)
-		exec, ev, opts := ExecSplit, plan.ps, e.evalOpts()
+		opts := parallel.Options{Workers: e.cfg.RequestWorkers, Batch: e.cfg.Batch, Metrics: &e.m.exec}
 		var segs []parallel.Segment
-		if chunked(plan) {
-			e.m.chunkedDocs.Inc()
-			exec, ev, opts.Batch = ExecChunked, plan.p, 1 // one chunk per executor task
+		if chunks {
+			opts.Batch = 1 // one chunk per executor task
 			segs = chunksOf(doc, spans, e.cfg.ChunkSize)
 		} else {
 			segs = parallel.SegmentsOf(doc, spans)
@@ -373,123 +485,60 @@ func (e *Engine) Run(ctx context.Context, plan *Plan, doc string) (*span.Relatio
 		e.m.observeStage(StageSegment, time.Since(t0))
 		e.m.segments.Add(uint64(len(spans)))
 		t1 := time.Now()
-		rel, err := parallel.SplitEvalCtx(ctx, ev, segs, opts)
+		rel, err = parallel.SplitEvalCtx(ctx, ev, segs, opts)
 		e.m.observeStage(StageEval, time.Since(t1))
-		return rel, exec, wrapCtxErr(err)
 	}
-	if err := ctx.Err(); err != nil {
-		return span.NewRelation(plan.p.Vars...), ExecWhole, wrapCtxErr(err)
-	}
-	e.m.wholeDocs.Inc()
-	t0 := time.Now()
-	rel := plan.p.Eval(doc) // Eval returns a deduplicated, sorted relation
-	e.m.observeStage(StageEval, time.Since(t0))
-	return rel, ExecWhole, nil
+	return []*span.Relation{rel}, exec, wrapCtxErr(err)
 }
 
-// WillStream reports whether ExtractReader would segment this plan's
-// documents incrementally (true) or buffer them whole (false).
-// Streaming requires a split plan with a disjoint splitter, plus one
-// of:
-//
-//   - Verdicts.Local == yes: the locality decision procedure
-//     (core.Splitter.IsLocal, run once at plan compilation) proved
-//     incremental segmentation byte-identical to whole-document
-//     segmentation for every document and chunking — streaming is
-//     enabled automatically, no configuration required; or
-//   - Config.StreamIncremental: the operator's unsafe assertion that
-//     the splitter is local anyway (the verdict was "no" or unknown).
-//
-// Everything else buffers, since incremental segmentation of a
-// disjoint-but-non-local splitter can silently mis-segment. See
-// scanSegmenter and internal/core/locality.go.
-func (e *Engine) WillStream(plan *Plan) bool {
-	if plan.Strategy != StrategySplit || plan.Verdicts.Disjoint != core.VerdictYes {
-		return false
-	}
-	return plan.Verdicts.Local == core.VerdictYes || e.cfg.StreamIncremental
-}
-
-// ExtractReader evaluates the plan on a document arriving as a stream;
-// see RunReader, whose relation and error it returns.
-func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*span.Relation, error) {
-	rel, _, err := e.RunReader(ctx, plan, r)
-	return rel, err
-}
-
-// RunReader evaluates the plan on a document arriving as a stream and
-// reports the route the document took. For plans that stream (see
-// WillStream: a proven-local disjoint splitter, or the StreamIncremental
-// override) the document is segmented incrementally — segments already
-// discovered are evaluated by the work-stealing executor while later
-// chunks are still being read, one by one (ExecSplit) or, where chunked
-// proves it equivalent, each feed's segments as one chunk (ExecChunked).
-// Idle workers block on the bounded dispatch
-// channel, so a saturated pool stalls the segmenter and, through it, the
-// reader — backpressure reaches all the way to the network socket. A
-// stream that ends inside its first breakEven bytes never gets that far:
-// it is a small document, and splitPays sends it whole through P.Eval on
-// the calling goroutine exactly as Run would. Plans that do not stream
-// buffer the whole stream and fall back to Run. When the plan's
-// Verdicts.Local is yes the result is guaranteed identical to Run on the
-// concatenated stream; under the StreamIncremental override the
-// guarantee is only as good as the operator's locality assertion.
-// Memory is bounded by Config.MaxDocBuffer on both paths.
-func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.Relation, Execution, error) {
-	r, hint, stop := e.guard(ctx, r)
-	defer stop()
-	stream := e.WillStream(plan)
-	if stream && !e.splitPays(plan, 0) {
-		// Some documents of this plan are better off whole. Read up to the
-		// break-even before committing to the streamed route: a stream that
-		// ends first is one of them, and a longer one loses nothing — what
-		// was read becomes its first feed.
-		limit := breakEven
-		if 0 < hint && hint < limit {
-			limit = hint + 1 // a short stream's end is one byte past what it declares
+// ingest reads the guarded stream r for run: for a plan that streams, the
+// scanner run to segment it with and the reader to feed it from; for any
+// other plan, the whole document. A streaming plan some of whose documents
+// are better off whole first reads up to the break-even: a stream that
+// ends before it is one of them and comes back as the document, and a
+// longer one loses nothing — what was read becomes its first feed.
+func (e *Engine) ingest(ctx context.Context, plan *Plan, r io.Reader, hint int) (string, *core.ScanRun, io.Reader, error) {
+	if e.WillStream(plan) {
+		if !e.splitPays(plan, 0) {
+			limit := breakEven
+			if 0 < hint && hint < limit {
+				limit = hint + 1 // a short stream's end is one byte past what it declares
+			}
+			if e.cfg.MaxDocBuffer > 0 && e.cfg.MaxDocBuffer < int64(limit) {
+				limit = int(e.cfg.MaxDocBuffer)
+			}
+			var prefix strings.Builder
+			_, err := io.CopyN(&prefix, r, int64(limit))
+			if err != nil && err != io.EOF {
+				return "", nil, nil, err
+			}
+			if err == io.EOF && !e.splitPays(plan, prefix.Len()) {
+				return prefix.String(), nil, nil, nil
+			}
+			r = io.MultiReader(strings.NewReader(prefix.String()), r)
 		}
-		if e.cfg.MaxDocBuffer > 0 && e.cfg.MaxDocBuffer < int64(limit) {
-			limit = int(e.cfg.MaxDocBuffer)
-		}
-		var prefix strings.Builder
-		_, err := io.CopyN(&prefix, r, int64(limit))
-		if err != nil && err != io.EOF {
-			return span.NewRelation(plan.p.Vars...), ExecWhole, err
-		}
-		if err == io.EOF && !e.splitPays(plan, prefix.Len()) {
-			return e.Run(ctx, plan, prefix.String())
-		}
-		r = io.MultiReader(strings.NewReader(prefix.String()), r)
-	}
-	var run *core.ScanRun
-	if stream {
-		// nil for a forged plan only: WillStream demands Disjoint == yes,
-		// decidePlan takes that verdict from Splitter.IsDisjoint, and the
+		// nil for a forged plan only: WillStream demands Local == yes,
+		// decide proves locality only of a disjoint splitter, and the
 		// disjoint splitters are exactly those with a compiled scanner.
-		run, _ = plan.s.NewScanRun()
-	}
-	if run == nil {
-		doc, err := e.readAllBounded(ctx, r, hint)
-		if err != nil {
-			return span.NewRelation(plan.p.Vars...), ExecWhole, err
+		if scan, _ := plan.s.NewScanRun(); scan != nil {
+			return "", scan, r, nil
 		}
-		return e.Run(ctx, plan, doc)
 	}
-	e.m.documents.Inc()
-	e.m.streamedDocs.Inc()
-	exec, ev, chunks := ExecSplit, plan.ps, chunked(plan)
-	if chunks {
-		e.m.chunkedDocs.Inc()
-		exec, ev = ExecChunked, plan.p
-	}
+	doc, err := e.readAllBounded(ctx, r, hint)
+	return doc, nil, nil, err
+}
 
+// stream evaluates a streamed document with ev, P_S per segment or P per
+// chunk: a producer goroutine feeds r through the scanner run and
+// dispatches what each feed commits while the executor evaluates it.
+func (e *Engine) stream(ctx context.Context, plan *Plan, scan *core.ScanRun, r io.Reader, hint int, ev *vsa.Automaton, chunks bool) (*span.Relation, error) {
 	// One batch per feed: capacity Workers bounds the queued work at that
 	// many chunks' worth of segments.
 	batches := make(chan []parallel.Segment, e.cfg.Workers)
 	readErr := make(chan error, 1)
 	go func() {
 		defer close(batches)
-		g := &scanSegmenter{run: run, s: plan.s, m: e.m, chunks: chunks}
+		g := &scanSegmenter{run: scan, s: plan.s, m: e.m, chunks: chunks}
 		var chunk []byte
 		// Segmentation time accumulates across the incremental feed/flush
 		// calls and is recorded once per document when the producer exits.
@@ -566,28 +615,24 @@ func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.
 	// Prefer the producer's verdict when it is already in: a cancellation
 	// arriving after a fully successful read+evaluation must not
 	// nondeterministically discard the complete result.
+	var rerr error
 	select {
-	case rerr := <-readErr:
-		if err == nil {
-			err = rerr
-		}
+	case rerr = <-readErr:
 	default:
 		select {
-		case rerr := <-readErr:
-			if err == nil {
-				err = rerr
-			}
+		case rerr = <-readErr:
 		case <-ctx.Done():
 			// The producer may be stuck in a Read that does not observe
 			// ctx (readers are not cancellable in general); do not wait
 			// for it. It exits on its own once the read returns or the
 			// send fails.
-			if err == nil {
-				err = ctx.Err()
-			}
+			rerr = ctx.Err()
 		}
 	}
-	return rel, exec, wrapCtxErr(err)
+	if err == nil {
+		err = rerr
+	}
+	return rel, err
 }
 
 // Stats snapshots the engine counters, the per-stage time breakdown,
@@ -607,7 +652,6 @@ func (e *Engine) Stats() Stats {
 		Workers:        e.cfg.Workers,
 		RequestWorkers: e.cfg.RequestWorkers,
 		Batch:          e.cfg.Batch,
-		StreamForced:   e.cfg.StreamIncremental,
 		PlanCache:      e.cache.stats(),
 		Stages:         e.m.stageStats(),
 		Segmenter:      e.m.segmenterStats(),
@@ -618,10 +662,6 @@ func (e *Engine) Stats() Stats {
 		s.SegmentsPerSec = float64(segs) / up.Seconds()
 	}
 	return s
-}
-
-func (e *Engine) evalOpts() parallel.Options {
-	return parallel.Options{Workers: e.cfg.RequestWorkers, Batch: e.cfg.Batch, Metrics: &e.m.exec}
 }
 
 // presize bounds the capacity a stream's declared length reserves before
@@ -691,8 +731,9 @@ type docBuffer struct {
 // reserve admits n more bytes and makes room for them: the first time
 // (readAllBounded's, for the stream's hint) for presize at most, after
 // that for twice what there was — append's 1.25× would move a long
-// document seven times — up to a hint that still holds. The room is a new
-// Builder: Builder.Grow(n) adds n to twice the capacity it has.
+// document seven times — up to a hint that still holds, and never past
+// the budget: a document within it may not cost more than it. The room is
+// a new Builder: Builder.Grow(n) adds n to twice the capacity it has.
 func (d *docBuffer) reserve(n int) error {
 	size := d.b.Len() + n
 	if err := d.ctx.Err(); err != nil {
@@ -708,6 +749,9 @@ func (d *docBuffer) reserve(n int) error {
 	}
 	if d.b.Cap() == 0 {
 		grown = min(grown, presize)
+	}
+	if d.max > 0 {
+		grown = min(grown, int(d.max)) // ≥ size, which is within the budget
 	}
 	b := new(strings.Builder)
 	b.Grow(grown)

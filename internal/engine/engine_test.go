@@ -26,10 +26,9 @@ const (
 const emailDoc = "write to ann@example or bob@corp. then ping eve@host! done."
 
 func newTestEngine() *Engine {
-	// No StreamIncremental override: the library splitters used by these
-	// tests are proven local by the plan's verdict, so the streaming
-	// paths the tests exercise are the ones real deployments get by
-	// default.
+	// The library splitters used by these tests are proven local by the
+	// plan's verdict, so the streaming paths the tests exercise are the
+	// ones real deployments get.
 	return New(Config{Workers: 4, Batch: 2, ChunkSize: 7, PlanCache: 8})
 }
 
@@ -348,8 +347,8 @@ func TestMaxDocBufferBuffered(t *testing.T) {
 
 func TestProvenLocalStreamsWithoutOverride(t *testing.T) {
 	// The sentence splitter is proven local by the plan's verdict, so a
-	// default engine — no StreamIncremental — streams it incrementally,
-	// and the streamed-document counter records it.
+	// default engine streams it incrementally, and the streamed-document
+	// counter records it.
 	e := New(Config{Workers: 2, ChunkSize: 4})
 	plan := mustPlan(t, e, Request{Spanner: emailFormula, Splitter: sentenceFormula})
 	if plan.Verdicts.Local != core.VerdictYes {
@@ -370,8 +369,8 @@ func TestProvenLocalStreamsWithoutOverride(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatal("streamed result disagrees with one-shot")
 	}
-	if st := e.Stats(); st.StreamedDocs != 1 || st.StreamForced {
-		t.Fatalf("stats = %+v, want 1 streamed doc and no force flag", st)
+	if st := e.Stats(); st.StreamedDocs != 1 {
+		t.Fatalf("stats = %+v, want 1 streamed doc", st)
 	}
 }
 
@@ -381,38 +380,20 @@ func TestProvenLocalStreamsWithoutOverride(t *testing.T) {
 const nonLocalSplitterFormula = `[^.]*\.([^.]*\.)*(x{[^.]*})(\.[^.]*)*`
 
 func TestUnprovenSplitterBuffersUnlessForced(t *testing.T) {
-	// A disjoint splitter the procedure cannot prove local must buffer by
-	// default; StreamIncremental force-overrides the verdict — the
-	// operator's unsafe locality assertion.
-	build := func(e *Engine) *Plan {
-		base := mustPlan(t, e, Request{Spanner: emailFormula, Splitter: nonLocalSplitterFormula})
-		if base.Verdicts.Disjoint != core.VerdictYes {
-			t.Fatalf("verdicts = %+v, want a disjoint splitter", base.Verdicts)
-		}
-		if base.Verdicts.Local != core.VerdictNo {
-			t.Fatalf("verdicts = %+v, want local=no", base.Verdicts)
-		}
-		// The pair is not self-splittable, so force the split strategy to
-		// isolate WillStream's locality gate.
-		return &Plan{
-			Req:      base.Req,
-			p:        base.p,
-			ps:       base.p,
-			s:        base.SplitterOf(),
-			Strategy: StrategySplit,
-			Verdicts: base.Verdicts,
-		}
+	// A disjoint splitter the procedure cannot prove local must buffer.
+	e := New(Config{Workers: 2, ChunkSize: 4})
+	base := mustPlan(t, e, Request{Spanner: emailFormula, Splitter: nonLocalSplitterFormula})
+	if base.Verdicts.Disjoint != core.VerdictYes {
+		t.Fatalf("verdicts = %+v, want a disjoint splitter", base.Verdicts)
 	}
-	def := New(Config{Workers: 2, ChunkSize: 4})
-	if def.WillStream(build(def)) {
-		t.Fatal("unproven splitter must not stream on a default engine")
+	if base.Verdicts.Local != core.VerdictNo {
+		t.Fatalf("verdicts = %+v, want local=no", base.Verdicts)
 	}
-	forced := New(Config{Workers: 2, ChunkSize: 4, StreamIncremental: true})
-	if !forced.WillStream(build(forced)) {
-		t.Fatal("StreamIncremental must force-override the locality verdict")
-	}
-	if st := forced.Stats(); !st.StreamForced {
-		t.Fatalf("stats = %+v, want the force flag echoed", st)
+	// The pair is not self-splittable, so force the split strategy to
+	// isolate WillStream's locality gate.
+	forced := &Plan{Req: base.Req, p: base.p, ps: base.p, s: base.SplitterOf(), Strategy: StrategySplit, Verdicts: base.Verdicts}
+	if e.WillStream(forced) {
+		t.Fatal("unproven splitter must not stream")
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 // never leaves the split route, and one missing any of chunked's three
 // proofs never leaves the per-segment grain.
 
-// decidedPlan builds a plan from library automata the way decidePlan does
+// decidedPlan builds a plan from library automata the way Plan.decide does
 // from formulas: the verdicts are the decision procedures' own, so a yes
 // is a proof, not a test fixture's say-so.
 func decidedPlan(t testing.TB, p, ps *vsa.Automaton, s *core.Splitter) *Plan {
@@ -180,10 +180,9 @@ func TestExecutionChoiceEquivalence(t *testing.T) {
 
 // TestChunkedNeedsAllThreeProofs: the chunk grain is licensed by the plan's
 // own verdict, the proven locality verdict and the splitter's cut safety
-// together. Take any one away — a forged split plan, a splitter streamed
-// on the operator's StreamIncremental say-so, a local splitter that is not
-// cut-safe — and the document stays on the per-segment route, reported as
-// "split". The last plan is the reason the third proof exists: its
+// together. Take any one away — a forged split plan, a splitter whose
+// locality verdict is not yes, a local splitter that is not cut-safe — and
+// the document stays on the per-segment route, reported as "split". The last plan is the reason the third proof exists: its
 // splitter marks every '.' with an empty span, so each chunk of segments
 // is the empty string, P finds nothing in it, and only P_S per segment
 // returns P(d).
@@ -203,12 +202,12 @@ func TestChunkedNeedsAllThreeProofs(t *testing.T) {
 		doc  string
 	}{
 		{"forged", splitOnly(licensed), reviews},
-		{"stream-forced", &unproven, reviews},
+		{"not-proven-local", &unproven, reviews},
 		{"not-cut-safe", marks, strings.Repeat("ab.", breakEven)},
 	} {
-		e := New(Config{Workers: 2, StreamIncremental: true})
-		if !e.WillStream(c.plan) {
-			t.Fatalf("%s: the plan must stream", c.name)
+		e := New(Config{Workers: 2})
+		if e.WillStream(c.plan) != (c.plan.Verdicts.Local == core.VerdictYes) {
+			t.Fatalf("%s: the plan must stream exactly when its locality verdict is yes", c.name)
 		}
 		want := c.plan.p.Eval(c.doc)
 		got, exec, err := e.Run(context.Background(), c.plan, c.doc)

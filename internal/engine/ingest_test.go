@@ -104,6 +104,24 @@ func TestDeclaredOverBudgetIsRefusedUnread(t *testing.T) {
 	}
 }
 
+// TestBufferStaysWithinBudget: the doubling that grows an unsized
+// stream's buffer stops at MaxDocBuffer. Unclamped, a 70 KiB upload under
+// a 96 KiB budget grows 64 → 128 KiB, and a 70 MiB one under 100 MiB
+// 64 → 128 MiB. The budget is a multiple of the allocator's 8 KiB page, so
+// rounding the allocation up to its size class lands on the budget itself.
+func TestBufferStaysWithinBudget(t *testing.T) {
+	const budget = 96 << 10
+	for _, n := range []int{70 << 10, budget} {
+		d := docBuffer{ctx: context.Background(), max: budget, b: new(strings.Builder)}
+		if _, err := io.Copy(&d, unsized{strings.NewReader(strings.Repeat("x", n))}); err != nil {
+			t.Fatalf("%d bytes: %v", n, err)
+		}
+		if d.b.Len() != n || d.b.Cap() > budget {
+			t.Fatalf("%d bytes: buffered %d with capacity %d, want at most the %d-byte budget", n, d.b.Len(), d.b.Cap(), budget)
+		}
+	}
+}
+
 // TestSizeHintIsOnlyAHint: whatever a stream declares — too little, too
 // much, nothing, nonsense — the buffered routes (and the streamed one,
 // which sizes its read buffer by it) return the relation Extract returns

@@ -75,8 +75,9 @@ func oracleDocs(rng *rand.Rand, table, fragments []string, limit, random int) []
 // the whole segment, so P = P_S ∘ S on every document. S is not local by
 // the procedure's standard (its output depends on the suffix), but neither
 // rule looks at the prefix, so cutting at a span start — what the bail
-// protocol does — is sound; not being cut-safe, it reaches the chunk grain
-// only here, never through the engine.
+// protocol does — is sound, and the plan forges the locality verdict to
+// stream it; not being cut-safe, it reaches the chunk grain only here,
+// never through the engine.
 func bailingPlan() *Plan {
 	runs := func(v string) string {
 		run := "(" + v + "{[ab]+})"
@@ -87,7 +88,7 @@ func bailingPlan() *Plan {
 		ps:       regexformula.MustCompile("y{.*}"),
 		s:        core.MustSplitter(regexformula.MustCompile(runs("x"))),
 		Strategy: StrategySplit,
-		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes},
+		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes, Local: core.VerdictYes},
 	}
 }
 
@@ -114,7 +115,7 @@ func TestRoutesAgainstRefWordOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	engines := map[int]*Engine{}
 	for _, n := range []int{1, 3} {
-		engines[n] = New(Config{Workers: 2, ChunkSize: n, StreamIncremental: true})
+		engines[n] = New(Config{Workers: 2, ChunkSize: n})
 	}
 	buffering := New(Config{Workers: 2, ReadTimeout: time.Minute})
 	for _, c := range cases {

@@ -3,11 +3,13 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/automata"
 	"repro/internal/core"
 	"repro/internal/regexformula"
+	"repro/internal/span"
 	"repro/internal/vsa"
 )
 
@@ -99,12 +101,54 @@ func (r Request) key() string {
 		len(r.Spanner), r.Spanner, len(r.Splitter), r.Splitter, len(r.SplitSpanner), r.SplitSpanner)
 }
 
+// BatchRequest names a registered multi-query set: N spanner formulas to
+// be answered by one shared pass over each document (vsa.Multi). Like a
+// Request, the batch is a plan-cache key: the fused automaton, the
+// per-member compilations and their errors are memoized once and every
+// later ExtractBatch with the same formula list reuses them, subject to
+// the same LRU/byte/tenant budgets.
+type BatchRequest struct {
+	// Spanners are the member regex formulas, in result order. Duplicate
+	// formulas are legal: they compile once and share one fused member,
+	// and ExtractBatch reports the same relation in both slots.
+	Spanners []string
+	// Tenant scopes the cached batch plan exactly like Request.Tenant.
+	Tenant string
+}
+
+// key is the batch plan-cache key. It deliberately starts with the
+// literal "batch:" — a Request.key always starts with a decimal digit
+// (the tenant length prefix) — so a batch plan can never alias a
+// single-query plan's cache entry no matter what bytes the formulas
+// contain: the two differ in how a slot's compile error is reported. The
+// remaining fields are length-prefixed like Request.key.
+func (r BatchRequest) key() string {
+	var b strings.Builder
+	b.WriteString("batch:")
+	fmt.Fprintf(&b, "%d:%s", len(r.Tenant), r.Tenant)
+	for _, s := range r.Spanners {
+		fmt.Fprintf(&b, "%d:%s", len(s), s)
+	}
+	return b.String()
+}
+
+// BatchResult is one member slot's outcome: its relation (sorted,
+// deduplicated, byte-identical to Extract of that formula alone on the
+// same document) or its memoized compile error. Slots holding duplicate
+// formulas share one *span.Relation.
+type BatchResult struct {
+	Rel *span.Relation
+	Err error
+}
+
 // Plan is a compiled, verdict-annotated extraction plan: the unit the
 // engine's cache memoizes so the PSPACE decision procedures and the
 // automaton compilation run once per (spanner, splitter) pair, not once
-// per request.
+// per request. A plan answers 1…N member slots — one for a Request, one
+// per formula for a BatchRequest — and has at most one splitter.
 type Plan struct {
-	// Req is the source request (also the cache key).
+	// Req is the source request (also the cache key); for a batch plan it
+	// carries the tenant only.
 	Req Request
 	// Verdicts holds the memoized decision-procedure outcomes.
 	Verdicts core.PlanVerdicts
@@ -118,13 +162,22 @@ type Plan struct {
 	CompileTime time.Duration
 	DecideTime  time.Duration
 
-	p  *vsa.Automaton // the spanner P
+	p  *vsa.Automaton // the spanner P: the first member (nil when no slot compiled)
 	ps *vsa.Automaton // the split-spanner P_S (nil unless StrategySplit)
 	s  *core.Splitter // the splitter S (nil when Req.Splitter is empty)
 
-	// batch, when non-nil, marks a fused multi-query plan (PlanBatch):
-	// p/ps/s are nil and the members plus the fused evaluator live here.
-	batch *batchPlan
+	// batch holds a batch plan's formulas, one per slot (nil for the plan
+	// of a Request, whose one slot is Req.Spanner). members holds each
+	// distinct formula that compiled, in first-appearance order; slot maps
+	// a slot to its index in members, or to -1 with errs carrying the
+	// compile error. Duplicate formulas share one member.
+	batch   []string
+	members []*vsa.Automaton
+	slot    []int
+	errs    []error
+	// multi is the fused evaluator over members when there are two or
+	// more; a plan of one member evaluates p.
+	multi *vsa.Multi
 }
 
 // Spanner exposes the compiled spanner automaton.
@@ -134,8 +187,7 @@ func (p *Plan) Spanner() *vsa.Automaton { return p.p }
 // plans.
 func (p *Plan) SplitterOf() *core.Splitter { return p.s }
 
-// Vars returns the plan's output variables. Batch plans have no single
-// variable list — use BatchVars per slot.
+// Vars returns the output variables of the plan's first member.
 func (p *Plan) Vars() []string {
 	if p.p == nil {
 		return nil
@@ -143,13 +195,54 @@ func (p *Plan) Vars() []string {
 	return append([]string(nil), p.p.Vars...)
 }
 
+// BatchErr returns slot i's memoized compile error, or nil when the slot
+// compiled. Per-member failures are part of the cached plan, not
+// plan-level errors: one bad formula must not fail — or force
+// recompilation of — its siblings.
+func (p *Plan) BatchErr(i int) error {
+	if i < 0 || i >= len(p.errs) {
+		return nil
+	}
+	return p.errs[i]
+}
+
+// BatchVars returns slot i's output variables, or nil when the slot's
+// formula failed to compile.
+func (p *Plan) BatchVars(i int) []string {
+	if i < 0 || i >= len(p.slot) || p.slot[i] < 0 {
+		return nil
+	}
+	return append([]string(nil), p.members[p.slot[i]].Vars...)
+}
+
+// results maps the relations run returned, one per member, to the plan's
+// slots.
+func (p *Plan) results(rels []*span.Relation) []BatchResult {
+	out := make([]BatchResult, len(p.slot))
+	for i, m := range p.slot {
+		if m < 0 {
+			out[i].Err = p.errs[i]
+		} else {
+			out[i].Rel = rels[m]
+		}
+	}
+	return out
+}
+
+// none is what run answers for a document that failed before evaluation:
+// no relation, for each member.
+func (p *Plan) none() []*span.Relation { return make([]*span.Relation, max(len(p.members), 1)) }
+
 // cost estimates the plan's resident memory in bytes for the cache's
 // byte budgets: a per-plan baseline (entry bookkeeping, formula
 // strings) plus a per-state/per-edge charge for every distinct
 // automaton the plan holds. The compiled evaluation caches (byte-class
 // tables, lazy DFAs) grow with the same quantities, so the estimate is
 // monotone in the real footprint even though it does not measure the
-// lazily-built parts.
+// lazily-built parts. Every member is charged (the fused DFA's
+// lazily-built state space grows with the members' combined size), so N
+// cheap formulas registered as one batch cost the cache roughly what N
+// single plans would.
 func (p *Plan) cost() int64 {
 	const (
 		base       = 512
@@ -159,9 +252,12 @@ func (p *Plan) cost() int64 {
 	)
 	c := int64(base)
 	c += int64(len(p.Req.Spanner)+len(p.Req.Splitter)+len(p.Req.SplitSpanner)) * perFormula
+	for _, s := range p.batch {
+		c += int64(len(s)) * perFormula
+	}
 	add := func(states, edges int) { c += int64(states)*perState + int64(edges)*perEdge }
-	if p.p != nil {
-		add(p.p.NumStates(), p.p.NumEdges())
+	for _, a := range p.members {
+		add(a.NumStates(), a.NumEdges())
 	}
 	if p.ps != nil && p.ps != p.p {
 		add(p.ps.NumStates(), p.ps.NumEdges())
@@ -170,121 +266,168 @@ func (p *Plan) cost() int64 {
 		a := p.s.Automaton()
 		add(a.NumStates(), a.NumEdges())
 	}
-	if p.batch != nil {
-		// A fused plan is charged for every distinct member automaton it
-		// holds (the fused DFA's lazily-built state space grows with the
-		// members' combined size) plus its own formula text, so N cheap
-		// formulas registered as one batch cost the cache roughly what N
-		// singleton plans would.
-		for _, s := range p.batch.req.Spanners {
-			c += int64(len(s)) * perFormula
-		}
-		for _, a := range p.batch.members {
-			add(a.NumStates(), a.NumEdges())
-		}
-	}
 	return c
 }
 
-// compilePlan builds a Plan from a request: it compiles the formulas,
-// runs the relevant decision procedures under the state limit, picks
-// the strategy and warms the evaluation caches. A limit overflow
-// (automata.ErrTooLarge) is not an error: the verdict stays unknown and
-// the plan degrades to sequential evaluation, which is always correct.
+// compilePlan builds the one-member plan of a request. Slot 0's compile
+// error is the plan's: a Request names one query, so there is no sibling
+// to answer.
+func compilePlan(req Request, limit int) (*Plan, error) {
+	plan, err := compile(req, nil, limit)
+	if err == nil && plan.errs[0] != nil {
+		return nil, plan.errs[0]
+	}
+	return plan, err
+}
+
+// compileBatchPlan builds the plan of a batch: one slot per formula, a
+// failed formula's error memoized in its slot (the batch itself still
+// succeeds and is cached), no splitter.
+func compileBatchPlan(req BatchRequest) (*Plan, error) {
+	if len(req.Spanners) == 0 {
+		return nil, errors.New("engine: empty batch: no spanner formulas")
+	}
+	return compile(Request{Tenant: req.Tenant}, req.Spanners, 0)
+}
+
+// compile builds a Plan: it compiles the member formulas — batch, or else
+// req.Spanner — each under its own panic guard, duplicates once, and, when
+// a member compiled, req's splitter and split-spanner; runs the relevant
+// decision procedures under the state limit, picks the strategy and warms
+// the evaluation caches. A limit overflow (automata.ErrTooLarge) is not an
+// error: the verdict stays unknown and the plan degrades to sequential
+// evaluation, which is always correct.
 //
-// compilePlan deliberately takes no context: it runs under the cache's
+// compile deliberately takes no context: it runs under the cache's
 // single-flight, and a build started on behalf of one request serves
 // every coalesced waiter — cancelling it because the first requester
 // went away would fail the others. The decision procedures themselves
 // are bounded by the state limit rather than by cancellation.
-func compilePlan(req Request, limit int) (*Plan, error) {
+func compile(req Request, batch []string, limit int) (*Plan, error) {
 	t0 := time.Now()
-	plan, err := decidePlan(req, limit)
-	if err != nil {
-		return nil, err
+	spanners := batch
+	if batch == nil {
+		spanners = []string{req.Spanner}
+	}
+	plan := &Plan{Req: req, batch: batch, slot: make([]int, len(spanners)), errs: make([]error, len(spanners))}
+	seen := make(map[string]int, len(spanners)) // formula -> first slot
+	for i, src := range spanners {
+		if j, ok := seen[src]; ok {
+			plan.slot[i], plan.errs[i] = plan.slot[j], plan.errs[j]
+			continue
+		}
+		seen[src] = i
+		a, err := compileMember(src)
+		if err != nil {
+			plan.slot[i], plan.errs[i] = -1, err
+			continue
+		}
+		plan.slot[i] = len(plan.members)
+		plan.members = append(plan.members, a)
+	}
+	if len(plan.members) > 0 {
+		plan.p = plan.members[0]
+		if len(plan.members) > 1 {
+			plan.multi = vsa.NewMulti(plan.members...)
+		}
+		if err := plan.decide(limit); err != nil {
+			return nil, err
+		}
 	}
 	plan.warm()
 	plan.CompileTime = time.Since(t0)
 	return plan, nil
 }
 
-// decidePlan is compilePlan up to the strategy: formulas compiled,
-// verdicts and DecideTime filled in, nothing warmed yet.
-func decidePlan(req Request, limit int) (*Plan, error) {
-	if req.Spanner == "" {
+// compileMember compiles one member formula under a panic guard:
+// compilation can panic on hostile input (e.g. more variables than
+// vsa.MaxVars), and inside a batch that must fail the one slot, not the
+// whole batch (the cache's runBuild guard would do the latter).
+func compileMember(src string) (a *vsa.Automaton, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			a, err = nil, fmt.Errorf("engine: spanner: compilation failed: %v", r)
+		}
+	}()
+	if src == "" {
 		return nil, errors.New("engine: empty spanner formula")
 	}
-	plan := &Plan{Req: req}
-	var err error
-	plan.p, err = regexformula.Compile(req.Spanner)
+	a, err = regexformula.Compile(src)
 	if err != nil {
 		return nil, fmt.Errorf("engine: spanner: %w", err)
 	}
+	return a, nil
+}
+
+// decide compiles the plan's splitter and split-spanner, if it has them,
+// and fills in the verdicts, the strategy and DecideTime.
+func (p *Plan) decide(limit int) error {
+	req := p.Req
 	if req.Splitter == "" {
 		if req.SplitSpanner != "" {
-			return nil, errors.New("engine: split_spanner given without a splitter")
+			return errors.New("engine: split_spanner given without a splitter")
 		}
-		return plan, nil
+		return nil
 	}
 	sAuto, err := regexformula.Compile(req.Splitter)
 	if err != nil {
-		return nil, fmt.Errorf("engine: splitter: %w", err)
+		return fmt.Errorf("engine: splitter: %w", err)
 	}
-	plan.s, err = core.NewSplitter(sAuto)
+	p.s, err = core.NewSplitter(sAuto)
 	if err != nil {
-		return nil, fmt.Errorf("engine: splitter: %w", err)
+		return fmt.Errorf("engine: splitter: %w", err)
 	}
-	ps := plan.p // self-splittability unless a split-spanner is given
+	ps := p.p // self-splittability unless a split-spanner is given
 	if req.SplitSpanner != "" {
 		ps, err = regexformula.Compile(req.SplitSpanner)
 		if err != nil {
-			return nil, fmt.Errorf("engine: split_spanner: %w", err)
+			return fmt.Errorf("engine: split_spanner: %w", err)
 		}
 	}
 
 	t0 := time.Now()
-	defer func() { plan.DecideTime = time.Since(t0) }()
-	plan.Verdicts.Disjoint = core.VerdictOf(plan.s.IsDisjoint())
+	defer func() { p.DecideTime = time.Since(t0) }()
+	p.Verdicts.Disjoint = core.VerdictOf(p.s.IsDisjoint())
 	// Locality is what licenses incremental segmentation of streamed
 	// documents (Engine.WillStream): computed here, once, under the plan
 	// cache's single-flight, like every other verdict. Only disjoint
 	// splitters can be local; an over-budget analysis leaves the verdict
 	// unknown and the plan buffers.
-	if plan.Verdicts.Disjoint != core.VerdictYes {
-		plan.Verdicts.Local = core.VerdictNo
+	if p.Verdicts.Disjoint != core.VerdictYes {
+		p.Verdicts.Local = core.VerdictNo
 	} else {
-		local, err := plan.s.IsLocal(limit)
+		local, err := p.s.IsLocal(limit)
 		switch {
 		case errors.Is(err, automata.ErrTooLarge):
-			plan.Verdicts.Note = appendNote(plan.Verdicts.Note, "locality undecided: "+err.Error())
+			p.Verdicts.Note = appendNote(p.Verdicts.Note, "locality undecided: "+err.Error())
 		case err != nil:
-			return nil, fmt.Errorf("engine: locality: %w", err)
+			return fmt.Errorf("engine: locality: %w", err)
 		default:
-			plan.Verdicts.Local = core.VerdictOf(local)
+			p.Verdicts.Local = core.VerdictOf(local)
 		}
 	}
 
 	// One dispatcher for both questions: self-splittability is
 	// split-correctness with P as its own split-spanner, and
 	// SplitCorrectAuto picks the polynomial or the general procedure.
-	what, verdict := "self-splittability", &plan.Verdicts.SelfSplittable
+	what, verdict := "self-splittability", &p.Verdicts.SelfSplittable
 	if req.SplitSpanner != "" {
-		what, verdict = "split-correctness", &plan.Verdicts.SplitCorrect
+		what, verdict = "split-correctness", &p.Verdicts.SplitCorrect
 	}
-	ok, err := core.SplitCorrectAuto(plan.p, ps, plan.s, limit)
+	ok, err := core.SplitCorrectAuto(p.p, ps, p.s, limit)
 	switch {
 	case errors.Is(err, automata.ErrTooLarge):
-		plan.Verdicts.Note = appendNote(plan.Verdicts.Note, what+" undecided: "+err.Error())
+		p.Verdicts.Note = appendNote(p.Verdicts.Note, what+" undecided: "+err.Error())
 	case err != nil:
-		return nil, fmt.Errorf("engine: %s: %w", what, err)
+		return fmt.Errorf("engine: %s: %w", what, err)
 	default:
 		*verdict = core.VerdictOf(ok)
 		if ok {
-			plan.Strategy = StrategySplit
-			plan.ps = ps
+			p.Strategy = StrategySplit
+			p.ps = ps
 		}
 	}
-	return plan, nil
+	return nil
 }
 
 // appendNote joins verdict notes: several procedures can independently
@@ -313,8 +456,8 @@ func (p *Plan) warm() {
 	if p.s != nil {
 		p.s.Automaton().Prepare()
 	}
-	if p.batch != nil && p.batch.multi != nil {
+	if p.multi != nil {
 		// Prepares the fused groups and every member's compiled caches.
-		p.batch.multi.Prepare()
+		p.multi.Prepare()
 	}
 }

@@ -22,10 +22,6 @@ import (
 // splitter a scanner at all; locality is decided on its automaton by
 // core.Splitter.IsLocal (internal/core/locality.go) at plan compilation,
 // and the engine streams when that verdict is yes, buffering otherwise.
-// Config.StreamIncremental force-overrides a "no"/unknown verdict — the
-// operator's unsafe assertion of locality — and a caller that forces a
-// genuinely non-local splitter gets the same guarantee ParallelEval
-// gives a non-split-correct plan: none.
 //
 // With chunks set the unit of output is the feed, not the span: emit
 // returns one segment reaching from the feed's first committed span to

@@ -214,14 +214,14 @@ func TestStreamedBailMidDocument(t *testing.T) {
 	s := suffixConditioned()
 	p := regexformula.MustCompile(emailFormula)
 	// Blocks exist only on documents ending in '!', so the splitter is
-	// not local; streaming it is the operator's override, and sound here
-	// because a bailed segmenter holds everything until the flush. The plan
-	// carries no split-correctness verdict, so its 11 KB document is not
-	// evaluated whole and does meet the segmenter.
+	// not local; the plan forges the verdict to stream it anyway, which is
+	// sound here because a bailed segmenter holds everything until the
+	// flush. The plan carries no split-correctness verdict, so its 11 KB
+	// document is not evaluated whole and does meet the segmenter.
 	plan := &Plan{
 		p: p, ps: p, s: s,
 		Strategy: StrategySplit,
-		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes, Local: core.VerdictNo},
+		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes, Local: core.VerdictYes},
 	}
 	doc := strings.Repeat("write to ann@example or bob@corp. then ping eve@host. ", 200) + "done!"
 	want := p.Eval(doc)
@@ -229,7 +229,7 @@ func TestStreamedBailMidDocument(t *testing.T) {
 		t.Fatalf("Eval found %d tuples, want 600", want.Len())
 	}
 	for _, n := range []int{1, 7, 4096, 65536} {
-		e := New(Config{Workers: 2, ChunkSize: n, StreamIncremental: true})
+		e := New(Config{Workers: 2, ChunkSize: n})
 		got, err := e.ExtractReader(context.Background(), plan, &scribbleReader{s: doc, n: n})
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", n, err)
@@ -273,12 +273,12 @@ func TestBailedCarryOverIsBounded(t *testing.T) {
 		}
 	}
 	p := regexformula.MustCompile(emailFormula)
-	plan := &Plan{
+	plan := &Plan{ // a forged locality verdict, as above
 		p: p, ps: p, s: s,
 		Strategy: StrategySplit,
-		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes, Local: core.VerdictNo},
+		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes, Local: core.VerdictYes},
 	}
-	e := New(Config{Workers: 2, StreamIncremental: true, MaxDocBuffer: 64 << 10})
+	e := New(Config{Workers: 2, MaxDocBuffer: 64 << 10})
 	_, exec, err := e.RunReader(context.Background(), plan, strings.NewReader(doc))
 	if !errors.Is(err, ErrDocTooLarge) || exec != ExecSplit {
 		t.Fatalf("route %v, err %v; want ErrDocTooLarge on the streamed route", exec, err)

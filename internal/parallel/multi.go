@@ -17,18 +17,10 @@ import (
 // depend on the worker count or steal schedule. workers ≤ 0 means
 // runtime.GOMAXPROCS(0).
 func MultiEval(m *vsa.Multi, segments []Segment, workers int) []*span.Relation {
-	rels, _ := MultiEvalCtx(context.Background(), m, segments, Options{Workers: workers})
-	return rels
-}
-
-// MultiEvalCtx is MultiEval with cancellation and Options. Like
-// SplitEvalCtx, workers stop between chunks when ctx fires and the
-// partial per-query relations accumulated so far are returned (sorted
-// and deduplicated) together with ctx's error.
-func MultiEvalCtx(ctx context.Context, m *vsa.Multi, segments []Segment, opts Options) ([]*span.Relation, error) {
+	opts := Options{Workers: workers}
 	grain := opts.grain(len(segments))
 	// Destinations index member queries, not documents: every chunk is
 	// dealt with dest 0 and the fused evaluator demultiplexes into the
 	// accumulator's per-query relations directly.
-	return runChunks(ctx, multiEval{m}, opts.workers(), m.Len(), grain, chunked(0, segments, grain, nil), opts.Metrics), ctx.Err()
+	return runChunks(context.Background(), multiEval{m}, opts.workers(), m.Len(), grain, chunked(0, segments, grain, nil), nil)
 }

@@ -224,10 +224,8 @@ func (s *Splitter) IsDisjoint() bool { return s.s.IsDisjoint() }
 // byte-identical to splitting it whole, for every document and every
 // chunking. Only disjoint splitters can be local. The procedure is
 // sound but incomplete: true is a machine-checked proof and licenses
-// streaming; false means no proof was found and the engine will buffer
-// (or the operator may force streaming at their own risk via
-// EngineConfig.StreamIncremental). ErrTooLarge reports a state-budget
-// overflow, i.e. an unknown verdict. See internal/core/locality.go for
+// streaming; false means no proof was found and the engine will buffer.
+// ErrTooLarge reports a state-budget overflow, i.e. an unknown verdict. See internal/core/locality.go for
 // the decided property and the procedure.
 func (s *Splitter) IsLocal() (bool, error) { return s.s.IsLocal(DefaultLimit) }
 
