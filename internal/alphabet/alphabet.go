@@ -146,7 +146,7 @@ func (c Class) String() string {
 }
 
 func byteName(b byte) string {
-	if b >= 0x21 && b <= 0x7e && b != '[' && b != ']' && b != '-' && b != '\\' {
+	if b >= 0x21 && b <= 0x7e && b != '[' && b != ']' && b != '-' && b != '\\' && b != '^' {
 		return string(b)
 	}
 	return fmt.Sprintf("\\x%02x", b)

@@ -64,8 +64,9 @@ func (t *SetTable) Intern(set []int32) int32 {
 // compare Len against their budget after a Step.
 //
 // It is not internal/lazydfa: that one is the evaluators' DFA — byte
-// classes capped at 256 (uint8), payloads, seeds, an RWMutex and a
-// MaxStates overflow state, all on a path that is hot per document byte.
+// classes capped at 256 (uint8), payloads, seeds, states published to
+// lock-free readers and a MaxStates overflow state, all on a path that
+// is hot per document byte.
 // A decision run has an alphabet of atoms plus operation sets, one
 // goroutine, no bound of its own and is thrown away with its verdict.
 type Subsets struct {

@@ -60,7 +60,7 @@ type scanPayload struct {
 
 // splitScanner is the compiled scanner of one disjoint splitter. Like
 // every lazydfa client it is warmed lazily and shared: concurrent
-// ScanRuns walk one transition cache under the engine's read lock.
+// ScanRuns walk snapshots of one transition cache.
 type splitScanner struct {
 	classOf  [256]uint8
 	nclasses int
@@ -227,19 +227,17 @@ func buildSplitScanner(s *Splitter) *splitScanner {
 // skip is byte-exact, never a semantic shortcut. Returns nil when cur
 // cannot skip (no synchronized set, too many triggers, or an overflowed
 // transition row).
-func (sc *splitScanner) skipSet(w *lazydfa.Walker[scanPayload], cur int32) *lazydfa.SkipSet {
+func (sc *splitScanner) skipSet(cur int32) *lazydfa.SkipSet {
+	st := sc.dfa.Snapshot()
 	return vsa.BuildSkipSet(sc.nclasses, sc.classOf[:],
 		func(q int32) bool { return q > lazydfa.Dead },
-		func(q int32, c uint8) bool { return w.States[q].Payload.ev[c] != 0 },
+		func(q int32, c uint8) bool { return st[q].Payload.ev[c] != 0 },
 		func(q int32, c uint8) (int32, bool) {
-			t := w.States[q].Trans(c)
-			if t == lazydfa.Unknown {
-				t = w.Resolve(q, c)
+			t := st[q].Trans(c)
+			if t < lazydfa.Dead || int(t) >= len(st) {
+				t, st = sc.dfa.Resolve(q, c)
 			}
-			if t == lazydfa.Overflow {
-				return 0, false
-			}
-			return t, true
+			return t, t != lazydfa.Overflow
 		}, cur)
 }
 
@@ -275,27 +273,25 @@ func (s *Splitter) CutSafe() bool {
 }
 
 func (sc *splitScanner) cutSafe() bool {
-	w := sc.dfa.Walk()
-	defer w.Release()
+	st := sc.dfa.Snapshot()
 	seen := map[int32]bool{sc.start: true}
 	queue := []int32{sc.start}
 	for len(queue) > 0 {
 		q := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
+		pl := st[q].Payload
 		for c := 0; c < sc.nclasses; c++ {
-			pl := &w.States[q].Payload // re-read per class: Resolve may move States
 			ev := pl.ev[c]
 			closes, wraps := ev&evClose != 0, ev&evWrap != 0
 			if ev&evBail != 0 || closes && wraps ||
 				(closes || wraps) && (pl.endClose != closes || pl.endWrap != wraps) {
 				return false
 			}
-			t := w.States[q].Trans(uint8(c))
-			if t == lazydfa.Unknown {
-				t = w.Resolve(q, uint8(c))
-			}
-			if t == lazydfa.Overflow {
-				return false
+			t := st[q].Trans(uint8(c))
+			if t < lazydfa.Dead || int(t) >= len(st) {
+				if t, st = sc.dfa.Resolve(q, uint8(c)); t == lazydfa.Overflow {
+					return false
+				}
 			}
 			if !seen[t] {
 				seen[t] = true
@@ -433,7 +429,7 @@ func scanChunk[T ~string | ~[]byte](r *ScanRun, chunk T, out []span.Span) ([]spa
 		return out, false
 	}
 	sc := r.sc
-	w := sc.dfa.Walk()
+	st := sc.dfa.Snapshot()
 	cur := r.state
 	ok := true
 	// Skip-loop machinery (see internal/vsa/prefilter.go): idx is the
@@ -453,14 +449,11 @@ func scanChunk[T ~string | ~[]byte](r *ScanRun, chunk T, out []span.Span) ([]spa
 		if !r.gate.Ready() {
 			r.gate.Init(&sc.skips)
 		}
-		r.gate.Bind(func(q int32) *lazydfa.SkipSet { return sc.skipSet(&w, q) }, idx)
+		r.gate.Bind(sc.skipSet, idx)
 	}
 	for i := 0; i < len(chunk); i++ {
-		if i&4095 == 4095 {
-			w.Yield() // let pending writers in; see lazydfa.Walker
-		}
 		c := sc.classOf[chunk[i]]
-		if ev := w.States[cur].Payload.ev[c]; ev != 0 {
+		if ev := st[cur].Payload.ev[c]; ev != 0 {
 			b := r.pos + i + 1
 			if ev&evBail != 0 {
 				ok = false
@@ -487,13 +480,12 @@ func scanChunk[T ~string | ~[]byte](r *ScanRun, chunk T, out []span.Span) ([]spa
 				r.lastOpen = b
 			}
 		}
-		t := w.States[cur].Trans(c)
-		if t == lazydfa.Unknown {
-			t = w.Resolve(cur, c)
-		}
-		if t == lazydfa.Overflow {
-			ok = false
-			break
+		t := st[cur].Trans(c)
+		if t < lazydfa.Dead || int(t) >= len(st) { // rare: unresolved, stale or overflowed
+			if t, st = sc.dfa.Resolve(cur, c); t == lazydfa.Overflow {
+				ok = false
+				break
+			}
 		}
 		if idx != nil {
 			// The scan is confined to a synchronized, event-free state set:
@@ -503,9 +495,7 @@ func scanChunk[T ~string | ~[]byte](r *ScanRun, chunk T, out []span.Span) ([]spa
 			// the landing state is the sync state of the last skipped byte.
 			if sk := r.gate.Step(cur, t); sk != nil {
 				if j, _ := r.gate.Jump(sk, i+1, len(chunk)); j > i+1 {
-					if j-(i+1) >= 4096 {
-						w.Yield()
-					}
+					st = sc.dfa.Snapshot() // the set's build may have interned its states
 					t = sk.Sync(chunk[j-1])
 					i = j - 1 // byte j's events re-checked from the sync state
 				}
@@ -513,7 +503,6 @@ func scanChunk[T ~string | ~[]byte](r *ScanRun, chunk T, out []span.Span) ([]spa
 		}
 		cur = t
 	}
-	w.Release()
 	r.state = cur
 	r.pos += len(chunk)
 	if !ok {
@@ -529,9 +518,7 @@ func (r *ScanRun) Flush(out []span.Span) (res []span.Span, ok bool) {
 	if r.bailed {
 		return out, false
 	}
-	w := r.sc.dfa.Walk()
-	pl := w.States[r.state].Payload
-	w.Release()
+	pl := r.sc.dfa.Snapshot()[r.state].Payload
 	end := r.pos + 1
 	if pl.endClose {
 		if r.pending == 0 {

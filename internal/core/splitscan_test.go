@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/regexformula"
@@ -160,6 +162,42 @@ func TestScanRunResumesAcrossChunks(t *testing.T) {
 			t.Fatalf("chunk size %d: got %v, want %v", n, got, want)
 		}
 	}
+}
+
+// TestScanRunConcurrentColdSplitter runs the splitter scanner the way
+// the engine's streaming segmenters do — many resumable runs over one
+// shared Splitter — with its DFA cold, so runs fill transitions and
+// skip sets while others walk older snapshots. Every goroutine feeds its
+// own documents at read sizes 1, 7 and 4096 and must reproduce
+// SplitReference exactly.
+func TestScanRunConcurrentColdSplitter(t *testing.T) {
+	s := MustSplitter(regexformula.MustCompile("(x{[^.]*})(\\.[^.]*)*|[^.]*(\\.[^.]*)*\\.(x{[^.]*})(\\.[^.]*)*"))
+	if _, ok := s.NewScanRun(); !ok {
+		t.Fatal("sentence splitter has no scanner")
+	}
+	pieces := []string{"a", "b", "ab ", " ", ".", "..", strings.Repeat("b", 300), strings.Repeat(" a", 2500)}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 6; i++ {
+				var doc strings.Builder
+				for k := rng.Intn(24); k > 0; k-- {
+					doc.WriteString(pieces[rng.Intn(len(pieces))])
+				}
+				want := s.SplitReference(doc.String())
+				for _, n := range []int{1, 7, 4096} {
+					if got, ok := chunkedScan(t, s, doc.String(), n); !ok || !spansEqual(got, want) {
+						t.Errorf("goroutine %d, read size %d: ok=%v, spans %v, want %v", g, n, ok, got, want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestScanRunAnchorTracksLastOpen(t *testing.T) {

@@ -4,8 +4,8 @@
 // classes plus a payload function evaluated once per subset; the engine
 // owns everything the former per-client copies triplicated — interned
 // sorted-subset states, the transition table, the state-bound overflow
-// sentinel, and the RLock-walk / Lock-fill discipline that lets many
-// concurrent scans share one warm cache.
+// sentinel, and the publication protocol that lets many concurrent scans
+// share one warm cache without ever taking a lock to read it.
 //
 // The four clients (see DESIGN.md, "One DFA core, four clients"):
 //
@@ -21,16 +21,22 @@
 //
 // Concurrency contract: configuration (New, Seed, Intern for start
 // states) happens single-threaded at build time; afterwards any number
-// of goroutines may Walk concurrently. A Walker holds the read lock
-// between Walk and Release; Resolve/Inject/Yield drop it around the
-// write-locked fill and refresh the Walker's state snapshot, so clients
-// keep a single bounds-check-free array lookup per byte on the hot
-// path. State ids are stable for the lifetime of the DFA — a client may
-// save one (e.g. to resume a streamed scan at a chunk boundary) and
-// walk on from it later.
+// of goroutines may read concurrently. A reader loads the published
+// state slice once per pass (Snapshot) and walks it with one array
+// lookup per byte. Only writers lock, and a fill goes in one order:
+// intern the target, append it, publish the longer slice, then store
+// the row entry. A reader may therefore load a target id its own
+// snapshot does not hold yet; clients send every transition that is a
+// sentinel or lies past their snapshot to Resolve, which returns it
+// with a fresh snapshot. State ids are stable for the lifetime of the
+// DFA — a client may save one (e.g. to resume a streamed scan at a
+// chunk boundary) and walk on from it later with a newer snapshot.
 package lazydfa
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Sentinel state ids and transition values. Dead is the interned empty
 // subset, created by New with all transitions looping on itself;
@@ -74,40 +80,42 @@ type Config[P any] struct {
 }
 
 // State is one interned subset-construction state. Set and Payload are
-// immutable after creation; the transition table is filled in lazily
-// under the DFA's write lock.
+// immutable once the state is published; the rows are filled in lazily,
+// entry by entry, and their backing arrays never move, so every
+// snapshot holding the state sees every fill.
 type State[P any] struct {
 	Set     []int32 // sorted member states of the underlying NFA
 	Payload P
-	trans   []int32 // per byte class: successor id or a sentinel
-	inj     []int32 // per registered seed: cached injection target
+	trans   []atomic.Int32 // per byte class: successor id or a sentinel
+	inj     []atomic.Int32 // per registered seed: cached injection target
 }
 
 // Trans returns the cached transition on class c: a state id, or
-// Unknown / Overflow (resolve with Walker.Resolve). Dead's transitions
-// all loop on Dead.
-func (s *State[P]) Trans(c uint8) int32 { return s.trans[c] }
+// Unknown / Overflow (resolve with DFA.Resolve). Dead's transitions all
+// loop on Dead.
+func (s *State[P]) Trans(c uint8) int32 { return s.trans[c].Load() }
 
-// DFA is one lazily determinized subset automaton. Readers walk it
-// under RLock via Walker; a missing transition is filled in under the
-// write lock and becomes visible to every later walk — clients keep the
-// DFA alive across calls (e.g. through the engine's plan cache), so the
-// cache warms once per automaton, not once per document.
+// DFA is one lazily determinized subset automaton. Readers walk a
+// published snapshot of its states; a missing transition is filled in
+// under the write lock and becomes visible to every later walk —
+// clients keep the DFA alive across calls (e.g. through the engine's
+// plan cache), so the cache warms once per automaton, not once per
+// document.
 type DFA[P any] struct {
-	cfg Config[P]
+	cfg    Config[P]
+	states atomic.Pointer[[]State[P]]
 
-	mu     sync.RWMutex
-	states []State[P]
-	index  map[string]int32 // encoded subset → state id
-	seeds  [][]int32
+	mu    sync.Mutex       // serializes writers; readers never take it
+	index map[string]int32 // encoded subset → state id
+	seeds [][]int32
 
-	// resolve scratch, guarded by mu (write side only).
+	// resolve scratch, guarded by mu.
 	mark    []bool
 	scratch []int32
 }
 
 // New returns a DFA containing only Dead (the interned empty subset).
-// Register seeds and intern start states before the first Walk.
+// Register seeds and intern start states before the first read.
 func New[P any](cfg Config[P]) *DFA[P] {
 	if cfg.MaxStates <= 0 {
 		cfg.MaxStates = DefaultMaxStates
@@ -117,12 +125,20 @@ func New[P any](cfg Config[P]) *DFA[P] {
 		index: map[string]int32{setKey(nil): Dead},
 		mark:  make([]bool, cfg.States),
 	}
-	d.states = append(d.states, State[P]{
+	d.publish([]State[P]{{
 		Payload: cfg.Payload(nil),
-		trans:   make([]int32, cfg.Classes), // all-zero: loops on itself
-	})
+		trans:   make([]atomic.Int32, cfg.Classes), // all-zero: loops on itself
+	}})
 	return d
 }
+
+// Snapshot returns the published states. Entries [0, len) are
+// immutable apart from their rows; a transition or injection read from
+// a row may name a state past len, which Resolve / Inject hand back
+// with a snapshot that holds it.
+func (d *DFA[P]) Snapshot() []State[P] { return *d.states.Load() }
+
+func (d *DFA[P]) publish(st []State[P]) { d.states.Store(&st) }
 
 // Intern returns the state id of a subset (sorted, duplicate-free),
 // creating and paying its payload if it is new. Returns Overflow at the
@@ -135,66 +151,77 @@ func (d *DFA[P]) Intern(set []int32) int32 {
 }
 
 // Seed registers a subset to be unioned into walking frontiers via
-// Walker.Inject and returns its seed id. Injection targets are cached
-// per (state, seed) pair. Must be called before the first Walk.
+// Inject and returns its seed id. Injection targets are cached per
+// (state, seed) pair. Seed is a build-time call: it must not run
+// concurrently with any reader.
 func (d *DFA[P]) Seed(set []int32) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.seeds = append(d.seeds, set)
-	for i := range d.states {
-		d.states[i].inj = append(d.states[i].inj, Unknown)
+	st := d.Snapshot()
+	for i := range st {
+		st[i].inj = unknownRow(len(d.seeds))
 	}
 	return len(d.seeds) - 1
 }
 
 // Len returns the number of materialized states (including Dead).
-func (d *DFA[P]) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.states)
-}
+func (d *DFA[P]) Len() int { return len(d.Snapshot()) }
 
-// intern interns set under the write lock, copying it on a miss.
+// intern interns set under the write lock, copying it on a miss, and
+// publishes the grown state slice before returning the new id.
 func (d *DFA[P]) intern(set []int32) int32 {
 	key := setKey(set)
 	if to, ok := d.index[key]; ok {
 		return to
 	}
-	if len(d.states) >= d.cfg.MaxStates {
+	st := d.Snapshot()
+	if len(st) >= d.cfg.MaxStates {
 		return Overflow
 	}
 	cp := make([]int32, len(set))
 	copy(cp, set)
-	st := State[P]{
+	to := int32(len(st))
+	d.publish(append(st, State[P]{
 		Set:     cp,
 		Payload: d.cfg.Payload(cp),
-		trans:   make([]int32, d.cfg.Classes),
-		inj:     make([]int32, len(d.seeds)),
-	}
-	for c := range st.trans {
-		st.trans[c] = Unknown
-	}
-	for i := range st.inj {
-		st.inj[i] = Unknown
-	}
-	to := int32(len(d.states))
-	d.states = append(d.states, st)
+		trans:   unknownRow(d.cfg.Classes),
+		inj:     unknownRow(len(d.seeds)),
+	}))
 	d.index[key] = to
 	return to
 }
 
-// resolve fills the transition (from, class) under the write lock,
-// creating the successor state if needed. The resolved value is cached
-// — including the Overflow sentinel, so a DFA that hit the bound does
-// not retry the construction on every byte.
-func (d *DFA[P]) resolve(from int32, class uint8) int32 {
+func unknownRow(n int) []atomic.Int32 {
+	row := make([]atomic.Int32, n)
+	for i := range row {
+		row[i].Store(Unknown)
+	}
+	return row
+}
+
+// Resolve returns the transition (from, class) together with a snapshot
+// that holds its target: a state id, Dead, or Overflow past the state
+// bound. It is the one call behind a client's rare branch, whichever of
+// its three cases brought the client there — an unresolved entry
+// (filled here under the write lock), an id past the client's snapshot,
+// or a sentinel. The resolved value is cached, including Overflow, so a
+// DFA that hit the bound does not retry the construction on every byte.
+func (d *DFA[P]) Resolve(from int32, class uint8) (int32, []State[P]) {
+	if t := d.Snapshot()[from].trans[class].Load(); t != Unknown {
+		// Loaded after t, the snapshot holds it: a fill publishes its
+		// target before storing the row entry.
+		return t, d.Snapshot()
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if t := d.states[from].trans[class]; t != Unknown {
-		return t // resolved by a concurrent walk
+	st := d.Snapshot()
+	row := &st[from].trans[class]
+	if t := row.Load(); t != Unknown {
+		return t, st // resolved by a concurrent walk
 	}
 	out := d.scratch[:0]
-	for _, q := range d.states[from].Set {
+	for _, q := range st[from].Set {
 		d.cfg.Succ(q, class, func(to int32) {
 			if !d.mark[to] {
 				d.mark[to] = true
@@ -208,75 +235,28 @@ func (d *DFA[P]) resolve(from int32, class uint8) int32 {
 	sortInt32s(out)
 	d.scratch = out
 	to := d.intern(out)
-	d.states[from].trans[class] = to
-	return to
-}
-
-// inject fills the (from, seed) injection under the write lock.
-func (d *DFA[P]) inject(from int32, seed int) int32 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if t := d.states[from].inj[seed]; t != Unknown {
-		return t
-	}
-	to := d.intern(mergeSortedInt32s(d.states[from].Set, d.seeds[seed]))
-	d.states[from].inj[seed] = to
-	return to
-}
-
-// Walker is one read-locked traversal of the DFA. The States snapshot
-// gives the hot loop a single array lookup per byte; it is refreshed
-// whenever the lock is cycled (Resolve, Inject, Yield), since the state
-// slice may have grown meanwhile. Transition entries written by other
-// goroutines' resolves remain visible through a snapshot: states are
-// only appended, never moved, and their trans arrays are shared.
-type Walker[P any] struct {
-	d      *DFA[P]
-	States []State[P]
-}
-
-// Walk acquires the read lock and returns a Walker. Every Walk must be
-// balanced by exactly one Release.
-func (d *DFA[P]) Walk() Walker[P] {
-	d.mu.RLock()
-	return Walker[P]{d: d, States: d.states}
-}
-
-// Release drops the read lock. The Walker must not be used afterwards.
-func (w *Walker[P]) Release() { w.d.mu.RUnlock() }
-
-// Yield cycles the read lock, letting pending writers in. Long scans
-// call it periodically: a writer blocked in resolve stalls new RLock
-// acquisitions, so a walker that never yields would serialize every
-// other scan behind one warm-up miss.
-func (w *Walker[P]) Yield() {
-	w.d.mu.RUnlock()
-	w.d.mu.RLock()
-	w.States = w.d.states
-}
-
-// Resolve fills the transition (from, class) and returns it: a state
-// id, or Overflow past the state bound.
-func (w *Walker[P]) Resolve(from int32, class uint8) int32 {
-	w.d.mu.RUnlock()
-	t := w.d.resolve(from, class)
-	w.d.mu.RLock()
-	w.States = w.d.states
-	return t
+	row.Store(to)
+	return to, d.Snapshot()
 }
 
 // Inject returns the state of subset(from) ∪ seed — a registered seed
-// frontier merged into an already-walking one — resolving and caching
-// it on first use. Returns Overflow past the state bound.
-func (w *Walker[P]) Inject(from int32, seed int) int32 {
-	if t := w.States[from].inj[seed]; t != Unknown {
-		return t
+// frontier merged into an already-walking one — with a snapshot that
+// holds it, resolving and caching it on first use. Returns Overflow
+// past the state bound.
+func (d *DFA[P]) Inject(from int32, seed int) (int32, []State[P]) {
+	if t := d.Snapshot()[from].inj[seed].Load(); t != Unknown {
+		return t, d.Snapshot() // as in Resolve
 	}
-	w.d.mu.RUnlock()
-	t := w.d.inject(from, seed)
-	w.d.mu.RLock()
-	w.States = w.d.states
-	return t
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st := d.Snapshot()
+	row := &st[from].inj[seed]
+	if t := row.Load(); t != Unknown {
+		return t, st
+	}
+	to := d.intern(mergeSortedInt32s(st[from].Set, d.seeds[seed]))
+	row.Store(to)
+	return to, d.Snapshot()
 }
 
 func setKey(set []int32) string {

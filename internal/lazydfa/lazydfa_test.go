@@ -47,24 +47,52 @@ func newTestDFA(max int, payloads *int) *DFA[bool] {
 	})
 }
 
-func runWalk(d *DFA[bool], start int32, input []uint8) bool {
-	w := d.Walk()
-	defer w.Release()
+// walk runs input from start over the snapshot st the way every client
+// does: one row lookup per byte, and Resolve for a sentinel or an id
+// past the snapshot. It reports acceptance and how many ids it met past
+// its snapshot.
+func walk(d *DFA[bool], st []State[bool], start int32, input []uint8) (accept bool, stale int) {
 	cur := start
-	for i, c := range input {
-		if i%3 == 2 {
-			w.Yield()
-		}
-		t := w.States[cur].Trans(c)
-		if t == Unknown {
-			t = w.Resolve(cur, c)
-		}
-		if t == Overflow {
-			panic("unexpected overflow")
+	for _, c := range input {
+		t := st[cur].Trans(c)
+		if t <= Dead || int(t) >= len(st) {
+			if int(t) >= len(st) {
+				stale++
+			}
+			if t, st = d.Resolve(cur, c); t == Overflow {
+				panic("unexpected overflow")
+			}
 		}
 		cur = t
 	}
-	return w.States[cur].Payload
+	return st[cur].Payload, stale
+}
+
+func runWalk(d *DFA[bool], start int32, input []uint8) bool {
+	accept, _ := walk(d, d.Snapshot(), start, input)
+	return accept
+}
+
+// testWalker gives the snapshot API the walker shape some tests below
+// are written in: Walk takes a snapshot, Resolve and Inject refresh it,
+// Release has nothing to release.
+type testWalker[P any] struct {
+	d      *DFA[P]
+	States []State[P]
+}
+
+func (d *DFA[P]) Walk() *testWalker[P] { return &testWalker[P]{d, d.Snapshot()} }
+
+func (w *testWalker[P]) Release() {}
+
+func (w *testWalker[P]) Resolve(from int32, c uint8) (t int32) {
+	t, w.States = w.d.Resolve(from, c)
+	return t
+}
+
+func (w *testWalker[P]) Inject(from int32, seed int) (t int32) {
+	t, w.States = w.d.Inject(from, seed)
+	return t
 }
 
 func refAccept(input []uint8) bool {
@@ -169,8 +197,30 @@ func TestSeedInjection(t *testing.T) {
 	}
 }
 
-// TestConcurrentWalks exercises the RLock-walk/Lock-fill discipline
-// under the race detector: many goroutines warming one cache.
+// TestStaleSnapshotResolves pins the publish order: a walk from a
+// snapshot taken before another call interned its path meets target ids
+// past the snapshot's end, resolves them instead of indexing them, and
+// still accepts exactly what the reference does.
+func TestStaleSnapshotResolves(t *testing.T) {
+	d := newTestDFA(0, nil)
+	start := d.Intern([]int32{0})
+	old := d.Snapshot()
+	input := []uint8{1, 0, 0, 1}
+	runWalk(d, start, input) // another call interns the path's states
+	if d.Len() <= len(old) {
+		t.Fatalf("the other walk interned nothing: %d states", d.Len())
+	}
+	accept, stale := walk(d, old, start, input)
+	if stale == 0 {
+		t.Fatal("walk from the old snapshot never met an id past it")
+	}
+	if want := refAccept(input); accept != want {
+		t.Fatalf("input %v: accept=%v, want %v", input, accept, want)
+	}
+}
+
+// TestConcurrentWalks exercises lock-free snapshot walks against locked
+// fills under the race detector: many goroutines warming one cache.
 func TestConcurrentWalks(t *testing.T) {
 	d := newTestDFA(0, nil)
 	start := d.Intern([]int32{0})

@@ -52,13 +52,6 @@ const skipMissLimit = 512
 // trigger cluster.
 const skipCoolBytes = 8
 
-// skipJumpWindow bounds one Jump's IndexByte search. Jumps run under a
-// Walker's read lock; capping the searched window keeps a sparse
-// multi-megabyte document from holding the lock (and starving writers)
-// for one giant memchr. The outer loop re-enters Jump after the capped
-// landing, so the asymptotics are unchanged.
-const skipJumpWindow = 1 << 18
-
 // SkipSet is the compiled skip program of one synchronized DFA state
 // set: the states of C, the trigger bytes on which the scan must stop
 // (the set would desynchronize, leave C, or raise a client event), and
@@ -112,44 +105,29 @@ func (s *SkipSet) Sync(b byte) int32 { return s.sync[b] }
 // SkipCache memoizes the SkipSet built from every DFA state a scan has
 // tried to skip from. Entries are immutable once stored; a stored nil
 // records "unskippable" so hot loops do not rebuild the answer. The
-// cache is per-client-DFA and shared by concurrent scans.
-//
-// Lock order: the cache mutex is only ever held for the map access
-// itself, never across a build — builders resolve DFA transitions,
-// which takes the DFA's own lock, and holding the cache mutex there
-// would invert the order against scans that query the cache while
-// read-locking the DFA. Concurrent first lookups of one state may
-// both run the builder; the first Store wins and the results are
-// identical, so the race is benign.
+// cache is per-client-DFA and shared by concurrent scans. Concurrent
+// first lookups of one state may both run the builder; the first Store
+// wins and the results are identical, so the race is benign.
 type SkipCache struct {
-	mu sync.RWMutex
-	m  map[int32]*SkipSet
+	m sync.Map // int32 state → *SkipSet
 }
 
 // Lookup returns the cached SkipSet of state. ok=false means the state
 // has not been built yet (a cached nil returns ok=true).
 func (c *SkipCache) Lookup(state int32) (set *SkipSet, ok bool) {
-	c.mu.RLock()
-	set, ok = c.m[state]
-	c.mu.RUnlock()
-	return set, ok
+	v, ok := c.m.Load(state)
+	if !ok {
+		return nil, false
+	}
+	return v.(*SkipSet), true
 }
 
 // Store records the SkipSet of state (nil = unskippable) and returns
 // the winning entry: the first stored value if another goroutine got
 // there first.
 func (c *SkipCache) Store(state int32, set *SkipSet) *SkipSet {
-	c.mu.Lock()
-	if prev, ok := c.m[state]; ok {
-		c.mu.Unlock()
-		return prev
-	}
-	if c.m == nil {
-		c.m = make(map[int32]*SkipSet)
-	}
-	c.m[state] = set
-	c.mu.Unlock()
-	return set
+	v, _ := c.m.LoadOrStore(state, set)
+	return v.(*SkipSet)
 }
 
 // SkipRun is the per-scan occurrence cache of one SkipSet over one
@@ -164,9 +142,8 @@ type SkipRun struct {
 	// index or -1. Injected by the client so string and []byte scans
 	// both dispatch to their vectorized stdlib search.
 	index func(from, to int, b byte) int
-	// next[i] caches trigger i's occurrence knowledge: there is no
-	// occurrence in [searched-from, next[i]), and when next[i] lies
-	// inside the searched window it is a genuine occurrence.
+	// next[i] caches trigger i's first occurrence at or after the last
+	// search start, or the document end when there is none.
 	next [MaxSkipTriggers]int
 }
 
@@ -201,33 +178,21 @@ func BytesIndex(doc []byte) func(from, to int, b byte) int {
 }
 
 // Jump returns the smallest index in [from, n) holding a trigger byte,
-// and hit=true, when one lies within the capped search window;
-// otherwise it returns the window end (≤ n) and hit=false. The caller
-// resumes its normal per-byte loop at the returned index: every byte
-// in [from, to) is trigger-free, so the synchronized set consumed them
-// without events, and the state at any boundary b in (from, to] is
+// and hit=true; with no trigger left it returns n and hit=false. The
+// caller resumes its normal per-byte loop at the returned index: every
+// byte in [from, to) is trigger-free, so the synchronized set consumed
+// them without events, and the state at any boundary b in (from, to] is
 // set.Sync(doc[b-1]).
 func (r *SkipRun) Jump(from, n int) (to int, hit bool) {
 	if r.set == nil || from >= n {
 		return from, false
 	}
-	lim := from + skipJumpWindow
-	if lim > n {
-		lim = n
-	}
-	best := lim
+	best := n
 	for i, b := range r.set.triggers {
 		nx := r.next[i]
-		// Recompute on nx == from too: a cached value equal to from may
-		// be a searched-horizon marker rather than an occurrence, and
-		// re-searching from an actual occurrence finds it immediately.
-		if nx <= from {
-			nx = r.index(from, lim, b)
-			if nx < 0 {
-				// No occurrence before lim; remember the searched
-				// horizon so re-entry after a capped jump re-searches
-				// only past it.
-				nx = lim
+		if nx < from {
+			if nx = r.index(from, n, b); nx < 0 {
+				nx = n // no occurrence left
 			}
 			r.next[i] = nx
 		}
@@ -235,7 +200,7 @@ func (r *SkipRun) Jump(from, n int) (to int, hit bool) {
 			best = nx
 		}
 	}
-	return best, best < lim
+	return best, best < n
 }
 
 // SkipGate is the per-scan engagement state machine deciding when a
@@ -253,7 +218,7 @@ type SkipGate struct {
 	sk    *SkipSet // armed set, nil when disarmed
 	// Two-entry build memo in front of the shared cache: a word/
 	// separator oscillation alternates between two lookup keys, and
-	// going to the mutex-guarded map per alternation would dominate.
+	// going to the shared map per alternation would dominate.
 	kA, kB int32
 	vA, vB *SkipSet
 	prev   int32 // previous distinct state, for 2-state streak tracking

@@ -135,22 +135,6 @@ func TestSkipRunBytesIndex(t *testing.T) {
 	}
 }
 
-func TestSkipRunCappedWindow(t *testing.T) {
-	// A trigger beyond skipJumpWindow: the first Jump lands on the window
-	// cap with hit=false, and re-entry from there still finds the trigger.
-	n := skipJumpWindow + 500
-	doc := strings.Repeat(" ", n-1) + "!"
-	var r SkipRun
-	r.Reset(testSet('!'), StringIndex(doc))
-	to, hit := r.Jump(0, n)
-	if hit || to != skipJumpWindow {
-		t.Fatalf("capped Jump = (%d, %v), want (%d, false)", to, hit, skipJumpWindow)
-	}
-	if to, hit = r.Jump(to, n); !hit || to != n-1 {
-		t.Fatalf("re-entry Jump = (%d, %v), want (%d, true)", to, hit, n-1)
-	}
-}
-
 // twoStateSet models a word/separator oscillation: states 1 and 2,
 // trigger 'b'; letters sync to 1, spaces sync to 2.
 func twoStateSet() *SkipSet {

@@ -14,7 +14,7 @@
 //	                             write a(y{e}) to concatenate a literal with a capture,
 //	                             since ay{e} is a capture named "ay")
 //	any byte      .             (the paper's Σ)
-//	classes       [abc] [a-z] [^x]  \d \w \s
+//	classes       [abc] [a-z] [\x00-\x1f] [^x]  \d \w \s
 //	escapes       \n \t \r \xHH and \c for any punctuation c
 //
 // Following the paper (Section 4.1), formulas are interpreted under the
@@ -108,13 +108,25 @@ func (c Cat) String() string {
 	}
 	parts := make([]string, len(c.Items))
 	for i, n := range c.Items {
-		if _, ok := n.(Alt); ok {
-			parts[i] = "(" + n.String() + ")"
-		} else {
-			parts[i] = n.String()
+		parts[i] = n.String()
+		_, alt := n.(Alt)
+		// After an identifier byte, a part that opens with a capture would
+		// have its variable name absorb that byte.
+		if alt || i > 0 && isIdentByte(parts[i-1][len(parts[i-1])-1]) && opensCapture(parts[i]) {
+			parts[i] = "(" + parts[i] + ")"
 		}
 	}
 	return strings.Join(parts, "")
+}
+
+// opensCapture reports whether a rendering starts with a capture: an
+// identifier directly followed by '{' (a literal brace is escaped).
+func opensCapture(s string) bool {
+	i := 0
+	for i < len(s) && isIdentByte(s[i]) {
+		i++
+	}
+	return i > 0 && i < len(s) && s[i] == '{'
 }
 
 func (a Alt) String() string {

@@ -1,6 +1,7 @@
 package regexformula
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -29,6 +30,10 @@ func MustParse(src string) Node {
 	}
 	return n
 }
+
+// ErrClassEscapeRange reports a class escape (\d, \w, \s) used as an
+// endpoint of a range inside [...]: an endpoint must be a single byte.
+var ErrClassEscapeRange = errors.New("regexformula: class escape used as a range endpoint")
 
 type parser struct {
 	src string
@@ -228,34 +233,40 @@ func (p *parser) charClass() (Node, error) {
 			p.pos++
 			break
 		}
-		var lo alphabet.Class
-		if c == '\\' {
-			var err error
-			lo, err = p.escape()
+		lo, err := p.classMember()
+		if err != nil {
+			return nil, err
+		}
+		if n, ok2 := p.peek(); ok2 && n == '-' && p.pos+1 < len(p.src) && p.src[p.pos+1] != ']' {
+			p.pos++
+			hi, err := p.classMember()
 			if err != nil {
 				return nil, err
 			}
-			cls = cls.Union(lo)
-			continue
-		}
-		p.pos++
-		if n, ok2 := p.peek(); ok2 && n == '-' && p.pos+1 < len(p.src) && p.src[p.pos+1] != ']' {
-			p.pos++
-			hi, _ := p.peek()
-			if hi == '\\' {
-				return nil, p.errf("escape not allowed as range end")
+			if lo.Len() != 1 || hi.Len() != 1 {
+				return nil, fmt.Errorf("%w (offset %d in %q)", ErrClassEscapeRange, p.pos, p.src)
 			}
-			p.pos++
-			if hi < c {
-				return nil, p.errf("inverted range %c-%c", c, hi)
+			a, _ := lo.Min()
+			b, _ := hi.Min()
+			if b < a {
+				return nil, p.errf("inverted range %q-%q", a, b)
 			}
-			cls = cls.Union(alphabet.Range(c, hi))
-		} else {
-			cls.Add(c)
+			lo = alphabet.Range(a, b)
 		}
+		cls = cls.Union(lo)
 	}
 	if negate {
 		cls = cls.Complement()
 	}
 	return Lit{cls}, nil
+}
+
+// classMember reads one member of a [...] class: a byte, or an escape —
+// a single-byte one (\xHH, \n, \-, ...) or a class escape (\d, \w, \s).
+func (p *parser) classMember() (alphabet.Class, error) {
+	if c, _ := p.peek(); c != '\\' {
+		p.pos++
+		return alphabet.Of(c), nil
+	}
+	return p.escape()
 }

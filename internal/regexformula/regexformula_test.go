@@ -1,6 +1,7 @@
 package regexformula
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/span"
@@ -70,6 +71,48 @@ func TestCharClasses(t *testing.T) {
 	esc := MustParse(`\d\d`)
 	if EvalNaive(esc, "42").Len() != 1 || EvalNaive(esc, "4x").Len() != 0 {
 		t.Fatal("\\d broken")
+	}
+}
+
+// TestClassRangeEndpoints: a single-byte escape is a byte like any
+// other on either side of a range, a class escape is no endpoint at all,
+// and an inverted range is refused whichever side is escaped.
+func TestClassRangeEndpoints(t *testing.T) {
+	for _, c := range []struct {
+		src     string
+		in, out string // bytes the class must accept, and reject
+	}{
+		{`[\x00-\x1f]`, "\x00\x05\x1f", "- \x7f"},
+		{`[a-\x63]`, "abc", "d-`"},
+		{`[\x61-c]`, "abc", "d-`"},
+		{`[\--/]`, "-./", ",0"},
+		{`[\t-\r]`, "\t\n\x0b\r", " -"},
+	} {
+		n, err := Parse(c.src)
+		if err != nil {
+			t.Errorf("Parse(%s): %v", c.src, err)
+			continue
+		}
+		for i := range len(c.in) {
+			if EvalNaive(n, c.in[i:i+1]).Len() != 1 {
+				t.Errorf("%s must accept %q", c.src, c.in[i])
+			}
+		}
+		for i := range len(c.out) {
+			if EvalNaive(n, c.out[i:i+1]).Len() != 0 {
+				t.Errorf("%s must reject %q", c.src, c.out[i])
+			}
+		}
+	}
+	for _, src := range []string{`[\x1f-\x00]`, `[c-\x61]`, `[\x63-a]`} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%s) must refuse the inverted range", src)
+		}
+	}
+	for _, src := range []string{`[\d-z]`, `[a-\w]`, `[\s-\s]`} {
+		if _, err := Parse(src); !errors.Is(err, ErrClassEscapeRange) {
+			t.Errorf("Parse(%s) = %v, want ErrClassEscapeRange", src, err)
+		}
 	}
 }
 

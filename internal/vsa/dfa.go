@@ -19,7 +19,7 @@ import (
 // cross-checked by fuzzing.
 //
 // Determinization itself lives in internal/lazydfa — the interning,
-// overflow and locking machinery is shared with the scan groups' forward
+// overflow and publication machinery is shared with the scan groups' forward
 // DFA (window.go), the backward narrowing DFA (reverse.go) and core's
 // compiled splitter scanner. This client's payload is a single bool:
 // whether the subset contains a final-bearing state.
@@ -35,7 +35,7 @@ type progEdge struct {
 // evalProg is the compiled, immutable evaluation program of an automaton:
 // built once under Automaton.progOnce, read-only afterwards (and hence
 // safe for unsynchronized concurrent use — only the lazy DFA beneath it
-// has mutable state, guarded by its own lock).
+// has mutable state, which it publishes itself).
 type evalProg struct {
 	nv       int // number of variables
 	nclasses int // number of byte equivalence classes
@@ -154,51 +154,37 @@ func (a *Automaton) buildProg() *evalProg {
 // later call. If the DFA outgrows its state bound the remainder of the
 // document runs on a direct subset simulation.
 func (a *Automaton) EvalBool(doc string) bool {
-	// rlockChunk bounds how long one scan holds the read lock: a pending
-	// writer (a Resolve from another goroutine) blocks new RLock
-	// acquisitions, so yielding periodically keeps one long document from
-	// serializing the whole worker pool behind a warm-up miss.
-	const rlockChunk = 1 << 12
 	if pf := a.prefilter().info; pf.Factor != "" && !strings.Contains(doc, pf.Factor) {
 		// The factor is mandatory in every accepted document (see
 		// prefilter.go), so its absence decides rejection without a scan.
 		return false
 	}
 	p := a.prog()
-	w := p.dfa.Walk()
+	st := p.dfa.Snapshot()
 	cur := dfaStart
 	var gate lazydfa.SkipGate
 	if !a.prefDisabled {
 		gate.Init(&p.skips)
-		gate.Bind(func(q int32) *lazydfa.SkipSet { return p.skipSetBool(&w, q) },
-			lazydfa.StringIndex(doc))
+		gate.Bind(p.skipSetBool, lazydfa.StringIndex(doc))
 	}
 	for i := 0; i < len(doc); i++ {
-		if i&(rlockChunk-1) == rlockChunk-1 {
-			w.Yield()
-		}
 		c := p.classOf[doc[i]]
-		t := w.States[cur].Trans(c)
-		if t == dfaUnknown {
-			t = w.Resolve(cur, c)
-		}
-		if t == dfaDead {
-			w.Release()
-			return false
-		}
-		if t == dfaOverflow {
-			set := append([]int32(nil), w.States[cur].Set...)
-			w.Release()
-			return p.simBool(set, doc[i:])
+		t := st[cur].Trans(c)
+		if t <= dfaDead || int(t) >= len(st) { // rare: unresolved, stale, overflowed or dead
+			if t, st = p.dfa.Resolve(cur, c); t == dfaDead {
+				return false
+			}
+			if t == dfaOverflow {
+				// simBool reuses its input as scratch: hand it a copy.
+				return p.simBool(append([]int32(nil), st[cur].Set...), doc[i:])
+			}
 		}
 		if !a.prefDisabled {
 			// The walk has been confined to a couple of states for a while:
 			// jump to the next byte that can break out (prefilter.go).
 			if s := gate.Step(cur, t); s != nil {
 				if j, _ := gate.Jump(s, i+1, len(doc)); j > i+1 {
-					if j-(i+1) >= rlockChunk {
-						w.Yield()
-					}
+					st = p.dfa.Snapshot() // the set's build may have interned its states
 					t = s.Sync(doc[j-1])
 					i = j - 1
 				}
@@ -206,9 +192,7 @@ func (a *Automaton) EvalBool(doc string) bool {
 		}
 		cur = t
 	}
-	final := w.States[cur].Payload
-	w.Release()
-	return final
+	return st[cur].Payload
 }
 
 // simBool is the uncached subset simulation, used past the DFA state

@@ -208,13 +208,6 @@ func (a *Automaton) EvalAppend(doc string, by span.Span, rel *span.Relation, are
 // by Close — so that nothing but the evaluation itself is paid per
 // document. A Session is not safe for concurrent use; any number of
 // Sessions may share one automaton.
-//
-// A Session holds no lock between calls, and within a call every
-// lazy-DFA read lock is scoped to one pass (forward, narrow, each
-// seedAt). That scope is a deadlock rule, not a convenience: a worker
-// holding the scan DFA's read lock while it waits to fill the reverse
-// DFA, and a second worker doing the opposite, would each wait for the
-// other's reader to leave.
 type Session struct {
 	a   *Automaton
 	p   *evalProg

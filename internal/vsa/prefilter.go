@@ -454,14 +454,15 @@ func containsSub(s, sub []byte) bool {
 // in EvalBool still fires; any final flag inside the set is irrelevant
 // mid-document because only the state at the end of the document is
 // consulted, and that state is sync-exact.
-func (p *evalProg) skipSetBool(w *lazydfa.Walker[bool], cur int32) *lazydfa.SkipSet {
+func (p *evalProg) skipSetBool(cur int32) *lazydfa.SkipSet {
+	st := p.dfa.Snapshot()
 	return BuildSkipSet(p.nclasses, p.classOf[:],
 		func(q int32) bool { return q >= dfaStart },
 		nil,
 		func(q int32, c uint8) (int32, bool) {
-			t := w.States[q].Trans(c)
-			if t == dfaUnknown {
-				t = w.Resolve(q, c)
+			t := st[q].Trans(c)
+			if t < dfaDead || int(t) >= len(st) {
+				t, st = p.dfa.Resolve(q, c)
 			}
 			return t, t != dfaOverflow
 		}, cur)
@@ -472,14 +473,15 @@ func (p *evalProg) skipSetBool(w *lazydfa.Walker[bool], cur int32) *lazydfa.Skip
 // boundary there is a candidate match end that some member's run-length
 // encoder must see. fin bits are only read at the end of the document,
 // where the state is sync-exact.
-func (g *scanGroup) skipSet(w *lazydfa.Walker[scanFlags], cur int32) *lazydfa.SkipSet {
+func (g *scanGroup) skipSet(cur int32) *lazydfa.SkipSet {
+	st := g.dfa.Snapshot()
 	return BuildSkipSet(g.nclasses, g.classOf[:],
-		func(q int32) bool { return q >= dfaStart && w.States[q].Payload.end == 0 },
+		func(q int32) bool { return q >= dfaStart && st[q].Payload.end == 0 },
 		nil,
 		func(q int32, c uint8) (int32, bool) {
-			t := w.States[q].Trans(c)
-			if t == dfaUnknown {
-				t = w.Resolve(q, c)
+			t := st[q].Trans(c)
+			if t < dfaDead || int(t) >= len(st) {
+				t, st = g.dfa.Resolve(q, c)
 			}
 			return t, t != dfaOverflow
 		}, cur)

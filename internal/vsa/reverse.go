@@ -6,11 +6,11 @@ package vsa
 // operations, reversed with automata.Reverse over the byte-class alphabet
 // of the compiled evaluation program, and determinized by the same
 // internal/lazydfa engine as the forward machinery in dfa.go, so both
-// directions share one construction idiom and one locking discipline.
+// directions share one construction idiom and one publication protocol.
 // This client's payload is the per-class core-start flag vector of the
 // subset, and it is the one client that uses seed injection: candidate
 // match ends merge emit-state (or final-bearing) seeds into an already-
-// walking frontier through Walker.Inject.
+// walking frontier through DFA.Inject.
 
 import (
 	"repro/internal/automata"

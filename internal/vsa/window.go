@@ -83,7 +83,7 @@ type window struct {
 // automaton: per-state statuses, the scan NFA tables, the backward
 // narrowing program, and the one-member scan group that evaluation of
 // this automaton alone scans with. Built once under localOnce and
-// read-only afterwards; the lazy DFAs beneath it carry their own locks.
+// read-only afterwards; the lazy DFAs beneath it publish their own fills.
 type localizer struct {
 	ok     bool
 	reason string // why localized evaluation is disabled, when !ok
@@ -319,14 +319,11 @@ func (g *scanGroup) startSet(mask uint64) []int32 {
 // the ladder. A dead frontier ends the pass early: no later boundary can
 // complete any member's match.
 func (g *scanGroup) forward(doc string, start int32, ws *scanScratch) bool {
-	const rlockChunk = 1 << 12
-	// The walker and the document live in ws, where the skip callbacks
-	// bound at its construction read them; the read lock is held from
-	// here to endPass and no further.
+	// The group and the document live in ws, where the skip callbacks
+	// bound at its construction read them.
 	ws.g, ws.doc = g, doc
-	ws.w = g.dfa.Walk()
 	defer ws.endPass()
-	w := &ws.w
+	st := g.dfa.Snapshot()
 	cur := start
 	ws.checkpoints = append(ws.checkpoints[:0], start)
 	for len(ws.ends) < len(g.autos) {
@@ -343,17 +340,10 @@ func (g *scanGroup) forward(doc string, start int32, ws *scanScratch) bool {
 		gate.Bind(ws.build, ws.index)
 	}
 	for i := 0; i < len(doc); i++ {
-		if i&(rlockChunk-1) == rlockChunk-1 {
-			// Let pending writers in periodically; see EvalBool.
-			w.Yield()
-		}
 		c := g.classOf[doc[i]]
-		t := w.States[cur].Trans(c)
-		if t <= dfaDead { // rare: unresolved, overflowed or dead
-			if t == dfaUnknown {
-				t = w.Resolve(cur, c)
-			}
-			if t == dfaOverflow {
+		t := st[cur].Trans(c)
+		if t <= dfaDead || int(t) >= len(st) { // rare: unresolved, stale, overflowed or dead
+			if t, st = g.dfa.Resolve(cur, c); t == dfaOverflow {
 				return false
 			}
 			if t == dfaDead {
@@ -383,9 +373,7 @@ func (g *scanGroup) forward(doc string, start int32, ws *scanScratch) bool {
 						}
 					}
 					ws.skipped += j - (i + 1)
-					if j-(i+1) >= rlockChunk {
-						w.Yield()
-					}
+					st = g.dfa.Snapshot() // the set's build may have interned its states
 					t = sk.Sync(doc[j-1])
 					i = j - 1 // boundary j is handled by the normal code below
 				}
@@ -398,7 +386,7 @@ func (g *scanGroup) forward(doc string, start int32, ws *scanScratch) bool {
 		}
 		// Demultiplex the boundary to every member whose subset holds an
 		// end state, run-length-encoded per member.
-		for e := w.States[cur].Payload.end; e != 0; e &= e - 1 {
+		for e := st[cur].Payload.end; e != 0; e &= e - 1 {
 			s := bits.TrailingZeros64(e)
 			runs := ws.ends[s]
 			if n := len(runs); n > 0 && runs[n-1] == int32(b) {
@@ -408,7 +396,7 @@ func (g *scanGroup) forward(doc string, start int32, ws *scanScratch) bool {
 			}
 		}
 	}
-	ws.finals = w.States[cur].Payload.fin
+	ws.finals = st[cur].Payload.fin
 	return true
 }
 
@@ -420,14 +408,12 @@ func (g *scanGroup) forward(doc string, start int32, ws *scanScratch) bool {
 func (g *scanGroup) seedAt(slot int, doc string, lo int, ws *scanScratch) []int32 {
 	k := lo / checkpointStride
 	cur := ws.checkpoints[k]
-	w := g.dfa.Walk()
+	st := g.dfa.Snapshot()
 	for i := k * checkpointStride; i < lo; i++ {
 		c := g.classOf[doc[i]]
-		t := w.States[cur].Trans(c)
-		if t == dfaUnknown {
-			// The forward pass resolved every transition on this path;
-			// only a concurrent rebuild could leave a gap. Resolve again.
-			t = w.Resolve(cur, c)
+		t := st[cur].Trans(c)
+		if t < dfaDead || int(t) >= len(st) {
+			t, st = g.dfa.Resolve(cur, c)
 		}
 		if t == dfaDead || t == dfaOverflow {
 			cur = dfaDead
@@ -439,12 +425,11 @@ func (g *scanGroup) seedAt(slot int, doc string, lo int, ws *scanScratch) []int3
 	base := g.base[slot]
 	limit := base + int32(g.progs[slot].nstates)
 	status := g.locs[slot].status
-	for _, q := range w.States[cur].Set {
+	for _, q := range st[cur].Set {
 		if q >= base && q < limit && status[q-base] == 0 {
 			ws.seed = append(ws.seed, q-base)
 		}
 	}
-	w.Release()
 	return ws.seed
 }
 
@@ -474,32 +459,27 @@ func (g *scanGroup) narrow(slot int, doc string, ws *scanScratch) bool {
 	cur := dfaDead
 	b := 0
 	overflow := false
-	steps := 0
 	flush := func() {
 		if activeTop >= 0 && sMin >= 0 {
 			ws.windows = append(ws.windows, window{sMin, activeTop})
 		}
 		activeTop, sMin = -1, -1
 	}
-	w := r.dfa.Walk()
+	st := r.dfa.Snapshot()
 	// stepDown consumes doc[b-1], moving the frontier one boundary left
 	// and recording core starts flagged on the source state.
 	stepDown := func() {
 		b--
 		c := p.classOf[doc[b]]
-		if steps++; steps&4095 == 0 {
-			w.Yield()
+		t := st[cur].Trans(c)
+		if t < dfaDead || int(t) >= len(st) {
+			if t, st = r.dfa.Resolve(cur, c); t == dfaOverflow {
+				overflow = true
+				cur = dfaDead
+				return
+			}
 		}
-		t := w.States[cur].Trans(c)
-		if t == dfaUnknown {
-			t = w.Resolve(cur, c)
-		}
-		if t == dfaOverflow {
-			overflow = true
-			cur = dfaDead
-			return
-		}
-		if w.States[cur].Payload.start[c] {
+		if st[cur].Payload.start[c] {
 			sMin = b
 		}
 		cur = t
@@ -517,14 +497,12 @@ func (g *scanGroup) narrow(slot int, doc string, ws *scanScratch) bool {
 			flush()
 			activeTop, b = e, e
 		}
-		// Cached injections resolve under the read lock already held; the
-		// write-locked path runs once per (state, seed) pair.
 		seed := r.seedFin
 		if !fin {
 			seed = r.seedEnd
 		}
-		to := w.Inject(cur, seed)
-		if to == dfaOverflow {
+		var to int32
+		if to, st = r.dfa.Inject(cur, seed); to == dfaOverflow {
 			overflow = true
 			return
 		}
@@ -547,7 +525,6 @@ func (g *scanGroup) narrow(slot int, doc string, ws *scanScratch) bool {
 	for cur != dfaDead && b > 0 && !overflow {
 		stepDown()
 	}
-	w.Release()
 	if overflow {
 		return false
 	}
@@ -578,12 +555,11 @@ type scanScratch struct {
 	windows []window // narrow's result for the member being evaluated
 	seed    []int32
 
-	// The forward pass in flight: its group, read-locked walker and
-	// document, set by forward and dropped by endPass. They are fields so
-	// that build and index — the SkipGate callbacks, closures over this
-	// scratch made once in newScanScratch — cost nothing per document.
+	// The forward pass in flight: its group and document, set by forward
+	// and dropped by endPass. They are fields so that build and index —
+	// the SkipGate callbacks, closures over this scratch made once in
+	// newScanScratch — cost nothing per document.
 	g     *scanGroup
-	w     lazydfa.Walker[scanFlags]
 	doc   string
 	build func(q int32) *lazydfa.SkipSet
 	index func(from, to int, b byte) int
@@ -591,7 +567,7 @@ type scanScratch struct {
 
 func newScanScratch() *scanScratch {
 	ws := new(scanScratch)
-	ws.build = func(q int32) *lazydfa.SkipSet { return ws.g.skipSet(&ws.w, q) }
+	ws.build = func(q int32) *lazydfa.SkipSet { return ws.g.skipSet(q) }
 	ws.index = func(from, to int, b byte) int {
 		if i := strings.IndexByte(ws.doc[from:to], b); i >= 0 {
 			return from + i
@@ -601,13 +577,8 @@ func newScanScratch() *scanScratch {
 	return ws
 }
 
-// endPass ends the forward pass: the scan DFA's read lock is released
-// and the scratch lets go of the document and group, which a pooled
-// scratch must not keep alive.
-func (ws *scanScratch) endPass() {
-	ws.w.Release()
-	ws.w = lazydfa.Walker[scanFlags]{}
-	ws.g, ws.doc = nil, ""
-}
+// endPass ends the forward pass: the scratch lets go of the document
+// and group, which a pooled scratch must not keep alive.
+func (ws *scanScratch) endPass() { ws.g, ws.doc = nil, "" }
 
 var scanPool = sync.Pool{New: func() any { return newScanScratch() }}

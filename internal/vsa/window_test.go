@@ -3,6 +3,7 @@ package vsa
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/alphabet"
@@ -210,6 +211,54 @@ func TestWindowedEvalConcurrent(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
+}
+
+// TestColdDFAsConcurrentFill holds the lazy DFAs to their snapshot
+// contract under load: 8 goroutines fill one cold automaton's DFAs —
+// EvalBool's, the forward scan's and the backward narrowing one — and a
+// cold Multi's fused scan on disjoint documents, so passes keep meeting
+// states interned after their snapshot. Every answer is checked against
+// EvalReference.
+func TestColdDFAsConcurrentFill(t *testing.T) {
+	a := extractorAPlus()
+	members := []*Automaton{a, buildUnanchoredAB(t), extractorZeroWidth()}
+	m := NewMulti(members...)
+	if loc := a.localizer(); a.prog().dfa.Len() > 2 || loc.group.dfa.Len() > 2 || loc.rev.dfa.Len() > 1 {
+		t.Fatal("the automaton's DFAs are warm before the first evaluation")
+	}
+	pieces := []string{"a", "b", "ab", "aab", ".", strings.Repeat(".", 3*checkpointStride)}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 25; i++ {
+				var b strings.Builder
+				b.WriteString(strings.Repeat("b", g)) // disjoint across goroutines
+				for k := rng.Intn(12); k > 0; k-- {
+					b.WriteString(pieces[rng.Intn(len(pieces))])
+				}
+				doc := b.String()
+				want := a.EvalReference(doc)
+				if got := a.Eval(doc); !got.Equal(want) {
+					t.Errorf("Eval(%q) = %v, want %v", doc, got, want)
+					return
+				}
+				if got := a.EvalBool(doc); got != (want.Len() > 0) {
+					t.Errorf("EvalBool(%q) = %v, want %v", doc, got, want.Len() > 0)
+					return
+				}
+				for q, got := range m.Eval(doc) {
+					if want := members[q].EvalReference(doc); !got.Equal(want) {
+						t.Errorf("Multi member %d on %q = %v, want %v", q, doc, got, want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // FuzzEvalWindowVsReference fuzzes the windowed evaluator against the
