@@ -252,12 +252,23 @@ func BenchmarkEvalCore(b *testing.B) {
 			}
 		}
 	}
-	b.Run("EvalBool", func(b *testing.B) {
-		b.SetBytes(int64(len(doc)))
-		for i := 0; i < b.N; i++ {
-			p.EvalBool(doc)
+	evalBoolBench := func(doc string) func(*testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(int64(len(doc)))
+			for i := 0; i < b.N; i++ {
+				p.EvalBool(doc)
+			}
 		}
-	})
+	}
+	b.Run("EvalBool", evalBoolBench(doc))
+	// The non-matching corpus lacks the spanner's mandatory factor; with
+	// it appended, not followed by a word, the factor gate lets the
+	// document through and EvalBool walks all of it to answer no.
+	walked := nonMatching + " bad 1"
+	if p.EvalBool(walked) {
+		b.Fatal("the non-matching corpus matches")
+	}
+	b.Run("EvalBoolNonMatching", evalBoolBench(walked))
 	b.Run("EvalBoolReference", func(b *testing.B) {
 		b.SetBytes(int64(len(doc)))
 		for i := 0; i < b.N; i++ {

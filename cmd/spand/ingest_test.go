@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
+	"fmt"
 	"io"
 	"mime/multipart"
 	"net/http"
@@ -105,6 +108,104 @@ func TestDeclaredLengthReservesAtMostPresize(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); stallPumps() > base; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d stallReader pump goroutines still alive after the stalled uploads, %d before them", stallPumps(), base)
+		}
+	}
+}
+
+// TestTruncatedAndEmptyBodies: a document that ends early — a raw body
+// short of its Content-Length, a multipart doc part without its closing
+// boundary — is the client's fault: 400 with Connection: close, or
+// http_status 400 in a multipart response's epilogue, on both extraction
+// endpoints. An empty document is no fault at all: 0-byte raw, multipart
+// and inline documents answer 200 with no tuples. Each request goes
+// through net/http's own parser, whose body reports a short Content-Length
+// as io.ErrUnexpectedEOF, and then straight to the handler.
+func TestTruncatedAndEmptyBodies(t *testing.T) {
+	h := newServer(engine.New(engine.Config{Workers: 2}))
+	single := "/v1/extract?" + url.Values{"spanner": {emailFormula}, "splitter": {sentenceFormula}}.Encode()
+	batch := "/v1/extract-batch?" + url.Values{"spanner": {emailFormula}}.Encode()
+	// form is a multipart request with the formulas and doc, its closing
+	// boundary left off unless closed.
+	form := func(doc string, closed bool) (ctype, body string) {
+		var b strings.Builder
+		mw := multipart.NewWriter(&b)
+		mw.WriteField("spanner", emailFormula)
+		mw.WriteField("splitter", sentenceFormula)
+		fw, _ := mw.CreateFormFile("doc", "doc.txt")
+		io.WriteString(fw, doc)
+		if closed {
+			mw.Close()
+		}
+		return mw.FormDataContentType(), b.String()
+	}
+	const raw = "application/octet-stream"
+	long := strings.Repeat(testDoc+" ", 2000) // 134 KB: streamed
+	type request struct {
+		name, target, ctype, body string
+		short                     int // bytes missing from the declared Content-Length
+		multipart                 bool
+	}
+	var truncated []request
+	for _, doc := range []string{testDoc, long} {
+		ctype, body := form(doc, false)
+		truncated = append(truncated,
+			request{fmt.Sprintf("extract, raw, %d bytes", len(doc)), single, raw, doc, 1, false},
+			request{fmt.Sprintf("extract-batch, raw, %d bytes", len(doc)), batch, raw, doc, 1, false},
+			request{fmt.Sprintf("extract, multipart, %d bytes", len(doc)), single, ctype, body, 0, false},
+			request{fmt.Sprintf("extract, raw, %d bytes, multipart response", len(doc)), single, raw, doc, 1, true},
+			request{fmt.Sprintf("extract-batch, raw, %d bytes, multipart response", len(doc)), batch, raw, doc, 1, true})
+	}
+	formType, emptyForm := form("", true)
+	inline, _ := json.Marshal(extractRequest{Spanner: emailFormula, Splitter: sentenceFormula})
+	inlineBatch, _ := json.Marshal(extractBatchRequest{Spanners: []string{emailFormula}})
+	empty := []request{
+		{"extract, raw", single, raw, "", 0, false},
+		{"extract-batch, raw", batch, raw, "", 0, false},
+		{"extract, multipart", single, formType, emptyForm, 0, false},
+		{"extract, inline", "/v1/extract", "application/json", string(inline), 0, false},
+		{"extract-batch, inline", "/v1/extract-batch", "application/json", string(inlineBatch), 0, false},
+	}
+	serve := func(c request) *http.Response {
+		t.Helper()
+		head := fmt.Sprintf("POST %s HTTP/1.1\r\nHost: spand\r\nContent-Type: %s\r\nContent-Length: %d\r\n", c.target, c.ctype, len(c.body)+c.short)
+		if c.multipart {
+			head += "Accept: multipart/mixed\r\n"
+		}
+		req, err := http.ReadRequest(bufio.NewReader(strings.NewReader(head + "\r\n" + c.body)))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Result()
+	}
+	for _, c := range truncated {
+		resp := serve(c)
+		if c.multipart {
+			var end epilogue
+			if err := json.Unmarshal(readMultipartResponse(t, resp)["end"], &end); err != nil || end.Status != "error" || end.HTTPStatus != http.StatusBadRequest {
+				t.Errorf("%s: epilogue %+v (err %v), want an error with http_status 400", c.name, end, err)
+			}
+			continue
+		}
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Connection") != "close" {
+			t.Errorf("%s: status %d, Connection %q (%s); want 400 and close", c.name, resp.StatusCode, resp.Header.Get("Connection"), b)
+		}
+	}
+	for _, c := range empty {
+		resp := serve(c)
+		b, _ := io.ReadAll(resp.Body)
+		var out struct {
+			Count   *int
+			Queries []struct{ Count int }
+		}
+		if err := json.Unmarshal(b, &out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d (%s), want 200", c.name, resp.StatusCode, b)
+			continue
+		}
+		if (out.Count == nil || *out.Count != 0) && (len(out.Queries) != 1 || out.Queries[0].Count != 0) {
+			t.Errorf("%s: %s, want count 0", c.name, b)
 		}
 	}
 }

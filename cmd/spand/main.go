@@ -6,12 +6,12 @@
 //	POST /v1/extract   extract a relation from a document. The document
 //	                   may be inline JSON, a raw request body, or a
 //	                   streamed multipart part. A streamed document is
-//	                   segmented incrementally while it uploads whenever
-//	                   the plan's locality verdict proves that safe
-//	                   (split-correct plan, disjoint splitter, locality
-//	                   decided on the splitter automaton — no flags
-//	                   needed); otherwise it is buffered whole, which is
-//	                   sound for every splitter.
+//	                   segmented incrementally while it uploads, and each
+//	                   feed evaluated as one chunk, whenever the plan runs
+//	                   chunked (split-correct plan, splitter proven local
+//	                   and cut-safe on its automaton — no flags needed);
+//	                   otherwise it is buffered whole, which is sound for
+//	                   every splitter.
 //	POST /v1/extract-batch
 //	                   the same for N spanner formulas in one fused pass;
 //	                   a single query is the one-member batch.

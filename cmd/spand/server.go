@@ -403,6 +403,8 @@ func extractErrStatus(err error) int {
 		return 499 // client closed request
 	case errors.Is(err, engine.ErrDocTooLarge):
 		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return http.StatusBadRequest // a body short of its Content-Length, a doc part without its closing boundary
 	}
 	return http.StatusInternalServerError
 }
@@ -414,10 +416,10 @@ func extractErrStatus(err error) int {
 // ("tuples", or a batch's "results") on success; and always a terminal
 // "end" epilogue. The epilogue is what makes a failure after the 200
 // header explicit: when evaluation fails (the engine surfaces
-// context.Canceled, a deadline, a stalled or oversized upload) the stream
-// still ends with a parseable error part carrying the status the failure
-// would have had, instead of an ambiguous truncation — a client that never
-// sees an "end" part knows the response is incomplete.
+// context.Canceled, a deadline, a stalled, oversized or truncated upload)
+// the stream still ends with a parseable error part carrying the status
+// the failure would have had, instead of an ambiguous truncation — a
+// client that never sees an "end" part knows the response is incomplete.
 func (s *server) extract(w http.ResponseWriter, r *http.Request, x extraction) {
 	var plan *engine.Plan
 	var hit bool
@@ -470,10 +472,11 @@ func (s *server) extract(w http.ResponseWriter, r *http.Request, x extraction) {
 	case err != nil:
 		if x.stream != nil {
 			// The document body was abandoned mid-read (stall, deadline,
-			// size cap, cancellation). The connection cannot be reused, and
-			// — decisive for the 408 path — without Connection: close the
-			// server would block draining a body the client has stopped
-			// sending before the error could reach the wire.
+			// size cap, cancellation) or ended early. The connection cannot
+			// be reused, and — decisive for the 408 path — without
+			// Connection: close the server would block draining a body the
+			// client has stopped sending before the error could reach the
+			// wire.
 			w.Header().Set("Connection", "close")
 		}
 		writeError(w, extractErrStatus(err), err)

@@ -356,15 +356,20 @@ func TestExtractInlineDocOverBudgetIs413(t *testing.T) {
 	}
 }
 
+// TestExtractBadFormula: a formula that does not parse is a 400 — and so
+// is one whose nested +s would expand into a tree too large to compile.
 func TestExtractBadFormula(t *testing.T) {
 	ts := startDaemon(t)
-	body, _ := json.Marshal(map[string]string{"spanner": "y{[", "doc": "x"})
-	resp, err := http.Post(ts.URL+"/v1/extract", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	for _, spanner := range []string{"y{[", "y{a" + strings.Repeat("+", 40) + "}"} {
+		body, _ := json.Marshal(map[string]string{"spanner": spanner, "doc": "x"})
+		resp, err := http.Post(ts.URL+"/v1/extract", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d (%s), want 400", spanner, resp.StatusCode, b)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 package core
 
-// This file implements the compiled splitter scanner: the fourth client
+// This file implements the compiled splitter scanner: the third client
 // of the internal/lazydfa subset-construction engine (after vsa's
-// evaluation, forward-scan and backward-narrowing DFAs). For a disjoint
+// forward-scan and backward-narrowing DFAs). For a disjoint
 // splitter it turns Split — previously a full Eval plus a relation sort
 // — into a single left-to-right DFA pass that emits spans in document
 // order as their closes commit, and the pass is resumable: a ScanRun
@@ -386,8 +386,9 @@ func (s *Splitter) NewScanRun() (*ScanRun, bool) {
 func (r *ScanRun) Pos() int { return r.pos }
 
 // Bailed reports whether the run has given up; spans emitted before the
-// bail remain valid, everything from Anchor on must be re-split by the
-// reference path.
+// bail remain valid, and everything from Anchor on is the caller's (the
+// engine's streamed route evaluates it as the document's last chunk;
+// Split instead re-splits the whole document by the reference path).
 func (r *ScanRun) Bailed() bool { return r.bailed }
 
 // Anchor returns the 0-based byte offset from which the document must
@@ -418,8 +419,8 @@ func (r *ScanRun) emit(out []span.Span, sp span.Span) ([]span.Span, bool) {
 
 // Feed consumes the next chunk, appending every span committed by it to
 // out (absolute 1-based coordinates, document order). ok=false means
-// the run bailed: out still holds only valid spans, and the caller
-// falls back to the reference path from Anchor.
+// the run bailed: out still holds only valid spans, and the rest of the
+// document from Anchor is the caller's (see Bailed).
 func (r *ScanRun) Feed(chunk []byte, out []span.Span) (res []span.Span, ok bool) {
 	return scanChunk(r, chunk, out)
 }

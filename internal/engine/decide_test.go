@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -138,6 +139,26 @@ func TestCompileTimeCoversWarmUp(t *testing.T) {
 		t.Logf("%s: compile time outside CompileTime %v; Prepare of fresh automata %v", name, unstamped, prepare)
 		if unstamped >= prepare/2 {
 			t.Fatalf("%s: %v of compilation is outside CompileTime — as much as warm-up costs (Prepare ≈ %v)", name, unstamped, prepare)
+		}
+	}
+}
+
+// TestNestedPlusIsRefusedPromptly: k nested +s double the formula tree k
+// times, and compilation runs under the plan cache's single-flight, so an
+// unbounded one would hold its admission token for hours. Forty of them,
+// as the spanner or as the splitter, fail Plan with the parser's typed
+// error within a second.
+func TestNestedPlusIsRefusedPromptly(t *testing.T) {
+	hostile := "y{a" + strings.Repeat("+", 40) + "}"
+	for _, req := range []Request{
+		{Spanner: hostile},
+		{Spanner: emailFormula, Splitter: strings.Replace(hostile, "y{", "x{", 1)},
+	} {
+		e := New(Config{})
+		t0 := time.Now()
+		_, _, err := e.Plan(context.Background(), req)
+		if !errors.Is(err, regexformula.ErrFormulaTooLarge) || time.Since(t0) > time.Second {
+			t.Fatalf("%+v: Plan took %v and returned %v, want ErrFormulaTooLarge within a second", req, time.Since(t0), err)
 		}
 	}
 }

@@ -11,11 +11,11 @@
 //     verdicts, behind an LRU with single-flight deduplication
 //     (concurrent requests for the same (spanner, splitter) pair run
 //     the decision procedures exactly once).
-//   - Documents may arrive as io.Reader streams: when the locality
-//     verdict proves it safe, the splitter is applied incrementally with
-//     carry-over across chunk boundaries, and completed segments are
-//     dispatched to the work-stealing split-evaluation executor
-//     (internal/parallel) with configurable batching and backpressure
+//   - Documents may arrive as io.Reader streams: when the plan runs at
+//     chunk grain (see below), the splitter is applied incrementally with
+//     carry-over across chunk boundaries, and each feed's completed
+//     segments are dispatched as one chunk to the work-stealing
+//     split-evaluation executor (internal/parallel) with backpressure
 //     while the tail of the document is still being read; otherwise the
 //     stream is buffered whole, which is sound for arbitrary splitters.
 //   - Segment relations are shifted and merged into a deterministic
@@ -47,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/span"
-	"repro/internal/vsa"
 )
 
 // Config tunes an Engine. The zero value selects sensible defaults.
@@ -67,11 +66,9 @@ type Config struct {
 	// cores. Results never depend on it.
 	RequestWorkers int
 	// Batch is the number of segments grouped into one dispatched task —
-	// the executor's scheduling grain — on the inline path (Extract;
-	// default 16). Streamed documents (ExtractReader) are dispatched one
-	// feed at a time and re-split by the executor itself, and the chunked
-	// route (ExecChunked) deals one chunk per task. Results never depend
-	// on it.
+	// the executor's scheduling grain — on the per-segment route
+	// (ExecSplit; default 16). The chunked route (ExecChunked), streamed
+	// or not, deals one chunk per task. Results never depend on it.
 	Batch int
 	// ChunkSize is the read size for streaming ingestion (default 64 KiB),
 	// and with it the grain of the chunked route (ExecChunked): a streamed
@@ -164,7 +161,7 @@ func (c Config) withDefaults() Config {
 
 // Stats is a snapshot of engine counters for monitoring. StreamedDocs
 // counts the documents that were segmented incrementally while being
-// read (WillStream true: a proven-local splitter); Documents minus
+// read (WillStream true: a plan that runs chunked); Documents minus
 // StreamedDocs were buffered whole (or arrived inline). WholeDocs counts
 // the documents evaluated whole (ExecWhole): every document of a
 // sequential or batch plan, and a split plan's documents too small to
@@ -388,14 +385,13 @@ func (e *Engine) ExtractBatchReader(ctx context.Context, plan *Plan, r io.Reader
 
 // WillStream reports whether a document stream of this plan is segmented
 // incrementally (true) or buffered whole (false). It streams exactly the
-// split plans whose splitter the locality decision procedure
-// (core.Splitter.IsLocal, run once at plan compilation) proved local:
-// incremental segmentation is then byte-identical to whole-document
-// segmentation for every document and chunking. Everything else buffers,
-// since incremental segmentation of a splitter without that proof can
-// silently mis-segment. See scanSegmenter and internal/core/locality.go.
+// split plans that run at chunk grain (see chunked): their three proofs
+// make every feed's run of committed spans a document P can be evaluated
+// on. Everything else buffers and takes the inline routes — a local
+// splitter that is not cut-safe, and a split plan without a verdict.
+// Asking builds the splitter's scanner; see scanSegmenter.
 func (e *Engine) WillStream(plan *Plan) bool {
-	return plan.Strategy == StrategySplit && plan.Verdicts.Local == core.VerdictYes
+	return plan.Strategy == StrategySplit && chunked(plan)
 }
 
 // run is the one evaluation path under every entry point above. It
@@ -412,17 +408,16 @@ func (e *Engine) WillStream(plan *Plan) bool {
 // its documents run whole, one fused pass for all of them.
 //
 // A stream is read behind the stall guard (see guard). For a plan that
-// streams (see WillStream) it is segmented incrementally: segments already
-// discovered are evaluated by the executor while later chunks are still
-// being read, one by one (ExecSplit) or, where chunked proves it
-// equivalent, each feed's segments as one chunk (ExecChunked). Idle
-// workers block on the bounded dispatch channel, so a saturated pool
-// stalls the segmenter and, through it, the reader — backpressure reaches
-// all the way to the network socket. A stream that ends inside its first
-// breakEven bytes never gets that far (see ingest). Every other stream is
-// read whole first. Memory is bounded by Config.MaxDocBuffer on every
-// route: a document over the budget fails with ErrDocTooLarge instead of
-// being evaluated.
+// streams (see WillStream) it is segmented incrementally: each feed's
+// segments are evaluated by the executor as one chunk (ExecChunked) while
+// later feeds are still being read. Idle workers block on the bounded
+// dispatch channel, so a saturated pool stalls the segmenter and, through
+// it, the reader — backpressure reaches all the way to the network socket.
+// A stream that ends inside its first breakEven bytes never gets that far
+// (see ingest). Every other stream is read whole first and takes the
+// inline routes. Memory is bounded by Config.MaxDocBuffer on every route:
+// a document over the budget fails with ErrDocTooLarge instead of being
+// evaluated.
 func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) ([]*span.Relation, Execution, error) {
 	var scan *core.ScanRun
 	var hint int
@@ -470,7 +465,7 @@ func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) (
 	var rel *span.Relation
 	var err error
 	if scan != nil {
-		rel, err = e.stream(ctx, plan, scan, r, hint, ev, chunks)
+		rel, err = e.stream(ctx, plan, scan, r, hint)
 	} else {
 		t0 := time.Now()
 		spans := plan.s.Split(doc)
@@ -493,34 +488,32 @@ func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) (
 
 // ingest reads the guarded stream r for run: for a plan that streams, the
 // scanner run to segment it with and the reader to feed it from; for any
-// other plan, the whole document. A streaming plan some of whose documents
-// are better off whole first reads up to the break-even: a stream that
-// ends before it is one of them and comes back as the document, and a
-// longer one loses nothing — what was read becomes its first feed.
+// other plan, the whole document. A plan that holds chunked's first two
+// proofs first reads up to the break-even: a stream that ends before it is
+// evaluated whole and comes back as the document — before CutSafe, the
+// third proof, builds the splitter's scanner — and a longer one loses
+// nothing: what was read becomes its first feed, or the start of its
+// buffer.
 func (e *Engine) ingest(ctx context.Context, plan *Plan, r io.Reader, hint int) (string, *core.ScanRun, io.Reader, error) {
-	if e.WillStream(plan) {
-		if !e.splitPays(plan, 0) {
-			limit := breakEven
-			if 0 < hint && hint < limit {
-				limit = hint + 1 // a short stream's end is one byte past what it declares
-			}
-			if e.cfg.MaxDocBuffer > 0 && e.cfg.MaxDocBuffer < int64(limit) {
-				limit = int(e.cfg.MaxDocBuffer)
-			}
-			var prefix strings.Builder
-			_, err := io.CopyN(&prefix, r, int64(limit))
-			if err != nil && err != io.EOF {
-				return "", nil, nil, err
-			}
-			if err == io.EOF && !e.splitPays(plan, prefix.Len()) {
-				return prefix.String(), nil, nil, nil
-			}
-			r = io.MultiReader(strings.NewReader(prefix.String()), r)
+	if plan.Strategy == StrategySplit && licensed(plan) && plan.Verdicts.Local == core.VerdictYes {
+		limit := breakEven
+		if 0 < hint && hint < limit {
+			limit = hint + 1 // a short stream's end is one byte past what it declares
 		}
-		// nil for a forged plan only: WillStream demands Local == yes,
-		// decide proves locality only of a disjoint splitter, and the
-		// disjoint splitters are exactly those with a compiled scanner.
-		if scan, _ := plan.s.NewScanRun(); scan != nil {
+		if e.cfg.MaxDocBuffer > 0 && e.cfg.MaxDocBuffer < int64(limit) {
+			limit = int(e.cfg.MaxDocBuffer)
+		}
+		var prefix strings.Builder
+		_, err := io.CopyN(&prefix, r, int64(limit))
+		if err != nil && err != io.EOF {
+			return "", nil, nil, err
+		}
+		if err == io.EOF && !e.splitPays(plan, prefix.Len()) {
+			return prefix.String(), nil, nil, nil
+		}
+		r = io.MultiReader(strings.NewReader(prefix.String()), r)
+		if e.WillStream(plan) {
+			scan, _ := plan.s.NewScanRun() // CutSafe holds only of a splitter with a scanner
 			return "", scan, r, nil
 		}
 	}
@@ -528,33 +521,30 @@ func (e *Engine) ingest(ctx context.Context, plan *Plan, r io.Reader, hint int) 
 	return doc, nil, nil, err
 }
 
-// stream evaluates a streamed document with ev, P_S per segment or P per
-// chunk: a producer goroutine feeds r through the scanner run and
-// dispatches what each feed commits while the executor evaluates it.
-func (e *Engine) stream(ctx context.Context, plan *Plan, scan *core.ScanRun, r io.Reader, hint int, ev *vsa.Automaton, chunks bool) (*span.Relation, error) {
-	// One batch per feed: capacity Workers bounds the queued work at that
-	// many chunks' worth of segments.
+// stream evaluates a streamed document with P, one chunk per feed: a
+// producer goroutine feeds r through the scanner run and dispatches what
+// each feed commits while the executor evaluates it.
+func (e *Engine) stream(ctx context.Context, plan *Plan, scan *core.ScanRun, r io.Reader, hint int) (*span.Relation, error) {
+	// One chunk per feed: capacity Workers bounds the queued work at that
+	// many chunks.
 	batches := make(chan []parallel.Segment, e.cfg.Workers)
 	readErr := make(chan error, 1)
 	go func() {
 		defer close(batches)
-		g := &scanSegmenter{run: scan, s: plan.s, m: e.m, chunks: chunks}
+		g := &scanSegmenter{run: scan, m: e.m}
 		var chunk []byte
 		// Segmentation time accumulates across the incremental feed/flush
 		// calls and is recorded once per document when the producer exits.
 		var segDur time.Duration
 		defer func() { e.m.observeStage(StageSegment, segDur) }()
-		// send dispatches the segments one feed (or the flush) produced as
-		// one batch, which the executor halves down to its stealing grain
-		// on the receiving worker's deque. Sending blocks when every worker
-		// is busy, which in turn pauses reading — backpressure all the way
-		// to the producer of r.
+		// send dispatches the chunk one feed produced (or the one or two
+		// the flush did) as one batch, which the worker that receives it
+		// evaluates. Sending blocks when every worker is busy, which in
+		// turn pauses reading — backpressure all the way to the producer
+		// of r.
 		send := func(segs []parallel.Segment) bool {
 			if len(segs) == 0 {
 				return true
-			}
-			if !chunks { // a chunk's spans were counted where it was cut
-				e.m.segments.Add(uint64(len(segs)))
 			}
 			select {
 			case batches <- segs:
@@ -607,7 +597,7 @@ func (e *Engine) stream(ctx context.Context, plan *Plan, scan *core.ScanRun, r i
 	}()
 
 	t0 := time.Now()
-	rel, err := parallel.SplitEvalBatches(ctx, ev, batches,
+	rel, err := parallel.SplitEvalBatches(ctx, plan.p, batches,
 		parallel.Options{Workers: e.cfg.RequestWorkers, Metrics: &e.m.exec})
 	// On this path evaluation overlaps ingestion, so the eval stage's
 	// wall time includes time the workers spent blocked on the reader.

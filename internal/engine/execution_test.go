@@ -206,8 +206,8 @@ func TestChunkedNeedsAllThreeProofs(t *testing.T) {
 		{"not-cut-safe", marks, strings.Repeat("ab.", breakEven)},
 	} {
 		e := New(Config{Workers: 2})
-		if e.WillStream(c.plan) != (c.plan.Verdicts.Local == core.VerdictYes) {
-			t.Fatalf("%s: the plan must stream exactly when its locality verdict is yes", c.name)
+		if e.WillStream(c.plan) {
+			t.Fatalf("%s: a plan that does not run chunked must buffer", c.name)
 		}
 		want := c.plan.p.Eval(c.doc)
 		got, exec, err := e.Run(context.Background(), c.plan, c.doc)
@@ -226,6 +226,59 @@ func TestChunkedNeedsAllThreeProofs(t *testing.T) {
 	}
 	if exec := ExecChunked.String(); exec != "chunked" {
 		t.Fatalf("ExecChunked reads %q", exec)
+	}
+}
+
+// TestStreamsExactlyWhenChunked: the streamed route has one grain. A
+// stream is segmented incrementally exactly when the plan runs chunked;
+// every other split plan — a local splitter that is not cut-safe, a forged
+// plan, an unproven splitter — buffers the stream and answers as Run does,
+// per segment. So does a plan whose verdicts are all forged over a
+// non-disjoint splitter: it has no scanner, so it is not cut-safe.
+func TestStreamsExactlyWhenChunked(t *testing.T) {
+	licensed := executionCases(t)[0].plan
+	unproven := *licensed
+	unproven.Verdicts.Local = core.VerdictUnknown
+	marks := decidedPlan(t, regexformula.MustCompile(`.*(y{})\..*`), regexformula.MustCompile(`y{}`),
+		core.MustSplitter(regexformula.MustCompile(`.*(x{})\..*`)))
+	scannerless := &Plan{
+		p: licensed.p, ps: licensed.p, s: library.NGrams(2),
+		Strategy: StrategySplit,
+		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes, Local: core.VerdictYes, SelfSplittable: core.VerdictYes},
+	}
+	reviews := reviewDoc(5, 2*breakEven)
+	for _, c := range []struct {
+		name string
+		plan *Plan
+		doc  string
+		exec Execution
+	}{
+		{"licensed", licensed, reviews, ExecChunked},
+		{"marks", marks, strings.Repeat("ab.", 2*breakEven/3+1), ExecSplit},
+		{"forged", splitOnly(licensed), reviews, ExecSplit},
+		{"not-proven-local", &unproven, reviews, ExecSplit},
+		{"scanner-less", scannerless, reviews, ExecSplit},
+	} {
+		e := New(Config{Workers: 2})
+		if e.WillStream(c.plan) != chunked(c.plan) {
+			t.Fatalf("%s: WillStream = %v, chunked = %v", c.name, e.WillStream(c.plan), chunked(c.plan))
+		}
+		want, exec, err := e.Run(context.Background(), c.plan, c.doc)
+		if err != nil || exec != c.exec {
+			t.Fatalf("%s: Run took the %v route (err %v), want %v", c.name, exec, err, c.exec)
+		}
+		got, exec, err := e.RunReader(context.Background(), c.plan, strings.NewReader(c.doc))
+		if err != nil || exec != c.exec {
+			t.Fatalf("%s: RunReader took the %v route (err %v), want %v", c.name, exec, err, c.exec)
+		}
+		sameTuples(t, c.name+": RunReader vs Run", got, want)
+		wantStreamed := uint64(0)
+		if c.exec == ExecChunked {
+			wantStreamed = 1
+		}
+		if streamed := e.Stats().StreamedDocs; streamed != wantStreamed {
+			t.Fatalf("%s: %d streamed documents, want %d", c.name, streamed, wantStreamed)
+		}
 	}
 }
 
@@ -283,8 +336,8 @@ func TestUnlicensedPlanNeverRunsWhole(t *testing.T) {
 			t.Fatalf("workers=%d: RunReader took the %v route (err %v)", workers, exec, err)
 		}
 		sameTuples(t, "RunReader", got, want)
-		if st := e.Stats(); st.WholeDocs != 0 || st.StreamedDocs != 1 {
-			t.Fatalf("workers=%d: stats %+v, want no whole documents and one streamed", workers, st)
+		if st := e.Stats(); st.WholeDocs != 0 || st.StreamedDocs != 0 {
+			t.Fatalf("workers=%d: stats %+v, want no whole documents and none streamed", workers, st)
 		}
 		// The licensed plan on one worker goes the other way at any size.
 		if _, exec, _ := e.Run(context.Background(), licensed, reviewDoc(1, 2*breakEven)); (exec == ExecWhole) != (workers == 1) {

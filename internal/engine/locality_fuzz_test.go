@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/regexformula"
+	"repro/internal/span"
 )
 
 // fuzzSplitterFormula derives a splitter formula from the fuzzer's
@@ -74,54 +75,90 @@ func randomSplitterFormula(rng *rand.Rand) string {
 	return ctx[rng.Intn(len(ctx))] + "(x{" + piece(2) + "})" + ctx[rng.Intn(len(ctx))]
 }
 
-// chunkedSegments drives the engine's segmenter over doc in fixed n-byte
-// chunks the way RunReader does — one read buffer reused for every chunk,
-// here scribbled over with separator bytes after each feed — and holds
-// every emitted segment to the end, so a Text that aliased the read buffer
-// or the segmenter's compacted carry-over would come back changed. bailed
-// reports whether the scanner gave up on the way.
-func chunkedSegments(t testing.TB, s *core.Splitter, doc string, n int, chunks bool) (segs []parallel.Segment, bailed bool) {
-	g := newTestSegmenter(t, s, chunks)
-	var out []parallel.Segment
+// scribbledReads hands doc to feed in fixed n-byte chunks the way
+// RunReader reads a stream — one read buffer reused for every chunk, here
+// scribbled over with separator bytes after each feed — so that anything
+// that still aliases the buffer comes back changed.
+func scribbledReads(doc string, n int, feed func([]byte)) {
 	chunk := make([]byte, n)
 	for lo := 0; lo < len(doc); lo += n {
 		m := copy(chunk, doc[lo:])
-		out = append(out, g.feed(chunk[:m])...)
+		feed(chunk[:m])
 		for j := range chunk {
 			chunk[j] = ".;! \n"[j%5]
 		}
 	}
-	return append(out, g.flush()...), g.run.Bailed()
 }
 
-// checkBothGrains holds the segmenter to S(d) at both grains for one read
-// size: per segment, byte-identical to the one-shot segmentation; at chunk
-// grain, the geometry TestScanSegmenterChunksCoverEverySpan states — every
-// chunk is the document between a span start and a span end, chunks come
-// in document order, and every span of S(d) lies in exactly one. The one
-// exception is the bail protocol's: the tail chunk starts at the scanner's
-// anchor, which may be the start of the last span an earlier chunk covered.
-func checkBothGrains(t testing.TB, s *core.Splitter, doc string, n int, want []parallel.Segment) error {
-	got, _ := chunkedSegments(t, s, doc, n, false)
-	if !slices.Equal(got, want) {
-		return fmt.Errorf("chunk=%d per segment:\ngot:  %v\nwant: %v", n, got, want)
+// chunkedSegments drives the engine's segmenter over doc through
+// scribbledReads and holds every emitted chunk to the end, so a Text that
+// aliased the read buffer or the segmenter's compacted carry-over would
+// come back changed. bailed reports whether the scanner gave up on the
+// way.
+func chunkedSegments(t testing.TB, s *core.Splitter, doc string, n int) (segs []parallel.Segment, bailed bool) {
+	g := newTestSegmenter(t, s)
+	scribbledReads(doc, n, func(chunk []byte) { segs = append(segs, g.feed(chunk)...) })
+	return append(segs, g.flush()...), g.run.Bailed()
+}
+
+// checkScanRun holds the scanner run the segmenter feeds to S(d) = want
+// for one read size n, through scribbledReads: the spans it commits,
+// Flush's included, are S(d) — or, for a run that bails, a prefix of S(d)
+// after which every span starts at or after the run's Anchor, inside the
+// tail the segmenter hands on as the last chunk.
+func checkScanRun(t testing.TB, s *core.Splitter, doc string, n int, want []span.Span) error {
+	run, ok := s.NewScanRun()
+	if !ok {
+		t.Fatalf("splitter has no compiled scanner")
 	}
-	chunks, bailed := chunkedSegments(t, s, doc, n, true)
+	var got []span.Span
+	scribbledReads(doc, n, func(chunk []byte) { got, _ = run.Feed(chunk, got) })
+	got, ok = run.Flush(got)
+	if ok {
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("read %d: committed %v, want S(d) = %v", n, got, want)
+		}
+		return nil
+	}
+	if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
+		return fmt.Errorf("read %d: committed %v before bailing, not a prefix of S(d) = %v", n, got, want)
+	}
+	for _, sp := range want[len(got):] {
+		if sp.Start <= run.Anchor() {
+			return fmt.Errorf("read %d: span %v of S(d) starts before the bailed run's anchor %d", n, sp, run.Anchor())
+		}
+	}
+	return nil
+}
+
+// checkBothGrains holds the streamed route's two layers to S(d) = want for
+// one read size: the scanner run (see checkScanRun), and the chunks the
+// segmenter cuts from it, with the geometry
+// TestScanSegmenterChunksCoverEverySpan states — every chunk is the
+// document between a span start and a span end, chunks come in document
+// order, and every span of S(d) lies in exactly one. The one exception is
+// the bail guard's: the tail chunk starts at the scanner's anchor, which
+// may be the start of the last span an earlier chunk covered.
+func checkBothGrains(t testing.TB, s *core.Splitter, doc string, n int, want []span.Span) error {
+	if err := checkScanRun(t, s, doc, n, want); err != nil {
+		return err
+	}
+	chunks, bailed := chunkedSegments(t, s, doc, n)
 	next := 0 // first span no chunk has covered yet
 	for i, c := range chunks {
 		if c.Text != c.Span.In(doc) {
 			return fmt.Errorf("chunk=%d: chunk %v carries %q", n, c.Span, c.Text)
 		}
-		if bailed && i == len(chunks)-1 && next > 0 && c.Span.Start == want[next-1].Span.Start {
+		if bailed && i == len(chunks)-1 && next > 0 && c.Span.Start == want[next-1].Start {
 			next--
 		}
-		if next == len(want) || c.Span.Start != want[next].Span.Start {
+		if next == len(want) || c.Span.Start != want[next].Start {
 			return fmt.Errorf("chunk=%d: chunk %v does not start at the next span of %v", n, c.Span, want[next:])
 		}
-		for next < len(want) && want[next].Span.End <= c.Span.End {
+		for next < len(want) && want[next].End <= c.Span.End {
 			next++
 		}
-		if want[next-1].Span.End != c.Span.End {
+		if want[next-1].End != c.Span.End {
 			return fmt.Errorf("chunk=%d: chunk %v does not end at a span end of %v", n, c.Span, want)
 		}
 	}
@@ -133,8 +170,8 @@ func checkBothGrains(t testing.TB, s *core.Splitter, doc string, n int, want []p
 
 // FuzzLocalityVsBuffered is the soundness contract of the locality
 // decision procedure: whenever IsLocal proves a fuzzed splitter local,
-// the engine's incremental segmenter must reproduce the one-shot
-// segmentation at both grains (see checkBothGrains) at adversarial chunk
+// the engine's incremental scanner and segmenter must reproduce the
+// one-shot segmentation (see checkBothGrains) at adversarial chunk
 // sizes — 1 (every boundary lands mid-segment), 7 (misaligned with
 // everything) and 4096 (typically one chunk) — on fuzzed documents. A
 // failure here means a "local" verdict admitted a splitter that
@@ -168,7 +205,7 @@ func FuzzLocalityVsBuffered(f *testing.F) {
 			// tests, so the fuzz cannot silently degenerate to all-skips.)
 			return
 		}
-		want := parallel.SegmentsOf(doc, s.Split(doc))
+		want := s.Split(doc)
 		for _, n := range []int{1, 7, 4096} {
 			if err := checkBothGrains(t, s, doc, n, want); err != nil {
 				t.Fatalf("%v\nsplitter: %s\ndoc: %q", err, src, doc)
@@ -203,7 +240,7 @@ func TestLocalityFuzzCorpusSmoke(t *testing.T) {
 			}
 			proved++
 			for _, doc := range docs {
-				want := parallel.SegmentsOf(doc, s.Split(doc))
+				want := s.Split(doc)
 				for _, n := range []int{1, 7, 4096} {
 					if err := checkBothGrains(t, s, doc, n, want); err != nil {
 						t.Fatalf("mode=%d doc=%q splitter=%s: %v", mode, doc, src, err)

@@ -77,7 +77,7 @@ type Metrics struct {
 	// compiled scanner consumed by resuming from saved DFA state (each
 	// byte scanned exactly once); segBails counts mid-document scanner
 	// bails, after which a stream is buffered from the scanner's anchor
-	// and segmented at the flush.
+	// and that tail is its last chunk.
 	segResumed obs.Counter
 	segBails   obs.Counter
 

@@ -26,7 +26,7 @@ import (
 // {t : the ref-word of (d, t) is accepted by P} over all span tuples of d
 // (internal/refword, which simulates the automaton's extended transitions
 // and nothing else), and every route a streamed document can take is held
-// to it — including the two a scanner bail reroutes, and the buffered
+// to it — including the tail chunk a scanner bail leaves, and the buffered
 // route from a stream with and without a declared length.
 
 // refwordRelation enumerates ⟦a⟧(d) by the definition.
@@ -75,9 +75,9 @@ func oracleDocs(rng *rand.Rand, table, fragments []string, limit, random int) []
 // the whole segment, so P = P_S ∘ S on every document. S is not local by
 // the procedure's standard (its output depends on the suffix), but neither
 // rule looks at the prefix, so cutting at a span start — what the bail
-// protocol does — is sound, and the plan forges the locality verdict to
-// stream it; not being cut-safe, it reaches the chunk grain only here,
-// never through the engine.
+// guard does — is sound. The plan forges the locality verdict; not being
+// cut-safe, its splitter reaches the chunk grain only here, never through
+// the engine, which buffers it.
 func bailingPlan() *Plan {
 	runs := func(v string) string {
 		run := "(" + v + "{[ab]+})"
@@ -152,18 +152,17 @@ func TestRoutesAgainstRefWordOracle(t *testing.T) {
 					hold("RunReader, buffered", got)
 				}
 				for _, n := range []int{1, 3} {
-					segs, _ := chunkedSegments(t, s, doc, n, false)
-					if !slices.Equal(segs, parallel.SegmentsOf(doc, spans)) {
-						t.Fatalf("doc %q read %d: streamed segments %v, the ref-word semantics give %v", doc, n, segs, spans)
+					if err := checkScanRun(t, s, doc, n, spans); err != nil {
+						t.Fatalf("doc %q: %v (the ref-word semantics)", doc, err)
 					}
-					hold("streamed per segment", parallel.SplitEval(ps, segs, 1))
-					chunks, bailed := chunkedSegments(t, s, doc, n, true)
+					chunks, bailed := chunkedSegments(t, s, doc, n)
 					hold("streamed per chunk", parallel.SplitEval(p, chunks, 1))
 					if bailed && len(chunks) > 1 {
 						committedThenBailed = true
 					}
 					// The engine's own choice: whole for a licensed plan's
-					// small document, streamed per segment for the unproven one.
+					// small document, buffered and split per segment for the
+					// forged one.
 					got, _, err := engines[n].RunReader(context.Background(), c.plan, &fixedChunkReader{s: doc, n: n})
 					if err != nil {
 						t.Fatalf("doc %q read %d: RunReader: %v", doc, n, err)

@@ -7,13 +7,12 @@
 // sentinel, and the publication protocol that lets many concurrent scans
 // share one warm cache without ever taking a lock to read it.
 //
-// The four clients (see DESIGN.md, "One DFA core, four clients"):
+// The three clients (see DESIGN.md, "One DFA core, three clients"):
 //
-//   - vsa's Boolean-evaluation DFA (payload: subset contains a final
-//     state),
 //   - vsa's forward end-detection scan DFA, over a scan group of 1–64
 //     member automata — the one scan behind single- and multi-query
-//     evaluation alike (payload: per-member end/finals bitmaps),
+//     evaluation and EvalBool alike (payload: per-member end/finals
+//     bitmaps),
 //   - vsa's backward start-narrowing DFA (payload: per-class core-start
 //     flags; uses seed injection),
 //   - core's compiled splitter scanner (payload: per-class open/close/

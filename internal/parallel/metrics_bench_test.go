@@ -42,8 +42,8 @@ func BenchmarkSplitEvalMetricsNil(b *testing.B)  { benchSplitEval(b, nil) }
 func BenchmarkSplitEvalMetricsLive(b *testing.B) { benchSplitEval(b, &ExecMetrics{}) }
 
 // benchSplitEvalStreamed is the streamed twin: the same segments arrive
-// on a channel the way the engine sends them, one batch per 64 KiB feed,
-// and the executor halves each batch down to streamGrain itself. The
+// on a channel in batches of up to 64 KiB of text, and the executor
+// halves each batch down to streamGrain itself. The
 // per-op allocation count is what the path costs beyond the evaluation.
 func benchSplitEvalStreamed(b *testing.B, m *ExecMetrics) {
 	p, segs := benchSetup(b)

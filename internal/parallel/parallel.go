@@ -96,10 +96,11 @@ func (o Options) grain(n int) int {
 // streamGrain is the chunk-splitting grain of the channel-fed
 // evaluators: a chunk arriving with more segments than this is halved
 // onto the receiving worker's deque (where peers can steal it) until it
-// fits. Arrivals are large — the engine sends one batch per 64 KiB feed,
-// some 1 700 sentence segments; a collection producer sends a whole
-// document — so this, not the arriving batch size, is the granularity
-// at which streamed work is stolen and cancellation is noticed.
+// fits. A collection producer sends a whole document's segments, so for
+// it this, not the arriving batch size, is the granularity at which work
+// is stolen and cancellation is noticed. The engine's streamed route
+// sends one segment per feed — the feed's chunk, evaluated with P — so
+// there the feed is the grain and nothing is halved.
 const streamGrain = 16
 
 // SplitEval evaluates ps on every segment using the given number of

@@ -2,6 +2,7 @@ package regexformula
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/span"
@@ -38,6 +39,28 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
 		}
+	}
+}
+
+// TestParseBoundsTheExpandedTree: every nested + doubles the tree, so 40
+// of them in a 44-byte formula would be 2^41 nodes for Compile to walk.
+// Parse refuses it with ErrFormulaTooLarge, having counted no further than
+// its bound, while 9 (1 535 nodes) still parse.
+func TestParseBoundsTheExpandedTree(t *testing.T) {
+	src := "y{a" + strings.Repeat("+", 40) + "}"
+	if _, err := Parse(src); !errors.Is(err, ErrFormulaTooLarge) {
+		t.Fatalf("Parse(%q) = %v, want ErrFormulaTooLarge", src, err)
+	}
+	if _, err := Compile(src); !errors.Is(err, ErrFormulaTooLarge) {
+		t.Fatalf("Compile(%q) = %v, want ErrFormulaTooLarge", src, err)
+	}
+	src = "y{a" + strings.Repeat("+", 9) + "}"
+	n, err := Parse(src)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", src, err)
+	}
+	if size := treeSize(n, maxTreeNodes); size != 1535 {
+		t.Fatalf("Parse(%q) has %d nodes, want 1535", src, size)
 	}
 }
 

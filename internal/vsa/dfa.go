@@ -10,19 +10,19 @@ import (
 )
 
 // This file implements the compiled evaluation core: a byte→equivalence-
-// class table per automaton, per-(state, class) transition lists, and a
-// lazily determinized (subset-construction) DFA whose transition cache is
-// shared across Eval/EvalBool calls — including concurrent calls from the
-// parallel worker pools, which evaluate the same split-spanner automaton
-// on many segments at once. The reference NFA simulations this replaces
-// are retained as EvalReference/EvalBoolReference in eval.go and
+// class table per automaton, per-(state, class) transition lists, and the
+// Boolean walk of the lazily determinized (subset-construction) DFA whose
+// transition cache is shared across calls — including concurrent calls
+// from the parallel worker pools, which evaluate the same split-spanner
+// automaton on many segments at once. The reference NFA simulations this
+// replaces are retained as EvalReference/EvalBoolReference in eval.go and
 // cross-checked by fuzzing.
 //
-// Determinization itself lives in internal/lazydfa — the interning,
-// overflow and publication machinery is shared with the scan groups' forward
-// DFA (window.go), the backward narrowing DFA (reverse.go) and core's
-// compiled splitter scanner. This client's payload is a single bool:
-// whether the subset contains a final-bearing state.
+// Determinization itself lives in internal/lazydfa. An automaton has one
+// forward DFA, its localizer's one-member scan group (window.go): EvalBool
+// walks it, as Eval's forward scan does. The other two clients of the
+// core are the backward narrowing DFA (reverse.go) and core's compiled
+// splitter scanner.
 
 // progEdge is one compiled transition: perform ops at the current
 // boundary, then move to state to (the consumed byte is implied by the
@@ -33,9 +33,8 @@ type progEdge struct {
 }
 
 // evalProg is the compiled, immutable evaluation program of an automaton:
-// built once under Automaton.progOnce, read-only afterwards (and hence
-// safe for unsynchronized concurrent use — only the lazy DFA beneath it
-// has mutable state, which it publishes itself).
+// built once under Automaton.progOnce, read-only afterwards, and hence
+// safe for unsynchronized concurrent use.
 type evalProg struct {
 	nv       int // number of variables
 	nclasses int // number of byte equivalence classes
@@ -48,11 +47,6 @@ type evalProg struct {
 	finals   [][]OpSet
 	hasFinal []bool
 	uni      []bool // suffix-universality, shared with the reference path
-	dfa      *lazydfa.DFA[bool]
-	// skips memoizes per-DFA-state trigger sets for the EvalBool skip
-	// loop (see prefilter.go); entries are built on demand as scans
-	// streak on self-looping states.
-	skips lazydfa.SkipCache
 }
 
 // Sentinel DFA transition values, aliased from internal/lazydfa. State 0
@@ -124,34 +118,17 @@ func (a *Automaton) buildProg() *evalProg {
 			}
 		}
 	}
-	p.dfa = lazydfa.New(lazydfa.Config[bool]{
-		Classes:   nc,
-		States:    n,
-		MaxStates: maxDFAStates,
-		Succ: func(q int32, c uint8, emit func(int32)) {
-			for _, e := range p.succ[int(q)*nc+int(c)] {
-				emit(e.to)
-			}
-		},
-		Payload: func(set []int32) bool {
-			for _, q := range set {
-				if p.hasFinal[q] {
-					return true
-				}
-			}
-			return false
-		},
-	})
-	p.dfa.Intern([]int32{int32(a.Start)}) // = dfaStart
 	return p
 }
 
 // EvalBool reports whether the Boolean semantics of a accepts the
 // document, i.e. whether ⟦a⟧(d) is nonempty (the automaton is functional,
-// so an accepting run exists iff some tuple is produced). The walk is a
-// single byte-indexed lookup per position on the lazily built DFA; on a
-// cache miss the subset transition is computed once and shared with every
-// later call. If the DFA outgrows its state bound the remainder of the
+// so an accepting run exists iff some tuple is produced). It walks the
+// forward DFA of a's scan group — one byte-indexed lookup per position, on
+// a transition cache shared with every other call — and answers yes at the
+// first boundary whose subset holds an emit state: all variables closed
+// and every suffix accepted. At the end of the document a final-bearing
+// state decides. If the DFA outgrows its state bound the remainder of the
 // document runs on a direct subset simulation.
 func (a *Automaton) EvalBool(doc string) bool {
 	if pf := a.prefilter().info; pf.Factor != "" && !strings.Contains(doc, pf.Factor) {
@@ -159,40 +136,46 @@ func (a *Automaton) EvalBool(doc string) bool {
 		// prefilter.go), so its absence decides rejection without a scan.
 		return false
 	}
-	p := a.prog()
-	st := p.dfa.Snapshot()
+	g := a.localizer().group
+	st := g.dfa.Snapshot()
 	cur := dfaStart
 	var gate lazydfa.SkipGate
-	if !a.prefDisabled {
-		gate.Init(&p.skips)
-		gate.Bind(p.skipSetBool, lazydfa.StringIndex(doc))
+	if !g.noSkip {
+		gate.Init(&g.skips)
+		gate.Bind(g.skipSet, lazydfa.StringIndex(doc))
 	}
 	for i := 0; i < len(doc); i++ {
-		c := p.classOf[doc[i]]
+		c := g.classOf[doc[i]]
 		t := st[cur].Trans(c)
 		if t <= dfaDead || int(t) >= len(st) { // rare: unresolved, stale, overflowed or dead
-			if t, st = p.dfa.Resolve(cur, c); t == dfaDead {
+			if t, st = g.dfa.Resolve(cur, c); t == dfaDead {
 				return false
 			}
 			if t == dfaOverflow {
+				// No emit state has been reached, so the subset is the full
+				// automaton's: the emit-truncated edges were never taken.
 				// simBool reuses its input as scratch: hand it a copy.
-				return p.simBool(append([]int32(nil), st[cur].Set...), doc[i:])
+				return g.progs[0].simBool(append([]int32(nil), st[cur].Set...), doc[i:])
 			}
 		}
-		if !a.prefDisabled {
+		if !g.noSkip {
 			// The walk has been confined to a couple of states for a while:
-			// jump to the next byte that can break out (prefilter.go).
+			// jump to the next byte that can break out (prefilter.go). No
+			// skipped boundary holds an emit state.
 			if s := gate.Step(cur, t); s != nil {
 				if j, _ := gate.Jump(s, i+1, len(doc)); j > i+1 {
-					st = p.dfa.Snapshot() // the set's build may have interned its states
+					st = g.dfa.Snapshot() // the set's build may have interned its states
 					t = s.Sync(doc[j-1])
 					i = j - 1
 				}
 			}
 		}
+		if st[t].Payload.end != 0 {
+			return true
+		}
 		cur = t
 	}
-	return st[cur].Payload
+	return st[cur].Payload.fin != 0
 }
 
 // simBool is the uncached subset simulation, used past the DFA state

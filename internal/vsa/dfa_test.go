@@ -2,6 +2,7 @@ package vsa
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,6 +86,83 @@ func TestSimBoolAgrees(t *testing.T) {
 			got := p.simBool([]int32{int32(a.Start)}, doc)
 			if want := a.EvalBoolReference(doc); got != want {
 				t.Fatalf("instance %d: simBool=%v reference=%v on %q", i, got, want, doc)
+			}
+		}
+	}
+}
+
+// blowupBeforeC builds Σ*·x{a·(a|b)^k}·c·Σ*: on a/b text the forward
+// DFA must remember which of the last k+1 positions held an 'a', so it
+// outgrows its state bound, and without a 'c' in the right place no
+// boundary ever holds an emit state to end the walk early.
+func blowupBeforeC(k int) *Automaton {
+	a := NewAutomaton("x")
+	a.AddEdge(0, 0, alphabet.Any, 0)
+	prev := a.AddState()
+	a.AddEdge(0, Open(0), alphabet.Of('a'), prev)
+	for i := 0; i < k; i++ {
+		next := a.AddState()
+		a.AddEdge(prev, 0, alphabet.Of('a', 'b'), next)
+		prev = next
+	}
+	post := a.AddState()
+	a.AddEdge(prev, Close(0), alphabet.Of('c'), post)
+	a.AddFinal(post, 0)
+	a.AddEdge(post, 0, alphabet.Any, post)
+	return a
+}
+
+// TestEvalBoolOverflow takes EvalBool past the forward DFA's state bound,
+// onto simBool for the rest of the document, which must still answer as
+// the reference does — no, and yes for a match after the overflow.
+func TestEvalBoolOverflow(t *testing.T) {
+	const k = 16
+	a := blowupBeforeC(k)
+	rng := rand.New(rand.NewSource(3))
+	noise := []byte{'c'} // the mandatory factor, so the gate lets the scan run
+	for len(noise) < 1<<15 {
+		noise = append(noise, "ab"[rng.Intn(2)])
+	}
+	for _, c := range []struct {
+		tail string
+		want bool
+	}{{strings.Repeat("b", k+1) + "c", false}, {"a" + strings.Repeat("b", k) + "c", true}} {
+		doc := string(noise) + c.tail
+		if got, ref := a.EvalBool(doc), a.EvalBoolReference(doc); got != c.want || ref != c.want {
+			t.Fatalf("tail %q: EvalBool = %v, EvalBoolReference = %v, want %v", c.tail, got, ref, c.want)
+		}
+		if n := a.localizer().group.dfa.Len(); n < maxDFAStates {
+			t.Fatalf("tail %q: the DFA holds %d states, below its bound of %d: no overflow", c.tail, n, maxDFAStates)
+		}
+	}
+}
+
+// TestEvalBoolWithoutLocalizer: an automaton the localizer cannot narrow
+// — nullary, or without per-state statuses — still gets a one-member
+// scan group, with no end states, and EvalBool walks it to the document's
+// end, answering as the reference does.
+func TestEvalBoolWithoutLocalizer(t *testing.T) {
+	containsA := NewAutomaton() // nullary: accepts any document with an 'a'
+	mid := containsA.AddState()
+	containsA.AddEdge(0, 0, alphabet.Any, 0)
+	containsA.AddEdge(0, 0, alphabet.Of('a'), mid)
+	containsA.AddEdge(mid, 0, alphabet.Any, mid)
+	containsA.AddFinal(mid, 0)
+	anything := NewAutomaton() // nullary: accepts every document, "" too
+	anything.AddEdge(0, 0, alphabet.Any, 0)
+	anything.AddFinal(0, 0)
+	for name, a := range map[string]*Automaton{
+		"nullary":        containsA,
+		"nullary/always": anything,
+		"status-less":    buildNonLocalizable(t),
+	} {
+		loc := a.localizer()
+		if loc.ok || slices.Contains(loc.scan.end, true) {
+			t.Fatalf("%s: localizer ok = %v, end states %v; want no narrowing and no end state", name, loc.ok, loc.scan.end)
+		}
+		for _, doc := range []string{"", "a", "b", "c", "ac", "bc", "acc", "bcb", "cab", "bbbbac"} {
+			if got, want := a.EvalBool(doc), a.EvalBoolReference(doc); got != want {
+				t.Fatalf("%s: EvalBool(%q) = %v, reference %v", name, doc, got, want)
 			}
 		}
 	}

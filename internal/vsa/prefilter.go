@@ -449,30 +449,12 @@ func containsSub(s, sub []byte) bool {
 
 // ---------- skip-set building for the scan DFAs ----------
 
-// skipSetBool builds the synchronized skip set around state cur of the
-// Boolean-evaluation DFA. Dead stays a trigger so the early-reject exit
-// in EvalBool still fires; any final flag inside the set is irrelevant
-// mid-document because only the state at the end of the document is
-// consulted, and that state is sync-exact.
-func (p *evalProg) skipSetBool(cur int32) *lazydfa.SkipSet {
-	st := p.dfa.Snapshot()
-	return BuildSkipSet(p.nclasses, p.classOf[:],
-		func(q int32) bool { return q >= dfaStart },
-		nil,
-		func(q int32, c uint8) (int32, bool) {
-			t := st[q].Trans(c)
-			if t < dfaDead || int(t) >= len(st) {
-				t, st = p.dfa.Resolve(q, c)
-			}
-			return t, t != dfaOverflow
-		}, cur)
-}
-
-// skipSet is the forward-scan variant, around state cur of a scan
+// skipSet builds the synchronized skip set around state cur of a scan
 // group's DFA. States with any end bit never enter a skip set: every
 // boundary there is a candidate match end that some member's run-length
-// encoder must see. fin bits are only read at the end of the document,
-// where the state is sync-exact.
+// encoder must see, or EvalBool's early accept. Dead stays a trigger, so
+// both walks still see a dead frontier. fin bits are only read at the end
+// of the document, where the state is sync-exact.
 func (g *scanGroup) skipSet(cur int32) *lazydfa.SkipSet {
 	st := g.dfa.Snapshot()
 	return BuildSkipSet(g.nclasses, g.classOf[:],
@@ -508,7 +490,7 @@ const buildRounds = 6
 // obligations such as a candidate match end). eventful (optional) marks
 // state×class pairs where a client event fires; those classes trigger.
 // classOf maps bytes to classes. Exposed for core's splitter scanner,
-// the fourth lazydfa client.
+// the third lazydfa client.
 //
 // The fixpoint alternates two passes: classify every class against the
 // candidate set (trigger iff the images differ, leave the set, are

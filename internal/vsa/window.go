@@ -44,7 +44,9 @@ package vsa
 // When the analysis cannot apply — nullary automata, no per-state status,
 // or a DFA state-bound overflow — evaluation only ever steps down: from a
 // group of many to each member's group of one (multi.go), and from there
-// to the EvalBool prescan plus one whole-document simulation.
+// to the EvalBool prescan plus one whole-document simulation. EvalBool
+// walks the same one-member group (dfa.go); an automaton that cannot be
+// narrowed still has one, with no end states.
 
 import (
 	"math/bits"
@@ -84,6 +86,7 @@ type window struct {
 // narrowing program, and the one-member scan group that evaluation of
 // this automaton alone scans with. Built once under localOnce and
 // read-only afterwards; the lazy DFAs beneath it publish their own fills.
+// scan and group exist for every automaton; status and rev only when ok.
 type localizer struct {
 	ok     bool
 	reason string // why localized evaluation is disabled, when !ok
@@ -104,34 +107,35 @@ func (a *Automaton) localizer() *localizer {
 	return a.localVal
 }
 
+// buildLocalizer builds the one-member scan group for every automaton: it
+// is also the DFA EvalBool walks. An automaton the localizer cannot narrow
+// gets a group without end states, whose DFA is the plain Boolean subset
+// construction of the automaton.
 func (a *Automaton) buildLocalizer() *localizer {
 	loc := &localizer{}
+	p := a.prog()
+	end := make([]bool, len(a.States))
 	if len(a.Vars) == 0 {
 		loc.reason = "nullary automaton: no variable operations to localize"
-		return loc
-	}
-	st, err := a.Statuses()
-	if err != nil {
+	} else if st, err := a.Statuses(); err != nil {
 		// Only hand-built non-functional automata land here; they still
 		// evaluate through the whole-document path.
 		loc.reason = "no per-state status: " + err.Error()
-		return loc
+	} else {
+		uni := a.suffixUniversality()
+		all := AllClosed(len(a.Vars))
+		for q := range a.States {
+			// Emit states: evaluation emits a run's tuple and drops the run
+			// the moment it enters one (see evalRun.place), so they are
+			// exactly the boundaries where matches complete early.
+			end[q] = st[q] == all && uni[q]
+		}
+		loc.status = st
+		loc.rev = buildRevProg(p, a, st, end)
+		loc.ok = true
 	}
-	p := a.prog()
-	uni := a.suffixUniversality()
-	all := AllClosed(len(a.Vars))
-	end := make([]bool, len(a.States))
-	for q := range a.States {
-		// Emit states: evaluation emits a run's tuple and drops the run
-		// the moment it enters one (see evalRun.place), so they are
-		// exactly the boundaries where matches complete early.
-		end[q] = st[q] == all && uni[q]
-	}
-	loc.status = st
 	loc.scan = buildScanProg(p, end)
-	loc.rev = buildRevProg(p, a, st, end)
 	loc.group = newScanGroup([]*Automaton{a}, []*localizer{loc})
-	loc.ok = true
 	return loc
 }
 
