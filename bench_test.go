@@ -120,6 +120,28 @@ func BenchmarkT1Containment(b *testing.B) {
 	})
 }
 
+// BenchmarkDeterminize measures Proposition 4.4 — the construction behind
+// Spanner.Determinize and Spanner.Difference — on a library spanner and
+// splitter.
+func BenchmarkDeterminize(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		a    *vsa.Automaton
+	}{
+		{"NegativeSentiment", library.NegativeSentiment()},
+		{"Sentences", library.Sentences().Automaton()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.a.Determinize(0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkT3Disjointness measures Proposition 5.5 on library splitters.
 func BenchmarkT3Disjointness(b *testing.B) {
 	for _, c := range []struct {

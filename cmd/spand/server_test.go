@@ -357,11 +357,22 @@ func TestExtractInlineDocOverBudgetIs413(t *testing.T) {
 }
 
 // TestExtractBadFormula: a formula that does not parse is a 400 — and so
-// is one whose nested +s would expand into a tree too large to compile.
+// is one whose nested +s would expand into a tree too large to compile,
+// and one with more variables than an automaton supports, whose answer is
+// the typed ErrTooManyVariables naming both counts, not the recovered
+// panic of the automaton build.
 func TestExtractBadFormula(t *testing.T) {
 	ts := startDaemon(t)
-	for _, spanner := range []string{"y{[", "y{a" + strings.Repeat("+", 40) + "}"} {
-		body, _ := json.Marshal(map[string]string{"spanner": spanner, "doc": "x"})
+	var tooManyVars strings.Builder
+	for i := 0; i < 33; i++ {
+		fmt.Fprintf(&tooManyVars, "(v%d{a})", i)
+	}
+	for _, c := range []struct{ spanner, names string }{
+		{"y{[", ""},
+		{"y{a" + strings.Repeat("+", 40) + "}", ""},
+		{tooManyVars.String(), "too many variables: 33 variables, at most 32"},
+	} {
+		body, _ := json.Marshal(map[string]string{"spanner": c.spanner, "doc": "x"})
 		resp, err := http.Post(ts.URL+"/v1/extract", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -369,7 +380,10 @@ func TestExtractBadFormula(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status = %d (%s), want 400", spanner, resp.StatusCode, b)
+			t.Fatalf("%s: status = %d (%s), want 400", c.spanner, resp.StatusCode, b)
+		}
+		if !strings.Contains(string(b), c.names) {
+			t.Fatalf("%s: body %s does not name %q", c.spanner, b, c.names)
 		}
 	}
 }

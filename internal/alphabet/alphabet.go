@@ -161,11 +161,6 @@ func UnionAll(classes []Class) Class {
 	return u
 }
 
-// CoversAll reports whether the classes together cover every byte — the
-// test behind universality analyses (a state can consume any input iff
-// its outgoing classes cover Σ).
-func CoversAll(classes []Class) bool { return UnionAll(classes) == Any }
-
 // Atoms computes the coarsest partition of the byte space into nonempty
 // classes ("atoms") such that every input class is a union of atoms. Only
 // bytes covered by at least one input class are partitioned; bytes outside

@@ -51,8 +51,10 @@ func (t *SetTable) Intern(set []int32) int32 {
 }
 
 // Subsets is the on-the-fly subset construction of one NFA — the shared
-// substrate of every subset-based decision procedure (Contains,
-// Determinize, the locality analysis of internal/core). Subset states
+// substrate of every subset construction outside the evaluators' lazy
+// DFAs: Contains and Determinize here, vsa's Determinize (Proposition 4.4,
+// over the word NFA) and suffix-universality analysis, and the locality
+// analysis of internal/core. Subset states
 // are interned in a SetTable; per id the table memoizes whether the
 // subset contains a final state and, per symbol, the id of the successor
 // subset, so a (subset, symbol) step is computed at most once per run
@@ -103,7 +105,7 @@ func (t *Subsets) Start() int32 {
 	}
 	slices.Sort(buf)
 	t.buf = slices.Compact(buf)
-	return t.intern(t.buf)
+	return t.Intern(t.buf)
 }
 
 // Step returns the id of the subset reached from id on sym (the empty
@@ -128,12 +130,15 @@ func (t *Subsets) Step(id int32, sym int) int32 {
 	}
 	slices.Sort(buf)
 	t.buf = buf
-	to := t.intern(buf)
+	to := t.Intern(buf)
 	t.trans[slot] = to
 	return to
 }
 
-func (t *Subsets) intern(set []int32) int32 {
+// Intern returns the id of a subset (sorted, duplicate-free NFA states),
+// adding it when new, so that a walk can start from a subset other than
+// Start's. The argument is copied.
+func (t *Subsets) Intern(set []int32) int32 {
 	id := t.sets.Intern(set)
 	if int(id) == len(t.final) {
 		final := false

@@ -95,7 +95,7 @@ func buildSplitScanner(s *Splitter) *splitScanner {
 	a := s.auto
 	st := s.statuses
 	uni := a.SuffixUniversal()
-	useful := usefulStates(a)
+	useful := a.Useful()
 	classOf, reps := alphabet.ClassTable(a.Classes())
 	nc := len(reps)
 	n := len(a.States)
@@ -300,54 +300,6 @@ func (sc *splitScanner) cutSafe() bool {
 		}
 	}
 	return true
-}
-
-// usefulStates marks the states lying on some accepting run: reachable
-// from the start and able to reach a final-bearing state.
-func usefulStates(a *vsa.Automaton) []bool {
-	n := len(a.States)
-	reach := make([]bool, n)
-	stack := []int{a.Start}
-	reach[a.Start] = true
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range a.States[q].Edges {
-			if !reach[e.To] {
-				reach[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	pred := make([][]int32, n)
-	for q := 0; q < n; q++ {
-		for _, e := range a.States[q].Edges {
-			pred[e.To] = append(pred[e.To], int32(q))
-		}
-	}
-	coreach := make([]bool, n)
-	stack = stack[:0]
-	for q := 0; q < n; q++ {
-		if len(a.States[q].Finals) > 0 {
-			coreach[q] = true
-			stack = append(stack, q)
-		}
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range pred[q] {
-			if !coreach[u] {
-				coreach[u] = true
-				stack = append(stack, int(u))
-			}
-		}
-	}
-	useful := make([]bool, n)
-	for q := 0; q < n; q++ {
-		useful[q] = reach[q] && coreach[q]
-	}
-	return useful
 }
 
 // ScanRun is one resumable left-to-right pass of the compiled splitter

@@ -249,12 +249,12 @@ func (c *planCache) evictOneLocked(keep *cacheEntry, tenant string) bool {
 	return false
 }
 
-// runBuild runs build, converting a panic into an error. Compilation can
-// panic on hostile input (e.g. a formula with more variables than
-// vsa.MaxVars); if the panic escaped here the in-flight cache entry would
-// keep its ready channel open forever and every later request for the
-// same key would block on it — one bad request permanently poisoning a
-// cache key. As an error it takes the normal not-cached path instead.
+// runBuild runs build, converting a panic into an error: the safety net
+// for hostile input that no typed compile error catches. If a panic
+// escaped here the in-flight cache entry would keep its ready channel open
+// forever and every later request for the same key would block on it — one
+// bad request permanently poisoning a cache key. As an error it takes the
+// normal not-cached path instead.
 func runBuild(build func() (*Plan, error)) (plan *Plan, err error) {
 	defer func() {
 		if r := recover(); r != nil {

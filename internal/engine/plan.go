@@ -339,10 +339,10 @@ func compile(req Request, batch []string, limit int) (*Plan, error) {
 	return plan, nil
 }
 
-// compileMember compiles one member formula under a panic guard:
-// compilation can panic on hostile input (e.g. more variables than
-// vsa.MaxVars), and inside a batch that must fail the one slot, not the
-// whole batch (the cache's runBuild guard would do the latter).
+// compileMember compiles one member formula under a panic guard: hostile
+// input no typed compile error catches must, inside a batch, fail the one
+// slot, not the whole batch (the cache's runBuild guard would do the
+// latter).
 func compileMember(src string) (a *vsa.Automaton, err error) {
 	defer func() {
 		if r := recover(); r != nil {

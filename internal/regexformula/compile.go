@@ -1,6 +1,7 @@
 package regexformula
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/vsa"
@@ -67,12 +68,20 @@ func CompileRaw(n Node) *vsa.Raw {
 	return raw
 }
 
+// ErrTooManyVariables reports a formula with more variables than an
+// automaton supports (vsa.MaxVars).
+var ErrTooManyVariables = errors.New("regexformula: too many variables")
+
 // Compile parses and compiles src all the way to a functional extended
-// VSet-automaton.
+// VSet-automaton. A formula with more than vsa.MaxVars variables fails
+// with ErrTooManyVariables before any automaton is built.
 func Compile(src string) (*vsa.Automaton, error) {
 	n, err := Parse(src)
 	if err != nil {
 		return nil, err
+	}
+	if vars := Vars(n); len(vars) > vsa.MaxVars {
+		return nil, fmt.Errorf("%w: %d variables, at most %d are supported", ErrTooManyVariables, len(vars), vsa.MaxVars)
 	}
 	return CompileRaw(n).Compile(), nil
 }

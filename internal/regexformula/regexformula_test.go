@@ -2,6 +2,7 @@ package regexformula
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -61,6 +62,26 @@ func TestParseBoundsTheExpandedTree(t *testing.T) {
 	}
 	if size := treeSize(n, maxTreeNodes); size != 1535 {
 		t.Fatalf("Parse(%q) has %d nodes, want 1535", src, size)
+	}
+}
+
+// TestCompileTooManyVariables: 33 captures are one more than an automaton
+// supports. Compile refuses them with ErrTooManyVariables naming both
+// counts, and 32 still compile.
+func TestCompileTooManyVariables(t *testing.T) {
+	captures := func(n int) string {
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, "(v%d{a})", i)
+		}
+		return sb.String()
+	}
+	_, err := Compile(captures(33))
+	if !errors.Is(err, ErrTooManyVariables) || !strings.Contains(err.Error(), "33 variables, at most 32") {
+		t.Fatalf("Compile of 33 captures = %v, want ErrTooManyVariables naming 33 and 32", err)
+	}
+	if _, err := Compile(captures(32)); err != nil {
+		t.Fatalf("Compile of 32 captures: %v", err)
 	}
 }
 

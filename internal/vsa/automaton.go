@@ -37,14 +37,9 @@ type Automaton struct {
 	Start  int
 	States []State
 
-	// Lazily computed per-state suffix-universality, used by Eval to emit
-	// completed assignments early.
-	suffixOnce sync.Once
-	suffixUni  []bool
-
 	// Lazily compiled evaluation program (byte-class table, per-class
-	// transition lists, lazy DFA; see dfa.go), shared by every evaluation
-	// of this automaton.
+	// transition lists, suffix-universality; see dfa.go), shared by every
+	// evaluation of this automaton.
 	progOnce sync.Once
 	progVal  *evalProg
 
@@ -122,8 +117,8 @@ func (a *Automaton) AddFinal(q int, ops OpSet) {
 	a.States[q].Finals = append(a.States[q].Finals, ops)
 }
 
-// checkMutable panics if evaluation caches have been built: the cached
-// suffix-universality, byte-class table and DFA all describe the
+// checkMutable panics if evaluation caches have been built: the compiled
+// program, its suffix-universality and the DFAs all describe the
 // transition relation at freeze time, and mutating past them would
 // silently serve stale results.
 func (a *Automaton) checkMutable(op string) {
@@ -268,64 +263,65 @@ func (a *Automaton) Validate() error {
 	return nil
 }
 
-// Trim returns an equivalent automaton with only useful states (reachable
-// from the start and able to reach acceptance). If the language is empty
-// the result has a single start state with no edges and no finals.
-func (a *Automaton) Trim() *Automaton {
+// Useful marks the states that lie on some accepting run: reachable from
+// the start and able to reach a final-bearing state. Trim keeps exactly
+// these; the prefilter's factor analysis and core's splitter scanner
+// ignore the others.
+func (a *Automaton) Useful() []bool {
 	n := len(a.States)
 	reach := make([]bool, n)
+	pred := make([][]int, n) // predecessors along edges out of reachable states
 	reach[a.Start] = true
 	stack := []int{a.Start}
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range a.States[q].Edges {
+			pred[e.To] = append(pred[e.To], q)
 			if !reach[e.To] {
 				reach[e.To] = true
 				stack = append(stack, e.To)
 			}
 		}
 	}
-	rev := make([][]int, n)
+	useful := make([]bool, n)
 	for q, s := range a.States {
-		for _, e := range s.Edges {
-			rev[e.To] = append(rev[e.To], q)
-		}
-	}
-	co := make([]bool, n)
-	for q, s := range a.States {
-		if len(s.Finals) > 0 {
-			co[q] = true
+		if reach[q] && len(s.Finals) > 0 {
+			useful[q] = true
 			stack = append(stack, q)
 		}
 	}
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range rev[q] {
-			if !co[p] {
-				co[p] = true
+		for _, p := range pred[q] {
+			if !useful[p] {
+				useful[p] = true
 				stack = append(stack, p)
 			}
 		}
 	}
+	return useful
+}
+
+// Trim returns an equivalent automaton with only useful states (see
+// Useful). If the language is empty the result has a single start state
+// with no edges and no finals.
+func (a *Automaton) Trim() *Automaton {
+	useful := a.Useful()
 	out := NewAutomaton(a.Vars...)
-	id := make([]int, n)
+	id := make([]int, len(a.States))
 	for q := range id {
-		id[q] = -1
-	}
-	id[a.Start] = 0
-	for q := 0; q < n; q++ {
-		if q != a.Start && reach[q] && co[q] {
+		if q != a.Start && useful[q] {
 			id[q] = out.AddState()
 		}
 	}
 	for q, s := range a.States {
-		if id[q] < 0 || !co[q] {
+		if !useful[q] {
 			continue
 		}
 		for _, e := range s.Edges {
-			if id[e.To] >= 0 && co[e.To] {
+			if useful[e.To] {
 				out.AddEdge(id[q], e.Ops, e.Class, id[e.To])
 			}
 		}
@@ -338,10 +334,7 @@ func (a *Automaton) Trim() *Automaton {
 
 // IsEmptyLanguage reports whether the automaton accepts no (document,
 // tuple) pair at all.
-func (a *Automaton) IsEmptyLanguage() bool {
-	t := a.Trim()
-	return len(t.States[t.Start].Finals) == 0 && len(t.States[t.Start].Edges) == 0 && t.NumStates() == 1
-}
+func (a *Automaton) IsEmptyLanguage() bool { return !a.Useful()[a.Start] }
 
 // Remap returns a copy with variables renamed according to names, which
 // must be a permutation-compatible list: names[i] is the new name of

@@ -1,9 +1,7 @@
 package vsa
 
 import (
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 
 	"repro/internal/alphabet"
 	"repro/internal/automata"
@@ -12,92 +10,76 @@ import (
 // Determinize implements Proposition 4.4: every VSet-automaton has an
 // equivalent deterministic functional one. On the extended form this is a
 // subset construction over the extended alphabet of (operation set, byte)
-// pairs; the canonical ≺ order on operations is baked into OpSet, so the
-// result corresponds to a dfVSA in the paper's sense. The construction is
-// exponential in the worst case (determinization of NFAs already is);
-// limit bounds the number of subset states (≤ 0 means
+// pairs — the alphabet of the word NFA (WordNFA), walked here on one
+// automata.Subsets table. A subset of the word NFA's op-expecting states
+// is a state of the result; an operation-set step followed by the atom
+// steps into one target subset is one edge (the union of those atoms), and
+// an operation-set step into a final subset is one of the state's final
+// sets. A subset steps only on the symbols its members have edges on, so
+// no step comes back empty. The canonical ≺ order on operations is baked
+// into OpSet, so the result corresponds to a dfVSA in the paper's sense. The
+// construction is exponential in the worst case (determinization of NFAs
+// already is); limit bounds the number of result states (≤ 0 means
 // automata.DefaultLimit) and ErrTooLarge is reported through the error.
 func (a *Automaton) Determinize(limit int) (*Automaton, error) {
 	if limit <= 0 {
 		limit = automata.DefaultLimit
 	}
+	tab := NewSymTab(a)
+	n := a.WordNFA(tab)
+	t := automata.NewSubsets(n)
+	// syms returns the symbols the members of subset id have edges on,
+	// ascending, in buf's storage.
+	syms := func(id int32, buf []int) []int {
+		buf = buf[:0]
+		for _, q := range t.Set(id) {
+			for _, e := range n.Adj[q] {
+				buf = append(buf, e.Sym)
+			}
+		}
+		slices.Sort(buf)
+		return slices.Compact(buf)
+	}
 	out := NewAutomaton(a.Vars...)
-	key := func(set []int) string {
-		parts := make([]string, len(set))
-		for i, q := range set {
-			parts[i] = strconv.Itoa(q)
-		}
-		return strings.Join(parts, ",")
-	}
-	id := map[string]int{}
-	var sets [][]int
-	intern := func(set []int) (int, error) {
-		k := key(set)
-		if i, ok := id[k]; ok {
-			return i, nil
-		}
-		if len(id) >= limit {
-			return 0, automata.ErrTooLarge
-		}
-		var i int
-		if len(id) == 0 {
-			i = 0 // the start state created by NewAutomaton
-		} else {
-			i = out.AddState()
-		}
-		id[k] = i
-		sets = append(sets, set)
-		return i, nil
-	}
-	if _, err := intern([]int{a.Start}); err != nil {
-		return nil, err
-	}
+	sets := []int32{t.Start()}         // sets[i]: the subset of result state i
+	state := map[int32]int{sets[0]: 0} // its inverse
+	var ops []OpSet
+	var opSyms, atoms []int
+	var edges []Edge
 	for i := 0; i < len(sets); i++ {
-		set := sets[i]
-		// Finals: union over members.
-		for _, q := range set {
-			for _, f := range a.States[q].Finals {
-				out.AddFinal(i, f)
-			}
+		opSyms = syms(sets[i], opSyms)
+		ops = ops[:0]
+		for _, s := range opSyms {
+			ops = append(ops, tab.opOrder[s-len(tab.AtomsList)])
 		}
-		// Group edges by operation set, then split byte classes into atoms.
-		byOps := map[OpSet][]Edge{}
-		var opsList []OpSet
-		for _, q := range set {
-			for _, e := range a.States[q].Edges {
-				if _, ok := byOps[e.Ops]; !ok {
-					opsList = append(opsList, e.Ops)
-				}
-				byOps[e.Ops] = append(byOps[e.Ops], e)
+		slices.Sort(ops)
+		for _, o := range ops {
+			mid := t.Step(sets[i], tab.OpSym(o))
+			if t.Final(mid) {
+				out.AddFinal(i, o)
 			}
-		}
-		sort.Slice(opsList, func(x, y int) bool { return opsList[x] < opsList[y] })
-		for _, ops := range opsList {
-			es := byOps[ops]
-			classes := make([]alphabet.Class, len(es))
-			for j, e := range es {
-				classes[j] = e.Class
-			}
-			for _, atom := range alphabet.Atoms(classes) {
-				targets := map[int]bool{}
-				for _, e := range es {
-					if e.Class.ContainsClass(atom) {
-						targets[e.To] = true
+			atoms = syms(mid, atoms)
+			edges = edges[:0] // one per target: the union of its atoms
+			for _, x := range atoms {
+				to := t.Step(mid, x)
+				j, ok := state[to]
+				if !ok {
+					if len(sets) == limit {
+						return nil, automata.ErrTooLarge
 					}
+					j = out.AddState()
+					state[to] = j
+					sets = append(sets, to)
 				}
-				if len(targets) == 0 {
-					continue
+				k := slices.IndexFunc(edges, func(e Edge) bool { return e.To == j })
+				if k < 0 {
+					k = len(edges)
+					edges = append(edges, Edge{Ops: o, To: j})
 				}
-				tset := make([]int, 0, len(targets))
-				for q := range targets {
-					tset = append(tset, q)
-				}
-				sort.Ints(tset)
-				to, err := intern(tset)
-				if err != nil {
-					return nil, err
-				}
-				out.AddEdge(i, ops, atom, to)
+				edges[k].Class = edges[k].Class.Union(tab.AtomsList[x])
+			}
+			for _, e := range edges {
+				out.AddEdge(i, e.Ops, e.Class, e.To)
 			}
 		}
 	}

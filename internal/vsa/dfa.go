@@ -2,10 +2,12 @@ package vsa
 
 import (
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
 	"repro/internal/alphabet"
+	"repro/internal/automata"
 	"repro/internal/lazydfa"
 )
 
@@ -46,7 +48,11 @@ type evalProg struct {
 	succ     [][]progEdge
 	finals   [][]OpSet
 	hasFinal []bool
-	uni      []bool // suffix-universality, shared with the reference path
+	// uni[q]: every suffix is accepted from q with no further variable
+	// operation (see suffixUniversality). A completed assignment entering
+	// such a state is emitted and dropped at once, which keeps evaluation
+	// linear for the common "prefix · extraction · Σ*" shape.
+	uni []bool
 }
 
 // Sentinel DFA transition values, aliased from internal/lazydfa. State 0
@@ -78,8 +84,8 @@ func (a *Automaton) prog() *evalProg {
 	return a.progVal
 }
 
-// Prepare forces construction of the evaluation caches (byte-class table,
-// compiled transitions, suffix-universality, both match-window DFAs —
+// Prepare forces construction of the evaluation caches (the compiled
+// program with its suffix-universality, both match-window DFAs —
 // the forward end-detection scan and the reversed start-narrowing
 // program — and the literal prefilter's factor extraction) so that the
 // first evaluation does not pay for them. It freezes the automaton: any
@@ -88,10 +94,18 @@ func (a *Automaton) prog() *evalProg {
 // memoized prefilter factors.
 func (a *Automaton) Prepare() {
 	a.prog()
-	a.suffixUniversality()
 	a.localizer()
 	a.prefilter()
 }
+
+// SuffixUniversal exposes the per-state suffix-universality vector of the
+// compiled program to other packages (core's compiled splitter scanner
+// uses it as its committed-emission test: a close into a suffix-universal
+// state is in the output regardless of what the rest of the stream
+// brings). The analysis is sound but bounded — it may report false for a
+// state that is in fact universal, never the reverse — and callers must
+// treat the returned slice as read-only. Calling it freezes the automaton.
+func (a *Automaton) SuffixUniversal() []bool { return a.prog().uni }
 
 func (a *Automaton) buildProg() *evalProg {
 	classOf, reps := alphabet.ClassTable(a.Classes())
@@ -105,7 +119,6 @@ func (a *Automaton) buildProg() *evalProg {
 		succ:     make([][]progEdge, n*nc),
 		finals:   make([][]OpSet, n),
 		hasFinal: make([]bool, n),
-		uni:      a.suffixUniversality(),
 	}
 	for q, st := range a.States {
 		p.finals[q] = st.Finals
@@ -118,7 +131,68 @@ func (a *Automaton) buildProg() *evalProg {
 			}
 		}
 	}
+	p.uni = p.suffixUniversality()
 	return p
+}
+
+// maxUniSets bounds the subsets one state's universality walk may reach;
+// past it the state is reported not universal, which is sound (just
+// slower to evaluate).
+const maxUniSets = 256
+
+// suffixUniversality decides, per state q, whether every suffix is
+// accepted from q with no further variable operation. It runs on the
+// zero-operation sub-NFA — byte classes as symbols, final where a state
+// accepts with the empty final set — through one automata.Subsets table
+// shared by every state's walk: q is universal iff every subset reached
+// breadth-first from {q} is final and steps to a non-empty subset on every
+// class.
+func (p *evalProg) suffixUniversality() []bool {
+	nc, n := p.nclasses, p.nstates
+	nfa := &automata.NFA{NumSymbols: nc, Final: make([]bool, n), Adj: make([][]automata.Edge, n)}
+	edges := make([]automata.Edge, 0, len(p.succ)) // every state's edges, back to back
+	for q := 0; q < n; q++ {
+		nfa.Final[q] = slices.Contains(p.finals[q], 0)
+		from := len(edges)
+		for c := 0; c < nc; c++ {
+			for _, e := range p.succ[q*nc+c] {
+				if e.ops == 0 {
+					edges = append(edges, automata.Edge{Sym: c, To: int(e.to)})
+				}
+			}
+		}
+		nfa.Adj[q] = edges[from:len(edges):len(edges)]
+	}
+	t := automata.NewSubsets(nfa)
+	uni := make([]bool, n)
+	var queue, seen []int32 // seen[id] == q+1: subset id is on q's walk
+	visit := func(id, stamp int32) {
+		if grow := t.Len() - len(seen); grow > 0 {
+			seen = append(seen, make([]int32, grow)...)
+		}
+		if seen[id] != stamp {
+			seen[id] = stamp
+			queue = append(queue, id)
+		}
+	}
+	for q := range uni {
+		if !nfa.Final[q] {
+			continue
+		}
+		stamp := int32(q + 1)
+		queue = queue[:0]
+		visit(t.Intern([]int32{int32(q)}), stamp)
+		uni[q] = true
+		for i := 0; uni[q] && i < len(queue); i++ {
+			uni[q] = t.Final(queue[i])
+			for c := 0; uni[q] && c < nc; c++ {
+				to := t.Step(queue[i], c)
+				visit(to, stamp)
+				uni[q] = len(t.Set(to)) > 0 && len(queue) <= maxUniSets
+			}
+		}
+	}
+	return uni
 }
 
 // EvalBool reports whether the Boolean semantics of a accepts the

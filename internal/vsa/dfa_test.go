@@ -195,8 +195,8 @@ func TestEvalConcurrentSharedDFA(t *testing.T) {
 // TestMutationAfterEvalPanics is the regression test for the stale-cache
 // hazard: an automaton that has been evaluated must reject further
 // AddEdge/AddFinal instead of silently serving results for the old
-// transition relation (previously, suffixOnce kept stale universality
-// bits forever).
+// transition relation (the compiled program, suffix-universality bits
+// included, would otherwise be stale forever).
 func TestMutationAfterEvalPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()

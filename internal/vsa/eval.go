@@ -2,12 +2,9 @@ package vsa
 
 import (
 	"encoding/binary"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/alphabet"
 	"repro/internal/span"
 )
 
@@ -29,126 +26,6 @@ func (p partial) apply(ops OpSet, boundary int, numVars int) partial {
 		if ops.ClosesVar(v) {
 			out[2*v+1] = int32(boundary + 1)
 		}
-	}
-	return out
-}
-
-// suffixUniversality lazily computes, per state, whether every possible
-// suffix is accepted from that state without further variable operations.
-// When a completed assignment reaches such a state it can be emitted
-// immediately and dropped, which keeps evaluation linear for the common
-// "prefix · extraction · Σ*" spanner shape instead of carrying every
-// completed tuple to the end of the document. Computing it freezes the
-// automaton (see AddEdge).
-func (a *Automaton) suffixUniversality() []bool {
-	a.suffixOnce.Do(func() {
-		a.frozen.Store(true)
-		a.suffixUni = a.computeSuffixUniversality()
-	})
-	return a.suffixUni
-}
-
-// SuffixUniversal exposes the per-state suffix-universality vector to
-// other packages (core's compiled splitter scanner uses it as its
-// committed-emission test: a close into a suffix-universal state is in
-// the output regardless of what the rest of the stream brings). The
-// analysis is sound but bounded — it may report false for a state that
-// is in fact universal, never the reverse — and callers must treat the
-// returned slice as read-only. Calling it freezes the automaton.
-func (a *Automaton) SuffixUniversal() []bool { return a.suffixUniversality() }
-
-func (a *Automaton) computeSuffixUniversality() []bool {
-	// The zero-ops sub-NFA: per state, edges with no variable operations;
-	// finals are states accepting with the empty final set.
-	finals := make([]bool, len(a.States))
-	for q, st := range a.States {
-		for _, f := range st.Finals {
-			if f == 0 {
-				finals[q] = true
-			}
-		}
-	}
-	key := func(set []int) string {
-		parts := make([]string, len(set))
-		for i, q := range set {
-			parts[i] = strconv.Itoa(q)
-		}
-		return strings.Join(parts, ",")
-	}
-	type expansion struct {
-		good  bool
-		succs [][]int
-	}
-	cache := map[string]*expansion{}
-	expand := func(set []int) *expansion {
-		k := key(set)
-		if e, ok := cache[k]; ok {
-			return e
-		}
-		e := &expansion{}
-		var classes []alphabet.Class
-		hasFinal := false
-		for _, q := range set {
-			if finals[q] {
-				hasFinal = true
-			}
-			for _, ed := range a.States[q].Edges {
-				if ed.Ops == 0 {
-					classes = append(classes, ed.Class)
-				}
-			}
-		}
-		// Locally good: accepting here, and able to consume any byte.
-		e.good = hasFinal && alphabet.CoversAll(classes)
-		if e.good {
-			for _, atom := range alphabet.Atoms(classes) {
-				succ := map[int]bool{}
-				for _, q := range set {
-					for _, ed := range a.States[q].Edges {
-						if ed.Ops == 0 && ed.Class.ContainsClass(atom) {
-							succ[ed.To] = true
-						}
-					}
-				}
-				next := make([]int, 0, len(succ))
-				for q := range succ {
-					next = append(next, q)
-				}
-				sort.Ints(next)
-				e.succs = append(e.succs, next)
-			}
-		}
-		cache[k] = e
-		return e
-	}
-	const maxSets = 256 // exploration bound per state; exceeding it is sound (just slower)
-	out := make([]bool, len(a.States))
-	for q := range a.States {
-		seen := map[string]bool{}
-		queue := [][]int{{q}}
-		seen[key(queue[0])] = true
-		universal := true
-		for len(queue) > 0 && universal {
-			set := queue[0]
-			queue = queue[1:]
-			e := expand(set)
-			if !e.good {
-				universal = false
-				break
-			}
-			for _, succ := range e.succs {
-				k := key(succ)
-				if !seen[k] {
-					if len(seen) >= maxSets {
-						universal = false
-						break
-					}
-					seen[k] = true
-					queue = append(queue, succ)
-				}
-			}
-		}
-		out[q] = universal
 	}
 	return out
 }
@@ -528,7 +405,7 @@ func (a *Automaton) EvalReference(doc string) *span.Relation {
 		}
 		return string(keyBuf)
 	}
-	uni := a.suffixUniversality()
+	uni := a.prog().uni
 	emitted := map[string]bool{}
 	emitTuple := func(p partial) {
 		t := make(span.Tuple, nv)

@@ -184,8 +184,7 @@ type factorBuilder struct {
 
 func newFactorBuilder(a *Automaton) *factorBuilder {
 	p := a.prog()
-	b := &factorBuilder{p: p, start: int32(a.Start)}
-	b.useful = b.usefulStates()
+	b := &factorBuilder{p: p, start: int32(a.Start), useful: a.Useful()}
 	counts := make([]int, p.nclasses)
 	bytesOf := make([]int16, p.nclasses)
 	for x := 0; x < 256; x++ {
@@ -202,59 +201,6 @@ func newFactorBuilder(a *Automaton) *factorBuilder {
 		}
 	}
 	return b
-}
-
-// usefulStates marks states both reachable from the start and able to
-// reach a final-bearing state; only those lie on accepting runs.
-func (b *factorBuilder) usefulStates() []bool {
-	p := b.p
-	n, nc := p.nstates, p.nclasses
-	reach := make([]bool, n)
-	reach[b.start] = true
-	stack := []int32{b.start}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for c := 0; c < nc; c++ {
-			for _, e := range p.succ[int(q)*nc+c] {
-				if !reach[e.to] {
-					reach[e.to] = true
-					stack = append(stack, e.to)
-				}
-			}
-		}
-	}
-	pred := make([][]int32, n)
-	for q := 0; q < n; q++ {
-		for c := 0; c < nc; c++ {
-			for _, e := range p.succ[q*nc+c] {
-				pred[e.to] = append(pred[e.to], int32(q))
-			}
-		}
-	}
-	co := make([]bool, n)
-	stack = stack[:0]
-	for q := 0; q < n; q++ {
-		if p.hasFinal[q] {
-			co[q] = true
-			stack = append(stack, int32(q))
-		}
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range pred[q] {
-			if !co[u] {
-				co[u] = true
-				stack = append(stack, u)
-			}
-		}
-	}
-	out := make([]bool, n)
-	for q := 0; q < n; q++ {
-		out[q] = reach[q] && co[q]
-	}
-	return out
 }
 
 // extract finds the longest mandatory factor it can grow from a

@@ -1,6 +1,7 @@
 package vsa
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/alphabet"
@@ -137,6 +138,46 @@ func TestTrimRemovesUselessStates(t *testing.T) {
 	}
 	if !tr.EvalBool("a") || tr.EvalBool("b") {
 		t.Fatal("Trim changed the language")
+	}
+}
+
+// TestUseful pins the one reachable-and-co-reachable walk Trim, the
+// prefilter and core's splitter scanner share. Every automaton has states
+// 0 (start) … 4; edges are (from, to) pairs on 'a', finals a state list.
+func TestUseful(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		edges  [][2]int
+		finals []int
+		want   []bool
+	}{
+		{"unreachable state", [][2]int{{0, 1}, {2, 1}, {3, 2}}, []int{1},
+			[]bool{true, true, false, false, false}},
+		{"dead end", [][2]int{{0, 1}, {0, 2}, {2, 2}}, []int{1},
+			[]bool{true, true, false, false, false}},
+		{"empty language", [][2]int{{0, 1}, {1, 2}, {3, 4}}, []int{4},
+			[]bool{false, false, false, false, false}},
+		{"reachable only past a dead end", [][2]int{{0, 1}, {0, 2}, {2, 3}, {3, 3}, {4, 1}}, []int{1},
+			[]bool{true, true, false, false, false}},
+		{"a cycle back to the start", [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}}, []int{0},
+			[]bool{true, true, true, false, false}},
+	} {
+		a := NewAutomaton()
+		for a.NumStates() < 5 {
+			a.AddState()
+		}
+		for _, e := range c.edges {
+			a.AddEdge(e[0], 0, alphabet.Of('a'), e[1])
+		}
+		for _, q := range c.finals {
+			a.AddFinal(q, 0)
+		}
+		if got := a.Useful(); !slices.Equal(got, c.want) {
+			t.Errorf("%s: Useful = %v, want %v", c.name, got, c.want)
+		}
+		if got, want := a.IsEmptyLanguage(), !c.want[0]; got != want {
+			t.Errorf("%s: IsEmptyLanguage = %v, want %v", c.name, got, want)
+		}
 	}
 }
 

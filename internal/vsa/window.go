@@ -122,13 +122,12 @@ func (a *Automaton) buildLocalizer() *localizer {
 		// evaluate through the whole-document path.
 		loc.reason = "no per-state status: " + err.Error()
 	} else {
-		uni := a.suffixUniversality()
 		all := AllClosed(len(a.Vars))
 		for q := range a.States {
 			// Emit states: evaluation emits a run's tuple and drops the run
 			// the moment it enters one (see evalRun.place), so they are
 			// exactly the boundaries where matches complete early.
-			end[q] = st[q] == all && uni[q]
+			end[q] = st[q] == all && p.uni[q]
 		}
 		loc.status = st
 		loc.rev = buildRevProg(p, a, st, end)

@@ -1,9 +1,13 @@
 package spanners
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/library"
+	"repro/internal/regexformula"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -119,5 +123,17 @@ func TestFacadeErrors(t *testing.T) {
 	}
 	if _, err := SplitterFrom(MustCompile("abc")); err == nil {
 		t.Fatal("Boolean splitter must fail")
+	}
+}
+
+// TestFacadeTooManyVariables: a formula with one variable more than an
+// automaton supports is a typed error from Compile, not a panic.
+func TestFacadeTooManyVariables(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 33; i++ {
+		fmt.Fprintf(&sb, "(v%d{a})", i)
+	}
+	if _, err := Compile(sb.String()); !errors.Is(err, regexformula.ErrTooManyVariables) {
+		t.Fatalf("Compile of 33 captures = %v, want regexformula.ErrTooManyVariables", err)
 	}
 }

@@ -1,0 +1,56 @@
+package spanners
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestFuzzMatrixListsEveryTarget: the matrix of .github/workflows/fuzz.yml
+// — the one list CI's 10 s smokes and the scheduled long run share — names
+// exactly the Fuzz functions of this module (bench/ is a module of its
+// own), each in its package, so a new fuzzer is smoked and run long from
+// its first commit.
+func TestFuzzMatrixListsEveryTarget(t *testing.T) {
+	src, err := os.ReadFile(".github/workflows/fuzz.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var matrix []string
+	for _, m := range regexp.MustCompile(`target: (Fuzz\w+), pkg: (\./[\w/]+/)`).FindAllStringSubmatch(string(src), -1) {
+		matrix = append(matrix, m[2]+" "+m[1])
+	}
+	slices.Sort(matrix)
+	var tree []string
+	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "bench" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzFunc.FindAllStringSubmatch(string(src), -1) {
+			tree = append(tree, "./"+filepath.ToSlash(filepath.Dir(path))+"/ "+m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(tree)
+	if len(matrix) == 0 || !slices.Equal(matrix, tree) {
+		t.Fatalf("fuzz.yml's matrix and the tree's Fuzz functions differ:\nmatrix: %v\nFuzz functions: %v", matrix, tree)
+	}
+}
