@@ -9,7 +9,7 @@
 //	                   segmented incrementally while it uploads, and each
 //	                   feed evaluated as one chunk, whenever the plan runs
 //	                   chunked (split-correct plan, splitter proven local
-//	                   and cut-safe on its automaton — no flags needed);
+//	                   — cut independent — on its automaton, no flags);
 //	                   otherwise it is buffered whole, which is sound for
 //	                   every splitter.
 //	POST /v1/extract-batch

@@ -622,11 +622,10 @@ func appendQueries(dst []byte, plan *engine.Plan, spanners []string, results []e
 
 // handleCheck serves POST /v1/check: it returns the plan's verdicts
 // (split-correctness / self-splittability / disjointness / locality)
-// without evaluating anything — the "local" verdict tells a client
-// whether this daemon will stream the pair's documents incrementally,
-// and "cut_safe" (the splitter's core.Splitter.CutSafe, computed here if
-// no document has asked yet) whether, with "local" and a yes on the pair
-// itself, large documents run "chunked". Verdicts are served from the
+// without evaluating anything. "local" is the splitter's cut independence
+// (core.Splitter.IsLocal): with a yes on the pair itself, it tells a
+// client that this daemon runs the pair's large documents "chunked" and
+// streams their raw and multipart bodies. Verdicts are served from the
 // plan cache, so repeated and concurrent checks of the same pair run the
 // PSPACE procedures once.
 func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
@@ -639,11 +638,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, planErrStatus(err), err)
 		return
 	}
-	splitter := plan.SplitterOf()
-	writeJSON(w, http.StatusOK, struct {
-		planResponse
-		CutSafe bool `json:"cut_safe"`
-	}{planSection(plan, hit), splitter != nil && splitter.CutSafe()})
+	writeJSON(w, http.StatusOK, planSection(plan, hit))
 }
 
 // statsResponse is the GET /v1/stats body: the engine's snapshot

@@ -240,16 +240,13 @@ func TestCheckConcurrentSingleFlight(t *testing.T) {
 				errs <- fmt.Errorf("status %d: %s", resp.StatusCode, b)
 				return
 			}
-			var out struct {
-				extractResult
-				CutSafe bool `json:"cut_safe"`
-			}
+			var out extractResult
 			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 				errs <- err
 				return
 			}
-			if out.Verdicts.SelfSplittable != "yes" || out.Verdicts.Disjoint != "yes" || !out.CutSafe {
-				errs <- fmt.Errorf("unexpected verdicts %+v, cut_safe %v", out.Verdicts, out.CutSafe)
+			if out.Verdicts.SelfSplittable != "yes" || out.Verdicts.Disjoint != "yes" || out.Verdicts.Local != "yes" {
+				errs <- fmt.Errorf("unexpected verdicts %+v", out.Verdicts)
 			}
 		}()
 	}

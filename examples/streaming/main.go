@@ -2,9 +2,10 @@
 // ngram-style word splitters:
 //
 //  1. Proven-local auto-stream: the unigram (1-gram) splitter's
-//     locality is decided on its automaton (core.Splitter.IsLocal), so
-//     the engine segments uploads incrementally with no configuration —
-//     correctness by proof.
+//     locality — cut independence: any chunk from a word's start to a
+//     word's end splits into exactly the words it holds — is decided on
+//     its automaton (core.Splitter.IsLocal), so the engine segments
+//     uploads incrementally with no configuration — correctness by proof.
 //  2. Forced streaming: a disjoint splitter the procedure refuses (the
 //     values of a "key value value …!" record: every word but the first,
 //     and only when the record ends in '!'), segmented incrementally
@@ -37,7 +38,7 @@ const (
 	// A unigram splitter: every space/bang-separated word, ngram-style
 	// with n=1. Separators and word bytes partition the alphabet, so
 	// segmentation is separator-determined — the locality procedure
-	// proves it streamable.
+	// proves it cut independent, hence streamable.
 	unigramFormula = `(x{[^ !]+})([ !].*)?|.*[ !](x{[^ !]+})([ !].*)?`
 	// Word extractor of the same shape: self-splittable by unigrams.
 	wordFormula = `(y{[^ !]+})([ !].*)?|.*[ !](y{[^ !]+})([ !].*)?`
@@ -46,8 +47,8 @@ const (
 	// the first, and only on records that end in '!'. Whether a word is
 	// a segment depends on the last byte of the document (unbounded
 	// right context) and on whether a word came before it (left
-	// context). Disjoint, but provably NOT local, and genuinely unsafe
-	// to stream.
+	// context). Disjoint, but NOT local — a chunk holding only some of
+	// the record has no values at all — and genuinely unsafe to stream.
 	valuesFormula = `[^ !]+( [^ !]+)* (x{[^ !]+})( [^ !]+)*!`
 	// Its split-correct companion pair: P extracts every value of a
 	// '!'-terminated record, and per segment the split-spanner P_S
@@ -129,9 +130,10 @@ func report(w io.Writer) {
 	// scanner gives up at the first one; the rest of the stream is kept
 	// from where that value starts — the last byte offset the scanner knows
 	// to be a segment start — and split once it ends. Cutting the document
-	// there would be sound for a local splitter. This one reads "first" as
-	// the record's key: the first value is silently missing from the
-	// result. This divergence is exactly what the locality proof rules out.
+	// there would be sound for a local splitter: that is its left cut. This
+	// one reads "first" as the record's key: the first value is silently
+	// missing from the result. This divergence is exactly what the
+	// locality proof rules out.
 	values := core.MustSplitter(regexformula.MustCompile(valuesFormula))
 	spans, anchor := forcedStream(values, record, 64<<10)
 	forced := parallel.SplitEval(regexformula.MustCompile(segWordFormula), parallel.SegmentsOf(record, spans), 2)

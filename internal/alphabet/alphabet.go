@@ -152,15 +152,6 @@ func byteName(b byte) string {
 	return fmt.Sprintf("\\x%02x", b)
 }
 
-// UnionAll returns the union of the given classes.
-func UnionAll(classes []Class) Class {
-	var u Class
-	for _, c := range classes {
-		u = u.Union(c)
-	}
-	return u
-}
-
 // Atoms computes the coarsest partition of the byte space into nonempty
 // classes ("atoms") such that every input class is a union of atoms. Only
 // bytes covered by at least one input class are partitioned; bytes outside

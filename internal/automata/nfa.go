@@ -330,7 +330,7 @@ func (a *NFA) Determinize(limit int) (*NFA, error) {
 		limit = DefaultLimit
 	}
 	t := NewSubsets(a)
-	if err := t.Explore(limit, nil); err != nil {
+	if err := t.Explore(limit); err != nil {
 		return nil, err
 	}
 	out := New(a.NumSymbols)

@@ -52,9 +52,8 @@ func (t *SetTable) Intern(set []int32) int32 {
 
 // Subsets is the on-the-fly subset construction of one NFA — the shared
 // substrate of every subset construction outside the evaluators' lazy
-// DFAs: Contains and Determinize here, vsa's Determinize (Proposition 4.4,
-// over the word NFA) and suffix-universality analysis, and the locality
-// analysis of internal/core. Subset states
+// DFAs: Contains and Determinize here, and vsa's Determinize (Proposition
+// 4.4, over the word NFA) and suffix-universality analysis. Subset states
 // are interned in a SetTable; per id the table memoizes whether the
 // subset contains a final state and, per symbol, the id of the successor
 // subset, so a (subset, symbol) step is computed at most once per run
@@ -155,16 +154,11 @@ func (t *Subsets) Intern(set []int32) int32 {
 
 // Explore materializes every subset reachable from the start subset, in
 // breadth-first order — ids are assigned in exactly that order, the
-// start subset is 0 — and fills every successor row. visit, when
-// non-nil, is called once per subset as the walk reaches it, before its
-// successors are computed. It fails with ErrTooLarge as soon as more
-// than limit subsets exist.
-func (t *Subsets) Explore(limit int, visit func(id int32)) error {
+// start subset is 0 — and fills every successor row. It fails with
+// ErrTooLarge as soon as more than limit subsets exist.
+func (t *Subsets) Explore(limit int) error {
 	t.Start()
 	for id := int32(0); int(id) < t.Len(); id++ {
-		if visit != nil {
-			visit(id)
-		}
 		for sym := 0; sym < t.nfa.NumSymbols; sym++ {
 			t.Step(id, sym)
 			if t.Len() > limit {

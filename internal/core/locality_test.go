@@ -5,6 +5,8 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/automata"
@@ -23,67 +25,57 @@ func mustSplitter(t *testing.T, src string) *core.Splitter {
 	return s
 }
 
-// chunkedSplit is a reference implementation of the engine's carry-over
-// segmenter (internal/engine.segmenter) on top of Split alone: feed the
-// document in n-byte chunks, after each chunk split the buffered suffix,
-// emit every span but the last, and restart the buffer at the last
-// span's start. IsLocal promises this equals Split(doc) for any n.
-func chunkedSplit(s *core.Splitter, doc string, n int) []span.Span {
-	var out []span.Span
-	buf := ""
-	off := 0 // 0-based offset of buf[0] in doc
-	emit := func(spans []span.Span, all bool) {
-		keep := len(spans) - 1
-		if all {
-			keep = len(spans)
-		}
-		by := span.Span{Start: off + 1, End: off + 1}
-		for _, sp := range spans[:keep] {
-			out = append(out, sp.Shift(by))
-		}
-		if !all && keep >= 0 {
-			cut := spans[len(spans)-1].Start - 1
-			off += cut
-			buf = buf[cut:]
-		}
+// cutChunk returns S of the chunk of doc that runs from the start of span
+// i of S(doc) to the end of span j, in doc's coordinates, and what cut
+// independence says it must be: spans i..j. Both sides are SplitReference.
+func cutChunk(s *core.Splitter, doc string, i, j int) (got, want []span.Span) {
+	spans := s.SplitReference(doc)
+	lo := spans[i].Start
+	got = s.SplitReference(doc[lo-1 : spans[j].End-1])
+	for k := range got {
+		got[k] = got[k].Shift(span.Span{Start: lo, End: lo})
 	}
-	for lo := 0; lo < len(doc); lo += n {
-		hi := lo + n
-		if hi > len(doc) {
-			hi = len(doc)
-		}
-		buf += doc[lo:hi]
-		if spans := s.Split(buf); len(spans) >= 2 {
-			emit(spans, false)
-		}
-	}
-	emit(s.Split(buf), true)
-	return out
+	return got, spans[i : j+1]
 }
 
-func assertChunkedMatches(t *testing.T, name string, s *core.Splitter, docs []string) {
+// cutIndependenceBreak describes the first chunk of doc, over every pair
+// of spans i ≤ j of S(doc), that does not segment into spans i..j, or
+// returns "" when every chunk does.
+func cutIndependenceBreak(s *core.Splitter, doc string) string {
+	n := len(s.SplitReference(doc))
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			if got, want := cutChunk(s, doc, i, j); !slices.Equal(got, want) {
+				return fmt.Sprintf("the chunk of spans %d..%d segments into %v, want %v", i, j, got, want)
+			}
+		}
+	}
+	return ""
+}
+
+var cutDocs = []string{
+	"", ".", "a", "one. two! three? four\nfive.", "a.b.c.d", "..!!..",
+	"no terminator at all", "trailing terminator.", "a;b;;c", " lead space",
+	"ab.cd", "x.y.z", "q!r", "a qb c", "quite a bad q day", "abba", "ab ba\n\nb",
+}
+
+// assertCutIndependent fails unless IsLocal proves s and every chunk of
+// every cutDocs document bears the proof out.
+func assertCutIndependent(t *testing.T, name string, s *core.Splitter) {
 	t.Helper()
-	for _, doc := range docs {
-		want := s.Split(doc)
-		for _, n := range []int{1, 2, 3, 7, 4096} {
-			got := chunkedSplit(s, doc, n)
-			if len(got) != len(want) {
-				t.Fatalf("%s: doc %q chunk %d: %d spans, want %d (%v vs %v)",
-					name, doc, n, len(got), len(want), got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: doc %q chunk %d: span %d = %v, want %v", name, doc, n, i, got[i], want[i])
-				}
-			}
+	if ok, err := s.IsLocal(0); err != nil || !ok {
+		t.Fatalf("%s: IsLocal = (%v, %v), want a proof", name, ok, err)
+	}
+	for _, doc := range cutDocs {
+		if msg := cutIndependenceBreak(s, doc); msg != "" {
+			t.Fatalf("%s: doc %q: %s", name, doc, msg)
 		}
 	}
 }
 
-// Splitters the procedure must prove local: the separator-driven
-// splitters that motivated PR 3's opt-in flag.
+// The separator-driven library splitters are cut independent.
 func TestIsLocalLibrarySplitters(t *testing.T) {
-	cases := []struct {
+	for _, c := range []struct {
 		name string
 		s    *core.Splitter
 	}{
@@ -91,106 +83,136 @@ func TestIsLocalLibrarySplitters(t *testing.T) {
 		{"paragraphs", library.Paragraphs()},
 		{"tokens", library.Tokens()},
 		{"http-requests", library.HTTPRequests()},
-	}
-	docs := []string{
-		"", ".", "a", "one. two! three? four\nfive.", "a.b.c.d", "..!!..",
-		"no terminator at all", "trailing terminator.", "a;b;;c", " lead space",
-	}
-	for _, c := range cases {
-		ok, err := c.s.IsLocal(0)
-		if err != nil {
-			t.Fatalf("%s: IsLocal: %v", c.name, err)
-		}
-		if !ok {
-			t.Fatalf("%s: IsLocal = false, want a locality proof", c.name)
-		}
-		assertChunkedMatches(t, c.name, c.s, docs)
+	} {
+		assertCutIndependent(t, c.name, c.s)
 	}
 }
 
-func TestIsLocalKnownNonLocal(t *testing.T) {
-	block := "[^.!]*"
-	cases := []struct {
-		name string
-		src  string
-		// wantDisjoint sanity-checks the instance exercises the intended
-		// path: IsLocal must refuse non-disjoint splitters outright and
-		// refuse disjoint-but-unprovable ones after analysis.
-		wantDisjoint bool
-	}{
-		// Segmentation valid only on documents ending in '!': whether a
-		// block is a span depends on unbounded right context (fails L1,
-		// committed acceptance).
-		{"suffix-conditioned", "(x{" + block + "})(\\." + block + ")*!|" +
-			block + "(\\." + block + ")*\\.(x{" + block + "})(\\." + block + ")*!", true},
-		// Every '.'-separated block except the first: a suffix re-split
-		// from a cut drops its own first block, so segmentation does not
-		// factor at span starts (fails L3, the frontier pair walk).
-		{"all-but-first-block", "[^.]*\\.([^.]*\\.)*(x{[^.]*})(\\.[^.]*)*", true},
-		// Whole-document capture over a partial domain: bytes outside
-		// [ab] kill every run after the open (fails L1).
-		{"whole-doc-capture", "(x{(a|b)*})", true},
-		// 2-grams overlap; only disjoint splitters can be local.
-		{"2-grams", "(x{[^ ]+ [^ ]+})( .*)?|.* (x{[^ ]+ [^ ]+})( .*)?", false},
+// Splitters outside the library that the procedure proves, each with the
+// reason the proof goes through.
+func TestIsLocalDegenerate(t *testing.T) {
+	for _, src := range []string{
+		// Matches only the empty document.
+		"(x{})",
+		// The first '.'-free block only: one span per document.
+		"(x{[^.]*})(\\.[^.]*)*",
+		// The whole document when it is all a's and b's. Any other byte
+		// kills the run that opened at the start, but the span exists only
+		// at the document's end, so the one chunk is the document.
+		"(x{(a|b)*})",
+		// Space-separated words without a 'q'. A 'q' kills the run that
+		// opened its word, which has emitted nothing yet, and the next word
+		// opens after a space whatever came before it.
+		"(x{[^q ]+})([ ].*)?|.*[ ](x{[^q ]+})([ ].*)?",
+	} {
+		assertCutIndependent(t, src, mustSplitter(t, src))
 	}
-	for _, c := range cases {
+}
+
+// nonLocal lists splitters IsLocal refuses. Each disjoint one carries a
+// witness, a document and spans i..j of S(doc) whose chunk segments into
+// something else, so no refusal is the procedure being merely cautious.
+var nonLocal = []struct {
+	name, src string
+	disjoint  bool
+	doc       string
+	i, j      int
+}{
+	// Blocks that count only on documents ending in '!': no close can
+	// commit, so the scanner bails (right cut).
+	{"suffix-conditioned", "(x{[^.!]*})(\\.[^.!]*)*!|[^.!]*(\\.[^.!]*)*\\.(x{[^.!]*})(\\.[^.!]*)*!", true, "ab.cd!", 0, 0},
+	// Every '.'-separated block except the first: a chunk drops its own
+	// first block (left cut).
+	{"all-but-first-block", "[^.]*\\.([^.]*\\.)*(x{[^.]*})(\\.[^.]*)*", true, "a.b.c", 0, 0},
+	// A sentence counts only once its '.' has been read: the close needs
+	// one more byte than the span, and the cut takes it away (right cut).
+	{"close-needs-next-byte", "(x{[^.]*})\\..*|.*\\.(x{[^.]*})\\..*", true, "ab.cd", 0, 0},
+	// The same for an empty span marking each '.', the engine's marking
+	// pair: the chunk holding a mark is the empty string (right cut).
+	{"wrap-needs-next-byte", ".*(x{})\\..*", true, "a.b", 0, 0},
+	// Words, plus an empty span at the end of a document that does not end
+	// in '.': where a word closes, a shorter document has two spans (right
+	// cut).
+	{"end-wrap-at-a-close", "(x{[^.]+})(\\..*)?|.*\\.(x{[^.]+})(\\..*)?|(.*[^.])?(x{})", true, "ab.c", 0, 0},
+	// One 'a' or a run of b's after any a's: on "aa" the last 'a' and the
+	// empty span after it end together, and the chunk of the first holds
+	// both (EOF rule).
+	{"close-and-wrap-at-the-end", "a*(x{((a|a)|(b)*)})", true, "aa", 0, 0},
+	// An empty span at the end of a document that ends in 'a': its chunk
+	// is the empty string, which has none (left cut, at the end).
+	{"wrap-at-the-end", ".*a(x{})", true, "ba", 0, 0},
+	// 2-grams overlap; only disjoint splitters have a scanner.
+	{"2-grams", "(x{[^ ]+ [^ ]+})( .*)?|.* (x{[^ ]+ [^ ]+})( .*)?", false, "", 0, 0},
+}
+
+func TestIsLocalKnownNonLocal(t *testing.T) {
+	for _, c := range nonLocal {
 		s := mustSplitter(t, c.src)
-		if got := s.IsDisjoint(); got != c.wantDisjoint {
-			t.Fatalf("%s: IsDisjoint = %v, want %v", c.name, got, c.wantDisjoint)
+		if got := s.IsDisjoint(); got != c.disjoint {
+			t.Fatalf("%s: IsDisjoint = %v, want %v", c.name, got, c.disjoint)
 		}
 		ok, err := s.IsLocal(0)
 		if err != nil {
 			t.Fatalf("%s: IsLocal: %v", c.name, err)
 		}
 		if ok {
-			t.Fatalf("%s: IsLocal = true, but the splitter is not local", c.name)
+			t.Errorf("%s: IsLocal = true, but the splitter is not cut independent", c.name)
 		}
 	}
 }
 
-// The suffix-conditioned splitter is not merely unprovable: chunked
-// segmentation actually diverges from whole-document segmentation, which
-// is exactly the mis-extraction a forced StreamIncremental override
-// risks and a "local" verdict must never permit.
+// The refusals are not caution: on each witness the chunk really does
+// segment differently — the mis-extraction a "local" verdict would let
+// the chunked route and streaming commit.
 func TestNonLocalSplitterActuallyDiverges(t *testing.T) {
-	block := "[^.!]*"
-	s := mustSplitter(t, "(x{"+block+"})(\\."+block+")*!|"+
-		block+"(\\."+block+")*\\.(x{"+block+"})(\\."+block+")*!")
-	doc := "ab.cd!e" // ends in neither '!' nor a clean block: S(doc) = ∅
-	if got := s.Split(doc); len(got) != 0 {
-		t.Fatalf("Split(%q) = %v, want empty", doc, got)
-	}
-	// Chunk size 1 sees "ab.cd!" mid-stream, believes "ab" is settled,
-	// and emits it — a span the whole document never produces.
-	if got := chunkedSplit(s, doc, 1); len(got) == 0 {
-		t.Fatalf("chunked segmentation unexpectedly agrees; the divergence witness is stale")
+	for _, c := range nonLocal {
+		if !c.disjoint {
+			continue
+		}
+		s := mustSplitter(t, c.src)
+		if n := len(s.SplitReference(c.doc)); c.j >= n {
+			t.Fatalf("%s: S(%q) has %d spans; the witness is stale", c.name, c.doc, n)
+		}
+		if got, want := cutChunk(s, c.doc, c.i, c.j); slices.Equal(got, want) {
+			t.Errorf("%s: the chunk of spans %d..%d of %q segments into %v as it should; the witness is stale",
+				c.name, c.i, c.j, c.doc, got)
+		}
 	}
 }
 
-// Degenerate splitters are trivially local: they never produce two
-// spans in any buffer, so the segmenter never emits early.
-func TestIsLocalDegenerate(t *testing.T) {
-	for _, src := range []string{
-		"(x{})",                 // matches only the empty document
-		"(x{[^.]*})(\\.[^.]*)*", // first '.'-free block only: one span per document
+// A starved budget must surface as automata.ErrTooLarge (verdict
+// unknown), never as a false "local". The smallest sufficient budgets are
+// pinned: the larger of the scanner states the closure reaches and the
+// state pairs the left-cut walk visits.
+func TestIsLocalStateLimit(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mk   func() *core.Splitter
+		need int
+	}{
+		{"sentences", library.Sentences, 4},
+		{"paragraphs", library.Paragraphs, 4},
+		{"tokens", library.Tokens, 6},
 	} {
-		s := mustSplitter(t, src)
-		ok, err := s.IsLocal(0)
-		if err != nil {
-			t.Fatalf("%q: IsLocal: %v", src, err)
+		for _, limit := range []int{1, c.need - 1} {
+			ok, err := c.mk().IsLocal(limit)
+			if !errors.Is(err, automata.ErrTooLarge) {
+				t.Fatalf("%s: IsLocal(limit=%d) = (%v, %v), want ErrTooLarge", c.name, limit, ok, err)
+			}
+			if ok {
+				t.Fatalf("%s: IsLocal reported a proof while over budget", c.name)
+			}
 		}
-		if !ok {
-			t.Fatalf("%q: IsLocal = false, want true", src)
+		if ok, err := c.mk().IsLocal(c.need); err != nil || !ok {
+			t.Fatalf("%s: IsLocal(limit=%d) = (%v, %v), want (true, nil)", c.name, c.need, ok, err)
 		}
-		assertChunkedMatches(t, src, s, []string{"", "a", "ab.cd", "x.y.z", "..", "q!r"})
 	}
 }
 
-// CutSafe is the right half of cut independence (the corollary in
-// locality.go): truncating a document at a span end must leave exactly the
-// spans before the cut. The separator-driven library splitters have it;
-// the refusals each come with the document on which a cut goes wrong, so
-// none of them is the check being merely cautious.
+// The right cut and the EOF rule on their own: yes for the library
+// splitters and the degenerate ones, and no for the three splitters whose
+// refusal is the right cut's, each with the document where a cut at a span
+// end goes wrong.
 func TestCutSafeLibrarySplitters(t *testing.T) {
 	for name, s := range map[string]*core.Splitter{
 		"sentences":     library.Sentences(),
@@ -212,15 +234,10 @@ func TestCutSafeLibrarySplitters(t *testing.T) {
 		lo, hi  int
 		wantCut int
 	}{
-		// A sentence counts only once its '.' has been read: the close
-		// needs one more byte than the span, and the cut takes it away.
 		{"close-needs-next-byte", "(x{[^.]*})\\..*|.*\\.(x{[^.]*})\\..*", "ab.cd", 1, 3, 0},
-		// The same for an empty span marking each '.': local (it is
-		// stateless), but the chunk holding the mark is the empty string.
 		{"wrap-needs-next-byte", ".*(x{})\\..*", "a.b", 2, 2, 0},
-		// Words, plus an empty span at the end of a document that does not
-		// end in '.': where a word closes, a shorter document has two spans.
 		{"end-wrap-at-a-close", "(x{[^.]+})(\\..*)?|.*\\.(x{[^.]+})(\\..*)?|(.*[^.])?(x{})", "ab.c", 1, 3, 2},
+		{"close-and-wrap-at-the-end", "a*(x{((a|a)|(b)*)})", "aa", 2, 3, 2},
 	} {
 		s := mustSplitter(t, c.src)
 		if !s.IsDisjoint() {
@@ -241,35 +258,5 @@ func TestCutSafeLibrarySplitters(t *testing.T) {
 	}
 	if library.NGrams(2).CutSafe() {
 		t.Error("2-grams: CutSafe = true for a splitter that is not disjoint")
-	}
-}
-
-// A starved state budget must surface as automata.ErrTooLarge (verdict
-// unknown), never as a false "local". The smallest sufficient budgets
-// are pinned: they are the sizes of the largest subset space the
-// analysis enumerates, and were the same before the enumerations moved
-// onto automata.Subsets.
-func TestIsLocalStateLimit(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		mk   func() *core.Splitter
-		need int
-	}{
-		{"sentences", library.Sentences, 6},
-		{"paragraphs", library.Paragraphs, 6},
-		{"tokens", library.Tokens, 49},
-	} {
-		for _, limit := range []int{1, c.need - 1} {
-			ok, err := c.mk().IsLocal(limit)
-			if !errors.Is(err, automata.ErrTooLarge) {
-				t.Fatalf("%s: IsLocal(limit=%d) = (%v, %v), want ErrTooLarge", c.name, limit, ok, err)
-			}
-			if ok {
-				t.Fatalf("%s: IsLocal reported a proof while over budget", c.name)
-			}
-		}
-		if ok, err := c.mk().IsLocal(c.need); err != nil || !ok {
-			t.Fatalf("%s: IsLocal(limit=%d) = (%v, %v), want (true, nil)", c.name, c.need, ok, err)
-		}
 	}
 }

@@ -75,18 +75,9 @@ type splitScanner struct {
 // scanner returns the compiled scanner, building it on first use, or
 // nil when the splitter does not admit one (it is not disjoint).
 func (s *Splitter) scanner() *splitScanner {
-	s.scanOnce.Do(func() {
-		s.scanVal = buildSplitScanner(s)
-		s.scanBuilt.Store(true)
-	})
+	s.scanOnce.Do(func() { s.scanVal = buildSplitScanner(s) })
 	return s.scanVal
 }
-
-// ScannerBuilt reports whether the scanner has been compiled yet: by the
-// first Split, ScanRun or CutSafe, and by nothing at plan compilation —
-// a plan whose documents are all evaluated whole never pays for it, which
-// the engine's tests hold its planner to.
-func (s *Splitter) ScannerBuilt() bool { return s.scanBuilt.Load() }
 
 func buildSplitScanner(s *Splitter) *splitScanner {
 	if !s.IsDisjoint() {
@@ -241,67 +232,6 @@ func (sc *splitScanner) skipSet(cur int32) *lazydfa.SkipSet {
 		}, cur)
 }
 
-// CutSafe reports whether a document may be truncated at any span end
-// without changing the spans before the cut: for every document d and
-// span [a, b⟩ ∈ S(d), the scanner run on d[:b-1] emits exactly the spans
-// it emits on d up to and including [a, b⟩, and never bails. Together
-// with a locality proof (IsLocal, which licenses restarting at any span
-// start) this is cut independence — S applied to a chunk of d that
-// starts at a span start and ends at a span end is S(d) restricted to
-// that chunk — which is what lets the engine evaluate P once per chunk
-// instead of P_S once per segment (see locality.go, "Corollary").
-//
-// It is decided on the scanner's subset DFA, explored to closure (a
-// handful of states for separator-driven splitters; a DFA that overflows
-// its state bound is not cut-safe): no reachable (state, class) pair may
-// raise evBail, and every evClose or evWrap must fire alone, in a state
-// whose document-end events are exactly that one span — truncating the
-// document at the event's boundary then makes Flush emit what the event
-// emitted, nothing less (a close that needed the next byte) and nothing
-// more (an empty span the longer document does not have there). The
-// closure also fills every transition, so a cut-safe scanner can no
-// longer overflow mid-document. The answer is memoized, and computed on
-// first use rather than with the plan's verdicts: building the scanner
-// is wasted on a plan whose documents are all evaluated whole.
-func (s *Splitter) CutSafe() bool {
-	s.cutOnce.Do(func() {
-		if sc := s.scanner(); sc != nil {
-			s.cutVal = sc.cutSafe()
-		}
-	})
-	return s.cutVal
-}
-
-func (sc *splitScanner) cutSafe() bool {
-	st := sc.dfa.Snapshot()
-	seen := map[int32]bool{sc.start: true}
-	queue := []int32{sc.start}
-	for len(queue) > 0 {
-		q := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		pl := st[q].Payload
-		for c := 0; c < sc.nclasses; c++ {
-			ev := pl.ev[c]
-			closes, wraps := ev&evClose != 0, ev&evWrap != 0
-			if ev&evBail != 0 || closes && wraps ||
-				(closes || wraps) && (pl.endClose != closes || pl.endWrap != wraps) {
-				return false
-			}
-			t := st[q].Trans(uint8(c))
-			if t < lazydfa.Dead || int(t) >= len(st) {
-				if t, st = sc.dfa.Resolve(q, uint8(c)); t == lazydfa.Overflow {
-					return false
-				}
-			}
-			if !seen[t] {
-				seen[t] = true
-				queue = append(queue, t)
-			}
-		}
-	}
-	return true
-}
-
 // ScanRun is one resumable left-to-right pass of the compiled splitter
 // scanner. Feed consumes chunks and appends committed spans in absolute
 // document coordinates; the run's whole cross-chunk state is a DFA
@@ -347,10 +277,9 @@ func (r *ScanRun) Bailed() bool { return r.bailed }
 // be retained: the start of the last span event (the in-progress open,
 // or the most recent emitted span start). Every span the run emits from
 // now on starts at or after Anchor, and — because an open/wrap boundary
-// is a genuine span start — a bail fallback restarting the reference
-// splitter at Anchor is licensed by the same property (E) cut the
-// buffered segmenter uses. Before any span event it is 0: nothing may
-// be dropped yet.
+// is a genuine span start — a bail fallback restarting at Anchor is
+// licensed by the left cut of a locality proof (locality.go). Before
+// any span event it is 0: nothing may be dropped yet.
 func (r *ScanRun) Anchor() int {
 	if r.lastOpen > 0 {
 		return r.lastOpen - 1

@@ -167,9 +167,10 @@ func TestScanRunResumesAcrossChunks(t *testing.T) {
 // TestScanRunConcurrentColdSplitter runs the splitter scanner the way
 // the engine's streaming segmenters do — many resumable runs over one
 // shared Splitter — with its DFA cold, so runs fill transitions and
-// skip sets while others walk older snapshots. Every goroutine feeds its
-// own documents at read sizes 1, 7 and 4096 and must reproduce
-// SplitReference exactly.
+// skip sets while others walk older snapshots, and half the goroutines
+// first decide locality, whose closure fills every transition too. Every
+// goroutine feeds its own documents at read sizes 1, 7 and 4096 and must
+// reproduce SplitReference exactly.
 func TestScanRunConcurrentColdSplitter(t *testing.T) {
 	s := MustSplitter(regexformula.MustCompile("(x{[^.]*})(\\.[^.]*)*|[^.]*(\\.[^.]*)*\\.(x{[^.]*})(\\.[^.]*)*"))
 	if _, ok := s.NewScanRun(); !ok {
@@ -181,6 +182,12 @@ func TestScanRunConcurrentColdSplitter(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			if g%2 == 0 {
+				if ok, err := s.IsLocal(0); err != nil || !ok {
+					t.Errorf("goroutine %d: IsLocal = (%v, %v), want a proof", g, ok, err)
+					return
+				}
+			}
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 6; i++ {
 				var doc strings.Builder

@@ -12,7 +12,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/span"
 	"repro/internal/vsa"
@@ -33,13 +32,8 @@ type Splitter struct {
 
 	// scanOnce memoizes the compiled splitter scanner (splitscan.go);
 	// scanVal stays nil for non-disjoint splitters.
-	scanOnce  sync.Once
-	scanVal   *splitScanner
-	scanBuilt atomic.Bool
-
-	// cutOnce memoizes CutSafe (splitscan.go).
-	cutOnce sync.Once
-	cutVal  bool
+	scanOnce sync.Once
+	scanVal  *splitScanner
 }
 
 // NewSplitter wraps a unary automaton as a splitter.

@@ -45,9 +45,10 @@ func (v Verdict) MarshalText() ([]byte, error) { return []byte(v.String()), nil 
 // (Proposition 5.5), whether the pair is split-correct for a supplied
 // split-spanner (Theorem 5.1/5.7), whether the spanner is
 // self-splittable (Theorems 5.16–5.17), and whether the splitter is
-// local (Splitter.IsLocal) — i.e. proven safe for incremental chunked
-// segmentation of streamed documents. Note records why a verdict is
-// unknown (typically the state-space limit).
+// local (Splitter.IsLocal) — cut independent: a chunk of a document from
+// a span start to a span end splits into exactly the spans it covers,
+// which licenses the chunked route and incremental streaming. Note
+// records why a verdict is unknown (typically the state-space limit).
 type PlanVerdicts struct {
 	Disjoint       Verdict `json:"disjoint,omitempty"`
 	SplitCorrect   Verdict `json:"split_correct,omitempty"`

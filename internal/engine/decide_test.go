@@ -162,33 +162,3 @@ func TestNestedPlusIsRefusedPromptly(t *testing.T) {
 		}
 	}
 }
-
-// TestPlanCompilationLeavesScannerUnbuilt pins the laziness the chunked
-// route's third proof depends on: deciding and warming a plan builds
-// neither the splitter's scanner nor the cut-safety closure over it —
-// a plan compiled per request for one small document (the plan-churn
-// traffic) evaluates it whole and never pays for either. The first
-// document on the split route builds both.
-func TestPlanCompilationLeavesScannerUnbuilt(t *testing.T) {
-	plan, err := compilePlan(Request{Spanner: emailFormula, Splitter: sentenceFormula}, 0)
-	if err != nil || plan.Strategy != StrategySplit {
-		t.Fatalf("plan %+v, err %v", plan, err)
-	}
-	e := New(Config{Workers: 2})
-	if _, exec, err := e.Run(context.Background(), plan, emailDoc); err != nil || exec != ExecWhole {
-		t.Fatalf("small document took the %v route (err %v)", exec, err)
-	}
-	if _, exec, err := e.RunReader(context.Background(), plan, strings.NewReader(emailDoc)); err != nil || exec != ExecWhole {
-		t.Fatalf("small streamed document took the %v route (err %v)", exec, err)
-	}
-	if plan.s.ScannerBuilt() {
-		t.Fatal("planning and whole-route documents built the splitter's scanner")
-	}
-	doc := strings.Repeat(emailDoc+" ", breakEven/len(emailDoc)+1)
-	if _, exec, err := e.Run(context.Background(), plan, doc); err != nil || exec != ExecChunked {
-		t.Fatalf("large document took the %v route (err %v)", exec, err)
-	}
-	if !plan.s.ScannerBuilt() {
-		t.Fatal("the split route ran without the scanner")
-	}
-}

@@ -305,17 +305,16 @@ func licensed(plan *Plan) bool {
 // chunked decides the grain of a split plan's split route, and is the only
 // place it is decided. It returns true — evaluate P once per chunk of
 // consecutive segments (ExecChunked) instead of P_S once per segment —
-// when three proofs are in hand: the plan's own verdict (P = P_S ∘ S on
-// every document, hence on every chunk), the locality verdict (a chunk may
-// start at any span start) and the splitter's cut safety (a chunk may end
-// at any span end). The last two are cut independence — S on such a chunk
-// t of d is S(d) restricted to t — so P(t) = (P_S ∘ S)(t) is exactly the
-// chunk's share of (P_S ∘ S)(d) = P(d); DESIGN.md ("Grain") has the
-// proof. CutSafe builds the splitter's scanner, so it is asked last, and
-// only for documents already on the split route: a plan whose documents
-// all run whole never pays for it.
+// when two proofs are in hand: the plan's own verdict (P = P_S ∘ S on
+// every document, hence on every chunk) and the locality verdict, cut
+// independence of the splitter (S on a chunk t of d that runs from a span
+// start to a span end is S(d) restricted to t). Then P(t) = (P_S ∘ S)(t)
+// is exactly the chunk's share of (P_S ∘ S)(d) = P(d); DESIGN.md ("Grain")
+// has the proof. IsDisjoint, memoized when the plan was decided, keeps a
+// plan whose verdicts were set by hand over a splitter without a scanner
+// off the route.
 func chunked(plan *Plan) bool {
-	return licensed(plan) && plan.Verdicts.Local == core.VerdictYes && plan.s.CutSafe()
+	return licensed(plan) && plan.Verdicts.Local == core.VerdictYes && plan.s.IsDisjoint()
 }
 
 // chunksOf groups doc's splitter spans — disjoint and in document order —
@@ -385,11 +384,10 @@ func (e *Engine) ExtractBatchReader(ctx context.Context, plan *Plan, r io.Reader
 
 // WillStream reports whether a document stream of this plan is segmented
 // incrementally (true) or buffered whole (false). It streams exactly the
-// split plans that run at chunk grain (see chunked): their three proofs
+// split plans that run at chunk grain (see chunked): their two proofs
 // make every feed's run of committed spans a document P can be evaluated
-// on. Everything else buffers and takes the inline routes — a local
-// splitter that is not cut-safe, and a split plan without a verdict.
-// Asking builds the splitter's scanner; see scanSegmenter.
+// on. Everything else buffers and takes the inline routes — a splitter
+// that is not proven local, and a split plan without a verdict.
 func (e *Engine) WillStream(plan *Plan) bool {
 	return plan.Strategy == StrategySplit && chunked(plan)
 }
@@ -488,14 +486,12 @@ func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) (
 
 // ingest reads the guarded stream r for run: for a plan that streams, the
 // scanner run to segment it with and the reader to feed it from; for any
-// other plan, the whole document. A plan that holds chunked's first two
-// proofs first reads up to the break-even: a stream that ends before it is
-// evaluated whole and comes back as the document — before CutSafe, the
-// third proof, builds the splitter's scanner — and a longer one loses
-// nothing: what was read becomes its first feed, or the start of its
-// buffer.
+// other plan, the whole document. A plan that streams first reads up to
+// the break-even: a stream that ends before it is evaluated whole and
+// comes back as the document, and a longer one loses nothing — what was
+// read becomes its first feed.
 func (e *Engine) ingest(ctx context.Context, plan *Plan, r io.Reader, hint int) (string, *core.ScanRun, io.Reader, error) {
-	if plan.Strategy == StrategySplit && licensed(plan) && plan.Verdicts.Local == core.VerdictYes {
+	if e.WillStream(plan) {
 		limit := breakEven
 		if 0 < hint && hint < limit {
 			limit = hint + 1 // a short stream's end is one byte past what it declares
@@ -511,11 +507,8 @@ func (e *Engine) ingest(ctx context.Context, plan *Plan, r io.Reader, hint int) 
 		if err == io.EOF && !e.splitPays(plan, prefix.Len()) {
 			return prefix.String(), nil, nil, nil
 		}
-		r = io.MultiReader(strings.NewReader(prefix.String()), r)
-		if e.WillStream(plan) {
-			scan, _ := plan.s.NewScanRun() // CutSafe holds only of a splitter with a scanner
-			return "", scan, r, nil
-		}
+		scan, _ := plan.s.NewScanRun() // chunked holds only of a splitter with a scanner
+		return "", scan, io.MultiReader(strings.NewReader(prefix.String()), r), nil
 	}
 	doc, err := e.readAllBounded(ctx, r, hint)
 	return doc, nil, nil, err

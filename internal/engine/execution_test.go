@@ -23,7 +23,7 @@ import (
 // tuple at breakEven − 1, breakEven, breakEven + 1 and around them, and
 // around the chunk size; Run and RunReader take the route splitPays and
 // chunked name and return the same tuples; a plan without the verdict
-// never leaves the split route, and one missing any of chunked's three
+// never leaves the split route, and one missing either of chunked's two
 // proofs never leaves the per-segment grain.
 
 // decidedPlan builds a plan from library automata the way Plan.decide does
@@ -61,6 +61,17 @@ func sentimentInSentence() *vsa.Automaton {
 	return regexformula.MustCompile(`(.* )?bad (y{[a-z]+})(([^a-z].*)?|)`)
 }
 
+// wordsWithoutQ splits a document into its space-separated words that hold
+// no 'q'; badWordsWithoutQ selects those of its words that start with
+// "bad", which makes it self-splittable by wordsWithoutQ. The splitter is
+// cut independent even though a 'q' kills the run that opened its word:
+// that run has emitted nothing yet. It is the pair's reason to be here — a
+// splitter whose open runs do not all accept every continuation.
+const (
+	wordsWithoutQ    = `(x{[^q ]+})([ ].*)?|.*[ ](x{[^q ]+})([ ].*)?`
+	badWordsWithoutQ = `(y{bad[^q ]*})([ ].*)?|.*[ ](y{bad[^q ]*})([ ].*)?`
+)
+
 // executionCase is one licensed plan with a generator of documents of
 // any requested length.
 type executionCase struct {
@@ -74,6 +85,7 @@ type executionCase struct {
 func executionCases(t testing.TB) []executionCase {
 	neg := library.NegativeSentiment()
 	mail := library.Emails()
+	bad := regexformula.MustCompile(badWordsWithoutQ)
 	emails := func(seed uint64, n int) string {
 		unit := emailDoc + " "
 		rot := int(seed) % len(unit)
@@ -86,6 +98,7 @@ func executionCases(t testing.TB) []executionCase {
 		{"sentiment/sentences/explicit", decidedPlan(t, neg, sentimentInSentence(), library.Sentences()), reviews},
 		{"sentiment/paragraphs/self", decidedPlan(t, neg, neg, library.Paragraphs()), reviews},
 		{"emails/sentences/self", decidedPlan(t, mail, mail, library.Sentences()), emails},
+		{"badwords/words-without-q/self", decidedPlan(t, bad, bad, core.MustSplitter(regexformula.MustCompile(wordsWithoutQ))), reviews},
 	}
 }
 
@@ -104,8 +117,8 @@ func sameTuples(t *testing.T, what string, got, want *span.Relation) {
 }
 
 // checkExecutionChoice holds one (plan, document) pair to the contract in
-// the file comment. Every plan of executionCases has a proven-local,
-// cut-safe splitter, so its split route is the chunked one. e must have at
+// the file comment. Every plan of executionCases has a proven-local
+// splitter, so its split route is the chunked one. e must have at
 // least two request workers, so that the document's length alone decides
 // its route.
 func checkExecutionChoice(t *testing.T, e *Engine, plan *Plan, doc string, readSizes ...int) {
@@ -178,22 +191,24 @@ func TestExecutionChoiceEquivalence(t *testing.T) {
 	}
 }
 
-// TestChunkedNeedsAllThreeProofs: the chunk grain is licensed by the plan's
-// own verdict, the proven locality verdict and the splitter's cut safety
-// together. Take any one away — a forged split plan, a splitter whose
-// locality verdict is not yes, a local splitter that is not cut-safe — and
-// the document stays on the per-segment route, reported as "split". The last plan is the reason the third proof exists: its
-// splitter marks every '.' with an empty span, so each chunk of segments
-// is the empty string, P finds nothing in it, and only P_S per segment
-// returns P(d).
-func TestChunkedNeedsAllThreeProofs(t *testing.T) {
+// TestChunkedNeedsBothProofs: the chunk grain is licensed by the plan's
+// own verdict and the splitter's locality verdict — cut independence —
+// together. Take either away — a forged split plan, a splitter whose
+// locality verdict is not yes — and the document stays on the
+// per-segment route, reported as "split". The marking plan shows what the
+// locality verdict covers beyond nonempty spans: its splitter marks every
+// '.' with an empty span, so each chunk of segments would be the empty
+// string, P finds nothing in it, and only P_S per segment returns P(d).
+// The procedure refuses the splitter: the mark is emitted on the '.' byte,
+// which a cut at the mark removes.
+func TestChunkedNeedsBothProofs(t *testing.T) {
 	licensed := executionCases(t)[0].plan
 	unproven := *licensed
 	unproven.Verdicts.Local = core.VerdictUnknown
 	marks := decidedPlan(t, regexformula.MustCompile(`.*(y{})\..*`), regexformula.MustCompile(`y{}`),
 		core.MustSplitter(regexformula.MustCompile(`.*(x{})\..*`)))
-	if marks.Verdicts.Local != core.VerdictYes || marks.s.CutSafe() {
-		t.Fatalf("the marking splitter must be proven local and not cut-safe (verdicts %+v, CutSafe %v)", marks.Verdicts, marks.s.CutSafe())
+	if marks.Verdicts.Local != core.VerdictNo {
+		t.Fatalf("the marking splitter must not be proven local (verdicts %+v)", marks.Verdicts)
 	}
 	reviews := reviewDoc(5, 2*breakEven)
 	for _, c := range []struct {
@@ -203,7 +218,7 @@ func TestChunkedNeedsAllThreeProofs(t *testing.T) {
 	}{
 		{"forged", splitOnly(licensed), reviews},
 		{"not-proven-local", &unproven, reviews},
-		{"not-cut-safe", marks, strings.Repeat("ab.", breakEven)},
+		{"not-local", marks, strings.Repeat("ab.", breakEven)},
 	} {
 		e := New(Config{Workers: 2})
 		if e.WillStream(c.plan) {
@@ -231,10 +246,10 @@ func TestChunkedNeedsAllThreeProofs(t *testing.T) {
 
 // TestStreamsExactlyWhenChunked: the streamed route has one grain. A
 // stream is segmented incrementally exactly when the plan runs chunked;
-// every other split plan — a local splitter that is not cut-safe, a forged
-// plan, an unproven splitter — buffers the stream and answers as Run does,
-// per segment. So does a plan whose verdicts are all forged over a
-// non-disjoint splitter: it has no scanner, so it is not cut-safe.
+// every other split plan — the marking splitter, which is not local, a
+// forged plan, an unproven splitter — buffers the stream and answers as
+// Run does, per segment. So does a plan whose verdicts are all forged over
+// a non-disjoint splitter: it has no scanner to stream with.
 func TestStreamsExactlyWhenChunked(t *testing.T) {
 	licensed := executionCases(t)[0].plan
 	unproven := *licensed

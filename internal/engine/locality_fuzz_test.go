@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/parallel"
-	"repro/internal/regexformula"
 	"repro/internal/span"
 )
 
@@ -19,8 +18,8 @@ import (
 // known-non-local ones (suffix-conditioned, first-block-skipping — the
 // procedure must keep refusing them), and fully random formulas from
 // the same generator shape the core differential tests use (anything
-// can come out; almost all of it is unprovable, and any instance the
-// procedure does prove is held to the same soundness bar).
+// can come out; any instance the procedure proves is held to the same
+// soundness bar).
 func fuzzSplitterFormula(mode uint8, c1, c2 byte, seed int64) string {
 	seps := []string{".", ";", "!", "\\n", " ", "a", "b"}
 	s1, s2 := seps[int(c1)%len(seps)], seps[int(c2)%len(seps)]
@@ -44,8 +43,8 @@ func fuzzSplitterFormula(mode uint8, c1, c2 byte, seed int64) string {
 		b := "[^" + sep + "!]"
 		w := "(x{" + b + "*})"
 		return w + "([" + sep + "]" + b + "*)*!|" + b + "*([" + sep + "]" + b + "*)*[" + sep + "]" + w + "([" + sep + "]" + b + "*)*!"
-	case 5: // token-style with an extra non-separator excluded byte: NOT
-		// local (the excluded byte kills post-open runs)
+	case 5: // token-style with an extra non-separator excluded byte: local
+		// (the excluded byte kills a run that has emitted nothing yet)
 		return "(x{[^q" + sep + "]+})([" + sep + "].*)?|.*[" + sep + "](x{[^q" + sep + "]+})([" + sep + "].*)?"
 	default: // fully random unary formula
 		return randomSplitterFormula(rand.New(rand.NewSource(seed)))
@@ -168,15 +167,14 @@ func checkBothGrains(t testing.TB, s *core.Splitter, doc string, n int, want []s
 	return nil
 }
 
-// FuzzLocalityVsBuffered is the soundness contract of the locality
-// decision procedure: whenever IsLocal proves a fuzzed splitter local,
-// the engine's incremental scanner and segmenter must reproduce the
-// one-shot segmentation (see checkBothGrains) at adversarial chunk
-// sizes — 1 (every boundary lands mid-segment), 7 (misaligned with
-// everything) and 4096 (typically one chunk) — on fuzzed documents. A
-// failure here means a "local" verdict admitted a splitter that
-// incremental streaming mis-segments, i.e. a hole in the procedure's
-// proof, not a flaky test.
+// FuzzLocalityVsBuffered is the streaming half of the locality verdict's
+// soundness contract: whenever IsLocal proves a fuzzed splitter local, the
+// engine's incremental scanner and segmenter must reproduce the one-shot
+// segmentation (see checkBothGrains) at adversarial chunk sizes — 1 (every
+// boundary lands mid-segment), 7 (misaligned with everything) and 4096
+// (typically one chunk) — on fuzzed documents. A failure here means a
+// "local" verdict admitted a splitter that incremental streaming
+// mis-segments, i.e. a hole in the procedure's proof, not a flaky test.
 func FuzzLocalityVsBuffered(f *testing.F) {
 	f.Add(uint8(0), byte(0), byte(1), int64(1), "one. two! three\nfour.")
 	f.Add(uint8(1), byte(4), byte(3), int64(2), "a b  c\nd ")
@@ -189,17 +187,8 @@ func FuzzLocalityVsBuffered(f *testing.F) {
 		if len(doc) > 1<<12 {
 			doc = doc[:1<<12]
 		}
-		src := fuzzSplitterFormula(mode, c1, c2, seed)
-		auto, err := regexformula.Compile(src)
-		if err != nil || auto.Arity() != 1 {
-			t.Skip()
-		}
-		s, err := core.NewSplitter(auto)
-		if err != nil {
-			t.Skip()
-		}
-		local, err := s.IsLocal(1 << 14)
-		if err != nil || !local {
+		src, s, ok := cutIndependentSplitter(mode, c1, c2, seed)
+		if !ok {
 			// Unproven or over budget: the engine would buffer; nothing to
 			// verify. (Known-local families are pinned by the core table
 			// tests, so the fuzz cannot silently degenerate to all-skips.)
@@ -225,17 +214,8 @@ func TestLocalityFuzzCorpusSmoke(t *testing.T) {
 	proved := 0
 	for mode := uint8(0); mode < 7; mode++ {
 		for _, c := range []byte{0, 1, 4} {
-			src := fuzzSplitterFormula(mode, c, c+1, int64(mode)*31+int64(c))
-			auto, err := regexformula.Compile(src)
-			if err != nil || auto.Arity() != 1 {
-				continue
-			}
-			s, err := core.NewSplitter(auto)
-			if err != nil {
-				continue
-			}
-			local, err := s.IsLocal(1 << 14)
-			if err != nil || !local {
+			src, s, ok := cutIndependentSplitter(mode, c, c+1, int64(mode)*31+int64(c))
+			if !ok {
 				continue
 			}
 			proved++

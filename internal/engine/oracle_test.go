@@ -75,9 +75,9 @@ func oracleDocs(rng *rand.Rand, table, fragments []string, limit, random int) []
 // the whole segment, so P = P_S ∘ S on every document. S is not local by
 // the procedure's standard (its output depends on the suffix), but neither
 // rule looks at the prefix, so cutting at a span start — what the bail
-// guard does — is sound. The plan forges the locality verdict; not being
-// cut-safe, its splitter reaches the chunk grain only here, never through
-// the engine, which buffers it.
+// guard does — is sound. The plan forges the locality verdict without a
+// split verdict, so its splitter reaches the chunk grain only here, never
+// through the engine, which buffers it.
 func bailingPlan() *Plan {
 	runs := func(v string) string {
 		run := "(" + v + "{[ab]+})"

@@ -388,12 +388,13 @@ func (p *Plan) decide(limit int) error {
 	t0 := time.Now()
 	defer func() { p.DecideTime = time.Since(t0) }()
 	p.Verdicts.Disjoint = core.VerdictOf(p.s.IsDisjoint())
-	// Locality is one of the chunk grain's proofs, which also decide
-	// whether a stream is segmented incrementally (chunked,
-	// Engine.WillStream): computed here, once, under the plan cache's
-	// single-flight, like every other verdict. Only disjoint splitters can
-	// be local; an over-budget analysis leaves the verdict unknown and the
-	// plan buffers.
+	// Locality — cut independence, decided on the splitter's compiled
+	// scanner, which is therefore built here — is one of the chunk grain's
+	// two proofs, which also decide whether a stream is segmented
+	// incrementally (chunked, Engine.WillStream): computed here, once,
+	// under the plan cache's single-flight, like every other verdict. Only
+	// disjoint splitters have a scanner; an over-budget closure leaves the
+	// verdict unknown and the plan buffers.
 	if p.Verdicts.Disjoint != core.VerdictYes {
 		p.Verdicts.Local = core.VerdictNo
 	} else {

@@ -18,12 +18,12 @@ import (
 // The unit of output is the feed: emit returns one segment reaching from
 // the feed's first committed span to its last, to be evaluated with P. The
 // engine builds a segmenter only for a plan that runs chunked — its
-// splitter proven local and cut-safe — and cut independence makes such a
-// segment a document in its own right (see chunked).
+// splitter proven local, that is, cut independent — and cut independence
+// makes such a segment a document in its own right (see chunked).
 //
 // The scanner can still bail mid-document (a close it cannot commit, a DFA
-// state bound); CutSafe's closure rules that out short of a broken
-// invariant, and this is the guard for one. The scanner stops, what it
+// state bound); the locality proof's closure rules that out short of a
+// broken invariant, and this is the guard for one. The scanner stops, what it
 // committed stays committed, feed keeps buffering from Anchor under the
 // caller's Config.MaxDocBuffer check, and flush returns that tail as the
 // document's last chunk. Anchor is an open/wrap boundary, a genuine span

@@ -101,14 +101,14 @@ func TestScanSegmenterChunksCoverEverySpan(t *testing.T) {
 }
 
 // TestScanSegmenterChunkedBailKeepsTheRest drives the chunk grain into the
-// one place CutSafe's closure check keeps the engine out of: a scanner
-// that bails. The evaluator behind this segmenter holds P, so the tail is
+// one place the locality proof's closure keeps the engine out of: a
+// scanner that bails. The evaluator behind this segmenter holds P, so the tail is
 // not split: everything from the scanner's anchor on must come back from
 // flush as the document's last chunk.
 func TestScanSegmenterChunkedBailKeepsTheRest(t *testing.T) {
 	s := suffixConditioned()
-	if s.CutSafe() {
-		t.Fatal("the suffix-conditioned splitter must not be cut-safe")
+	if local, _ := s.IsLocal(0); local {
+		t.Fatal("the suffix-conditioned splitter must not be local")
 	}
 	for _, doc := range []string{"ab.cd.ef!", "ab.cd", "a.b.c.d.e!"} {
 		for n := 1; n <= len(doc)+1; n++ {
@@ -181,8 +181,8 @@ func suffixConditioned() *core.Splitter {
 // TestBailedCarryOverIsBounded: a bail turns the rest of the document into
 // carry-over, and the carry-over is what Config.MaxDocBuffer bounds. The
 // segmenter reports every byte it holds from the anchor on. Through the
-// engine — a splitter that bails is not cut-safe, so a plan over it, even
-// one with a forged locality verdict, buffers — a 1 MiB document under a
+// engine — a plan over it with a forged locality verdict but no split
+// verdict does not run chunked, so it buffers — a 1 MiB document under a
 // 64 KiB budget fails with the typed ErrDocTooLarge instead of being
 // buffered whole.
 func TestBailedCarryOverIsBounded(t *testing.T) {
@@ -205,7 +205,7 @@ func TestBailedCarryOverIsBounded(t *testing.T) {
 	}
 	e := New(Config{Workers: 2, MaxDocBuffer: 64 << 10})
 	if e.WillStream(plan) {
-		t.Fatal("a plan over a splitter that is not cut-safe streams")
+		t.Fatal("a plan without a split verdict streams")
 	}
 	r := strings.NewReader(doc)
 	if _, _, err := e.RunReader(context.Background(), plan, unsized{r}); !errors.Is(err, ErrDocTooLarge) {

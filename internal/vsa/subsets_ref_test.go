@@ -144,6 +144,7 @@ func (a *Automaton) SuffixUniversalityReference() []bool {
 		}
 		e := &expansion{}
 		var classes []alphabet.Class
+		var all alphabet.Class
 		hasFinal := false
 		for _, q := range set {
 			if finals[q] {
@@ -152,11 +153,12 @@ func (a *Automaton) SuffixUniversalityReference() []bool {
 			for _, ed := range a.States[q].Edges {
 				if ed.Ops == 0 {
 					classes = append(classes, ed.Class)
+					all = all.Union(ed.Class)
 				}
 			}
 		}
 		// Locally good: accepting here, and able to consume any byte.
-		e.good = hasFinal && alphabet.UnionAll(classes) == alphabet.Any
+		e.good = hasFinal && all == alphabet.Any
 		if e.good {
 			for _, atom := range alphabet.Atoms(classes) {
 				succ := map[int]bool{}

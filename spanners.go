@@ -218,14 +218,15 @@ func (s *Splitter) Segments(doc string) []core.Segment { return s.s.Segments(doc
 // (Proposition 5.5).
 func (s *Splitter) IsDisjoint() bool { return s.s.IsDisjoint() }
 
-// IsLocal decides whether the splitter provably supports incremental
-// chunked segmentation: splitting a document chunk-at-a-time with
-// carry-over (the streaming engine's segmenter) is guaranteed
-// byte-identical to splitting it whole, for every document and every
-// chunking. Only disjoint splitters can be local. The procedure is
-// sound but incomplete: true is a machine-checked proof and licenses
-// streaming; false means no proof was found and the engine will buffer.
-// ErrTooLarge reports a state-budget overflow, i.e. an unknown verdict. See internal/core/locality.go for
+// IsLocal decides whether the splitter is cut independent: splitting any
+// chunk of a document that runs from a span start to a span end yields
+// exactly the spans of the whole document's split that the chunk covers.
+// That is what lets the engine evaluate a split-correct spanner once per
+// run of segments and segment uploads while they stream. Only disjoint
+// splitters can be local. The procedure is sound but incomplete: true is
+// a machine-checked proof; false means no proof was found, and the engine
+// buffers and splits per segment. ErrTooLarge reports a state-budget
+// overflow, i.e. an unknown verdict. See internal/core/locality.go for
 // the decided property and the procedure.
 func (s *Splitter) IsLocal() (bool, error) { return s.s.IsLocal(DefaultLimit) }
 
