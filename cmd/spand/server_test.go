@@ -144,6 +144,50 @@ func TestExtractJSONAndPlanCacheHit(t *testing.T) {
 	}
 }
 
+// TestPlanChurnSharesSplitter sends two plan-churn-shaped requests — the
+// same splitter, the spanner's capture renamed — and finds both plan-cache
+// misses that share one splitter: splitter_hits is 1 in /v1/stats and on
+// /metrics.
+func TestPlanChurnSharesSplitter(t *testing.T) {
+	ts := startDaemon(t)
+	for _, v := range []string{"y", "z"} {
+		body, _ := json.Marshal(map[string]string{
+			"spanner": strings.Replace(emailFormula, "y{", v+"{", 1), "splitter": sentenceFormula, "doc": testDoc,
+		})
+		resp, err := http.Post(ts.URL+"/v1/extract", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := decodeExtract(t, resp); out.CacheHit || out.Strategy != "split-parallel" {
+			t.Fatalf("capture %s: cache_hit = %v, strategy = %q; want a split-parallel plan-cache miss", v, out.CacheHit, out.Strategy)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		PlanCache map[string]any `json:"plan_cache"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PlanCache["splitter_hits"] != 1.0 || st.PlanCache["misses"] != 2.0 || st.PlanCache["hits"] != 0.0 {
+		t.Fatalf("plan_cache = %v, want splitter_hits 1 over 2 misses", st.PlanCache)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(text), "\nspanners_plan_cache_splitter_hits_total 1\n") {
+		t.Fatal("/metrics does not report spanners_plan_cache_splitter_hits_total 1")
+	}
+}
+
 // slowChunks streams the document a few bytes per Read with no declared
 // length, forcing chunked transfer encoding and multi-chunk ingestion.
 type slowChunks struct {

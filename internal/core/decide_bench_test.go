@@ -32,14 +32,46 @@ func decide(tb testing.TB, p, sAuto *vsa.Automaton) {
 // the ledger's core.decide_us row can be profiled without the harness:
 //
 //	go test -run='^$' -bench=Decide -cpuprofile=cpu.out ./internal/core/
+//
+// Plan is the whole sequence a cold plan runs. General is its
+// self-splittability verdict alone, on the route SplitCorrectAuto takes
+// for compiled regex formulas, which are not deterministic; and
+// DeterminizeThenPoly is the route Theorem 5.7 offers instead: determinize
+// P and S (Proposition 4.4), then SplitCorrectPoly. Both legs start from
+// a fresh splitter, so both pay its disjointness.
 func BenchmarkDecide(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		p := library.NegativeSentiment()
-		sAuto := library.Sentences().Automaton()
-		b.StartTimer()
-		decide(b, p, sAuto)
+	legs := []struct {
+		name   string
+		decide func(tb testing.TB, p, sAuto *vsa.Automaton)
+	}{
+		{"Plan", decide},
+		{"General", func(tb testing.TB, p, sAuto *vsa.Automaton) {
+			if ok, err := core.SplitCorrect(p, p, core.MustSplitter(sAuto), 0); err != nil || !ok {
+				tb.Fatalf("SplitCorrect = (%v, %v), want (true, nil)", ok, err)
+			}
+		}},
+		{"DeterminizeThenPoly", func(tb testing.TB, p, sAuto *vsa.Automaton) {
+			pd, err1 := p.Determinize(0)
+			sd, err2 := sAuto.Determinize(0)
+			if err1 != nil || err2 != nil {
+				tb.Fatal(err1, err2)
+			}
+			if ok, err := core.SplitCorrectPoly(pd, pd, core.MustSplitter(sd)); err != nil || !ok {
+				tb.Fatalf("SplitCorrectPoly = (%v, %v), want (true, nil)", ok, err)
+			}
+		}},
+	}
+	for _, leg := range legs {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p := library.NegativeSentiment()
+				sAuto := library.Sentences().Automaton()
+				b.StartTimer()
+				leg.decide(b, p, sAuto)
+			}
+		})
 	}
 }
 

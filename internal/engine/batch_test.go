@@ -239,7 +239,7 @@ func TestBatchPlanCostCountsAllMembers(t *testing.T) {
 	}
 	var singles int64
 	for _, f := range []string{emailFormula, abFormula, cdFormula} {
-		p, err := compilePlan(Request{Spanner: f}, 0)
+		p, err := compilePlan(Request{Spanner: f}, 0, new(splitterTable))
 		if err != nil {
 			t.Fatal(err)
 		}

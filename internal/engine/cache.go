@@ -17,9 +17,13 @@ import (
 // single tenant's quota, and Oversize plans whose estimated cost alone
 // exceeded the per-tenant byte budget (they are compiled, served and
 // not cached — a hostile tenant cannot pin the cache with one huge
-// plan).
+// plan). SplitterHits counts plan compilations that took their splitter
+// — compiled, with its disjointness, locality and scanner — from the
+// engine's splitter table instead of building it; they are plan misses
+// all the same.
 type CacheStats struct {
 	Hits            uint64  `json:"hits"`
+	SplitterHits    uint64  `json:"splitter_hits"`
 	Misses          uint64  `json:"misses"`
 	Coalesced       uint64  `json:"coalesced"`
 	Evictions       uint64  `json:"evictions"`

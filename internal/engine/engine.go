@@ -10,7 +10,9 @@
 //     split-correctness / self-splittability / disjointness / locality
 //     verdicts, behind an LRU with single-flight deduplication
 //     (concurrent requests for the same (spanner, splitter) pair run
-//     the decision procedures exactly once).
+//     the decision procedures exactly once). Plans of one tenant share
+//     their splitter: it is compiled, and its disjointness and locality
+//     decided, once (splitterTable).
 //   - Documents may arrive as io.Reader streams: when the plan runs at
 //     chunk grain (see below), the splitter is applied incrementally with
 //     carry-over across chunk boundaries, and each feed's completed
@@ -203,8 +205,13 @@ type Stats struct {
 type Engine struct {
 	cfg   Config
 	cache *planCache
-	start time.Time
-	m     *Metrics
+	// splitters shares each splitter's compilation and S-only verdicts
+	// between the plans of one tenant (splitters.go). It is allocated on
+	// its own: its cleanups keep it reachable, and must not keep the
+	// Engine reachable with it.
+	splitters *splitterTable
+	start     time.Time
+	m         *Metrics
 }
 
 // New returns an engine with the given configuration.
@@ -218,7 +225,8 @@ func New(cfg Config) *Engine {
 			tenantCap:   cfg.TenantPlans,
 			tenantBytes: cfg.TenantPlanBytes,
 		}),
-		start: time.Now(),
+		splitters: new(splitterTable),
+		start:     time.Now(),
 	}
 	e.m = newMetrics(e)
 	return e
@@ -230,7 +238,7 @@ func New(cfg Config) *Engine {
 // skipped — either a completed cached plan or a coalesced in-flight
 // compilation.
 func (e *Engine) Plan(ctx context.Context, req Request) (plan *Plan, hit bool, err error) {
-	return e.plan(ctx, req.Tenant, req.key(), func() (*Plan, error) { return compilePlan(req, e.cfg.StateLimit) })
+	return e.plan(ctx, req.Tenant, req.key(), func() (*Plan, error) { return compilePlan(req, e.cfg.StateLimit, e.splitters) })
 }
 
 // PlanBatch returns the plan of a batch request, one member slot per
@@ -618,6 +626,14 @@ func (e *Engine) stream(ctx context.Context, plan *Plan, scan *core.ScanRun, r i
 	return rel, err
 }
 
+// cacheStats snapshots the plan cache's counters with the splitter
+// table's hits.
+func (e *Engine) cacheStats() CacheStats {
+	s := e.cache.stats()
+	s.SplitterHits = e.splitters.hits.Load()
+	return s
+}
+
 // Stats snapshots the engine counters, the per-stage time breakdown,
 // the executor's scheduling statistics and the localizer's
 // effectiveness in one pass.
@@ -635,7 +651,7 @@ func (e *Engine) Stats() Stats {
 		Workers:        e.cfg.Workers,
 		RequestWorkers: e.cfg.RequestWorkers,
 		Batch:          e.cfg.Batch,
-		PlanCache:      e.cache.stats(),
+		PlanCache:      e.cacheStats(),
 		Stages:         e.m.stageStats(),
 		Segmenter:      e.m.segmenterStats(),
 		Executor:       e.m.execStats(e.cfg.Workers),

@@ -27,27 +27,19 @@ import (
 // proofs never leaves the per-segment grain.
 
 // decidedPlan builds a plan from library automata the way Plan.decide does
-// from formulas: the verdicts are the decision procedures' own, so a yes
-// is a proof, not a test fixture's say-so.
+// from formulas — a splitter artifact, then the (P, S) question: the
+// verdicts are the decision procedures' own, so a yes is a proof, not a
+// test fixture's say-so.
 func decidedPlan(t testing.TB, p, ps *vsa.Automaton, s *core.Splitter) *Plan {
 	t.Helper()
-	plan := &Plan{p: p, s: s}
-	plan.Verdicts.Disjoint = core.VerdictOf(s.IsDisjoint())
-	local, err := s.IsLocal(0)
+	art, err := newSplitterArtifact(s.Automaton(), 0)
 	if err != nil {
-		t.Fatalf("locality: %v", err)
+		t.Fatalf("splitter: %v", err)
 	}
-	plan.Verdicts.Local = core.VerdictOf(local)
-	ok, err := core.SplitCorrectAuto(p, ps, s, 0)
-	if err != nil || !ok {
-		t.Fatalf("split-correctness: ok=%v err=%v; the pair must be decided yes", ok, err)
+	plan := &Plan{p: p}
+	if err := plan.decideSplit(art, ps, 0); err != nil || plan.Strategy != StrategySplit || plan.Verdicts.Local == core.VerdictUnknown {
+		t.Fatalf("verdicts %+v, err %v; the pair must be decided split-correct and its splitter's locality decided", plan.Verdicts, err)
 	}
-	if ps == p {
-		plan.Verdicts.SelfSplittable = core.VerdictYes
-	} else {
-		plan.Verdicts.SplitCorrect = core.VerdictYes
-	}
-	plan.Strategy, plan.ps = StrategySplit, ps
 	plan.warm()
 	return plan
 }

@@ -158,13 +158,19 @@ type Plan struct {
 	// warming the evaluation caches took; cache hits amortize exactly
 	// this cost. DecideTime is the part of it spent inside the decision
 	// procedures (disjointness, locality, split-correctness or
-	// self-splittability); zero for plans without a splitter.
+	// self-splittability); zero for plans without a splitter. A plan that
+	// shares its splitter with an earlier plan took disjointness and
+	// locality from it, so both times exclude them.
 	CompileTime time.Duration
 	DecideTime  time.Duration
 
 	p  *vsa.Automaton // the spanner P: the first member (nil when no slot compiled)
 	ps *vsa.Automaton // the split-spanner P_S (nil unless StrategySplit)
 	s  *core.Splitter // the splitter S (nil when Req.Splitter is empty)
+	// split is the artifact s comes from, shared with every plan of the
+	// same tenant and splitter; holding it keeps it in the engine's
+	// splitter table (splitterTable).
+	split *splitterArtifact
 
 	// batch holds a batch plan's formulas, one per slot (nil for the plan
 	// of a Request, whose one slot is Req.Spanner). members holds each
@@ -269,11 +275,11 @@ func (p *Plan) cost() int64 {
 	return c
 }
 
-// compilePlan builds the one-member plan of a request. Slot 0's compile
-// error is the plan's: a Request names one query, so there is no sibling
-// to answer.
-func compilePlan(req Request, limit int) (*Plan, error) {
-	plan, err := compile(req, nil, limit)
+// compilePlan builds the one-member plan of a request, its splitter taken
+// from splitters (see decide). Slot 0's compile error is the plan's: a
+// Request names one query, so there is no sibling to answer.
+func compilePlan(req Request, limit int, splitters *splitterTable) (*Plan, error) {
+	plan, err := compile(req, nil, limit, splitters)
 	if err == nil && plan.errs[0] != nil {
 		return nil, plan.errs[0]
 	}
@@ -287,23 +293,23 @@ func compileBatchPlan(req BatchRequest) (*Plan, error) {
 	if len(req.Spanners) == 0 {
 		return nil, errors.New("engine: empty batch: no spanner formulas")
 	}
-	return compile(Request{Tenant: req.Tenant}, req.Spanners, 0)
+	return compile(Request{Tenant: req.Tenant}, req.Spanners, 0, nil)
 }
 
 // compile builds a Plan: it compiles the member formulas — batch, or else
 // req.Spanner — each under its own panic guard, duplicates once, and, when
-// a member compiled, req's splitter and split-spanner; runs the relevant
-// decision procedures under the state limit, picks the strategy and warms
-// the evaluation caches. A limit overflow (automata.ErrTooLarge) is not an
-// error: the verdict stays unknown and the plan degrades to sequential
-// evaluation, which is always correct.
+// a member compiled, req's split-spanner, with its splitter taken from
+// splitters; runs the relevant decision procedures under the state limit,
+// picks the strategy and warms the evaluation caches. A limit overflow
+// (automata.ErrTooLarge) is not an error: the verdict stays unknown and
+// the plan degrades to sequential evaluation, which is always correct.
 //
 // compile deliberately takes no context: it runs under the cache's
 // single-flight, and a build started on behalf of one request serves
 // every coalesced waiter — cancelling it because the first requester
 // went away would fail the others. The decision procedures themselves
 // are bounded by the state limit rather than by cancellation.
-func compile(req Request, batch []string, limit int) (*Plan, error) {
+func compile(req Request, batch []string, limit int, splitters *splitterTable) (*Plan, error) {
 	t0 := time.Now()
 	spanners := batch
 	if batch == nil {
@@ -330,7 +336,7 @@ func compile(req Request, batch []string, limit int) (*Plan, error) {
 		if len(plan.members) > 1 {
 			plan.multi = vsa.NewMulti(plan.members...)
 		}
-		if err := plan.decide(limit); err != nil {
+		if err := plan.decide(limit, splitters); err != nil {
 			return nil, err
 		}
 	}
@@ -359,9 +365,10 @@ func compileMember(src string) (a *vsa.Automaton, err error) {
 	return a, nil
 }
 
-// decide compiles the plan's splitter and split-spanner, if it has them,
-// and fills in the verdicts, the strategy and DecideTime.
-func (p *Plan) decide(limit int) error {
+// decide takes the plan's splitter artifact from splitters, compiles its
+// split-spanner, if it has one, and fills in the verdicts, the strategy
+// and DecideTime.
+func (p *Plan) decide(limit int, splitters *splitterTable) error {
 	req := p.Req
 	if req.Splitter == "" {
 		if req.SplitSpanner != "" {
@@ -369,13 +376,9 @@ func (p *Plan) decide(limit int) error {
 		}
 		return nil
 	}
-	sAuto, err := regexformula.Compile(req.Splitter)
+	art, shared, err := splitters.artifact(req.Tenant, req.Splitter, limit)
 	if err != nil {
-		return fmt.Errorf("engine: splitter: %w", err)
-	}
-	p.s, err = core.NewSplitter(sAuto)
-	if err != nil {
-		return fmt.Errorf("engine: splitter: %w", err)
+		return err
 	}
 	ps := p.p // self-splittability unless a split-spanner is given
 	if req.SplitSpanner != "" {
@@ -384,36 +387,29 @@ func (p *Plan) decide(limit int) error {
 			return fmt.Errorf("engine: split_spanner: %w", err)
 		}
 	}
+	if err := p.decideSplit(art, ps, limit); err != nil {
+		return err
+	}
+	if !shared {
+		p.DecideTime += art.decideTime
+	}
+	return nil
+}
+
+// decideSplit takes the S-only verdicts from the splitter artifact and
+// decides the (P, S) question: self-splittability when ps is the plan's
+// P, split-correctness of (P, ps, S) otherwise.
+func (p *Plan) decideSplit(art *splitterArtifact, ps *vsa.Automaton, limit int) error {
+	p.split, p.s = art, art.s
+	p.Verdicts.Disjoint, p.Verdicts.Local, p.Verdicts.Note = art.disjoint, art.local, art.note
 
 	t0 := time.Now()
 	defer func() { p.DecideTime = time.Since(t0) }()
-	p.Verdicts.Disjoint = core.VerdictOf(p.s.IsDisjoint())
-	// Locality — cut independence, decided on the splitter's compiled
-	// scanner, which is therefore built here — is one of the chunk grain's
-	// two proofs, which also decide whether a stream is segmented
-	// incrementally (chunked, Engine.WillStream): computed here, once,
-	// under the plan cache's single-flight, like every other verdict. Only
-	// disjoint splitters have a scanner; an over-budget closure leaves the
-	// verdict unknown and the plan buffers.
-	if p.Verdicts.Disjoint != core.VerdictYes {
-		p.Verdicts.Local = core.VerdictNo
-	} else {
-		local, err := p.s.IsLocal(limit)
-		switch {
-		case errors.Is(err, automata.ErrTooLarge):
-			p.Verdicts.Note = appendNote(p.Verdicts.Note, "locality undecided: "+err.Error())
-		case err != nil:
-			return fmt.Errorf("engine: locality: %w", err)
-		default:
-			p.Verdicts.Local = core.VerdictOf(local)
-		}
-	}
-
 	// One dispatcher for both questions: self-splittability is
 	// split-correctness with P as its own split-spanner, and
 	// SplitCorrectAuto picks the polynomial or the general procedure.
 	what, verdict := "self-splittability", &p.Verdicts.SelfSplittable
-	if req.SplitSpanner != "" {
+	if ps != p.p {
 		what, verdict = "split-correctness", &p.Verdicts.SplitCorrect
 	}
 	ok, err := core.SplitCorrectAuto(p.p, ps, p.s, limit)
@@ -447,16 +443,13 @@ func appendNote(existing, note string) string {
 // and every extraction request served from the cache — including
 // concurrent ones — reuses the same compiled evaluators. Warming also
 // freezes the automata, guaranteeing no code path can mutate a cached
-// plan's machines.
+// plan's machines. The splitter came prepared with its artifact.
 func (p *Plan) warm() {
 	if p.p != nil {
 		p.p.Prepare()
 	}
 	if p.ps != nil {
 		p.ps.Prepare()
-	}
-	if p.s != nil {
-		p.s.Automaton().Prepare()
 	}
 	if p.multi != nil {
 		// Prepares the fused groups and every member's compiled caches.
