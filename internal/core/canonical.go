@@ -186,12 +186,11 @@ func Splittable(p *vsa.Automaton, s *Splitter, limit int) (bool, *vsa.Automaton,
 }
 
 // SelfSplittable decides Self-splittability, P = P ∘ S: split-correctness
-// with P as its own split-spanner. Like SplitCorrectAuto, which it is,
-// it takes the polynomial route (Theorem 5.17) when P and the splitter
-// are deterministic and the splitter disjoint, and the general
-// equivalence test (Theorem 5.16, guarded by limit) otherwise.
+// with P as its own split-spanner, by the general equivalence test
+// (Theorem 5.16, guarded by limit). SelfSplittablePoly is the polynomial
+// route of Theorem 5.17.
 func SelfSplittable(p *vsa.Automaton, s *Splitter, limit int) (bool, error) {
-	return SplitCorrectAuto(p, p, s, limit)
+	return SplitCorrect(p, p, s, limit)
 }
 
 // SelfSplittablePoly is the polynomial-time route of Theorem 5.17 for

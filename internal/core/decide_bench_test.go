@@ -34,11 +34,10 @@ func decide(tb testing.TB, p, sAuto *vsa.Automaton) {
 //	go test -run='^$' -bench=Decide -cpuprofile=cpu.out ./internal/core/
 //
 // Plan is the whole sequence a cold plan runs. General is its
-// self-splittability verdict alone, on the route SplitCorrectAuto takes
-// for compiled regex formulas, which are not deterministic; and
-// DeterminizeThenPoly is the route Theorem 5.7 offers instead: determinize
-// P and S (Proposition 4.4), then SplitCorrectPoly. Both legs start from
-// a fresh splitter, so both pay its disjointness.
+// self-splittability verdict alone, on the general procedure every plan
+// takes; and DeterminizeThenPoly is the route Theorem 5.7 offers
+// instead: determinize P and S (Proposition 4.4), then SplitCorrectPoly.
+// Both legs start from a fresh splitter, so both pay its disjointness.
 func BenchmarkDecide(b *testing.B) {
 	legs := []struct {
 		name   string

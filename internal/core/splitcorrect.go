@@ -24,18 +24,6 @@ func SplitCorrectWitness(p, ps *vsa.Automaton, s *Splitter, limit int) (ok bool,
 	return err == nil && !found, doc, err
 }
 
-// SplitCorrectAuto dispatches to the polynomial Theorem 5.7 procedure when
-// its preconditions hold (deterministic p, ps and splitter; disjoint
-// splitter; arity ≥ 1) and falls back to the general Theorem 5.1 procedure
-// otherwise.
-func SplitCorrectAuto(p, ps *vsa.Automaton, s *Splitter, limit int) (bool, error) {
-	if p.Arity() > 0 && p.IsDeterministic() && ps.IsDeterministic() &&
-		s.auto.IsDeterministic() && s.IsDisjoint() {
-		return SplitCorrectPoly(p, ps, s)
-	}
-	return SplitCorrect(p, ps, s, limit)
-}
-
 // ---------------------------------------------------------------------------
 // Theorem 5.7: polynomial-time split-correctness for deterministic
 // functional automata and a disjoint splitter.

@@ -148,12 +148,12 @@ func TestSplitCorrectPolyAgreesWithGeneral(t *testing.T) {
 			if got != c.want {
 				t.Fatalf("SplitCorrectPoly = %v, want %v", got, c.want)
 			}
-			auto, err := SplitCorrectAuto(p, ps, s, 0)
+			general, err := SplitCorrect(p, ps, s, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if auto != c.want {
-				t.Fatalf("SplitCorrectAuto = %v, want %v", auto, c.want)
+			if general != c.want {
+				t.Fatalf("SplitCorrect = %v, want %v", general, c.want)
 			}
 		})
 	}

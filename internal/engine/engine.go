@@ -267,16 +267,16 @@ func (e *Engine) plan(ctx context.Context, tenant, key string, compile func() (*
 		e.m.decide.RecordDuration(p.DecideTime)
 		// Attach the engine's evaluation metrics to the automatons the
 		// plan will evaluate with: the members and P_S to the evaluation
-		// series, the fused evaluator to the multi-query one. The cache is
-		// per-engine, so a cached plan always reports into its own
-		// engine's counters.
+		// series, a Multi of several members to the multi-query one. The
+		// cache is per-engine, so a cached plan always reports into its
+		// own engine's counters.
 		for _, a := range p.members {
 			a.SetEvalMetrics(&e.m.eval)
 		}
 		if p.ps != nil {
 			p.ps.SetEvalMetrics(&e.m.eval)
 		}
-		if p.multi != nil {
+		if len(p.members) > 1 {
 			p.multi.SetMetrics(&e.m.multi)
 		}
 		return p, nil
@@ -410,8 +410,10 @@ func (e *Engine) WillStream(plan *Plan) bool {
 // grain) when that can pay for itself (see splitPays) and is otherwise
 // evaluated whole on the calling goroutine (ExecWhole), like every
 // document of a sequential plan — the plan's verdict makes the routes
-// return the same relation. A plan of several members has no splitter:
-// its documents run whole, one fused pass for all of them.
+// return the same relation. A whole document runs through the plan's
+// Multi, of one member or of several; a plan of several members has no
+// splitter, so its documents always run whole, one fused pass for all of
+// them.
 //
 // A stream is read behind the stall guard (see guard). For a plan that
 // streams (see WillStream) it is segmented incrementally: each feed's
@@ -453,12 +455,7 @@ func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) (
 			}
 			e.m.wholeDocs.Inc()
 			t0 := time.Now()
-			var rels []*span.Relation
-			if plan.multi != nil {
-				rels = plan.multi.Eval(doc)
-			} else {
-				rels = []*span.Relation{plan.p.Eval(doc)} // Eval returns a deduplicated, sorted relation
-			}
+			rels := plan.whole().Eval(doc)
 			e.m.observeStage(StageEval, time.Since(t0))
 			return rels, ExecWhole, nil
 		}

@@ -181,8 +181,8 @@ type Plan struct {
 	members []*vsa.Automaton
 	slot    []int
 	errs    []error
-	// multi is the fused evaluator over members when there are two or
-	// more; a plan of one member evaluates p.
+	// multi evaluates members on a whole document, one pass per scan
+	// group: a plan of one member holds the Multi of one.
 	multi *vsa.Multi
 }
 
@@ -233,6 +233,16 @@ func (p *Plan) results(rels []*span.Relation) []BatchResult {
 		}
 	}
 	return out
+}
+
+// whole is the Multi a document evaluated whole runs through: the one
+// compile built over the members, or, for a plan assembled around P
+// without them, P's Multi of one.
+func (p *Plan) whole() *vsa.Multi {
+	if p.multi == nil {
+		return vsa.NewMulti(p.p)
+	}
+	return p.multi
 }
 
 // none is what run answers for a document that failed before evaluation:
@@ -333,9 +343,7 @@ func compile(req Request, batch []string, limit int, splitters *splitterTable) (
 	}
 	if len(plan.members) > 0 {
 		plan.p = plan.members[0]
-		if len(plan.members) > 1 {
-			plan.multi = vsa.NewMulti(plan.members...)
-		}
+		plan.multi = vsa.NewMulti(plan.members...)
 		if err := plan.decide(limit, splitters); err != nil {
 			return nil, err
 		}
@@ -405,14 +413,13 @@ func (p *Plan) decideSplit(art *splitterArtifact, ps *vsa.Automaton, limit int) 
 
 	t0 := time.Now()
 	defer func() { p.DecideTime = time.Since(t0) }()
-	// One dispatcher for both questions: self-splittability is
-	// split-correctness with P as its own split-spanner, and
-	// SplitCorrectAuto picks the polynomial or the general procedure.
+	// One procedure for both questions: self-splittability is
+	// split-correctness with P as its own split-spanner.
 	what, verdict := "self-splittability", &p.Verdicts.SelfSplittable
 	if ps != p.p {
 		what, verdict = "split-correctness", &p.Verdicts.SplitCorrect
 	}
-	ok, err := core.SplitCorrectAuto(p.p, ps, p.s, limit)
+	ok, err := core.SplitCorrect(p.p, ps, p.s, limit)
 	switch {
 	case errors.Is(err, automata.ErrTooLarge):
 		p.Verdicts.Note = appendNote(p.Verdicts.Note, what+" undecided: "+err.Error())
@@ -445,14 +452,11 @@ func appendNote(existing, note string) string {
 // freezes the automata, guaranteeing no code path can mutate a cached
 // plan's machines. The splitter came prepared with its artifact.
 func (p *Plan) warm() {
-	if p.p != nil {
-		p.p.Prepare()
+	if p.multi != nil {
+		// Prepares the scan groups and every member's compiled caches.
+		p.multi.Prepare()
 	}
 	if p.ps != nil {
 		p.ps.Prepare()
-	}
-	if p.multi != nil {
-		// Prepares the fused groups and every member's compiled caches.
-		p.multi.Prepare()
 	}
 }

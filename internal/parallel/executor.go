@@ -17,83 +17,21 @@ import (
 // of several segments; a worker that runs dry steals the oldest chunk
 // from a random victim. Results never cross a channel: each worker
 // appends shifted tuples into its own arena-backed relation accumulator
-// (the evaluator's EvalAppend), and the per-worker accumulators are
+// (through its vsa.MultiSession), and the per-worker accumulators are
 // concatenated and offset-sorted once at the end — the merged relation
 // is therefore byte-identical no matter how chunks were dealt, stolen or
 // interleaved.
-
-// evaluator abstracts what the workers evaluate, so the same
-// scheduling/accumulation/merge machinery serves both the single-spanner
-// evaluators (one relation per chunk destination) and the fused
-// multi-query evaluator (one relation per member query).
-type evaluator interface {
-	// prepare warms the shared compiled caches before the workers start.
-	prepare()
-	// vars returns the variable list of destination dest's relation.
-	vars(dest int) []string
-	// session returns the state one worker evaluates all its segments
-	// with, bound to that worker's accumulator. Whatever the evaluator
-	// would otherwise set up per segment — scratch, resolved handles, the
-	// relation lookup — it sets up here, once per worker.
-	session(acc *accumulator) session
-}
-
-// session is one worker's evaluation state; only that worker uses it.
-type session interface {
-	// eval appends seg's shifted result tuples to the worker's
-	// accumulator. Single-spanner sessions append to relation dest; the
-	// fused session ignores dest and demultiplexes into one relation per
-	// member query.
-	eval(seg Segment, dest int)
-	// close releases what the session holds; the worker calls it on exit.
-	close()
-}
-
-// singleEval evaluates one spanner; chunk destinations index documents
-// (or the single whole-document destination 0).
-type singleEval struct{ ps *vsa.Automaton }
-
-func (e singleEval) prepare()          { e.ps.Prepare() }
-func (e singleEval) vars(int) []string { return e.ps.Vars }
-func (e singleEval) session(acc *accumulator) session {
-	return &singleSession{s: e.ps.NewSession(), acc: acc}
-}
-
-type singleSession struct {
-	s   vsa.Session
-	acc *accumulator
-}
-
-func (e *singleSession) eval(seg Segment, dest int) {
-	e.s.EvalAppend(seg.Text, seg.Span, e.acc.rel(dest), &e.acc.arena)
-}
-func (e *singleSession) close() { e.s.Close() }
-
-// multiEval evaluates a fused multi-query set; chunk destinations are
-// ignored (every chunk is dealt with dest 0) and the relation index is
-// the member-query index instead.
-type multiEval struct{ m *vsa.Multi }
-
-func (e multiEval) prepare()            { e.m.Prepare() }
-func (e multiEval) vars(q int) []string { return e.m.Member(q).Vars }
-func (e multiEval) session(acc *accumulator) session {
-	return &multiSession{s: e.m.NewSession(), rel: acc.rel, arena: &acc.arena}
-}
-
-type multiSession struct {
-	s     vsa.MultiSession
-	rel   func(int) *span.Relation
-	arena *span.TupleArena
-}
-
-func (e *multiSession) eval(seg Segment, _ int) { e.s.EvalAppend(seg.Text, seg.Span, e.rel, e.arena) }
-func (e *multiSession) close()                  { e.s.Close() }
+//
+// What the workers evaluate is always a vsa.Multi: a single spanner is
+// the Multi of one. A chunk's destination (a document of a collection,
+// or 0) and a member query together index the relation a tuple lands
+// in: destination × members + member.
 
 // executor is one split-evaluation run: a set of workers, their deques
 // and accumulators, and (in streaming mode) the feed they block on when
 // idle.
 type executor struct {
-	ev    evaluator
+	multi *vsa.Multi
 	ctx   context.Context
 	grain int // split chunks larger than this; 0 disables splitting
 	ndest int
@@ -113,30 +51,33 @@ type executor struct {
 	accs   []accumulator
 }
 
-// accumulator is one worker's private result store: per-destination
-// relations whose tuples are carved from a shared per-worker arena.
-// Only the owning worker touches it until the final merge, which runs
+// accumulator is one worker's private result store: per-relation
+// results whose tuples are carved from a shared per-worker arena. Only
+// the owning worker touches it until the final merge, which runs
 // strictly after all workers exit.
 type accumulator struct {
-	ev    evaluator
+	multi *vsa.Multi
 	arena span.TupleArena
-	rels  []*span.Relation // lazily created, indexed by chunk.dest (or member query)
+	rels  []*span.Relation // lazily created, indexed by destination × members + member
+	dest  int              // the destination of the chunk being evaluated
 }
 
-func (a *accumulator) rel(dest int) *span.Relation {
-	if a.rels[dest] == nil {
-		a.rels[dest] = span.NewRelation(a.ev.vars(dest)...)
+// rel returns member i's relation for the current destination.
+func (a *accumulator) rel(i int) *span.Relation {
+	k := a.dest*a.multi.Len() + i
+	if a.rels[k] == nil {
+		a.rels[k] = span.NewRelation(a.multi.Member(i).Vars...)
 	}
-	return a.rels[dest]
+	return a.rels[k]
 }
 
-// newExecutor prepares an executor with nw workers over ndest
-// destination relations. ev is prepared so the workers share warm
+// newExecutor prepares an executor with nw workers evaluating multi into
+// ndest destinations. multi is prepared so the workers share warm
 // evaluation caches instead of racing to build them.
-func newExecutor(ctx context.Context, ev evaluator, nw, ndest, grain int, recv func(context.Context) (chunk, bool), m *ExecMetrics) *executor {
-	ev.prepare()
+func newExecutor(ctx context.Context, multi *vsa.Multi, nw, ndest, grain int, recv func(context.Context) (chunk, bool), m *ExecMetrics) *executor {
+	multi.Prepare()
 	x := &executor{
-		ev:     ev,
+		multi:  multi,
 		ctx:    ctx,
 		grain:  grain,
 		ndest:  ndest,
@@ -146,7 +87,7 @@ func newExecutor(ctx context.Context, ev evaluator, nw, ndest, grain int, recv f
 		accs:   make([]accumulator, nw),
 	}
 	for i := range x.accs {
-		x.accs[i] = accumulator{ev: ev, rels: make([]*span.Relation, ndest)}
+		x.accs[i] = accumulator{multi: multi, rels: make([]*span.Relation, ndest*multi.Len())}
 	}
 	return x
 }
@@ -157,8 +98,8 @@ func newExecutor(ctx context.Context, ev evaluator, nw, ndest, grain int, recv f
 // merge. Round-robin, not blocks: neighboring chunks cover neighboring
 // document regions with similar match density, so interleaving them
 // balances the expected load per worker before any steal is needed.
-func runChunks(ctx context.Context, ev evaluator, workers, ndest, grain int, chunks []chunk, m *ExecMetrics) []*span.Relation {
-	x := newExecutor(ctx, ev, min(workers, len(chunks)), ndest, grain, nil, m)
+func runChunks(ctx context.Context, multi *vsa.Multi, workers, ndest, grain int, chunks []chunk, m *ExecMetrics) []*span.Relation {
+	x := newExecutor(ctx, multi, min(workers, len(chunks)), ndest, grain, nil, m)
 	for i, c := range chunks {
 		x.deques[i%len(x.deques)].push(c)
 	}
@@ -170,10 +111,10 @@ func runChunks(ctx context.Context, ev evaluator, workers, ndest, grain int, chu
 // one dealt chunk, a one-worker budget — starts no goroutine at all, and
 // a run with none (slice mode, nothing dealt) goes straight to the merge.
 // The merged relations are deduplicated and offset-sorted, one per
-// destination — deterministic regardless of the steal schedule. On
-// cancellation the workers stop between chunks and whatever they had
-// accumulated is merged and returned (the partial-result contract of
-// SplitEvalCtx).
+// destination and member — deterministic regardless of the steal
+// schedule. On cancellation the workers stop between chunks and whatever
+// they had accumulated is merged and returned (the partial-result
+// contract of SplitEvalCtx).
 func (x *executor) run() []*span.Relation {
 	var t0 time.Time
 	if x.m != nil {
@@ -209,9 +150,9 @@ func (x *executor) run() []*span.Relation {
 // them itself instead of having them stolen. The loop head is the one
 // place a worker looks at the context between chunks.
 func (x *executor) worker(id int) {
-	self := &x.deques[id]
-	sess := x.ev.session(&x.accs[id])
-	defer sess.close()
+	self, acc := &x.deques[id], &x.accs[id]
+	sess := x.multi.NewSession()
+	defer sess.Close()
 	var st workerStats
 	if x.m != nil {
 		st.dequeMax = self.size() // the dealt backlog, before any pop
@@ -240,7 +181,7 @@ func (x *executor) worker(id int) {
 		if !ok {
 			return
 		}
-		x.exec(c, self, sess, &st)
+		x.exec(c, self, acc, &sess, &st)
 	}
 }
 
@@ -274,14 +215,15 @@ func (x *executor) trySteal(id int, rng *uint32) (chunk, bool) {
 	return chunk{}, false
 }
 
-// exec evaluates one chunk on the worker's session. A chunk larger than
-// the grain is halved first, with the far half pushed onto the own deque
-// where idle workers can steal it — this is how a single oversized
-// arrival (a whole feed's segments from the streaming segmenter, a whole
-// document's from a collection producer) spreads across the pool.
+// exec evaluates one chunk on the worker's session into its
+// accumulator. A chunk larger than the grain is halved first, with the
+// far half pushed onto the own deque where idle workers can steal it —
+// this is how a single oversized arrival (a whole feed's segments from
+// the streaming segmenter, a whole document's from a collection
+// producer) spreads across the pool.
 // Cancellation is honored between chunks (the worker loop's check); the
 // chunk in flight — at most the grain's worth of segments — completes.
-func (x *executor) exec(c chunk, self *deque, sess session, st *workerStats) {
+func (x *executor) exec(c chunk, self *deque, acc *accumulator, sess *vsa.MultiSession, st *workerStats) {
 	for x.grain > 0 && len(c.segs) > x.grain {
 		half := (len(c.segs) + 1) / 2
 		self.push(chunk{dest: c.dest, segs: c.segs[half:]})
@@ -296,8 +238,9 @@ func (x *executor) exec(c chunk, self *deque, sess session, st *workerStats) {
 	if x.m != nil {
 		t0 = time.Now()
 	}
+	acc.dest = c.dest
 	for _, seg := range c.segs {
-		sess.eval(seg, c.dest)
+		sess.EvalAppend(seg.Text, seg.Span, acc.rel, &acc.arena)
 		st.bytes += uint64(len(seg.Text))
 	}
 	st.chunks++
@@ -307,11 +250,11 @@ func (x *executor) exec(c chunk, self *deque, sess session, st *workerStats) {
 	}
 }
 
-// merge concatenates the per-worker accumulators by destination and
-// canonicalizes each relation (offset sort + dedupe). Workers have all
-// exited when merge runs, so no synchronization is needed.
+// merge concatenates the per-worker accumulators by relation and
+// canonicalizes each (offset sort + dedupe). Workers have all exited
+// when merge runs, so no synchronization is needed.
 func (x *executor) merge() []*span.Relation {
-	out := make([]*span.Relation, x.ndest)
+	out := make([]*span.Relation, x.ndest*x.multi.Len())
 	for d := range out {
 		total := 0
 		for w := range x.accs {
@@ -319,7 +262,7 @@ func (x *executor) merge() []*span.Relation {
 				total += len(r.Tuples)
 			}
 		}
-		m := span.NewRelation(x.ev.vars(d)...)
+		m := span.NewRelation(x.multi.Member(d % x.multi.Len()).Vars...)
 		m.Tuples = make([]span.Tuple, 0, total)
 		for w := range x.accs {
 			if r := x.accs[w].rels[d]; r != nil {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/library"
 	"repro/internal/span"
+	"repro/internal/vsa"
 )
 
 func TestDequeOwnerAndThiefEnds(t *testing.T) {
@@ -260,24 +261,26 @@ func TestSplitEvalEmptySegments(t *testing.T) {
 	relIdentical(t, "more workers than chunks", got, want)
 }
 
-// spyEval wraps the single-spanner evaluator and records, per session —
-// the executor takes exactly one per started worker — whether it was
-// taken on the goroutine that called run.
-type spyEval struct {
-	singleEval
+// spyCtx is a never-cancelled context that records which goroutines
+// ask it for Err — every started worker does, at the head of its loop,
+// and nothing else in a run does — and whether each is the goroutine
+// that called run.
+type spyCtx struct {
+	context.Context
 	mu       sync.Mutex
-	onCaller []bool
+	onCaller map[string]bool // goroutine header → it is the caller
 }
 
-func (e *spyEval) session(acc *accumulator) session {
+func (c *spyCtx) Err() error {
 	// The caller's stack still has the test function on it; a spawned
 	// worker's starts at the executor's go statement.
 	stack := make([]byte, 4<<10)
 	stack = stack[:runtime.Stack(stack, false)]
-	e.mu.Lock()
-	e.onCaller = append(e.onCaller, bytes.Contains(stack, []byte("TestExecutorWorkerCount")))
-	e.mu.Unlock()
-	return e.singleEval.session(acc)
+	id := string(stack[:bytes.IndexByte(stack, '[')]) // "goroutine N "
+	c.mu.Lock()
+	c.onCaller[id] = bytes.Contains(stack, []byte("TestExecutorWorkerCount"))
+	c.mu.Unlock()
+	return c.Context.Err()
 }
 
 // TestExecutorWorkerCount pins how many workers a run starts and where:
@@ -301,7 +304,7 @@ func TestExecutorWorkerCount(t *testing.T) {
 		{"more chunks than workers", [][]Segment{segs[:1], segs[1:2], segs[2:]}, 2, 2},
 		{"channel", nil, 3, 3},
 	} {
-		ev := &spyEval{singleEval: singleEval{p}}
+		ctx := &spyCtx{Context: context.Background(), onCaller: map[string]bool{}}
 		m := &ExecMetrics{}
 		var rels []*span.Relation
 		if tc.chunks != nil {
@@ -309,7 +312,7 @@ func TestExecutorWorkerCount(t *testing.T) {
 			for _, s := range tc.chunks {
 				chunks = append(chunks, chunk{segs: s})
 			}
-			rels = runChunks(context.Background(), ev, tc.workers, 1, 0, chunks, m)
+			rels = runChunks(ctx, vsa.NewMulti(p), tc.workers, 1, 0, chunks, m)
 		} else {
 			feed := make(chan []Segment, 1)
 			feed <- segs
@@ -318,7 +321,7 @@ func TestExecutorWorkerCount(t *testing.T) {
 				s, ok := <-feed
 				return chunk{segs: s}, ok
 			}
-			rels = newExecutor(context.Background(), ev, tc.workers, 1, streamGrain, recv, m).run()
+			rels = newExecutor(ctx, vsa.NewMulti(p), tc.workers, 1, streamGrain, recv, m).run()
 		}
 		expect := want
 		if tc.started == 0 {
@@ -326,14 +329,14 @@ func TestExecutorWorkerCount(t *testing.T) {
 		}
 		relIdentical(t, tc.name, rels[0], expect)
 		onCaller := 0
-		for _, c := range ev.onCaller {
+		for _, c := range ctx.onCaller {
 			if c {
 				onCaller++
 			}
 		}
-		if len(ev.onCaller) != tc.started || onCaller != min(tc.started, 1) {
+		if len(ctx.onCaller) != tc.started || onCaller != min(tc.started, 1) {
 			t.Errorf("%s: %d workers started, %d of them on the caller; want %d and %d",
-				tc.name, len(ev.onCaller), onCaller, tc.started, min(tc.started, 1))
+				tc.name, len(ctx.onCaller), onCaller, tc.started, min(tc.started, 1))
 		}
 		if m.Runs.Load() != 1 {
 			t.Errorf("%s: %d runs recorded, want 1", tc.name, m.Runs.Load())

@@ -19,8 +19,7 @@ import (
 func MultiEval(m *vsa.Multi, segments []Segment, workers int) []*span.Relation {
 	opts := Options{Workers: workers}
 	grain := opts.grain(len(segments))
-	// Destinations index member queries, not documents: every chunk is
-	// dealt with dest 0 and the fused evaluator demultiplexes into the
-	// accumulator's per-query relations directly.
-	return runChunks(context.Background(), multiEval{m}, opts.workers(), m.Len(), grain, chunked(0, segments, grain, nil), nil)
+	// One destination: every chunk is dealt with dest 0, and the relation
+	// index is the member query.
+	return runChunks(context.Background(), m, opts.workers(), 1, grain, chunked(0, segments, grain, nil), nil)
 }

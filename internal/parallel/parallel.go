@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/span"
@@ -122,7 +121,7 @@ func SplitEval(ps *vsa.Automaton, segments []Segment, workers int) *span.Relatio
 // context the result equals SplitEval's.
 func SplitEvalCtx(ctx context.Context, ps *vsa.Automaton, segments []Segment, opts Options) (*span.Relation, error) {
 	grain := opts.grain(len(segments))
-	rels := runChunks(ctx, singleEval{ps}, opts.workers(), 1, grain, chunked(0, segments, grain, nil), opts.Metrics)
+	rels := runChunks(ctx, vsa.NewMulti(ps), opts.workers(), 1, grain, chunked(0, segments, grain, nil), opts.Metrics)
 	return rels[0], ctx.Err()
 }
 
@@ -153,7 +152,7 @@ func SplitEvalBatches(ctx context.Context, ps *vsa.Automaton, batches <-chan []S
 			return chunk{}, false
 		}
 	}
-	x := newExecutor(ctx, singleEval{ps}, opts.workers(), 1, streamGrain, recv, opts.Metrics)
+	x := newExecutor(ctx, vsa.NewMulti(ps), opts.workers(), 1, streamGrain, recv, opts.Metrics)
 	rels := x.run()
 	return rels[0], ctx.Err()
 }
@@ -176,7 +175,7 @@ func CollectionEval(p *vsa.Automaton, docsIn []string, workers int) []*span.Rela
 	for i, d := range docsIn {
 		chunks[i] = chunk{dest: i, segs: []Segment{{Span: span.Span{Start: 1, End: len(d) + 1}, Text: d}}}
 	}
-	return runChunks(context.Background(), singleEval{p}, workers, len(docsIn), 0, chunks, nil)
+	return runChunks(context.Background(), vsa.NewMulti(p), workers, len(docsIn), 0, chunks, nil)
 }
 
 // CollectionEvalSplit evaluates a split-correct plan over a collection:
@@ -206,7 +205,7 @@ func CollectionEvalSplit(ps *vsa.Automaton, docsIn []string, splitFn func(string
 		c, ok := <-feed
 		return c, ok
 	}
-	x := newExecutor(context.Background(), singleEval{ps}, workers, len(docsIn), streamGrain, recv, nil)
+	x := newExecutor(context.Background(), vsa.NewMulti(ps), workers, len(docsIn), streamGrain, recv, nil)
 	return x.run()
 }
 
@@ -282,9 +281,4 @@ func MeasureCollection(name string, p, ps *vsa.Automaton, docsIn []string, split
 		m.Tuples += whole[i].Len()
 	}
 	return m, nil
-}
-
-// SortSpans is a small helper for tests: sorts spans in document order.
-func SortSpans(spans []span.Span) {
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Compare(spans[j]) < 0 })
 }

@@ -2,8 +2,6 @@ package vsa
 
 import (
 	"encoding/binary"
-	"strings"
-	"time"
 
 	"repro/internal/span"
 )
@@ -70,169 +68,12 @@ func (a *Automaton) Eval(doc string) *span.Relation {
 // merge several segments must Dedupe once at the end, which also
 // restores the canonical order Eval guarantees.
 //
-// It is the one-shot use of a Session; a caller evaluating many
-// documents from one goroutine keeps a Session instead.
+// It runs the Multi of one that a's localizer keeps — the one
+// evaluation pass over a's own scan group (multi.go); a caller
+// evaluating many documents from one goroutine keeps a MultiSession on
+// a Multi instead.
 func (a *Automaton) EvalAppend(doc string, by span.Span, rel *span.Relation, arena *span.TupleArena) {
-	s := a.NewSession()
-	s.EvalAppend(doc, by, rel, arena)
-	s.Close()
-}
-
-// Session is what one goroutine keeps while it evaluates an automaton
-// on many documents (the split executor's workers, one segment after
-// another): the resolved program, localizer and prefilter handles, and
-// the pooled scratch, taken from its pool on first need and handed back
-// by Close — so that nothing but the evaluation itself is paid per
-// document. A Session is not safe for concurrent use; any number of
-// Sessions may share one automaton.
-type Session struct {
-	a   *Automaton
-	p   *evalProg
-	loc *localizer
-	pf  PrefilterInfo
-	sessionScratch
-}
-
-// sessionScratch is the pooled scratch a Session or MultiSession holds
-// from first need to Close.
-type sessionScratch struct {
-	ws *scanScratch // nil until a document reaches a forward scan
-	sc *evalScratch // nil until a document needs the tagged simulation
-}
-
-// NewSession returns a Session on a, by value so that a one-shot use
-// stays on the caller's stack. Close it when done.
-func (a *Automaton) NewSession() Session {
-	return Session{a: a, p: a.prog(), loc: a.localizer(), pf: a.prefilter().info}
-}
-
-// Close returns the session's scratch to the pools.
-func (s *sessionScratch) Close() {
-	if s.ws != nil {
-		scanPool.Put(s.ws)
-		s.ws = nil
-	}
-	if s.sc != nil {
-		scratchPool.Put(s.sc)
-		s.sc = nil
-	}
-}
-
-// scan returns the session's forward-scan scratch, acquiring it on
-// first use.
-func (s *sessionScratch) scan() *scanScratch {
-	if s.ws == nil {
-		s.ws = scanPool.Get().(*scanScratch)
-	}
-	return s.ws
-}
-
-// run starts the tagged simulation of one document by a on the
-// session's evalScratch, acquiring it on first use.
-func (s *sessionScratch) run(a *Automaton, p *evalProg, rel *span.Relation, doc string, delta int, arena *span.TupleArena) evalRun {
-	if s.sc == nil {
-		s.sc = scratchPool.Get().(*evalScratch)
-	}
-	return newEvalRun(a, p, s.sc, rel, doc, delta, arena)
-}
-
-// EvalAppend evaluates the session's automaton on doc under
-// Automaton.EvalAppend's contract.
-func (s *Session) EvalAppend(doc string, by span.Span, rel *span.Relation, arena *span.TupleArena) {
-	a, p, loc := s.a, s.p, s.loc
-	if len(rel.Vars) != len(a.Vars) {
-		panic("vsa: EvalAppend relation arity does not match automaton arity")
-	}
-	// m is nil for uninstrumented automata and for sub-window-scale
-	// documents (see MetricsMinDocBytes): on those, instrumentation is
-	// one atomic pointer load and a length compare.
-	m := a.metricsFor(doc)
-	var t0 time.Time
-	if m != nil {
-		m.Evals.Inc()
-		m.DocBytes.Add(uint64(len(doc)))
-		t0 = time.Now()
-	}
-	if pf := s.pf; pf.Factor != "" || m != nil {
-		if m != nil {
-			m.PrefilterDisabled[pf.Reason].Inc()
-		}
-		if pf.Factor != "" && !strings.Contains(doc, pf.Factor) {
-			// Mandatory-factor admission gate: every accepted document
-			// contains pf.Factor (see prefilter.go), and the automaton is
-			// functional, so a document without it has an empty relation.
-			// One vectorized substring search replaces the whole scan.
-			if m != nil {
-				m.PrefilterSkippedBytes.Add(uint64(len(doc)))
-				m.LocalizeNS.AddDuration(time.Since(t0))
-				m.EmptyDocs.Inc()
-			}
-			return
-		}
-		if m != nil {
-			m.PrefilterCandidates.Inc()
-		}
-	}
-	delta := by.Start - 1
-	if loc.ok {
-		// The automaton's own scan group has one member, slot 0, always
-		// admitted (the factor gate above is this caller's admission).
-		g, ws := loc.group, s.scan()
-		if g.forward(doc, dfaStart, ws) {
-			if m != nil && ws.skipped > 0 {
-				m.PrefilterSkippedBytes.Add(uint64(ws.skipped))
-			}
-			if len(ws.ends[0]) == 0 && ws.finals == 0 {
-				// No boundary where a match can complete: ⟦a⟧(d) = ∅,
-				// and the simulation machinery was never touched.
-				if m != nil {
-					m.LocalizeNS.AddDuration(time.Since(t0))
-					m.EmptyDocs.Inc()
-				}
-				return
-			}
-			if g.narrow(0, doc, ws) {
-				if m != nil {
-					now := time.Now()
-					m.LocalizeNS.AddDuration(now.Sub(t0))
-					t0 = now
-					m.Windows.Add(uint64(len(ws.windows)))
-					var wb uint64
-					for _, w := range ws.windows {
-						wb += uint64(w.hi - w.lo)
-					}
-					m.WindowBytes.Add(wb)
-				}
-				run := s.run(a, p, rel, doc, delta, arena)
-				g.simulate(0, doc, ws, &run)
-				if m != nil {
-					m.SimNS.AddDuration(time.Since(t0))
-				}
-				return
-			}
-		}
-	}
-	if m != nil {
-		// Whatever was spent attempting localization before falling back
-		// is still localization time; the rest of the call is simulation.
-		now := time.Now()
-		m.LocalizeNS.AddDuration(now.Sub(t0))
-		t0 = now
-		m.Fallbacks.Inc()
-	}
-	// Fallback: ⟦a⟧(d) = ∅ iff no accepting run exists; the DFA decides
-	// that without touching the assignment machinery.
-	if !a.EvalBool(doc) {
-		if m != nil {
-			m.SimNS.AddDuration(time.Since(t0))
-		}
-		return
-	}
-	run := s.run(a, p, rel, doc, delta, arena)
-	run.window(0, len(doc), nil, true)
-	if m != nil {
-		m.SimNS.AddDuration(time.Since(t0))
-	}
+	a.localizer().one.EvalAppend(doc, by, func(int) *span.Relation { return rel }, arena)
 }
 
 // evalRun bundles the per-evaluation state shared by every window of one

@@ -86,8 +86,8 @@ func raceBuild() bool {
 // TestEvalAppendOneShotAllocatesNothing pins the fixed cost of the
 // one-shot form on a segment that yields no tuple — the common case on
 // a sentence-split document: neither the factor gate nor a forward pass
-// that finds no match end may allocate (the Session stays on the stack,
-// its scratch comes from the pools).
+// that finds no match end may allocate (the automaton's Multi of one
+// keeps its session on the stack, its scratch comes from the pools).
 func TestEvalAppendOneShotAllocatesNothing(t *testing.T) {
 	p := regexformula.MustCompile(".*[ .]y{bad ([a-z]+)}[ .].*|y{bad ([a-z]+)}[ .].*")
 	p.Prepare()
@@ -109,11 +109,11 @@ func TestEvalAppendOneShotAllocatesNothing(t *testing.T) {
 }
 
 // TestMultiSessionAllocationsPerSegment pins the per-call fixed cost of
-// the Multi entry point to the Session's: a sentence-split document is
-// some 25 000 evaluation calls per megabyte, and both sessions hold the
-// same scratch, so a Multi of one member may allocate no more per
-// segment than the member's own Session — what is left is result
-// tuples, which are the same.
+// a worker's MultiSession to the one-shot EvalAppend's: a
+// sentence-split document is some 25 000 evaluation calls per megabyte,
+// and both run the one evaluation pass on the same scratch, so a session on a
+// Multi of one member may allocate no more per segment than the member's
+// one-shot calls — what is left is result tuples, which are the same.
 func TestMultiSessionAllocationsPerSegment(t *testing.T) {
 	if raceBuild() {
 		t.Skip("sync.Pool drops Puts under -race")
@@ -129,18 +129,16 @@ func TestMultiSessionAllocationsPerSegment(t *testing.T) {
 	if nseg < 5000 {
 		t.Fatalf("only %v segments: the corpus lost its sentence density", nseg)
 	}
-	single := testing.AllocsPerRun(5, func() {
+	oneShot := testing.AllocsPerRun(5, func() {
 		rel := span.NewRelation(neg.Vars...)
 		var arena span.TupleArena
-		s := neg.NewSession()
 		for _, p := range segs {
-			s.EvalAppend(p.text, p.by, rel, &arena)
+			neg.EvalAppend(p.text, p.by, rel, &arena)
 		}
-		s.Close()
 	})
 	m := vsa.NewMulti(neg)
 	m.Prepare()
-	multi := testing.AllocsPerRun(5, func() {
+	session := testing.AllocsPerRun(5, func() {
 		rel := span.NewRelation(neg.Vars...)
 		relOf := func(int) *span.Relation { return rel }
 		var arena span.TupleArena
@@ -150,10 +148,10 @@ func TestMultiSessionAllocationsPerSegment(t *testing.T) {
 		}
 		s.Close()
 	})
-	t.Logf("%v segments: %.3f allocations per segment through Session, %.3f through MultiSession", nseg, single/nseg, multi/nseg)
+	t.Logf("%v segments: %.3f allocations per segment one-shot, %.3f through a MultiSession", nseg, oneShot/nseg, session/nseg)
 	// One segment in a thousand of slack: the relOf closure and whatever
 	// a pooled scratch had to grow.
-	if multi/nseg > single/nseg+0.001 {
-		t.Errorf("MultiSession: %.3f allocations per segment, Session %.3f", multi/nseg, single/nseg)
+	if session/nseg > oneShot/nseg+0.001 {
+		t.Errorf("MultiSession: %.3f allocations per segment, one-shot EvalAppend %.3f", session/nseg, oneShot/nseg)
 	}
 }

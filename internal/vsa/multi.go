@@ -3,35 +3,31 @@ package vsa
 // This file implements multi-query shared evaluation: N compiled
 // spanners ("members") evaluated so that ONE forward pass over a
 // document drives the match-window localization of every member at once
-// (DESIGN.md, "Multi-query shared evaluation"). The pass itself is not
-// here: a Multi partitions its localizable members into scan groups
-// (window.go) of up to maxGroupMembers and runs the same forward,
-// narrow, seedAt and simulate an automaton's own Session runs over its
-// group of one. What this file adds is what only a set of queries
-// needs: grouping, per-member admission, demultiplexing into one
-// relation per member, and its own metrics.
+// (DESIGN.md, "Multi-query shared evaluation"), and the one evaluation
+// pass, MultiSession.pass, that every evaluation runs — an automaton
+// evaluated alone is a Multi of one (Automaton.EvalAppend). The scan
+// itself is not here: a Multi partitions its localizable members into
+// scan groups (window.go) of up to maxGroupMembers and runs forward,
+// narrow, seedAt and simulate over each. A group that would hold one
+// member is that member's own group, the one its localizer built: a
+// Multi of one builds no scan group or lazy DFA of its own. What this
+// file adds is what only a set of queries needs: grouping,
+// demultiplexing into one relation per member, and the metrics.
 //
-// Per-member mandatory-factor prefilters become an admission bitmap:
-// a member whose factor is absent from the document is excluded from
-// the group's start subset (its relation is provably empty — the factor
-// is mandatory in every accepted document), while the remaining members
-// scan at full strength. Each distinct admission mask gets its own
-// interned start state, cached per group; all members admitted is the
-// group's dfaStart and needs no lookup.
-//
-// Fallbacks preserve byte-identity in every corner and only ever step
-// down: members without a localizer are evaluated standalone per
-// document; a group-DFA overflow falls every admitted member back to
-// its standalone EvalAppend — its own one-member group, and below that
-// the whole-document simulation; a single member's backward-narrowing
-// overflow falls only that member back. Standalone evaluation never
-// calls into a Multi. Differential tests hold the construction to
+// The ladder preserves byte-identity in every corner and only ever steps
+// down. A group of many that overflows its DFA hands every admitted
+// member to the member's own group of one; a member whose backward
+// narrowing overflows goes there alone. A group of one whose member
+// overflows, cannot be narrowed, or cannot be localized at all (nullary
+// or status-less automata) takes the EvalBool prescan plus one
+// whole-document simulation. Differential tests hold the construction to
 // "byte-identical per query to Eval and to EvalReference".
 
 import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/span"
@@ -41,23 +37,24 @@ import (
 // of a Multi (see Multi.SetMetrics). All fields are cumulative,
 // lock-free counters.
 type MultiMetrics struct {
-	// FusedPasses counts fused forward scans (one per admitted group per
-	// document); FusedBytes the document bytes they covered — each such
-	// byte answered every admitted member of the group at once.
+	// FusedPasses counts fused forward scans (one per admitted group of
+	// many per document); FusedBytes the document bytes they covered —
+	// each such byte answered every admitted member of the group at once.
 	FusedPasses obs.Counter
 	FusedBytes  obs.Counter
 	// FusedSkippedBytes counts bytes the fused scan's trigger-byte skip
 	// loop jumped over (the literal prefilter's mid-scan mechanism).
 	FusedSkippedBytes obs.Counter
 	// DemuxTuples counts result tuples demultiplexed into per-member
-	// relations (solo and fallback members included).
+	// relations (members evaluated on their own group included).
 	DemuxTuples obs.Counter
 	// AdmissionSkips counts (member, document) pairs the per-member
 	// mandatory-factor admission bitmap excluded from the fused pass.
 	AdmissionSkips obs.Counter
-	// MemberFallbacks counts member evaluations that ran standalone:
-	// members without a localizer, fused-DFA overflows, and per-member
-	// narrowing overflows.
+	// MemberFallbacks counts member evaluations on the member's own group
+	// of one: members no group of many holds (no localizer, or a lone
+	// member), and members a group of many handed down on a fused-DFA or
+	// narrowing overflow.
 	MemberFallbacks obs.Counter
 }
 
@@ -70,23 +67,20 @@ type Multi struct {
 	members []*Automaton
 
 	prepOnce sync.Once
-	groups   []*multiGroup
-	solo     []int // members without a localizer: evaluated standalone
+	// groups cover every member exactly once and are what an evaluation
+	// runs; own holds each member's group of one, where a group of many
+	// hands down a member it cannot finish.
+	groups []*multiGroup
+	own    []*multiGroup
 
 	metrics atomic.Pointer[MultiMetrics]
 }
 
-// multiGroup is one scan group of a Multi plus what only a query set
-// needs around it: which member sits in which slot, the admission
-// factors, and the start states of partial admission masks.
+// multiGroup is a scan group as one Multi runs it: which member sits in
+// which slot.
 type multiGroup struct {
 	*scanGroup
-	members []int    // indices into Multi.members, by slot
-	factors []string // admission factor per slot ("" = always admitted)
-
-	fullMask uint64 // every slot admitted: the group's dfaStart
-	mu       sync.Mutex
-	starts   map[uint64]int32 // partial admission mask → interned start state
+	members []int // indices into Multi.members, by slot
 }
 
 // NewMulti returns a Multi over the given member spanners. The slice is
@@ -118,58 +112,34 @@ func (m *Multi) Prepare() {
 }
 
 func (m *Multi) build() {
+	m.own = make([]*multiGroup, len(m.members))
 	var fused []int
 	for i, a := range m.members {
 		a.Prepare()
-		if a.localizer().ok {
+		loc := a.localizer()
+		m.own[i] = &multiGroup{scanGroup: loc.group, members: []int{i}}
+		if loc.ok {
 			fused = append(fused, i)
 		} else {
-			// No forward scan program to fuse: the member evaluates
-			// standalone (its own EvalAppend fallback path).
-			m.solo = append(m.solo, i)
+			// No forward scan program to fuse: the member's own group
+			// takes it straight to the whole-document rung.
+			m.groups = append(m.groups, m.own[i])
 		}
 	}
 	for lo := 0; lo < len(fused); lo += maxGroupMembers {
-		hi := min(lo+maxGroupMembers, len(fused))
-		m.groups = append(m.groups, m.buildGroup(fused[lo:hi]))
+		idx := fused[lo:min(lo+maxGroupMembers, len(fused))]
+		if len(idx) == 1 {
+			m.groups = append(m.groups, m.own[idx[0]])
+			continue
+		}
+		var autos []*Automaton
+		var locs []*localizer
+		for _, mi := range idx {
+			autos = append(autos, m.members[mi])
+			locs = append(locs, m.members[mi].localizer())
+		}
+		m.groups = append(m.groups, &multiGroup{scanGroup: newScanGroup(autos, locs), members: idx})
 	}
-}
-
-func (m *Multi) buildGroup(idx []int) *multiGroup {
-	g := &multiGroup{members: append([]int(nil), idx...)}
-	var autos []*Automaton
-	var locs []*localizer
-	for _, mi := range idx {
-		a := m.members[mi]
-		autos = append(autos, a)
-		locs = append(locs, a.localizer())
-		g.factors = append(g.factors, a.Prefilter().Factor)
-	}
-	g.scanGroup = newScanGroup(autos, locs)
-	g.fullMask = ^uint64(0) >> (64 - uint(len(idx)))
-	g.starts = make(map[uint64]int32)
-	return g
-}
-
-// startFor returns the interned start state of an admission mask,
-// caching one per distinct partial mask; the full mask is the state the
-// group interned first. Intern takes the DFA's write lock and is safe at
-// any time (unlike Seed); Overflow at the state bound is returned to the
-// caller, which falls the group back.
-func (g *multiGroup) startFor(mask uint64) int32 {
-	if mask == g.fullMask {
-		return dfaStart
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if s, ok := g.starts[mask]; ok {
-		return s
-	}
-	s := g.dfa.Intern(g.startSet(mask))
-	if s != dfaOverflow {
-		g.starts[mask] = s
-	}
-	return s
 }
 
 // Eval runs every member query over doc in (at most) one fused pass per
@@ -212,106 +182,215 @@ func (m *Multi) EvalAppend(doc string, by span.Span, rel func(i int) *span.Relat
 	s.Close()
 }
 
-// MultiSession is Session's counterpart for a Multi: what one goroutine
-// keeps while it evaluates the query set on many documents — the same
-// pooled scratch a Session holds, under the same rules (not safe for
-// concurrent use, no lock held between calls, Close when done).
+// MultiSession is what one goroutine keeps while it evaluates a Multi
+// on many documents (the split executor's workers, one segment after
+// another): the pooled scratch, taken from its pool on first need and
+// handed back by Close, so that nothing but the evaluation itself is
+// paid per document. A MultiSession is not safe for concurrent use; any
+// number of them may share one Multi.
 type MultiSession struct {
-	m *Multi
-	sessionScratch
+	m  *Multi
+	ws *scanScratch // nil until a document reaches a forward scan
+	sc *evalScratch // nil until a document needs the tagged simulation
 }
 
 // NewSession prepares m and returns a MultiSession on it, by value so
-// that a one-shot use stays on the caller's stack.
+// that a one-shot use stays on the caller's stack. Close it when done.
 func (m *Multi) NewSession() MultiSession {
 	m.Prepare()
 	return MultiSession{m: m}
 }
 
+// Close returns the session's scratch to the pools.
+func (s *MultiSession) Close() {
+	if s.ws != nil {
+		scanPool.Put(s.ws)
+		s.ws = nil
+	}
+	if s.sc != nil {
+		scratchPool.Put(s.sc)
+		s.sc = nil
+	}
+}
+
+// scan returns the session's forward-scan scratch, acquiring it on
+// first use.
+func (s *MultiSession) scan() *scanScratch {
+	if s.ws == nil {
+		s.ws = scanPool.Get().(*scanScratch)
+	}
+	return s.ws
+}
+
+// run starts the tagged simulation of one document by a on the
+// session's evalScratch, acquiring it on first use.
+func (s *MultiSession) run(a *Automaton, p *evalProg, rel *span.Relation, doc string, delta int, arena *span.TupleArena) evalRun {
+	if s.sc == nil {
+		s.sc = scratchPool.Get().(*evalScratch)
+	}
+	return newEvalRun(a, p, s.sc, rel, doc, delta, arena)
+}
+
 // EvalAppend evaluates the session's query set on doc under
-// Multi.EvalAppend's contract.
+// Multi.EvalAppend's contract: one pass per group.
 func (s *MultiSession) EvalAppend(doc string, by span.Span, rel func(i int) *span.Relation, arena *span.TupleArena) {
-	m := s.m
-	mm := m.metrics.Load()
-	for _, g := range m.groups {
-		s.evalGroup(g, doc, by, rel, arena, mm)
-	}
-	for _, mi := range m.solo {
-		m.memberFallback(mi, doc, by, rel, arena, mm)
+	mm := s.m.metrics.Load()
+	for _, g := range s.m.groups {
+		s.pass(g, doc, by, rel, arena, mm)
 	}
 }
 
-// memberFallback evaluates one member standalone — its own EvalAppend
-// pipeline, byte-identical to the fused path by construction.
-func (m *Multi) memberFallback(mi int, doc string, by span.Span, rel func(int) *span.Relation, arena *span.TupleArena, mm *MultiMetrics) {
-	r := rel(mi)
-	n0 := len(r.Tuples)
-	m.members[mi].EvalAppend(doc, by, r, arena)
-	if mm != nil {
-		mm.MemberFallbacks.Inc()
-		mm.DemuxTuples.Add(uint64(len(r.Tuples) - n0))
+// pass evaluates group g's members on doc. Every evaluation runs it,
+// and its ladder has one exit: admission, one forward scan over the
+// group, then per member with a candidate match end the backward
+// narrowing and the windowed simulation. Members the scan leaves
+// unfinished step down — from a group of many each to its own group of
+// one, from a group of one to the EvalBool prescan plus one
+// whole-document simulation.
+//
+// A group of one records its member's EvalMetrics, exactly as the
+// member's evaluation alone does; a group of many records the fused-pass
+// MultiMetrics.
+func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(int) *span.Relation, arena *span.TupleArena, mm *MultiMetrics) {
+	// em is nil for groups of many, uninstrumented automata and
+	// sub-window-scale documents (see MetricsMinDocBytes): on those,
+	// instrumentation is one atomic pointer load and a length compare.
+	// fm is mm on a group of many.
+	var em *EvalMetrics
+	var t0 time.Time
+	fm := mm
+	if len(g.members) == 1 {
+		fm = nil
+		if mm != nil {
+			mm.MemberFallbacks.Inc()
+		}
+		if em = g.autos[0].metricsFor(doc); em != nil {
+			em.Evals.Inc()
+			em.DocBytes.Add(uint64(len(doc)))
+			em.PrefilterDisabled[g.pf[0].Reason].Inc()
+			t0 = time.Now()
+		}
 	}
-}
-
-func (s *MultiSession) evalGroup(g *multiGroup, doc string, by span.Span, rel func(int) *span.Relation, arena *span.TupleArena, mm *MultiMetrics) {
-	m := s.m
-	// Per-member admission bitmap: a member whose mandatory factor is
-	// absent has a provably empty relation and leaves the start subset;
-	// the remaining members scan at full strength.
+	// Admission: a member whose mandatory factor (see prefilter.go) is
+	// absent has an empty relation and leaves the start subset — one
+	// vectorized substring search instead of its share of the scan.
 	var admit uint64
-	for slot, f := range g.factors {
-		if f == "" || strings.Contains(doc, f) {
+	for slot, pf := range g.pf {
+		if pf.Factor == "" || strings.Contains(doc, pf.Factor) {
 			admit |= 1 << slot
-		} else if mm != nil {
-			mm.AdmissionSkips.Inc()
+		} else if fm != nil {
+			fm.AdmissionSkips.Inc()
 		}
 	}
 	if admit == 0 {
+		if em != nil {
+			em.PrefilterSkippedBytes.Add(uint64(len(doc)))
+			em.LocalizeNS.AddDuration(time.Since(t0))
+			em.EmptyDocs.Inc()
+		}
 		return
 	}
-	ws := s.scan()
-	if start := g.startFor(admit); start == dfaOverflow || !g.forward(doc, start, ws) {
-		// Group DFA overflow (or an uncacheable admission start state):
-		// every admitted member falls back to its standalone pipeline.
-		// Members the admission bitmap rejected stay empty — the factor
-		// gate's soundness does not depend on the fused pass.
+	if em != nil {
+		em.PrefilterCandidates.Inc()
+	}
+	down := admit // the members this scan leaves to the next rung
+	// Every member of a group of many localizes; a group of one scans
+	// unless its member cannot be localized at all.
+	if g.locs[0].ok {
+		ws := s.scan()
+		if start := g.startFor(admit); start != dfaOverflow && g.forward(doc, start, ws) {
+			down = 0
+			if fm != nil {
+				fm.FusedPasses.Inc()
+				fm.FusedBytes.Add(uint64(len(doc)))
+				fm.FusedSkippedBytes.Add(uint64(ws.skipped))
+			}
+			if em != nil {
+				em.PrefilterSkippedBytes.Add(uint64(ws.skipped))
+			}
+			for slot, mi := range g.members {
+				if len(ws.ends[slot]) == 0 && ws.finals&(1<<slot) == 0 {
+					// Not admitted, or no boundary where a match of this
+					// member can complete: its relation is empty, and the
+					// simulation machinery is never touched.
+					if em != nil {
+						em.LocalizeNS.AddDuration(time.Since(t0))
+						em.EmptyDocs.Inc()
+					}
+					continue
+				}
+				if !g.narrow(slot, doc, ws) {
+					down |= 1 << slot
+					continue
+				}
+				if em != nil {
+					now := time.Now()
+					em.LocalizeNS.AddDuration(now.Sub(t0))
+					t0 = now
+					em.Windows.Add(uint64(len(ws.windows)))
+					var wb uint64
+					for _, w := range ws.windows {
+						wb += uint64(w.hi - w.lo)
+					}
+					em.WindowBytes.Add(wb)
+				}
+				r := memberRel(rel, mi, g.autos[slot])
+				n0 := len(r.Tuples)
+				run := s.run(g.autos[slot], g.progs[slot], r, doc, by.Start-1, arena)
+				g.simulate(slot, doc, ws, &run)
+				if em != nil {
+					em.SimNS.AddDuration(time.Since(t0))
+				}
+				if mm != nil {
+					mm.DemuxTuples.Add(uint64(len(r.Tuples) - n0))
+				}
+			}
+		}
+	}
+	if down == 0 {
+		return
+	}
+	if len(g.members) > 1 {
+		// The scratch is free again: each unfinished member gets its own
+		// group's pass. Members the admission bitmap rejected stay empty —
+		// the factor gate's soundness does not depend on the fused pass.
 		for slot, mi := range g.members {
-			if admit&(1<<slot) != 0 {
-				m.memberFallback(mi, doc, by, rel, arena, mm)
+			if down&(1<<slot) != 0 {
+				s.pass(s.m.own[mi], doc, by, rel, arena, mm)
 			}
 		}
 		return
 	}
-	if mm != nil {
-		mm.FusedPasses.Inc()
-		mm.FusedBytes.Add(uint64(len(doc)))
-		if ws.skipped > 0 {
-			mm.FusedSkippedBytes.Add(uint64(ws.skipped))
-		}
+	if em != nil {
+		// Whatever was spent attempting localization is still
+		// localization time; the rest of the call is simulation.
+		now := time.Now()
+		em.LocalizeNS.AddDuration(now.Sub(t0))
+		t0 = now
+		em.Fallbacks.Inc()
 	}
-	for slot, mi := range g.members {
-		if len(ws.ends[slot]) == 0 && ws.finals&(1<<slot) == 0 {
-			// Not admitted, or no boundary where a match of this member
-			// can complete: its relation is empty; the simulation never
-			// runs.
-			continue
-		}
-		a := g.autos[slot]
-		r := rel(mi)
-		if len(r.Vars) != len(a.Vars) {
-			panic("vsa: Multi.EvalAppend relation arity does not match member arity")
-		}
-		if !g.narrow(slot, doc, ws) {
-			// Backward-narrowing overflow for this member alone: its
-			// standalone EvalAppend takes the same fallback internally.
-			m.memberFallback(mi, doc, by, rel, arena, mm)
-			continue
-		}
+	// ⟦a⟧(d) = ∅ iff no accepting run exists; the DFA decides that
+	// without touching the assignment machinery.
+	if a := g.autos[0]; a.EvalBool(doc) {
+		r := memberRel(rel, g.members[0], a)
 		n0 := len(r.Tuples)
-		run := s.run(a, g.progs[slot], r, doc, by.Start-1, arena)
-		g.simulate(slot, doc, ws, &run)
+		run := s.run(a, g.progs[0], r, doc, by.Start-1, arena)
+		run.window(0, len(doc), nil, true)
 		if mm != nil {
 			mm.DemuxTuples.Add(uint64(len(r.Tuples) - n0))
 		}
 	}
+	if em != nil {
+		em.SimNS.AddDuration(time.Since(t0))
+	}
+}
+
+// memberRel returns member mi's relation, which must be over a's
+// variables.
+func memberRel(rel func(int) *span.Relation, mi int, a *Automaton) *span.Relation {
+	r := rel(mi)
+	if len(r.Vars) != len(a.Vars) {
+		panic("vsa: EvalAppend relation arity does not match member arity")
+	}
+	return r
 }

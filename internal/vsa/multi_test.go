@@ -154,14 +154,16 @@ func TestMultiMatchesStandalone(t *testing.T) {
 	}
 }
 
-// TestSingleIsUnaryMulti pins the one scan from both of its entry
+// TestSingleIsUnaryMulti pins the one evaluation pass from both of its entry
 // points: for every automaton of the window and multi tables —
-// including the ones that never reach a group (nullary, status-less),
+// including the ones that cannot be localized (nullary, status-less),
 // one that overflows every group it is in, and a DisablePrefilter copy —
-// a.Eval, NewMulti(a).Eval()[0] and a.EvalReference agree, and the
-// fallback ladder only steps down: the Multi hands an overflowing member
-// to the member's own evaluation exactly once per document, and that
-// evaluation takes the whole-document rung exactly once.
+// a.Eval, NewMulti(a).Eval()[0] and a.EvalReference agree. The Multi of
+// one runs the automaton's own group, not a copy of it, and the ladder
+// only steps down: each document is one pass over that group of one, and
+// the instrumented document leaves it by exactly one exit. A Multi of two
+// copies hands its members to their own groups only where it must, and
+// each of them reaches the whole-document rung at most once.
 func TestSingleIsUnaryMulti(t *testing.T) {
 	nullary := NewAutomaton()
 	nullary.AddEdge(0, 0, alphabet.Any, 0)
@@ -184,7 +186,7 @@ func TestSingleIsUnaryMulti(t *testing.T) {
 	cases := []struct {
 		name string
 		a    *Automaton
-		// solo: no localizer, never in a group. overflows: the last
+		// solo: no localizer, never in a group of many. overflows: the last
 		// document overflows the member's group at any size.
 		solo, overflows bool
 	}{
@@ -205,47 +207,79 @@ func TestSingleIsUnaryMulti(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			m := NewMulti(c.a)
-			var mm MultiMetrics
+			pair := NewMulti(c.a, c.a)
+			var mm, pm MultiMetrics
 			var em EvalMetrics
 			m.SetMetrics(&mm)
+			pair.SetMetrics(&pm)
 			m.Prepare()
-			if c.solo != (len(m.groups) == 0) {
-				t.Fatalf("%d groups, solo=%v", len(m.groups), c.solo)
+			pair.Prepare()
+			own := c.a.localizer().group
+			if len(m.groups) != 1 || m.groups[0] != m.own[0] || m.groups[0].scanGroup != own {
+				t.Fatal("the Multi of one does not run the automaton's own scan group")
 			}
-			if !c.solo {
-				g, own := m.groups[0].scanGroup, c.a.localizer().group
-				if len(g.autos) != 1 || len(own.autos) != 1 || g.nclasses != own.nclasses || g.classOf != own.classOf || g.noSkip != own.noSkip {
-					t.Fatal("the Multi's group of one and the automaton's own group differ in shape")
-				}
+			if c.solo == own.locs[0].ok {
+				t.Fatalf("own group localizes = %v, solo = %v", own.locs[0].ok, c.solo)
 			}
+			if !c.solo && (len(pair.groups) != 1 || len(pair.groups[0].members) != 2) {
+				t.Fatalf("the pair is not one group of two")
+			}
+			var empty, whole, windows uint64
 			for _, doc := range docs {
-				// Only the Multi's evaluation is instrumented, so the
-				// member counters below count its fallbacks alone.
 				c.a.SetEvalMetrics(&em)
 				fused := m.Eval(doc)[0]
+				big := len(doc) >= MetricsMinDocBytes
+				if big {
+					empty, whole, windows = em.EmptyDocs.Load(), em.Fallbacks.Load(), em.Windows.Load()
+				}
+				pairs := pair.Eval(doc)
 				c.a.SetEvalMetrics(nil)
-				if d := reltest.ThreeWayDiff("fused", fused, "standalone", c.a.Eval(doc), c.a.EvalReference(doc)); d != "" {
+				want, ref := c.a.Eval(doc), c.a.EvalReference(doc)
+				if d := reltest.ThreeWayDiff("fused", fused, "standalone", want, ref); d != "" {
 					t.Errorf("on %q:\n%s", doc, d)
 				}
+				for i, r := range pairs {
+					if d := reltest.ThreeWayDiff("pair", r, "standalone", want, ref); d != "" {
+						t.Errorf("pair member %d on %q:\n%s", i, doc, d)
+					}
+				}
 			}
-			// Member fallbacks: every document for a solo member, the one
-			// overflowing document otherwise; each reached the whole-document
-			// rung (counted for documents ≥ MetricsMinDocBytes — only the
-			// last) at most once, and nothing evaluated the Multi again.
-			wantFallbacks, wantWhole := uint64(0), uint64(0)
+			// The Multi of one: one pass over the group of one per document,
+			// never a fused pass; the one instrumented document (the last)
+			// left by one exit — empty, windows or the whole document.
+			if got := mm.MemberFallbacks.Load(); got != uint64(len(docs)) {
+				t.Errorf("passes over the group of one = %d, want %d", got, len(docs))
+			}
+			if got := mm.FusedPasses.Load(); got != 0 {
+				t.Errorf("FusedPasses = %d on a Multi of one", got)
+			}
+			exits := empty + whole
+			if windows > 0 {
+				exits++
+			}
+			if exits != 1 {
+				t.Errorf("instrumented document: empty %d, whole %d, windows %d; want exactly one exit", empty, whole, windows)
+			}
+			// The pair: a solo member is never fused, so both copies take
+			// their own groups on every document; an overflowing group hands
+			// both down on the one document that overflows it.
+			wantDown, wantWhole := uint64(0), uint64(0)
 			switch {
 			case c.solo:
-				wantFallbacks, wantWhole = uint64(len(docs)), 1
+				wantDown, wantWhole = 2*uint64(len(docs)), 1
 			case c.overflows:
-				wantFallbacks, wantWhole = 1, 1
+				wantDown, wantWhole = 2, 1
 			}
-			if got := mm.MemberFallbacks.Load(); got != wantFallbacks {
-				t.Errorf("MemberFallbacks = %d, want %d", got, wantFallbacks)
+			if whole != wantWhole {
+				t.Errorf("Multi of one: whole-document exits = %d, want %d", whole, wantWhole)
 			}
-			if got := em.Fallbacks.Load(); got != wantWhole {
-				t.Errorf("whole-document fallbacks = %d, want %d", got, wantWhole)
+			if got := pm.MemberFallbacks.Load(); got != wantDown {
+				t.Errorf("pair: members handed to their own group = %d, want %d", got, wantDown)
 			}
-			if c.a.PrefilterDisabled() && (!m.groups[0].noSkip || mm.FusedSkippedBytes.Load() != 0) {
+			if got := em.Fallbacks.Load() - whole; got != 2*wantWhole {
+				t.Errorf("pair: whole-document exits = %d, want %d", got, 2*wantWhole)
+			}
+			if c.a.PrefilterDisabled() && (!own.noSkip || pm.FusedSkippedBytes.Load() != 0) {
 				t.Error("DisablePrefilter copy did not get a fully stepped scan")
 			}
 		})
@@ -377,28 +411,30 @@ func TestMultiStartStateCache(t *testing.T) {
 	}
 }
 
-// TestMultiSoloNonLocalizable: a member without a localizer is routed
-// to the solo list and evaluated standalone (counted as a fallback),
-// while localizable siblings still share one fused pass.
+// TestMultiSoloNonLocalizable: a member without a localizer runs on its
+// own group of one — the automaton's own, counted as a fallback — while
+// its localizable siblings still share one fused pass.
 func TestMultiSoloNonLocalizable(t *testing.T) {
-	m := NewMulti(buildNonLocalizable(t), extractorAPlus())
+	solo := buildNonLocalizable(t)
+	m := NewMulti(solo, extractorAPlus(), extractorZeroWidth())
 	var mm MultiMetrics
 	m.SetMetrics(&mm)
 	m.Prepare()
-	if len(m.solo) != 1 || m.solo[0] != 0 {
-		t.Fatalf("solo = %v, want [0]", m.solo)
+	if len(m.groups) != 2 || m.groups[0].scanGroup != solo.localizer().group || m.groups[0].members[0] != 0 {
+		t.Fatalf("the non-localizable member does not run on its own group")
 	}
-	if len(m.groups) != 1 || len(m.groups[0].members) != 1 {
-		t.Fatalf("localizable sibling not fused into its own group")
+	if g := m.groups[1]; len(g.members) != 2 || g.members[0] != 1 || g.members[1] != 2 {
+		t.Fatalf("localizable siblings not fused into one group: %v", g.members)
 	}
-	for _, doc := range []string{"", "ac", "bc", "acc.a"} {
+	docs := []string{"", "ac", "bc", "acc.a"}
+	for _, doc := range docs {
 		assertMultiMatchesStandalone(t, m, doc)
 	}
-	if got := mm.MemberFallbacks.Load(); got == 0 {
-		t.Error("solo member never counted as a fallback")
+	if got := mm.MemberFallbacks.Load(); got != uint64(len(docs)) {
+		t.Errorf("MemberFallbacks = %d, want one per document (%d)", got, len(docs))
 	}
 	if got := mm.FusedPasses.Load(); got == 0 {
-		t.Error("localizable sibling never took the fused pass")
+		t.Error("localizable siblings never took the fused pass")
 	}
 }
 
@@ -462,22 +498,36 @@ func TestMultiSkipAndNoSkip(t *testing.T) {
 
 // TestMultiManyMembersSplitIntoGroups: more than maxGroupMembers fused
 // members must be chunked into several groups, each demultiplexing
-// correctly.
+// correctly. With one member past a full group, that member is a group
+// of one: its own localizer group, not a second lazy DFA.
 func TestMultiManyMembersSplitIntoGroups(t *testing.T) {
-	var members []*Automaton
-	for i := 0; i < maxGroupMembers+6; i++ {
-		if i%2 == 0 {
-			members = append(members, extractorAPlus())
-		} else {
-			members = append(members, extractorZeroWidth())
+	for _, n := range []int{maxGroupMembers + 1, maxGroupMembers + 6} {
+		var members []*Automaton
+		for i := 0; i < n; i++ {
+			if i%2 == 0 {
+				members = append(members, extractorAPlus())
+			} else {
+				members = append(members, extractorZeroWidth())
+			}
+		}
+		m := NewMulti(members...)
+		m.Prepare()
+		if len(m.groups) != 2 {
+			t.Fatalf("want 2 groups for %d members, got %d", n, len(m.groups))
+		}
+		if n == maxGroupMembers+1 {
+			last := members[n-1]
+			if g := m.groups[1]; g.scanGroup != last.localizer().group || len(g.members) != 1 || g.members[0] != n-1 {
+				t.Fatalf("member %d is not evaluated on its own localizer group", n)
+			}
+		}
+		for _, doc := range []string{"aa.bb.aa", "", "bab"} {
+			assertMultiMatchesStandalone(t, m, doc)
+			if got, ref := m.Eval(doc)[n-1], members[n-1].EvalReference(doc); !got.Equal(ref) {
+				t.Errorf("%d members: member %d on %q: %v, EvalReference %v", n, n, doc, got, ref)
+			}
 		}
 	}
-	m := NewMulti(members...)
-	m.Prepare()
-	if len(m.groups) != 2 {
-		t.Fatalf("want 2 groups for %d members, got %d", len(members), len(m.groups))
-	}
-	assertMultiMatchesStandalone(t, m, "aa.bb.aa")
 }
 
 // TestMultiEvalAppend: the accumulator form shifts by `by`, carves from

@@ -35,10 +35,10 @@ func scanReviewDoc(n int) string {
 	}
 }
 
-// BenchmarkScanPaths times the one forward scan through both of its
-// entry points: a vsa.Session on an automaton, and a vsa.MultiSession on
-// a Multi of one member (the same group shape the automaton's own
-// localizer holds) and of sixteen. Inputs are a 2 MiB match-dense
+// BenchmarkScanPaths times the one evaluation pass the way a split
+// worker runs it: a vsa.MultiSession on a Multi of one member (session:
+// the automaton's own scan group, what every single spanner runs) and of
+// sixteen (multi-16). Inputs are a 2 MiB match-dense
 // review document, a 2 MiB sparse one, and the dense document sentence
 // by sentence — the ~54 000 calls per document of the split path, where
 // per-call fixed costs are the whole bill. Every row checks its tuple
@@ -91,16 +91,6 @@ func BenchmarkScanPaths(b *testing.B) {
 				}
 			})
 		}
-		row("session", want1, func() int {
-			rel := span.NewRelation(neg.Vars...)
-			var arena span.TupleArena
-			s := neg.NewSession()
-			for _, p := range in.pieces {
-				s.EvalAppend(p.text, p.by, rel, &arena)
-			}
-			s.Close()
-			return rel.Len()
-		})
 		multi := func(m *vsa.Multi) func() int {
 			m.Prepare()
 			return func() int {
@@ -126,7 +116,7 @@ func BenchmarkScanPaths(b *testing.B) {
 				return n
 			}
 		}
-		row("multi-1", want1, multi(vsa.NewMulti(neg)))
+		row("session", want1, multi(vsa.NewMulti(neg)))
 		row("multi-16", want16, multi(vsa.NewMulti(members...)))
 	}
 }

@@ -37,16 +37,18 @@ package vsa
 // scan layer), whose DFA payload says per member whether the subset holds
 // an end state or a final-bearing state. An automaton's own localizer
 // holds the group of one member — itself — and a Multi (multi.go) holds
-// groups of many; Session.EvalAppend and MultiSession.EvalAppend reach
-// the same forward, seedAt, narrow and simulate, on the same scanScratch.
-// One member is not a special case of that code, only its smallest input.
+// groups of many, or reuses a member's own group where it would hold that
+// member alone. There is ONE evaluation pass too: MultiSession.pass runs
+// every group, and an automaton evaluated alone is the Multi of one its
+// localizer keeps (Automaton.EvalAppend). One member is not a special
+// case of that code, only its smallest input.
 //
 // When the analysis cannot apply — nullary automata, no per-state status,
 // or a DFA state-bound overflow — evaluation only ever steps down: from a
-// group of many to each member's group of one (multi.go), and from there
-// to the EvalBool prescan plus one whole-document simulation. EvalBool
-// walks the same one-member group (dfa.go); an automaton that cannot be
-// narrowed still has one, with no end states.
+// group of many to each member's group of one, and from there to the
+// EvalBool prescan plus one whole-document simulation. EvalBool walks the
+// same one-member group (dfa.go); an automaton that cannot be narrowed
+// still has one, with no end states.
 
 import (
 	"math/bits"
@@ -83,10 +85,11 @@ type window struct {
 
 // localizer is the compiled bidirectional match-window machinery of an
 // automaton: per-state statuses, the scan NFA tables, the backward
-// narrowing program, and the one-member scan group that evaluation of
-// this automaton alone scans with. Built once under localOnce and
-// read-only afterwards; the lazy DFAs beneath it publish their own fills.
-// scan and group exist for every automaton; status and rev only when ok.
+// narrowing program, the one-member scan group that evaluation of this
+// automaton alone scans with, and the Multi of one that runs it. Built
+// once under localOnce and read-only afterwards; the lazy DFAs beneath it
+// publish their own fills. scan, group and one exist for every automaton;
+// status and rev only when ok.
 type localizer struct {
 	ok     bool
 	reason string // why localized evaluation is disabled, when !ok
@@ -95,6 +98,7 @@ type localizer struct {
 	scan   *scanProg
 	rev    *revProg
 	group  *scanGroup
+	one    *Multi
 }
 
 // localizer returns the compiled window localizer, building it on first
@@ -135,6 +139,7 @@ func (a *Automaton) buildLocalizer() *localizer {
 	}
 	loc.scan = buildScanProg(p, end)
 	loc.group = newScanGroup([]*Automaton{a}, []*localizer{loc})
+	loc.one = NewMulti(a)
 	return loc
 }
 
@@ -189,9 +194,9 @@ type scanFlags struct {
 }
 
 // scanGroup is the unit the forward scan runs over: up to
-// maxGroupMembers localizable automata, the byte-class table of their
-// combined partition, the disjoint union of their scan NFAs and its lazy
-// DFA.
+// maxGroupMembers localizable automata (or one that is not), the
+// byte-class table of their combined partition, the disjoint union of
+// their scan NFAs and its lazy DFA.
 //
 //   - Fused NFA states are member scan states shifted by a per-member
 //     base offset, so member s's state q becomes base[s]+q and no two
@@ -209,12 +214,18 @@ type scanFlags struct {
 //     windows — so MaxVars bounds each member, not the group, and no tag
 //     renaming or collision handling is needed.
 //
-// The state interned first, dfaStart, is the start subset of all members
-// together; a Multi interns more for partial admission masks.
+// Per-member mandatory-factor prefilters become an admission bitmap: a
+// member whose factor is absent from the document is excluded from the
+// start subset (its relation is provably empty — the factor is mandatory
+// in every accepted document), while the remaining members scan at full
+// strength. The state interned first, dfaStart, is the start subset of
+// all members together; each distinct partial admission mask gets its
+// own interned start state, cached in starts.
 type scanGroup struct {
 	autos []*Automaton
 	progs []*evalProg
 	locs  []*localizer
+	pf    []PrefilterInfo // admission factor per slot ("" = always admitted)
 
 	base     []int32 // fused-state offset per slot
 	nstates  int     // total fused NFA states
@@ -234,6 +245,10 @@ type scanGroup struct {
 	// skips memoizes per-DFA-state trigger sets for the skip loop (see
 	// prefilter.go).
 	skips lazydfa.SkipCache
+
+	fullMask uint64 // every slot admitted: the group's dfaStart
+	mu       sync.Mutex
+	starts   map[uint64]int32 // partial admission mask → interned start state
 }
 
 // newScanGroup fuses the scan programs of autos, whose localizers are
@@ -244,6 +259,7 @@ func newScanGroup(autos []*Automaton, locs []*localizer) *scanGroup {
 	var classes []alphabet.Class
 	for _, a := range autos {
 		g.progs = append(g.progs, a.prog())
+		g.pf = append(g.pf, a.prefilter().info)
 		g.noSkip = g.noSkip || a.prefDisabled
 		classes = append(classes, a.Classes()...)
 	}
@@ -296,8 +312,33 @@ func newScanGroup(autos []*Automaton, locs []*localizer) *scanGroup {
 			return f
 		},
 	})
-	g.dfa.Intern(g.startSet(^uint64(0))) // = dfaStart
+	g.fullMask = ^uint64(0) >> (64 - uint(len(autos)))
+	g.dfa.Intern(g.startSet(g.fullMask)) // = dfaStart
 	return g
+}
+
+// startFor returns the interned start state of an admission mask,
+// caching one per distinct partial mask; the full mask is the state the
+// group interned first. Intern takes the DFA's write lock and is safe at
+// any time (unlike Seed); Overflow at the state bound is returned to the
+// caller, which takes the next rung of the ladder.
+func (g *scanGroup) startFor(mask uint64) int32 {
+	if mask == g.fullMask {
+		return dfaStart
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if s, ok := g.starts[mask]; ok {
+		return s
+	}
+	s := g.dfa.Intern(g.startSet(mask))
+	if s != dfaOverflow {
+		if g.starts == nil {
+			g.starts = make(map[uint64]int32)
+		}
+		g.starts[mask] = s
+	}
+	return s
 }
 
 // startSet builds the start subset of an admission mask: the admitted
@@ -546,8 +587,8 @@ func (g *scanGroup) narrow(slot int, doc string, ws *scanScratch) bool {
 // Evaluation is called concurrently by the worker pools on shared
 // automata, so scratch is pooled (sync.Pool) rather than cached on the
 // automaton: concurrent evaluations share nothing but the frozen
-// programs. A Session or MultiSession keeps one for its lifetime;
-// one-shot calls take one per call.
+// programs. A MultiSession keeps one for its lifetime; one-shot calls
+// take one per call.
 type scanScratch struct {
 	checkpoints []int32
 	ends        [][]int32 // per slot: candidate match-end boundaries, as [lo, hi) runs

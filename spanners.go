@@ -235,11 +235,10 @@ func Compose(ps *Spanner, s *Splitter) *Spanner {
 	return &Spanner{core.Compose(ps.auto, s.s)}
 }
 
-// SplitCorrect decides P = P_S ∘ S, automatically using the polynomial
-// Theorem 5.7 procedure when the inputs are deterministic and the
-// splitter disjoint, and the general Theorem 5.1 procedure otherwise.
+// SplitCorrect decides P = P_S ∘ S by the general Theorem 5.1
+// procedure: compose P_S with S, then test equivalence with P.
 func SplitCorrect(p, ps *Spanner, s *Splitter) (bool, error) {
-	return core.SplitCorrectAuto(p.auto, ps.auto, s.s, DefaultLimit)
+	return core.SplitCorrect(p.auto, ps.auto, s.s, DefaultLimit)
 }
 
 // SplitCorrectWitness is SplitCorrect returning, on failure, a document

@@ -54,3 +54,43 @@ func TestFuzzMatrixListsEveryTarget(t *testing.T) {
 		t.Fatalf("fuzz.yml's matrix and the tree's Fuzz functions differ:\nmatrix: %v\nFuzz functions: %v", matrix, tree)
 	}
 }
+
+// TestRaceRepeatedListsRealTests: every name in the -run list of ci.yml's
+// "race, repeated" step is a Test function of one of the packages that
+// step runs. go test passes on a -run pattern that matches nothing
+// ("no tests to run"), so without this check a renamed test would drop
+// out of the repeated race runs silently.
+func TestRaceRepeatedListsRealTests(t *testing.T) {
+	src, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := regexp.MustCompile(`(?s)- name: race, repeated.*?\n      - name:`).FindString(string(src))
+	list := regexp.MustCompile(`-run '\^\(([\w|]+)\)\$'`).FindStringSubmatch(step)
+	if list == nil {
+		t.Fatal(`ci.yml has no "race, repeated" step with a -run '^(A|B|…)$' list`)
+	}
+	pkgs := regexp.MustCompile(`\./[\w/]+/`).FindAllString(step, -1)
+	defined := map[string]bool{}
+	testFunc := regexp.MustCompile(`(?m)^func (Test\w+)\(t \*testing\.T\)`)
+	for _, pkg := range pkgs {
+		files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+				defined[m[1]] = true
+			}
+		}
+	}
+	for _, name := range strings.Split(list[1], "|") {
+		if !defined[name] {
+			t.Errorf("ci.yml's race, repeated step runs %s, which no package of the step (%v) defines", name, pkgs)
+		}
+	}
+}
