@@ -7,9 +7,10 @@
 package alphabet
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -158,7 +159,6 @@ func byteName(b byte) string {
 // every class never label a transition and are irrelevant. The result is
 // deterministic (sorted by smallest member).
 func Atoms(classes []Class) []Class {
-	atoms := []Class{}
 	var covered Class
 	for _, c := range classes {
 		covered = covered.Union(c)
@@ -166,28 +166,22 @@ func Atoms(classes []Class) []Class {
 	if covered.IsEmpty() {
 		return nil
 	}
-	atoms = append(atoms, covered)
+	// Refine in place: an atom a class cuts keeps its inside and appends
+	// its outside, which later classes then refine in turn.
+	atoms := append(make([]Class, 0, 8), covered)
 	for _, c := range classes {
-		if c.IsEmpty() {
-			continue
-		}
-		next := atoms[:0:0]
-		for _, a := range atoms {
-			in := a.Intersect(c)
-			out := a.Minus(c)
-			if !in.IsEmpty() {
-				next = append(next, in)
-			}
-			if !out.IsEmpty() {
-				next = append(next, out)
+		for i, n := 0, len(atoms); i < n; i++ {
+			in, out := atoms[i].Intersect(c), atoms[i].Minus(c)
+			if !in.IsEmpty() && !out.IsEmpty() {
+				atoms[i] = in
+				atoms = append(atoms, out)
 			}
 		}
-		atoms = next
 	}
-	sort.Slice(atoms, func(i, j int) bool {
-		a, _ := atoms[i].Min()
-		b, _ := atoms[j].Min()
-		return a < b
+	slices.SortFunc(atoms, func(a, b Class) int {
+		x, _ := a.Min()
+		y, _ := b.Min()
+		return cmp.Compare(x, y)
 	})
 	return atoms
 }
@@ -211,39 +205,18 @@ func Reps(atoms []Class) []byte {
 // byte of an equivalence class has resolved it for all of them. This is the
 // dense (256-entry, O(1)-lookup) counterpart of Atoms, sized for the hot
 // path: classOf[b] indexes into per-class transition tables. reps holds one
-// representative byte per index. At most 256 indices exist, so uint8 never
-// overflows; indices are dense in [0, len(reps)).
+// representative byte per index. The equivalence classes are the atoms of
+// the classes plus Σ (so bytes in no class form one class of their own),
+// indexed in Atoms' order; at most 256 exist, so uint8 never overflows and
+// indices are dense in [0, len(reps)).
 func ClassTable(classes []Class) (classOf [256]uint8, reps []byte) {
-	// Signature of byte b = the subset of classes containing b, packed into
-	// a bit string. Equal signatures ⇔ same equivalence class.
-	words := (len(classes) + 63) / 64
-	if words == 0 {
-		words = 1
-	}
-	sig := make([]uint64, words)
-	key := make([]byte, 8*words)
-	index := make(map[string]uint8, 8)
-	for b := 0; b < 256; b++ {
-		for w := range sig {
-			sig[w] = 0
-		}
-		for i, c := range classes {
-			if c.Has(byte(b)) {
-				sig[i/64] |= 1 << (i % 64)
+	atoms := Atoms(append(classes[:len(classes):len(classes)], Any))
+	for i, a := range atoms {
+		for w, word := range a {
+			for ; word != 0; word &= word - 1 {
+				classOf[w*64+bits.TrailingZeros64(word)] = uint8(i)
 			}
 		}
-		for w, v := range sig {
-			for i := 0; i < 8; i++ {
-				key[8*w+i] = byte(v >> (8 * i))
-			}
-		}
-		id, ok := index[string(key)]
-		if !ok {
-			id = uint8(len(reps))
-			index[string(key)] = id
-			reps = append(reps, byte(b))
-		}
-		classOf[b] = id
 	}
-	return classOf, reps
+	return classOf, Reps(atoms)
 }

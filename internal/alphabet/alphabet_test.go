@@ -2,6 +2,7 @@ package alphabet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -155,4 +156,105 @@ func TestClassStringStable(t *testing.T) {
 	if Any.String() != "Σ" || Empty.String() != "∅" {
 		t.Fatal("special class rendering broken")
 	}
+}
+
+// classTableRef is the signature-map ClassTable: every byte's membership
+// bits across the classes, as a string key, interned to an index in byte
+// order. It is the oracle the refinement-based ClassTable is held to.
+func classTableRef(classes []Class) (classOf [256]uint8, reps []byte) {
+	words := max(1, (len(classes)+63)/64)
+	key := make([]byte, 8*words)
+	index := map[string]uint8{}
+	for b := 0; b < 256; b++ {
+		clear(key)
+		for i, c := range classes {
+			if c.Has(byte(b)) {
+				key[i/8] |= 1 << (i % 8)
+			}
+		}
+		id, ok := index[string(key)]
+		if !ok {
+			id = uint8(len(reps))
+			index[string(key)] = id
+			reps = append(reps, byte(b))
+		}
+		classOf[b] = id
+	}
+	return classOf, reps
+}
+
+// randomClass draws a range, a complement of one, a few scattered bytes
+// or a random bitset, so that the lists below mix coarse and fine cuts.
+func randomClass(rng *rand.Rand) Class {
+	switch rng.Intn(4) {
+	case 0:
+		lo := byte(rng.Intn(256))
+		return Range(lo, lo+byte(rng.Intn(int(255-lo)+1)))
+	case 1:
+		lo := byte(rng.Intn(200))
+		return Range(lo, lo+byte(rng.Intn(50))).Complement()
+	case 2:
+		var c Class
+		for i := rng.Intn(4); i >= 0; i-- {
+			c.Add(byte(rng.Intn(256)))
+		}
+		return c
+	default:
+		return Class{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
+	}
+}
+
+// TestClassTableMatchesSignatureOracle holds ClassTable to classTableRef
+// on random lists of 1–130 classes — across the 64-class word boundary
+// of the oracle's signatures — with repeated, empty and full classes
+// mixed in.
+func TestClassTableMatchesSignatureOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 400; iter++ {
+		n := 1 + rng.Intn(130)
+		if iter%4 == 0 {
+			n = 60 + rng.Intn(10) // straddle 64 more often
+		}
+		classes := make([]Class, n)
+		for i := range classes {
+			switch rng.Intn(20) {
+			case 0:
+				classes[i] = Empty
+			case 1:
+				classes[i] = Any
+			case 2:
+				classes[i] = classes[rng.Intn(i+1)]
+			default:
+				classes[i] = randomClass(rng)
+			}
+		}
+		gotOf, gotReps := ClassTable(classes)
+		wantOf, wantReps := classTableRef(classes)
+		if gotOf != wantOf || !slices.Equal(gotReps, wantReps) {
+			t.Fatalf("iter %d (%d classes): ClassTable differs from the signature oracle:\nreps %v\nwant %v", iter, n, gotReps, wantReps)
+		}
+	}
+	if of, reps := ClassTable(nil); of != [256]uint8{} || !slices.Equal(reps, []byte{0}) {
+		t.Fatalf("ClassTable(nil) = %v, %v; want one class", of, reps)
+	}
+}
+
+func BenchmarkClassTable(b *testing.B) {
+	// The classes of a typical word-list extractor over a sentence
+	// splitter: letters, their complement, punctuation, single letters.
+	word, punct := Range('a', 'z').Union(Range('0', '9')), OfString(".!?\n")
+	classes := []Class{word, word.Complement(), punct, punct.Complement(), Any}
+	for _, x := range []byte("goodbadpoorexcellent") {
+		classes = append(classes, Of(x))
+	}
+	b.Run("refine", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ClassTable(classes)
+		}
+	})
+	b.Run("signature-oracle", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			classTableRef(classes)
+		}
+	})
 }

@@ -368,10 +368,12 @@ func Contains(a, b *NFA, limit int) (ok bool, witness []int, err error) {
 	t := NewSubsets(b)
 	// seen is one bitset over a's states per subset id, grown with the
 	// table; nodes counts its set bits, i.e. the explored product nodes.
-	words := (a.Len() + 63) / 64
-	var seen []uint64
+	// Both start sized for as many subsets, and nodes, as the larger
+	// automaton has states (at most presize).
+	words, n := (a.Len()+63)/64, min(max(a.Len(), b.Len()), presize)
+	seen := make([]uint64, 0, words*n)
 	nodes := 0
-	var bfs []entry
+	bfs := make([]entry, 0, n)
 	// enqueue adds the node (p, set) to the search unless it was already
 	// explored, and reports whether it was new.
 	enqueue := func(p, set, prev, sym int32) bool {

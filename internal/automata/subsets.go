@@ -82,10 +82,16 @@ type Subsets struct {
 const unknownStep int32 = -1
 
 // NewSubsets returns an empty subset table over nfa. The automaton must
-// not change while the table is in use.
+// not change while the table is in use. The tables start sized for as
+// many subsets as nfa has states, at most presize, so that a large
+// automaton whose walk stops early does not pay for rows it never fills.
 func NewSubsets(nfa *NFA) *Subsets {
-	return &Subsets{nfa: nfa, mark: make([]bool, nfa.Len())}
+	n := min(nfa.Len(), presize)
+	sets := SetTable{index: make(map[string]int32, n), flat: make([]int32, 0, n), end: make([]int, 0, n)}
+	return &Subsets{nfa: nfa, sets: sets, final: make([]bool, 0, n), trans: make([]int32, 0, n*nfa.NumSymbols), mark: make([]bool, nfa.Len())}
 }
+
+const presize = 256
 
 // Len returns the number of subset states materialized so far.
 func (t *Subsets) Len() int { return t.sets.Len() }

@@ -22,38 +22,38 @@ func Compose(ps *vsa.Automaton, s *Splitter) *vsa.Automaton {
 	out := vsa.NewAutomaton(ps.Vars...)
 
 	// State interning: phase 1 and 3 hold a splitter state, phase 2 a
-	// (splitter, split-spanner) pair.
+	// (splitter, split-spanner) pair. id is indexed by
+	// [phase-1][qs][qp+1] (qp is -1 outside phase 2) and holds the
+	// output state + 1, 0 while unseen; keys[i] is output state i's key,
+	// so the queue is the output states in order.
 	type key struct {
 		phase  int
 		qs, qp int
 	}
-	id := map[key]int{}
-	var queue []key
+	ns, np := len(sa.States), len(ps.States)+1
+	id := make([]int32, 3*ns*np)
+	var keys []key
 	intern := func(k key) int {
-		if i, ok := id[k]; ok {
-			return i
+		slot := &id[((k.phase-1)*ns+k.qs)*np+k.qp+1]
+		if *slot == 0 {
+			if len(keys) > 0 {
+				out.AddState()
+			}
+			keys = append(keys, k)
+			*slot = int32(len(keys))
 		}
-		var i int
-		if len(id) == 0 {
-			i = 0
-		} else {
-			i = out.AddState()
-		}
-		id[k] = i
-		queue = append(queue, k)
-		return i
+		return int(*slot) - 1
 	}
 	intern(key{1, sa.Start, -1})
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		from := id[k]
+	var edges []vsa.Edge // every state's edges, back to back in state order
+	for from := 0; from < len(keys); from++ {
+		k, lo := keys[from], len(edges)
 		switch k.phase {
 		case 1: // before the split
 			for _, e := range sa.States[k.qs].Edges {
 				switch splitOpKind(e.Ops) {
 				case sNone:
-					out.AddEdge(from, 0, e.Class, intern(key{1, e.To, -1}))
+					edges = append(edges, vsa.Edge{Class: e.Class, To: intern(key{1, e.To, -1})})
 				case sOpen:
 					// The split starts here; ps consumes the same byte.
 					for _, f := range ps.States[ps.Start].Edges {
@@ -61,12 +61,12 @@ func Compose(ps *vsa.Automaton, s *Splitter) *vsa.Automaton {
 						if cls.IsEmpty() {
 							continue
 						}
-						out.AddEdge(from, f.Ops, cls, intern(key{2, e.To, f.To}))
+						edges = append(edges, vsa.Edge{Ops: f.Ops, Class: cls, To: intern(key{2, e.To, f.To})})
 					}
 				case sWrap:
 					// An empty split at this boundary; ps must accept ε.
 					for _, f0 := range ps.States[ps.Start].Finals {
-						out.AddEdge(from, f0, e.Class, intern(key{3, e.To, -1}))
+						edges = append(edges, vsa.Edge{Ops: f0, Class: e.Class, To: intern(key{3, e.To, -1})})
 					}
 				}
 			}
@@ -87,14 +87,14 @@ func Compose(ps *vsa.Automaton, s *Splitter) *vsa.Automaton {
 						if cls.IsEmpty() {
 							continue
 						}
-						out.AddEdge(from, f.Ops, cls, intern(key{2, e.To, f.To}))
+						edges = append(edges, vsa.Edge{Ops: f.Ops, Class: cls, To: intern(key{2, e.To, f.To})})
 					}
 				case sClose:
 					// The split ends at this boundary: ps must accept, and
 					// its final operations fire here; the consumed byte is
 					// the first one after the split.
 					for _, f0 := range ps.States[k.qp].Finals {
-						out.AddEdge(from, f0, e.Class, intern(key{3, e.To, -1}))
+						edges = append(edges, vsa.Edge{Ops: f0, Class: e.Class, To: intern(key{3, e.To, -1})})
 					}
 				}
 			}
@@ -109,7 +109,7 @@ func Compose(ps *vsa.Automaton, s *Splitter) *vsa.Automaton {
 		case 3: // after the split
 			for _, e := range sa.States[k.qs].Edges {
 				if splitOpKind(e.Ops) == sNone {
-					out.AddEdge(from, 0, e.Class, intern(key{3, e.To, -1}))
+					edges = append(edges, vsa.Edge{Class: e.Class, To: intern(key{3, e.To, -1})})
 				}
 			}
 			for _, fin := range sa.States[k.qs].Finals {
@@ -118,6 +118,11 @@ func Compose(ps *vsa.Automaton, s *Splitter) *vsa.Automaton {
 				}
 			}
 		}
+		out.States[from].Edges = edges[lo:]
+	}
+	// Every state's edges now lie in the final backing array.
+	for q, st := range out.States {
+		out.States[q].Edges, edges = edges[:len(st.Edges):len(st.Edges)], edges[len(st.Edges):]
 	}
 	out.MergeEdges()
 	return out

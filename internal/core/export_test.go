@@ -11,3 +11,7 @@ func (s *Splitter) CutSafe() bool {
 	reach, err := sc.rightCut(1 << 14)
 	return err == nil && reach != nil
 }
+
+// RandomUnaryFormula lets the external tests draw the formulas the
+// differential tests of this package draw.
+var RandomUnaryFormula = randomUnaryFormula

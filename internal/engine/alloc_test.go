@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -140,5 +141,34 @@ func TestSmallStreamAllocatesSmall(t *testing.T) {
 		if per > 16<<10 {
 			t.Errorf("%s plan: %.0f bytes allocated per 2 KiB document, want ≤ 16 KiB", name, per)
 		}
+	}
+}
+
+// TestColdPlanAllocs pins the allocations of one cold plan on the
+// plan-churn shape, root BenchmarkEnginePlanCache/Churn's iteration: a
+// long-lived engine is asked for a never-seen spanner (a fresh capture
+// name) over a splitter it already holds, so the plan compiles P,
+// decides SplitCorrect(P, P, S) — Compose, the symbol table, the word
+// NFAs, both containment directions — and prepares P, and takes S from
+// the splitter table. Before the builders moved to flat tables the same
+// plan made 1 268 allocations (1 269 per benchmark iteration); the bound
+// is the 600 they make since, plus 10 %.
+func TestColdPlanAllocs(t *testing.T) {
+	e := New(Config{})
+	ctx := context.Background()
+	n := 0
+	plan := func() {
+		n++
+		req := Request{Spanner: strings.Replace(sentimentFormula, "y{", "c"+strconv.Itoa(n)+"{", 1), Splitter: sentenceFormula}
+		if _, hit, err := e.Plan(ctx, req); err != nil || hit {
+			t.Fatalf("plan %d: hit=%v err=%v, want a cold plan", n, hit, err)
+		}
+	}
+	plan() // builds the splitter artifact the measured plans share
+	const parent, bound = 1268, 660
+	got := testing.AllocsPerRun(20, plan)
+	t.Logf("cold plan (sentiment × sentences, warm splitter): %.0f allocs (parent %d)", got, parent)
+	if got > bound {
+		t.Fatalf("a cold plan allocates %.0f times, want ≤ %d", got, bound)
 	}
 }

@@ -2,6 +2,7 @@ package vsa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -169,13 +170,13 @@ func (a *Automaton) Clone() *Automaton {
 }
 
 // Classes returns all distinct byte classes appearing on edges.
-func (a *Automaton) Classes() []alphabet.Class {
-	seen := map[alphabet.Class]bool{}
-	var out []alphabet.Class
+func (a *Automaton) Classes() []alphabet.Class { return a.appendClasses(nil) }
+
+// appendClasses appends to out the edge classes of a that out lacks.
+func (a *Automaton) appendClasses(out []alphabet.Class) []alphabet.Class {
 	for _, s := range a.States {
 		for _, e := range s.Edges {
-			if !seen[e.Class] {
-				seen[e.Class] = true
+			if !slices.Contains(out, e.Class) {
 				out = append(out, e.Class)
 			}
 		}

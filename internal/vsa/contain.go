@@ -2,6 +2,7 @@ package vsa
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/alphabet"
 	"repro/internal/automata"
@@ -20,14 +21,14 @@ type SymTab struct {
 	AtomsList []alphabet.Class
 	opSyms    map[OpSet]int
 	opOrder   []OpSet
-	atomSyms  map[alphabet.Class][]int // AtomSyms memo
+	classes   []alphabet.Class // every edge class of the automata, once
+	syms, end []int            // classes[i]'s atoms are syms[end[i]:end[i+1]]
 }
 
 // NewSymTab builds a shared symbol table for the given automata. All op
 // sets appearing on edges or finals are interned, as is the empty set.
 func NewSymTab(autos ...*Automaton) *SymTab {
-	var classes []alphabet.Class
-	t := &SymTab{opSyms: map[OpSet]int{}, atomSyms: map[alphabet.Class][]int{}}
+	t := &SymTab{opSyms: map[OpSet]int{}}
 	addOps := func(o OpSet) {
 		if _, ok := t.opSyms[o]; !ok {
 			t.opSyms[o] = len(t.opOrder) // resolved to symbol ids later
@@ -36,7 +37,7 @@ func NewSymTab(autos ...*Automaton) *SymTab {
 	}
 	addOps(0)
 	for _, a := range autos {
-		classes = append(classes, a.Classes()...)
+		t.classes = a.appendClasses(t.classes)
 		for _, s := range a.States {
 			for _, e := range s.Edges {
 				addOps(e.Ops)
@@ -46,9 +47,14 @@ func NewSymTab(autos ...*Automaton) *SymTab {
 			}
 		}
 	}
-	t.AtomsList = alphabet.Atoms(classes)
+	t.AtomsList = alphabet.Atoms(t.classes)
 	for i, o := range t.opOrder {
 		t.opSyms[o] = len(t.AtomsList) + i
+	}
+	t.end = make([]int, len(t.classes)+1)
+	for i, c := range t.classes {
+		t.syms = t.appendAtomSyms(t.syms, c)
+		t.end[i+1] = len(t.syms)
 	}
 	return t
 }
@@ -67,21 +73,22 @@ func (t *SymTab) OpSym(o OpSet) int {
 	return s
 }
 
-// AtomSyms returns the symbol ids of all atoms contained in class. The
-// answer is computed once per distinct class — the automata of a pair
-// repeat a handful of classes over all their edges — and the returned
-// slice is shared: callers must not modify it.
+// AtomSyms returns the symbol ids of all atoms contained in class. For a
+// class of the table's automata the answer was computed once, by
+// NewSymTab, and the returned slice is shared: callers must not modify it.
 func (t *SymTab) AtomSyms(class alphabet.Class) []int {
-	if syms, ok := t.atomSyms[class]; ok {
-		return syms
+	if i := slices.Index(t.classes, class); i >= 0 {
+		return t.syms[t.end[i]:t.end[i+1]:t.end[i+1]]
 	}
-	var out []int
+	return t.appendAtomSyms(nil, class)
+}
+
+func (t *SymTab) appendAtomSyms(out []int, class alphabet.Class) []int {
 	for i, a := range t.AtomsList {
 		if class.ContainsClass(a) {
 			out = append(out, i)
 		}
 	}
-	t.atomSyms[class] = out
 	return out
 }
 
@@ -91,43 +98,63 @@ func (t *SymTab) AtomSyms(class alphabet.Class) []int {
 // accepting states are the (state, final-ops) pairs. The translation
 // preserves determinism.
 func (a *Automaton) WordNFA(tab *SymTab) *automata.NFA {
-	n := automata.New(tab.NumSymbols())
-	base := make([]int, len(a.States))
-	for q := range a.States {
-		base[q] = n.AddState(false)
-	}
-	type mid struct {
-		q   int
-		ops OpSet
-	}
-	mids := map[mid]int{}
-	midState := func(q int, ops OpSet, final bool) int {
-		k := mid{q, ops}
-		if s, ok := mids[k]; ok {
-			if final {
-				n.Final[s] = true
+	// The byte-expecting states follow a's, numbered by state and then by
+	// first use among its edges and finals: state q's for ops[i] is n+i,
+	// first[q] ≤ i < first[q+1], and deg[i] counts its edges. A first
+	// pass numbers and counts them, so that every state's edges can be
+	// carved out of one backing array.
+	n := len(a.States)
+	first := make([]int, n+1)
+	var ops []OpSet
+	var deg []int
+	mid := func(q int, o OpSet) int {
+		for i := first[q]; i < len(ops); i++ {
+			if ops[i] == o {
+				return i
 			}
-			return s
 		}
-		s := n.AddState(final)
-		mids[k] = s
-		n.AddEdge(base[q], tab.OpSym(ops), s)
-		return s
+		ops, deg = append(ops, o), append(deg, 0)
+		return len(ops) - 1
 	}
+	total := 0
 	for q, s := range a.States {
+		first[q] = len(ops)
 		for _, e := range s.Edges {
-			m := midState(q, e.Ops, false)
+			k := len(tab.AtomSyms(e.Class))
+			deg[mid(q, e.Ops)] += k
+			total += k
+		}
+		for _, f := range s.Finals {
+			mid(q, f)
+		}
+	}
+	first[n] = len(ops)
+	nfa := &automata.NFA{
+		NumSymbols: tab.NumSymbols(),
+		Starts:     []int{a.Start},
+		Final:      make([]bool, n+len(ops)),
+		Adj:        make([][]automata.Edge, n+len(ops)),
+	}
+	backing := make([]automata.Edge, total+len(ops))
+	for q, s := range a.States {
+		k := first[q+1] - first[q]
+		nfa.Adj[q], backing = backing[:0:k], backing[k:]
+		for i := first[q]; i < first[q+1]; i++ {
+			nfa.Adj[q] = append(nfa.Adj[q], automata.Edge{Sym: tab.OpSym(ops[i]), To: n + i})
+			nfa.Adj[n+i], backing = backing[:0:deg[i]], backing[deg[i]:]
+		}
+		for _, e := range s.Edges {
+			m := n + mid(q, e.Ops)
 			for _, sym := range tab.AtomSyms(e.Class) {
-				n.AddEdge(m, sym, base[e.To])
+				nfa.Adj[m] = append(nfa.Adj[m], automata.Edge{Sym: sym, To: e.To})
 			}
 		}
 		for _, f := range s.Finals {
-			midState(q, f, true)
+			nfa.Final[n+mid(q, f)] = true
 		}
 	}
-	n.AddStart(base[a.Start])
-	n.DedupeEdges()
-	return n
+	nfa.DedupeEdges()
+	return nfa
 }
 
 // sameVars reports whether two automata use the same variable list in the

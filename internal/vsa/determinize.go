@@ -3,7 +3,6 @@ package vsa
 import (
 	"slices"
 
-	"repro/internal/alphabet"
 	"repro/internal/automata"
 )
 
@@ -88,27 +87,23 @@ func (a *Automaton) Determinize(limit int) (*Automaton, error) {
 
 // MergeEdges coalesces parallel transitions that differ only in byte class
 // into a single class-union transition, shrinking automata produced by
-// atom-splitting constructions. The language is unchanged.
+// atom-splitting constructions. The language is unchanged. Each state's
+// edges are merged in place, in order of first appearance.
 func (a *Automaton) MergeEdges() {
 	a.checkMutable("MergeEdges")
 	for q := range a.States {
-		type k struct {
-			ops OpSet
-			to  int
-		}
-		merged := map[k]alphabet.Class{}
-		var order []k
-		for _, e := range a.States[q].Edges {
-			kk := k{e.Ops, e.To}
-			if _, ok := merged[kk]; !ok {
-				order = append(order, kk)
+		es, n := a.States[q].Edges, 0
+	next:
+		for _, e := range es {
+			for k := range es[:n] {
+				if es[k].Ops == e.Ops && es[k].To == e.To {
+					es[k].Class = es[k].Class.Union(e.Class)
+					continue next
+				}
 			}
-			merged[kk] = merged[kk].Union(e.Class)
+			es[n] = e
+			n++
 		}
-		es := make([]Edge, 0, len(order))
-		for _, kk := range order {
-			es = append(es, Edge{kk.ops, merged[kk], kk.to})
-		}
-		a.States[q].Edges = es
+		a.States[q].Edges = es[:n]
 	}
 }

@@ -42,6 +42,7 @@ type evalProg struct {
 	nclasses int // number of byte equivalence classes
 	nstates  int // number of automaton states
 	classOf  [256]uint8
+	reps     []byte // a representative byte per class
 	// succ[q*nclasses+c] lists the transitions of state q on any byte of
 	// class c. The per-byte Class.Has test of the interpreted loop is gone:
 	// membership was resolved for the whole class at build time.
@@ -116,20 +117,28 @@ func (a *Automaton) buildProg() *evalProg {
 		nclasses: nc,
 		nstates:  n,
 		classOf:  classOf,
+		reps:     reps,
 		succ:     make([][]progEdge, n*nc),
 		finals:   make([][]OpSet, n),
 		hasFinal: make([]bool, n),
 	}
+	edges := make([]progEdge, 0, a.NumEdges())
 	for q, st := range a.States {
 		p.finals[q] = st.Finals
 		p.hasFinal[q] = len(st.Finals) > 0
-		for _, e := range st.Edges {
-			for c, rep := range reps {
+		for c, rep := range reps {
+			from := len(edges)
+			for _, e := range st.Edges {
 				if e.Class.Has(rep) {
-					p.succ[q*nc+c] = append(p.succ[q*nc+c], progEdge{e.Ops, int32(e.To)})
+					edges = append(edges, progEdge{e.Ops, int32(e.To)})
 				}
 			}
+			p.succ[q*nc+c] = edges[from:]
 		}
+	}
+	// Every (state, class) list now lies in the final backing array.
+	for i, es := range p.succ {
+		p.succ[i], edges = edges[:len(es):len(es)], edges[len(es):]
 	}
 	p.uni = p.suffixUniversality()
 	return p

@@ -180,6 +180,16 @@ type factorBuilder struct {
 	// mandatory: bytes sharing a class are interchangeable on every
 	// edge, so either can replace the other in any accepting run.
 	singleton []int16
+	// Scratch reused by every candidate grow and mandatory check.
+	cand  []byte
+	fail  []int
+	seen  []bool
+	stack []factorNode
+}
+
+type factorNode struct {
+	q int32
+	k int
 }
 
 func newFactorBuilder(a *Automaton) *factorBuilder {
@@ -264,19 +274,20 @@ func (b *factorBuilder) grow(w []byte, budgetHit *bool) []byte {
 				if sb < 0 {
 					continue
 				}
-				var cand []byte
+				cand := b.cand[:0]
 				if dir == 0 {
-					cand = append(append([]byte(nil), w...), byte(sb))
+					cand = append(append(cand, w...), byte(sb))
 				} else {
-					cand = append([]byte{byte(sb)}, w...)
+					cand = append(append(cand, byte(sb)), w...)
 				}
+				b.cand = cand
 				ok, over := b.mandatory(cand)
 				if over {
 					*budgetHit = true
 					continue
 				}
 				if ok {
-					w = cand
+					w = append([]byte(nil), cand...)
 					extended = true
 				}
 			}
@@ -302,17 +313,15 @@ func (b *factorBuilder) grow(w []byte, budgetHit *bool) []byte {
 func (b *factorBuilder) mandatory(w []byte) (ok, over bool) {
 	p := b.p
 	m := len(w)
-	fail := kmpFailure(w)
 	n, nc := p.nstates, p.nclasses
 	if n*(m+1) > factorBudget {
 		return false, true
 	}
-	seen := make([]bool, n*(m+1))
-	type node struct {
-		q int32
-		k int
-	}
-	stack := []node{{b.start, 0}}
+	b.fail = kmpFailure(b.fail, w)
+	b.seen = append(b.seen[:0], make([]bool, n*(m+1))...)
+	seen := b.seen
+	stack := append(b.stack[:0], factorNode{b.start, 0})
+	defer func() { b.stack = stack }()
 	seen[int(b.start)*(m+1)] = true
 	for len(stack) > 0 {
 		nd := stack[len(stack)-1]
@@ -332,7 +341,7 @@ func (b *factorBuilder) mandatory(w []byte) (ok, over bool) {
 			}
 			k2 := 0
 			if sb := b.singleton[c]; sb >= 0 {
-				k2 = kmpStep(w, fail, nd.k, byte(sb))
+				k2 = kmpStep(w, b.fail, nd.k, byte(sb))
 				if k2 == m {
 					continue // this byte completes w: path excluded
 				}
@@ -344,7 +353,7 @@ func (b *factorBuilder) mandatory(w []byte) (ok, over bool) {
 				idx := int(e.to)*(m+1) + k2
 				if !seen[idx] {
 					seen[idx] = true
-					stack = append(stack, node{e.to, k2})
+					stack = append(stack, factorNode{e.to, k2})
 				}
 			}
 		}
@@ -352,10 +361,10 @@ func (b *factorBuilder) mandatory(w []byte) (ok, over bool) {
 	return true, false
 }
 
-// kmpFailure is the classic failure function: fail[i] is the length of
-// the longest proper prefix of w[:i+1] that is also its suffix.
-func kmpFailure(w []byte) []int {
-	fail := make([]int, len(w))
+// kmpFailure is the classic failure function (in fail's storage): fail[i]
+// is the length of the longest proper prefix of w[:i+1] that is its suffix.
+func kmpFailure(fail []int, w []byte) []int {
+	fail = append(fail[:0], make([]int, len(w))...)
 	k := 0
 	for i := 1; i < len(w); i++ {
 		for k > 0 && w[i] != w[k] {

@@ -261,10 +261,16 @@ func newScanGroup(autos []*Automaton, locs []*localizer) *scanGroup {
 		g.progs = append(g.progs, a.prog())
 		g.pf = append(g.pf, a.prefilter().info)
 		g.noSkip = g.noSkip || a.prefDisabled
-		classes = append(classes, a.Classes()...)
+		if len(autos) > 1 {
+			classes = a.appendClasses(classes)
+		}
 	}
-	var reps []byte
-	g.classOf, reps = alphabet.ClassTable(classes)
+	// A group of one takes its member's partition as it is.
+	reps := g.progs[0].reps
+	g.classOf = g.progs[0].classOf
+	if len(autos) > 1 {
+		g.classOf, reps = alphabet.ClassTable(classes)
+	}
 	g.nclasses = len(reps)
 	for _, p := range g.progs {
 		// The combined partition refines every member's: all bytes of a
