@@ -1,26 +1,38 @@
 package automata
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
-// SetTable interns sets of int32 — sorted and duplicate-free, typically
-// sets of automaton states — to dense ids 0, 1, 2, … in first-seen
-// order. The key is the set's little-endian bytes (as internal/lazydfa
-// keys its states), so a lookup hashes 4·|set| bytes and allocates
-// nothing; only a first sighting copies the set. The zero value is an
-// empty table. Not safe for concurrent use: a decision run is one
-// goroutine's throw-away state.
+// SetTable interns int32 vectors — sorted sets of automaton states, the
+// tagged simulation's frontier cells [state, assignment…], its emitted
+// tuples — to dense ids 0, 1, 2, … in first-seen order. It is the one
+// interning table of the tree: under Subsets, every lazy DFA
+// (internal/lazydfa) and vsa's tagged simulation. Vectors are stored
+// back to back and indexed by open addressing over version-stamped
+// slots, so a lookup hashes the vector and allocates nothing, only a
+// first sighting copies it, and Reset empties the table in O(1) by
+// bumping the version. The zero value is an empty table. Not safe for
+// concurrent use.
 type SetTable struct {
-	index map[string]int32
-	flat  []int32 // all member lists, back to back
-	end   []int   // set id is flat[end[id-1]:end[id]]
-	key   []byte  // scratch
+	flat  []int32 // all vectors, back to back
+	end   []int   // vector id is flat[end[id-1]:end[id]]
+	slots []setSlot
+	shift uint   // 64 − log2(len(slots)): the hash's top bits pick a slot
+	ver   uint32 // slots stamped otherwise are empty
 }
 
-// Len returns the number of interned sets.
+type setSlot struct {
+	ver uint32
+	id  int32
+}
+
+// Len returns the number of interned vectors.
 func (t *SetTable) Len() int { return len(t.end) }
 
-// Set returns the members of an interned set, sorted. The slice aliases
-// the table; callers must not modify it.
+// Set returns an interned vector. The slice aliases the table until the
+// next Reset; callers must not modify it.
 func (t *SetTable) Set(id int32) []int32 {
 	lo := 0
 	if id > 0 {
@@ -29,25 +41,78 @@ func (t *SetTable) Set(id int32) []int32 {
 	return t.flat[lo:t.end[id]:t.end[id]]
 }
 
-// Intern returns the id of set (sorted, duplicate-free), adding it when
-// it is new. The argument is copied, so callers may reuse its storage.
-func (t *SetTable) Intern(set []int32) int32 {
-	key := t.key[:0]
-	for _, q := range set {
-		key = append(key, byte(q), byte(q>>8), byte(q>>16), byte(q>>24))
+// Reset empties the table, sized for n vectors before it grows. It
+// keeps its storage, so it costs O(1) unless the slots must grow (or,
+// once per 2³² resets, the version wraps and they are cleared).
+func (t *SetTable) Reset(n int) {
+	t.flat, t.end = t.flat[:0], t.end[:0]
+	size := 16
+	for size < 4*n {
+		size <<= 1
 	}
-	t.key = key
-	if id, ok := t.index[string(key)]; ok {
-		return id
+	if len(t.slots) < size {
+		t.resize(size)
+		return
 	}
-	if t.index == nil {
-		t.index = map[string]int32{}
+	if t.ver++; t.ver == 0 { // wrapped: stale stamps could alias
+		clear(t.slots)
+		t.ver = 1
+	}
+}
+
+// Intern returns the id of v, adding it when it is new, and whether it
+// was. The argument is copied, so callers may reuse its storage.
+func (t *SetTable) Intern(v []int32) (int32, bool) {
+	if t.slots == nil {
+		t.Reset(0)
+	}
+	s := t.find(v)
+	if s.ver == t.ver {
+		return s.id, false
 	}
 	id := int32(len(t.end))
-	t.index[string(key)] = id
-	t.flat = append(t.flat, set...)
+	t.flat = append(t.flat, v...)
 	t.end = append(t.end, len(t.flat))
-	return id
+	*s = setSlot{t.ver, id}
+	if 2*len(t.end) > len(t.slots) {
+		t.resize(2 * len(t.slots))
+	}
+	return id, true
+}
+
+// Lookup returns the id of v without adding it.
+func (t *SetTable) Lookup(v []int32) (int32, bool) {
+	if t.slots == nil {
+		return 0, false
+	}
+	s := t.find(v)
+	return s.id, s.ver == t.ver
+}
+
+// find returns the slot holding v, or the empty slot where it belongs.
+func (t *SetTable) find(v []int32) *setSlot {
+	h := uint64(14695981039346656037) ^ uint64(len(v))
+	for _, x := range v {
+		h = (h ^ uint64(uint32(x))) * 0x9e3779b97f4a7c15
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := h >> t.shift; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.ver != t.ver || slices.Equal(t.Set(s.id), v) {
+			return s
+		}
+	}
+}
+
+// resize replaces the slots with size fresh ones and re-indexes every
+// vector.
+func (t *SetTable) resize(size int) {
+	t.slots = make([]setSlot, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	t.ver = 1
+	for id := range t.end {
+		*t.find(t.Set(int32(id))) = setSlot{t.ver, int32(id)}
+	}
 }
 
 // Subsets is the on-the-fly subset construction of one NFA — the shared
@@ -64,10 +129,10 @@ func (t *SetTable) Intern(set []int32) int32 {
 // explore (product nodes for Contains, subset states for Explore) and
 // compare Len against their budget after a Step.
 //
-// It is not internal/lazydfa: that one is the evaluators' DFA — byte
-// classes capped at 256 (uint8), payloads, seeds, states published to
-// lock-free readers and a MaxStates overflow state, all on a path that
-// is hot per document byte.
+// It is not internal/lazydfa, though both intern their subsets in a
+// SetTable: that one is the evaluators' DFA — byte classes capped at 256
+// (uint8), payloads, seeds, states published to lock-free readers and a
+// MaxStates overflow state, all on a path that is hot per document byte.
 // A decision run has an alphabet of atoms plus operation sets, one
 // goroutine, no bound of its own and is thrown away with its verdict.
 type Subsets struct {
@@ -87,8 +152,9 @@ const unknownStep int32 = -1
 // automaton whose walk stops early does not pay for rows it never fills.
 func NewSubsets(nfa *NFA) *Subsets {
 	n := min(nfa.Len(), presize)
-	sets := SetTable{index: make(map[string]int32, n), flat: make([]int32, 0, n), end: make([]int, 0, n)}
-	return &Subsets{nfa: nfa, sets: sets, final: make([]bool, 0, n), trans: make([]int32, 0, n*nfa.NumSymbols), mark: make([]bool, nfa.Len())}
+	t := &Subsets{nfa: nfa, sets: SetTable{flat: make([]int32, 0, n), end: make([]int, 0, n)}, final: make([]bool, 0, n), trans: make([]int32, 0, n*nfa.NumSymbols), mark: make([]bool, nfa.Len())}
+	t.sets.Reset(n)
+	return t
 }
 
 const presize = 256
@@ -144,8 +210,8 @@ func (t *Subsets) Step(id int32, sym int) int32 {
 // adding it when new, so that a walk can start from a subset other than
 // Start's. The argument is copied.
 func (t *Subsets) Intern(set []int32) int32 {
-	id := t.sets.Intern(set)
-	if int(id) == len(t.final) {
+	id, added := t.sets.Intern(set)
+	if added {
 		final := false
 		for _, q := range set {
 			final = final || t.nfa.Final[q]

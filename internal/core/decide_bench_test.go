@@ -79,14 +79,14 @@ func BenchmarkDecide(b *testing.B) {
 // is PSPACE-hard in general; what is pinned here is that a verdict on
 // 11-state automata does not pay a formatted key and a map per subset
 // step. Before the shared subset table the same call made 3 306
-// allocations, and 708 before Compose, the symbol table and the word
-// NFAs moved to flat tables; the bound is the 214 it makes since, plus
-// 10 %.
+// allocations, 708 before Compose, the symbol table and the word NFAs
+// moved to flat tables, and 214 before automata.SetTable dropped its
+// string keys; the bound is the 126 it makes since, plus 10 %.
 func TestSelfSplittableAllocs(t *testing.T) {
 	p := library.NegativeSentiment()
 	s := library.Sentences()
 	s.IsDisjoint() // memoized; not part of the verdict's cost
-	const parent, bound = 708, 235
+	const parent, bound = 214, 139
 	got := testing.AllocsPerRun(20, func() {
 		ok, err := core.SelfSplittable(p, s, 0)
 		if err != nil || !ok {

@@ -5,7 +5,10 @@
 // owns everything the former per-client copies triplicated — interned
 // sorted-subset states, the transition table, the state-bound overflow
 // sentinel, and the publication protocol that lets many concurrent scans
-// share one warm cache without ever taking a lock to read it.
+// share one warm cache without ever taking a lock to read it. Subsets
+// are interned in an automata.SetTable, the tree's one table for int32
+// vectors; a state's Set aliases the table's storage, which only ever
+// grows past what has been published.
 //
 // The three clients (see DESIGN.md, "One DFA core, three clients"):
 //
@@ -35,6 +38,8 @@ package lazydfa
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/automata"
 )
 
 // Sentinel state ids and transition values. Dead is the interned empty
@@ -104,8 +109,8 @@ type DFA[P any] struct {
 	cfg    Config[P]
 	states atomic.Pointer[[]State[P]]
 
-	mu    sync.Mutex       // serializes writers; readers never take it
-	index map[string]int32 // encoded subset → state id
+	mu    sync.Mutex        // serializes writers; readers never take it
+	sets  automata.SetTable // subset → state id; state id i is set i
 	seeds [][]int32
 
 	// resolve scratch, guarded by mu.
@@ -119,11 +124,8 @@ func New[P any](cfg Config[P]) *DFA[P] {
 	if cfg.MaxStates <= 0 {
 		cfg.MaxStates = DefaultMaxStates
 	}
-	d := &DFA[P]{
-		cfg:   cfg,
-		index: map[string]int32{setKey(nil): Dead},
-		mark:  make([]bool, cfg.States),
-	}
+	d := &DFA[P]{cfg: cfg, mark: make([]bool, cfg.States)}
+	d.sets.Intern(nil) // Dead
 	d.publish([]State[P]{{
 		Payload: cfg.Payload(nil),
 		trans:   make([]atomic.Int32, cfg.Classes), // all-zero: loops on itself
@@ -170,24 +172,21 @@ func (d *DFA[P]) Len() int { return len(d.Snapshot()) }
 // intern interns set under the write lock, copying it on a miss, and
 // publishes the grown state slice before returning the new id.
 func (d *DFA[P]) intern(set []int32) int32 {
-	key := setKey(set)
-	if to, ok := d.index[key]; ok {
+	if to, ok := d.sets.Lookup(set); ok {
 		return to
 	}
 	st := d.Snapshot()
 	if len(st) >= d.cfg.MaxStates {
 		return Overflow
 	}
-	cp := make([]int32, len(set))
-	copy(cp, set)
-	to := int32(len(st))
+	to, _ := d.sets.Intern(set)
+	set = d.sets.Set(to)
 	d.publish(append(st, State[P]{
-		Set:     cp,
-		Payload: d.cfg.Payload(cp),
+		Set:     set,
+		Payload: d.cfg.Payload(set),
 		trans:   unknownRow(d.cfg.Classes),
 		inj:     unknownRow(len(d.seeds)),
 	}))
-	d.index[key] = to
 	return to
 }
 
@@ -253,20 +252,10 @@ func (d *DFA[P]) Inject(from int32, seed int) (int32, []State[P]) {
 	if t := row.Load(); t != Unknown {
 		return t, st
 	}
-	to := d.intern(mergeSortedInt32s(st[from].Set, d.seeds[seed]))
+	d.scratch = mergeSortedInt32s(d.scratch[:0], st[from].Set, d.seeds[seed])
+	to := d.intern(d.scratch)
 	row.Store(to)
 	return to, d.Snapshot()
-}
-
-func setKey(set []int32) string {
-	b := make([]byte, 4*len(set))
-	for i, q := range set {
-		b[4*i] = byte(q)
-		b[4*i+1] = byte(q >> 8)
-		b[4*i+2] = byte(q >> 16)
-		b[4*i+3] = byte(q >> 24)
-	}
-	return string(b)
 }
 
 func sortInt32s(xs []int32) {
@@ -279,10 +268,9 @@ func sortInt32s(xs []int32) {
 	}
 }
 
-// mergeSortedInt32s merges two sorted, duplicate-free slices into a
-// fresh sorted, duplicate-free slice.
-func mergeSortedInt32s(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
+// mergeSortedInt32s appends the merge of two sorted, duplicate-free
+// slices, itself sorted and duplicate-free, to out.
+func mergeSortedInt32s(out, a, b []int32) []int32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

@@ -294,122 +294,24 @@ func (p *evalProg) simBool(set []int32, doc string) bool {
 	return false
 }
 
-// ---------- Eval: sparse-set frontier with arena-backed assignments ----------
-
-// evalCell is one frontier entry: an automaton state plus an offset into
-// the position's arena where its 2·nv-slot partial assignment lives.
-type evalCell struct {
-	state int32
-	off   int32
-}
-
-// cellSlot is one open-addressing hash-table slot; ver stamps the document
-// position it belongs to, so the table is "cleared" by bumping the version
-// instead of zeroing memory.
-type cellSlot struct {
-	ver  uint32
-	cell int32 // index into the position's cell slice
-}
+// ---------- Eval: the tagged frontier simulation's scratch ----------
 
 // evalScratch holds all per-evaluation buffers. Eval is called
 // concurrently by the worker pools on a shared automaton, so scratch is
 // pooled rather than cached on the automaton; after the first few calls
-// the per-byte loop performs no allocation in the common case.
+// the per-byte loop performs no allocation in the common case. The
+// frontier at a boundary is a table of cells [state, assignment…]: a
+// cell reached by several runs is interned once, and the table is reset
+// per boundary; a window alternates between the two of cells. emitted
+// holds the tuples one evaluation has emitted (see evalRun.emit) and is
+// reset per evaluation.
 type evalScratch struct {
-	cur, next   []evalCell
-	curA, nextA []int32 // partial-assignment arenas (stride 2·nv)
-	tmp         []int32
-	table       []cellSlot
-	ver         uint32
-	// Cross-window tuple dedup of one evaluation (see evalRun.emit); the
-	// map is cleared, not reallocated, between evaluations, unless seenMax
-	// — the most tuples it has held since it was made, hence the size of
-	// the bucket array a clear sweeps — says otherwise (see newEvalRun).
-	seen    map[string]bool
-	seenMax int
-	emitBuf []byte
+	cells   [2]automata.SetTable
+	emitted automata.SetTable
+	cell    []int32 // the cell being placed
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
-
-func (s *evalScratch) resetTable(n int) {
-	want := 16
-	for want < 4*n {
-		want <<= 1
-	}
-	if len(s.table) < want {
-		s.table = make([]cellSlot, want)
-		s.ver = 0
-	}
-	s.ver++
-	if s.ver == 0 { // wrapped: stamps from the previous epoch could alias
-		for i := range s.table {
-			s.table[i] = cellSlot{}
-		}
-		s.ver = 1
-	}
-}
-
-func hashCell(state int32, pt []int32) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h = (h ^ uint64(uint32(state))) * prime64
-	for _, v := range pt {
-		h = (h ^ uint64(uint32(v))) * prime64
-	}
-	return h
-}
-
-// place inserts (state, pt) into next/nextA unless an identical cell is
-// already there. grow doubles the table when load exceeds 1/2.
-func (s *evalScratch) place(state int32, pt []int32, stride int) {
-	mask := uint64(len(s.table) - 1)
-	i := hashCell(state, pt) & mask
-	for {
-		slot := &s.table[i]
-		if slot.ver != s.ver {
-			off := int32(len(s.nextA))
-			s.nextA = append(s.nextA, pt...)
-			s.next = append(s.next, evalCell{state, off})
-			*slot = cellSlot{s.ver, int32(len(s.next) - 1)}
-			if 2*len(s.next) > len(s.table) {
-				s.grow(stride)
-			}
-			return
-		}
-		c := s.next[slot.cell]
-		if c.state == state && equalPartial(s.nextA[c.off:int(c.off)+stride], pt) {
-			return
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func equalPartial(a, b []int32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *evalScratch) grow(stride int) {
-	s.table = make([]cellSlot, 2*len(s.table))
-	s.ver = 1
-	mask := uint64(len(s.table) - 1)
-	for ci, c := range s.next {
-		pt := s.nextA[c.off : int(c.off)+stride]
-		i := hashCell(c.state, pt) & mask
-		for s.table[i].ver == s.ver {
-			i = (i + 1) & mask
-		}
-		s.table[i] = cellSlot{s.ver, int32(ci)}
-	}
-}
 
 // applyOps mutates pt in place: every operation of ops is performed at the
 // given boundary (positions are the paper's 1-based endpoints).

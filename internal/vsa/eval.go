@@ -3,6 +3,7 @@ package vsa
 import (
 	"encoding/binary"
 
+	"repro/internal/automata"
 	"repro/internal/span"
 )
 
@@ -36,7 +37,7 @@ func (p partial) apply(ops OpSet, boundary int, numVars int) partial {
 // same single pass), and a backward pass over the reversed core automaton
 // narrows each to the earliest boundary where that match can start. The
 // expensive tagged frontier simulation — byte-class-indexed transition
-// lists, arena-backed assignments, versioned open-addressing dedup — then
+// lists, frontier cells interned in a resettable automata.SetTable — then
 // runs only inside the resulting [start, end) windows, seeded with the
 // exact pre-core frontier and with positions kept in document
 // coordinates, so results are byte-identical to whole-document
@@ -96,47 +97,20 @@ type evalRun struct {
 // path keeps it on the stack.
 func newEvalRun(a *Automaton, p *evalProg, sc *evalScratch, rel *span.Relation, doc string, delta int, arena *span.TupleArena) evalRun {
 	stride := 2 * p.nv
-	if cap(sc.tmp) < stride {
-		sc.tmp = make([]int32, stride)
+	if cap(sc.cell) < stride+1 {
+		sc.cell = make([]int32, stride+1)
 	}
-	if cap(sc.emitBuf) < 4*stride {
-		sc.emitBuf = make([]byte, 4*stride)
-	}
-	// clear() costs O(buckets), and a map keeps the bucket array of its
-	// largest-ever use: after one tuple-heavy evaluation, clearing per
-	// call would tax every later small evaluation (57k segment evals each
-	// sweeping a 12k-tuple map's buckets). So a map is dropped, not
-	// cleared, when the most tuples it ever held are out of proportion to
-	// the document about to be evaluated — more than seenKeep, and more
-	// than one per seenBytesPerTuple bytes of it. Sweeping what is left
-	// costs a small fraction of scanning the document (a bucket is a few
-	// ns, a byte about one), a chunk or a whole document reuses the map
-	// its predecessor grew instead of growing its own, and the common
-	// segment, which emitted nothing, skips the call.
-	const seenKeep, seenBytesPerTuple = 256, 16
-	sc.seenMax = max(sc.seenMax, len(sc.seen))
-	switch {
-	case sc.seen == nil || sc.seenMax > seenKeep && sc.seenMax > len(doc)/seenBytesPerTuple:
-		sc.seen, sc.seenMax = make(map[string]bool), 0
-	case len(sc.seen) > 0:
-		clear(sc.seen)
-	}
+	sc.emitted.Reset(0)
 	return evalRun{a: a, p: p, sc: sc, rel: rel, arena: arena, doc: doc, stride: stride, delta: delta}
 }
 
 // emit deduplicates and materializes one result tuple. Windows are
 // disjoint, but two runs of the same tuple may complete in different
-// windows; the byte-keyed map catches repeats before they allocate.
+// windows; the emitted table catches repeats before they allocate.
 func (r *evalRun) emit(pt []int32) {
-	buf := r.sc.emitBuf[:4*r.stride]
-	for i, v := range pt {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	k := string(buf)
-	if r.sc.seen[k] {
+	if _, added := r.sc.emitted.Intern(pt); !added {
 		return
 	}
-	r.sc.seen[k] = true
 	nv := r.p.nv
 	var t span.Tuple
 	if r.arena != nil {
@@ -150,15 +124,16 @@ func (r *evalRun) emit(pt []int32) {
 	r.rel.Tuples = append(r.rel.Tuples, t)
 }
 
-// place adds a frontier cell, emitting immediately (and dropping the
-// cell) when the assignment is complete in a suffix-universal state —
-// the emit states of the localizer's forward scan.
-func (r *evalRun) place(state int32, pt []int32) {
-	if r.p.uni[state] && completePartial(pt) {
+// place adds a frontier cell [state, assignment…], emitting immediately
+// (and dropping the cell) when the assignment is complete in a
+// suffix-universal state — the emit states of the localizer's forward
+// scan.
+func (r *evalRun) place(next *automata.SetTable, cell []int32) {
+	if pt := cell[1:]; r.p.uni[cell[0]] && completePartial(pt) {
 		r.emit(pt)
 		return
 	}
-	r.sc.place(state, pt, r.stride)
+	next.Intern(cell)
 }
 
 // window runs the tagged frontier simulation over doc[lo:hi]. The
@@ -169,60 +144,48 @@ func (r *evalRun) place(state int32, pt []int32) {
 // discards its residual frontier — runs completing beyond the window are
 // covered by the window of their own completion boundary.
 func (r *evalRun) window(lo, hi int, seed []int32, atDocEnd bool) {
-	p, sc, stride := r.p, r.sc, r.stride
-	sc.cur, sc.next = sc.cur[:0], sc.next[:0]
-	sc.curA, sc.nextA = sc.curA[:0], sc.nextA[:0]
-	tmp := sc.tmp[:stride]
-	for i := range tmp {
-		tmp[i] = 0
-	}
+	p, sc := r.p, r.sc
+	cell := sc.cell[:r.stride+1]
+	pt := cell[1:]
+	clear(cell)
+	cur, next := &sc.cells[0], &sc.cells[1]
 	if seed == nil {
-		sc.resetTable(1)
-		r.place(int32(r.a.Start), tmp)
-	} else {
-		sc.resetTable(len(seed))
-		for _, q := range seed {
-			r.place(q, tmp)
-		}
+		seed = []int32{int32(r.a.Start)}
 	}
-	sc.cur, sc.next = sc.next, sc.cur
-	sc.curA, sc.nextA = sc.nextA, sc.curA
+	next.Reset(len(seed))
+	for _, q := range seed {
+		cell[0] = q
+		r.place(next, cell)
+	}
+	cur, next = next, cur
 
 	nc := p.nclasses
 	doc := r.doc
-	for pos := lo; pos < hi && len(sc.cur) > 0; pos++ {
+	for pos := lo; pos < hi && cur.Len() > 0; pos++ {
 		c := int(p.classOf[doc[pos]])
-		sc.next = sc.next[:0]
-		sc.nextA = sc.nextA[:0]
-		sc.resetTable(len(sc.cur))
-		for _, cell := range sc.cur {
-			src := sc.curA[cell.off : int(cell.off)+stride]
-			for _, e := range p.succ[int(cell.state)*nc+c] {
-				if e.ops == 0 {
-					r.place(e.to, src)
-				} else {
-					copy(tmp, src)
-					applyOps(tmp, e.ops, pos)
-					r.place(e.to, tmp)
+		next.Reset(cur.Len())
+		for id := range int32(cur.Len()) {
+			src := cur.Set(id)
+			for _, e := range p.succ[int(src[0])*nc+c] {
+				cell[0] = e.to
+				for i := range pt { // a loop: a call to memmove costs more
+					pt[i] = src[i+1]
 				}
+				applyOps(pt, e.ops, pos)
+				r.place(next, cell)
 			}
 		}
-		sc.cur, sc.next = sc.next, sc.cur
-		sc.curA, sc.nextA = sc.nextA, sc.curA
+		cur, next = next, cur
 	}
 	if !atDocEnd {
 		return
 	}
-	for _, cell := range sc.cur {
-		src := sc.curA[cell.off : int(cell.off)+stride]
-		for _, f := range p.finals[cell.state] {
-			if f == 0 {
-				r.emit(src)
-				continue
-			}
-			copy(tmp, src)
-			applyOps(tmp, f, len(doc))
-			r.emit(tmp)
+	for id := range int32(cur.Len()) {
+		src := cur.Set(id)
+		for _, f := range p.finals[src[0]] {
+			copy(pt, src[1:])
+			applyOps(pt, f, len(doc))
+			r.emit(pt)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package vsa_test
 
 import (
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/library"
@@ -153,5 +154,57 @@ func TestMultiSessionAllocationsPerSegment(t *testing.T) {
 	// a pooled scratch had to grow.
 	if session/nseg > oneShot/nseg+0.001 {
 		t.Errorf("MultiSession: %.3f allocations per segment, one-shot EvalAppend %.3f", session/nseg, oneShot/nseg)
+	}
+}
+
+// TestEvalAppendEmitsEachTupleOnce pins EvalAppend's within-call dedupe:
+// an ambiguous formula reaches each x{a} by two runs — through the
+// second alternative it is emitted at the boundary after the a, through
+// the first only after the next b — and the tuple must be appended once.
+func TestEvalAppendEmitsEachTupleOnce(t *testing.T) {
+	p := regexformula.MustCompile(`(.*)(x{a})(.*)(b)(.*)|(.*)(x{a})(.*)`)
+	doc := strings.Repeat("abcab", 12)
+	rel := span.NewRelation(p.Vars...)
+	p.EvalAppend(doc, span.Span{Start: 1, End: len(doc) + 1}, rel, nil)
+	appended := len(rel.Tuples)
+	rel.Dedupe()
+	want := p.EvalReference(doc).Len()
+	if appended != rel.Len() || appended != want {
+		t.Fatalf("EvalAppend appended %d tuples, %d distinct, EvalReference finds %d", appended, rel.Len(), want)
+	}
+	if want != 24 {
+		t.Fatalf("EvalReference finds %d tuples, want one per a (24)", want)
+	}
+}
+
+// TestMultiSessionDenseAllocations pins what emitting tuples costs: a
+// MultiSession with an arena over the 2 MiB match-dense review document
+// emits some 11 500 tuples, and the table that dedupes them allocates
+// nothing per tuple. What is left is the arena's slabs and the
+// relation's growth: a few dozen allocations, not one per tuple.
+func TestMultiSessionDenseAllocations(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	neg := library.NegativeSentiment()
+	m := vsa.NewMulti(neg)
+	m.Prepare()
+	doc := scanReviewDoc(2 << 20)
+	by := span.Span{Start: 1, End: len(doc) + 1}
+	tuples := 0
+	allocs := testing.AllocsPerRun(3, func() {
+		rel := span.NewRelation(neg.Vars...)
+		var arena span.TupleArena
+		s := m.NewSession()
+		s.EvalAppend(doc, by, func(int) *span.Relation { return rel }, &arena)
+		s.Close()
+		tuples = rel.Len()
+	})
+	t.Logf("%d tuples: %.0f allocations per evaluation", tuples, allocs)
+	if tuples < 10000 {
+		t.Fatalf("%d tuples: the corpus lost its match density", tuples)
+	}
+	if allocs > float64(tuples)/100 {
+		t.Errorf("%.0f allocations for %d tuples, want at most one per hundred", allocs, tuples)
 	}
 }

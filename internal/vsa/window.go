@@ -5,8 +5,8 @@ package vsa
 // only where matches can actually live. The spanner shapes that dominate
 // extraction workloads — Σ*·extraction·Σ* and friends — spend almost the
 // whole document in a variable-free prefix or suffix; the simulation's
-// per-byte cost (frontier scan, assignment arena, dedup table) is wasted
-// there. The localizer replaces it with two byte-class DFA passes:
+// per-byte cost (frontier scan, cell table) is wasted there. The
+// localizer replaces it with two byte-class DFA passes:
 //
 //  1. Forward end-detection: a lazily determinized DFA over the scan
 //     automaton — the automaton with emit states truncated (an emit state
