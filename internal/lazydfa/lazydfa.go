@@ -10,7 +10,7 @@
 // vectors; a state's Set aliases the table's storage, which only ever
 // grows past what has been published.
 //
-// The three clients (see DESIGN.md, "One DFA core, three clients"):
+// The four clients (see DESIGN.md, "One DFA core, four clients"):
 //
 //   - vsa's forward end-detection scan DFA, over a scan group of 1–64
 //     member automata — the one scan behind single- and multi-query
@@ -18,12 +18,18 @@
 //     bitmaps),
 //   - vsa's backward start-narrowing DFA (payload: per-class core-start
 //     flags; uses seed injection),
+//   - vsa's tag DFA, which the tagged simulation walks: its symbols are
+//     (byte class, op-set) pairs, not byte classes (payload: whether a
+//     member is suffix-universal, and the completing final op-set;
+//     interns every window's seed at walk time),
 //   - core's compiled splitter scanner (payload: per-class open/close/
 //     wrap split events).
 //
-// Concurrency contract: configuration (New, Seed, Intern for start
-// states) happens single-threaded at build time; afterwards any number
-// of goroutines may read concurrently. A reader loads the published
+// Concurrency contract: New and Seed happen single-threaded at build
+// time; afterwards any number of goroutines may read concurrently, and
+// Intern may run at any time — clients intern start states at build
+// time and seeds while others walk (it takes the write lock, like a
+// fill). A reader loads the published
 // state slice once per pass (Snapshot) and walks it with one array
 // lookup per byte. Only writers lock, and a fill goes in one order:
 // intern the target, append it, publish the longer slice, then store
@@ -62,8 +68,10 @@ const DefaultMaxStates = 1 << 12
 
 // Config describes one client's determinization problem.
 type Config[P any] struct {
-	// Classes is the number of byte equivalence classes; every state's
-	// transition table has exactly this many entries.
+	// Classes is the number of input symbols — byte equivalence classes,
+	// or the tag DFA's (byte class, op-set) pairs — at most 256, since
+	// Resolve takes a byte; every state's transition table has exactly
+	// this many entries.
 	Classes int
 	// States is the number of underlying NFA states; subset members are
 	// ids in [0, States).
@@ -113,9 +121,12 @@ type DFA[P any] struct {
 	sets  automata.SetTable // subset → state id; state id i is set i
 	seeds [][]int32
 
-	// resolve scratch, guarded by mu.
+	// resolve scratch, guarded by mu. collect, made once in New, is the
+	// emit callback a fill hands Succ: a closure made per fill would be
+	// a heap allocation per member.
 	mark    []bool
 	scratch []int32
+	collect func(to int32)
 }
 
 // New returns a DFA containing only Dead (the interned empty subset).
@@ -125,6 +136,12 @@ func New[P any](cfg Config[P]) *DFA[P] {
 		cfg.MaxStates = DefaultMaxStates
 	}
 	d := &DFA[P]{cfg: cfg, mark: make([]bool, cfg.States)}
+	d.collect = func(to int32) {
+		if !d.mark[to] {
+			d.mark[to] = true
+			d.scratch = append(d.scratch, to)
+		}
+	}
 	d.sets.Intern(nil) // Dead
 	d.publish([]State[P]{{
 		Payload: cfg.Payload(nil),
@@ -143,7 +160,8 @@ func (d *DFA[P]) publish(st []State[P]) { d.states.Store(&st) }
 
 // Intern returns the state id of a subset (sorted, duplicate-free),
 // creating and paying its payload if it is new. Returns Overflow at the
-// state bound. Clients use it for start states; interning the empty set
+// state bound. Clients use it for start states and for seeds met while
+// walking; it is safe concurrently with walks. Interning the empty set
 // returns Dead.
 func (d *DFA[P]) Intern(set []int32) int32 {
 	d.mu.Lock()
@@ -218,21 +236,15 @@ func (d *DFA[P]) Resolve(from int32, class uint8) (int32, []State[P]) {
 	if t := row.Load(); t != Unknown {
 		return t, st // resolved by a concurrent walk
 	}
-	out := d.scratch[:0]
+	d.scratch = d.scratch[:0]
 	for _, q := range st[from].Set {
-		d.cfg.Succ(q, class, func(to int32) {
-			if !d.mark[to] {
-				d.mark[to] = true
-				out = append(out, to)
-			}
-		})
+		d.cfg.Succ(q, class, d.collect)
 	}
-	for _, q := range out {
+	for _, q := range d.scratch {
 		d.mark[q] = false
 	}
-	sortInt32s(out)
-	d.scratch = out
-	to := d.intern(out)
+	sortInt32s(d.scratch)
+	to := d.intern(d.scratch)
 	row.Store(to)
 	return to, d.Snapshot()
 }

@@ -2,6 +2,7 @@ package lazydfa
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -241,6 +242,66 @@ func TestConcurrentWalks(t *testing.T) {
 				}
 			}
 		}(int64(g))
+	}
+	wg.Wait()
+}
+
+// simAccept runs testNFA from the subset set directly, with no DFA.
+func simAccept(set []int32, input []uint8) bool {
+	cur := map[int32]bool{}
+	for _, q := range set {
+		cur[q] = true
+	}
+	for _, c := range input {
+		next := map[int32]bool{}
+		for q := range cur {
+			testNFA{}.succ(q, c, func(to int32) { next[to] = true })
+		}
+		cur = next
+	}
+	return cur[2]
+}
+
+// TestConcurrentInternWhileWalking: Intern is a walk-time call too (vsa's
+// tag DFA interns every window's seed), so it runs under the write lock
+// while other goroutines walk and resolve. Half the goroutines intern
+// random seed subsets, half the start subset, and every one walks from
+// what it interned: each state's Set must be the subset it was interned
+// for, and each walk must accept what a direct simulation from its seed
+// does.
+func TestConcurrentInternWhileWalking(t *testing.T) {
+	d := newTestDFA(0, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for trial := 0; trial < 300; trial++ {
+				seed := []int32{0}
+				if g%2 == 1 {
+					seed = seed[:0]
+					for q := int32(0); q < 3; q++ {
+						if rng.Intn(2) == 0 {
+							seed = append(seed, q)
+						}
+					}
+				}
+				s := d.Intern(seed)
+				if got := d.Snapshot()[s].Set; !slices.Equal(got, seed) {
+					t.Errorf("Intern(%v) = state %d holding %v", seed, s, got)
+					return
+				}
+				input := make([]uint8, rng.Intn(16))
+				for i := range input {
+					input[i] = uint8(rng.Intn(2))
+				}
+				if got, want := runWalk(d, s, input), simAccept(seed, input); got != want {
+					t.Errorf("seed %v, input %v: accept=%v, want %v", seed, input, got, want)
+					return
+				}
+			}
+		}(g)
 	}
 	wg.Wait()
 }

@@ -50,6 +50,11 @@ type Automaton struct {
 	localOnce sync.Once
 	localVal  *localizer
 
+	// Lazily built tag DFA program of the tagged simulation (see eval.go),
+	// built on the first simulation.
+	tagOnce sync.Once
+	tagVal  *tagProg
+
 	// Lazily extracted literal prefilter (mandatory factor + reason; see
 	// prefilter.go), shared by every evaluation of this automaton.
 	// prefDisabled turns the prefilter off (DisablePrefilter) — set
@@ -212,7 +217,11 @@ func (a *Automaton) IsDeterministic() bool {
 // reachable state; unreachable states get status 0. An error is returned
 // if two paths assign conflicting statuses or an edge misuses a variable —
 // both indicate a broken (non-functional) hand-built automaton.
-func (a *Automaton) Statuses() ([]Status, error) {
+func (a *Automaton) Statuses() ([]Status, error) { return a.statuses(false) }
+
+// statuses is Statuses; with finals it also fails, as Validate does, on
+// a final operation set of a reachable state.
+func (a *Automaton) statuses(finals bool) ([]Status, error) {
 	st := make([]Status, len(a.States))
 	known := make([]bool, len(a.States))
 	st[a.Start] = 0
@@ -221,6 +230,11 @@ func (a *Automaton) Statuses() ([]Status, error) {
 	for len(queue) > 0 {
 		q := queue[0]
 		queue = queue[1:]
+		if finals {
+			if err := a.checkFinals(q, st[q]); err != nil {
+				return nil, err
+			}
+		}
 		for _, e := range a.States[q].Edges {
 			next, ok := st[q].Apply(e.Ops)
 			if !ok {
@@ -246,19 +260,22 @@ func (a *Automaton) Statuses() ([]Status, error) {
 // call Validate on every constructed automaton.
 func (a *Automaton) Validate() error {
 	st, err := a.Statuses()
-	if err != nil {
-		return err
+	for q := 0; err == nil && q < len(a.States); q++ {
+		err = a.checkFinals(q, st[q])
 	}
-	all := AllClosed(len(a.Vars))
-	for q, s := range a.States {
-		for _, f := range s.Finals {
-			fin, ok := st[q].Apply(f)
-			if !ok {
-				return fmt.Errorf("vsa: final ops %v of state %d misuse a variable", f, q)
-			}
-			if fin != all {
-				return fmt.Errorf("vsa: final ops %v of state %d leave variables unclosed", f, q)
-			}
+	return err
+}
+
+// checkFinals checks that every final operation set of state q, whose
+// status is s, completes s to the all-closed status.
+func (a *Automaton) checkFinals(q int, s Status) error {
+	for _, f := range a.States[q].Finals {
+		fin, ok := s.Apply(f)
+		if !ok {
+			return fmt.Errorf("vsa: final ops %v of state %d misuse a variable", f, q)
+		}
+		if fin != AllClosed(len(a.Vars)) {
+			return fmt.Errorf("vsa: final ops %v of state %d leave variables unclosed", f, q)
 		}
 	}
 	return nil

@@ -22,9 +22,9 @@ import (
 //
 // Determinization itself lives in internal/lazydfa. An automaton has one
 // forward DFA, its localizer's one-member scan group (window.go): EvalBool
-// walks it, as Eval's forward scan does. The other two clients of the
-// core are the backward narrowing DFA (reverse.go) and core's compiled
-// splitter scanner.
+// walks it, as Eval's forward scan does. The other three clients of the
+// core are the backward narrowing DFA (reverse.go), the tag DFA the
+// tagged simulation walks (eval.go) and core's compiled splitter scanner.
 
 // progEdge is one compiled transition: perform ops at the current
 // boundary, then move to state to (the consumed byte is implied by the
@@ -89,7 +89,8 @@ func (a *Automaton) prog() *evalProg {
 // program with its suffix-universality, both match-window DFAs —
 // the forward end-detection scan and the reversed start-narrowing
 // program — and the literal prefilter's factor extraction) so that the
-// first evaluation does not pay for them. It freezes the automaton: any
+// first evaluation does not pay for them; the tag DFA is left to the
+// first simulation, which many plans never run. It freezes the automaton: any
 // later AddEdge/AddFinal panics. The engine calls Prepare when compiling
 // a plan, so plans served from the cache carry warmed evaluators and the
 // memoized prefilter factors.
@@ -294,21 +295,16 @@ func (p *evalProg) simBool(set []int32, doc string) bool {
 	return false
 }
 
-// ---------- Eval: the tagged frontier simulation's scratch ----------
+// ---------- Eval: the tagged simulation's scratch ----------
 
-// evalScratch holds all per-evaluation buffers. Eval is called
-// concurrently by the worker pools on a shared automaton, so scratch is
-// pooled rather than cached on the automaton; after the first few calls
-// the per-byte loop performs no allocation in the common case. The
-// frontier at a boundary is a table of cells [state, assignment…]: a
-// cell reached by several runs is interned once, and the table is reset
-// per boundary; a window alternates between the two of cells. emitted
-// holds the tuples one evaluation has emitted (see evalRun.emit) and is
-// reset per evaluation.
+// evalScratch holds the tagged simulation's frontier buffers (see
+// evalRun.window). Eval is called concurrently by the worker pools on a
+// shared automaton, so scratch is pooled rather than cached on the
+// automaton; after the first few calls the per-byte loop performs no
+// allocation. A window alternates between the two frontiers, each a
+// flat run of cells [tag state, assignment…].
 type evalScratch struct {
-	cells   [2]automata.SetTable
-	emitted automata.SetTable
-	cell    []int32 // the cell being placed
+	front [2][]int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
@@ -321,13 +317,4 @@ func applyOps(pt []int32, ops OpSet, boundary int) {
 		// bit index is the slot index.
 		pt[bits.TrailingZeros64(o)] = int32(boundary + 1)
 	}
-}
-
-func completePartial(pt []int32) bool {
-	for _, v := range pt {
-		if v == 0 {
-			return false
-		}
-	}
-	return true
 }

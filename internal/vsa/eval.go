@@ -2,8 +2,9 @@ package vsa
 
 import (
 	"encoding/binary"
+	"slices"
 
-	"repro/internal/automata"
+	"repro/internal/lazydfa"
 	"repro/internal/span"
 )
 
@@ -36,16 +37,15 @@ func (p partial) apply(ops OpSet, boundary int, numVars int) partial {
 // EvalBool prescan — a document with no such boundary is rejected in the
 // same single pass), and a backward pass over the reversed core automaton
 // narrows each to the earliest boundary where that match can start. The
-// expensive tagged frontier simulation — byte-class-indexed transition
-// lists, frontier cells interned in a resettable automata.SetTable — then
-// runs only inside the resulting [start, end) windows, seeded with the
-// exact pre-core frontier and with positions kept in document
+// tagged simulation — a walk of the tag DFA, on which each tuple has one
+// run — then runs only inside the resulting [start, end) windows, seeded
+// with the exact pre-core frontier and with positions kept in document
 // coordinates, so results are byte-identical to whole-document
-// evaluation. When localization does not apply (nullary automata, no
-// per-state status, DFA state-bound overflow) Eval falls back to the
-// whole-document path: DFA prescan plus full tagged simulation.
-// EvalReference retains the map-based simulation all of this replaced;
-// fuzzing asserts the two agree.
+// evaluation. When localization does not apply (nullary automata, DFA
+// state-bound overflow) Eval falls back to the whole-document path: DFA
+// prescan plus one tagged simulation. An automaton that is not
+// functional (hand-built only) evaluates on EvalReference, the retained
+// map-based simulation all of this replaced; fuzzing asserts they agree.
 func (a *Automaton) Eval(doc string) *span.Relation {
 	rel := span.NewRelation(a.Vars...)
 	a.EvalAppend(doc, span.Span{Start: 1, End: len(doc) + 1}, rel, nil)
@@ -63,11 +63,11 @@ func (a *Automaton) Eval(doc string) *span.Relation {
 // segments into one per-worker accumulator performs no per-segment
 // relation or per-tuple allocation.
 //
-// rel must have been created over a.Vars. Duplicate tuples arising
-// within this one evaluation are suppressed, but rel is NOT deduplicated
-// or sorted against tuples appended by earlier calls — callers that
-// merge several segments must Dedupe once at the end, which also
-// restores the canonical order Eval guarantees.
+// rel must have been created over a.Vars. Each tuple of this one
+// evaluation is appended once, but rel is NOT deduplicated or sorted
+// against tuples appended by earlier calls — callers that merge several
+// segments must Dedupe once at the end, which also restores the
+// canonical order Eval guarantees.
 //
 // It runs the Multi of one that a's localizer keeps — the one
 // evaluation pass over a's own scan group (multi.go); a caller
@@ -77,40 +77,111 @@ func (a *Automaton) EvalAppend(doc string, by span.Span, rel *span.Relation, are
 	a.localizer().one.EvalAppend(doc, by, func(int) *span.Relation { return rel }, arena)
 }
 
-// evalRun bundles the per-evaluation state shared by every window of one
-// Eval call: the frozen program, the scratch, the result relation and
-// the cross-window tuple dedup. Bundling it into one struct keeps the
-// per-window hot path free of closure allocations.
-type evalRun struct {
-	a      *Automaton
+// ---------- the tag DFA ----------
+
+// tagProg is the tag automaton the tagged simulation walks: the lazy
+// determinization of a functional automaton over the extended alphabet
+// (Proposition 4.4), on which one run exists per tuple. Its symbols are
+// the distinct (byte class, op-set) pairs on the program's edges,
+// numbered class by class: class c owns [symLo[c], symLo[c+1]). A state
+// is a subset of automaton states, all of one status. dfa is nil past
+// 256 symbols (lazydfa rows are indexed by a byte).
+type tagProg struct {
 	p      *evalProg
-	sc     *evalScratch
-	rel    *span.Relation
-	arena  *span.TupleArena // nil: tuples are individually allocated
-	doc    string
-	stride int
-	delta  int // added to every emitted position (EvalAppend's shift)
+	status []Status
+	symLo  []int32 // per class, plus an end: each class's first symbol
+	ops    []OpSet // per symbol
+	class  []uint8 // per symbol
+	dfa    *lazydfa.DFA[tagFlags]
 }
 
-// newEvalRun starts one document's evaluation on sc, sizing its fixed
-// buffers for p. It returns the run by value so that the per-segment hot
-// path keeps it on the stack.
-func newEvalRun(a *Automaton, p *evalProg, sc *evalScratch, rel *span.Relation, doc string, delta int, arena *span.TupleArena) evalRun {
-	stride := 2 * p.nv
-	if cap(sc.cell) < stride+1 {
-		sc.cell = make([]int32, stride+1)
+// tagFlags is a tag state's payload. emit: some member is an emit state
+// (all variables closed, suffix-universal), so a cell reaching the state
+// is complete and its tuple certain. fin: the final op-set completing
+// the members' status, if some member has one (on a functional
+// automaton, it is every member's only one).
+type tagFlags struct {
+	emit, hasFin bool
+	fin          OpSet
+}
+
+// tag returns the tag program, building it on the first simulation, or
+// nil when a is not functional.
+func (a *Automaton) tag() *tagProg {
+	a.tagOnce.Do(func() {
+		if st := a.localizer().status; st != nil {
+			a.tagVal = newTagProg(a.prog(), st)
+		}
+	})
+	return a.tagVal
+}
+
+func newTagProg(p *evalProg, status []Status) *tagProg {
+	nc := p.nclasses
+	t := &tagProg{p: p, status: status, symLo: make([]int32, nc+1), ops: make([]OpSet, 0, 2*nc), class: make([]uint8, 0, 2*nc)}
+	for c := range nc {
+		t.symLo[c] = int32(len(t.ops))
+		for q := range p.nstates {
+			for _, e := range p.succ[q*nc+c] {
+				if !slices.Contains(t.ops[t.symLo[c]:], e.ops) {
+					t.ops = append(t.ops, e.ops)
+					t.class = append(t.class, uint8(c))
+				}
+			}
+		}
 	}
-	sc.emitted.Reset(0)
-	return evalRun{a: a, p: p, sc: sc, rel: rel, arena: arena, doc: doc, stride: stride, delta: delta}
+	t.symLo[nc] = int32(len(t.ops))
+	if len(t.ops) <= 256 {
+		t.dfa = lazydfa.New(lazydfa.Config[tagFlags]{
+			Classes:   len(t.ops),
+			States:    p.nstates,
+			MaxStates: maxDFAStates,
+			Succ:      func(q int32, sym uint8, emit func(int32)) { t.succ(q, int(sym), emit) },
+			Payload:   t.flags,
+		})
+	}
+	return t
 }
 
-// emit deduplicates and materializes one result tuple. Windows are
-// disjoint, but two runs of the same tuple may complete in different
-// windows; the emitted table catches repeats before they allocate.
+// succ emits the successors of state q on symbol sym.
+func (t *tagProg) succ(q int32, sym int, emit func(int32)) {
+	for _, e := range t.p.succ[int(q)*t.p.nclasses+int(t.class[sym])] {
+		if e.ops == t.ops[sym] {
+			emit(e.to)
+		}
+	}
+}
+
+func (t *tagProg) flags(set []int32) tagFlags {
+	var f tagFlags
+	for _, q := range set {
+		f.emit = f.emit || t.p.uni[q] && t.status[q] == AllClosed(t.p.nv)
+		for _, fin := range t.p.finals[q] {
+			f.hasFin, f.fin = true, fin
+		}
+	}
+	return f
+}
+
+// ---------- the tagged simulation ----------
+
+// evalRun bundles the per-evaluation state shared by every window of one
+// Eval call; one struct keeps the per-window hot path free of closure
+// allocations.
+type evalRun struct {
+	a        *Automaton
+	p        *evalProg
+	tag      *tagProg // nil: a is not functional
+	sc       *evalScratch
+	rel      *span.Relation
+	arena    *span.TupleArena // nil: tuples are individually allocated
+	doc      string
+	delta    int  // added to every emitted position (EvalAppend's shift)
+	uncached bool // a window stepped uncached
+}
+
+// emit materializes one result tuple.
 func (r *evalRun) emit(pt []int32) {
-	if _, added := r.sc.emitted.Intern(pt); !added {
-		return
-	}
 	nv := r.p.nv
 	var t span.Tuple
 	if r.arena != nil {
@@ -124,69 +195,140 @@ func (r *evalRun) emit(pt []int32) {
 	r.rel.Tuples = append(r.rel.Tuples, t)
 }
 
-// place adds a frontier cell [state, assignment…], emitting immediately
-// (and dropping the cell) when the assignment is complete in a
-// suffix-universal state — the emit states of the localizer's forward
-// scan.
-func (r *evalRun) place(next *automata.SetTable, cell []int32) {
-	if pt := cell[1:]; r.p.uni[cell[0]] && completePartial(pt) {
-		r.emit(pt)
+// whole is the whole-document rung of MultiSession.pass: the tagged
+// simulation of the whole document from the start state. An automaton
+// that is not functional has no tag program — one run per tuple does
+// not hold for it — and evaluates on EvalReference.
+func (r *evalRun) whole() {
+	if r.tag == nil {
+		for _, t := range r.a.EvalReference(r.doc).Tuples {
+			r.rel.Tuples = append(r.rel.Tuples, t.Shift(span.Span{Start: r.delta + 1}))
+		}
 		return
 	}
-	next.Intern(cell)
+	r.simulate(0, len(r.doc), []int32{int32(r.a.Start)}, true)
 }
 
-// window runs the tagged frontier simulation over doc[lo:hi]. The
-// frontier is seeded at boundary lo with the given states (nil means the
-// automaton's start state) and the all-unset assignment; positions are
-// document-absolute throughout. Final operation sets apply only when the
-// range ends at the document end (atDocEnd); an earlier window simply
-// discards its residual frontier — runs completing beyond the window are
-// covered by the window of their own completion boundary.
-func (r *evalRun) window(lo, hi int, seed []int32, atDocEnd bool) {
-	p, sc := r.p, r.sc
-	cell := sc.cell[:r.stride+1]
-	pt := cell[1:]
-	clear(cell)
-	cur, next := &sc.cells[0], &sc.cells[1]
-	if seed == nil {
-		seed = []int32{int32(r.a.Start)}
+// simulate runs the tagged simulation over doc[lo:hi] from the sorted
+// subset seed with the all-unset assignment; positions are
+// document-absolute. Final operation sets apply only when the range
+// ends at the document end (atDocEnd); an earlier window discards its
+// residual frontier — runs completing beyond it are covered by the
+// window of their own completion boundary. If the seed or the walk
+// meets the tag DFA's state bound, or there is no DFA, the window
+// reruns uncached, after dropping whatever the walk had emitted.
+func (r *evalRun) simulate(lo, hi int, seed []int32, atDocEnd bool) {
+	n0 := len(r.rel.Tuples)
+	if d := r.tag.dfa; d != nil {
+		if s := d.Intern(seed); s != dfaOverflow && r.window(lo, hi, s, atDocEnd) {
+			return
+		}
 	}
-	next.Reset(len(seed))
-	for _, q := range seed {
-		cell[0] = q
-		r.place(next, cell)
-	}
-	cur, next = next, cur
+	r.rel.Tuples = r.rel.Tuples[:n0]
+	r.uncached = true
+	r.windowUncached(lo, hi, seed, atDocEnd)
+}
 
-	nc := p.nclasses
+// window is simulate on the tag DFA; it returns false at the state
+// bound. A frontier cell is [tag state, assignment…], appended with no
+// lookup: one tag run exists per ref-word prefix, which the assignment
+// spells out, so no two cells share one. A cell's tuple is emitted once:
+// where it first reaches an emit state (the cell is dropped), or at the
+// document end.
+func (r *evalRun) window(lo, hi int, seed int32, atDocEnd bool) bool {
+	t, sc, w := r.tag, r.sc, 1+2*r.p.nv
+	st := t.dfa.Snapshot()
+	cur, next := sc.front[0][:0], append(sc.front[1][:0], make([]int32, w)...)
+	next[0] = seed
+	if st[seed].Payload.emit { // nullary: the empty tuple
+		r.emit(nil)
+		next = next[:0]
+	}
 	doc := r.doc
-	for pos := lo; pos < hi && cur.Len() > 0; pos++ {
-		c := int(p.classOf[doc[pos]])
-		next.Reset(cur.Len())
-		for id := range int32(cur.Len()) {
-			src := cur.Set(id)
-			for _, e := range p.succ[int(src[0])*nc+c] {
-				cell[0] = e.to
-				for i := range pt { // a loop: a call to memmove costs more
-					pt[i] = src[i+1]
+	for pos := lo; pos < hi && len(next) > 0; pos++ {
+		cur, next = next, cur[:0]
+		c := r.p.classOf[doc[pos]]
+		s0, s1 := t.symLo[c], t.symLo[c+1] // hoisted: next's writes could alias symLo
+		for i := 0; i < len(cur); i += w {
+			from := cur[i]
+			for sym := s0; sym < s1; sym++ {
+				to := st[from].Trans(uint8(sym))
+				if to == dfaDead {
+					continue
 				}
-				applyOps(pt, e.ops, pos)
-				r.place(next, cell)
+				if to < 0 || int(to) >= len(st) { // rare: unresolved, stale or overflowed
+					if to, st = t.dfa.Resolve(from, uint8(sym)); to == dfaOverflow {
+						sc.front = [2][]int32{cur, next}
+						return false
+					} else if to == dfaDead {
+						continue
+					}
+				}
+				n := len(next)
+				next = append(next, cur[i:i+w]...)
+				next[n] = to
+				applyOps(next[n+1:], t.ops[sym], pos)
+				if st[to].Payload.emit {
+					r.emit(next[n+1:])
+					next = next[:n]
+				}
 			}
 		}
-		cur, next = next, cur
 	}
-	if !atDocEnd {
-		return
-	}
-	for id := range int32(cur.Len()) {
-		src := cur.Set(id)
-		for _, f := range p.finals[src[0]] {
-			copy(pt, src[1:])
-			applyOps(pt, f, len(doc))
-			r.emit(pt)
+	for i := 0; atDocEnd && i < len(next); i += w {
+		if f := st[next[i]].Payload; f.hasFin {
+			applyOps(next[i+1:i+w], f.fin, len(doc))
+			r.emit(next[i+1 : i+w])
 		}
+	}
+	sc.front = [2][]int32{cur, next}
+	return true
+}
+
+// windowUncached is simulate on the uncached step, the tagged
+// counterpart of simBool: each cell carries its subset explicitly and
+// steps by the grouping a DFA fill computes, unsorted and not interned.
+func (r *evalRun) windowUncached(lo, hi int, seed []int32, atDocEnd bool) {
+	t := r.tag
+	type cell struct{ set, pt []int32 }
+	cur := []cell{{seed, make([]int32, 2*r.p.nv)}}
+	mark := make([]bool, r.p.nstates)
+	for pos := lo; pos <= hi && len(cur) > 0; pos++ {
+		var next []cell
+		for _, x := range cur {
+			f := t.flags(x.set)
+			switch {
+			case f.emit:
+				r.emit(x.pt)
+			case pos == hi:
+				if atDocEnd && f.hasFin {
+					applyOps(x.pt, f.fin, len(r.doc))
+					r.emit(x.pt)
+				}
+			default:
+				c := r.p.classOf[r.doc[pos]]
+				for sym := t.symLo[c]; sym < t.symLo[c+1]; sym++ {
+					var set []int32
+					for _, q := range x.set {
+						t.succ(q, int(sym), func(to int32) {
+							if !mark[to] {
+								mark[to] = true
+								set = append(set, to)
+							}
+						})
+					}
+					for _, q := range set {
+						mark[q] = false
+					}
+					if len(set) > 0 {
+						pt := slices.Clone(x.pt)
+						applyOps(pt, t.ops[sym], pos)
+						next = append(next, cell{set, pt})
+					}
+				}
+			}
+		}
+		cur = next
 	}
 }
 

@@ -37,7 +37,8 @@ type EvalMetrics struct {
 	// actually had to touch; EmptyDocs counts evaluations the forward
 	// scan rejected outright (no candidate match end — the simulation
 	// never ran); Fallbacks counts evaluations that took the
-	// whole-document path (no localizer, or DFA overflow).
+	// whole-document path (no localizer, or DFA overflow) or ran a window
+	// on the uncached tagged step (tag DFA overflow, > 256 symbols).
 	Windows     obs.Counter
 	WindowBytes obs.Counter
 	EmptyDocs   obs.Counter

@@ -19,9 +19,10 @@ package vsa
 // member to the member's own group of one; a member whose backward
 // narrowing overflows goes there alone. A group of one whose member
 // overflows, cannot be narrowed, or cannot be localized at all (nullary
-// or status-less automata) takes the EvalBool prescan plus one
-// whole-document simulation. Differential tests hold the construction to
-// "byte-identical per query to Eval and to EvalReference".
+// or non-functional automata) takes the EvalBool prescan plus one
+// whole-document simulation (on EvalReference if non-functional).
+// Differential tests hold the construction to "byte-identical per query
+// to Eval and to EvalReference".
 
 import (
 	"strings"
@@ -223,12 +224,13 @@ func (s *MultiSession) scan() *scanScratch {
 }
 
 // run starts the tagged simulation of one document by a on the
-// session's evalScratch, acquiring it on first use.
-func (s *MultiSession) run(a *Automaton, p *evalProg, rel *span.Relation, doc string, delta int, arena *span.TupleArena) evalRun {
+// session's evalScratch, acquiring it on first use. It returns the run
+// by value so that the per-segment hot path keeps it on the stack.
+func (s *MultiSession) run(a *Automaton, rel *span.Relation, doc string, delta int, arena *span.TupleArena) evalRun {
 	if s.sc == nil {
 		s.sc = scratchPool.Get().(*evalScratch)
 	}
-	return newEvalRun(a, p, s.sc, rel, doc, delta, arena)
+	return evalRun{a: a, p: a.prog(), tag: a.tag(), sc: s.sc, rel: rel, arena: arena, doc: doc, delta: delta}
 }
 
 // EvalAppend evaluates the session's query set on doc under
@@ -336,10 +338,15 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 				}
 				r := memberRel(rel, mi, g.autos[slot])
 				n0 := len(r.Tuples)
-				run := s.run(g.autos[slot], g.progs[slot], r, doc, by.Start-1, arena)
-				g.simulate(slot, doc, ws, &run)
+				run := s.run(g.autos[slot], r, doc, by.Start-1, arena)
+				for _, wd := range ws.windows {
+					run.simulate(wd.lo, wd.hi, g.seedAt(slot, doc, wd.lo, ws), wd.hi == len(doc))
+				}
 				if em != nil {
 					em.SimNS.AddDuration(time.Since(t0))
+					if run.uncached {
+						em.Fallbacks.Inc()
+					}
 				}
 				if mm != nil {
 					mm.DemuxTuples.Add(uint64(len(r.Tuples) - n0))
@@ -374,8 +381,8 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 	if a := g.autos[0]; a.EvalBool(doc) {
 		r := memberRel(rel, g.members[0], a)
 		n0 := len(r.Tuples)
-		run := s.run(a, g.progs[0], r, doc, by.Start-1, arena)
-		run.window(0, len(doc), nil, true)
+		run := s.run(a, r, doc, by.Start-1, arena)
+		run.whole()
 		if mm != nil {
 			mm.DemuxTuples.Add(uint64(len(r.Tuples) - n0))
 		}

@@ -670,10 +670,27 @@ func FuzzMultiVsMembers(f *testing.F) {
 		}
 		m := NewMulti(a, b, a)
 		rels := m.Eval(doc)
+		// One run per tuple: before any Dedupe, EvalAppend has appended
+		// each member's tuples once.
+		appended := make([]*span.Relation, m.Len())
+		m.EvalAppend(doc, span.Span{Start: 1, End: len(doc) + 1}, func(i int) *span.Relation {
+			if appended[i] == nil {
+				appended[i] = span.NewRelation(m.Member(i).Vars...)
+			}
+			return appended[i]
+		}, nil)
 		for i, got := range rels {
 			mem := m.Member(i)
-			if d := reltest.ThreeWayDiff("fused", got, "standalone", mem.Eval(doc), mem.EvalReference(doc)); d != "" {
+			ref := mem.EvalReference(doc)
+			if d := reltest.ThreeWayDiff("fused", got, "standalone", mem.Eval(doc), ref); d != "" {
 				t.Fatalf("member %d diverged on %q:\n%s%s", i, doc, d, mem)
+			}
+			n := 0 // a member with no tuple may never request its relation
+			if appended[i] != nil {
+				n = appended[i].Len()
+			}
+			if n != ref.Len() {
+				t.Fatalf("member %d: EvalAppend appended %d tuples on %q, EvalReference finds %d\n%s", i, n, doc, ref.Len(), mem)
 			}
 		}
 	})

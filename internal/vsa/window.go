@@ -5,7 +5,7 @@ package vsa
 // only where matches can actually live. The spanner shapes that dominate
 // extraction workloads — Σ*·extraction·Σ* and friends — spend almost the
 // whole document in a variable-free prefix or suffix; the simulation's
-// per-byte cost (frontier scan, cell table) is wasted there. The
+// per-byte cost (a frontier walk of the tag DFA) is wasted there. The
 // localizer replaces it with two byte-class DFA passes:
 //
 //  1. Forward end-detection: a lazily determinized DFA over the scan
@@ -43,7 +43,7 @@ package vsa
 // localizer keeps (Automaton.EvalAppend). One member is not a special
 // case of that code, only its smallest input.
 //
-// When the analysis cannot apply — nullary automata, no per-state status,
+// When the analysis cannot apply — nullary or non-functional automata,
 // or a DFA state-bound overflow — evaluation only ever steps down: from a
 // group of many to each member's group of one, and from there to the
 // EvalBool prescan plus one whole-document simulation. EvalBool walks the
@@ -88,8 +88,8 @@ type window struct {
 // narrowing program, the one-member scan group that evaluation of this
 // automaton alone scans with, and the Multi of one that runs it. Built
 // once under localOnce and read-only afterwards; the lazy DFAs beneath it
-// publish their own fills. scan, group and one exist for every automaton;
-// status and rev only when ok.
+// publish their own fills. scan, group and one exist for every automaton,
+// status for every functional one, and rev only when ok.
 type localizer struct {
 	ok     bool
 	reason string // why localized evaluation is disabled, when !ok
@@ -119,21 +119,23 @@ func (a *Automaton) buildLocalizer() *localizer {
 	loc := &localizer{}
 	p := a.prog()
 	end := make([]bool, len(a.States))
-	if len(a.Vars) == 0 {
+	st, err := a.statuses(true)
+	loc.status = st
+	switch {
+	case err != nil:
+		// Only hand-built non-functional automata land here; they
+		// evaluate on EvalReference (evalRun.whole).
+		loc.reason = "not functional: " + err.Error()
+	case len(a.Vars) == 0:
 		loc.reason = "nullary automaton: no variable operations to localize"
-	} else if st, err := a.Statuses(); err != nil {
-		// Only hand-built non-functional automata land here; they still
-		// evaluate through the whole-document path.
-		loc.reason = "no per-state status: " + err.Error()
-	} else {
+	default:
 		all := AllClosed(len(a.Vars))
 		for q := range a.States {
 			// Emit states: evaluation emits a run's tuple and drops the run
-			// the moment it enters one (see evalRun.place), so they are
+			// the moment it enters one (see evalRun.window), so they are
 			// exactly the boundaries where matches complete early.
 			end[q] = st[q] == all && p.uni[q]
 		}
-		loc.status = st
 		loc.rev = buildRevProg(p, a, st, end)
 		loc.ok = true
 	}
@@ -481,14 +483,6 @@ func (g *scanGroup) seedAt(slot int, doc string, lo int, ws *scanScratch) []int3
 		}
 	}
 	return ws.seed
-}
-
-// simulate runs member slot's tagged simulation inside the windows narrow
-// left in ws, each seeded from the forward pass's checkpoints.
-func (g *scanGroup) simulate(slot int, doc string, ws *scanScratch, run *evalRun) {
-	for _, wd := range ws.windows {
-		run.window(wd.lo, wd.hi, g.seedAt(slot, doc, wd.lo, ws), wd.hi == len(doc))
-	}
 }
 
 // ---------- backward start-narrowing ----------

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/alphabet"
 	"repro/internal/reltest"
+	"repro/internal/span"
 )
 
 // rawSigmaStar appends a Σ*-loop between from and to on r.
@@ -163,8 +164,10 @@ func TestWindowedEvalMatchesReference(t *testing.T) {
 }
 
 // TestWindowedEvalNonLocalizableFallsBack: a hand-built automaton
-// without consistent statuses (non-functional) must evaluate through the
-// whole-document fallback and still agree with the reference simulation.
+// without consistent statuses (non-functional) must disable localization
+// and evaluate on EvalReference through the whole-document rung, so the
+// expected relations are written out by hand rather than read off
+// EvalReference.
 func TestWindowedEvalNonLocalizableFallsBack(t *testing.T) {
 	a := NewAutomaton("x")
 	mid := a.AddState()
@@ -177,9 +180,21 @@ func TestWindowedEvalNonLocalizableFallsBack(t *testing.T) {
 	if loc := a.localizer(); loc.ok {
 		t.Fatal("status-less automaton must disable localization")
 	}
-	for _, doc := range []string{"", "ac", "bc", "acc", "b"} {
-		if got, want := a.Eval(doc), a.EvalReference(doc); !got.Equal(want) {
-			t.Errorf("Eval(%q): fallback %v != reference %v", doc, got, want)
+	// A later close overwrites an earlier one, and a run through b
+	// leaves x's open slot unset (0).
+	for doc, want := range map[string][]span.Span{
+		"":    nil,
+		"ac":  {{Start: 1, End: 2}},
+		"bc":  {{Start: 0, End: 2}},
+		"acc": {{Start: 1, End: 3}},
+		"b":   {{Start: 0, End: 0}},
+	} {
+		rel := span.NewRelation("x")
+		for _, s := range want {
+			rel.Add(span.Tuple{s})
+		}
+		if got := a.Eval(doc); !got.Equal(rel) {
+			t.Errorf("Eval(%q) = %v, want %v", doc, got, rel)
 		}
 	}
 }
@@ -283,6 +298,13 @@ func FuzzEvalWindowVsReference(f *testing.F) {
 		got, want := a.Eval(doc), a.EvalReference(doc)
 		if !got.Equal(want) {
 			t.Fatalf("windowed Eval disagrees on %q:\nwindowed: %v\nreference: %v\n%s", doc, got, want, a)
+		}
+		// One run per tuple: before any Dedupe, EvalAppend has appended
+		// each tuple once.
+		rel := span.NewRelation(a.Vars...)
+		a.EvalAppend(doc, span.Span{Start: 1, End: len(doc) + 1}, rel, nil)
+		if rel.Len() != want.Len() {
+			t.Fatalf("EvalAppend appended %d tuples on %q, EvalReference finds %d\n%s", rel.Len(), doc, want.Len(), a)
 		}
 		// The same automaton as a Multi of one: the other entry point to
 		// the same scan.
