@@ -142,6 +142,12 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	if values["spanners_plan_cache_hits_total"] < 2 {
 		t.Fatalf("cache hits = %v, want ≥ 2", values["spanners_plan_cache_hits_total"])
 	}
+	// The skip gate's stand-downs are exported beside the skipped bytes.
+	for _, name := range []string{"spanners_eval_prefilter_stand_downs_total", "spanners_multi_fused_stand_downs_total"} {
+		if _, ok := values[name]; !ok || typed[name] != "counter" {
+			t.Fatalf("/metrics has no counter %s", name)
+		}
+	}
 
 	// Three identical requests are one plan-cache miss: the decision
 	// procedures ran once.

@@ -33,6 +33,16 @@ func FuzzPrefilterVsScan(f *testing.F) {
 	f.Add(uint8(2), byte(1), byte(1), int64(9), longGap)
 	// Long separator-free run: streaks cross many chunk boundaries.
 	f.Add(uint8(1), byte(4), byte(3), int64(10), longGap+"w."+longGap)
+	// A trigger-dense run longer than the skip gate's window, then a
+	// sparse tail: the gate stands down mid-stream — in Split and in the
+	// ScanRun at every chunk size — and the tail is stepped plainly.
+	f.Add(uint8(0), byte(0), byte(0), int64(11),
+		strings.Repeat("a.", 64)+strings.Repeat("x", 900)+". tail "+strings.Repeat("y", 600)+".")
+	// The same shape for .*(x{b})a*, whose trigger is 'a': the gate stands
+	// down mid-pass in EvalBool and in Eval's forward scan, and in the
+	// ScanRun at chunk sizes 1 and 7.
+	f.Add(uint8(6), byte(0), byte(0), int64(148),
+		strings.Repeat("ac", 64)+strings.Repeat("c", 1500)+"ab")
 	f.Fuzz(func(t *testing.T, mode uint8, c1, c2 byte, seed int64, doc string) {
 		// Cap the document: the differential runs whole-document Eval twice,
 		// whose worst case is quadratic, and a short-timed CI smoke should

@@ -152,6 +152,7 @@ func newMetrics(e *Engine) *Metrics {
 	r.BindCounter("spanners_eval_empty_total", "instrumented evaluations rejected by the forward scan alone", &m.eval.EmptyDocs)
 	r.BindCounter("spanners_eval_fallbacks_total", "instrumented evaluations on the whole-document fallback path", &m.eval.Fallbacks)
 	r.BindCounter("spanners_eval_prefilter_skipped_bytes_total", "bytes skipped by the literal prefilter (factor gate + trigger-byte jumps)", &m.eval.PrefilterSkippedBytes)
+	r.BindCounter("spanners_eval_prefilter_stand_downs_total", "instrumented evaluations whose trigger-byte skip loop stood down for lack of yield", &m.eval.PrefilterStandDowns)
 	r.BindCounter("spanners_eval_prefilter_candidates_total", "instrumented evaluations that passed the mandatory-factor gate", &m.eval.PrefilterCandidates)
 	for rs := vsa.PrefilterReason(0); int(rs) < vsa.NumPrefilterReasons; rs++ {
 		r.BindCounter(`spanners_eval_prefilter_disabled_total{reason="`+rs.String()+`"}`,
@@ -161,6 +162,7 @@ func newMetrics(e *Engine) *Metrics {
 	r.BindCounter("spanners_multi_fused_passes_total", "fused multi-query forward scans", &m.multi.FusedPasses)
 	r.BindCounter("spanners_multi_fused_bytes_total", "document bytes covered by fused passes", &m.multi.FusedBytes)
 	r.BindCounter("spanners_multi_fused_skipped_bytes_total", "fused-pass bytes skipped by the combined trigger-byte prefilter", &m.multi.FusedSkippedBytes)
+	r.BindCounter("spanners_multi_fused_stand_downs_total", "fused passes whose trigger-byte skip loop stood down for lack of yield", &m.multi.FusedStandDowns)
 	r.BindCounter("spanners_multi_demux_tuples_total", "result tuples demultiplexed into per-query relations", &m.multi.DemuxTuples)
 	r.BindCounter("spanners_multi_admission_skips_total", "member×document pairs skipped by the per-query mandatory-factor admission bitmap", &m.multi.AdmissionSkips)
 	r.BindCounter("spanners_multi_member_fallbacks_total", "member evaluations that ran standalone instead of fused", &m.multi.MemberFallbacks)

@@ -21,7 +21,8 @@ import (
 // state is the degenerate case C = {q}; the set form is what makes
 // word-structured text skippable, where the DFA oscillates between a
 // mid-word and a post-separator state and no single state ever loops
-// long enough to matter.
+// long enough to matter. A jump only pays where triggers are rare, so
+// the gate measures its yield and stands down where they are not.
 
 // MaxSkipTriggers is the largest trigger set worth a skip loop: one
 // IndexByte pass per trigger per document region is paid for the jump,
@@ -46,11 +47,16 @@ const DefaultSkipStreak = 16
 // region changed character and the per-byte Contains test is wasted.
 const skipMissLimit = 512
 
-// skipCoolBytes is the back-off after a jump that made no progress
-// (the very next byte is a trigger): stepping a few bytes plainly is
-// cheaper than re-running the occurrence search per byte through a
-// trigger cluster.
-const skipCoolBytes = 8
+// skipBreakEven is the mean gain per jump, in bytes, below which a
+// jump (an IndexByte pass per trigger whose cached occurrence fell
+// behind) costs more than stepping those bytes plainly.
+const skipBreakEven = 8
+
+// skipWindow is how many jumps a gate weighs at a time: a window that
+// gained under skipBreakEven bytes a jump stands the gate down for the
+// rest of its pass or stream. One trigger cluster in sparse text does
+// not tip a window; trigger bytes that begin common words do.
+const skipWindow = 32
 
 // SkipSet is the compiled skip program of one synchronized DFA state
 // set: the states of C, the trigger bytes on which the scan must stop
@@ -84,9 +90,6 @@ func NewSkipSet(triggers []byte, states []int32, sync *[256]int32) *SkipSet {
 
 // Triggers exposes the trigger bytes (read-only).
 func (s *SkipSet) Triggers() []byte { return s.triggers }
-
-// States exposes the synchronized state set (read-only).
-func (s *SkipSet) States() []int32 { return s.states }
 
 // Contains reports whether q is in the synchronized set.
 func (s *SkipSet) Contains(q int32) bool {
@@ -209,7 +212,10 @@ func (r *SkipRun) Jump(from, n int) (to int, hit bool) {
 // three compares per byte; armed, it additionally tests membership of
 // the current state in the armed set (≤ MaxSkipStates compares) so the
 // scan resumes jumping immediately after a short excursion (e.g. a
-// failed partial literal match). A SkipGate is single-goroutine.
+// failed partial literal match). Where the jumps themselves do not pay
+// — a window of them gaining under skipBreakEven bytes each — the gate
+// stands down and costs one compare per byte from then on. A SkipGate
+// is single-goroutine.
 type SkipGate struct {
 	cache *SkipCache
 	build func(q int32) *SkipSet
@@ -224,12 +230,14 @@ type SkipGate struct {
 	prev   int32 // previous distinct state, for 2-state streak tracking
 	streak int
 	miss   int
-	cool   int
+	// The yield of the current window: jumps made and bytes they gained.
+	jumps, gain int
+	down        bool // stood down: no more jumps this pass or stream
 }
 
 // Init points the gate at the DFA's shared skip cache. Must be called
 // once before the first Step; persistent engagement state (armed set,
-// streak, memo) survives across Bind calls.
+// streak, memo, yield window, stand-down) survives across Bind calls.
 func (g *SkipGate) Init(cache *SkipCache) {
 	g.cache = cache
 	g.kA, g.kB = -1, -1
@@ -256,8 +264,7 @@ func (g *SkipGate) Bind(build func(q int32) *SkipSet, index func(from, to int, b
 // returns the SkipSet to jump with when the scan may skip from t, else
 // nil. The caller jumps from the boundary after t's byte.
 func (g *SkipGate) Step(cur, t int32) *SkipSet {
-	if g.cool > 0 {
-		g.cool--
+	if g.down {
 		return nil
 	}
 	if g.sk != nil {
@@ -309,16 +316,22 @@ func (g *SkipGate) resolve(q int32) *SkipSet {
 }
 
 // Jump searches for the next trigger of s in [from, n), switching the
-// occurrence cache over when the armed set changed. A jump that cannot
-// advance starts the cool-down, so trigger clusters are stepped plainly
-// instead of re-searched per byte.
+// occurrence cache over when the armed set changed. Every skipWindow
+// jumps it weighs their gain: under skipBreakEven bytes a jump, the
+// gate stands down (see StoodDown).
 func (g *SkipGate) Jump(s *SkipSet, from, n int) (to int, hit bool) {
 	if g.run.set != s {
 		g.run.Reset(s, g.index)
 	}
 	to, hit = g.run.Jump(from, n)
-	if to <= from {
-		g.cool = skipCoolBytes
+	g.gain += to - from
+	if g.jumps++; g.jumps == skipWindow {
+		g.down = g.down || g.gain < skipWindow*skipBreakEven
+		g.jumps, g.gain = 0, 0
 	}
 	return to, hit
 }
+
+// StoodDown reports whether the gate has stopped skipping for the rest
+// of its pass or stream because its jumps gained too little.
+func (g *SkipGate) StoodDown() bool { return g.down }

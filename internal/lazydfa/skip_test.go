@@ -212,13 +212,63 @@ func TestSkipGateSelfLoopEngagesAndJumps(t *testing.T) {
 	if !hit || to != 200 {
 		t.Fatalf("Jump = (%d, %v), want (200, true)", to, hit)
 	}
-	// A jump that cannot advance starts the cool-down: the gate steps
-	// plainly for a few bytes instead of re-searching per byte.
+	// A jump that cannot advance lands on the trigger itself; the gate
+	// stays armed, since only a window's yield stands it down.
 	if to, hit = g.Jump(got, 200, len(doc)); !hit || to != 200 {
 		t.Fatalf("no-progress Jump = (%d, %v), want (200, true)", to, hit)
 	}
-	if s := g.Step(1, 1); s != nil {
-		t.Fatal("gate must cool down after a no-progress jump")
+	if s := g.Step(1, 1); s != set {
+		t.Fatal("one no-progress jump must not stand the gate down")
+	}
+	// The rest of the window gains nothing: the window's mean falls under
+	// the break-even, the gate stands down, and Step returns nil after.
+	for k := 2; k < skipWindow; k++ {
+		g.Jump(got, 200, len(doc))
+	}
+	if !g.StoodDown() {
+		t.Fatalf("gate still armed after a window gaining %d bytes", 200-pos-1)
+	}
+	for i := 0; i < 4*DefaultSkipStreak; i++ {
+		if s := g.Step(1, 1); s != nil {
+			t.Fatal("a stood-down gate must not skip again")
+		}
+	}
+}
+
+// TestSkipGateYieldRule pins the stand-down threshold: jumps gaining
+// exactly skipBreakEven bytes each keep the gate armed window after
+// window; one byte less stands it down at the end of the first window,
+// not before.
+func TestSkipGateYieldRule(t *testing.T) {
+	for _, tc := range []struct {
+		gain int
+		down bool
+	}{{skipBreakEven, false}, {skipBreakEven - 1, true}} {
+		doc := strings.Repeat(strings.Repeat(".", tc.gain)+"b", 4*skipWindow)
+		set := testSet('b')
+		var cache SkipCache
+		var g SkipGate
+		g.Init(&cache)
+		g.Bind(func(q int32) *SkipSet { return set }, StringIndex(doc))
+		for i := 0; g.Step(1, 1) == nil; i++ {
+			if i > 4*DefaultSkipStreak {
+				t.Fatal("gate never engaged on a self-loop")
+			}
+		}
+		from := 0
+		for k := 0; k < 3*skipWindow; k++ {
+			to, hit := g.Jump(set, from, len(doc))
+			if !hit || to-from != tc.gain {
+				t.Fatalf("gain %d: jump %d = (%d, %v) from %d", tc.gain, k, to, hit, from)
+			}
+			if want := tc.down && k >= skipWindow-1; g.StoodDown() != want {
+				t.Fatalf("gain %d: after jump %d StoodDown = %v, want %v", tc.gain, k, !want, want)
+			}
+			from = to + 1
+		}
+		if s := g.Step(1, 1); (s == nil) != tc.down {
+			t.Fatalf("gain %d: Step after the windows = %v, want stood down %v", tc.gain, s, tc.down)
+		}
 	}
 }
 

@@ -49,8 +49,11 @@ type EvalMetrics struct {
 	// skip loop jumped over. PrefilterCandidates counts instrumented
 	// evaluations that survived the admission gate and went on to scan
 	// (on factor-less automata every evaluation is a candidate).
+	// PrefilterStandDowns counts instrumented evaluations whose skip loop
+	// stood down because its jumps gained less than stepping.
 	PrefilterSkippedBytes obs.Counter
 	PrefilterCandidates   obs.Counter
+	PrefilterStandDowns   obs.Counter
 	// PrefilterDisabled counts instrumented evaluations per prefilter
 	// admission-gate status, indexed by PrefilterReason. Index
 	// PrefilterOK means the gate is armed with a factor; the other

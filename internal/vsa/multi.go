@@ -44,8 +44,11 @@ type MultiMetrics struct {
 	FusedPasses obs.Counter
 	FusedBytes  obs.Counter
 	// FusedSkippedBytes counts bytes the fused scan's trigger-byte skip
-	// loop jumped over (the literal prefilter's mid-scan mechanism).
+	// loop jumped over (the literal prefilter's mid-scan mechanism);
+	// FusedStandDowns counts fused passes whose skip gate stood down
+	// because its jumps gained less than stepping.
 	FusedSkippedBytes obs.Counter
+	FusedStandDowns   obs.Counter
 	// DemuxTuples counts result tuples demultiplexed into per-member
 	// relations (members evaluated on their own group included).
 	DemuxTuples obs.Counter
@@ -306,9 +309,15 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 				fm.FusedPasses.Inc()
 				fm.FusedBytes.Add(uint64(len(doc)))
 				fm.FusedSkippedBytes.Add(uint64(ws.skipped))
+				if ws.stoodDown {
+					fm.FusedStandDowns.Inc()
+				}
 			}
 			if em != nil {
 				em.PrefilterSkippedBytes.Add(uint64(ws.skipped))
+				if ws.stoodDown {
+					em.PrefilterStandDowns.Inc()
+				}
 			}
 			for slot, mi := range g.members {
 				if len(ws.ends[slot]) == 0 && ws.finals&(1<<slot) == 0 {

@@ -95,3 +95,47 @@ func TestPrefilterFormulaEvalAgrees(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefilterSkipYieldPerShape pins the skip gate's yield rule on the
+// two shapes it separates. The sixteen fused words of BenchmarkScanPaths
+// have eight trigger bytes that begin common words, so on a 256 KiB
+// review document their jumps gain a couple of bytes each: the fused
+// pass stands its skip set down, and its relations still equal those of
+// prefilter-disabled members. NegativeSentiment alone jumps from one
+// "b" to the next over the same document: it never stands down and
+// skips more than 90 % of the bytes.
+func TestPrefilterSkipYieldPerShape(t *testing.T) {
+	doc := scanReviewDoc(256 << 10)
+	members := make([]*vsa.Automaton, len(scanWords))
+	for i, w := range scanWords {
+		members[i] = compile(t, `(.*[ .!?\n])?`+w+` (y{[a-z]+})(([^a-z].*)?|)`)
+	}
+	m := vsa.NewMulti(members...)
+	var mm vsa.MultiMetrics
+	m.SetMetrics(&mm)
+	got := m.Eval(doc)
+	if mm.FusedPasses.Load() != 1 || mm.FusedStandDowns.Load() != 1 {
+		t.Fatalf("fused passes %d, stand-downs %d: want the one fused pass stood down",
+			mm.FusedPasses.Load(), mm.FusedStandDowns.Load())
+	}
+	for i, w := range scanWords {
+		off := compile(t, `(.*[ .!?\n])?`+w+` (y{[a-z]+})(([^a-z].*)?|)`)
+		off.DisablePrefilter()
+		if want := off.Eval(doc); !got[i].Equal(want) {
+			t.Fatalf("member %q: fused relation has %d tuples, prefilter-disabled %d", w, got[i].Len(), want.Len())
+		}
+	}
+
+	neg := library.NegativeSentiment()
+	var em vsa.EvalMetrics
+	neg.SetEvalMetrics(&em)
+	if neg.Eval(doc).Len() == 0 {
+		t.Fatal("no NegativeSentiment match in the review document")
+	}
+	if n := em.PrefilterStandDowns.Load(); n != 0 {
+		t.Fatalf("NegativeSentiment stood down %d times", n)
+	}
+	if skipped := em.PrefilterSkippedBytes.Load(); 10*skipped <= 9*uint64(len(doc)) {
+		t.Fatalf("NegativeSentiment skipped %d of %d bytes, want more than 90 %%", skipped, len(doc))
+	}
+}

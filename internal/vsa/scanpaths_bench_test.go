@@ -38,10 +38,11 @@ func scanReviewDoc(n int) string {
 // BenchmarkScanPaths times the one evaluation pass the way a split
 // worker runs it: a vsa.MultiSession on a Multi of one member (session:
 // the automaton's own scan group, what every single spanner runs) and of
-// sixteen (multi-16). Inputs are a 2 MiB match-dense
-// review document, a 2 MiB sparse one, and the dense document sentence
-// by sentence — the ~54 000 calls per document of the split path, where
-// per-call fixed costs are the whole bill. Every row checks its tuple
+// sixteen (multi-16). Inputs are a 256 KiB review document (a
+// batch-fused request's), a 2 MiB match-dense review document, a 2 MiB
+// sparse one, and the dense document sentence by sentence — the ~54 000
+// calls per document of the split path, where per-call fixed costs are
+// the whole bill. Every row checks its tuple
 // count against whole-document Eval of each member (the members are
 // split-correct for sentences, so the segment rows must agree too).
 //
@@ -54,6 +55,7 @@ func BenchmarkScanPaths(b *testing.B) {
 	}
 	neg := members[0]
 	dense := scanReviewDoc(2 << 20)
+	review := scanReviewDoc(256 << 10)
 	sparse := corpus.SparseSentiment(1, 2<<20, 64<<10)[:2<<20]
 	whole := func(doc string) []scanPiece {
 		return []scanPiece{{doc, span.Span{Start: 1, End: len(doc) + 1}}}
@@ -67,6 +69,7 @@ func BenchmarkScanPaths(b *testing.B) {
 		doc    string
 		pieces []scanPiece
 	}{
+		{"review-256k", review, whole(review)},
 		{"dense", dense, whole(dense)},
 		{"sparse", sparse, whole(sparse)},
 		{"segments", dense, segments},

@@ -374,7 +374,8 @@ func (g *scanGroup) forward(doc string, start int32, ws *scanScratch) bool {
 	// The group and the document live in ws, where the skip callbacks
 	// bound at its construction read them.
 	ws.g, ws.doc = g, doc
-	defer ws.endPass()
+	var gate lazydfa.SkipGate
+	defer ws.endPass(&gate)
 	st := g.dfa.Snapshot()
 	cur := start
 	ws.checkpoints = append(ws.checkpoints[:0], start)
@@ -386,7 +387,6 @@ func (g *scanGroup) forward(doc string, start int32, ws *scanScratch) bool {
 	}
 	ws.finals = 0
 	ws.skipped = 0
-	var gate lazydfa.SkipGate
 	if !g.noSkip {
 		gate.Init(&g.skips)
 		gate.Bind(ws.build, ws.index)
@@ -594,8 +594,12 @@ type scanScratch struct {
 	ends        [][]int32 // per slot: candidate match-end boundaries, as [lo, hi) runs
 	finals      uint64    // the payload's fin bitmap at the document end
 	// skipped counts bytes the forward pass jumped over via the
-	// literal-prefilter skip loop; callers flush it into their metrics.
-	skipped int
+	// literal-prefilter skip loop, and stoodDown says whether its skip
+	// gate stood down for lack of yield; callers flush both into their
+	// metrics.
+	skipped   int
+	stoodDown bool
+
 	windows []window // narrow's result for the member being evaluated
 	seed    []int32
 
@@ -621,8 +625,12 @@ func newScanScratch() *scanScratch {
 	return ws
 }
 
-// endPass ends the forward pass: the scratch lets go of the document
-// and group, which a pooled scratch must not keep alive.
-func (ws *scanScratch) endPass() { ws.g, ws.doc = nil, "" }
+// endPass ends the forward pass: the scratch records whether the pass's
+// skip gate stood down, and lets go of the document and group, which a
+// pooled scratch must not keep alive.
+func (ws *scanScratch) endPass(gate *lazydfa.SkipGate) {
+	ws.stoodDown = gate.StoodDown()
+	ws.g, ws.doc = nil, ""
+}
 
 var scanPool = sync.Pool{New: func() any { return newScanScratch() }}
