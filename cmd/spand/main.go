@@ -25,7 +25,7 @@
 //	                   breakdown (plan / segment / eval shares with
 //	                   p50/p90/p99, plus the nested merge / localize /
 //	                   sim stages and decide, the decision procedures'
-//	                   part of plan), work-stealing executor statistics,
+//	                   part of plan), split executor statistics,
 //	                   and per-endpoint request counts, error counts and
 //	                   latency percentiles with the current in-flight
 //	                   gauge.

@@ -9,7 +9,7 @@ import (
 // disjointness, locality) in a plan cache (LRU + single-flight),
 // streams documents chunk-by-chunk through the splitter whenever the
 // locality verdict proves that safe (buffering them whole otherwise),
-// and evaluates segments on a shared work-stealing executor with
+// and evaluates segments on a shared split executor with
 // bounded-backpressure dispatch. Use it when serving
 // many extraction requests; the one-shot façade functions
 // (SplitCorrect, ParallelEval, ...) re-run the decision procedures every

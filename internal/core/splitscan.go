@@ -273,6 +273,11 @@ func (r *ScanRun) Pos() int { return r.pos }
 // Split instead re-splits the whole document by the reference path).
 func (r *ScanRun) Bailed() bool { return r.bailed }
 
+// StoodDown reports whether the run's trigger-skip gate has stood down:
+// its jumps gained too little, so the run steps every byte from then on
+// (see lazydfa.SkipGate.StoodDown).
+func (r *ScanRun) StoodDown() bool { return r.gate.StoodDown() }
+
 // Anchor returns the 0-based byte offset from which the document must
 // be retained: the start of the last span event (the in-progress open,
 // or the most recent emitted span start). Every span the run emits from

@@ -16,7 +16,7 @@
 //   - Documents may arrive as io.Reader streams: when the plan runs at
 //     chunk grain (see below), the splitter is applied incrementally with
 //     carry-over across chunk boundaries, and each feed's completed
-//     segments are dispatched as one chunk to the work-stealing
+//     segments are dispatched as one chunk to the
 //     split-evaluation executor (internal/parallel) with backpressure
 //     while the tail of the document is still being read; otherwise the
 //     stream is buffered whole, which is sound for arbitrary splitters.
@@ -55,7 +55,7 @@ import (
 type Config struct {
 	// PlanCache is the maximum number of cached plans (default 128).
 	PlanCache int
-	// Workers is the number of evaluation workers in the work-stealing
+	// Workers is the number of evaluation workers in the split
 	// executor (default GOMAXPROCS). Results never depend on it.
 	Workers int
 	// RequestWorkers caps the executor parallelism any single request may
@@ -193,7 +193,7 @@ type Stats struct {
 	// Segmenter reports how streamed documents were segmented: resumable
 	// compiled-scanner feeds, and scanner bails.
 	Segmenter SegmenterStats `json:"segmenter"`
-	// Executor reports the work-stealing executor's scheduling counters.
+	// Executor reports the split executor's scheduling counters.
 	Executor ExecStats `json:"executor"`
 	// Localization reports the match-window localizer's effectiveness
 	// over instrumented (large) evaluations.
@@ -284,7 +284,7 @@ func (e *Engine) plan(ctx context.Context, tenant, key string, compile func() (*
 }
 
 // breakEven is the document size in bytes below which an executor run
-// cannot pay for itself: its fixed cost (~30 µs: deques, accumulators,
+// cannot pay for itself: its fixed cost (~30 µs: accumulators,
 // sessions, a second goroutine's start and join, the merge) divided by
 // what two ideally-scaling workers save per byte over one whole Eval
 // (~1.1 ns). DESIGN.md ("Where splitting pays") has the measured rows,
@@ -405,7 +405,7 @@ func (e *Engine) WillStream(plan *Plan) bool {
 // non-nil — and returns one relation per member (sorted, deduplicated)
 // with the route the document took.
 //
-// A split plan's document goes through the splitter and the work-stealing
+// A split plan's document goes through the splitter and the split
 // executor (ExecSplit, or ExecChunked where chunked proves the coarser
 // grain) when that can pay for itself (see splitPays) and is otherwise
 // evaluated whole on the calling goroutine (ExecWhole), like every

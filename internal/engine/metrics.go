@@ -79,9 +79,12 @@ type Metrics struct {
 	// compiled scanner consumed by resuming from saved DFA state (each
 	// byte scanned exactly once); segBails counts mid-document scanner
 	// bails, after which a stream is buffered from the scanner's anchor
-	// and that tail is its last chunk.
-	segResumed obs.Counter
-	segBails   obs.Counter
+	// and that tail is its last chunk. segStandDowns counts streamed
+	// documents whose scanner's trigger-skip gate stood down for lack of
+	// yield (see lazydfa.SkipGate).
+	segResumed    obs.Counter
+	segBails      obs.Counter
+	segStandDowns obs.Counter
 
 	stages [numStages]obs.Histogram // wall ns per request, by Stage
 	decide obs.Histogram            // wall ns per cold compilation (nested in plan)
@@ -108,6 +111,7 @@ func newMetrics(e *Engine) *Metrics {
 	r.BindCounter("spanners_engine_segments_total", "splitter spans of documents on the split route, at either grain", &m.segments)
 	r.BindCounter("spanners_engine_segmenter_resumed_feeds_total", "chunk feeds consumed by the resumable compiled scanner", &m.segResumed)
 	r.BindCounter("spanners_engine_segmenter_bails_total", "compiled-scanner bails: streamed documents buffered from the scanner's anchor to their end", &m.segBails)
+	r.BindCounter("spanners_engine_segmenter_stand_downs_total", "streamed documents whose compiled scanner's trigger-byte skip loop stood down for lack of yield", &m.segStandDowns)
 
 	for s := Stage(0); s < numStages; s++ {
 		r.BindDurationHistogram(`spanners_engine_stage_seconds{stage="`+s.String()+`"}`,
@@ -135,13 +139,11 @@ func newMetrics(e *Engine) *Metrics {
 		cacheStat(func(s CacheStats) float64 { return float64(s.Size) }))
 
 	r.BindCounter("spanners_exec_runs_total", "split-executor runs", &m.exec.Runs)
-	r.BindCounter("spanners_exec_steals_total", "successful chunk steals", &m.exec.Steals)
 	r.BindCounter("spanners_exec_chunks_total", "chunks executed", &m.exec.Chunks)
 	r.BindCounter("spanners_exec_segments_total", "units evaluated by the executor: segments, or chunks of them on the chunked route", &m.exec.Segments)
 	r.BindCounter("spanners_exec_eval_bytes_total", "segment bytes evaluated by the executor", &m.exec.EvalBytes)
 	r.BindDurationCounter("spanners_exec_busy_seconds_total", "summed worker time spent executing chunks", &m.exec.BusyNS)
 	r.BindDurationCounter("spanners_exec_run_seconds_total", "summed executor run wall time", &m.exec.RunNS)
-	r.BindGauge("spanners_exec_deque_high_water", "deepest worker deque seen, in chunks", &m.exec.DequeHighWater)
 
 	r.BindCounter("spanners_eval_instrumented_total", "evaluations large enough to time sub-phases", &m.eval.Evals)
 	r.BindCounter("spanners_eval_doc_bytes_total", "bytes in instrumented evaluations", &m.eval.DocBytes)
@@ -203,22 +205,23 @@ type StageStats struct {
 
 // SegmenterStats is the /v1/stats view of the streaming segmenter: the
 // feeds its resumable compiled scanner consumed (ResumedFeeds, every
-// byte scanned once) and how often a scanner bailed mid-document
-// (Bails), leaving the rest of that document to be buffered.
+// byte scanned once), how often a scanner bailed mid-document (Bails),
+// leaving the rest of that document to be buffered, and how many
+// streamed documents' scanners stood their trigger-skip gate down
+// (StandDowns).
 type SegmenterStats struct {
 	ResumedFeeds uint64 `json:"resumed_feeds"`
 	Bails        uint64 `json:"bails"`
+	StandDowns   uint64 `json:"stand_downs"`
 }
 
-// ExecStats is the /v1/stats view of the work-stealing executor.
+// ExecStats is the /v1/stats view of the split executor.
 type ExecStats struct {
-	Runs           uint64  `json:"runs"`
-	Steals         uint64  `json:"steals"`
-	Chunks         uint64  `json:"chunks"`
-	Segments       uint64  `json:"segments"`
-	EvalMB         float64 `json:"eval_mb"`
-	BusyShare      float64 `json:"busy_share"` // busy worker time / (run wall time × workers)
-	DequeHighWater int64   `json:"deque_high_water"`
+	Runs      uint64  `json:"runs"`
+	Chunks    uint64  `json:"chunks"`
+	Segments  uint64  `json:"segments"`
+	EvalMB    float64 `json:"eval_mb"`
+	BusyShare float64 `json:"busy_share"` // busy worker time / (run wall time × workers)
 }
 
 // LocalizationStats is the /v1/stats view of the match-window
@@ -275,12 +278,10 @@ func (m *Metrics) stageStats() map[string]StageStats {
 
 func (m *Metrics) execStats(workers int) ExecStats {
 	st := ExecStats{
-		Runs:           m.exec.Runs.Load(),
-		Steals:         m.exec.Steals.Load(),
-		Chunks:         m.exec.Chunks.Load(),
-		Segments:       m.exec.Segments.Load(),
-		EvalMB:         float64(m.exec.EvalBytes.Load()) / 1e6,
-		DequeHighWater: m.exec.DequeHighWater.Load(),
+		Runs:     m.exec.Runs.Load(),
+		Chunks:   m.exec.Chunks.Load(),
+		Segments: m.exec.Segments.Load(),
+		EvalMB:   float64(m.exec.EvalBytes.Load()) / 1e6,
 	}
 	if run := m.exec.RunNS.Load(); run > 0 && workers > 0 {
 		st.BusyShare = float64(m.exec.BusyNS.Load()) / (float64(run) * float64(workers))
@@ -292,6 +293,7 @@ func (m *Metrics) segmenterStats() SegmenterStats {
 	return SegmenterStats{
 		ResumedFeeds: m.segResumed.Load(),
 		Bails:        m.segBails.Load(),
+		StandDowns:   m.segStandDowns.Load(),
 	}
 }
 

@@ -23,7 +23,7 @@ const (
 	StrategySequential Strategy = iota
 	// StrategySplit is the paper's split-then-distribute plan: apply the
 	// splitter, evaluate the split-spanner on every segment on the
-	// work-stealing executor, merge the shifted results. The plan's verdict
+	// split executor, merge the shifted results. The plan's verdict
 	// established P = P_S ∘ S, and an equivalence licenses either side, so
 	// the strategy says what the plan may do, not what every document gets:
 	// a document too small to amortise an executor run is evaluated whole
@@ -51,7 +51,7 @@ const (
 	// a split-correct plan that cannot amortise an executor run.
 	ExecWhole Execution = iota
 	// ExecSplit is (P_S ∘ S)(d): the splitter's segments evaluated on the
-	// work-stealing executor and merged.
+	// split executor and merged.
 	ExecSplit
 	// ExecChunked is the split route at chunk grain: P evaluated once per
 	// ChunkSize-sized run of consecutive segments on the executor, which
@@ -169,8 +169,11 @@ type Plan struct {
 	s  *core.Splitter // the splitter S (nil when Req.Splitter is empty)
 	// split is the artifact s comes from, shared with every plan of the
 	// same tenant and splitter; holding it keeps it in the engine's
-	// splitter table (splitterTable).
-	split *splitterArtifact
+	// splitter table (splitterTable). builtSplit marks the plan whose
+	// compilation built it, the one plan of the tenant that cost charges
+	// with S.
+	split      *splitterArtifact
+	builtSplit bool
 
 	// batch holds a batch plan's formulas, one per slot (nil for the plan
 	// of a Request, whose one slot is Req.Spanner). members holds each
@@ -258,7 +261,9 @@ func (p *Plan) none() []*span.Relation { return make([]*span.Relation, max(len(p
 // lazily-built parts. Every member is charged (the fused DFA's
 // lazily-built state space grows with the members' combined size), so N
 // cheap formulas registered as one batch cost the cache roughly what N
-// single plans would.
+// single plans would. The splitter is charged only to the plan that built
+// its shared artifact, so K plans of a tenant over one splitter count S
+// once, not K times.
 func (p *Plan) cost() int64 {
 	const (
 		base       = 512
@@ -278,7 +283,7 @@ func (p *Plan) cost() int64 {
 	if p.ps != nil && p.ps != p.p {
 		add(p.ps.NumStates(), p.ps.NumEdges())
 	}
-	if p.s != nil {
+	if p.builtSplit {
 		a := p.s.Automaton()
 		add(a.NumStates(), a.NumEdges())
 	}
@@ -400,6 +405,7 @@ func (p *Plan) decide(limit int, splitters *splitterTable) error {
 	}
 	if !shared {
 		p.DecideTime += art.decideTime
+		p.builtSplit = true
 	}
 	return nil
 }

@@ -242,6 +242,37 @@ func TestSplitterBuildFailureLeavesNoEntry(t *testing.T) {
 	}
 }
 
+// TestSharedSplitterChargedOnce pins the plan cache's charge for a shared
+// splitter artifact: the plan that built it pays for S, a second plan of
+// the same tenant over it pays only its own cost, and another tenant,
+// which builds its own artifact, pays for S again. churnSpanner(1) and
+// churnSpanner(2) compile to automata of one size, so the two plans
+// differ by S's charge exactly.
+func TestSharedSplitterChargedOnce(t *testing.T) {
+	e := New(Config{})
+	var s *core.Splitter
+	bytes := func(tenant string, i int) int64 {
+		t.Helper()
+		p, hit, err := e.Plan(context.Background(), Request{Tenant: tenant, Spanner: churnSpanner(i), Splitter: sentenceFormula})
+		if err != nil || hit {
+			t.Fatalf("Plan: hit=%v err=%v, want a cold plan", hit, err)
+		}
+		s = p.SplitterOf()
+		return e.Stats().PlanCache.Bytes
+	}
+	first := bytes("", 1)
+	second := bytes("", 2) - first
+	other := bytes("B", 1) - first - second
+	a := s.Automaton()
+	charge := int64(a.NumStates())*96 + int64(a.NumEdges())*48 // cost's per-state and per-edge rates
+	if second != first-charge {
+		t.Fatalf("second plan over the splitter adds %d bytes, want %d (the first plan's %d without S's %d)", second, first-charge, first, charge)
+	}
+	if other != first {
+		t.Fatalf("another tenant's plan over the splitter adds %d bytes, want the first plan's %d", other, first)
+	}
+}
+
 // TestConcurrentColdPlansBuildSplitterOnce cold-plans sixteen spanners
 // over one splitter from sixteen goroutines at once: the splitter is
 // built once — fifteen plans share it, in flight or built — and every

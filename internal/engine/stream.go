@@ -7,7 +7,7 @@ import (
 )
 
 // scanSegmenter cuts a document arriving as chunks into the chunks of the
-// chunked route, so that each is dispatched to the work-stealing
+// chunked route, so that each is dispatched to the
 // split-evaluation executor while the rest of the document is still being
 // read. It runs the splitter's compiled one-pass scanner (core.ScanRun):
 // each chunk is consumed exactly once, and the cross-chunk state is the
@@ -87,8 +87,12 @@ func (g *scanSegmenter) feed(chunk []byte) []parallel.Segment {
 // document commits — on an empty stream exactly S(""), e.g. one empty
 // segment for sentence-like splitters. A bailed one (here or in an earlier
 // feed) leaves the tail from Anchor, which becomes the document's last
-// chunk.
+// chunk. A run whose skip gate stood down is counted here, once per
+// document.
 func (g *scanSegmenter) flush() []parallel.Segment {
+	if g.m != nil && g.run.StoodDown() {
+		g.m.segStandDowns.Inc()
+	}
 	bailed := g.run.Bailed()
 	spans, ok := g.run.Flush(g.spans[:0])
 	out := g.emit(spans)

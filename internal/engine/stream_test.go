@@ -170,6 +170,32 @@ func TestStreamedSharedFeedText(t *testing.T) {
 	}
 }
 
+// TestSegmenterStandDownCounted: a streamed document whose prefix puts
+// a sentence separator every third byte — 2 000 jumps gaining 3 bytes
+// each, far more than one 32-jump yield window — before a separator-free
+// tail stands its scanner's skip gate down, and the segmenter counts it
+// once. Review documents like the ledger's never stand it down.
+func TestSegmenterStandDownCounted(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		doc  string
+		want uint64
+	}{
+		{"dense prefix, sparse tail", strings.Repeat("x", 40) + strings.Repeat("ab.", 2000) + strings.Repeat("y", 64<<10), 1},
+		{"sparse only", strings.Repeat("x", 40) + strings.Repeat("y", 64<<10), 0},
+		{"reviews, 256 KiB", reviewDoc(2, 256<<10), 0},
+		{"reviews, 2 MiB", reviewDoc(1, 2<<20), 0},
+	} {
+		e := New(Config{Workers: 2})
+		if _, err := e.ExtractReader(context.Background(), reviewPlan(), strings.NewReader(tc.doc)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st := e.Stats(); st.StreamedDocs != 1 || st.Segmenter.StandDowns != tc.want {
+			t.Fatalf("%s: %d streamed, %d stand-downs; want 1 and %d", tc.name, st.StreamedDocs, st.Segmenter.StandDowns, tc.want)
+		}
+	}
+}
+
 // suffixConditioned is the splitter of the bail tests here: sentence-like
 // blocks that exist only on documents ending in '!', so its scanner bails
 // at the first separator.

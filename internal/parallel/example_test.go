@@ -8,7 +8,7 @@ import (
 )
 
 // CollectionEval schedules whole, independent documents across the
-// work-stealing pool — no splitter involved — and returns one relation
+// worker pool — no splitter involved — and returns one relation
 // per document, in input order.
 func ExampleCollectionEval() {
 	p := regexformula.MustCompile(".*(x{ab}).*|(x{ab}).*")

@@ -15,44 +15,6 @@ import (
 	"repro/internal/vsa"
 )
 
-func TestDequeOwnerAndThiefEnds(t *testing.T) {
-	var d deque
-	mk := func(n int) chunk { return chunk{dest: n} }
-	if _, ok := d.pop(); ok {
-		t.Fatal("pop on empty deque must fail")
-	}
-	if _, ok := d.steal(); ok {
-		t.Fatal("steal on empty deque must fail")
-	}
-	for i := 0; i < 4; i++ {
-		d.push(mk(i))
-	}
-	if got := d.size(); got != 4 {
-		t.Fatalf("size = %d, want 4", got)
-	}
-	// Thieves take the oldest chunk, the owner the newest.
-	if c, ok := d.steal(); !ok || c.dest != 0 {
-		t.Fatalf("steal = %v, %v; want chunk 0", c, ok)
-	}
-	if c, ok := d.pop(); !ok || c.dest != 3 {
-		t.Fatalf("pop = %v, %v; want chunk 3", c, ok)
-	}
-	if c, ok := d.steal(); !ok || c.dest != 1 {
-		t.Fatalf("steal = %v, %v; want chunk 1", c, ok)
-	}
-	if c, ok := d.pop(); !ok || c.dest != 2 {
-		t.Fatalf("pop = %v, %v; want chunk 2", c, ok)
-	}
-	if _, ok := d.pop(); ok {
-		t.Fatal("deque must be empty")
-	}
-	// Draining resets the buffer so a long-lived worker does not leak
-	// consumed slots.
-	if len(d.buf) != 0 || d.head != 0 {
-		t.Fatalf("drained deque not reset: len=%d head=%d", len(d.buf), d.head)
-	}
-}
-
 func TestChunkedCoversAllSegments(t *testing.T) {
 	segs := make([]Segment, 10)
 	for grain := 1; grain <= 11; grain++ {
@@ -97,7 +59,7 @@ func relIdentical(t *testing.T, name string, got, want *span.Relation) {
 
 // adversarialDoc builds a document whose sentence segments alternate
 // between tiny and very large, so chunks carry wildly unequal work and
-// the fast workers must steal from the slow ones to finish.
+// the workers that draw cheap chunks go on to take most of the rest.
 func adversarialDoc() string {
 	var b strings.Builder
 	long := strings.Repeat("bad coffee and bad service from a bad place ", 2000)
@@ -118,12 +80,11 @@ func adversarialDoc() string {
 	return b.String()
 }
 
-// TestSplitEvalDeterminismUnderSteal is the determinism-under-steal
-// regression test: with adversarial segment sizes forcing steals, the
-// merged relation must be byte-identical — same tuples, same order — at
-// every worker count and grain, including the no-steal workers=1
-// schedule.
-func TestSplitEvalDeterminismUnderSteal(t *testing.T) {
+// TestSplitEvalDeterminismUnderSkew is the determinism regression test:
+// with adversarial segment sizes skewing which worker takes which chunk,
+// the merged relation must be byte-identical — same tuples, same order —
+// at every worker count and grain, including the one-worker schedule.
+func TestSplitEvalDeterminismUnderSkew(t *testing.T) {
 	p := library.NegativeSentiment()
 	doc := adversarialDoc()
 	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
@@ -141,15 +102,15 @@ func TestSplitEvalDeterminismUnderSteal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d batch=%d: %v", opts.Workers, opts.Batch, err)
 		}
-		relIdentical(t, "stolen schedule", got, want)
+		relIdentical(t, "skewed schedule", got, want)
 	}
 }
 
-// TestSplitEvalCtxCancellationMidSteal cancels a large split evaluation
-// while its chunks are being executed and stolen. The call must return
+// TestSplitEvalCtxCancellationMidRun cancels a large split evaluation
+// while its workers are taking and executing chunks. The call must return
 // promptly with context.Canceled and a well-formed (sorted, partial)
 // relation — or, if the pool won the race, the complete result.
-func TestSplitEvalCtxCancellationMidSteal(t *testing.T) {
+func TestSplitEvalCtxCancellationMidRun(t *testing.T) {
 	p := library.NegativeSentiment()
 	doc := strings.Join(corpus.Reviews(9, 4000), "\n")
 	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
@@ -193,11 +154,11 @@ func TestSplitEvalCtxCancellationMidSteal(t *testing.T) {
 	}
 }
 
-// TestSplitEvalBatchesOversizedBatchIsSplit feeds the streaming
-// evaluator one batch far larger than the stealing grain; the receiving
-// worker must halve it onto its deque (where the other workers steal)
-// and the result must match the dealt-slice path.
-func TestSplitEvalBatchesOversizedBatchIsSplit(t *testing.T) {
+// TestSplitEvalBatchesOneLargeBatch feeds the streaming evaluator one
+// batch of more segments than CollectionEvalSplit's grain; the worker
+// that receives it evaluates it as one chunk, and the result must match
+// the dealt-slice path.
+func TestSplitEvalBatchesOneLargeBatch(t *testing.T) {
 	p := library.NegativeSentiment()
 	doc := adversarialDoc()
 	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
@@ -214,14 +175,14 @@ func TestSplitEvalBatchesOversizedBatchIsSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relIdentical(t, "oversized batch", got, want)
+	relIdentical(t, "one large batch", got, want)
 }
 
-// TestCollectionEvalSplitStealsLongDocument puts one document with far
-// more segments than the rest into a collection; its chunk arrives
-// whole from the producer and must spread across the pool by stealing,
-// with per-document results identical to per-document evaluation.
-func TestCollectionEvalSplitStealsLongDocument(t *testing.T) {
+// TestCollectionEvalSplitSpreadsLongDocument puts one document with far
+// more segments than the rest into a collection; the producer sends it
+// as many chunks, which spread across the pool, with per-document
+// results identical to per-document evaluation.
+func TestCollectionEvalSplitSpreadsLongDocument(t *testing.T) {
 	p := library.NegativeSentiment()
 	docs := []string{
 		"bad tea. nice place.",
@@ -286,6 +247,8 @@ func (c *spyCtx) Err() error {
 // TestExecutorWorkerCount pins how many workers a run starts and where:
 // slice mode never more than it has chunks (none for none), channel mode
 // its full budget, and in both the calling goroutine is one of them.
+// Every chunk is evaluated exactly once: the merge's dedupe would hide a
+// chunk evaluated twice, the executor's chunk and segment counts do not.
 func TestExecutorWorkerCount(t *testing.T) {
 	p := library.NegativeSentiment()
 	doc := "bad tea. bad mood. fine day. bad luck."
@@ -307,21 +270,24 @@ func TestExecutorWorkerCount(t *testing.T) {
 		ctx := &spyCtx{Context: context.Background(), onCaller: map[string]bool{}}
 		m := &ExecMetrics{}
 		var rels []*span.Relation
+		var nchunks, nsegs int
 		if tc.chunks != nil {
 			var chunks []chunk
 			for _, s := range tc.chunks {
 				chunks = append(chunks, chunk{segs: s})
+				nchunks, nsegs = nchunks+1, nsegs+len(s)
 			}
-			rels = runChunks(ctx, vsa.NewMulti(p), tc.workers, 1, 0, chunks, m)
+			rels = runChunks(ctx, vsa.NewMulti(p), tc.workers, 1, chunks, m)
 		} else {
 			feed := make(chan []Segment, 1)
 			feed <- segs
 			close(feed)
-			recv := func(context.Context) (chunk, bool) {
+			next := func() (chunk, bool) {
 				s, ok := <-feed
 				return chunk{segs: s}, ok
 			}
-			rels = newExecutor(ctx, vsa.NewMulti(p), tc.workers, 1, streamGrain, recv, m).run()
+			nchunks, nsegs = 1, len(segs)
+			rels = newExecutor(ctx, vsa.NewMulti(p), tc.workers, 1, next, m).run()
 		}
 		expect := want
 		if tc.started == 0 {
@@ -340,6 +306,10 @@ func TestExecutorWorkerCount(t *testing.T) {
 		}
 		if m.Runs.Load() != 1 {
 			t.Errorf("%s: %d runs recorded, want 1", tc.name, m.Runs.Load())
+		}
+		if m.Chunks.Load() != uint64(nchunks) || m.Segments.Load() != uint64(nsegs) {
+			t.Errorf("%s: %d chunks and %d segments evaluated, want %d and %d",
+				tc.name, m.Chunks.Load(), m.Segments.Load(), nchunks, nsegs)
 		}
 	}
 }

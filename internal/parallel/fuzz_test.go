@@ -56,7 +56,7 @@ var fuzzPairs = sync.OnceValue(func() []fuzzPair {
 // split-then-distribute pipeline on known split-correct (P, S) pairs and
 // asserts the shifted union over segments equals direct evaluation — the
 // paper's defining equation P = P ∘ S, checked end to end through the
-// evaluation core, the splitter, and the work-stealing executor, on both
+// evaluation core, the splitter, and the split executor, on both
 // the dealt-slice path (SplitEval at several worker counts and grains)
 // and the channel-fed streaming path (SplitEvalBatches).
 func FuzzSplitEvalVsSequential(f *testing.F) {
@@ -77,8 +77,8 @@ func FuzzSplitEvalVsSequential(f *testing.F) {
 			want := Sequential(pair.p, d)
 			want.Dedupe()
 			// Dealt-slice path: worker counts and grains chosen so single
-			// worker, per-segment chunks and multi-segment chunks (and the
-			// steals between them) all agree.
+			// worker, per-segment chunks and multi-segment chunks (shared
+			// among several workers) all agree.
 			for _, opts := range []Options{{Workers: 1}, {Workers: 3, Batch: 1}, {Workers: 4, Batch: 3}} {
 				got, err := SplitEvalCtx(context.Background(), pair.p, segs, opts)
 				if err != nil {
@@ -90,8 +90,7 @@ func FuzzSplitEvalVsSequential(f *testing.F) {
 				}
 			}
 			// Streaming path: uneven batches through the channel feed, and
-			// one oversized batch that the receiving worker must split onto
-			// its deque for the others to steal.
+			// one batch of every segment, evaluated as one chunk.
 			for _, whole := range []bool{false, true} {
 				batches := make(chan []Segment, 1)
 				go func() {

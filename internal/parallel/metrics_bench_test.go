@@ -42,9 +42,9 @@ func BenchmarkSplitEvalMetricsNil(b *testing.B)  { benchSplitEval(b, nil) }
 func BenchmarkSplitEvalMetricsLive(b *testing.B) { benchSplitEval(b, &ExecMetrics{}) }
 
 // benchSplitEvalStreamed is the streamed twin: the same segments arrive
-// on a channel in batches of up to 64 KiB of text, and the executor
-// halves each batch down to streamGrain itself. The
-// per-op allocation count is what the path costs beyond the evaluation.
+// on a channel in batches of up to 64 KiB of text, each evaluated as one
+// chunk. The per-op allocation count is what the path costs beyond the
+// evaluation.
 func benchSplitEvalStreamed(b *testing.B, m *ExecMetrics) {
 	p, segs := benchSetup(b)
 	var feeds [][]Segment

@@ -3,13 +3,14 @@
 // split-correct for a splitter, it can be evaluated on the splitter's
 // segments in parallel (or the segments can be scheduled as many small
 // tasks), and the shifted union of the results equals the direct
-// evaluation. The engine is a work-stealing executor (executor.go):
-// segments are dealt in chunks to per-worker deques, idle workers steal
-// from the back of busy ones, and every worker accumulates shifted
-// result tuples into its own arena-backed relation, merged and
-// offset-sorted once at the end. Results are therefore deterministic —
-// byte-identical across worker counts and steal schedules — and no
-// relation is allocated per segment or per batch.
+// evaluation. The engine is an executor (executor.go) whose workers take
+// chunks of segments one at a time from one shared source — a cursor
+// over the dealt chunks, or the caller's feed — and every worker
+// accumulates shifted result tuples into its own arena-backed relation,
+// merged and offset-sorted once at the end. Results are therefore
+// deterministic — byte-identical across worker counts and however the
+// chunks fell to the workers — and no relation is allocated per segment
+// or per batch.
 package parallel
 
 import (
@@ -55,13 +56,13 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). The result does not depend on it.
 	Workers int
 	// Batch is the scheduling grain: the number of segments grouped into
-	// one work-stealing chunk. Larger grains amortize scheduling on
-	// segment-heavy splitters (N-grams, tokens); smaller grains steal
-	// more finely. ≤ 0 selects an adaptive grain of roughly 32 chunks
-	// per worker. The result does not depend on it.
+	// one dealt chunk. Larger grains amortize scheduling on
+	// segment-heavy splitters (N-grams, tokens); smaller grains balance
+	// skewed segments more finely. ≤ 0 selects an adaptive grain of
+	// roughly 32 chunks per worker. The result does not depend on it.
 	Batch int
 	// Metrics, when non-nil, receives the executor's scheduling
-	// statistics (steals, chunk/segment counts, worker busy time, merge
+	// statistics (run, chunk and segment counts, worker busy time, merge
 	// latency). nil disables all measurement. The result does not
 	// depend on it.
 	Metrics *ExecMetrics
@@ -76,8 +77,8 @@ func (o Options) workers() int {
 
 // grain resolves the chunk size for n segments: an explicit Batch wins;
 // otherwise aim for ~32 chunks per worker, which keeps per-chunk
-// scheduling cost (one mutex acquisition) negligible while leaving
-// plenty of chunks to steal when match density is skewed.
+// scheduling cost (one atomic add) negligible while leaving plenty of
+// chunks to even out skewed match density.
 func (o Options) grain(n int) int {
 	if o.Batch > 0 {
 		return o.Batch
@@ -92,14 +93,12 @@ func (o Options) grain(n int) int {
 	return g
 }
 
-// streamGrain is the chunk-splitting grain of the channel-fed
-// evaluators: a chunk arriving with more segments than this is halved
-// onto the receiving worker's deque (where peers can steal it) until it
-// fits. A collection producer sends a whole document's segments, so for
-// it this, not the arriving batch size, is the granularity at which work
-// is stolen and cancellation is noticed. The engine's streamed route
-// sends one segment per feed — the feed's chunk, evaluated with P — so
-// there the feed is the grain and nothing is halved.
+// streamGrain is the grain of CollectionEvalSplit's producer: it sends
+// each document's segments as chunks of this many, so a long document
+// spreads across the pool and cancellation is noticed between them.
+// SplitEvalBatches evaluates each batch it receives as one chunk; the
+// engine's streamed route sends one segment per feed — the feed's
+// chunk, evaluated with P — so there the feed is the grain.
 const streamGrain = 16
 
 // SplitEval evaluates ps on every segment using the given number of
@@ -107,21 +106,21 @@ const streamGrain = 16
 // (P_S ∘ S)(d) when the segments come from S. workers ≤ 0 means
 // runtime.GOMAXPROCS(0). The result is sorted and deduplicated, and is
 // byte-identical for every worker count (determinism does not depend on
-// the steal schedule).
+// which worker evaluates which chunk).
 func SplitEval(ps *vsa.Automaton, segments []Segment, workers int) *span.Relation {
 	rel, _ := SplitEvalCtx(context.Background(), ps, segments, Options{Workers: workers})
 	return rel
 }
 
 // SplitEvalCtx is SplitEval with cancellation and an explicit grain: the
-// segment chunks are dealt to the worker deques up front, workers stop
-// between chunks as soon as ctx is cancelled, and ctx's error is
+// segments are cut into chunks up front and handed out in order, workers
+// stop between chunks as soon as ctx is cancelled, and ctx's error is
 // returned together with whatever partial relation the workers had
 // accumulated (still sorted and deduplicated). With a never-cancelled
 // context the result equals SplitEval's.
 func SplitEvalCtx(ctx context.Context, ps *vsa.Automaton, segments []Segment, opts Options) (*span.Relation, error) {
 	grain := opts.grain(len(segments))
-	rels := runChunks(ctx, vsa.NewMulti(ps), opts.workers(), 1, grain, chunked(0, segments, grain, nil), opts.Metrics)
+	rels := runChunks(ctx, vsa.NewMulti(ps), opts.workers(), 1, chunked(0, segments, grain, nil), opts.Metrics)
 	return rels[0], ctx.Err()
 }
 
@@ -131,15 +130,14 @@ func SplitEvalCtx(ctx context.Context, ps *vsa.Automaton, segments []Segment, op
 // already being evaluated. Idle workers block on the channel, so its
 // capacity bounds the queued work and sends into batches block once the
 // pool is saturated — the backpressure the serving daemon relies on to
-// throttle ingestion. A received batch larger than streamGrain is halved
-// onto the receiving worker's deque, where the other workers steal it.
-// The merged relation is deduplicated and sorted, so
-// the result is deterministic regardless of arrival order and steal
-// schedule. On cancellation the workers drain nothing further and ctx's
-// error is returned with the partial result. Only opts.Workers and
-// opts.Metrics apply: the scheduling grain of this path is streamGrain.
+// throttle ingestion. Each received batch is one chunk, evaluated by the
+// worker that received it. The merged relation is deduplicated and
+// sorted, so the result is deterministic regardless of arrival order and
+// of which worker took which batch. On cancellation the workers drain
+// nothing further and ctx's error is returned with the partial result.
+// Only opts.Workers and opts.Metrics apply: the batch is the grain.
 func SplitEvalBatches(ctx context.Context, ps *vsa.Automaton, batches <-chan []Segment, opts Options) (*span.Relation, error) {
-	recv := func(ctx context.Context) (chunk, bool) {
+	next := func() (chunk, bool) {
 		select {
 		case b, ok := <-batches:
 			if !ok {
@@ -152,8 +150,7 @@ func SplitEvalBatches(ctx context.Context, ps *vsa.Automaton, batches <-chan []S
 			return chunk{}, false
 		}
 	}
-	x := newExecutor(ctx, vsa.NewMulti(ps), opts.workers(), 1, streamGrain, recv, opts.Metrics)
-	rels := x.run()
+	rels := newExecutor(ctx, vsa.NewMulti(ps), opts.workers(), 1, next, opts.Metrics).run()
 	return rels[0], ctx.Err()
 }
 
@@ -161,21 +158,20 @@ func SplitEvalBatches(ctx context.Context, ps *vsa.Automaton, batches <-chan []S
 // Spark scenario of Section 1) with the given number of workers and
 // returns one relation per document, in order. The documents are
 // arbitrary, independent inputs — no splitter is involved and nothing
-// about them needs to be "pre-split"; each is evaluated whole. Documents
-// are dealt to the worker deques whole; work stealing keeps the pool
-// busy when long documents cluster on one worker. Each returned relation
+// about them needs to be "pre-split"; each is evaluated whole. Each
+// document is one chunk, and a worker takes the next document as soon as
+// it finishes one, so long documents do not queue behind each other on
+// one worker. Each returned relation
 // is sorted and deduplicated, identical to p.Eval on that document.
 // (To additionally split each document into segments for finer
 // scheduling, use CollectionEvalSplit.)
 func CollectionEval(p *vsa.Automaton, docsIn []string, workers int) []*span.Relation {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = Options{Workers: workers}.workers()
 	chunks := make([]chunk, len(docsIn))
 	for i, d := range docsIn {
 		chunks[i] = chunk{dest: i, segs: []Segment{{Span: span.Span{Start: 1, End: len(d) + 1}, Text: d}}}
 	}
-	return runChunks(context.Background(), vsa.NewMulti(p), workers, len(docsIn), 0, chunks, nil)
+	return runChunks(context.Background(), vsa.NewMulti(p), workers, len(docsIn), chunks, nil)
 }
 
 // CollectionEvalSplit evaluates a split-correct plan over a collection:
@@ -184,29 +180,30 @@ func CollectionEval(p *vsa.Automaton, docsIn []string, workers int) []*span.Rela
 // helps even when the input is already a collection, by giving the
 // scheduler many small tasks. Results are per-document relations, each
 // sorted and deduplicated. A producer goroutine splits documents on
-// demand and feeds the bounded channel the idle workers block on, so
-// memory stays O(workers) documents' segments regardless of collection
-// size; a long document's chunk is split across the deques by work
-// stealing instead of serializing on one worker.
+// demand and feeds the bounded channel the idle workers block on, in
+// chunks of streamGrain segments, so memory stays O(workers) chunks plus
+// one document's segments regardless of collection size, and a long
+// document spreads across the pool instead of serializing on one worker.
 func CollectionEvalSplit(ps *vsa.Automaton, docsIn []string, splitFn func(string) []span.Span, workers int) []*span.Relation {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = Options{Workers: workers}.workers()
 	feed := make(chan chunk, workers)
 	go func() {
 		// Producer: split one document at a time; the bounded feed
 		// channel throttles splitting to the pool's consumption rate.
 		defer close(feed)
+		var cs []chunk
 		for i, d := range docsIn {
-			feed <- chunk{dest: i, segs: SegmentsOf(d, splitFn(d))}
+			cs = chunked(i, SegmentsOf(d, splitFn(d)), streamGrain, cs[:0])
+			for _, c := range cs {
+				feed <- c
+			}
 		}
 	}()
-	recv := func(ctx context.Context) (chunk, bool) {
+	next := func() (chunk, bool) {
 		c, ok := <-feed
 		return c, ok
 	}
-	x := newExecutor(context.Background(), vsa.NewMulti(ps), workers, len(docsIn), streamGrain, recv, nil)
-	return x.run()
+	return newExecutor(context.Background(), vsa.NewMulti(ps), workers, len(docsIn), next, nil).run()
 }
 
 // Measurement is one timed run of an experiment configuration.

@@ -53,7 +53,7 @@ func (a *Automaton) Eval(doc string) *span.Relation {
 	return rel
 }
 
-// EvalAppend is the accumulator form of Eval used by the work-stealing
+// EvalAppend is the accumulator form of Eval used by the
 // split-evaluation executor: it evaluates a on doc — the same localized,
 // compiled-core pipeline as Eval — and appends every result tuple,
 // shifted by the span `by` (interpreting doc as the substring of an

@@ -18,7 +18,7 @@
 // (splitter commutativity and subsumption, black-box split constraints,
 // regular filters, annotated splitters). Once split-correctness is
 // established, ParallelEval evaluates the spanner segment-by-segment on
-// a work-stealing executor — the use case that motivates the paper.
+// a split executor — the use case that motivates the paper.
 //
 // The subpackages under internal/ implement the machinery; this package
 // is the stable façade. See DESIGN.md for the paper-to-code map and
@@ -279,7 +279,7 @@ func CoverCondition(p *Spanner, s *Splitter) (bool, error) {
 // ParallelEval evaluates the split-spanner ps over the segments of s on
 // the given number of workers (≤ 0 means GOMAXPROCS) and returns the
 // shifted union — the split-then-distribute evaluation of Section 1,
-// run on the work-stealing executor of internal/parallel. The result is
+// run on the split executor of internal/parallel. The result is
 // sorted and deduplicated, and is byte-identical for every worker
 // count. It is the caller's responsibility (or SplitCorrect's) to
 // ensure the plan is equivalent to direct evaluation.
