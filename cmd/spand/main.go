@@ -241,6 +241,6 @@ func main() {
 		log.Printf("spand: drain: %v", err)
 	}
 	st := eng.Stats()
-	log.Printf("spand: served %d documents, %d bytes, %d segments; cache hit rate %.2f",
+	log.Printf("spand: served %d documents, %d bytes, %d segments on the per-segment route; cache hit rate %.2f",
 		st.Documents, st.Bytes, st.Segments, st.PlanCache.HitRate)
 }

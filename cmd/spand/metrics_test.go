@@ -136,8 +136,11 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	if got := values["spanners_engine_documents_chunked_total"]; got != 2 {
 		t.Fatalf("chunked-documents counter = %v, want 2 (the large documents)", got)
 	}
-	if values["spanners_engine_segments_total"] == 0 {
-		t.Fatal("segments counter is zero after two split extractions")
+	// The chunked route cuts chunks without segmenting: the executor
+	// counts its units, and nothing counts splitter spans.
+	if v, ok := values["spanners_engine_segments_total"]; !ok || v != 0 || values["spanners_exec_segments_total"] == 0 {
+		t.Fatalf("segments counter = %v (present %v), executor units = %v; want 0 spans and some units after two chunked extractions",
+			v, ok, values["spanners_exec_segments_total"])
 	}
 	if values["spanners_plan_cache_hits_total"] < 2 {
 		t.Fatalf("cache hits = %v, want ≥ 2", values["spanners_plan_cache_hits_total"])

@@ -139,8 +139,8 @@ func TestExtractJSONAndPlanCacheHit(t *testing.T) {
 	if st.PlanCache.Hits < 1 || st.PlanCache.Misses != 1 {
 		t.Fatalf("stats = %+v, want ≥1 hit and exactly 1 miss", st.PlanCache)
 	}
-	if st.Documents != 3 || st.WholeDocs != 1 || st.ChunkedDocs != 2 || st.Segments == 0 {
-		t.Fatalf("stats = %+v, want 3 documents, 1 evaluated whole and 2 chunked, and some segments", st)
+	if st.Documents != 3 || st.WholeDocs != 1 || st.ChunkedDocs != 2 || st.Segments != 0 || st.Executor.Segments == 0 {
+		t.Fatalf("stats = %+v, want 3 documents, 1 evaluated whole and 2 chunked, and chunks but no spans counted", st)
 	}
 }
 

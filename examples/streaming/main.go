@@ -4,15 +4,16 @@
 //  1. Proven-local auto-stream: the unigram (1-gram) splitter's
 //     locality — cut independence: any chunk from a word's start to a
 //     word's end splits into exactly the words it holds — is decided on
-//     its automaton (core.Splitter.IsLocal), so the engine segments
-//     uploads incrementally with no configuration — correctness by proof.
+//     its automaton (core.Splitter.IsLocal), so the engine cuts uploads
+//     into chunks incrementally with no configuration — correctness by
+//     proof.
 //  2. Forced streaming: a disjoint splitter the procedure refuses (the
 //     values of a "key value value …!" record: every word but the first,
 //     and only when the record ends in '!'), segmented incrementally
 //     anyway. The engine offers no way to do that; this program drives
-//     the splitter's resumable scanner by hand, as the engine's streamed
-//     route would, and shows the silent mis-extraction the locality proof
-//     rules out.
+//     the splitter's resumable scanner by hand, as a streamed route that
+//     trusted it would, and shows the silent mis-extraction the locality
+//     proof rules out.
 //  3. Buffer-all fallback: the unproven splitter on the engine is
 //     buffered whole, which is sound for every splitter.
 //
@@ -145,8 +146,8 @@ func report(w io.Writer) {
 		forced.Len(), oneShot.Len(), forced.Equal(oneShot))
 }
 
-// forcedStream segments doc the way the engine's streamed route would if
-// it trusted s to be local: the scanner is fed read-sized chunks, and once
+// forcedStream segments doc the way a streamed route would if it trusted
+// s to be local: the scanner is fed read-sized chunks, and once
 // it bails the tail from its anchor is split on its own at the end, spans
 // the scanner already committed dropped. It returns the spans and the
 // anchor (0-based) the tail was cut at.

@@ -260,3 +260,27 @@ func TestCutSafeLibrarySplitters(t *testing.T) {
 		t.Error("2-grams: CutSafe = true for a splitter that is not disjoint")
 	}
 }
+
+// TestCutFinderLibraryTable pins DESIGN.md's table ("Grain"): K, the
+// scanner states the cut finder steps together, and the bytes on which
+// they all step to one state, for each library splitter.
+func TestCutFinderLibraryTable(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		s    *core.Splitter
+		k    int
+		sync string
+	}{
+		{"sentences", library.Sentences(), 4, "\n!.?"},
+		{"paragraphs", library.Paragraphs(), 4, "\n"},
+		{"tokens", library.Tokens(), 6, "\n "},
+		{"http-requests", library.HTTPRequests(), 4, ";"},
+	} {
+		if k, sync := c.s.CutStates(), string(c.s.SyncBytes()); k != c.k || sync != c.sync {
+			t.Errorf("%s: K = %d, sync bytes %q; want %d and %q", c.name, k, sync, c.k, c.sync)
+		}
+	}
+	if k := library.NGrams(2).CutStates(); k != 0 {
+		t.Errorf("2-grams: K = %d for a splitter that is not disjoint", k)
+	}
+}

@@ -7,8 +7,8 @@ package core
 // — into a single left-to-right DFA pass that emits spans in document
 // order as their closes commit, and the pass is resumable: a ScanRun
 // carries (DFA state, pending-open boundary) across chunk boundaries,
-// which is what lets engine streaming segment a document in O(n) total
-// work instead of re-splitting the retained buffer after every chunk.
+// which segments a document fed in chunks in O(n) total work instead of
+// re-splitting the retained buffer after every chunk.
 //
 // Soundness rests on commitment: the scanner only emits a span when its
 // close (or wrap) enters a suffix-universal state — every extension of
@@ -264,19 +264,10 @@ func (s *Splitter) NewScanRun() (*ScanRun, bool) {
 	return &ScanRun{sc: sc, state: sc.start}, true
 }
 
-// Pos returns the number of bytes consumed so far.
-func (r *ScanRun) Pos() int { return r.pos }
-
 // Bailed reports whether the run has given up; spans emitted before the
-// bail remain valid, and everything from Anchor on is the caller's (the
-// engine's streamed route evaluates it as the document's last chunk;
-// Split instead re-splits the whole document by the reference path).
+// bail remain valid, and everything from Anchor on is the caller's (Split
+// re-splits the whole document by the reference path).
 func (r *ScanRun) Bailed() bool { return r.bailed }
-
-// StoodDown reports whether the run's trigger-skip gate has stood down:
-// its jumps gained too little, so the run steps every byte from then on
-// (see lazydfa.SkipGate.StoodDown).
-func (r *ScanRun) StoodDown() bool { return r.gate.StoodDown() }
 
 // Anchor returns the 0-based byte offset from which the document must
 // be retained: the start of the last span event (the in-progress open,

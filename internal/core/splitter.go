@@ -34,6 +34,11 @@ type Splitter struct {
 	// scanVal stays nil for non-disjoint splitters.
 	scanOnce sync.Once
 	scanVal  *splitScanner
+
+	// cutOnce memoizes the scanner states the cut finder steps
+	// (cutfinder.go); reach stays nil for splitters that are not cut safe.
+	cutOnce sync.Once
+	reach   []int32
 }
 
 // NewSplitter wraps a unary automaton as a splitter.

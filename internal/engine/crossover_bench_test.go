@@ -21,11 +21,11 @@ import (
 // + SegmentsOf + parallel.SplitEvalCtx with P_S, what Extract did for
 // every document before it chose; the baseline the chunk grain is compared
 // with) at one worker and at the engine's request budget, and split per
-// chunk (the same Split, then P once per ChunkSize bytes of segments) at
-// one worker — and the engine as shipped: Extract, which must track the
-// whole route below breakEven and the chunked route from there on, and
-// reader, ExtractReader over the document as a stream, whose chunks are
-// the feeds of the resumable scan instead of a Split up front.
+// chunk (the engine's cut finder, then P once per ChunkSize bytes, cut at
+// a span end) at one worker — and the engine as shipped: Extract, which
+// must track the whole route below breakEven and the chunked route from
+// there on, and reader, ExtractReader over the document as a stream, whose
+// chunks are its feeds.
 func BenchmarkExtractCrossover(b *testing.B) {
 	e := New(Config{})
 	plan := reviewPlan()
@@ -36,7 +36,8 @@ func BenchmarkExtractCrossover(b *testing.B) {
 		return rel
 	}
 	chunkRoute := func(doc string) *span.Relation {
-		chunks := chunksOf(doc, plan.s.Split(doc), e.cfg.ChunkSize)
+		f, _ := plan.s.NewCutFinder()
+		chunks := parallel.SegmentsOf(doc, f.Chunks(doc, e.cfg.ChunkSize))
 		rel, _ := parallel.SplitEvalCtx(ctx, plan.p, chunks, parallel.Options{Workers: 1, Batch: 1})
 		return rel
 	}

@@ -14,12 +14,12 @@
 //     their splitter: it is compiled, and its disjointness and locality
 //     decided, once (splitterTable).
 //   - Documents may arrive as io.Reader streams: when the plan runs at
-//     chunk grain (see below), the splitter is applied incrementally with
-//     carry-over across chunk boundaries, and each feed's completed
-//     segments are dispatched as one chunk to the
-//     split-evaluation executor (internal/parallel) with backpressure
-//     while the tail of the document is still being read; otherwise the
-//     stream is buffered whole, which is sound for arbitrary splitters.
+//     chunk grain (see below), each feed is cut at a span end of the
+//     splitter near its end, with carry-over across chunk boundaries, and
+//     dispatched as one chunk to the split-evaluation executor
+//     (internal/parallel) with backpressure while the tail of the
+//     document is still being read; otherwise the stream is buffered
+//     whole, which is sound for arbitrary splitters.
 //   - Segment relations are shifted and merged into a deterministic
 //     (sorted, deduplicated) result, byte-identical to one-shot
 //     evaluation of the whole document.
@@ -169,8 +169,9 @@ func (c Config) withDefaults() Config {
 // sequential or batch plan, and a split plan's documents too small to
 // amortise the executor. ChunkedDocs counts the documents that took the
 // split route at chunk grain (ExecChunked); Segments counts the
-// splitter's spans on either grain, while Executor.Segments counts the
-// units the executor evaluated — chunks, for those documents.
+// splitter's spans on the per-segment route only (the chunked route cuts
+// chunks without segmenting), while Executor.Segments counts the units the
+// executor evaluated — chunks, for those documents.
 type Stats struct {
 	UptimeSec      float64    `json:"uptime_sec"`
 	Documents      uint64     `json:"documents"`
@@ -190,8 +191,7 @@ type Stats struct {
 	// stage (inside plan) as fractions of the same total (see
 	// StageStats.Share).
 	Stages map[string]StageStats `json:"stages"`
-	// Segmenter reports how streamed documents were segmented: resumable
-	// compiled-scanner feeds, and scanner bails.
+	// Segmenter reports how the chunked route found its cuts.
 	Segmenter SegmenterStats `json:"segmenter"`
 	// Executor reports the split executor's scheduling counters.
 	Executor ExecStats `json:"executor"`
@@ -318,29 +318,11 @@ func licensed(plan *Plan) bool {
 // independence of the splitter (S on a chunk t of d that runs from a span
 // start to a span end is S(d) restricted to t). Then P(t) = (P_S ∘ S)(t)
 // is exactly the chunk's share of (P_S ∘ S)(d) = P(d); DESIGN.md ("Grain")
-// has the proof. IsDisjoint, memoized when the plan was decided, keeps a
-// plan whose verdicts were set by hand over a splitter without a scanner
-// off the route.
+// has the proof. The chunks are cut by the splitter's cut finder, memoized
+// per splitter, whose existence keeps a plan whose verdicts were set by
+// hand over a splitter that is not cut safe off the route.
 func chunked(plan *Plan) bool {
-	return licensed(plan) && plan.Verdicts.Local == core.VerdictYes && plan.s.IsDisjoint()
-}
-
-// chunksOf groups doc's splitter spans — disjoint and in document order —
-// into runs of at most size bytes (a longer span is a run of its own) and
-// returns one work unit per run, reaching from its first span's start to
-// its last span's end.
-func chunksOf(doc string, spans []span.Span, size int) []parallel.Segment {
-	var out []parallel.Segment
-	for i := 0; i < len(spans); {
-		lo, j := spans[i].Start, i+1
-		for j < len(spans) && spans[j].End-lo <= size {
-			j++
-		}
-		run := span.Span{Start: lo, End: spans[j-1].End}
-		out = append(out, parallel.Segment{Span: run, Text: run.In(doc)})
-		i = j
-	}
-	return out
+	return licensed(plan) && plan.Verdicts.Local == core.VerdictYes && plan.s.CutStates() > 0
 }
 
 // Run evaluates the plan's first member on an in-memory document and
@@ -393,9 +375,9 @@ func (e *Engine) ExtractBatchReader(ctx context.Context, plan *Plan, r io.Reader
 // WillStream reports whether a document stream of this plan is segmented
 // incrementally (true) or buffered whole (false). It streams exactly the
 // split plans that run at chunk grain (see chunked): their two proofs
-// make every feed's run of committed spans a document P can be evaluated
-// on. Everything else buffers and takes the inline routes — a splitter
-// that is not proven local, and a split plan without a verdict.
+// make every feed's chunk, cut at a span end, a document P can be
+// evaluated on. Everything else buffers and takes the inline routes — a
+// splitter that is not proven local, and a split plan without a verdict.
 func (e *Engine) WillStream(plan *Plan) bool {
 	return plan.Strategy == StrategySplit && chunked(plan)
 }
@@ -416,33 +398,33 @@ func (e *Engine) WillStream(plan *Plan) bool {
 // them.
 //
 // A stream is read behind the stall guard (see guard). For a plan that
-// streams (see WillStream) it is segmented incrementally: each feed's
-// segments are evaluated by the executor as one chunk (ExecChunked) while
-// later feeds are still being read. Idle workers block on the bounded
-// dispatch channel, so a saturated pool stalls the segmenter and, through
-// it, the reader — backpressure reaches all the way to the network socket.
+// streams (see WillStream) it is cut incrementally: each feed's chunk is
+// evaluated by the executor (ExecChunked) while later feeds are still
+// being read. Idle workers block on the bounded dispatch channel, so a
+// saturated pool stalls the segmenter and, through it, the reader —
+// backpressure reaches all the way to the network socket.
 // A stream that ends inside its first breakEven bytes never gets that far
 // (see ingest). Every other stream is read whole first and takes the
 // inline routes. Memory is bounded by Config.MaxDocBuffer on every route:
 // a document over the budget fails with ErrDocTooLarge instead of being
 // evaluated.
 func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) ([]*span.Relation, Execution, error) {
-	var scan *core.ScanRun
+	var cuts *core.CutFinder
 	var hint int
 	if r != nil {
 		var stop func()
 		r, hint, stop = e.guard(ctx, r)
 		defer stop()
 		var err error
-		if doc, scan, r, err = e.ingest(ctx, plan, r, hint); err != nil {
+		if doc, cuts, r, err = e.ingest(ctx, plan, r, hint); err != nil {
 			return plan.none(), ExecWhole, err
 		}
 	}
-	if scan == nil && e.cfg.MaxDocBuffer > 0 && int64(len(doc)) > e.cfg.MaxDocBuffer {
+	if cuts == nil && e.cfg.MaxDocBuffer > 0 && int64(len(doc)) > e.cfg.MaxDocBuffer {
 		return plan.none(), ExecWhole, fmt.Errorf("%w (%d bytes > %d)", ErrDocTooLarge, len(doc), e.cfg.MaxDocBuffer)
 	}
 	e.m.documents.Inc()
-	if scan != nil {
+	if cuts != nil {
 		e.m.streamedDocs.Inc()
 	} else {
 		e.m.bytes.Add(uint64(len(doc)))
@@ -467,21 +449,23 @@ func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) (
 	}
 	var rel *span.Relation
 	var err error
-	if scan != nil {
-		rel, err = e.stream(ctx, plan, scan, r, hint)
+	if cuts != nil {
+		rel, err = e.stream(ctx, plan, cuts, r, hint)
 	} else {
 		t0 := time.Now()
-		spans := plan.s.Split(doc)
 		opts := parallel.Options{Workers: e.cfg.RequestWorkers, Batch: e.cfg.Batch, Metrics: &e.m.exec}
 		var segs []parallel.Segment
 		if chunks {
-			opts.Batch = 1 // one chunk per executor task
-			segs = chunksOf(doc, spans, e.cfg.ChunkSize)
+			opts.Batch = 1                // one chunk per executor task
+			f, _ := plan.s.NewCutFinder() // chunked holds only of a splitter with a cut finder
+			segs = parallel.SegmentsOf(doc, f.Chunks(doc, e.cfg.ChunkSize))
+			e.m.syncFallbacks.Add(uint64(f.Fallbacks()))
 		} else {
+			spans := plan.s.Split(doc)
 			segs = parallel.SegmentsOf(doc, spans)
+			e.m.segments.Add(uint64(len(spans)))
 		}
 		e.m.observeStage(StageSegment, time.Since(t0))
-		e.m.segments.Add(uint64(len(spans)))
 		t1 := time.Now()
 		rel, err = parallel.SplitEvalCtx(ctx, ev, segs, opts)
 		e.m.observeStage(StageEval, time.Since(t1))
@@ -490,12 +474,12 @@ func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) (
 }
 
 // ingest reads the guarded stream r for run: for a plan that streams, the
-// scanner run to segment it with and the reader to feed it from; for any
+// cut finder to cut it with and the reader to feed it from; for any
 // other plan, the whole document. A plan that streams first reads up to
 // the break-even: a stream that ends before it is evaluated whole and
 // comes back as the document, and a longer one loses nothing — what was
 // read becomes its first feed.
-func (e *Engine) ingest(ctx context.Context, plan *Plan, r io.Reader, hint int) (string, *core.ScanRun, io.Reader, error) {
+func (e *Engine) ingest(ctx context.Context, plan *Plan, r io.Reader, hint int) (string, *core.CutFinder, io.Reader, error) {
 	if e.WillStream(plan) {
 		limit := breakEven
 		if 0 < hint && hint < limit {
@@ -512,34 +496,37 @@ func (e *Engine) ingest(ctx context.Context, plan *Plan, r io.Reader, hint int) 
 		if err == io.EOF && !e.splitPays(plan, prefix.Len()) {
 			return prefix.String(), nil, nil, nil
 		}
-		scan, _ := plan.s.NewScanRun() // chunked holds only of a splitter with a scanner
-		return "", scan, io.MultiReader(strings.NewReader(prefix.String()), r), nil
+		cuts, _ := plan.s.NewCutFinder() // chunked holds only of a splitter with a cut finder
+		return "", cuts, io.MultiReader(strings.NewReader(prefix.String()), r), nil
 	}
 	doc, err := e.readAllBounded(ctx, r, hint)
 	return doc, nil, nil, err
 }
 
 // stream evaluates a streamed document with P, one chunk per feed: a
-// producer goroutine feeds r through the scanner run and dispatches what
-// each feed commits while the executor evaluates it.
-func (e *Engine) stream(ctx context.Context, plan *Plan, scan *core.ScanRun, r io.Reader, hint int) (*span.Relation, error) {
+// producer goroutine feeds r through the cut finder and dispatches the
+// chunk each feed ends while the executor evaluates it.
+func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r io.Reader, hint int) (*span.Relation, error) {
 	// One chunk per feed: capacity Workers bounds the queued work at that
 	// many chunks.
 	batches := make(chan []parallel.Segment, e.cfg.Workers)
 	readErr := make(chan error, 1)
 	go func() {
 		defer close(batches)
-		g := &scanSegmenter{run: scan, m: e.m}
+		g := &cutSegmenter{f: cuts}
 		var chunk []byte
-		// Segmentation time accumulates across the incremental feed/flush
-		// calls and is recorded once per document when the producer exits.
+		// Segmentation time accumulates across the incremental feed calls
+		// and is recorded once per document when the producer exits, with
+		// the finder's fallbacks.
 		var segDur time.Duration
-		defer func() { e.m.observeStage(StageSegment, segDur) }()
-		// send dispatches the chunk one feed produced (or the one or two
-		// the flush did) as one batch, which the worker that receives it
-		// evaluates. Sending blocks when every worker is busy, which in
-		// turn pauses reading — backpressure all the way to the producer
-		// of r.
+		defer func() {
+			e.m.observeStage(StageSegment, segDur)
+			e.m.syncFallbacks.Add(uint64(cuts.Fallbacks()))
+		}()
+		// send dispatches the chunk one feed produced as one batch, which
+		// the worker that receives it evaluates. Sending blocks when every
+		// worker is busy, which in turn pauses reading — backpressure all
+		// the way to the producer of r.
 		send := func(segs []parallel.Segment) bool {
 			if len(segs) == 0 {
 				return true
@@ -560,23 +547,23 @@ func (e *Engine) stream(ctx context.Context, plan *Plan, scan *core.ScanRun, r i
 			if n > 0 {
 				e.m.bytes.Add(uint64(n))
 				t0 := time.Now()
-				segs := g.feed(chunk[:n])
+				segs := g.feed(chunk[:n], false)
 				segDur += time.Since(t0)
 				if !send(segs) {
 					readErr <- ctx.Err()
 					return
 				}
-				if e.cfg.MaxDocBuffer > 0 && int64(g.buffered()) > e.cfg.MaxDocBuffer {
+				if e.cfg.MaxDocBuffer > 0 && int64(len(g.buf)) > e.cfg.MaxDocBuffer {
 					// The carry-over (one still-open segment) outgrew
 					// the budget — e.g. a boundary-less document.
-					readErr <- fmt.Errorf("%w (carry-over %d bytes > %d)", ErrDocTooLarge, g.buffered(), e.cfg.MaxDocBuffer)
+					readErr <- fmt.Errorf("%w (carry-over %d bytes > %d)", ErrDocTooLarge, len(g.buf), e.cfg.MaxDocBuffer)
 					return
 				}
 			}
 			switch {
 			case err == io.EOF:
 				t0 := time.Now()
-				segs := g.flush()
+				segs := g.feed(nil, true)
 				segDur += time.Since(t0)
 				if !send(segs) {
 					readErr <- ctx.Err()

@@ -130,7 +130,8 @@ func checkExecutionChoice(t *testing.T, e *Engine, plan *Plan, doc string, readS
 	// Chunk grain at the engine's size and at sizes that cut after every
 	// span and every few: P on each chunk, whatever the document's length.
 	for _, size := range []int{1, 97, e.cfg.ChunkSize} {
-		chunks := parallel.SplitEval(plan.p, chunksOf(doc, spans, size), e.cfg.RequestWorkers)
+		f, _ := plan.s.NewCutFinder()
+		chunks := parallel.SplitEval(plan.p, parallel.SegmentsOf(doc, f.Chunks(doc, size)), e.cfg.RequestWorkers)
 		sameTuples(t, "chunked route vs P.Eval", chunks, want)
 	}
 	got, exec, err := e.Run(ctx, plan, doc)
@@ -178,8 +179,8 @@ func TestExecutionChoiceEquivalence(t *testing.T) {
 	if st.WholeDocs == 0 || st.StreamedDocs == 0 || st.WholeDocs+st.Executor.Runs != st.Documents {
 		t.Fatalf("stats = %+v: want every document either evaluated whole or run on the executor, and both kinds seen", st)
 	}
-	if st.ChunkedDocs != st.Executor.Runs || st.Segments <= st.Executor.Segments {
-		t.Fatalf("stats = %+v: want every executor run a chunked document, and splitter spans counted, not chunks", st)
+	if st.ChunkedDocs != st.Executor.Runs || st.Segments != 0 || st.Executor.Segments == 0 {
+		t.Fatalf("stats = %+v: want every executor run a chunked document, chunks counted, and no splitter spans", st)
 	}
 }
 

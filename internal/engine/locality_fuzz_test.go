@@ -92,12 +92,36 @@ func scribbledReads(doc string, n int, feed func([]byte)) {
 // chunkedSegments drives the engine's segmenter over doc through
 // scribbledReads and holds every emitted chunk to the end, so a Text that
 // aliased the read buffer or the segmenter's compacted carry-over would
-// come back changed. bailed reports whether the scanner gave up on the
-// way.
+// come back changed. A splitter without a cut finder has no chunked
+// route; for one with a scanner the helper replays core.ScanRun's anchor
+// protocol instead, as examples/streaming drives it by hand — each feed's
+// committed spans as one chunk and, once the run bails, the document from
+// its Anchor on as the last — and bailed reports that the run gave up.
 func chunkedSegments(t testing.TB, s *core.Splitter, doc string, n int) (segs []parallel.Segment, bailed bool) {
-	g := newTestSegmenter(t, s)
-	scribbledReads(doc, n, func(chunk []byte) { segs = append(segs, g.feed(chunk)...) })
-	return append(segs, g.flush()...), g.run.Bailed()
+	if _, ok := s.NewCutFinder(); ok {
+		g := newTestSegmenter(t, s)
+		scribbledReads(doc, n, func(chunk []byte) { segs = append(segs, g.feed(chunk, false)...) })
+		return append(segs, g.feed(nil, true)...), false
+	}
+	run, ok := s.NewScanRun()
+	if !ok {
+		t.Fatalf("splitter has no compiled scanner")
+	}
+	var spans []span.Span
+	emit := func() {
+		if len(spans) > 0 {
+			c := span.Span{Start: spans[0].Start, End: spans[len(spans)-1].End}
+			segs = append(segs, parallel.Segment{Span: c, Text: c.In(doc)})
+		}
+	}
+	scribbledReads(doc, n, func(chunk []byte) { spans, _ = run.Feed(chunk, spans[:0]); emit() })
+	spans, ok = run.Flush(spans[:0])
+	emit()
+	if !ok {
+		tail := span.Span{Start: run.Anchor() + 1, End: len(doc) + 1}
+		segs = append(segs, parallel.Segment{Span: tail, Text: tail.In(doc)})
+	}
+	return segs, !ok
 }
 
 // checkScanRun holds the scanner run the segmenter feeds to S(d) = want
@@ -130,26 +154,21 @@ func checkScanRun(t testing.TB, s *core.Splitter, doc string, n int, want []span
 	return nil
 }
 
-// checkBothGrains holds the streamed route's two layers to S(d) = want for
-// one read size: the scanner run (see checkScanRun), and the chunks the
-// segmenter cuts from it, with the geometry
+// checkBothGrains holds the splitter's two streaming layers to S(d) = want
+// for one read size: the scanner run (see checkScanRun), and the chunks
+// the segmenter's cut finder cuts, with the geometry
 // TestScanSegmenterChunksCoverEverySpan states — every chunk is the
 // document between a span start and a span end, chunks come in document
-// order, and every span of S(d) lies in exactly one. The one exception is
-// the bail guard's: the tail chunk starts at the scanner's anchor, which
-// may be the start of the last span an earlier chunk covered.
+// order, and every span of S(d) lies in exactly one.
 func checkBothGrains(t testing.TB, s *core.Splitter, doc string, n int, want []span.Span) error {
 	if err := checkScanRun(t, s, doc, n, want); err != nil {
 		return err
 	}
-	chunks, bailed := chunkedSegments(t, s, doc, n)
+	chunks, _ := chunkedSegments(t, s, doc, n)
 	next := 0 // first span no chunk has covered yet
-	for i, c := range chunks {
+	for _, c := range chunks {
 		if c.Text != c.Span.In(doc) {
 			return fmt.Errorf("chunk=%d: chunk %v carries %q", n, c.Span, c.Text)
-		}
-		if bailed && i == len(chunks)-1 && next > 0 && c.Span.Start == want[next-1].Start {
-			next--
 		}
 		if next == len(want) || c.Span.Start != want[next].Start {
 			return fmt.Errorf("chunk=%d: chunk %v does not start at the next span of %v", n, c.Span, want[next:])
@@ -169,11 +188,13 @@ func checkBothGrains(t testing.TB, s *core.Splitter, doc string, n int, want []s
 
 // FuzzLocalityVsBuffered is the streaming half of the locality verdict's
 // soundness contract: whenever IsLocal proves a fuzzed splitter local, the
-// engine's incremental scanner and segmenter must reproduce the one-shot
-// segmentation (see checkBothGrains) at adversarial chunk sizes — 1 (every
-// boundary lands mid-segment), 7 (misaligned with everything) and 4096
-// (typically one chunk) — on fuzzed documents. A failure here means a
-// "local" verdict admitted a splitter that incremental streaming
+// incremental scanner and the segmenter's cut finder must reproduce the
+// one-shot segmentation (see checkBothGrains) at adversarial chunk sizes —
+// 1 (every boundary lands mid-segment), 7 (misaligned with everything),
+// 1000 (past the finder's window, so a longer document crosses several
+// synchronized cuts, and a splitter that does not synchronize falls back)
+// and 4096 (typically one chunk) — on fuzzed documents. A failure here
+// means a "local" verdict admitted a splitter that incremental streaming
 // mis-segments, i.e. a hole in the procedure's proof, not a flaky test.
 func FuzzLocalityVsBuffered(f *testing.F) {
 	f.Add(uint8(0), byte(0), byte(1), int64(1), "one. two! three\nfour.")
@@ -195,7 +216,7 @@ func FuzzLocalityVsBuffered(f *testing.F) {
 			return
 		}
 		want := s.Split(doc)
-		for _, n := range []int{1, 7, 4096} {
+		for _, n := range []int{1, 7, 1000, 4096} {
 			if err := checkBothGrains(t, s, doc, n, want); err != nil {
 				t.Fatalf("%v\nsplitter: %s\ndoc: %q", err, src, doc)
 			}
@@ -210,6 +231,9 @@ func TestLocalityFuzzCorpusSmoke(t *testing.T) {
 	docs := []string{
 		"", ".", "!", "one. two! three\nfour.", "a b  c\nd ", "a;b;;c",
 		"a.b.c.d", "ab.cd!e", "a qb c", strings.Repeat("word. ", 40),
+		// Longer than the cut finder's window: several synchronized cuts
+		// at reads of 1 000 bytes, or its fallback.
+		strings.Repeat("one. two! three\nfour;a b ", 100), strings.Repeat("abbab", 300),
 	}
 	proved := 0
 	for mode := uint8(0); mode < 7; mode++ {
@@ -221,7 +245,7 @@ func TestLocalityFuzzCorpusSmoke(t *testing.T) {
 			proved++
 			for _, doc := range docs {
 				want := s.Split(doc)
-				for _, n := range []int{1, 7, 4096} {
+				for _, n := range []int{1, 7, 1000, 4096} {
 					if err := checkBothGrains(t, s, doc, n, want); err != nil {
 						t.Fatalf("mode=%d doc=%q splitter=%s: %v", mode, doc, src, err)
 					}

@@ -18,10 +18,10 @@ import (
 //	plan     Engine.Plan: the plan-cache get, including compilation and
 //	         the decision procedures on a miss and the single-flight
 //	         wait when coalesced.
-//	segment  applying the splitter: the Split call on buffered
-//	         documents, the sum of incremental feed/flush calls on
-//	         streamed ones. A document evaluated whole (ExecWhole)
-//	         records nothing here.
+//	segment  applying the splitter: the Split call on the per-segment
+//	         route, the cut finder on the chunked route (summed over the
+//	         feeds of a streamed document). A document evaluated whole
+//	         (ExecWhole) records nothing here.
 //	eval     the evaluation call (the whole-document Eval, or the split
 //	         executor run including its final merge). On the streaming
 //	         path evaluation overlaps ingestion, so this stage's wall
@@ -75,16 +75,9 @@ type Metrics struct {
 	bytes        obs.Counter
 	segments     obs.Counter
 
-	// Streaming-segmenter counters. segResumed counts chunk feeds the
-	// compiled scanner consumed by resuming from saved DFA state (each
-	// byte scanned exactly once); segBails counts mid-document scanner
-	// bails, after which a stream is buffered from the scanner's anchor
-	// and that tail is its last chunk. segStandDowns counts streamed
-	// documents whose scanner's trigger-skip gate stood down for lack of
-	// yield (see lazydfa.SkipGate).
-	segResumed    obs.Counter
-	segBails      obs.Counter
-	segStandDowns obs.Counter
+	// syncFallbacks sums core.CutFinder.Fallbacks over the chunked
+	// route's documents.
+	syncFallbacks obs.Counter
 
 	stages [numStages]obs.Histogram // wall ns per request, by Stage
 	decide obs.Histogram            // wall ns per cold compilation (nested in plan)
@@ -108,10 +101,8 @@ func newMetrics(e *Engine) *Metrics {
 	r.BindCounter("spanners_engine_documents_whole_total", "documents evaluated whole on the request goroutine (sequential plans, and split plans' documents too small to amortise the executor)", &m.wholeDocs)
 	r.BindCounter("spanners_engine_documents_chunked_total", "documents whose split route ran at chunk grain: the spanner evaluated once per chunk of consecutive segments", &m.chunkedDocs)
 	r.BindCounter("spanners_engine_bytes_total", "document bytes ingested", &m.bytes)
-	r.BindCounter("spanners_engine_segments_total", "splitter spans of documents on the split route, at either grain", &m.segments)
-	r.BindCounter("spanners_engine_segmenter_resumed_feeds_total", "chunk feeds consumed by the resumable compiled scanner", &m.segResumed)
-	r.BindCounter("spanners_engine_segmenter_bails_total", "compiled-scanner bails: streamed documents buffered from the scanner's anchor to their end", &m.segBails)
-	r.BindCounter("spanners_engine_segmenter_stand_downs_total", "streamed documents whose compiled scanner's trigger-byte skip loop stood down for lack of yield", &m.segStandDowns)
+	r.BindCounter("spanners_engine_segments_total", "splitter spans of documents on the per-segment split route (the chunked route cuts chunks without segmenting)", &m.segments)
+	r.BindCounter("spanners_engine_segmenter_sync_fallbacks_total", "chunked-route feeds whose cut finder found no synchronized span end in its window and stepped exactly from its last known state", &m.syncFallbacks)
 
 	for s := Stage(0); s < numStages; s++ {
 		r.BindDurationHistogram(`spanners_engine_stage_seconds{stage="`+s.String()+`"}`,
@@ -203,16 +194,12 @@ type StageStats struct {
 	P99MS float64 `json:"p99_ms,omitempty"`
 }
 
-// SegmenterStats is the /v1/stats view of the streaming segmenter: the
-// feeds its resumable compiled scanner consumed (ResumedFeeds, every
-// byte scanned once), how often a scanner bailed mid-document (Bails),
-// leaving the rest of that document to be buffered, and how many
-// streamed documents' scanners stood their trigger-skip gate down
-// (StandDowns).
+// SegmenterStats is the /v1/stats view of the chunked route's cut finder:
+// how often it fell back to stepping exactly (SyncFallbacks). It has no
+// bail exit, so Bails is always 0; it stays for the clients that decode it.
 type SegmenterStats struct {
-	ResumedFeeds uint64 `json:"resumed_feeds"`
-	Bails        uint64 `json:"bails"`
-	StandDowns   uint64 `json:"stand_downs"`
+	Bails         uint64 `json:"bails"`
+	SyncFallbacks uint64 `json:"sync_fallbacks"`
 }
 
 // ExecStats is the /v1/stats view of the split executor.
@@ -290,11 +277,7 @@ func (m *Metrics) execStats(workers int) ExecStats {
 }
 
 func (m *Metrics) segmenterStats() SegmenterStats {
-	return SegmenterStats{
-		ResumedFeeds: m.segResumed.Load(),
-		Bails:        m.segBails.Load(),
-		StandDowns:   m.segStandDowns.Load(),
-	}
+	return SegmenterStats{SyncFallbacks: m.syncFallbacks.Load()}
 }
 
 func (m *Metrics) localizationStats() LocalizationStats {

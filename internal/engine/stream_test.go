@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/library"
 	"repro/internal/parallel"
-	"repro/internal/regexformula"
 )
 
 // collectChunks runs the segmenter over doc in chunks of size n (through
@@ -22,15 +21,15 @@ func collectChunks(t *testing.T, s *core.Splitter, doc string, n int) []parallel
 	return segs
 }
 
-// newTestSegmenter builds the engine's segmenter outside an engine (no
-// metrics), as RunReader does for a plan that streams.
-func newTestSegmenter(t testing.TB, s *core.Splitter) *scanSegmenter {
+// newTestSegmenter builds the engine's segmenter outside an engine, as
+// RunReader does for a plan that streams.
+func newTestSegmenter(t testing.TB, s *core.Splitter) *cutSegmenter {
 	t.Helper()
-	run, ok := s.NewScanRun()
+	f, ok := s.NewCutFinder()
 	if !ok {
-		t.Fatalf("splitter has no compiled scanner")
+		t.Fatalf("splitter has no cut finder")
 	}
-	return &scanSegmenter{run: run}
+	return &cutSegmenter{f: f}
 }
 
 // TestScanSegmenterMatchesOneShotSplit: the scanner run the segmenter
@@ -58,13 +57,10 @@ func TestScanSegmenterMatchesOneShotSplit(t *testing.T) {
 func TestScanSegmenterCarryKeepsBufferSmall(t *testing.T) {
 	g := newTestSegmenter(t, library.Sentences())
 	for i := 0; i < 100; i++ {
-		g.feed([]byte("a sentence here. "))
+		g.feed([]byte("a sentence here. "), false)
 	}
-	if g.buffered() > 64 {
-		t.Fatalf("buffer grew to %d bytes; anchor trimming is not working", g.buffered())
-	}
-	if g.run.Bailed() {
-		t.Fatal("sentence scanner bailed")
+	if len(g.buf) > 64 {
+		t.Fatalf("buffer grew to %d bytes; trimming to the finder's Keep is not working", len(g.buf))
 	}
 }
 
@@ -95,26 +91,6 @@ func TestScanSegmenterChunksCoverEverySpan(t *testing.T) {
 			}
 			if next != len(spans) {
 				t.Fatalf("doc %q read %d: spans %v were never covered", doc, n, spans[next:])
-			}
-		}
-	}
-}
-
-// TestScanSegmenterChunkedBailKeepsTheRest drives the chunk grain into the
-// one place the locality proof's closure keeps the engine out of: a
-// scanner that bails. The evaluator behind this segmenter holds P, so the tail is
-// not split: everything from the scanner's anchor on must come back from
-// flush as the document's last chunk.
-func TestScanSegmenterChunkedBailKeepsTheRest(t *testing.T) {
-	s := suffixConditioned()
-	if local, _ := s.IsLocal(0); local {
-		t.Fatal("the suffix-conditioned splitter must not be local")
-	}
-	for _, doc := range []string{"ab.cd.ef!", "ab.cd", "a.b.c.d.e!"} {
-		for n := 1; n <= len(doc)+1; n++ {
-			got := collectChunks(t, s, doc, n)
-			if len(got) != 1 || got[0].Span.Start != 1 || got[0].Text != doc {
-				t.Fatalf("doc %q read %d: chunks %v, want the whole document from the anchor", doc, n, got)
 			}
 		}
 	}
@@ -164,80 +140,65 @@ func TestStreamedSharedFeedText(t *testing.T) {
 		if got.String() != want.String() {
 			t.Fatalf("chunk=%d: streamed relation (%d tuples) differs from Eval (%d tuples)", n, got.Len(), want.Len())
 		}
-		if st := e.Stats(); st.StreamedDocs != 1 || st.Segmenter.Bails != 0 {
-			t.Fatalf("chunk=%d: stats = %+v, want one streamed document on the scanner path", n, st.Segmenter)
+		if st := e.Stats(); st.StreamedDocs != 1 {
+			t.Fatalf("chunk=%d: %d streamed documents, want 1", n, st.StreamedDocs)
 		}
 	}
 }
 
-// TestSegmenterStandDownCounted: a streamed document whose prefix puts
-// a sentence separator every third byte — 2 000 jumps gaining 3 bytes
-// each, far more than one 32-jump yield window — before a separator-free
-// tail stands its scanner's skip gate down, and the segmenter counts it
-// once. Review documents like the ledger's never stand it down.
-func TestSegmenterStandDownCounted(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		doc  string
-		want uint64
-	}{
-		{"dense prefix, sparse tail", strings.Repeat("x", 40) + strings.Repeat("ab.", 2000) + strings.Repeat("y", 64<<10), 1},
-		{"sparse only", strings.Repeat("x", 40) + strings.Repeat("y", 64<<10), 0},
-		{"reviews, 256 KiB", reviewDoc(2, 256<<10), 0},
-		{"reviews, 2 MiB", reviewDoc(1, 2<<20), 0},
-	} {
-		e := New(Config{Workers: 2})
-		if _, err := e.ExtractReader(context.Background(), reviewPlan(), strings.NewReader(tc.doc)); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if st := e.Stats(); st.StreamedDocs != 1 || st.Segmenter.StandDowns != tc.want {
-			t.Fatalf("%s: %d streamed, %d stand-downs; want 1 and %d", tc.name, st.StreamedDocs, st.Segmenter.StandDowns, tc.want)
-		}
-	}
-}
-
-// suffixConditioned is the splitter of the bail tests here: sentence-like
-// blocks that exist only on documents ending in '!', so its scanner bails
-// at the first separator.
-func suffixConditioned() *core.Splitter {
-	return core.MustSplitter(regexformula.MustCompile(
-		"(x{[^.!]*})(\\.[^.!]*)*!|[^.!]*(\\.[^.!]*)*\\.(x{[^.!]*})(\\.[^.!]*)*!"))
-}
-
-// TestBailedCarryOverIsBounded: a bail turns the rest of the document into
-// carry-over, and the carry-over is what Config.MaxDocBuffer bounds. The
-// segmenter reports every byte it holds from the anchor on. Through the
-// engine — a plan over it with a forged locality verdict but no split
-// verdict does not run chunked, so it buffers — a 1 MiB document under a
-// 64 KiB budget fails with the typed ErrDocTooLarge instead of being
-// buffered whole.
+// TestBailedCarryOverIsBounded: the carry-over — the span still open — is
+// what Config.MaxDocBuffer bounds. A proven-local splitter over a document
+// with no terminator cuts nothing, and the segmenter holds every byte.
+// Through the engine a 1 MiB such document under a 64 KiB budget fails
+// with the typed ErrDocTooLarge within a few reads of the budget instead
+// of being buffered whole.
 func TestBailedCarryOverIsBounded(t *testing.T) {
-	s := suffixConditioned()
-	doc := strings.Repeat("ab.cd.", 1<<20/6) + "ef!"
-	g := newTestSegmenter(t, s)
+	doc := strings.Repeat("so bad weather ", 1<<20/15+1)[:1<<20]
+	g := newTestSegmenter(t, library.Sentences())
 	for lo := 0; lo < len(doc); lo += 64 << 10 {
-		if segs := g.feed([]byte(doc[lo:min(lo+64<<10, len(doc))])); len(segs) != 0 {
-			t.Fatalf("a feed committed %d chunks of a splitter that cannot commit", len(segs))
+		if segs := g.feed([]byte(doc[lo:min(lo+64<<10, len(doc))]), false); len(segs) != 0 {
+			t.Fatalf("a feed cut %d chunks of a document without a span end", len(segs))
 		}
 	}
-	if !g.run.Bailed() || g.buffered() != len(doc) {
-		t.Fatalf("bailed %v with %d of %d bytes buffered", g.run.Bailed(), g.buffered(), len(doc))
-	}
-	p := regexformula.MustCompile(emailFormula)
-	plan := &Plan{
-		p: p, ps: p, s: s,
-		Strategy: StrategySplit,
-		Verdicts: core.PlanVerdicts{Disjoint: core.VerdictYes, Local: core.VerdictYes},
+	if len(g.buf) != len(doc) {
+		t.Fatalf("%d of %d bytes buffered", len(g.buf), len(doc))
 	}
 	e := New(Config{Workers: 2, MaxDocBuffer: 64 << 10})
-	if e.WillStream(plan) {
-		t.Fatal("a plan without a split verdict streams")
+	if !e.WillStream(reviewPlan()) {
+		t.Fatal("the review plan does not stream")
 	}
 	r := strings.NewReader(doc)
-	if _, _, err := e.RunReader(context.Background(), plan, unsized{r}); !errors.Is(err, ErrDocTooLarge) {
+	if _, _, err := e.RunReader(context.Background(), reviewPlan(), unsized{r}); !errors.Is(err, ErrDocTooLarge) {
 		t.Fatalf("err %v, want ErrDocTooLarge", err)
 	}
 	if read := len(doc) - r.Len(); read > 4*64<<10 {
 		t.Fatalf("read %d bytes: want the read stopped within a few reads of the budget", read)
+	}
+}
+
+// TestCutFinderFallbackIsCounted: a sentence with no terminator holds no
+// span end in any window, so every feed past the first window falls back
+// to stepping exactly from the last known state — at reads of 1 byte,
+// where no feed outruns the known state, and of 64 KiB, where each feed
+// first tries its window — and the engine counts it. The answer is still
+// EvalReference's. (TestCutFinderFallbackIsLinear in internal/core holds
+// the same documents to linear work.)
+func TestCutFinderFallbackIsCounted(t *testing.T) {
+	for _, size := range []int{256 << 10, 512 << 10} {
+		doc := strings.Repeat("so bad weather ", size/15+1)[:size]
+		want := reviewPlan().p.EvalReference(doc)
+		for _, n := range []int{1, 64 << 10} {
+			e := New(Config{Workers: 2})
+			got, exec, err := e.RunReader(context.Background(), reviewPlan(), &fixedChunkReader{s: doc, n: n})
+			if err != nil || exec != ExecChunked {
+				t.Fatalf("reads of %d: RunReader took the %v route (err %v)", n, exec, err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("reads of %d, %d bytes: %d tuples, EvalReference has %d", n, size, got.Len(), want.Len())
+			}
+			if st := e.Stats(); st.Segmenter.SyncFallbacks == 0 {
+				t.Fatalf("reads of %d, %d bytes: stats = %+v, want the fallbacks counted", n, size, st.Segmenter)
+			}
+		}
 	}
 }
