@@ -150,7 +150,7 @@ func TestSmallStreamAllocatesSmall(t *testing.T) {
 // name) over a splitter it already holds, so the plan compiles P,
 // decides SplitCorrect(P, P, S) — Compose, the symbol table, the word
 // NFAs, both containment directions — and prepares P, and takes S from
-// the splitter table. Before the builders moved to flat tables the same
+// its plan-cache entry. Before the builders moved to flat tables the same
 // plan made 1 268 allocations (1 269 per benchmark iteration), and 600
 // before automata.SetTable dropped its string keys; the bound is the 506
 // it makes since, plus 10 %.

@@ -162,7 +162,7 @@ func TestOneMemberBatchIsTheSingleQuery(t *testing.T) {
 						results, berr = e.ExtractBatch(ctx, plan, doc)
 						rel, err = e.Extract(ctx, plan, doc)
 					} else {
-						results, berr = e.ExtractBatchReader(ctx, plan, input.open())
+						results, _, berr = e.Answer(ctx, plan, "", input.open())
 						rel, err = e.ExtractReader(ctx, plan, input.open())
 					}
 					if err != nil || berr != nil || len(results) != 1 || results[0].Err != nil {
@@ -239,7 +239,7 @@ func TestBatchPlanCostCountsAllMembers(t *testing.T) {
 	}
 	var singles int64
 	for _, f := range []string{emailFormula, abFormula, cdFormula} {
-		p, err := compilePlan(Request{Spanner: f}, 0, new(splitterTable))
+		p, err := compilePlan(Request{Spanner: f}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,10 @@ package engine
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // CacheStats is a snapshot of plan-cache counters. Hits and Coalesced
@@ -12,15 +14,16 @@ import (
 // plan, a coalesced request joined an in-flight compilation of the same
 // key (the single-flight path). Misses counts actual compilations,
 // including ones that ended in an error (errors are not cached, so a
-// later request retries). Evictions counts removals forced by the
-// global entry/byte budgets, TenantEvictions removals forced by a
-// single tenant's quota, and Oversize plans whose estimated cost alone
-// exceeded the per-tenant byte budget (they are compiled, served and
-// not cached — a hostile tenant cannot pin the cache with one huge
-// plan). SplitterHits counts plan compilations that took their splitter
-// — compiled, with its disjointness, locality and scanner — from the
-// engine's splitter table instead of building it; they are plan misses
-// all the same.
+// later request retries). SplitterHits counts plan compilations that took
+// their splitter — compiled, with its disjointness, locality and scanner
+// — from the cache, built or from a build in flight that succeeded,
+// instead of building it; they are plan misses all the same. Evictions
+// counts removals forced by the global entry/byte budgets,
+// TenantEvictions removals forced by a single tenant's quota, and
+// Oversize entries whose estimated cost alone exceeded the per-tenant
+// byte budget (they are built, served and not cached — a hostile tenant
+// cannot pin the cache with one huge plan). Size, Bytes and Tenants
+// cover plans and splitter artifacts alike.
 type CacheStats struct {
 	Hits            uint64  `json:"hits"`
 	SplitterHits    uint64  `json:"splitter_hits"`
@@ -38,16 +41,16 @@ type CacheStats struct {
 }
 
 // cacheConfig bounds the plan cache. The entry caps bound how many
-// plans are held; the byte budgets bound their summed estimated memory
-// cost (Plan.cost), so many small plans and few huge ones hit the same
-// ceiling. Per-tenant budgets carve the global budgets up: one tenant
-// churning unique formulas evicts its own plans, never another
-// tenant's.
+// plans and splitter artifacts are held; the byte budgets bound their
+// summed estimated memory cost (cost), so many small plans and few huge
+// ones hit the same ceiling. Per-tenant budgets carve the global budgets
+// up: one tenant churning unique formulas evicts its own entries, never
+// another tenant's.
 type cacheConfig struct {
 	cap         int   // max entries, all tenants (≥ 1)
-	maxBytes    int64 // max summed plan cost; ≤ 0 = unlimited
+	maxBytes    int64 // max summed cost; ≤ 0 = unlimited
 	tenantCap   int   // max entries per tenant; ≤ 0 = cap
-	tenantBytes int64 // max summed plan cost per tenant; ≤ 0 = maxBytes
+	tenantBytes int64 // max summed cost per tenant; ≤ 0 = maxBytes
 }
 
 func (c cacheConfig) withDefaults() cacheConfig {
@@ -63,11 +66,14 @@ func (c cacheConfig) withDefaults() cacheConfig {
 	return c
 }
 
-// planCache is an LRU of compiled plans with single-flight
-// deduplication, bounded by entry counts and estimated plan cost, both
-// globally and per tenant. Concurrent gets of the same key run the
-// build function exactly once, with the late arrivals blocking on the
-// in-flight entry instead of re-running the decision procedures.
+// planCache is the engine's one memo table: an LRU of compiled plans
+// and of the splitter artifacts they share, with single-flight
+// deduplication, bounded by entry counts and estimated cost, both
+// globally and per tenant. Concurrent lookups of one key run its build
+// exactly once, with the late arrivals blocking on the in-flight entry
+// instead of re-running the decision procedures. An artifact is not
+// evicted while a cached plan holds it (pins); once none does, it is an
+// ordinary LRU entry.
 type planCache struct {
 	mu      sync.Mutex
 	cfg     cacheConfig
@@ -82,25 +88,32 @@ type planCache struct {
 	evictions       uint64
 	tenantEvictions uint64
 	oversize        uint64
+	splitterHits    atomic.Uint64
 }
 
 // tenantUsage tracks one tenant's share of the cache. entries includes
-// in-flight compilations (so a tenant cannot stampede past its quota
-// with parallel misses); bytes only completed plans, whose cost is
-// known.
+// in-flight builds (so a tenant cannot stampede past its quota with
+// parallel misses); bytes only completed entries, whose cost is known.
 type tenantUsage struct {
 	entries int
 	bytes   int64
 }
 
+// cached is a value the cache memoizes: a *Plan or a *splitterArtifact.
+type cached interface{ cost() int64 }
+
 type cacheEntry struct {
 	key    string
 	tenant string
-	cost   int64         // estimated plan memory; 0 while in-flight
-	ready  chan struct{} // closed when plan/err are set
+	cost   int64         // estimated memory; 0 while in-flight
+	ready  chan struct{} // closed when val/err are set
 	done   bool          // guarded by planCache.mu
-	plan   *Plan
+	val    cached
 	err    error
+	// pins counts the cached plans holding this artifact; split is the
+	// artifact entry a cached plan pins. Both are guarded by planCache.mu.
+	pins  int
+	split *cacheEntry
 }
 
 func newPlanCache(cfg cacheConfig) *planCache {
@@ -121,20 +134,31 @@ func newPlanCache(cfg cacheConfig) *planCache {
 // affected (it still serves the remaining waiters and populates the
 // cache). tenant scopes the quota accounting; the key must already
 // incorporate it (Request.key does).
-func (c *planCache) get(ctx context.Context, tenant, key string, build func() (*Plan, error)) (plan *Plan, hit bool, err error) {
+func (c *planCache) get(ctx context.Context, tenant, key string, build func() (*Plan, error)) (*Plan, bool, error) {
+	v, hit, err := c.load(ctx, tenant, key, true, func() (cached, error) { return build() })
+	plan, _ := v.(*Plan)
+	return plan, hit, err
+}
+
+// load is the single flight under get and artifact: it serves key's
+// value, built or awaited in flight, or runs build. Only plan lookups
+// count as hits, coalesced waits and misses.
+func (c *planCache) load(ctx context.Context, tenant, key string, plan bool, build func() (cached, error)) (v cached, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
-		if e.done {
+		switch {
+		case !plan:
+		case e.done:
 			c.hits++
-		} else {
+		default:
 			c.coalesced++
 		}
 		c.mu.Unlock()
 		select {
 		case <-e.ready:
-			return e.plan, true, e.err
+			return e.val, true, e.err
 		case <-ctx.Done():
 			return nil, true, ctx.Err()
 		}
@@ -143,41 +167,54 @@ func (c *planCache) get(ctx context.Context, tenant, key string, build func() (*
 	el := c.ll.PushFront(e)
 	c.items[key] = el
 	c.usage(tenant).entries++
-	c.misses++
+	if plan {
+		c.misses++
+	}
 	c.evictLocked(e)
 	c.mu.Unlock()
 
-	plan, err = runBuild(build)
+	v, err = runBuild(build)
 
 	c.mu.Lock()
-	e.plan, e.err, e.done = plan, err, true
-	cur, present := c.items[key]
-	present = present && cur.Value.(*cacheEntry) == e
-	switch {
-	case err != nil:
+	e.val, e.err, e.done = v, err, true
+	if err != nil {
 		// Do not cache failures: a later identical request should retry
 		// (the failure may be transient, e.g. a cancelled context).
-		if present {
-			c.removeLocked(cur)
-		}
-	case present:
-		cost := plan.cost()
-		if c.cfg.tenantBytes > 0 && cost > c.cfg.tenantBytes {
-			// The plan alone exceeds the tenant's whole byte budget:
-			// serve it, but do not let it occupy the cache. e.cost stays 0
-			// — it was never charged to the byte accounting.
-			c.oversize++
-			c.removeLocked(cur)
-		} else {
-			e.cost = cost
-			c.bytes += cost
-			c.usage(tenant).bytes += cost
-			c.evictLocked(e)
-		}
+		c.removeLocked(el)
+	} else {
+		c.publishLocked(el)
 	}
 	c.mu.Unlock()
 	close(e.ready)
-	return plan, false, err
+	return v, false, err
+}
+
+// publishLocked charges a completed entry and pins the artifact of a
+// plan. An entry whose cost alone exceeds the tenant's whole byte budget
+// is served but not cached — e.cost stays 0, it was never charged — and
+// so is a plan whose artifact left the cache while the plan compiled:
+// every cached plan's splitter is charged, once, to its artifact's entry.
+func (c *planCache) publishLocked(el *list.Element) {
+	e := el.Value.(*cacheEntry)
+	cost := e.val.cost()
+	if c.cfg.tenantBytes > 0 && cost > c.cfg.tenantBytes {
+		c.oversize++
+		c.removeLocked(el)
+		return
+	}
+	if p, ok := e.val.(*Plan); ok && p.split != nil {
+		sel := c.items[p.split.key]
+		if sel == nil || sel.Value.(*cacheEntry).val != p.split {
+			c.removeLocked(el)
+			return
+		}
+		e.split = sel.Value.(*cacheEntry)
+		e.split.pins++
+	}
+	e.cost = cost
+	c.bytes += cost
+	c.usage(e.tenant).bytes += cost
+	c.evictLocked(e)
 }
 
 func (c *planCache) usage(tenant string) *tenantUsage {
@@ -189,11 +226,15 @@ func (c *planCache) usage(tenant string) *tenantUsage {
 	return u
 }
 
-// removeLocked drops an entry and its accounting.
+// removeLocked drops an entry and its accounting, and unpins the
+// artifact of a cached plan.
 func (c *planCache) removeLocked(el *list.Element) {
 	e := el.Value.(*cacheEntry)
 	c.ll.Remove(el)
 	delete(c.items, e.key)
+	if e.split != nil {
+		e.split.pins--
+	}
 	c.bytes -= e.cost
 	if u := c.tenants[e.tenant]; u != nil {
 		u.entries--
@@ -205,12 +246,12 @@ func (c *planCache) removeLocked(el *list.Element) {
 }
 
 // evictLocked enforces the four budgets after keep was inserted or
-// finished compiling, evicting from the LRU tail. keep itself and
-// in-flight entries are never evicted (an in-flight entry's waiters
-// must be served; it is re-checked for eviction when it completes, via
-// its own evictLocked call). Tenant-quota evictions only touch the
-// over-quota tenant's entries; global-budget evictions take the
-// least-recently-used completed entry of any tenant.
+// finished building, evicting from the LRU tail. keep itself, in-flight
+// entries and pinned artifacts are never evicted (an in-flight entry's
+// waiters must be served; it is re-checked for eviction when it
+// completes, via its own evictLocked call). Tenant-quota evictions only
+// touch the over-quota tenant's entries; global-budget evictions take the
+// least-recently-used evictable entry of any tenant.
 func (c *planCache) evictLocked(keep *cacheEntry) {
 	// The tenant loops only run when the per-tenant quota is strictly
 	// tighter than the global budget; otherwise the global checks below
@@ -235,13 +276,13 @@ func (c *planCache) evictLocked(keep *cacheEntry) {
 	}
 }
 
-// evictOneLocked removes the least-recently-used completed entry —
+// evictOneLocked removes the least-recently-used evictable entry —
 // restricted to one tenant's entries when tenant is non-empty — and
 // reports whether it found one.
 func (c *planCache) evictOneLocked(keep *cacheEntry, tenant string) bool {
 	for el := c.ll.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*cacheEntry)
-		if e == keep || !e.done {
+		if e == keep || !e.done || e.pins > 0 {
 			continue
 		}
 		if tenant != "" && e.tenant != tenant {
@@ -253,16 +294,19 @@ func (c *planCache) evictOneLocked(keep *cacheEntry, tenant string) bool {
 	return false
 }
 
-// runBuild runs build, converting a panic into an error: the safety net
-// for hostile input that no typed compile error catches. If a panic
-// escaped here the in-flight cache entry would keep its ready channel open
-// forever and every later request for the same key would block on it — one
-// bad request permanently poisoning a cache key. As an error it takes the
-// normal not-cached path instead.
-func runBuild(build func() (*Plan, error)) (plan *Plan, err error) {
+// errBuildPanicked is the error runBuild turns a panicking build into.
+var errBuildPanicked = errors.New("engine: compilation failed")
+
+// runBuild runs build, converting a panic into an error wrapping
+// errBuildPanicked: the safety net for hostile input that no typed
+// compile error catches. If a panic escaped here the in-flight cache entry
+// would keep its ready channel open forever and every later request for
+// the same key would block on it — one bad request permanently poisoning a
+// cache key. As an error it takes the normal not-cached path instead.
+func runBuild(build func() (cached, error)) (v cached, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			plan, err = nil, fmt.Errorf("engine: plan compilation failed: %v", r)
+			v, err = nil, fmt.Errorf("%w: %v", errBuildPanicked, r)
 		}
 	}()
 	return build()
@@ -279,6 +323,7 @@ func (c *planCache) stats() CacheStats {
 		Evictions:       c.evictions,
 		TenantEvictions: c.tenantEvictions,
 		Oversize:        c.oversize,
+		SplitterHits:    c.splitterHits.Load(),
 		Size:            c.ll.Len(),
 		Cap:             c.cfg.cap,
 		Bytes:           c.bytes,

@@ -103,9 +103,9 @@ func TestCutIndependenceCorpusSmoke(t *testing.T) {
 }
 
 // FuzzChunkVsWhole holds the chunked route to the semantics three ways:
-// RunReader through a reader that scribbles over the buffer it handed out
-// last (so a chunk that aliased a read buffer comes back changed), Run,
-// and EvalReference on the whole document. The plans are executionCases':
+// Answer on a stream through a reader that scribbles over the buffer it
+// handed out last (so a chunk that aliased a read buffer comes back
+// changed), Answer on the document, and EvalReference on the whole document. The plans are executionCases':
 // library pairs, and the explicit P_S ≠ P pair — on which a chunk
 // evaluated with P_S instead of P loses every match that follows a
 // terminator without a space. Documents are stretched past breakEven,
@@ -130,14 +130,14 @@ func FuzzChunkVsWhole(f *testing.F) {
 		c, e := cases[int(sel)%len(cases)], engines[int(grain)%len(engines)]
 		n := breakEven + int(extra)%2048 // EvalReference is ~0.5 µs a byte
 		doc = strings.Repeat(doc, n/len(doc)+1)[:n]
-		inline, exec, err := e.Run(ctx, c.plan, doc)
+		inline, exec, err := answer(ctx, e, c.plan, doc, nil)
 		if err != nil || exec != ExecChunked {
-			t.Fatalf("Run took the %v route (err %v)", exec, err)
+			t.Fatalf("Answer took the %v route (err %v)", exec, err)
 		}
 		r := &scribbleReader{s: doc, n: reads[int(read)%len(reads)]}
-		streamed, exec, err := e.RunReader(ctx, c.plan, r)
+		streamed, exec, err := answer(ctx, e, c.plan, "", r)
 		if err != nil || exec != ExecChunked {
-			t.Fatalf("reads of %d: RunReader took the %v route (err %v)", r.n, exec, err)
+			t.Fatalf("reads of %d: streamed Answer took the %v route (err %v)", r.n, exec, err)
 		}
 		if d := reltest.ThreeWayDiff("streamed", streamed, "inline", inline, c.plan.p.EvalReference(doc)); d != "" {
 			t.Fatalf("%s, %d bytes, chunk size %d, reads of %d:\n%s", c.name, n, e.cfg.ChunkSize, r.n, d)

@@ -115,7 +115,7 @@ func TestCompileTimeCoversWarmUp(t *testing.T) {
 	})
 	for name, compile := range map[string]func() (*Plan, error){
 		"single": func() (*Plan, error) {
-			return compilePlan(Request{Spanner: spanner, Splitter: sentenceFormula}, 0, new(splitterTable))
+			return compilePlan(Request{Spanner: spanner, Splitter: sentenceFormula}, 0, newPlanCache(cacheConfig{}))
 		},
 		"batch": func() (*Plan, error) {
 			return compileBatchPlan(BatchRequest{Spanners: []string{spanner, emailFormula}})

@@ -12,7 +12,7 @@
 //     (concurrent requests for the same (spanner, splitter) pair run
 //     the decision procedures exactly once). Plans of one tenant share
 //     their splitter: it is compiled, and its disjointness and locality
-//     decided, once (splitterTable).
+//     decided, once, as an entry of the same cache (splitterArtifact).
 //   - Documents may arrive as io.Reader streams: when the plan runs at
 //     chunk grain (see below), each feed is cut at a span end of the
 //     splitter near its end, with carry-over across chunk boundaries, and
@@ -53,7 +53,9 @@ import (
 
 // Config tunes an Engine. The zero value selects sensible defaults.
 type Config struct {
-	// PlanCache is the maximum number of cached plans (default 128).
+	// PlanCache is the maximum number of plan-cache entries (default
+	// 128): plans, and the splitter artifacts they share, one per tenant
+	// and splitter formula.
 	PlanCache int
 	// Workers is the number of evaluation workers in the split
 	// executor (default GOMAXPROCS). Results never depend on it.
@@ -205,13 +207,8 @@ type Stats struct {
 type Engine struct {
 	cfg   Config
 	cache *planCache
-	// splitters shares each splitter's compilation and S-only verdicts
-	// between the plans of one tenant (splitters.go). It is allocated on
-	// its own: its cleanups keep it reachable, and must not keep the
-	// Engine reachable with it.
-	splitters *splitterTable
-	start     time.Time
-	m         *Metrics
+	start time.Time
+	m     *Metrics
 }
 
 // New returns an engine with the given configuration.
@@ -225,8 +222,7 @@ func New(cfg Config) *Engine {
 			tenantCap:   cfg.TenantPlans,
 			tenantBytes: cfg.TenantPlanBytes,
 		}),
-		splitters: new(splitterTable),
-		start:     time.Now(),
+		start: time.Now(),
 	}
 	e.m = newMetrics(e)
 	return e
@@ -238,7 +234,7 @@ func New(cfg Config) *Engine {
 // skipped — either a completed cached plan or a coalesced in-flight
 // compilation.
 func (e *Engine) Plan(ctx context.Context, req Request) (plan *Plan, hit bool, err error) {
-	return e.plan(ctx, req.Tenant, req.key(), func() (*Plan, error) { return compilePlan(req, e.cfg.StateLimit, e.splitters) })
+	return e.plan(ctx, req.Tenant, req.key(), func() (*Plan, error) { return compilePlan(req, e.cfg.StateLimit, e.cache) })
 }
 
 // PlanBatch returns the plan of a batch request, one member slot per
@@ -325,29 +321,17 @@ func chunked(plan *Plan) bool {
 	return licensed(plan) && plan.Verdicts.Local == core.VerdictYes && plan.s.CutStates() > 0
 }
 
-// Run evaluates the plan's first member on an in-memory document and
-// reports the route the document took; see run.
-func (e *Engine) Run(ctx context.Context, plan *Plan, doc string) (*span.Relation, Execution, error) {
-	rels, exec, err := e.run(ctx, plan, doc, nil)
-	return rels[0], exec, err
-}
-
-// RunReader is Run on a document arriving as a stream.
-func (e *Engine) RunReader(ctx context.Context, plan *Plan, r io.Reader) (*span.Relation, Execution, error) {
-	rels, exec, err := e.run(ctx, plan, "", r)
-	return rels[0], exec, err
-}
-
-// Extract is Run without the route.
+// Extract evaluates the plan's first member on an in-memory document; see
+// run.
 func (e *Engine) Extract(ctx context.Context, plan *Plan, doc string) (*span.Relation, error) {
-	rel, _, err := e.Run(ctx, plan, doc)
-	return rel, err
+	rels, _, err := e.run(ctx, plan, doc, nil)
+	return rels[0], err
 }
 
-// ExtractReader is RunReader without the route.
+// ExtractReader is Extract on a document arriving as a stream.
 func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*span.Relation, error) {
-	rel, _, err := e.RunReader(ctx, plan, r)
-	return rel, err
+	rels, _, err := e.run(ctx, plan, "", r)
+	return rels[0], err
 }
 
 // Answer evaluates the plan on one document — doc, or the stream r when r
@@ -363,12 +347,6 @@ func (e *Engine) Answer(ctx context.Context, plan *Plan, doc string, r io.Reader
 // ExtractBatch is Answer on an in-memory document, without the route.
 func (e *Engine) ExtractBatch(ctx context.Context, plan *Plan, doc string) ([]BatchResult, error) {
 	results, _, err := e.Answer(ctx, plan, doc, nil)
-	return results, err
-}
-
-// ExtractBatchReader is Answer on a document stream, without the route.
-func (e *Engine) ExtractBatchReader(ctx context.Context, plan *Plan, r io.Reader) ([]BatchResult, error) {
-	results, _, err := e.Answer(ctx, plan, "", r)
 	return results, err
 }
 
@@ -610,14 +588,6 @@ func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r
 	return rel, err
 }
 
-// cacheStats snapshots the plan cache's counters with the splitter
-// table's hits.
-func (e *Engine) cacheStats() CacheStats {
-	s := e.cache.stats()
-	s.SplitterHits = e.splitters.hits.Load()
-	return s
-}
-
 // Stats snapshots the engine counters, the per-stage time breakdown,
 // the executor's scheduling statistics and the localizer's
 // effectiveness in one pass.
@@ -635,7 +605,7 @@ func (e *Engine) Stats() Stats {
 		Workers:        e.cfg.Workers,
 		RequestWorkers: e.cfg.RequestWorkers,
 		Batch:          e.cfg.Batch,
-		PlanCache:      e.cacheStats(),
+		PlanCache:      e.cache.stats(),
 		Stages:         e.m.stageStats(),
 		Segmenter:      e.m.segmenterStats(),
 		Executor:       e.m.execStats(e.cfg.Workers),

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ import (
 // segment, P per chunk of segments (through parallel directly, so no
 // engine choice is involved) — and the reference P.Eval agree tuple for
 // tuple at breakEven − 1, breakEven, breakEven + 1 and around them, and
-// around the chunk size; Run and RunReader take the route splitPays and
+// around the chunk size; Answer, on a document and on a stream, takes the route splitPays and
 // chunked name and return the same tuples; a plan without the verdict
 // never leaves the split route, and one missing either of chunked's two
 // proofs never leaves the per-segment grain.
@@ -32,7 +33,7 @@ import (
 // test fixture's say-so.
 func decidedPlan(t testing.TB, p, ps *vsa.Automaton, s *core.Splitter) *Plan {
 	t.Helper()
-	art, err := newSplitterArtifact(s.Automaton(), 0)
+	art, err := newSplitterArtifact("", s.Automaton(), 0)
 	if err != nil {
 		t.Fatalf("splitter: %v", err)
 	}
@@ -42,6 +43,19 @@ func decidedPlan(t testing.TB, p, ps *vsa.Automaton, s *core.Splitter) *Plan {
 	}
 	plan.warm()
 	return plan
+}
+
+// answer is Answer for a plan of one member: its relation and the route,
+// for doc or, when r is non-nil, the stream r. A plan assembled by hand
+// around P has no slots; it answers as its one member.
+func answer(ctx context.Context, e *Engine, plan *Plan, doc string, r io.Reader) (*span.Relation, Execution, error) {
+	if plan.slot == nil {
+		one := *plan
+		one.slot, one.errs = []int{0}, []error{nil}
+		plan = &one
+	}
+	results, exec, err := e.Answer(ctx, plan, doc, r)
+	return results[0].Rel, exec, err
 }
 
 // sentimentInSentence is a split-spanner for NegativeSentiment by
@@ -134,17 +148,17 @@ func checkExecutionChoice(t *testing.T, e *Engine, plan *Plan, doc string, readS
 		chunks := parallel.SplitEval(plan.p, parallel.SegmentsOf(doc, f.Chunks(doc, size)), e.cfg.RequestWorkers)
 		sameTuples(t, "chunked route vs P.Eval", chunks, want)
 	}
-	got, exec, err := e.Run(ctx, plan, doc)
+	got, exec, err := answer(ctx, e, plan, doc, nil)
 	if err != nil || exec != route {
-		t.Fatalf("%d bytes: Run took the %v route (err %v), want %v", len(doc), exec, err, route)
+		t.Fatalf("%d bytes: Answer took the %v route (err %v), want %v", len(doc), exec, err, route)
 	}
-	sameTuples(t, "Run vs P.Eval", got, want)
+	sameTuples(t, "Answer vs P.Eval", got, want)
 	for _, n := range readSizes {
-		got, exec, err := e.RunReader(ctx, plan, &fixedChunkReader{s: doc, n: n})
+		got, exec, err := answer(ctx, e, plan, "", &fixedChunkReader{s: doc, n: n})
 		if err != nil || exec != route {
-			t.Fatalf("%d bytes in reads of %d: RunReader took the %v route (err %v), want %v", len(doc), n, exec, err, route)
+			t.Fatalf("%d bytes in reads of %d: streamed Answer took the %v route (err %v), want %v", len(doc), n, exec, err, route)
 		}
-		sameTuples(t, "RunReader vs P.Eval", got, want)
+		sameTuples(t, "streamed Answer vs P.Eval", got, want)
 	}
 }
 
@@ -154,7 +168,7 @@ func TestExecutionChoiceEquivalence(t *testing.T) {
 	for _, c := range executionCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			if !e.WillStream(c.plan) {
-				t.Fatalf("verdicts %+v: the plan must stream, or RunReader never reaches the look-ahead", c.plan.Verdicts)
+				t.Fatalf("verdicts %+v: the plan must stream, or streamed Answer never reaches the look-ahead", c.plan.Verdicts)
 			}
 			lengths := []int{0, 1, breakEven - 1, breakEven, breakEven + 1, rng.Intn(breakEven), breakEven + rng.Intn(2*breakEven)}
 			for i, n := range lengths {
@@ -218,16 +232,16 @@ func TestChunkedNeedsBothProofs(t *testing.T) {
 			t.Fatalf("%s: a plan that does not run chunked must buffer", c.name)
 		}
 		want := c.plan.p.Eval(c.doc)
-		got, exec, err := e.Run(context.Background(), c.plan, c.doc)
+		got, exec, err := answer(context.Background(), e, c.plan, c.doc, nil)
 		if err != nil || exec != ExecSplit {
-			t.Fatalf("%s: Run took the %v route (err %v), want %v", c.name, exec, err, ExecSplit)
+			t.Fatalf("%s: Answer took the %v route (err %v), want %v", c.name, exec, err, ExecSplit)
 		}
-		sameTuples(t, c.name+": Run vs P.Eval", got, want)
-		got, exec, err = e.RunReader(context.Background(), c.plan, strings.NewReader(c.doc))
+		sameTuples(t, c.name+": Answer vs P.Eval", got, want)
+		got, exec, err = answer(context.Background(), e, c.plan, "", strings.NewReader(c.doc))
 		if err != nil || exec != ExecSplit {
-			t.Fatalf("%s: RunReader took the %v route (err %v), want %v", c.name, exec, err, ExecSplit)
+			t.Fatalf("%s: streamed Answer took the %v route (err %v), want %v", c.name, exec, err, ExecSplit)
 		}
-		sameTuples(t, c.name+": RunReader vs P.Eval", got, want)
+		sameTuples(t, c.name+": streamed Answer vs P.Eval", got, want)
 		if st := e.Stats(); st.ChunkedDocs != 0 || st.Executor.Runs != 2 {
 			t.Fatalf("%s: stats %+v, want two executor runs and no chunked document", c.name, st)
 		}
@@ -241,7 +255,7 @@ func TestChunkedNeedsBothProofs(t *testing.T) {
 // stream is segmented incrementally exactly when the plan runs chunked;
 // every other split plan — the marking splitter, which is not local, a
 // forged plan, an unproven splitter — buffers the stream and answers as
-// Run does, per segment. So does a plan whose verdicts are all forged over
+// Answer on the document does, per segment. So does a plan whose verdicts are all forged over
 // a non-disjoint splitter: it has no scanner to stream with.
 func TestStreamsExactlyWhenChunked(t *testing.T) {
 	licensed := executionCases(t)[0].plan
@@ -271,15 +285,15 @@ func TestStreamsExactlyWhenChunked(t *testing.T) {
 		if e.WillStream(c.plan) != chunked(c.plan) {
 			t.Fatalf("%s: WillStream = %v, chunked = %v", c.name, e.WillStream(c.plan), chunked(c.plan))
 		}
-		want, exec, err := e.Run(context.Background(), c.plan, c.doc)
+		want, exec, err := answer(context.Background(), e, c.plan, c.doc, nil)
 		if err != nil || exec != c.exec {
-			t.Fatalf("%s: Run took the %v route (err %v), want %v", c.name, exec, err, c.exec)
+			t.Fatalf("%s: Answer took the %v route (err %v), want %v", c.name, exec, err, c.exec)
 		}
-		got, exec, err := e.RunReader(context.Background(), c.plan, strings.NewReader(c.doc))
+		got, exec, err := answer(context.Background(), e, c.plan, "", strings.NewReader(c.doc))
 		if err != nil || exec != c.exec {
-			t.Fatalf("%s: RunReader took the %v route (err %v), want %v", c.name, exec, err, c.exec)
+			t.Fatalf("%s: streamed Answer took the %v route (err %v), want %v", c.name, exec, err, c.exec)
 		}
-		sameTuples(t, c.name+": RunReader vs Run", got, want)
+		sameTuples(t, c.name+": streamed Answer vs Answer", got, want)
 		wantStreamed := uint64(0)
 		if c.exec == ExecChunked {
 			wantStreamed = 1
@@ -301,9 +315,9 @@ func TestWholeRouteTouchesNoExecutor(t *testing.T) {
 		var exec Execution
 		var err error
 		if reader {
-			_, exec, err = e.RunReader(context.Background(), plan, strings.NewReader(doc))
+			_, exec, err = answer(context.Background(), e, plan, "", strings.NewReader(doc))
 		} else {
-			_, exec, err = e.Run(context.Background(), plan, doc)
+			_, exec, err = answer(context.Background(), e, plan, doc, nil)
 		}
 		if err != nil || exec != ExecWhole {
 			t.Fatalf("reader=%v: route %v, err %v", reader, exec, err)
@@ -334,21 +348,21 @@ func TestUnlicensedPlanNeverRunsWhole(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		e := New(Config{Workers: workers, ChunkSize: 7})
-		got, exec, err := e.Run(context.Background(), forged, doc)
+		got, exec, err := answer(context.Background(), e, forged, doc, nil)
 		if err != nil || exec != ExecSplit {
-			t.Fatalf("workers=%d: Run took the %v route (err %v)", workers, exec, err)
+			t.Fatalf("workers=%d: Answer took the %v route (err %v)", workers, exec, err)
 		}
-		sameTuples(t, "Run", got, want)
-		got, exec, err = e.RunReader(context.Background(), forged, strings.NewReader(doc))
+		sameTuples(t, "Answer", got, want)
+		got, exec, err = answer(context.Background(), e, forged, "", strings.NewReader(doc))
 		if err != nil || exec != ExecSplit {
-			t.Fatalf("workers=%d: RunReader took the %v route (err %v)", workers, exec, err)
+			t.Fatalf("workers=%d: streamed Answer took the %v route (err %v)", workers, exec, err)
 		}
-		sameTuples(t, "RunReader", got, want)
+		sameTuples(t, "streamed Answer", got, want)
 		if st := e.Stats(); st.WholeDocs != 0 || st.StreamedDocs != 0 {
 			t.Fatalf("workers=%d: stats %+v, want no whole documents and none streamed", workers, st)
 		}
 		// The licensed plan on one worker goes the other way at any size.
-		if _, exec, _ := e.Run(context.Background(), licensed, reviewDoc(1, 2*breakEven)); (exec == ExecWhole) != (workers == 1) {
+		if _, exec, _ := answer(context.Background(), e, licensed, reviewDoc(1, 2*breakEven), nil); (exec == ExecWhole) != (workers == 1) {
 			t.Fatalf("workers=%d: a licensed %d-byte document took the %v route", workers, 2*breakEven, exec)
 		}
 	}

@@ -90,8 +90,8 @@ func TestDeclaredOverBudgetIsRefusedUnread(t *testing.T) {
 	if _, err := e.ExtractReader(ctx, sequentialPlan(), unread); !errors.Is(err, ErrDocTooLarge) {
 		t.Errorf("ExtractReader: %v, want ErrDocTooLarge", err)
 	}
-	if _, err := e.ExtractBatchReader(ctx, batch, unread); !errors.Is(err, ErrDocTooLarge) {
-		t.Errorf("ExtractBatchReader: %v, want ErrDocTooLarge", err)
+	if _, _, err := e.Answer(ctx, batch, "", unread); !errors.Is(err, ErrDocTooLarge) {
+		t.Errorf("Answer on a batch stream: %v, want ErrDocTooLarge", err)
 	}
 	// At the budget exactly the declaration is admitted, and what arrives is
 	// measured as before: one byte more than declared is one byte too many.
@@ -170,9 +170,9 @@ func TestSizeHintIsOnlyAHint(t *testing.T) {
 				t.Fatalf("%s: streamed ExtractReader: %v", name, err)
 			}
 			sameTuples(t, name+", streamed", got, want)
-			gotBatch, err := e.ExtractBatchReader(ctx, batch, open())
+			gotBatch, _, err := e.Answer(ctx, batch, "", open())
 			if err != nil {
-				t.Fatalf("%s: ExtractBatchReader: %v", name, err)
+				t.Fatalf("%s: Answer on a batch stream: %v", name, err)
 			}
 			for i := range wantBatch {
 				sameTuples(t, fmt.Sprintf("%s, query %d", name, i), gotBatch[i].Rel, wantBatch[i].Rel)

@@ -75,7 +75,7 @@ func randomSplitterFormula(rng *rand.Rand) string {
 }
 
 // scribbledReads hands doc to feed in fixed n-byte chunks the way
-// RunReader reads a stream — one read buffer reused for every chunk, here
+// the engine reads a stream — one read buffer reused for every chunk, here
 // scribbled over with separator bytes after each feed — so that anything
 // that still aliases the buffer comes back changed.
 func scribbledReads(doc string, n int, feed func([]byte)) {

@@ -34,7 +34,7 @@ import (
 //	         self-splittability; Plan.DecideTime) — a sub-interval of
 //	         plan, recorded once per plan-cache miss and never on a hit.
 //	         Disjointness and locality count only on the miss that
-//	         built the splitter (splitterTable).
+//	         built the splitter's cache entry (splitterArtifact).
 //
 // The localize/simulate split within evaluation is tracked separately
 // by vsa.EvalMetrics for evaluations large enough to time (see
@@ -114,7 +114,7 @@ func newMetrics(e *Engine) *Metrics {
 		"request-path stage wall time", &m.decide)
 
 	cacheStat := func(f func(CacheStats) float64) func() float64 {
-		return func() float64 { return f(e.cacheStats()) }
+		return func() float64 { return f(e.cache.stats()) }
 	}
 	r.CounterFunc("spanners_plan_cache_hits_total", "plan-cache hits on completed plans",
 		cacheStat(func(s CacheStats) float64 { return float64(s.Hits) }))
@@ -122,11 +122,11 @@ func newMetrics(e *Engine) *Metrics {
 		cacheStat(func(s CacheStats) float64 { return float64(s.Misses) }))
 	r.CounterFunc("spanners_plan_cache_coalesced_total", "requests coalesced onto an in-flight compilation",
 		cacheStat(func(s CacheStats) float64 { return float64(s.Coalesced) }))
-	r.CounterFunc("spanners_plan_cache_splitter_hits_total", "plan compilations that took their splitter from the splitter table",
+	r.CounterFunc("spanners_plan_cache_splitter_hits_total", "plan compilations that took their splitter from the plan cache",
 		cacheStat(func(s CacheStats) float64 { return float64(s.SplitterHits) }))
-	r.CounterFunc("spanners_plan_cache_evictions_total", "plans evicted by the LRU",
+	r.CounterFunc("spanners_plan_cache_evictions_total", "plans and splitter artifacts evicted by the LRU",
 		cacheStat(func(s CacheStats) float64 { return float64(s.Evictions) }))
-	r.GaugeFunc("spanners_plan_cache_size", "cached plans",
+	r.GaugeFunc("spanners_plan_cache_size", "cached plans and splitter artifacts",
 		cacheStat(func(s CacheStats) float64 { return float64(s.Size) }))
 
 	r.BindCounter("spanners_exec_runs_total", "split-executor runs", &m.exec.Runs)

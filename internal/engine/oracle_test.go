@@ -145,11 +145,11 @@ func TestRoutesAgainstRefWordOracle(t *testing.T) {
 				// stall guard, from a stream that declares its length and one
 				// that does not.
 				for _, r := range []io.Reader{strings.NewReader(doc), unsized{strings.NewReader(doc)}} {
-					got, _, err := buffering.RunReader(context.Background(), &Plan{p: p}, r)
+					got, _, err := answer(context.Background(), buffering, &Plan{p: p}, "", r)
 					if err != nil {
-						t.Fatalf("doc %q: buffered RunReader: %v", doc, err)
+						t.Fatalf("doc %q: Answer on a buffered stream: %v", doc, err)
 					}
-					hold("RunReader, buffered", got)
+					hold("Answer on a buffered stream", got)
 				}
 				for _, n := range []int{1, 3} {
 					if err := checkScanRun(t, s, doc, n, spans); err != nil {
@@ -163,11 +163,11 @@ func TestRoutesAgainstRefWordOracle(t *testing.T) {
 					// The engine's own choice: whole for a licensed plan's
 					// small document, buffered and split per segment for the
 					// forged one.
-					got, _, err := engines[n].RunReader(context.Background(), c.plan, &fixedChunkReader{s: doc, n: n})
+					got, _, err := answer(context.Background(), engines[n], c.plan, "", &fixedChunkReader{s: doc, n: n})
 					if err != nil {
-						t.Fatalf("doc %q read %d: RunReader: %v", doc, n, err)
+						t.Fatalf("doc %q read %d: streamed Answer: %v", doc, n, err)
 					}
-					hold("RunReader", got)
+					hold("streamed Answer", got)
 				}
 			}
 			if tuples == 0 {

@@ -168,12 +168,9 @@ type Plan struct {
 	ps *vsa.Automaton // the split-spanner P_S (nil unless StrategySplit)
 	s  *core.Splitter // the splitter S (nil when Req.Splitter is empty)
 	// split is the artifact s comes from, shared with every plan of the
-	// same tenant and splitter; holding it keeps it in the engine's
-	// splitter table (splitterTable). builtSplit marks the plan whose
-	// compilation built it, the one plan of the tenant that cost charges
-	// with S.
-	split      *splitterArtifact
-	builtSplit bool
+	// same tenant and splitter; while this plan is cached, it pins the
+	// artifact's cache entry, which S is charged to.
+	split *splitterArtifact
 
 	// batch holds a batch plan's formulas, one per slot (nil for the plan
 	// of a Request, whose one slot is Req.Spanner). members holds each
@@ -261,14 +258,12 @@ func (p *Plan) none() []*span.Relation { return make([]*span.Relation, max(len(p
 // lazily-built parts. Every member is charged (the fused DFA's
 // lazily-built state space grows with the members' combined size), so N
 // cheap formulas registered as one batch cost the cache roughly what N
-// single plans would. The splitter is charged only to the plan that built
-// its shared artifact, so K plans of a tenant over one splitter count S
-// once, not K times.
+// single plans would. The splitter is not the plan's: it is charged to
+// its shared artifact's own entry (splitterArtifact.cost), so K plans of
+// a tenant over one splitter count S once, not K times.
 func (p *Plan) cost() int64 {
 	const (
 		base       = 512
-		perState   = 96
-		perEdge    = 48
 		perFormula = 1 // per byte of formula text
 	)
 	c := int64(base)
@@ -276,25 +271,27 @@ func (p *Plan) cost() int64 {
 	for _, s := range p.batch {
 		c += int64(len(s)) * perFormula
 	}
-	add := func(states, edges int) { c += int64(states)*perState + int64(edges)*perEdge }
 	for _, a := range p.members {
-		add(a.NumStates(), a.NumEdges())
+		c += automatonCost(a)
 	}
 	if p.ps != nil && p.ps != p.p {
-		add(p.ps.NumStates(), p.ps.NumEdges())
-	}
-	if p.builtSplit {
-		a := p.s.Automaton()
-		add(a.NumStates(), a.NumEdges())
+		c += automatonCost(p.ps)
 	}
 	return c
 }
 
+// automatonCost is the cache's charge for one automaton: per state and
+// per edge.
+func automatonCost(a *vsa.Automaton) int64 {
+	const perState, perEdge = 96, 48
+	return int64(a.NumStates())*perState + int64(a.NumEdges())*perEdge
+}
+
 // compilePlan builds the one-member plan of a request, its splitter taken
-// from splitters (see decide). Slot 0's compile error is the plan's: a
+// from cache (see decide). Slot 0's compile error is the plan's: a
 // Request names one query, so there is no sibling to answer.
-func compilePlan(req Request, limit int, splitters *splitterTable) (*Plan, error) {
-	plan, err := compile(req, nil, limit, splitters)
+func compilePlan(req Request, limit int, cache *planCache) (*Plan, error) {
+	plan, err := compile(req, nil, limit, cache)
 	if err == nil && plan.errs[0] != nil {
 		return nil, plan.errs[0]
 	}
@@ -314,7 +311,7 @@ func compileBatchPlan(req BatchRequest) (*Plan, error) {
 // compile builds a Plan: it compiles the member formulas — batch, or else
 // req.Spanner — each under its own panic guard, duplicates once, and, when
 // a member compiled, req's split-spanner, with its splitter taken from
-// splitters; runs the relevant decision procedures under the state limit,
+// cache; runs the relevant decision procedures under the state limit,
 // picks the strategy and warms the evaluation caches. A limit overflow
 // (automata.ErrTooLarge) is not an error: the verdict stays unknown and
 // the plan degrades to sequential evaluation, which is always correct.
@@ -324,7 +321,7 @@ func compileBatchPlan(req BatchRequest) (*Plan, error) {
 // every coalesced waiter — cancelling it because the first requester
 // went away would fail the others. The decision procedures themselves
 // are bounded by the state limit rather than by cancellation.
-func compile(req Request, batch []string, limit int, splitters *splitterTable) (*Plan, error) {
+func compile(req Request, batch []string, limit int, cache *planCache) (*Plan, error) {
 	t0 := time.Now()
 	spanners := batch
 	if batch == nil {
@@ -349,7 +346,7 @@ func compile(req Request, batch []string, limit int, splitters *splitterTable) (
 	if len(plan.members) > 0 {
 		plan.p = plan.members[0]
 		plan.multi = vsa.NewMulti(plan.members...)
-		if err := plan.decide(limit, splitters); err != nil {
+		if err := plan.decide(limit, cache); err != nil {
 			return nil, err
 		}
 	}
@@ -378,10 +375,10 @@ func compileMember(src string) (a *vsa.Automaton, err error) {
 	return a, nil
 }
 
-// decide takes the plan's splitter artifact from splitters, compiles its
+// decide takes the plan's splitter artifact from cache, compiles its
 // split-spanner, if it has one, and fills in the verdicts, the strategy
 // and DecideTime.
-func (p *Plan) decide(limit int, splitters *splitterTable) error {
+func (p *Plan) decide(limit int, cache *planCache) error {
 	req := p.Req
 	if req.Splitter == "" {
 		if req.SplitSpanner != "" {
@@ -389,7 +386,7 @@ func (p *Plan) decide(limit int, splitters *splitterTable) error {
 		}
 		return nil
 	}
-	art, shared, err := splitters.artifact(req.Tenant, req.Splitter, limit)
+	art, shared, err := cache.artifact(req.Tenant, req.Splitter, limit)
 	if err != nil {
 		return err
 	}
@@ -405,7 +402,6 @@ func (p *Plan) decide(limit int, splitters *splitterTable) error {
 	}
 	if !shared {
 		p.DecideTime += art.decideTime
-		p.builtSplit = true
 	}
 	return nil
 }

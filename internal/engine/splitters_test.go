@@ -12,7 +12,6 @@ import (
 	"weak"
 
 	"repro/internal/core"
-	"repro/internal/regexformula"
 )
 
 // churnSpanner is the sentiment spanner with the capture renamed: a new
@@ -21,26 +20,25 @@ func churnSpanner(i int) string {
 	return fmt.Sprintf(`(.*[ .!?\n])?bad (v%d{[a-z]+})(([^a-z].*)?|)`, i)
 }
 
-// waiting is the number of calls awaiting key's build in flight.
-func (t *splitterTable) waiting(key string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if f := t.inflight[key]; f != nil {
-		return f.waiters
-	}
-	return 0
-}
-
-// live counts the table's artifacts that are still reachable.
-func (t *splitterTable) live() (live, keys int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, wp := range t.built {
-		if wp.Value() != nil {
-			live++
+// artifacts counts the cache's splitter artifacts, built or in flight
+// under an artifact key, and their summed pins.
+func (c *planCache) artifacts() (n, pins int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, el := range c.items {
+		if strings.HasPrefix(key, "split:") {
+			n++
+			pins += el.Value.(*cacheEntry).pins
 		}
 	}
-	return live, len(t.built) + len(t.inflight)
+	return n, pins
+}
+
+// front is the key of the cache's most recently used entry.
+func (c *planCache) front() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Front().Value.(*cacheEntry).key
 }
 
 // TestPlansShareTheirSplitter pins the artifact's key: plans of one tenant
@@ -81,21 +79,22 @@ func TestPlansShareTheirSplitter(t *testing.T) {
 // the state budget, whose note must reappear on the plan that shares it.
 func TestSharedSplitterVerdictsMatchFreshBuild(t *testing.T) {
 	for _, c := range executionCases(t) {
-		var tab splitterTable
+		cache := newPlanCache(cacheConfig{cap: 4})
 		sAuto := c.plan.s.Automaton()
-		decided := func() *Plan {
-			art, _, err := tab.get(c.name, func() (*splitterArtifact, error) { return newSplitterArtifact(sAuto, 0) })
+		decided := func() (*Plan, bool) {
+			v, hit, err := cache.load(context.Background(), "", c.name, false, func() (cached, error) { return newSplitterArtifact(c.name, sAuto, 0) })
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 			p := &Plan{p: c.plan.p}
-			if err := p.decideSplit(art, c.plan.ps, 0); err != nil {
+			if err := p.decideSplit(v.(*splitterArtifact), c.plan.ps, 0); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			return p
+			return p, hit
 		}
-		first, second := decided(), decided()
-		if first.SplitterOf() != second.SplitterOf() || tab.hits.Load() != 1 {
+		first, built := decided()
+		second, shared := decided()
+		if first.SplitterOf() != second.SplitterOf() || built || !shared {
 			t.Fatalf("%s: the second plan did not share the first one's splitter", c.name)
 		}
 		if second.Verdicts != c.plan.Verdicts || second.Strategy != c.plan.Strategy {
@@ -112,7 +111,7 @@ func TestSharedSplitterVerdictsMatchFreshBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := compilePlan(req, limit, new(splitterTable))
+		fresh, err := compilePlan(req, limit, newPlanCache(cacheConfig{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,31 +124,30 @@ func TestSharedSplitterVerdictsMatchFreshBuild(t *testing.T) {
 	}
 }
 
-// TestSplitterTableBoundedByPlanCache plans N distinct splitters through
-// a plan cache of two: once the evicted plans are collected, at most two
-// artifacts are alive, and their cleanups drop the other keys.
-func TestSplitterTableBoundedByPlanCache(t *testing.T) {
+// TestSplitterArtifactsBoundedByPlanCache plans N distinct splitters
+// through a plan cache of two entries: artifacts are entries, so the cache
+// never holds more than two, and the one artifact left is pinned by the
+// one plan left, which holds it.
+func TestSplitterArtifactsBoundedByPlanCache(t *testing.T) {
 	const capacity, n = 2, 12
 	e := New(Config{PlanCache: capacity})
+	var last *Plan
 	for i := range n {
 		req := Request{Spanner: ".*(y{a}).*", Splitter: "x{.*}" + strings.Repeat("a", i)}
-		if _, _, err := e.Plan(context.Background(), req); err != nil {
+		plan, _, err := e.Plan(context.Background(), req)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	runtime.GC()
-	if live, _ := e.splitters.live(); live > capacity {
-		t.Fatalf("%d splitter artifacts alive behind a plan cache of %d", live, capacity)
-	}
-	for deadline := time.Now().Add(5 * time.Second); ; runtime.GC() {
-		_, keys := e.splitters.live()
-		if keys <= capacity {
-			break
+		last = plan
+		if size := e.Stats().PlanCache.Size; size > capacity {
+			t.Fatalf("plan %d: %d entries in a plan cache of %d", i, size, capacity)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d splitter keys left behind a plan cache of %d", keys, capacity)
-		}
-		time.Sleep(time.Millisecond)
+	}
+	if arts, pins := e.cache.artifacts(); arts != 1 || pins != 1 {
+		t.Fatalf("%d splitter artifacts with %d pins left, want the last plan's one, pinned once", arts, pins)
+	}
+	if st := e.Stats().PlanCache; st.Bytes != last.cost()+last.split.cost() || st.Evictions != 2*(n-1) {
+		t.Fatalf("cache stats %+v, want the last plan and its splitter charged, every other plan and splitter evicted", st)
 	}
 }
 
@@ -174,59 +172,55 @@ func TestDroppedEngineIsCollected(t *testing.T) {
 }
 
 // TestSplitterBuildFailureLeavesNoEntry: a splitter that fails to compile,
-// or whose build panics, leaves nothing in the table — a waiter on the
-// panicked build is released with an error — and the next request
-// builds again. The waiter is not counted as a splitter hit: nothing was
-// shared.
+// or whose build panics, leaves no entry in the cache — the builder and a
+// waiter on the panicked build both get runBuild's error — and the next
+// request builds again. The waiter is not counted as a splitter hit:
+// nothing was shared.
 func TestSplitterBuildFailureLeavesNoEntry(t *testing.T) {
-	var tab splitterTable
+	c := newPlanCache(cacheConfig{cap: 4})
+	key := fmt.Sprintf("split:0:%s", sentenceFormula) // the key artifact looks up
 	empty := func(what string) {
 		t.Helper()
-		if _, keys := tab.live(); keys != 0 {
-			t.Fatalf("%s: %d keys left in the splitter table", what, keys)
+		if arts, _ := c.artifacts(); arts != 0 {
+			t.Fatalf("%s: %d artifacts left in the cache", what, arts)
 		}
 	}
 
-	started, release := make(chan struct{}), make(chan struct{})
+	started := make(chan struct{})
 	waited := make(chan error)
 	go func() {
 		<-started
-		_, _, err := tab.get("k", func() (*splitterArtifact, error) { t.Error("a waiter built"); return nil, nil })
+		_, _, err := c.artifact("", sentenceFormula, 0)
 		waited <- err
 	}()
-	func() {
-		defer func() {
-			if r := recover(); r != "boom" {
-				t.Fatalf("recovered %v, want the build's panic", r)
-			}
-		}()
-		tab.get("k", func() (*splitterArtifact, error) {
-			close(started)
-			for tab.waiting("k") != 1 {
-				runtime.Gosched()
-			}
-			close(release)
-			panic("boom")
-		})
-	}()
-	<-release
-	if err := <-waited; !errors.Is(err, errSplitterPanicked) {
+	_, _, err := c.load(context.Background(), "", key, false, func() (cached, error) {
+		// The filler entry goes in front of the build's; the waiter's
+		// lookup moves the build's back to the front.
+		c.get(context.Background(), "", "filler", func() (*Plan, error) { return &Plan{}, nil })
+		close(started)
+		for c.front() != key {
+			runtime.Gosched()
+		}
+		panic("boom")
+	})
+	if !errors.Is(err, errBuildPanicked) {
+		t.Fatalf("panicked build: %v", err)
+	}
+	if err := <-waited; !errors.Is(err, errBuildPanicked) {
 		t.Fatalf("waiter on a panicked build: %v", err)
 	}
 	empty("panicked build")
-	if hits := tab.hits.Load(); hits != 0 {
+	if hits := c.stats().SplitterHits; hits != 0 {
 		t.Fatalf("a waiter on a panicked build counted %d splitter hits", hits)
 	}
 
 	bad := errors.New("bad splitter")
-	if _, _, err := tab.get("k", func() (*splitterArtifact, error) { return nil, bad }); err != bad {
+	if _, _, err := c.load(context.Background(), "", key, false, func() (cached, error) { return nil, bad }); !errors.Is(err, bad) {
 		t.Fatalf("failed build: %v", err)
 	}
 	empty("failed build")
 
-	art, hit, err := tab.get("k", func() (*splitterArtifact, error) {
-		return newSplitterArtifact(regexformula.MustCompile(sentenceFormula), 0)
-	})
+	art, hit, err := c.artifact("", sentenceFormula, 0)
 	if err != nil || hit || art == nil {
 		t.Fatalf("retry: art=%v hit=%v err=%v, want a fresh build", art, hit, err)
 	}
@@ -237,8 +231,8 @@ func TestSplitterBuildFailureLeavesNoEntry(t *testing.T) {
 			t.Fatal("a splitter that does not compile planned")
 		}
 	}
-	if _, keys := e.splitters.live(); keys != 0 || e.Stats().PlanCache.SplitterHits != 0 {
-		t.Fatalf("a failed splitter left %d keys and %d hits", keys, e.Stats().PlanCache.SplitterHits)
+	if st := e.Stats().PlanCache; st.Size != 0 || st.SplitterHits != 0 {
+		t.Fatalf("a failed splitter left %d entries and %d hits", st.Size, st.SplitterHits)
 	}
 }
 
@@ -305,5 +299,86 @@ func TestConcurrentColdPlansBuildSplitterOnce(t *testing.T) {
 		if s == nil || s != splitters[0] {
 			t.Fatalf("plan %d holds splitter %p, plan 0 %p", i, s, splitters[0])
 		}
+	}
+}
+
+// TestEvictedBuilderLeavesSplitterCharged evicts the plan that built a
+// shared splitter while later plans still hold it: through a plan cache of
+// two entries, plan A builds S, B shares it and C shares it again, and A
+// is evicted on the way. S stays charged exactly once — Bytes is the
+// cached plans' own cost plus S's — and B and C hold one *core.Splitter.
+func TestEvictedBuilderLeavesSplitterCharged(t *testing.T) {
+	e := New(Config{PlanCache: 2})
+	plans := make([]*Plan, 3)
+	for i := range plans {
+		p, _, err := e.Plan(context.Background(), Request{Spanner: churnSpanner(i + 1), Splitter: sentenceFormula})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[i] = p
+	}
+	a, b, c := plans[0], plans[1], plans[2]
+	if b.SplitterOf() != c.SplitterOf() {
+		t.Fatal("B and C hold different splitters")
+	}
+	if _, cached := e.cache.items[a.Req.key()]; cached {
+		t.Fatal("the building plan A is still cached")
+	}
+	s := a.SplitterOf().Automaton()
+	want := int64(s.NumStates())*96 + int64(s.NumEdges())*48 // S's charge, once
+	for _, p := range plans {
+		if _, cached := e.cache.items[p.Req.key()]; cached {
+			want += p.cost()
+		}
+	}
+	if got := e.Stats().PlanCache.Bytes; got != want {
+		t.Fatalf("cache bytes %d, want %d: the cached plans' own cost and S's charge once", got, want)
+	}
+}
+
+// TestPinnedSplitterSkippedByEviction puts a pinned artifact at the LRU
+// tail of a plan cache of three entries: the eviction passes over it, and
+// over nothing else, so the plan that holds it keeps its splitter charged.
+func TestPinnedSplitterSkippedByEviction(t *testing.T) {
+	e := New(Config{PlanCache: 3})
+	split := Request{Spanner: churnSpanner(1), Splitter: sentenceFormula}
+	first, second := Request{Spanner: churnSpanner(2)}, Request{Spanner: churnSpanner(3)}
+	for _, req := range []Request{split, first, split, second} { // the hit on split leaves S at the tail
+		if _, _, err := e.Plan(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for req, want := range map[Request]bool{split: true, first: false, second: true} {
+		if _, cached := e.cache.items[req.key()]; cached != want {
+			t.Fatalf("%q cached = %v, want %v", req.Spanner, cached, want)
+		}
+	}
+	if arts, pins := e.cache.artifacts(); arts != 1 || pins != 1 {
+		t.Fatalf("%d splitter artifacts with %d pins, want the split plan's one, pinned", arts, pins)
+	}
+}
+
+// TestPlanOfEvictedSplitterNotCached evicts a splitter artifact while the
+// plan that took it still compiles: the plan is served and not cached,
+// since its splitter would be charged to no entry.
+func TestPlanOfEvictedSplitterNotCached(t *testing.T) {
+	ctx := context.Background()
+	c := newPlanCache(cacheConfig{cap: 2})
+	plan, hit, err := c.get(ctx, "", "p", func() (*Plan, error) {
+		art, _, err := c.artifact("", sentenceFormula, 0)
+		if err != nil {
+			return nil, err
+		}
+		c.get(ctx, "", "filler", func() (*Plan, error) { return &Plan{}, nil }) // evicts the artifact
+		return &Plan{s: art.s, split: art}, nil
+	})
+	if err != nil || hit || plan == nil {
+		t.Fatalf("get: plan=%v hit=%v err=%v, want a served cold plan", plan, hit, err)
+	}
+	if arts, _ := c.artifacts(); arts != 0 {
+		t.Fatal("the artifact survived the filler's insertion")
+	}
+	if st := c.stats(); st.Size != 1 || st.Bytes != (&Plan{}).cost() {
+		t.Fatalf("cache stats %+v, want the filler alone", st)
 	}
 }

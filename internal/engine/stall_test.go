@@ -85,7 +85,7 @@ func TestReaderPumpStopsWithItsConsumer(t *testing.T) {
 			return err
 		}},
 		{"batch", func(ctx context.Context, r endlessReader) error {
-			_, err := e.ExtractBatchReader(ctx, batch, r)
+			_, _, err := e.Answer(ctx, batch, "", r)
 			return err
 		}},
 	}

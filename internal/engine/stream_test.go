@@ -22,7 +22,7 @@ func collectChunks(t *testing.T, s *core.Splitter, doc string, n int) []parallel
 }
 
 // newTestSegmenter builds the engine's segmenter outside an engine, as
-// RunReader does for a plan that streams.
+// Answer does for a stream of a plan that streams.
 func newTestSegmenter(t testing.TB, s *core.Splitter) *cutSegmenter {
 	t.Helper()
 	f, ok := s.NewCutFinder()
@@ -168,7 +168,7 @@ func TestBailedCarryOverIsBounded(t *testing.T) {
 		t.Fatal("the review plan does not stream")
 	}
 	r := strings.NewReader(doc)
-	if _, _, err := e.RunReader(context.Background(), reviewPlan(), unsized{r}); !errors.Is(err, ErrDocTooLarge) {
+	if _, _, err := answer(context.Background(), e, reviewPlan(), "", unsized{r}); !errors.Is(err, ErrDocTooLarge) {
 		t.Fatalf("err %v, want ErrDocTooLarge", err)
 	}
 	if read := len(doc) - r.Len(); read > 4*64<<10 {
@@ -189,9 +189,9 @@ func TestCutFinderFallbackIsCounted(t *testing.T) {
 		want := reviewPlan().p.EvalReference(doc)
 		for _, n := range []int{1, 64 << 10} {
 			e := New(Config{Workers: 2})
-			got, exec, err := e.RunReader(context.Background(), reviewPlan(), &fixedChunkReader{s: doc, n: n})
+			got, exec, err := answer(context.Background(), e, reviewPlan(), "", &fixedChunkReader{s: doc, n: n})
 			if err != nil || exec != ExecChunked {
-				t.Fatalf("reads of %d: RunReader took the %v route (err %v)", n, exec, err)
+				t.Fatalf("reads of %d: streamed Answer took the %v route (err %v)", n, exec, err)
 			}
 			if got.String() != want.String() {
 				t.Fatalf("reads of %d, %d bytes: %d tuples, EvalReference has %d", n, size, got.Len(), want.Len())
