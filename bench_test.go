@@ -36,7 +36,7 @@ func benchNgram(b *testing.B, seedDoc string, n int) {
 	b.Run("Sequential", func(b *testing.B) {
 		b.SetBytes(int64(len(seedDoc)))
 		for i := 0; i < b.N; i++ {
-			parallel.Sequential(composed, seedDoc)
+			composed.Eval(seedDoc)
 		}
 	})
 	b.Run("Split", func(b *testing.B) {

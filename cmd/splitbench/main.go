@@ -103,7 +103,7 @@ func ngramSpeedup(title, doc string, n int) {
 	ngram := library.NGrams(n)
 	composed := core.Compose(ngram.Automaton(), sentences)
 	segs := parallel.SegmentsOf(doc, library.FastSentenceSplit(doc))
-	m, err := parallel.Measure(title, composed, ngram.Automaton(), doc, segs, *workers)
+	m, err := measure(title, composed, ngram.Automaton(), doc, segs, *workers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", title, err)
 		os.Exit(1)
@@ -130,7 +130,7 @@ func e4Reuters() {
 // arrive late and whole-document scheduling straggles on them.
 func collectionExperiment(p *vsa.Automaton, docs []string, noun string) {
 	fmt.Printf("%s=%d  workers=%d\n", noun, len(docs), *workers)
-	m, err := parallel.MeasureCollection("random-order", p, p, docs, library.FastSentenceSplit, *workers)
+	m, err := measureCollection("random-order", p, p, docs, library.FastSentenceSplit, *workers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "random-order: %v\n", err)
 		os.Exit(1)
@@ -139,7 +139,7 @@ func collectionExperiment(p *vsa.Automaton, docs []string, noun string) {
 		m.Sequential.Round(time.Millisecond), m.Split.Round(time.Millisecond), m.Speedup, m.Tuples)
 	sorted := append([]string(nil), docs...)
 	sort.Slice(sorted, func(i, j int) bool { return len(sorted[i]) < len(sorted[j]) })
-	m, err = parallel.MeasureCollection("long-last", p, p, sorted, library.FastSentenceSplit, *workers)
+	m, err = measureCollection("long-last", p, p, sorted, library.FastSentenceSplit, *workers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "long-last: %v\n", err)
 		os.Exit(1)

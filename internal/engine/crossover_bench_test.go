@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/span"
+	"repro/internal/vsa"
 )
 
 // BenchmarkExtractCrossover locates the document size at which splitting
@@ -18,9 +19,9 @@ import (
 //
 // Per size and corpus it times the routes a split-correct plan may
 // take — whole (P.Eval on the calling goroutine), split per segment (Split
-// + SegmentsOf + parallel.SplitEvalCtx with P_S, what Extract did for
-// every document before it chose; the baseline the chunk grain is compared
-// with) at one worker and at the engine's request budget, and split per
+// + SegmentsOf + parallel.Run over the dealt segments with P_S, what
+// Extract did for every document before it chose; the baseline the chunk
+// grain is compared with) at one worker and at the engine's request budget, and split per
 // chunk (the engine's cut finder, then P once per ChunkSize bytes, cut at
 // a span end) at one worker — and the engine as shipped: Extract, which
 // must track the whole route below breakEven and the chunked route from
@@ -32,14 +33,14 @@ func BenchmarkExtractCrossover(b *testing.B) {
 	ctx := context.Background()
 	splitRoute := func(doc string, workers int) *span.Relation {
 		segs := parallel.SegmentsOf(doc, plan.s.Split(doc))
-		rel, _ := parallel.SplitEvalCtx(ctx, plan.ps, segs, parallel.Options{Workers: workers, Batch: e.cfg.Batch})
-		return rel
+		rels, _ := parallel.Run(ctx, vsa.NewMulti(plan.ps), parallel.Dealt(segs), parallel.Options{Workers: workers, Batch: e.cfg.Batch})
+		return rels[0]
 	}
 	chunkRoute := func(doc string) *span.Relation {
 		f, _ := plan.s.NewCutFinder()
 		chunks := parallel.SegmentsOf(doc, f.Chunks(doc, e.cfg.ChunkSize))
-		rel, _ := parallel.SplitEvalCtx(ctx, plan.p, chunks, parallel.Options{Workers: 1, Batch: 1})
-		return rel
+		rels, _ := parallel.Run(ctx, vsa.NewMulti(plan.p), parallel.Dealt(chunks), parallel.Options{Workers: 1, Batch: 1})
+		return rels[0]
 	}
 	corpora := []struct {
 		name string

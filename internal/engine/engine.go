@@ -49,6 +49,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/span"
+	"repro/internal/vsa"
 )
 
 // Config tunes an Engine. The zero value selects sensible defaults.
@@ -425,10 +426,10 @@ func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) (
 		e.m.chunkedDocs.Inc()
 		exec, ev = ExecChunked, plan.p
 	}
-	var rel *span.Relation
+	var rels []*span.Relation
 	var err error
 	if cuts != nil {
-		rel, err = e.stream(ctx, plan, cuts, r, hint)
+		rels, err = e.stream(ctx, plan, cuts, r, hint)
 	} else {
 		t0 := time.Now()
 		opts := parallel.Options{Workers: e.cfg.RequestWorkers, Batch: e.cfg.Batch, Metrics: &e.m.exec}
@@ -445,10 +446,10 @@ func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) (
 		}
 		e.m.observeStage(StageSegment, time.Since(t0))
 		t1 := time.Now()
-		rel, err = parallel.SplitEvalCtx(ctx, ev, segs, opts)
+		rels, err = parallel.Run(ctx, vsa.NewMulti(ev), parallel.Dealt(segs), opts)
 		e.m.observeStage(StageEval, time.Since(t1))
 	}
-	return []*span.Relation{rel}, exec, wrapCtxErr(err)
+	return rels, exec, wrapCtxErr(err)
 }
 
 // ingest reads the guarded stream r for run: for a plan that streams, the
@@ -484,7 +485,7 @@ func (e *Engine) ingest(ctx context.Context, plan *Plan, r io.Reader, hint int) 
 // stream evaluates a streamed document with P, one chunk per feed: a
 // producer goroutine feeds r through the cut finder and dispatches the
 // chunk each feed ends while the executor evaluates it.
-func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r io.Reader, hint int) (*span.Relation, error) {
+func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r io.Reader, hint int) ([]*span.Relation, error) {
 	// One chunk per feed: capacity Workers bounds the queued work at that
 	// many chunks.
 	batches := make(chan []parallel.Segment, e.cfg.Workers)
@@ -560,7 +561,7 @@ func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r
 	}()
 
 	t0 := time.Now()
-	rel, err := parallel.SplitEvalBatches(ctx, plan.p, batches,
+	rels, err := parallel.Run(ctx, vsa.NewMulti(plan.p), parallel.Fed(batches),
 		parallel.Options{Workers: e.cfg.RequestWorkers, Metrics: &e.m.exec})
 	// On this path evaluation overlaps ingestion, so the eval stage's
 	// wall time includes time the workers spent blocked on the reader.
@@ -585,7 +586,7 @@ func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r
 	if err == nil {
 		err = rerr
 	}
-	return rel, err
+	return rels, err
 }
 
 // Stats snapshots the engine counters, the per-stage time breakdown,

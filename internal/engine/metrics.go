@@ -195,10 +195,8 @@ type StageStats struct {
 }
 
 // SegmenterStats is the /v1/stats view of the chunked route's cut finder:
-// how often it fell back to stepping exactly (SyncFallbacks). It has no
-// bail exit, so Bails is always 0; it stays for the clients that decode it.
+// how often it fell back to stepping exactly (SyncFallbacks).
 type SegmenterStats struct {
-	Bails         uint64 `json:"bails"`
 	SyncFallbacks uint64 `json:"sync_fallbacks"`
 }
 

@@ -10,9 +10,8 @@ import (
 	"repro/internal/vsa"
 )
 
-// This file implements the split-evaluation executor that backs
-// SplitEval, SplitEvalCtx, SplitEvalBatches, CollectionEval,
-// CollectionEvalSplit and MultiEval. Its workers share one chunk source:
+// This file implements the split-evaluation executor that backs Run and
+// the two collection evaluators. Its workers share one chunk source:
 // a worker takes the next chunk, evaluates it, and comes back for
 // another, so a worker that drew cheap chunks simply draws more of them.
 // Dealt runs hand the chunks out in order from an atomic cursor; fed runs
@@ -98,12 +97,12 @@ func newExecutor(ctx context.Context, multi *vsa.Multi, nw, ndest int, next func
 	return x
 }
 
-// runChunks is a dealt run: min(workers, len(chunks)) workers — a worker
-// beyond the chunk count could only come up empty and exit — take the
-// chunks in order from one atomic cursor, and the run is driven to its
-// merge. The chunks are independent and already cut to the grain, so
-// handing them out one at a time balances skewed ones as they finish.
-func runChunks(ctx context.Context, multi *vsa.Multi, workers, ndest int, chunks []chunk, m *ExecMetrics) []*span.Relation {
+// newDealt prepares a dealt run: up to workers workers take chunks in
+// order from one atomic cursor. The chunks are independent and already
+// cut to the grain, so handing them out one at a time balances skewed
+// ones as they finish. A dealt run starts no more workers than it has
+// chunks — one beyond that could only come up empty.
+func newDealt(ctx context.Context, multi *vsa.Multi, workers, ndest int, chunks []chunk, m *ExecMetrics) *executor {
 	var cursor atomic.Int64
 	next := func() (chunk, bool) {
 		i := cursor.Add(1) - 1
@@ -112,7 +111,7 @@ func runChunks(ctx context.Context, multi *vsa.Multi, workers, ndest int, chunks
 		}
 		return chunks[i], true
 	}
-	return newExecutor(ctx, multi, min(workers, len(chunks)), ndest, next, m).run()
+	return newExecutor(ctx, multi, min(workers, len(chunks)), ndest, next, m)
 }
 
 // run drives the workers to completion and merges. The calling goroutine
@@ -123,7 +122,7 @@ func runChunks(ctx context.Context, multi *vsa.Multi, workers, ndest int, chunks
 // destination and member — deterministic regardless of which worker took
 // which chunk. On cancellation the workers stop between chunks and
 // whatever they had accumulated is merged and returned (the
-// partial-result contract of SplitEvalCtx).
+// partial-result contract of Run).
 func (x *executor) run() []*span.Relation {
 	var t0 time.Time
 	if x.m != nil {

@@ -80,6 +80,12 @@ func adversarialDoc() string {
 	return b.String()
 }
 
+// runOne is Run of p's Multi of one, returning its one relation.
+func runOne(ctx context.Context, p *vsa.Automaton, src Source, opts Options) (*span.Relation, error) {
+	rels, err := Run(ctx, vsa.NewMulti(p), src, opts)
+	return rels[0], err
+}
+
 // TestSplitEvalDeterminismUnderSkew is the determinism regression test:
 // with adversarial segment sizes skewing which worker takes which chunk,
 // the merged relation must be byte-identical — same tuples, same order —
@@ -89,7 +95,7 @@ func TestSplitEvalDeterminismUnderSkew(t *testing.T) {
 	doc := adversarialDoc()
 	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
 	want := SplitEval(p, segs, 1)
-	seq := Sequential(p, doc)
+	seq := p.Eval(doc)
 	seq.Dedupe()
 	relIdentical(t, "workers=1 vs sequential", want, seq)
 	for _, opts := range []Options{
@@ -98,7 +104,7 @@ func TestSplitEvalDeterminismUnderSkew(t *testing.T) {
 		{Workers: 8, Batch: 2},
 		{Workers: 16, Batch: 1000},
 	} {
-		got, err := SplitEvalCtx(context.Background(), p, segs, opts)
+		got, err := runOne(context.Background(), p, Dealt(segs), opts)
 		if err != nil {
 			t.Fatalf("workers=%d batch=%d: %v", opts.Workers, opts.Batch, err)
 		}
@@ -124,12 +130,12 @@ func TestSplitEvalCtxCancellationMidRun(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		rel, err = SplitEvalCtx(ctx, p, segs, Options{Workers: 4, Batch: 1})
+		rel, err = runOne(ctx, p, Dealt(segs), Options{Workers: 4, Batch: 1})
 	}()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled SplitEvalCtx did not return")
+		t.Fatal("cancelled Run did not return")
 	}
 	if rel == nil {
 		t.Fatal("expected a (partial) relation even on cancellation")
@@ -154,7 +160,7 @@ func TestSplitEvalCtxCancellationMidRun(t *testing.T) {
 	}
 }
 
-// TestSplitEvalBatchesOneLargeBatch feeds the streaming evaluator one
+// TestSplitEvalBatchesOneLargeBatch feeds a fed run one
 // batch of more segments than CollectionEvalSplit's grain; the worker
 // that receives it evaluates it as one chunk, and the result must match
 // the dealt-slice path.
@@ -171,7 +177,7 @@ func TestSplitEvalBatchesOneLargeBatch(t *testing.T) {
 		defer close(batches)
 		batches <- segs
 	}()
-	got, err := SplitEvalBatches(context.Background(), p, batches, Options{Workers: 4})
+	got, err := runOne(context.Background(), p, Fed(batches), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +201,7 @@ func TestCollectionEvalSplitSpreadsLongDocument(t *testing.T) {
 		t.Fatalf("%d relations for %d documents", len(split), len(docs))
 	}
 	for i, d := range docs {
-		want := Sequential(p, d)
+		want := p.Eval(d)
 		want.Dedupe()
 		aligned, err := split[i].Project(want.Vars)
 		if err != nil {
@@ -217,15 +223,15 @@ func TestSplitEvalEmptySegments(t *testing.T) {
 	}
 	one := SegmentsOf("bad tea.", library.FastSentenceSplit("bad tea."))
 	got := SplitEval(p, one, 8)
-	want := Sequential(p, "bad tea.")
+	want := p.Eval("bad tea.")
 	want.Dedupe()
 	relIdentical(t, "more workers than chunks", got, want)
 }
 
 // spyCtx is a never-cancelled context that records which goroutines
-// ask it for Err — every started worker does, at the head of its loop,
-// and nothing else in a run does — and whether each is the goroutine
-// that called run.
+// ask it for Err from a worker's loop — every started worker does, at
+// the head of its loop — and whether each is the goroutine that called
+// Run.
 type spyCtx struct {
 	context.Context
 	mu       sync.Mutex
@@ -234,60 +240,60 @@ type spyCtx struct {
 
 func (c *spyCtx) Err() error {
 	// The caller's stack still has the test function on it; a spawned
-	// worker's starts at the executor's go statement.
+	// worker's starts at the executor's go statement. Run's own look at
+	// Err after the workers exit is not a worker's.
 	stack := make([]byte, 4<<10)
 	stack = stack[:runtime.Stack(stack, false)]
-	id := string(stack[:bytes.IndexByte(stack, '[')]) // "goroutine N "
-	c.mu.Lock()
-	c.onCaller[id] = bytes.Contains(stack, []byte("TestExecutorWorkerCount"))
-	c.mu.Unlock()
+	if bytes.Contains(stack, []byte(".(*executor).worker(")) {
+		id := string(stack[:bytes.IndexByte(stack, '[')]) // "goroutine N "
+		c.mu.Lock()
+		c.onCaller[id] = bytes.Contains(stack, []byte("TestExecutorWorkerCount"))
+		c.mu.Unlock()
+	}
 	return c.Context.Err()
 }
 
-// TestExecutorWorkerCount pins how many workers a run starts and where:
-// slice mode never more than it has chunks (none for none), channel mode
-// its full budget, and in both the calling goroutine is one of them.
-// Every chunk is evaluated exactly once: the merge's dedupe would hide a
-// chunk evaluated twice, the executor's chunk and segment counts do not.
+// TestExecutorWorkerCount pins how many workers Run starts and where:
+// over a dealt source never more than it has chunks (none for none),
+// over a fed source its full budget, and in both the calling goroutine
+// is one of them. Every chunk is evaluated exactly once: the merge's
+// dedupe would hide a chunk evaluated twice, the executor's chunk and
+// segment counts do not.
 func TestExecutorWorkerCount(t *testing.T) {
 	p := library.NegativeSentiment()
 	doc := "bad tea. bad mood. fine day. bad luck."
 	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
-	want := Sequential(p, doc)
+	if len(segs) < 3 {
+		t.Fatalf("%d segments, want at least 3", len(segs))
+	}
+	want := p.Eval(doc)
 	want.Dedupe()
 	for _, tc := range []struct {
 		name    string
-		chunks  [][]Segment // nil: feed segs through a channel instead
+		segs    []Segment // nil: feed segs through a channel instead
+		batch   int
 		workers int
+		chunks  int
 		started int
 	}{
-		{"no chunks", [][]Segment{}, 4, 0},
-		{"one chunk", [][]Segment{segs}, 4, 1},
-		{"two chunks", [][]Segment{segs[:2], segs[2:]}, 4, 2},
-		{"more chunks than workers", [][]Segment{segs[:1], segs[1:2], segs[2:]}, 2, 2},
-		{"channel", nil, 3, 3},
+		{"no chunks", []Segment{}, 0, 4, 0, 0},
+		{"one chunk", segs, len(segs), 4, 1, 1},
+		{"two chunks", segs, (len(segs) + 1) / 2, 4, 2, 2},
+		{"more chunks than workers", segs, 1, 2, len(segs), 2},
+		{"channel", nil, 0, 3, 1, 3},
 	} {
 		ctx := &spyCtx{Context: context.Background(), onCaller: map[string]bool{}}
 		m := &ExecMetrics{}
-		var rels []*span.Relation
-		var nchunks, nsegs int
-		if tc.chunks != nil {
-			var chunks []chunk
-			for _, s := range tc.chunks {
-				chunks = append(chunks, chunk{segs: s})
-				nchunks, nsegs = nchunks+1, nsegs+len(s)
-			}
-			rels = runChunks(ctx, vsa.NewMulti(p), tc.workers, 1, chunks, m)
-		} else {
+		src, nsegs := Dealt(tc.segs), len(tc.segs)
+		if tc.segs == nil {
 			feed := make(chan []Segment, 1)
 			feed <- segs
 			close(feed)
-			next := func() (chunk, bool) {
-				s, ok := <-feed
-				return chunk{segs: s}, ok
-			}
-			nchunks, nsegs = 1, len(segs)
-			rels = newExecutor(ctx, vsa.NewMulti(p), tc.workers, 1, next, m).run()
+			src, nsegs = Fed(feed), len(segs)
+		}
+		rels, err := Run(ctx, vsa.NewMulti(p), src, Options{Workers: tc.workers, Batch: tc.batch, Metrics: m})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		expect := want
 		if tc.started == 0 {
@@ -307,9 +313,9 @@ func TestExecutorWorkerCount(t *testing.T) {
 		if m.Runs.Load() != 1 {
 			t.Errorf("%s: %d runs recorded, want 1", tc.name, m.Runs.Load())
 		}
-		if m.Chunks.Load() != uint64(nchunks) || m.Segments.Load() != uint64(nsegs) {
+		if m.Chunks.Load() != uint64(tc.chunks) || m.Segments.Load() != uint64(nsegs) {
 			t.Errorf("%s: %d chunks and %d segments evaluated, want %d and %d",
-				tc.name, m.Chunks.Load(), m.Segments.Load(), nchunks, nsegs)
+				tc.name, m.Chunks.Load(), m.Segments.Load(), tc.chunks, nsegs)
 		}
 	}
 }
@@ -323,7 +329,7 @@ func TestSplitEvalSmallRunAllocatesSmallArena(t *testing.T) {
 	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
 	opts := Options{Workers: 2, Batch: 4}
 	run := func() int {
-		rel, _ := SplitEvalCtx(context.Background(), p, segs, opts)
+		rel, _ := runOne(context.Background(), p, Dealt(segs), opts)
 		return rel.Len()
 	}
 	if n := run(); n == 0 || n > 16 {

@@ -36,7 +36,7 @@ func toAB(doc string) string {
 
 // fuzzPairs holds (spanner, splitter) pairs whose split-correctness is
 // proved by the decision procedures in the library and core test suites,
-// so SplitEval over the splitter's segments must agree with Sequential on
+// so a run over the splitter's segments must agree with direct evaluation on
 // EVERY document — the fuzz target asserts exactly that equality.
 var fuzzPairs = sync.OnceValue(func() []fuzzPair {
 	token, err := regexformula.MustCompile(
@@ -57,8 +57,8 @@ var fuzzPairs = sync.OnceValue(func() []fuzzPair {
 // asserts the shifted union over segments equals direct evaluation — the
 // paper's defining equation P = P ∘ S, checked end to end through the
 // evaluation core, the splitter, and the split executor, on both
-// the dealt-slice path (SplitEval at several worker counts and grains)
-// and the channel-fed streaming path (SplitEvalBatches).
+// both sources of Run: dealt (several worker counts and grains) and fed
+// (the channel-fed streaming path).
 func FuzzSplitEvalVsSequential(f *testing.F) {
 	f.Add("bad coffee. nice tea! aaaa b aaaa")
 	f.Add("")
@@ -74,13 +74,13 @@ func FuzzSplitEvalVsSequential(f *testing.F) {
 				d = pair.remap(d)
 			}
 			segs := SegmentsOf(d, pair.s.Split(d))
-			want := Sequential(pair.p, d)
+			want := pair.p.Eval(d)
 			want.Dedupe()
 			// Dealt-slice path: worker counts and grains chosen so single
 			// worker, per-segment chunks and multi-segment chunks (shared
 			// among several workers) all agree.
 			for _, opts := range []Options{{Workers: 1}, {Workers: 3, Batch: 1}, {Workers: 4, Batch: 3}} {
-				got, err := SplitEvalCtx(context.Background(), pair.p, segs, opts)
+				got, err := runOne(context.Background(), pair.p, Dealt(segs), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,7 +108,7 @@ func FuzzSplitEvalVsSequential(f *testing.F) {
 						lo = hi
 					}
 				}()
-				got, err := SplitEvalBatches(context.Background(), pair.p, batches, Options{Workers: 3})
+				got, err := runOne(context.Background(), pair.p, Fed(batches), Options{Workers: 3})
 				if err != nil {
 					t.Fatal(err)
 				}

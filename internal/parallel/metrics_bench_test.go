@@ -32,7 +32,7 @@ func benchSplitEval(b *testing.B, m *ExecMetrics) {
 	opts := Options{Workers: 4, Metrics: m}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SplitEvalCtx(context.Background(), p, segs, opts); err != nil {
+		if _, err := runOne(context.Background(), p, Dealt(segs), opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func benchSplitEvalStreamed(b *testing.B, m *ExecMetrics) {
 				batches <- f
 			}
 		}()
-		if _, err := SplitEvalBatches(context.Background(), p, batches, opts); err != nil {
+		if _, err := runOne(context.Background(), p, Fed(batches), opts); err != nil {
 			b.Fatal(err)
 		}
 	}

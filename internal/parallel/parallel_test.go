@@ -2,14 +2,10 @@ package parallel
 
 import (
 	"context"
-	"errors"
-
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/library"
-	"repro/internal/regexformula"
 )
 
 func TestSplitEvalEqualsSequential(t *testing.T) {
@@ -21,59 +17,11 @@ func TestSplitEvalEqualsSequential(t *testing.T) {
 	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
 	for _, workers := range []int{1, 2, 5} {
 		par := SplitEval(p, segs, workers)
-		seq := Sequential(p, doc)
+		seq := p.Eval(doc)
 		seq.Dedupe()
 		if !par.Equal(seq) {
 			t.Fatalf("workers=%d: split evaluation differs", workers)
 		}
-	}
-}
-
-func TestSplitEvalCatchesNonSplitCorrectness(t *testing.T) {
-	// Splitting a 2-byte-span extractor by unit tokens is not
-	// split-correct; Measure must detect the mismatch and report it as an
-	// error (wrapping ErrSplitMismatch), not panic inside library code.
-	p := regexformula.MustCompile(".*y{ab}.*")
-	s, err := core.NewSplitter(regexformula.MustCompile(".*x{.}.*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := "abab"
-	segs := SegmentsOf(doc, s.Split(doc))
-	m, err := Measure("bad", p, p, doc, segs, 2)
-	if !errors.Is(err, ErrSplitMismatch) {
-		t.Fatalf("err = %v, want ErrSplitMismatch", err)
-	}
-	if m.Sequential <= 0 || m.Split <= 0 {
-		t.Fatalf("measurement timings must survive a mismatch: %+v", m)
-	}
-}
-
-func TestMeasureCollectionCatchesNonSplitCorrectness(t *testing.T) {
-	p := regexformula.MustCompile(".*y{ab}.*")
-	s, err := core.NewSplitter(regexformula.MustCompile(".*x{.}.*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = MeasureCollection("bad", p, p, []string{"abab", "ab"}, s.Split, 2)
-	if !errors.Is(err, ErrSplitMismatch) {
-		t.Fatalf("err = %v, want ErrSplitMismatch", err)
-	}
-}
-
-func TestMeasureReportsAgreeingRun(t *testing.T) {
-	p := library.NegativeSentiment()
-	doc := corpus.Wikipedia(3, 2000) + "very bad coffee."
-	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
-	m, err := Measure("wiki", p, p, doc, segs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Tuples == 0 {
-		t.Fatal("expected at least one extraction")
-	}
-	if m.Sequential <= 0 || m.Split <= 0 || m.Speedup <= 0 {
-		t.Fatalf("implausible measurement: %+v", m)
 	}
 }
 
@@ -102,25 +50,13 @@ func TestCollectionEval(t *testing.T) {
 	}
 }
 
-func TestMeasureCollection(t *testing.T) {
-	p := library.NegativeSentiment()
-	docsIn := corpus.Reviews(41, 60)
-	m, err := MeasureCollection("amazon", p, p, docsIn, library.FastSentenceSplit, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Tuples == 0 {
-		t.Fatal("expected some sentiment extractions")
-	}
-}
-
 func TestSplitEvalCtxBatchingEqualsUnbatched(t *testing.T) {
 	p := library.NegativeSentiment()
 	doc := corpus.Reviews(23, 40)[0] + ". " + corpus.Reviews(24, 40)[1]
 	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
 	want := SplitEval(p, segs, 3)
 	for _, batch := range []int{1, 2, 7, 1000} {
-		got, err := SplitEvalCtx(context.Background(), p, segs, Options{Workers: 3, Batch: batch})
+		got, err := runOne(context.Background(), p, Dealt(segs), Options{Workers: 3, Batch: batch})
 		if err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
 		}
@@ -136,7 +72,7 @@ func TestSplitEvalCtxCancellation(t *testing.T) {
 	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: nothing should be dispatched
-	rel, err := SplitEvalCtx(ctx, p, segs, Options{Workers: 2})
+	rel, err := runOne(ctx, p, Dealt(segs), Options{Workers: 2})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -159,7 +95,7 @@ func TestSplitEvalBatchesStreaming(t *testing.T) {
 			batches <- []Segment{s}
 		}
 	}()
-	got, err := SplitEvalBatches(context.Background(), p, batches, Options{Workers: 3})
+	got, err := runOne(context.Background(), p, Fed(batches), Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,13 +215,10 @@ func (a *Automaton) IsDeterministic() bool {
 // Statuses returns the per-state variable-status vector. In a functional
 // automaton the status is a function of the input prefix, hence unique per
 // reachable state; unreachable states get status 0. An error is returned
-// if two paths assign conflicting statuses or an edge misuses a variable —
-// both indicate a broken (non-functional) hand-built automaton.
-func (a *Automaton) Statuses() ([]Status, error) { return a.statuses(false) }
-
-// statuses is Statuses; with finals it also fails, as Validate does, on
-// a final operation set of a reachable state.
-func (a *Automaton) statuses(finals bool) ([]Status, error) {
+// if two paths assign conflicting statuses, an edge misuses a variable or
+// a final operation set of a reachable state does not complete its
+// status — each indicates a broken (non-functional) hand-built automaton.
+func (a *Automaton) Statuses() ([]Status, error) {
 	st := make([]Status, len(a.States))
 	known := make([]bool, len(a.States))
 	st[a.Start] = 0
@@ -230,10 +227,8 @@ func (a *Automaton) statuses(finals bool) ([]Status, error) {
 	for len(queue) > 0 {
 		q := queue[0]
 		queue = queue[1:]
-		if finals {
-			if err := a.checkFinals(q, st[q]); err != nil {
-				return nil, err
-			}
+		if err := a.checkFinals(q, st[q]); err != nil {
+			return nil, err
 		}
 		for _, e := range a.States[q].Edges {
 			next, ok := st[q].Apply(e.Ops)

@@ -138,7 +138,7 @@ func TestEvalBoolOverflow(t *testing.T) {
 }
 
 // TestEvalBoolWithoutLocalizer: an automaton the localizer cannot narrow
-// — nullary, or without per-state statuses — still gets a one-member
+// — a nullary one — still gets a one-member
 // scan group, with no end states, and EvalBool walks it to the document's
 // end, answering as the reference does.
 func TestEvalBoolWithoutLocalizer(t *testing.T) {
@@ -154,7 +154,6 @@ func TestEvalBoolWithoutLocalizer(t *testing.T) {
 	for name, a := range map[string]*Automaton{
 		"nullary":        containsA,
 		"nullary/always": anything,
-		"status-less":    buildNonLocalizable(t),
 	} {
 		loc := a.localizer()
 		if loc.ok || slices.Contains(loc.scan.end, true) {

@@ -44,8 +44,10 @@ func (p partial) apply(ops OpSet, boundary int, numVars int) partial {
 // evaluation. When localization does not apply (nullary automata, DFA
 // state-bound overflow) Eval falls back to the whole-document path: DFA
 // prescan plus one tagged simulation. An automaton that is not
-// functional (hand-built only) evaluates on EvalReference, the retained
-// map-based simulation all of this replaced; fuzzing asserts they agree.
+// functional (hand-built only) evaluates as its functionalization
+// (Section 4.2), which keeps exactly its valid ref-words. EvalReference,
+// the map-based simulation all of this replaced, is the tests' oracle;
+// fuzzing asserts they agree.
 func (a *Automaton) Eval(doc string) *span.Relation {
 	rel := span.NewRelation(a.Vars...)
 	a.EvalAppend(doc, span.Span{Start: 1, End: len(doc) + 1}, rel, nil)
@@ -105,14 +107,10 @@ type tagFlags struct {
 	fin          OpSet
 }
 
-// tag returns the tag program, building it on the first simulation, or
-// nil when a is not functional.
+// tag returns the tag program, building it on the first simulation. It
+// is asked only of an automaton a scan group holds, which is functional.
 func (a *Automaton) tag() *tagProg {
-	a.tagOnce.Do(func() {
-		if st := a.localizer().status; st != nil {
-			a.tagVal = newTagProg(a.prog(), st)
-		}
-	})
+	a.tagOnce.Do(func() { a.tagVal = newTagProg(a.prog(), a.localizer().status) })
 	return a.tagVal
 }
 
@@ -171,7 +169,7 @@ func (t *tagProg) flags(set []int32) tagFlags {
 type evalRun struct {
 	a        *Automaton
 	p        *evalProg
-	tag      *tagProg // nil: a is not functional
+	tag      *tagProg
 	sc       *evalScratch
 	rel      *span.Relation
 	arena    *span.TupleArena // nil: tuples are individually allocated
@@ -196,16 +194,8 @@ func (r *evalRun) emit(pt []int32) {
 }
 
 // whole is the whole-document rung of MultiSession.pass: the tagged
-// simulation of the whole document from the start state. An automaton
-// that is not functional has no tag program — one run per tuple does
-// not hold for it — and evaluates on EvalReference.
+// simulation of the whole document from the start state.
 func (r *evalRun) whole() {
-	if r.tag == nil {
-		for _, t := range r.a.EvalReference(r.doc).Tuples {
-			r.rel.Tuples = append(r.rel.Tuples, t.Shift(span.Span{Start: r.delta + 1}))
-		}
-		return
-	}
 	r.simulate(0, len(r.doc), []int32{int32(r.a.Start)}, true)
 }
 
@@ -335,7 +325,8 @@ func (r *evalRun) windowUncached(lo, hi int, seed []int32, atDocEnd bool) {
 // EvalReference is the retained reference implementation of Eval: a direct
 // NFA simulation with a string-keyed frontier, kept verbatim from before
 // the compiled evaluation core so that fuzzing and the benchmark suite can
-// compare the two paths. Semantics are identical to Eval.
+// compare the two paths; nothing else calls it. Semantics are identical
+// to Eval on a functional automaton.
 func (a *Automaton) EvalReference(doc string) *span.Relation {
 	nv := len(a.Vars)
 	rel := span.NewRelation(a.Vars...)

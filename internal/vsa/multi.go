@@ -19,8 +19,9 @@ package vsa
 // member to the member's own group of one; a member whose backward
 // narrowing overflows goes there alone. A group of one whose member
 // overflows, cannot be narrowed, or cannot be localized at all (nullary
-// or non-functional automata) takes the EvalBool prescan plus one
-// whole-document simulation (on EvalReference if non-functional).
+// automata) takes the EvalBool prescan plus one whole-document
+// simulation. A member that is not functional runs as its
+// functionalization, the automaton its localizer's group holds.
 // Differential tests hold the construction to "byte-identical per query
 // to Eval and to EvalReference".
 
@@ -139,8 +140,8 @@ func (m *Multi) build() {
 		var autos []*Automaton
 		var locs []*localizer
 		for _, mi := range idx {
-			autos = append(autos, m.members[mi])
-			locs = append(locs, m.members[mi].localizer())
+			autos = append(autos, m.own[mi].autos[0])
+			locs = append(locs, m.own[mi].locs[0])
 		}
 		m.groups = append(m.groups, &multiGroup{scanGroup: newScanGroup(autos, locs), members: idx})
 	}

@@ -71,23 +71,6 @@ func buildUnanchoredCD(t *testing.T) *Automaton {
 	return a
 }
 
-// buildNonLocalizable hand-builds the status-conflicted automaton of
-// TestWindowedEvalNonLocalizableFallsBack: Multi must route it through
-// the solo (standalone) path.
-func buildNonLocalizable(t *testing.T) *Automaton {
-	t.Helper()
-	a := NewAutomaton("x")
-	mid := a.AddState()
-	a.AddEdge(0, Open(0), alphabet.Of('a'), mid)
-	a.AddEdge(0, 0, alphabet.Of('b'), mid)
-	a.AddEdge(mid, Close(0), alphabet.Of('c'), mid)
-	a.AddFinal(mid, 0)
-	if loc := a.localizer(); loc.ok {
-		t.Fatal("status-conflicted automaton must not localize")
-	}
-	return a
-}
-
 // buildAnchoredCD is buildAnchoredAB over the letters c/d: a second
 // mandatory factor ("cd") disjoint from "ab", for admission-mask tests.
 func buildAnchoredCD(t *testing.T) *Automaton {
@@ -201,7 +184,6 @@ func TestSingleIsUnaryMulti(t *testing.T) {
 		{"empty-language", buildEmptyLanguage(), false, false},
 		{"stepped", stepped, false, false},
 		{"nullary", nullary, true, false},
-		{"non-localizable", buildNonLocalizable(t), true, false},
 		{"blowup-16", extractorBlowup(16), false, true},
 	}
 	for _, c := range cases {
@@ -415,7 +397,12 @@ func TestMultiStartStateCache(t *testing.T) {
 // own group of one — the automaton's own, counted as a fallback — while
 // its localizable siblings still share one fused pass.
 func TestMultiSoloNonLocalizable(t *testing.T) {
-	solo := buildNonLocalizable(t)
+	solo := NewAutomaton() // nullary: accepts any document with an 'a'
+	mid := solo.AddState()
+	solo.AddEdge(0, 0, alphabet.Any, 0)
+	solo.AddEdge(0, 0, alphabet.Of('a'), mid)
+	solo.AddEdge(mid, 0, alphabet.Any, mid)
+	solo.AddFinal(mid, 0)
 	m := NewMulti(solo, extractorAPlus(), extractorZeroWidth())
 	var mm MultiMetrics
 	m.SetMetrics(&mm)

@@ -1,6 +1,7 @@
 package vsa
 
 import (
+	"bytes"
 	"sync/atomic"
 
 	"repro/internal/lazydfa"
@@ -233,7 +234,7 @@ func (b *factorBuilder) extract() ([]byte, PrefilterReason) {
 		}
 		hasLiteral = true
 		seed := []byte{byte(sb)}
-		if len(best) > 0 && containsSub(best, seed) {
+		if bytes.Contains(best, seed) {
 			continue // already inside the best factor
 		}
 		ok, over := b.mandatory(seed)
@@ -387,19 +388,6 @@ func kmpStep(w []byte, fail []int, k int, x byte) int {
 		return k + 1
 	}
 	return 0
-}
-
-func containsSub(s, sub []byte) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		j := 0
-		for j < len(sub) && s[i+j] == sub[j] {
-			j++
-		}
-		if j == len(sub) {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------- skip-set building for the scan DFAs ----------

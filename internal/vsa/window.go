@@ -29,7 +29,9 @@ package vsa
 // forward-scan checkpoints), with positions kept in document coordinates.
 // Every run's core lies inside a window by construction, and every seeded
 // state is genuinely reachable, so windowed evaluation is byte-identical
-// to whole-document evaluation (fuzz-verified against EvalReference).
+// to whole-document evaluation (fuzz-verified against EvalReference). An
+// automaton that is not functional (hand-built only) is evaluated as its
+// functionalization (Section 4.2), so it too takes this one path.
 //
 // There is ONE forward scan. It runs over a scanGroup: the disjoint union
 // of up to 64 members' scan automata (the spanner-algebra union
@@ -43,8 +45,8 @@ package vsa
 // localizer keeps (Automaton.EvalAppend). One member is not a special
 // case of that code, only its smallest input.
 //
-// When the analysis cannot apply — nullary or non-functional automata,
-// or a DFA state-bound overflow — evaluation only ever steps down: from a
+// When the analysis cannot apply — nullary automata, or a DFA
+// state-bound overflow — evaluation only ever steps down: from a
 // group of many to each member's group of one, and from there to the
 // EvalBool prescan plus one whole-document simulation. EvalBool walks the
 // same one-member group (dfa.go); an automaton that cannot be narrowed
@@ -88,8 +90,9 @@ type window struct {
 // narrowing program, the one-member scan group that evaluation of this
 // automaton alone scans with, and the Multi of one that runs it. Built
 // once under localOnce and read-only afterwards; the lazy DFAs beneath it
-// publish their own fills. scan, group and one exist for every automaton,
-// status for every functional one, and rev only when ok.
+// publish their own fills. rev exists only when ok, the rest always. An
+// automaton that is not functional has its functionalization's localizer,
+// whose group and Multi of one hold the functionalization.
 type localizer struct {
 	ok     bool
 	reason string // why localized evaluation is disabled, when !ok
@@ -111,24 +114,24 @@ func (a *Automaton) localizer() *localizer {
 	return a.localVal
 }
 
-// buildLocalizer builds the one-member scan group for every automaton: it
-// is also the DFA EvalBool walks. An automaton the localizer cannot narrow
-// gets a group without end states, whose DFA is the plain Boolean subset
-// construction of the automaton.
+// buildLocalizer builds the one-member scan group for every functional
+// automaton: it is also the DFA EvalBool walks. A nullary automaton, which
+// the localizer cannot narrow, gets a group without end states, whose DFA
+// is the plain Boolean subset construction of the automaton.
 func (a *Automaton) buildLocalizer() *localizer {
-	loc := &localizer{}
+	st, err := a.Statuses()
+	if err != nil {
+		// Only hand-built automata are not functional. Their
+		// functionalization (Section 4.2) keeps exactly the valid
+		// ref-words, and it is what evaluating a runs.
+		return a.ToRaw().Compile().localizer()
+	}
+	loc := &localizer{status: st}
 	p := a.prog()
 	end := make([]bool, len(a.States))
-	st, err := a.statuses(true)
-	loc.status = st
-	switch {
-	case err != nil:
-		// Only hand-built non-functional automata land here; they
-		// evaluate on EvalReference (evalRun.whole).
-		loc.reason = "not functional: " + err.Error()
-	case len(a.Vars) == 0:
+	if len(a.Vars) == 0 {
 		loc.reason = "nullary automaton: no variable operations to localize"
-	default:
+	} else {
 		all := AllClosed(len(a.Vars))
 		for q := range a.States {
 			// Emit states: evaluation emits a run's tuple and drops the run

@@ -164,10 +164,11 @@ func TestWindowedEvalMatchesReference(t *testing.T) {
 }
 
 // TestWindowedEvalNonLocalizableFallsBack: a hand-built automaton
-// without consistent statuses (non-functional) must disable localization
-// and evaluate on EvalReference through the whole-document rung, so the
-// expected relations are written out by hand rather than read off
-// EvalReference.
+// without consistent statuses (non-functional) evaluates as its
+// functionalization (Section 4.2): only valid ref-words yield tuples, so
+// a run that leaves x unopened (through b) or closes it twice yields
+// none. The expected relations are written out by hand rather than read
+// off EvalReference, which simulates the broken automaton as it is.
 func TestWindowedEvalNonLocalizableFallsBack(t *testing.T) {
 	a := NewAutomaton("x")
 	mid := a.AddState()
@@ -177,24 +178,32 @@ func TestWindowedEvalNonLocalizableFallsBack(t *testing.T) {
 	a.AddEdge(0, 0, alphabet.Of('b'), mid)
 	a.AddEdge(mid, Close(0), alphabet.Of('c'), mid)
 	a.AddFinal(mid, 0)
-	if loc := a.localizer(); loc.ok {
-		t.Fatal("status-less automaton must disable localization")
+	if g := a.localizer().group; g.autos[0] == a {
+		t.Fatal("the non-functional automaton's scan group holds it, not its functionalization")
 	}
-	// A later close overwrites an earlier one, and a run through b
-	// leaves x's open slot unset (0).
+	f := a.ToRaw().Compile()
+	// In a Multi, a's functionalization shares a fused group.
+	m := NewMulti(a, extractorAPlus())
+	if m.Prepare(); len(m.groups) != 1 || m.groups[0].autos[0] != a.localizer().group.autos[0] {
+		t.Fatal("the functionalization does not share the Multi's one fused group")
+	}
 	for doc, want := range map[string][]span.Span{
 		"":    nil,
 		"ac":  {{Start: 1, End: 2}},
-		"bc":  {{Start: 0, End: 2}},
-		"acc": {{Start: 1, End: 3}},
-		"b":   {{Start: 0, End: 0}},
+		"bc":  nil,
+		"acc": nil,
+		"b":   nil,
 	} {
 		rel := span.NewRelation("x")
 		for _, s := range want {
 			rel.Add(span.Tuple{s})
 		}
-		if got := a.Eval(doc); !got.Equal(rel) {
-			t.Errorf("Eval(%q) = %v, want %v", doc, got, rel)
+		if got, fused := a.Eval(doc), m.Eval(doc)[0]; !got.Equal(rel) || !fused.Equal(rel) || !f.Eval(doc).Equal(rel) {
+			t.Errorf("Eval(%q) = %v, fused %v, functionalization %v, want %v", doc, got, fused, f.Eval(doc), rel)
+		}
+		// The Boolean path answers the same §4.2 question.
+		if got := a.EvalBool(doc); got != (len(want) > 0) {
+			t.Errorf("EvalBool(%q) = %v, want %v", doc, got, len(want) > 0)
 		}
 	}
 }
