@@ -87,3 +87,21 @@ func TestDaemonDependencyCone(t *testing.T) {
 		t.Fatalf("spand links\n  %v\nwant exactly\n  %v", got, want)
 	}
 }
+
+// TestEvaluationCoreLinksNoObs: the evaluation layers count into the
+// plain record their caller hands them (vsa.Record, parallel.Record) and
+// export nothing themselves, so none of them links the metrics package.
+func TestEvaluationCoreLinksNoObs(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("the go tool is not on PATH")
+	}
+	for _, pkg := range []string{"vsa", "parallel", "core", "lazydfa", "automata"} {
+		out, err := exec.Command("go", "list", "-deps", "repro/internal/"+pkg).Output()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v", pkg, err)
+		}
+		if slices.Contains(strings.Fields(string(out)), "repro/internal/obs") {
+			t.Errorf("repro/internal/%s links repro/internal/obs", pkg)
+		}
+	}
+}

@@ -44,6 +44,7 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -253,7 +254,7 @@ func (e *Engine) plan(ctx context.Context, tenant, key string, compile func() (*
 	}
 	t0 := time.Now()
 	defer func() {
-		e.m.observeStage(StagePlan, time.Since(t0))
+		e.m.plan.RecordDuration(time.Since(t0))
 		err = wrapCtxErr(err)
 	}()
 	return e.cache.get(ctx, tenant, key, func() (*Plan, error) {
@@ -262,20 +263,6 @@ func (e *Engine) plan(ctx context.Context, tenant, key string, compile func() (*
 			return nil, err
 		}
 		e.m.decide.RecordDuration(p.DecideTime)
-		// Attach the engine's evaluation metrics to the automatons the
-		// plan will evaluate with: the members and P_S to the evaluation
-		// series, a Multi of several members to the multi-query one. The
-		// cache is per-engine, so a cached plan always reports into its
-		// own engine's counters.
-		for _, a := range p.members {
-			a.SetEvalMetrics(&e.m.eval)
-		}
-		if p.ps != nil {
-			p.ps.SetEvalMetrics(&e.m.eval)
-		}
-		if len(p.members) > 1 {
-			p.multi.SetMetrics(&e.m.multi)
-		}
 		return p, nil
 	})
 }
@@ -388,6 +375,11 @@ func (e *Engine) WillStream(plan *Plan) bool {
 // a document over the budget fails with ErrDocTooLarge instead of being
 // evaluated.
 func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) ([]*span.Relation, Execution, error) {
+	// The document's record: every layer below counts into its own part,
+	// and it reaches the engine's aggregates in one flush, however run
+	// returns.
+	rec := new(record)
+	defer e.m.flush(rec)
 	var cuts *core.CutFinder
 	var hint int
 	if r != nil {
@@ -402,11 +394,9 @@ func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) (
 	if cuts == nil && e.cfg.MaxDocBuffer > 0 && int64(len(doc)) > e.cfg.MaxDocBuffer {
 		return plan.none(), ExecWhole, fmt.Errorf("%w (%d bytes > %d)", ErrDocTooLarge, len(doc), e.cfg.MaxDocBuffer)
 	}
-	e.m.documents.Inc()
-	if cuts != nil {
-		e.m.streamedDocs.Inc()
-	} else {
-		e.m.bytes.Add(uint64(len(doc)))
+	rec.counted, rec.streamed = true, cuts != nil
+	if cuts == nil {
+		rec.bytes = uint64(len(doc))
 		if plan.p == nil { // no member compiled: nothing to evaluate
 			return plan.none(), ExecWhole, nil
 		}
@@ -414,42 +404,46 @@ func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) (
 			if err := ctx.Err(); err != nil {
 				return plan.none(), ExecWhole, wrapCtxErr(err)
 			}
-			e.m.wholeDocs.Inc()
 			t0 := time.Now()
-			rels := plan.whole().Eval(doc)
-			e.m.observeStage(StageEval, time.Since(t0))
+			s := plan.whole().NewSession(&rec.exec.Eval)
+			rels := s.Eval(doc)
+			s.Close()
+			rec.eval, rec.evaluated = time.Since(t0), true
 			return rels, ExecWhole, nil
 		}
 	}
-	exec, ev, chunks := ExecSplit, plan.ps, chunked(plan)
-	if chunks {
-		e.m.chunkedDocs.Inc()
-		exec, ev = ExecChunked, plan.p
+	ev := plan.ps
+	rec.route = ExecSplit
+	if chunked(plan) {
+		rec.route, ev = ExecChunked, plan.p
 	}
+	opts := parallel.Options{Workers: e.cfg.RequestWorkers, Batch: e.cfg.Batch, Record: &rec.exec}
 	var rels []*span.Relation
 	var err error
+	t0 := time.Now()
 	if cuts != nil {
-		rels, err = e.stream(ctx, plan, cuts, r, hint)
+		rels, err = e.stream(ctx, plan, cuts, r, hint, opts, rec)
 	} else {
-		t0 := time.Now()
-		opts := parallel.Options{Workers: e.cfg.RequestWorkers, Batch: e.cfg.Batch, Metrics: &e.m.exec}
 		var segs []parallel.Segment
-		if chunks {
+		if rec.route == ExecChunked {
 			opts.Batch = 1                // one chunk per executor task
 			f, _ := plan.s.NewCutFinder() // chunked holds only of a splitter with a cut finder
 			segs = parallel.SegmentsOf(doc, f.Chunks(doc, e.cfg.ChunkSize))
-			e.m.syncFallbacks.Add(uint64(f.Fallbacks()))
+			rec.syncFallbacks = uint64(f.Fallbacks())
 		} else {
 			spans := plan.s.Split(doc)
 			segs = parallel.SegmentsOf(doc, spans)
-			e.m.segments.Add(uint64(len(spans)))
+			rec.segments = uint64(len(spans))
 		}
-		e.m.observeStage(StageSegment, time.Since(t0))
-		t1 := time.Now()
+		rec.segment, rec.segmented = time.Since(t0), true
+		t0 = time.Now()
 		rels, err = parallel.Run(ctx, vsa.NewMulti(ev), parallel.Dealt(segs), opts)
-		e.m.observeStage(StageEval, time.Since(t1))
 	}
-	return rels, exec, wrapCtxErr(err)
+	// On the streaming path evaluation overlaps ingestion, so the eval
+	// stage's wall time includes time the workers spent blocked on the
+	// reader.
+	rec.eval, rec.evaluated = time.Since(t0), true
+	return rels, rec.route, wrapCtxErr(err)
 }
 
 // ingest reads the guarded stream r for run: for a plan that streams, the
@@ -484,88 +478,29 @@ func (e *Engine) ingest(ctx context.Context, plan *Plan, r io.Reader, hint int) 
 
 // stream evaluates a streamed document with P, one chunk per feed: a
 // producer goroutine feeds r through the cut finder and dispatches the
-// chunk each feed ends while the executor evaluates it.
-func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r io.Reader, hint int) ([]*span.Relation, error) {
+// chunk each feed ends while the executor evaluates it under opts. The
+// producer counts into a record of its own, since it can outlive stream
+// (see below): whichever of the two finishes second takes that record —
+// stream into rec, or the producer flushes it alone.
+func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r io.Reader, hint int, opts parallel.Options, rec *record) ([]*span.Relation, error) {
 	// One chunk per feed: capacity Workers bounds the queued work at that
 	// many chunks.
 	batches := make(chan []parallel.Segment, e.cfg.Workers)
 	readErr := make(chan error, 1)
+	var feed record
+	var handed atomic.Bool
 	go func() {
-		defer close(batches)
-		g := &cutSegmenter{f: cuts}
-		var chunk []byte
-		// Segmentation time accumulates across the incremental feed calls
-		// and is recorded once per document when the producer exits, with
-		// the finder's fallbacks.
-		var segDur time.Duration
-		defer func() {
-			e.m.observeStage(StageSegment, segDur)
-			e.m.syncFallbacks.Add(uint64(cuts.Fallbacks()))
-		}()
-		// send dispatches the chunk one feed produced as one batch, which
-		// the worker that receives it evaluates. Sending blocks when every
-		// worker is busy, which in turn pauses reading — backpressure all
-		// the way to the producer of r.
-		send := func(segs []parallel.Segment) bool {
-			if len(segs) == 0 {
-				return true
-			}
-			select {
-			case batches <- segs:
-				return true
-			case <-ctx.Done():
-				return false
-			}
+		err := e.produce(ctx, cuts, r, hint, batches, &feed)
+		close(batches)
+		feed.syncFallbacks = uint64(cuts.Fallbacks())
+		feed.segmented = true
+		if handed.Swap(true) {
+			e.m.flush(&feed) // stream has returned without it
 		}
-		for read := 0; ; {
-			if size := sizedTo(e.cfg.ChunkSize, hint, read); len(chunk) < size {
-				chunk = make([]byte, size)
-			}
-			n, err := r.Read(chunk)
-			read += n
-			if n > 0 {
-				e.m.bytes.Add(uint64(n))
-				t0 := time.Now()
-				segs := g.feed(chunk[:n], false)
-				segDur += time.Since(t0)
-				if !send(segs) {
-					readErr <- ctx.Err()
-					return
-				}
-				if e.cfg.MaxDocBuffer > 0 && int64(len(g.buf)) > e.cfg.MaxDocBuffer {
-					// The carry-over (one still-open segment) outgrew
-					// the budget — e.g. a boundary-less document.
-					readErr <- fmt.Errorf("%w (carry-over %d bytes > %d)", ErrDocTooLarge, len(g.buf), e.cfg.MaxDocBuffer)
-					return
-				}
-			}
-			switch {
-			case err == io.EOF:
-				t0 := time.Now()
-				segs := g.feed(nil, true)
-				segDur += time.Since(t0)
-				if !send(segs) {
-					readErr <- ctx.Err()
-					return
-				}
-				readErr <- nil
-				return
-			case err != nil:
-				readErr <- err
-				return
-			case ctx.Err() != nil:
-				readErr <- ctx.Err()
-				return
-			}
-		}
+		readErr <- err
 	}()
 
-	t0 := time.Now()
-	rels, err := parallel.Run(ctx, vsa.NewMulti(plan.p), parallel.Fed(batches),
-		parallel.Options{Workers: e.cfg.RequestWorkers, Metrics: &e.m.exec})
-	// On this path evaluation overlaps ingestion, so the eval stage's
-	// wall time includes time the workers spent blocked on the reader.
-	e.m.observeStage(StageEval, time.Since(t0))
+	rels, err := parallel.Run(ctx, vsa.NewMulti(plan.p), parallel.Fed(batches), opts)
 	// Prefer the producer's verdict when it is already in: a cancellation
 	// arriving after a fully successful read+evaluation must not
 	// nondeterministically discard the complete result.
@@ -583,10 +518,71 @@ func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r
 			rerr = ctx.Err()
 		}
 	}
+	if handed.Swap(true) { // the producer is done with its record
+		rec.bytes, rec.syncFallbacks, rec.segment, rec.segmented = feed.bytes, feed.syncFallbacks, feed.segment, true
+	}
 	if err == nil {
 		err = rerr
 	}
 	return rels, err
+}
+
+// produce is stream's producer: it reads r, cuts, and sends the chunks to
+// batches until r ends (nil) or fails, the carry-over outgrows the budget
+// or ctx is done. It counts its bytes and cut time into feed.
+func (e *Engine) produce(ctx context.Context, cuts *core.CutFinder, r io.Reader, hint int, batches chan<- []parallel.Segment, feed *record) error {
+	g := &cutSegmenter{f: cuts}
+	var chunk []byte
+	// send dispatches the chunk one feed produced as one batch, which
+	// the worker that receives it evaluates. Sending blocks when every
+	// worker is busy, which in turn pauses reading — backpressure all
+	// the way to the producer of r.
+	send := func(segs []parallel.Segment) bool {
+		if len(segs) == 0 {
+			return true
+		}
+		select {
+		case batches <- segs:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
+	for read := 0; ; {
+		if size := sizedTo(e.cfg.ChunkSize, hint, read); len(chunk) < size {
+			chunk = make([]byte, size)
+		}
+		n, err := r.Read(chunk)
+		read += n
+		if n > 0 {
+			feed.bytes += uint64(n)
+			t0 := time.Now()
+			segs := g.feed(chunk[:n], false)
+			feed.segment += time.Since(t0)
+			if !send(segs) {
+				return ctx.Err()
+			}
+			if e.cfg.MaxDocBuffer > 0 && int64(len(g.buf)) > e.cfg.MaxDocBuffer {
+				// The carry-over (one still-open segment) outgrew
+				// the budget — e.g. a boundary-less document.
+				return fmt.Errorf("%w (carry-over %d bytes > %d)", ErrDocTooLarge, len(g.buf), e.cfg.MaxDocBuffer)
+			}
+		}
+		switch {
+		case err == io.EOF:
+			t0 := time.Now()
+			segs := g.feed(nil, true)
+			feed.segment += time.Since(t0)
+			if !send(segs) {
+				return ctx.Err()
+			}
+			return nil
+		case err != nil:
+			return err
+		case ctx.Err() != nil:
+			return ctx.Err()
+		}
+	}
 }
 
 // Stats snapshots the engine counters, the per-stage time breakdown,
@@ -608,12 +604,20 @@ func (e *Engine) Stats() Stats {
 		Batch:          e.cfg.Batch,
 		PlanCache:      e.cache.stats(),
 		Stages:         e.m.stageStats(),
-		Segmenter:      e.m.segmenterStats(),
-		Executor:       e.m.execStats(e.cfg.Workers),
-		Localization:   e.m.localizationStats(),
+		Segmenter:      SegmenterStats{SyncFallbacks: e.m.syncFallbacks.Load()},
+		Executor: ExecStats{Runs: e.m.runs.Load(), Chunks: e.m.chunks.Load(), Segments: e.m.execSegments.Load(),
+			EvalMB: float64(e.m.evalBytes.Load()) / 1e6},
+		Localization: LocalizationStats{InstrumentedEvals: e.m.counts[vsa.Evals].Load(), EmptyDocs: e.m.counts[vsa.EmptyDocs].Load(),
+			Fallbacks: e.m.counts[vsa.Fallbacks].Load()},
 	}
 	if up > 0 {
 		s.SegmentsPerSec = float64(segs) / up.Seconds()
+	}
+	if w := e.m.workerNS.Load(); w > 0 {
+		s.Executor.BusyShare = float64(e.m.busyNS.Load()) / float64(w)
+	}
+	if db := e.m.counts[vsa.DocBytes].Load(); db > 0 {
+		s.Localization.WindowByteShare = float64(e.m.counts[vsa.WindowBytes].Load()) / float64(db)
 	}
 	return s
 }

@@ -8,12 +8,31 @@ import (
 	"repro/internal/vsa"
 )
 
-// Stage names a request-path pipeline stage of the engine. Stage wall
-// times are recorded once per request (or per streamed document) into
-// per-stage histograms, so /v1/stats can report where a request's time
-// goes without any per-segment bookkeeping.
-//
-// Stage boundaries:
+// record is one document's record: what run did with it, each part
+// counted by the layer that did the work — the executor run in exec, the
+// evaluation passes (of a whole document too) in exec.Eval, the rest in
+// run. Metrics.flush adds it into the aggregates when the document is done.
+type record struct {
+	route Execution
+	// counted says the document passed its size check and counts in
+	// documents; streamed that it was cut while it was read.
+	counted, streamed bool
+	// segmented and evaluated say which stage times were taken.
+	segmented, evaluated bool
+	// bytes is the document's size, or what a stream's producer read;
+	// segments the splitter's spans on the per-segment route;
+	// syncFallbacks core.CutFinder.Fallbacks on the chunked route.
+	bytes, segments, syncFallbacks uint64
+	segment, eval                  time.Duration
+	exec                           parallel.Record
+}
+
+// Metrics is the engine's observability state: the sums of the documents'
+// records, written by flush alone (the plan and decide stages aside, which
+// plan records) without a lock, and the registry that exports them at
+// scrape time. The stages take one wall time per request or streamed
+// document, so /v1/stats tells where the time goes without per-segment
+// bookkeeping:
 //
 //	plan     Engine.Plan: the plan-cache get, including compilation and
 //	         the decision procedures on a miss and the single-flight
@@ -27,7 +46,7 @@ import (
 //	         path evaluation overlaps ingestion, so this stage's wall
 //	         time includes time blocked on the reader.
 //	merge    the executor's final merge (concatenate + offset-sort +
-//	         dedupe) — a sub-interval of eval, recorded by the executor
+//	         dedupe) — a sub-interval of eval, timed by the executor
 //	         itself, so never for a document evaluated whole.
 //	decide   the paper's decision procedures inside a cold compilation
 //	         (disjointness, locality, split-correctness or
@@ -36,55 +55,72 @@ import (
 //	         Disjointness and locality count only on the miss that
 //	         built the splitter's cache entry (splitterArtifact).
 //
-// The localize/simulate split within evaluation is tracked separately
-// by vsa.EvalMetrics for evaluations large enough to time (see
-// vsa.MetricsMinDocBytes).
-type Stage int
-
-const (
-	StagePlan Stage = iota
-	StageSegment
-	StageEval
-	numStages
-)
-
-func (s Stage) String() string {
-	switch s {
-	case StagePlan:
-		return "plan"
-	case StageSegment:
-		return "segment"
-	case StageEval:
-		return "eval"
-	}
-	return "unknown"
-}
-
-// Metrics is the engine's observability state: every counter, gauge and
-// histogram the engine and the layers below it (split executor,
-// evaluation core) record into, plus the registry that exports them.
-// One Metrics belongs to one Engine; recording is lock-free (see
-// internal/obs) and the registry is only walked at scrape time.
+// The localize/simulate split within evaluation is counted in the
+// evaluation part of the record (vsa.Record), for evaluations large
+// enough to time (see vsa.MetricsMinDocBytes).
 type Metrics struct {
 	reg *obs.Registry
 
-	documents    obs.Counter
-	streamedDocs obs.Counter
-	wholeDocs    obs.Counter
-	chunkedDocs  obs.Counter
-	bytes        obs.Counter
-	segments     obs.Counter
+	// The record's own fields, summed (see record).
+	documents, streamedDocs, wholeDocs, chunkedDocs obs.Counter
+	bytes, segments, syncFallbacks                  obs.Counter
 
-	// syncFallbacks sums core.CutFinder.Fallbacks over the chunked
-	// route's documents.
-	syncFallbacks obs.Counter
+	// Wall ns per request or document, by stage (see above).
+	plan, segment, eval, merge, decide obs.Histogram
 
-	stages [numStages]obs.Histogram // wall ns per request, by Stage
-	decide obs.Histogram            // wall ns per cold compilation (nested in plan)
+	// The split executor's runs: chunks, segments and bytes evaluated,
+	// and run, busy and worker time — workerNS sums each run's wall
+	// time × its own worker count, busy_share's denominator.
+	runs, chunks, execSegments, evalBytes obs.Counter
+	runNS, busyNS, workerNS               obs.Counter
 
-	eval  vsa.EvalMetrics
-	exec  parallel.ExecMetrics
-	multi vsa.MultiMetrics
+	// The evaluation part of the records, by vsa.Stat.
+	counts [vsa.NumStats]obs.Counter
+}
+
+// flush adds one document's record into the aggregates.
+func (m *Metrics) flush(r *record) {
+	if r.counted {
+		m.documents.Inc()
+		if r.streamed {
+			m.streamedDocs.Inc()
+		}
+		if r.route == ExecChunked {
+			m.chunkedDocs.Inc()
+		}
+	}
+	add(&m.bytes, r.bytes)
+	add(&m.segments, r.segments)
+	add(&m.syncFallbacks, r.syncFallbacks)
+	if r.segmented {
+		m.segment.RecordDuration(r.segment)
+	}
+	if r.evaluated {
+		m.eval.RecordDuration(r.eval)
+		if r.route == ExecWhole {
+			m.wholeDocs.Inc()
+		}
+	}
+	if x := &r.exec; x.Runs > 0 {
+		m.runs.Add(x.Runs)
+		add(&m.chunks, x.Chunks)
+		add(&m.execSegments, x.Segments)
+		add(&m.evalBytes, x.EvalBytes)
+		m.runNS.AddDuration(x.Run)
+		m.busyNS.AddDuration(x.Busy)
+		m.workerNS.AddDuration(x.Run * time.Duration(x.Workers))
+		m.merge.RecordDuration(x.Merge)
+	}
+	for i, n := range r.exec.Eval {
+		add(&m.counts[i], n)
+	}
+}
+
+// add adds n to c, skipping the shared write when there is nothing to add.
+func add(c *obs.Counter, n uint64) {
+	if n != 0 {
+		c.Add(n)
+	}
 }
 
 // newMetrics builds the engine's metrics and registers every series.
@@ -104,14 +140,12 @@ func newMetrics(e *Engine) *Metrics {
 	r.BindCounter("spanners_engine_segments_total", "splitter spans of documents on the per-segment split route (the chunked route cuts chunks without segmenting)", &m.segments)
 	r.BindCounter("spanners_engine_segmenter_sync_fallbacks_total", "chunked-route feeds whose cut finder found no synchronized span end in its window and stepped exactly from its last known state", &m.syncFallbacks)
 
-	for s := Stage(0); s < numStages; s++ {
-		r.BindDurationHistogram(`spanners_engine_stage_seconds{stage="`+s.String()+`"}`,
-			"request-path stage wall time", &m.stages[s])
+	for _, st := range []struct {
+		name string
+		h    *obs.Histogram
+	}{{"plan", &m.plan}, {"segment", &m.segment}, {"eval", &m.eval}, {"merge", &m.merge}, {"decide", &m.decide}} {
+		r.BindDurationHistogram(`spanners_engine_stage_seconds{stage="`+st.name+`"}`, "request-path stage wall time", st.h)
 	}
-	r.BindDurationHistogram(`spanners_engine_stage_seconds{stage="merge"}`,
-		"request-path stage wall time", &m.exec.MergeNS)
-	r.BindDurationHistogram(`spanners_engine_stage_seconds{stage="decide"}`,
-		"request-path stage wall time", &m.decide)
 
 	cacheStat := func(f func(CacheStats) float64) func() float64 {
 		return func() float64 { return f(e.cache.stats()) }
@@ -129,43 +163,38 @@ func newMetrics(e *Engine) *Metrics {
 	r.GaugeFunc("spanners_plan_cache_size", "cached plans and splitter artifacts",
 		cacheStat(func(s CacheStats) float64 { return float64(s.Size) }))
 
-	r.BindCounter("spanners_exec_runs_total", "split-executor runs", &m.exec.Runs)
-	r.BindCounter("spanners_exec_chunks_total", "chunks executed", &m.exec.Chunks)
-	r.BindCounter("spanners_exec_segments_total", "units evaluated by the executor: segments, or chunks of them on the chunked route", &m.exec.Segments)
-	r.BindCounter("spanners_exec_eval_bytes_total", "segment bytes evaluated by the executor", &m.exec.EvalBytes)
-	r.BindDurationCounter("spanners_exec_busy_seconds_total", "summed worker time spent executing chunks", &m.exec.BusyNS)
-	r.BindDurationCounter("spanners_exec_run_seconds_total", "summed executor run wall time", &m.exec.RunNS)
+	r.BindCounter("spanners_exec_runs_total", "split-executor runs", &m.runs)
+	r.BindCounter("spanners_exec_chunks_total", "chunks executed", &m.chunks)
+	r.BindCounter("spanners_exec_segments_total", "units evaluated by the executor: segments, or chunks of them on the chunked route", &m.execSegments)
+	r.BindCounter("spanners_exec_eval_bytes_total", "segment bytes evaluated by the executor", &m.evalBytes)
+	r.BindDurationCounter("spanners_exec_busy_seconds_total", "summed worker time spent executing chunks", &m.busyNS)
+	r.BindDurationCounter("spanners_exec_run_seconds_total", "summed executor run wall time", &m.runNS)
 
-	r.BindCounter("spanners_eval_instrumented_total", "evaluations large enough to time sub-phases", &m.eval.Evals)
-	r.BindCounter("spanners_eval_doc_bytes_total", "bytes in instrumented evaluations", &m.eval.DocBytes)
-	r.BindDurationCounter("spanners_eval_localize_seconds_total", "time in bidirectional match-window localization", &m.eval.LocalizeNS)
-	r.BindDurationCounter("spanners_eval_sim_seconds_total", "time in the tagged frontier simulation", &m.eval.SimNS)
-	r.BindCounter("spanners_eval_windows_total", "match windows simulated", &m.eval.Windows)
-	r.BindCounter("spanners_eval_window_bytes_total", "bytes inside simulated match windows", &m.eval.WindowBytes)
-	r.BindCounter("spanners_eval_empty_total", "instrumented evaluations rejected by the forward scan alone", &m.eval.EmptyDocs)
-	r.BindCounter("spanners_eval_fallbacks_total", "instrumented evaluations on the whole-document fallback path", &m.eval.Fallbacks)
-	r.BindCounter("spanners_eval_prefilter_skipped_bytes_total", "bytes skipped by the literal prefilter (factor gate + trigger-byte jumps)", &m.eval.PrefilterSkippedBytes)
-	r.BindCounter("spanners_eval_prefilter_stand_downs_total", "instrumented evaluations whose trigger-byte skip loop stood down for lack of yield", &m.eval.PrefilterStandDowns)
-	r.BindCounter("spanners_eval_prefilter_candidates_total", "instrumented evaluations that passed the mandatory-factor gate", &m.eval.PrefilterCandidates)
+	r.BindCounter("spanners_eval_instrumented_total", "evaluations large enough to time sub-phases", &m.counts[vsa.Evals])
+	r.BindCounter("spanners_eval_doc_bytes_total", "bytes in instrumented evaluations", &m.counts[vsa.DocBytes])
+	r.BindDurationCounter("spanners_eval_localize_seconds_total", "time in bidirectional match-window localization", &m.counts[vsa.Localize])
+	r.BindDurationCounter("spanners_eval_sim_seconds_total", "time in the tagged frontier simulation", &m.counts[vsa.Sim])
+	r.BindCounter("spanners_eval_windows_total", "match windows simulated", &m.counts[vsa.Windows])
+	r.BindCounter("spanners_eval_window_bytes_total", "bytes inside simulated match windows", &m.counts[vsa.WindowBytes])
+	r.BindCounter("spanners_eval_empty_total", "instrumented evaluations rejected by the forward scan alone", &m.counts[vsa.EmptyDocs])
+	r.BindCounter("spanners_eval_fallbacks_total", "instrumented evaluations on the whole-document fallback path", &m.counts[vsa.Fallbacks])
+	r.BindCounter("spanners_eval_prefilter_skipped_bytes_total", "bytes skipped by the literal prefilter (factor gate + trigger-byte jumps)", &m.counts[vsa.PrefilterSkippedBytes])
+	r.BindCounter("spanners_eval_prefilter_stand_downs_total", "instrumented evaluations whose trigger-byte skip loop stood down for lack of yield", &m.counts[vsa.PrefilterStandDowns])
+	r.BindCounter("spanners_eval_prefilter_candidates_total", "instrumented evaluations that passed the mandatory-factor gate", &m.counts[vsa.PrefilterCandidates])
 	for rs := vsa.PrefilterReason(0); int(rs) < vsa.NumPrefilterReasons; rs++ {
 		r.BindCounter(`spanners_eval_prefilter_disabled_total{reason="`+rs.String()+`"}`,
-			"instrumented evaluations by prefilter admission-gate status", &m.eval.PrefilterDisabled[rs])
+			"instrumented evaluations by prefilter admission-gate status", &m.counts[vsa.PrefilterDisabled+vsa.Stat(rs)])
 	}
 
-	r.BindCounter("spanners_multi_fused_passes_total", "fused multi-query forward scans", &m.multi.FusedPasses)
-	r.BindCounter("spanners_multi_fused_bytes_total", "document bytes covered by fused passes", &m.multi.FusedBytes)
-	r.BindCounter("spanners_multi_fused_skipped_bytes_total", "fused-pass bytes skipped by the combined trigger-byte prefilter", &m.multi.FusedSkippedBytes)
-	r.BindCounter("spanners_multi_fused_stand_downs_total", "fused passes whose trigger-byte skip loop stood down for lack of yield", &m.multi.FusedStandDowns)
-	r.BindCounter("spanners_multi_demux_tuples_total", "result tuples demultiplexed into per-query relations", &m.multi.DemuxTuples)
-	r.BindCounter("spanners_multi_admission_skips_total", "member×document pairs skipped by the per-query mandatory-factor admission bitmap", &m.multi.AdmissionSkips)
-	r.BindCounter("spanners_multi_member_fallbacks_total", "member evaluations that ran standalone instead of fused", &m.multi.MemberFallbacks)
+	r.BindCounter("spanners_multi_fused_passes_total", "fused multi-query forward scans", &m.counts[vsa.FusedPasses])
+	r.BindCounter("spanners_multi_fused_bytes_total", "document bytes covered by fused passes", &m.counts[vsa.FusedBytes])
+	r.BindCounter("spanners_multi_fused_skipped_bytes_total", "fused-pass bytes skipped by the combined trigger-byte prefilter", &m.counts[vsa.FusedSkippedBytes])
+	r.BindCounter("spanners_multi_fused_stand_downs_total", "fused passes whose trigger-byte skip loop stood down for lack of yield", &m.counts[vsa.FusedStandDowns])
+	r.BindCounter("spanners_multi_demux_tuples_total", "result tuples demultiplexed into per-query relations", &m.counts[vsa.DemuxTuples])
+	r.BindCounter("spanners_multi_admission_skips_total", "member×document pairs skipped by the per-query mandatory-factor admission bitmap", &m.counts[vsa.AdmissionSkips])
+	r.BindCounter("spanners_multi_member_fallbacks_total", "member evaluations that ran standalone instead of fused", &m.counts[vsa.MemberFallbacks])
 
 	return m
-}
-
-// observeStage records one request's wall time in a stage.
-func (m *Metrics) observeStage(s Stage, d time.Duration) {
-	m.stages[s].RecordDuration(d)
 }
 
 // Registry returns the engine's metric registry, for embedding the
@@ -206,7 +235,7 @@ type ExecStats struct {
 	Chunks    uint64  `json:"chunks"`
 	Segments  uint64  `json:"segments"`
 	EvalMB    float64 `json:"eval_mb"`
-	BusyShare float64 `json:"busy_share"` // busy worker time / (run wall time × workers)
+	BusyShare float64 `json:"busy_share"` // busy worker time / Σ runs (run wall time × the run's workers)
 }
 
 // LocalizationStats is the /v1/stats view of the match-window
@@ -244,48 +273,15 @@ func counterStage(count, ns uint64, denomNS float64) StageStats {
 
 // stageStats builds the complete per-stage breakdown in one pass.
 func (m *Metrics) stageStats() map[string]StageStats {
-	snaps := make([]obs.HistogramSnapshot, numStages)
-	var denom float64
-	for s := Stage(0); s < numStages; s++ {
-		snaps[s] = m.stages[s].Snapshot()
-		denom += float64(snaps[s].Sum)
+	plan, seg, ev := m.plan.Snapshot(), m.segment.Snapshot(), m.eval.Snapshot()
+	denom := float64(plan.Sum + seg.Sum + ev.Sum)
+	return map[string]StageStats{
+		"plan":     histStage(plan, denom),
+		"segment":  histStage(seg, denom),
+		"eval":     histStage(ev, denom),
+		"merge":    histStage(m.merge.Snapshot(), denom),
+		"decide":   histStage(m.decide.Snapshot(), denom),
+		"localize": counterStage(m.counts[vsa.Evals].Load(), m.counts[vsa.Localize].Load(), denom),
+		"sim":      counterStage(m.counts[vsa.Evals].Load(), m.counts[vsa.Sim].Load(), denom),
 	}
-	out := make(map[string]StageStats, int(numStages)+4)
-	for s := Stage(0); s < numStages; s++ {
-		out[s.String()] = histStage(snaps[s], denom)
-	}
-	out["merge"] = histStage(m.exec.MergeNS.Snapshot(), denom)
-	out["decide"] = histStage(m.decide.Snapshot(), denom)
-	out["localize"] = counterStage(m.eval.Evals.Load(), m.eval.LocalizeNS.Load(), denom)
-	out["sim"] = counterStage(m.eval.Evals.Load(), m.eval.SimNS.Load(), denom)
-	return out
-}
-
-func (m *Metrics) execStats(workers int) ExecStats {
-	st := ExecStats{
-		Runs:     m.exec.Runs.Load(),
-		Chunks:   m.exec.Chunks.Load(),
-		Segments: m.exec.Segments.Load(),
-		EvalMB:   float64(m.exec.EvalBytes.Load()) / 1e6,
-	}
-	if run := m.exec.RunNS.Load(); run > 0 && workers > 0 {
-		st.BusyShare = float64(m.exec.BusyNS.Load()) / (float64(run) * float64(workers))
-	}
-	return st
-}
-
-func (m *Metrics) segmenterStats() SegmenterStats {
-	return SegmenterStats{SyncFallbacks: m.syncFallbacks.Load()}
-}
-
-func (m *Metrics) localizationStats() LocalizationStats {
-	st := LocalizationStats{
-		InstrumentedEvals: m.eval.Evals.Load(),
-		EmptyDocs:         m.eval.EmptyDocs.Load(),
-		Fallbacks:         m.eval.Fallbacks.Load(),
-	}
-	if db := m.eval.DocBytes.Load(); db > 0 {
-		st.WindowByteShare = float64(m.eval.WindowBytes.Load()) / float64(db)
-	}
-	return st
 }

@@ -1,0 +1,145 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"io"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/parallel"
+)
+
+// TestBusyShareCountsRunWorkers: busy_share divides busy worker time by
+// each run's wall time × that run's own worker count. A document of one
+// chunk runs on one worker, busy nearly all of its run, so the share is
+// close to 1 — not the quarter an engine of four workers would make it
+// if the denominator took the engine's worker count.
+func TestBusyShareCountsRunWorkers(t *testing.T) {
+	e := New(Config{Workers: 4})
+	plan := reviewPlan()
+	doc := reviewDoc(1, 40<<10) // past breakEven, inside one ChunkSize chunk
+	if _, x, err := e.Answer(context.Background(), plan, doc, nil); err != nil || x != ExecChunked {
+		t.Fatalf("route %v, err %v; want chunked", x, err)
+	}
+	st := e.Stats().Executor
+	if st.Runs != 1 || st.Chunks != 1 {
+		t.Fatalf("executor = %+v, want one run of one chunk", st)
+	}
+	if st.BusyShare <= 0.5 {
+		t.Fatalf("busy_share = %v for a one-worker run, want > 0.5", st.BusyShare)
+	}
+}
+
+// cancellingReader delivers its document's first n bytes in 16 KiB reads,
+// then answers two empty reads, and on the read after them cancels the
+// request and fails. The stall guard's pump asks for that read only once
+// the consumer has taken the second empty chunk, which it does only after
+// it consumed every byte before it: by then the producer has counted all
+// that was delivered.
+type cancellingReader struct {
+	doc       string
+	n         int
+	delivered int
+	empties   int
+	cancel    func()
+}
+
+func (r *cancellingReader) Read(p []byte) (int, error) {
+	if r.delivered < r.n {
+		k := copy(p, r.doc[r.delivered:min(r.n, r.delivered+16<<10)])
+		r.delivered += k
+		return k, nil
+	}
+	if r.empties < 2 {
+		r.empties++
+		return 0, nil
+	}
+	r.cancel()
+	return 0, io.ErrUnexpectedEOF
+}
+
+// blockingReader delivers its document's first n bytes, then blocks in
+// Read until release is closed and fails. It closes blocked when it
+// starts to block, when the producer reading it has counted every byte.
+type blockingReader struct {
+	cancellingReader
+	blocked, release chan struct{}
+}
+
+func (r *blockingReader) Read(p []byte) (int, error) {
+	if r.delivered < r.n {
+		return r.cancellingReader.Read(p)
+	}
+	close(r.blocked)
+	<-r.release
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestStreamCancelledMidDocumentCountsOnce cancels a streamed document in
+// its middle, twice: through Answer, where the stall guard lets the
+// producer see the cancellation and stream usually takes the producer's
+// record; and through stream itself on a reader that does not return,
+// so that stream returns without the producer and the producer, released
+// later, flushes its record alone. Either way, once the producer has
+// exited, the document counts once and its bytes are what the reader
+// delivered.
+func TestStreamCancelledMidDocumentCountsOnce(t *testing.T) {
+	plan := reviewPlan()
+	doc := reviewDoc(1, 256<<10)
+	settled := func(e *Engine, delivered, base int) {
+		t.Helper()
+		// The producer, the stall guard's pump and the workers are gone
+		// once the goroutine count is back where it was.
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines still running, %d before the request", runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		st := e.Stats()
+		if st.Documents != 1 || st.StreamedDocs != 1 || st.ChunkedDocs != 1 {
+			t.Fatalf("documents %d, streamed %d, chunked %d; want 1 each", st.Documents, st.StreamedDocs, st.ChunkedDocs)
+		}
+		if st.Bytes != uint64(delivered) {
+			t.Fatalf("bytes = %d, the reader delivered %d", st.Bytes, delivered)
+		}
+		if seg := st.Stages["segment"].Count; seg != 1 {
+			t.Fatalf("segment stage recorded %d times, want once", seg)
+		}
+	}
+
+	e := New(Config{Workers: 2})
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := &cancellingReader{doc: doc, n: 96 << 10, cancel: cancel}
+	_, x, err := e.Answer(ctx, plan, "", r)
+	if !errors.Is(err, context.Canceled) || x != ExecChunked {
+		t.Fatalf("route %v, err %v; want chunked and cancelled", x, err)
+	}
+	settled(e, r.delivered, base)
+
+	e = New(Config{Workers: 2})
+	base = runtime.NumGoroutine()
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	br := &blockingReader{cancellingReader: cancellingReader{doc: doc, n: 96 << 10},
+		blocked: make(chan struct{}), release: make(chan struct{})}
+	go func() {
+		<-br.blocked
+		cancel()
+	}()
+	cuts, _ := plan.s.NewCutFinder()
+	rec := &record{counted: true, streamed: true, route: ExecChunked, evaluated: true}
+	if _, err := e.stream(ctx, plan, cuts, br, 0, parallel.Options{Workers: 2, Record: &rec.exec}, rec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("stream: %v, want cancelled", err)
+	}
+	if rec.bytes != 0 || rec.segmented {
+		t.Fatalf("stream took the record of a producer still in Read: %+v", rec)
+	}
+	e.m.flush(rec)
+	close(br.release)
+	settled(e, br.delivered, base)
+}

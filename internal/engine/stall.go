@@ -68,7 +68,7 @@ func newStallReader(ctx context.Context, r io.Reader, timeout time.Duration, hin
 // stop tells the pump its consumer has returned: the pump exits at its
 // next hand-over instead of waiting for a receive that will not come.
 // Call it exactly once, when nothing will Read again unless its context
-// is done (RunReader's producer outlives it only then).
+// is done (stream's producer outlives it only then).
 func (s *stallReader) stop() { close(s.quit) }
 
 // pump owns the underlying reader, rotating through three buffers.

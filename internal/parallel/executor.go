@@ -49,10 +49,9 @@ type executor struct {
 	// call it concurrently.
 	next func() (chunk, bool)
 
-	// m, when non-nil, receives this run's scheduling statistics.
-	// Workers tally privately and flush at exit (see ExecMetrics), so a
-	// nil m costs nothing and a live one costs two clock reads per chunk.
-	m *ExecMetrics
+	// rec, when non-nil, receives this run's record, which the workers
+	// count into copies in their accumulators (see Record).
+	rec *Record
 
 	accs []accumulator
 }
@@ -66,6 +65,7 @@ type accumulator struct {
 	arena span.TupleArena
 	rels  []*span.Relation // lazily created, indexed by destination × members + member
 	dest  int              // the destination of the chunk being evaluated
+	rec   Record           // the worker's copy of the run's record
 }
 
 // rel returns member i's relation for the current destination.
@@ -81,14 +81,14 @@ func (a *accumulator) rel(i int) *span.Relation {
 // ndest destinations, taking their chunks from next. multi is prepared
 // so the workers share warm evaluation caches instead of racing to build
 // them.
-func newExecutor(ctx context.Context, multi *vsa.Multi, nw, ndest int, next func() (chunk, bool), m *ExecMetrics) *executor {
+func newExecutor(ctx context.Context, multi *vsa.Multi, nw, ndest int, next func() (chunk, bool), rec *Record) *executor {
 	multi.Prepare()
 	x := &executor{
 		multi: multi,
 		ctx:   ctx,
 		ndest: ndest,
 		next:  next,
-		m:     m,
+		rec:   rec,
 		accs:  make([]accumulator, nw),
 	}
 	for i := range x.accs {
@@ -102,7 +102,7 @@ func newExecutor(ctx context.Context, multi *vsa.Multi, nw, ndest int, next func
 // cut to the grain, so handing them out one at a time balances skewed
 // ones as they finish. A dealt run starts no more workers than it has
 // chunks — one beyond that could only come up empty.
-func newDealt(ctx context.Context, multi *vsa.Multi, workers, ndest int, chunks []chunk, m *ExecMetrics) *executor {
+func newDealt(ctx context.Context, multi *vsa.Multi, workers, ndest int, chunks []chunk, rec *Record) *executor {
 	var cursor atomic.Int64
 	next := func() (chunk, bool) {
 		i := cursor.Add(1) - 1
@@ -111,7 +111,7 @@ func newDealt(ctx context.Context, multi *vsa.Multi, workers, ndest int, chunks 
 		}
 		return chunks[i], true
 	}
-	return newExecutor(ctx, multi, min(workers, len(chunks)), ndest, next, m)
+	return newExecutor(ctx, multi, min(workers, len(chunks)), ndest, next, rec)
 }
 
 // run drives the workers to completion and merges. The calling goroutine
@@ -122,10 +122,11 @@ func newDealt(ctx context.Context, multi *vsa.Multi, workers, ndest int, chunks 
 // destination and member — deterministic regardless of which worker took
 // which chunk. On cancellation the workers stop between chunks and
 // whatever they had accumulated is merged and returned (the
-// partial-result contract of Run).
+// partial-result contract of Run). With a record, the run adds its
+// workers' copies into it once they have joined.
 func (x *executor) run() []*span.Relation {
 	var t0 time.Time
-	if x.m != nil {
+	if x.rec != nil {
 		t0 = time.Now()
 	}
 	var wg sync.WaitGroup
@@ -140,14 +141,23 @@ func (x *executor) run() []*span.Relation {
 		x.worker(0)
 	}
 	wg.Wait()
-	if x.m == nil {
+	if x.rec == nil {
 		return x.merge()
 	}
-	x.m.Runs.Inc()
-	x.m.RunNS.AddDuration(time.Since(t0))
 	tm := time.Now()
 	rels := x.merge()
-	x.m.MergeNS.RecordDuration(time.Since(tm))
+	x.rec.Runs++
+	x.rec.Workers = len(x.accs)
+	x.rec.Run += tm.Sub(t0)
+	x.rec.Merge += time.Since(tm)
+	for i := range x.accs {
+		w := &x.accs[i].rec
+		x.rec.Eval.Add(&w.Eval)
+		x.rec.Busy += w.Busy
+		x.rec.Chunks += w.Chunks
+		x.rec.Segments += w.Segments
+		x.rec.EvalBytes += w.EvalBytes
+	}
 	return rels
 }
 
@@ -159,30 +169,31 @@ func (x *executor) run() []*span.Relation {
 // — completes.
 func (x *executor) worker(id int) {
 	acc := &x.accs[id]
-	sess := x.multi.NewSession()
-	defer sess.Close()
-	var st workerStats
-	if x.m != nil {
-		defer x.m.flush(&st)
+	st := &acc.rec
+	var er *vsa.Record
+	if x.rec != nil {
+		er = &st.Eval
 	}
+	sess := x.multi.NewSession(er)
+	defer sess.Close()
 	for x.ctx.Err() == nil {
 		c, ok := x.next()
 		if !ok {
 			return
 		}
 		var t0 time.Time
-		if x.m != nil {
+		if x.rec != nil {
 			t0 = time.Now()
 		}
 		acc.dest = c.dest
 		for _, seg := range c.segs {
 			sess.EvalAppend(seg.Text, seg.Span, acc.rel, &acc.arena)
-			st.bytes += uint64(len(seg.Text))
+			st.EvalBytes += uint64(len(seg.Text))
 		}
-		st.chunks++
-		st.segments += uint64(len(c.segs))
-		if x.m != nil {
-			st.busy += time.Since(t0)
+		st.Chunks++
+		st.Segments += uint64(len(c.segs))
+		if x.rec != nil {
+			st.Busy += time.Since(t0)
 		}
 	}
 }

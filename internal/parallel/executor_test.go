@@ -283,7 +283,7 @@ func TestExecutorWorkerCount(t *testing.T) {
 		{"channel", nil, 0, 3, 1, 3},
 	} {
 		ctx := &spyCtx{Context: context.Background(), onCaller: map[string]bool{}}
-		m := &ExecMetrics{}
+		m := &Record{}
 		src, nsegs := Dealt(tc.segs), len(tc.segs)
 		if tc.segs == nil {
 			feed := make(chan []Segment, 1)
@@ -291,7 +291,7 @@ func TestExecutorWorkerCount(t *testing.T) {
 			close(feed)
 			src, nsegs = Fed(feed), len(segs)
 		}
-		rels, err := Run(ctx, vsa.NewMulti(p), src, Options{Workers: tc.workers, Batch: tc.batch, Metrics: m})
+		rels, err := Run(ctx, vsa.NewMulti(p), src, Options{Workers: tc.workers, Batch: tc.batch, Record: m})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -310,12 +310,12 @@ func TestExecutorWorkerCount(t *testing.T) {
 			t.Errorf("%s: %d workers started, %d of them on the caller; want %d and %d",
 				tc.name, len(ctx.onCaller), onCaller, tc.started, min(tc.started, 1))
 		}
-		if m.Runs.Load() != 1 {
-			t.Errorf("%s: %d runs recorded, want 1", tc.name, m.Runs.Load())
+		if m.Runs != 1 || m.Workers != tc.started {
+			t.Errorf("%s: %d runs of %d workers recorded, want 1 of %d", tc.name, m.Runs, m.Workers, tc.started)
 		}
-		if m.Chunks.Load() != uint64(tc.chunks) || m.Segments.Load() != uint64(nsegs) {
+		if m.Chunks != uint64(tc.chunks) || m.Segments != uint64(nsegs) {
 			t.Errorf("%s: %d chunks and %d segments evaluated, want %d and %d",
-				tc.name, m.Chunks.Load(), m.Segments.Load(), tc.chunks, nsegs)
+				tc.name, m.Chunks, m.Segments, tc.chunks, nsegs)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // The benchmarks below are the instrumentation-overhead check: the
-// identical split evaluation with metrics disabled (nil, the library
-// default) and enabled (the engine's configuration), dealt up front and
+// identical split evaluation without a record (nil, the library
+// default) and with one (the engine's configuration), dealt up front and
 // streamed. Run them interleaved (-count N) and compare — the acceptance
 // bar for the observability layer is ≤ 2% between Nil and Live.
 
@@ -27,9 +27,9 @@ func benchSetup(b *testing.B) (*vsa.Automaton, []Segment) {
 	return p, SegmentsOf(doc, library.FastSentenceSplit(doc))
 }
 
-func benchSplitEval(b *testing.B, m *ExecMetrics) {
+func benchSplitEval(b *testing.B, m *Record) {
 	p, segs := benchSetup(b)
-	opts := Options{Workers: 4, Metrics: m}
+	opts := Options{Workers: 4, Record: m}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := runOne(context.Background(), p, Dealt(segs), opts); err != nil {
@@ -39,13 +39,13 @@ func benchSplitEval(b *testing.B, m *ExecMetrics) {
 }
 
 func BenchmarkSplitEvalMetricsNil(b *testing.B)  { benchSplitEval(b, nil) }
-func BenchmarkSplitEvalMetricsLive(b *testing.B) { benchSplitEval(b, &ExecMetrics{}) }
+func BenchmarkSplitEvalMetricsLive(b *testing.B) { benchSplitEval(b, &Record{}) }
 
 // benchSplitEvalStreamed is the streamed twin: the same segments arrive
 // on a channel in batches of up to 64 KiB of text, each evaluated as one
 // chunk. The per-op allocation count is what the path costs beyond the
 // evaluation.
-func benchSplitEvalStreamed(b *testing.B, m *ExecMetrics) {
+func benchSplitEvalStreamed(b *testing.B, m *Record) {
 	p, segs := benchSetup(b)
 	var feeds [][]Segment
 	for lo := 0; lo < len(segs); {
@@ -57,7 +57,7 @@ func benchSplitEvalStreamed(b *testing.B, m *ExecMetrics) {
 		feeds = append(feeds, segs[lo:hi])
 		lo = hi
 	}
-	opts := Options{Workers: 4, Metrics: m}
+	opts := Options{Workers: 4, Record: m}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batches := make(chan []Segment, opts.Workers)
@@ -74,4 +74,4 @@ func benchSplitEvalStreamed(b *testing.B, m *ExecMetrics) {
 }
 
 func BenchmarkSplitEvalStreamedMetricsNil(b *testing.B)  { benchSplitEvalStreamed(b, nil) }
-func BenchmarkSplitEvalStreamedMetricsLive(b *testing.B) { benchSplitEvalStreamed(b, &ExecMetrics{}) }
+func BenchmarkSplitEvalStreamedMetricsLive(b *testing.B) { benchSplitEvalStreamed(b, &Record{}) }

@@ -55,11 +55,11 @@ type Options struct {
 	// of roughly 32 chunks per worker. A fed source's batches are its
 	// chunks, so it ignores Batch. The result does not depend on it.
 	Batch int
-	// Metrics, when non-nil, receives the executor's scheduling
-	// statistics (run, chunk and segment counts, worker busy time, merge
-	// latency). nil disables all measurement. The result does not
-	// depend on it.
-	Metrics *ExecMetrics
+	// Record, when non-nil, receives what the run did (see Record):
+	// worker count, run, busy and merge times, chunk, segment and byte
+	// counts, and its sessions' evaluation counts. nil disables all
+	// measurement. The result does not depend on it.
+	Record *Record
 }
 
 func (o Options) workers() int {
@@ -121,10 +121,10 @@ func Run(ctx context.Context, m *vsa.Multi, src Source, opts Options) ([]*span.R
 				return chunk{}, false
 			}
 		}
-		x = newExecutor(ctx, m, opts.workers(), 1, next, opts.Metrics)
+		x = newExecutor(ctx, m, opts.workers(), 1, next, opts.Record)
 	} else {
 		chunks := chunked(0, src.segs, opts.grain(len(src.segs)), nil)
-		x = newDealt(ctx, m, opts.workers(), 1, chunks, opts.Metrics)
+		x = newDealt(ctx, m, opts.workers(), 1, chunks, opts.Record)
 	}
 	return x.run(), ctx.Err()
 }

@@ -67,11 +67,6 @@ type Automaton struct {
 	// frozen automaton would silently serve stale cached results, so
 	// AddEdge/AddFinal panic instead; construct a Clone to modify.
 	frozen atomic.Bool
-
-	// evalMetrics, when set, collects localization/simulation statistics
-	// for large evaluations (see SetEvalMetrics). Not part of the frozen
-	// compiled state: it may be attached at any time.
-	evalMetrics evalMetricsPtr
 }
 
 // NewAutomaton returns an automaton with the given variable names and a

@@ -12,15 +12,19 @@ import (
 // checkExit evaluates a on doc as Eval and as EvalAppend into a fresh
 // relation, both of which must agree with EvalReference — EvalAppend
 // before any Dedupe, since one run exists per tuple even on the uncached
-// step — and returns the reference relation.
-func checkExit(t *testing.T, a *Automaton, doc string) *span.Relation {
+// step — and returns the reference relation. Both evaluations run on a
+// session of a's own Multi of one, the one Automaton.Eval uses, counting
+// into rec.
+func checkExit(t *testing.T, a *Automaton, doc string, rec *Record) *span.Relation {
 	t.Helper()
 	want := a.EvalReference(doc)
-	if got := a.Eval(doc); !got.Equal(want) {
+	s := a.localizer().one.NewSession(rec)
+	defer s.Close()
+	if got := s.Eval(doc)[0]; !got.Equal(want) {
 		t.Fatalf("Eval differs from EvalReference: %d tuples, want %d", got.Len(), want.Len())
 	}
 	rel := span.NewRelation(a.Vars...)
-	a.EvalAppend(doc, span.Span{Start: 1, End: len(doc) + 1}, rel, nil)
+	s.EvalAppend(doc, span.Span{Start: 1, End: len(doc) + 1}, func(int) *span.Relation { return rel }, nil)
 	if rel.Len() != want.Len() {
 		t.Fatalf("EvalAppend appended %d tuples, EvalReference finds %d", rel.Len(), want.Len())
 	}
@@ -73,31 +77,29 @@ func TestTagDFAOverflow(t *testing.T) {
 	doc := b.String()
 
 	a := seedBlowup(k)
-	var em EvalMetrics
-	a.SetEvalMetrics(&em)
-	if want := checkExit(t, a, doc); want.Len() != 1<<k {
+	var em Record
+	if want := checkExit(t, a, doc, &em); want.Len() != 1<<k {
 		t.Fatalf("EvalReference finds %d tuples, want one per pattern (%d)", want.Len(), 1<<k)
 	}
 	if n := a.tag().dfa.Len(); n < maxDFAStates {
 		t.Fatalf("the tag DFA holds %d states, below its bound of %d: no overflow", n, maxDFAStates)
 	}
-	if em.Fallbacks.Load() == 0 {
+	if em[Fallbacks] == 0 {
 		t.Fatal("the evaluation took no exit")
 	}
 
 	a = seedBlowup(k)
 	m := NewMulti(a, a, a)
-	var mm MultiMetrics
-	m.SetMetrics(&mm)
+	var mm Record
 	want := a.EvalReference(doc)
-	for i, got := range m.Eval(doc) {
+	for i, got := range evalInto(m, doc, &mm) {
 		if !got.Equal(want) {
 			t.Fatalf("member %d: %d tuples, EvalReference finds %d", i, got.Len(), want.Len())
 		}
 	}
-	if mm.FusedPasses.Load() != 1 || mm.MemberFallbacks.Load() != 0 {
+	if mm[FusedPasses] != 1 || mm[MemberFallbacks] != 0 {
 		t.Fatalf("the group of three did not finish its pass: %d fused passes, %d members handed down",
-			mm.FusedPasses.Load(), mm.MemberFallbacks.Load())
+			mm[FusedPasses], mm[MemberFallbacks])
 	}
 	if n := a.tag().dfa.Len(); n < maxDFAStates {
 		t.Fatalf("windowed: the tag DFA holds %d states, below its bound of %d", n, maxDFAStates)
@@ -129,18 +131,17 @@ func TestTagSymbolsPast256(t *testing.T) {
 			doc[i] = 'q'
 		}
 	}
-	var em EvalMetrics
-	a.SetEvalMetrics(&em)
-	if want := checkExit(t, a, string(doc)); want.Len() < 80 {
+	var em Record
+	if want := checkExit(t, a, string(doc), &em); want.Len() < 80 {
 		t.Fatalf("EvalReference finds %d tuples, want one per q", want.Len())
 	}
 	if tp := a.tag(); tp.dfa != nil || len(tp.ops) <= 256 {
 		t.Fatalf("%d symbols, DFA built = %v: want more than 256 and none", len(tp.ops), tp.dfa != nil)
 	}
-	if !a.localizer().ok || em.Windows.Load() == 0 {
+	if !a.localizer().ok || em[Windows] == 0 {
 		t.Fatal("the automaton did not evaluate in windows")
 	}
-	if got := em.Fallbacks.Load(); got != 2 {
+	if got := em[Fallbacks]; got != 2 {
 		t.Fatalf("%d fallbacks counted, want one per evaluation (2)", got)
 	}
 }

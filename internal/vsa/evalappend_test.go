@@ -143,7 +143,7 @@ func TestMultiSessionAllocationsPerSegment(t *testing.T) {
 		rel := span.NewRelation(neg.Vars...)
 		relOf := func(int) *span.Relation { return rel }
 		var arena span.TupleArena
-		s := m.NewSession()
+		s := m.NewSession(nil)
 		for _, p := range segs {
 			s.EvalAppend(p.text, p.by, relOf, &arena)
 		}
@@ -195,7 +195,7 @@ func TestMultiSessionDenseAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() {
 		rel := span.NewRelation(neg.Vars...)
 		var arena span.TupleArena
-		s := m.NewSession()
+		s := m.NewSession(nil)
 		s.EvalAppend(doc, by, func(int) *span.Relation { return rel }, &arena)
 		s.Close()
 		tuples = rel.Len()

@@ -1,11 +1,5 @@
 package vsa
 
-import (
-	"sync/atomic"
-
-	"repro/internal/obs"
-)
-
 // MetricsMinDocBytes is the smallest document an instrumented
 // evaluation times. Below it the two clock reads that separate the
 // localize and simulation phases would cost a measurable fraction of
@@ -16,72 +10,89 @@ import (
 // just not attributed to sub-phases.
 const MetricsMinDocBytes = 4 << 10
 
-// EvalMetrics collects the window localizer's share of evaluation work
-// across every instrumented evaluation of an automaton (see
-// Automaton.SetEvalMetrics). All fields are cumulative and lock-free;
-// recording is a handful of uncontended atomic adds per instrumented
-// (≥ MetricsMinDocBytes) evaluation and exactly zero work — one nil
-// check — per small one.
-type EvalMetrics struct {
-	// Evals counts instrumented evaluations; DocBytes their input size.
-	Evals    obs.Counter
-	DocBytes obs.Counter
-	// LocalizeNS and SimNS split an instrumented evaluation's wall time
-	// into the bidirectional window localization (forward end scan +
-	// backward narrowing) and the tagged frontier simulation inside the
-	// windows. Their sum over Evals is the evaluation stage's
-	// instrumented wall time.
-	LocalizeNS obs.Counter
-	SimNS      obs.Counter
+// Record is the evaluation part of one document's record: what the
+// passes of the MultiSession counting into it did (see Multi.NewSession),
+// one count per Stat. It is plain data — one goroutine fills one Record,
+// and whoever holds several adds them up (Add) once their goroutines are
+// done — so counting is a few integer adds per pass and, on a document of
+// at least MetricsMinDocBytes, a few clock reads. A nil *Record counts
+// nothing and reads no clock.
+type Record [NumStats]uint64
+
+// A Stat names one count of a Record.
+type Stat int
+
+// The evaluation stats, from Evals to PrefilterDisabled's last reason,
+// are counted on a pass over a group of one (an automaton evaluated
+// alone, or a member a Multi evaluates on its own group) for a document
+// of at least MetricsMinDocBytes. The multi-query stats that follow are
+// counted only for a Multi of two or more members.
+const (
+	// Evals counts such passes; DocBytes their input size.
+	Evals Stat = iota
+	DocBytes
+	// Localize and Sim split a pass's wall time, in nanoseconds, into the
+	// bidirectional window localization (forward end scan + backward
+	// narrowing) and the tagged frontier simulation inside the windows.
+	Localize
+	Sim
 	// Windows and WindowBytes measure how much document the simulation
-	// actually had to touch; EmptyDocs counts evaluations the forward
-	// scan rejected outright (no candidate match end — the simulation
-	// never ran); Fallbacks counts evaluations that took the
-	// whole-document path (no localizer, or DFA overflow) or ran a window
-	// on the uncached tagged step (tag DFA overflow, > 256 symbols).
-	Windows     obs.Counter
-	WindowBytes obs.Counter
-	EmptyDocs   obs.Counter
-	Fallbacks   obs.Counter
+	// actually had to touch; EmptyDocs counts passes the forward scan
+	// rejected outright (no candidate match end — the simulation never
+	// ran); Fallbacks counts passes that took the whole-document path (no
+	// localizer, or DFA overflow) or ran a window on the uncached tagged
+	// step (tag DFA overflow, > 256 symbols).
+	Windows
+	WindowBytes
+	EmptyDocs
+	Fallbacks
 	// PrefilterSkippedBytes counts document bytes the literal prefilter
 	// let evaluation avoid: whole documents rejected by the mandatory-
 	// factor admission gate plus bytes the forward scan's trigger-byte
-	// skip loop jumped over. PrefilterCandidates counts instrumented
-	// evaluations that survived the admission gate and went on to scan
-	// (on factor-less automata every evaluation is a candidate).
-	// PrefilterStandDowns counts instrumented evaluations whose skip loop
-	// stood down because its jumps gained less than stepping.
-	PrefilterSkippedBytes obs.Counter
-	PrefilterCandidates   obs.Counter
-	PrefilterStandDowns   obs.Counter
-	// PrefilterDisabled counts instrumented evaluations per prefilter
-	// admission-gate status, indexed by PrefilterReason. Index
-	// PrefilterOK means the gate is armed with a factor; the other
-	// indexes say why no factor gate applies (the trigger-byte skip loop
-	// still runs unless the reason is PrefilterOff).
-	PrefilterDisabled [NumPrefilterReasons]obs.Counter
-}
+	// skip loop jumped over. PrefilterStandDowns counts passes whose skip
+	// loop stood down because its jumps gained less than stepping.
+	// PrefilterCandidates counts passes that survived the admission gate
+	// and went on to scan (on factor-less automata every pass is a
+	// candidate).
+	PrefilterSkippedBytes
+	PrefilterStandDowns
+	PrefilterCandidates
+	// PrefilterDisabled+r counts passes whose prefilter admission-gate
+	// status is the PrefilterReason r. PrefilterOK means the gate is armed
+	// with a factor; the other reasons say why no factor gate applies (the
+	// trigger-byte skip loop still runs unless the reason is
+	// PrefilterOff).
+	PrefilterDisabled
 
-// SetEvalMetrics attaches a metrics collector to the automaton: every
-// later Eval/EvalAppend of a document of at least MetricsMinDocBytes
-// records its localize/simulate split and window statistics into m.
-// Attaching nil detaches. Unlike the evaluation caches this is not part
-// of the frozen compiled state — it may be set at any time (the engine
-// attaches its collector to plans as they are compiled) and is read
-// with a single atomic load on the evaluation path.
-func (a *Automaton) SetEvalMetrics(m *EvalMetrics) {
-	a.evalMetrics.Store(m)
-}
+	// FusedPasses counts fused forward scans (one per admitted group of
+	// many per document); FusedBytes the document bytes they covered —
+	// each such byte answered every admitted member of the group at once.
+	FusedPasses Stat = iota + Stat(NumPrefilterReasons) - 1
+	FusedBytes
+	// FusedSkippedBytes counts bytes the fused scan's trigger-byte skip
+	// loop jumped over (the literal prefilter's mid-scan mechanism);
+	// FusedStandDowns counts fused passes whose skip gate stood down
+	// because its jumps gained less than stepping.
+	FusedSkippedBytes
+	FusedStandDowns
+	// DemuxTuples counts result tuples demultiplexed into per-member
+	// relations (members evaluated on their own group included).
+	DemuxTuples
+	// AdmissionSkips counts (member, document) pairs the per-member
+	// mandatory-factor admission bitmap excluded from the fused pass.
+	AdmissionSkips
+	// MemberFallbacks counts member evaluations on the member's own group
+	// of one: members no group of many holds (no localizer, or a lone
+	// member), and members a group of many handed down on a fused-DFA or
+	// narrowing overflow.
+	MemberFallbacks
+	// NumStats is the length of a Record.
+	NumStats
+)
 
-// metricsFor returns the collector to record this evaluation into, or
-// nil when the evaluation is too small to time (or none is attached).
-func (a *Automaton) metricsFor(doc string) *EvalMetrics {
-	if len(doc) < MetricsMinDocBytes {
-		return nil
+// Add adds o's counts to r.
+func (r *Record) Add(o *Record) {
+	for i, n := range o {
+		r[i] += n
 	}
-	return a.evalMetrics.Load()
 }
-
-// evalMetricsPtr wraps the atomic pointer so Automaton's field list
-// stays readable.
-type evalMetricsPtr = atomic.Pointer[EvalMetrics]

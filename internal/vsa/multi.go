@@ -11,8 +11,9 @@ package vsa
 // narrow, seedAt and simulate over each. A group that would hold one
 // member is that member's own group, the one its localizer built: a
 // Multi of one builds no scan group or lazy DFA of its own. What this
-// file adds is what only a set of queries needs: grouping,
-// demultiplexing into one relation per member, and the metrics.
+// file adds is what only a set of queries needs: grouping and
+// demultiplexing into one relation per member. A session counts what its
+// passes did into the caller's Record (metrics.go), if it was given one.
 //
 // The ladder preserves byte-identity in every corner and only ever steps
 // down. A group of many that overflows its DFA hands every admitted
@@ -28,40 +29,10 @@ package vsa
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/span"
 )
-
-// MultiMetrics collects fused-pass statistics across every evaluation
-// of a Multi (see Multi.SetMetrics). All fields are cumulative,
-// lock-free counters.
-type MultiMetrics struct {
-	// FusedPasses counts fused forward scans (one per admitted group of
-	// many per document); FusedBytes the document bytes they covered —
-	// each such byte answered every admitted member of the group at once.
-	FusedPasses obs.Counter
-	FusedBytes  obs.Counter
-	// FusedSkippedBytes counts bytes the fused scan's trigger-byte skip
-	// loop jumped over (the literal prefilter's mid-scan mechanism);
-	// FusedStandDowns counts fused passes whose skip gate stood down
-	// because its jumps gained less than stepping.
-	FusedSkippedBytes obs.Counter
-	FusedStandDowns   obs.Counter
-	// DemuxTuples counts result tuples demultiplexed into per-member
-	// relations (members evaluated on their own group included).
-	DemuxTuples obs.Counter
-	// AdmissionSkips counts (member, document) pairs the per-member
-	// mandatory-factor admission bitmap excluded from the fused pass.
-	AdmissionSkips obs.Counter
-	// MemberFallbacks counts member evaluations on the member's own group
-	// of one: members no group of many holds (no localizer, or a lone
-	// member), and members a group of many handed down on a fused-DFA or
-	// narrowing overflow.
-	MemberFallbacks obs.Counter
-}
 
 // Multi is a set of compiled spanners fused for one-pass multi-query
 // evaluation. Build one with NewMulti, then Prepare (or let the first
@@ -77,8 +48,6 @@ type Multi struct {
 	// hands down a member it cannot finish.
 	groups []*multiGroup
 	own    []*multiGroup
-
-	metrics atomic.Pointer[MultiMetrics]
 }
 
 // multiGroup is a scan group as one Multi runs it: which member sits in
@@ -102,11 +71,6 @@ func (m *Multi) Len() int { return len(m.members) }
 
 // Member returns member query i's automaton.
 func (m *Multi) Member(i int) *Automaton { return m.members[i] }
-
-// SetMetrics attaches a fused-pass metrics collector (nil detaches).
-// Like Automaton.SetEvalMetrics it is not part of the frozen compiled
-// state and may be set at any time.
-func (m *Multi) SetMetrics(mm *MultiMetrics) { m.metrics.Store(mm) }
 
 // Prepare builds the fused machinery (grouping, combined class table,
 // fused lazy DFA start states) and Prepares every member, so the first
@@ -150,23 +114,11 @@ func (m *Multi) build() {
 // Eval runs every member query over doc in (at most) one fused pass per
 // group and returns one relation per member, in member order, each
 // sorted and deduplicated — byte-identical to calling Member(i).Eval
-// separately.
+// separately. It counts nothing; MultiSession.Eval is Eval into a record.
 func (m *Multi) Eval(doc string) []*span.Relation {
-	rels := make([]*span.Relation, len(m.members))
-	relOf := func(i int) *span.Relation {
-		if rels[i] == nil {
-			rels[i] = span.NewRelation(m.members[i].Vars...)
-		}
-		return rels[i]
-	}
-	m.EvalAppend(doc, span.Span{Start: 1, End: len(doc) + 1}, relOf, nil)
-	for i, r := range rels {
-		if r == nil {
-			rels[i] = span.NewRelation(m.members[i].Vars...)
-		} else {
-			r.Dedupe()
-		}
-	}
+	s := m.NewSession(nil)
+	rels := s.Eval(doc)
+	s.Close()
 	return rels
 }
 
@@ -182,7 +134,7 @@ func (m *Multi) Eval(doc string) []*span.Relation {
 // It is the one-shot use of a MultiSession; a caller evaluating many
 // documents from one goroutine keeps a MultiSession instead.
 func (m *Multi) EvalAppend(doc string, by span.Span, rel func(i int) *span.Relation, arena *span.TupleArena) {
-	s := m.NewSession()
+	s := m.NewSession(nil)
 	s.EvalAppend(doc, by, rel, arena)
 	s.Close()
 }
@@ -194,16 +146,25 @@ func (m *Multi) EvalAppend(doc string, by span.Span, rel func(i int) *span.Relat
 // paid per document. A MultiSession is not safe for concurrent use; any
 // number of them may share one Multi.
 type MultiSession struct {
-	m  *Multi
-	ws *scanScratch // nil until a document reaches a forward scan
-	sc *evalScratch // nil until a document needs the tagged simulation
+	m *Multi
+	// rec counts the passes; mrec is rec on a Multi of two or more
+	// members, the only place the multi-query stats count.
+	rec, mrec *Record
+	ws        *scanScratch // nil until a document reaches a forward scan
+	sc        *evalScratch // nil until a document needs the tagged simulation
 }
 
 // NewSession prepares m and returns a MultiSession on it, by value so
-// that a one-shot use stays on the caller's stack. Close it when done.
-func (m *Multi) NewSession() MultiSession {
+// that a one-shot use stays on the caller's stack, counting into rec
+// (which only the session's goroutine may touch; nil counts nothing and
+// reads no clock). Close it when done.
+func (m *Multi) NewSession(rec *Record) MultiSession {
 	m.Prepare()
-	return MultiSession{m: m}
+	s := MultiSession{m: m, rec: rec}
+	if len(m.members) > 1 {
+		s.mrec = rec
+	}
+	return s
 }
 
 // Close returns the session's scratch to the pools.
@@ -237,12 +198,32 @@ func (s *MultiSession) run(a *Automaton, rel *span.Relation, doc string, delta i
 	return evalRun{a: a, p: a.prog(), tag: a.tag(), sc: s.sc, rel: rel, arena: arena, doc: doc, delta: delta}
 }
 
+// Eval is Multi.Eval on the session.
+func (s *MultiSession) Eval(doc string) []*span.Relation {
+	members := s.m.members
+	rels := make([]*span.Relation, len(members))
+	relOf := func(i int) *span.Relation {
+		if rels[i] == nil {
+			rels[i] = span.NewRelation(members[i].Vars...)
+		}
+		return rels[i]
+	}
+	s.EvalAppend(doc, span.Span{Start: 1, End: len(doc) + 1}, relOf, nil)
+	for i, r := range rels {
+		if r == nil {
+			rels[i] = span.NewRelation(members[i].Vars...)
+		} else {
+			r.Dedupe()
+		}
+	}
+	return rels
+}
+
 // EvalAppend evaluates the session's query set on doc under
 // Multi.EvalAppend's contract: one pass per group.
 func (s *MultiSession) EvalAppend(doc string, by span.Span, rel func(i int) *span.Relation, arena *span.TupleArena) {
-	mm := s.m.metrics.Load()
 	for _, g := range s.m.groups {
-		s.pass(g, doc, by, rel, arena, mm)
+		s.pass(g, doc, by, rel, arena)
 	}
 }
 
@@ -254,26 +235,27 @@ func (s *MultiSession) EvalAppend(doc string, by span.Span, rel func(i int) *spa
 // one, from a group of one to the EvalBool prescan plus one
 // whole-document simulation.
 //
-// A group of one records its member's EvalMetrics, exactly as the
-// member's evaluation alone does; a group of many records the fused-pass
-// MultiMetrics.
-func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(int) *span.Relation, arena *span.TupleArena, mm *MultiMetrics) {
-	// em is nil for groups of many, uninstrumented automata and
+// A pass over a group of one counts the record's evaluation fields; a
+// session on a Multi of several members counts its multi-query fields.
+func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(int) *span.Relation, arena *span.TupleArena) {
+	// em is nil for groups of many, sessions without a record and
 	// sub-window-scale documents (see MetricsMinDocBytes): on those,
-	// instrumentation is one atomic pointer load and a length compare.
-	// fm is mm on a group of many.
-	var em *EvalMetrics
+	// counting is a nil check and a length compare. fm is s.mrec on a
+	// group of many.
+	var em *Record
 	var t0 time.Time
+	mm := s.mrec
 	fm := mm
 	if len(g.members) == 1 {
 		fm = nil
 		if mm != nil {
-			mm.MemberFallbacks.Inc()
+			mm[MemberFallbacks]++
 		}
-		if em = g.autos[0].metricsFor(doc); em != nil {
-			em.Evals.Inc()
-			em.DocBytes.Add(uint64(len(doc)))
-			em.PrefilterDisabled[g.pf[0].Reason].Inc()
+		if s.rec != nil && len(doc) >= MetricsMinDocBytes {
+			em = s.rec
+			em[Evals]++
+			em[DocBytes] += uint64(len(doc))
+			em[PrefilterDisabled+Stat(g.pf[0].Reason)]++
 			t0 = time.Now()
 		}
 	}
@@ -285,19 +267,19 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 		if pf.Factor == "" || strings.Contains(doc, pf.Factor) {
 			admit |= 1 << slot
 		} else if fm != nil {
-			fm.AdmissionSkips.Inc()
+			fm[AdmissionSkips]++
 		}
 	}
 	if admit == 0 {
 		if em != nil {
-			em.PrefilterSkippedBytes.Add(uint64(len(doc)))
-			em.LocalizeNS.AddDuration(time.Since(t0))
-			em.EmptyDocs.Inc()
+			em[PrefilterSkippedBytes] += uint64(len(doc))
+			em[Localize] += uint64(time.Since(t0))
+			em[EmptyDocs]++
 		}
 		return
 	}
 	if em != nil {
-		em.PrefilterCandidates.Inc()
+		em[PrefilterCandidates]++
 	}
 	down := admit // the members this scan leaves to the next rung
 	// Every member of a group of many localizes; a group of one scans
@@ -307,17 +289,17 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 		if start := g.startFor(admit); start != dfaOverflow && g.forward(doc, start, ws) {
 			down = 0
 			if fm != nil {
-				fm.FusedPasses.Inc()
-				fm.FusedBytes.Add(uint64(len(doc)))
-				fm.FusedSkippedBytes.Add(uint64(ws.skipped))
+				fm[FusedPasses]++
+				fm[FusedBytes] += uint64(len(doc))
+				fm[FusedSkippedBytes] += uint64(ws.skipped)
 				if ws.stoodDown {
-					fm.FusedStandDowns.Inc()
+					fm[FusedStandDowns]++
 				}
 			}
 			if em != nil {
-				em.PrefilterSkippedBytes.Add(uint64(ws.skipped))
+				em[PrefilterSkippedBytes] += uint64(ws.skipped)
 				if ws.stoodDown {
-					em.PrefilterStandDowns.Inc()
+					em[PrefilterStandDowns]++
 				}
 			}
 			for slot, mi := range g.members {
@@ -326,8 +308,8 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 					// member can complete: its relation is empty, and the
 					// simulation machinery is never touched.
 					if em != nil {
-						em.LocalizeNS.AddDuration(time.Since(t0))
-						em.EmptyDocs.Inc()
+						em[Localize] += uint64(time.Since(t0))
+						em[EmptyDocs]++
 					}
 					continue
 				}
@@ -337,14 +319,14 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 				}
 				if em != nil {
 					now := time.Now()
-					em.LocalizeNS.AddDuration(now.Sub(t0))
+					em[Localize] += uint64(now.Sub(t0))
 					t0 = now
-					em.Windows.Add(uint64(len(ws.windows)))
+					em[Windows] += uint64(len(ws.windows))
 					var wb uint64
 					for _, w := range ws.windows {
 						wb += uint64(w.hi - w.lo)
 					}
-					em.WindowBytes.Add(wb)
+					em[WindowBytes] += wb
 				}
 				r := memberRel(rel, mi, g.autos[slot])
 				n0 := len(r.Tuples)
@@ -353,13 +335,13 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 					run.simulate(wd.lo, wd.hi, g.seedAt(slot, doc, wd.lo, ws), wd.hi == len(doc))
 				}
 				if em != nil {
-					em.SimNS.AddDuration(time.Since(t0))
+					em[Sim] += uint64(time.Since(t0))
 					if run.uncached {
-						em.Fallbacks.Inc()
+						em[Fallbacks]++
 					}
 				}
 				if mm != nil {
-					mm.DemuxTuples.Add(uint64(len(r.Tuples) - n0))
+					mm[DemuxTuples] += uint64(len(r.Tuples) - n0)
 				}
 			}
 		}
@@ -373,7 +355,7 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 		// the factor gate's soundness does not depend on the fused pass.
 		for slot, mi := range g.members {
 			if down&(1<<slot) != 0 {
-				s.pass(s.m.own[mi], doc, by, rel, arena, mm)
+				s.pass(s.m.own[mi], doc, by, rel, arena)
 			}
 		}
 		return
@@ -382,9 +364,9 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 		// Whatever was spent attempting localization is still
 		// localization time; the rest of the call is simulation.
 		now := time.Now()
-		em.LocalizeNS.AddDuration(now.Sub(t0))
+		em[Localize] += uint64(now.Sub(t0))
 		t0 = now
-		em.Fallbacks.Inc()
+		em[Fallbacks]++
 	}
 	// ⟦a⟧(d) = ∅ iff no accepting run exists; the DFA decides that
 	// without touching the assignment machinery.
@@ -394,11 +376,11 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 		run := s.run(a, r, doc, by.Start-1, arena)
 		run.whole()
 		if mm != nil {
-			mm.DemuxTuples.Add(uint64(len(r.Tuples) - n0))
+			mm[DemuxTuples] += uint64(len(r.Tuples) - n0)
 		}
 	}
 	if em != nil {
-		em.SimNS.AddDuration(time.Since(t0))
+		em[Sim] += uint64(time.Since(t0))
 	}
 }
 

@@ -29,6 +29,25 @@ func assertMultiMatchesStandalone(t *testing.T, m *Multi, doc string) {
 	}
 }
 
+// evalInto is m.Eval on a session counting into rec.
+func evalInto(m *Multi, doc string, rec *Record) []*span.Relation {
+	s := m.NewSession(rec)
+	defer s.Close()
+	return s.Eval(doc)
+}
+
+// assertRecordMatchesStandalone is assertMultiMatchesStandalone with m's
+// evaluation counted into rec.
+func assertRecordMatchesStandalone(t *testing.T, m *Multi, doc string, rec *Record) {
+	t.Helper()
+	for i, got := range evalInto(m, doc, rec) {
+		a := m.Member(i)
+		if d := reltest.ThreeWayDiff("fused", got, "standalone", a.Eval(doc), a.EvalReference(doc)); d != "" {
+			t.Errorf("member %d on %q:\n%s", i, doc, d)
+		}
+	}
+}
+
 // extractorBlowup builds Σ*·x{a·(a|b)^k}·Σ*: the classic
 // subset-construction blowup (the scan DFA must remember which of the
 // last k positions held an 'a'), so the fused lazy DFA overflows its
@@ -190,10 +209,11 @@ func TestSingleIsUnaryMulti(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			m := NewMulti(c.a)
 			pair := NewMulti(c.a, c.a)
-			var mm, pm MultiMetrics
-			var em EvalMetrics
-			m.SetMetrics(&mm)
-			pair.SetMetrics(&pm)
+			// One record takes both Multis' passes: m's evaluation fields,
+			// and the pair's evaluation and multi-query fields (a Multi of
+			// one counts no multi-query fields).
+			var em Record
+			pm := &em
 			m.Prepare()
 			pair.Prepare()
 			own := c.a.localizer().group
@@ -208,14 +228,12 @@ func TestSingleIsUnaryMulti(t *testing.T) {
 			}
 			var empty, whole, windows uint64
 			for _, doc := range docs {
-				c.a.SetEvalMetrics(&em)
-				fused := m.Eval(doc)[0]
+				fused := evalInto(m, doc, &em)[0]
 				big := len(doc) >= MetricsMinDocBytes
 				if big {
-					empty, whole, windows = em.EmptyDocs.Load(), em.Fallbacks.Load(), em.Windows.Load()
+					empty, whole, windows = em[EmptyDocs], em[Fallbacks], em[Windows]
 				}
-				pairs := pair.Eval(doc)
-				c.a.SetEvalMetrics(nil)
+				pairs := evalInto(pair, doc, &em)
 				want, ref := c.a.Eval(doc), c.a.EvalReference(doc)
 				if d := reltest.ThreeWayDiff("fused", fused, "standalone", want, ref); d != "" {
 					t.Errorf("on %q:\n%s", doc, d)
@@ -229,11 +247,15 @@ func TestSingleIsUnaryMulti(t *testing.T) {
 			// The Multi of one: one pass over the group of one per document,
 			// never a fused pass; the one instrumented document (the last)
 			// left by one exit — empty, windows or the whole document.
-			if got := mm.MemberFallbacks.Load(); got != uint64(len(docs)) {
-				t.Errorf("passes over the group of one = %d, want %d", got, len(docs))
+			var mm Record
+			for _, doc := range docs {
+				evalInto(m, doc, &mm)
 			}
-			if got := mm.FusedPasses.Load(); got != 0 {
-				t.Errorf("FusedPasses = %d on a Multi of one", got)
+			if got := mm[Evals]; got != 1 {
+				t.Errorf("instrumented passes over the group of one = %d, want 1", got)
+			}
+			if got := mm[FusedPasses] + mm[MemberFallbacks] + mm[DemuxTuples]; got != 0 {
+				t.Errorf("a Multi of one counted %d multi-query events", got)
 			}
 			exits := empty + whole
 			if windows > 0 {
@@ -255,13 +277,13 @@ func TestSingleIsUnaryMulti(t *testing.T) {
 			if whole != wantWhole {
 				t.Errorf("Multi of one: whole-document exits = %d, want %d", whole, wantWhole)
 			}
-			if got := pm.MemberFallbacks.Load(); got != wantDown {
+			if got := pm[MemberFallbacks]; got != wantDown {
 				t.Errorf("pair: members handed to their own group = %d, want %d", got, wantDown)
 			}
-			if got := em.Fallbacks.Load() - whole; got != 2*wantWhole {
+			if got := em[Fallbacks] - whole; got != 2*wantWhole {
 				t.Errorf("pair: whole-document exits = %d, want %d", got, 2*wantWhole)
 			}
-			if c.a.PrefilterDisabled() && (!own.noSkip || pm.FusedSkippedBytes.Load() != 0) {
+			if c.a.PrefilterDisabled() && (!own.noSkip || pm[FusedSkippedBytes] != 0) {
 				t.Error("DisablePrefilter copy did not get a fully stepped scan")
 			}
 		})
@@ -326,15 +348,14 @@ func TestMultiAdmissionSkipsSibling(t *testing.T) {
 		t.Fatalf("precondition: factor %q, want \"ab\"", f)
 	}
 	m := NewMulti(ab, extractorAPlus())
-	var mm MultiMetrics
-	m.SetMetrics(&mm)
+	var mm Record
 
 	doc := "a.a.a" // has 'a' matches, no "ab" factor
-	assertMultiMatchesStandalone(t, m, doc)
-	if got := mm.AdmissionSkips.Load(); got == 0 {
+	assertRecordMatchesStandalone(t, m, doc, &mm)
+	if got := mm[AdmissionSkips]; got == 0 {
 		t.Error("admission gate never skipped the factor-less member")
 	}
-	rels := m.Eval(doc)
+	rels := evalInto(m, doc, &mm)
 	if rels[0].Len() != 0 {
 		t.Errorf("skipped member returned tuples: %v", rels[0])
 	}
@@ -343,21 +364,20 @@ func TestMultiAdmissionSkipsSibling(t *testing.T) {
 	}
 
 	// Both factors present: both admitted, both match.
-	assertMultiMatchesStandalone(t, m, "x.ab.a")
+	assertRecordMatchesStandalone(t, m, "x.ab.a", &mm)
 }
 
 // TestMultiAdmissionAllRejected: when every member's factor is absent
 // the group is never scanned at all (FusedPasses stays zero).
 func TestMultiAdmissionAllRejected(t *testing.T) {
 	m := NewMulti(buildUnanchoredAB(t), buildAnchoredCD(t))
-	var mm MultiMetrics
-	m.SetMetrics(&mm)
+	var mm Record
 	doc := strings.Repeat("z", 4096)
-	assertMultiMatchesStandalone(t, m, doc)
-	if got := mm.FusedPasses.Load(); got != 0 {
+	assertRecordMatchesStandalone(t, m, doc, &mm)
+	if got := mm[FusedPasses]; got != 0 {
 		t.Errorf("fully rejected document still ran %d fused passes", got)
 	}
-	if got := mm.AdmissionSkips.Load(); got != 2 {
+	if got := mm[AdmissionSkips]; got != 2 {
 		t.Errorf("AdmissionSkips = %d, want 2", got)
 	}
 }
@@ -404,8 +424,7 @@ func TestMultiSoloNonLocalizable(t *testing.T) {
 	solo.AddEdge(mid, 0, alphabet.Any, mid)
 	solo.AddFinal(mid, 0)
 	m := NewMulti(solo, extractorAPlus(), extractorZeroWidth())
-	var mm MultiMetrics
-	m.SetMetrics(&mm)
+	var mm Record
 	m.Prepare()
 	if len(m.groups) != 2 || m.groups[0].scanGroup != solo.localizer().group || m.groups[0].members[0] != 0 {
 		t.Fatalf("the non-localizable member does not run on its own group")
@@ -415,12 +434,12 @@ func TestMultiSoloNonLocalizable(t *testing.T) {
 	}
 	docs := []string{"", "ac", "bc", "acc.a"}
 	for _, doc := range docs {
-		assertMultiMatchesStandalone(t, m, doc)
+		assertRecordMatchesStandalone(t, m, doc, &mm)
 	}
-	if got := mm.MemberFallbacks.Load(); got != uint64(len(docs)) {
+	if got := mm[MemberFallbacks]; got != uint64(len(docs)) {
 		t.Errorf("MemberFallbacks = %d, want one per document (%d)", got, len(docs))
 	}
-	if got := mm.FusedPasses.Load(); got == 0 {
+	if got := mm[FusedPasses]; got == 0 {
 		t.Error("localizable siblings never took the fused pass")
 	}
 }
@@ -431,21 +450,20 @@ func TestMultiSoloNonLocalizable(t *testing.T) {
 func TestMultiOverflowGroupFallback(t *testing.T) {
 	blowup := extractorBlowup(16)
 	m := NewMulti(blowup, extractorAPlus())
-	var mm MultiMetrics
-	m.SetMetrics(&mm)
+	var mm Record
 	rng := rand.New(rand.NewSource(42))
 	var b strings.Builder
 	for i := 0; i < 1<<14; i++ {
 		b.WriteByte("ab"[rng.Intn(2)])
 	}
 	doc := b.String()
-	assertMultiMatchesStandalone(t, m, doc)
-	if got := mm.MemberFallbacks.Load(); got < 2 {
+	assertRecordMatchesStandalone(t, m, doc, &mm)
+	if got := mm[MemberFallbacks]; got < 2 {
 		t.Errorf("MemberFallbacks = %d, want both admitted members to fall back on fused overflow", got)
 	}
 	// A harmless document afterwards must still evaluate (the overflowed
 	// DFA stays overflowed; the group keeps falling back, correctly).
-	assertMultiMatchesStandalone(t, m, "aab.bba")
+	assertRecordMatchesStandalone(t, m, "aab.bba", &mm)
 }
 
 // TestMultiSkipAndNoSkip: the fused trigger-byte skip loop engages on
@@ -457,28 +475,26 @@ func TestMultiSkipAndNoSkip(t *testing.T) {
 	doc := gap + "ab" + gap + "cd" + gap
 
 	skip := NewMulti(buildUnanchoredAB(t), buildUnanchoredCD(t))
-	var sm MultiMetrics
-	skip.SetMetrics(&sm)
-	assertMultiMatchesStandalone(t, skip, doc)
+	var sm Record
+	assertRecordMatchesStandalone(t, skip, doc, &sm)
 	skip.Prepare()
 	if skip.groups[0].noSkip {
 		t.Fatal("prefilter-enabled group built with noSkip")
 	}
-	if got := sm.FusedSkippedBytes.Load(); got == 0 {
+	if got := sm[FusedSkippedBytes]; got == 0 {
 		t.Error("fused skip loop never jumped on a sparse document")
 	}
 
 	dis := buildUnanchoredAB(t)
 	dis.DisablePrefilter()
 	step := NewMulti(dis, buildUnanchoredCD(t))
-	var nm MultiMetrics
-	step.SetMetrics(&nm)
-	assertMultiMatchesStandalone(t, step, doc)
+	var nm Record
+	assertRecordMatchesStandalone(t, step, doc, &nm)
 	step.Prepare()
 	if !step.groups[0].noSkip {
 		t.Fatal("DisablePrefilter member did not force the stepped fused scan")
 	}
-	if got := nm.FusedSkippedBytes.Load(); got != 0 {
+	if got := nm[FusedSkippedBytes]; got != 0 {
 		t.Errorf("stepped group skipped %d bytes", got)
 	}
 }
@@ -584,21 +600,20 @@ func TestMultiAccessors(t *testing.T) {
 	if m.Len() != 2 || m.Member(0) != a || m.Member(1) != b {
 		t.Fatal("Len/Member disagree with construction")
 	}
-	var mm MultiMetrics
-	m.SetMetrics(&mm)
+	var mm Record
 	doc := "aa.bb"
-	rels := m.Eval(doc)
+	rels := evalInto(m, doc, &mm)
 	wantTuples := uint64(rels[0].Len() + rels[1].Len())
 	if wantTuples == 0 {
 		t.Fatal("oracle expected matches")
 	}
-	if got := mm.FusedPasses.Load(); got != 1 {
+	if got := mm[FusedPasses]; got != 1 {
 		t.Errorf("FusedPasses = %d, want 1", got)
 	}
-	if got := mm.FusedBytes.Load(); got != uint64(len(doc)) {
+	if got := mm[FusedBytes]; got != uint64(len(doc)) {
 		t.Errorf("FusedBytes = %d, want %d", got, len(doc))
 	}
-	if got := mm.DemuxTuples.Load(); got != wantTuples {
+	if got := mm[DemuxTuples]; got != wantTuples {
 		t.Errorf("DemuxTuples = %d, want %d", got, wantTuples)
 	}
 }

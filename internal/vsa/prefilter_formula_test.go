@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/library"
 	"repro/internal/regexformula"
+	"repro/internal/span"
 	"repro/internal/vsa"
 )
 
@@ -111,12 +112,11 @@ func TestPrefilterSkipYieldPerShape(t *testing.T) {
 		members[i] = compile(t, `(.*[ .!?\n])?`+w+` (y{[a-z]+})(([^a-z].*)?|)`)
 	}
 	m := vsa.NewMulti(members...)
-	var mm vsa.MultiMetrics
-	m.SetMetrics(&mm)
-	got := m.Eval(doc)
-	if mm.FusedPasses.Load() != 1 || mm.FusedStandDowns.Load() != 1 {
+	var mm vsa.Record
+	got := evalInto(m, doc, &mm)
+	if mm[vsa.FusedPasses] != 1 || mm[vsa.FusedStandDowns] != 1 {
 		t.Fatalf("fused passes %d, stand-downs %d: want the one fused pass stood down",
-			mm.FusedPasses.Load(), mm.FusedStandDowns.Load())
+			mm[vsa.FusedPasses], mm[vsa.FusedStandDowns])
 	}
 	for i, w := range scanWords {
 		off := compile(t, `(.*[ .!?\n])?`+w+` (y{[a-z]+})(([^a-z].*)?|)`)
@@ -127,15 +127,21 @@ func TestPrefilterSkipYieldPerShape(t *testing.T) {
 	}
 
 	neg := library.NegativeSentiment()
-	var em vsa.EvalMetrics
-	neg.SetEvalMetrics(&em)
-	if neg.Eval(doc).Len() == 0 {
+	var em vsa.Record
+	if evalInto(vsa.NewMulti(neg), doc, &em)[0].Len() == 0 {
 		t.Fatal("no NegativeSentiment match in the review document")
 	}
-	if n := em.PrefilterStandDowns.Load(); n != 0 {
+	if n := em[vsa.PrefilterStandDowns]; n != 0 {
 		t.Fatalf("NegativeSentiment stood down %d times", n)
 	}
-	if skipped := em.PrefilterSkippedBytes.Load(); 10*skipped <= 9*uint64(len(doc)) {
+	if skipped := em[vsa.PrefilterSkippedBytes]; 10*skipped <= 9*uint64(len(doc)) {
 		t.Fatalf("NegativeSentiment skipped %d of %d bytes, want more than 90 %%", skipped, len(doc))
 	}
+}
+
+// evalInto is m.Eval on a session counting into rec.
+func evalInto(m *vsa.Multi, doc string, rec *vsa.Record) []*span.Relation {
+	s := m.NewSession(rec)
+	defer s.Close()
+	return s.Eval(doc)
 }

@@ -105,7 +105,7 @@ func BenchmarkScanPaths(b *testing.B) {
 					return rels[i]
 				}
 				var arena span.TupleArena
-				s := m.NewSession()
+				s := m.NewSession(nil)
 				for _, p := range in.pieces {
 					s.EvalAppend(p.text, p.by, relOf, &arena)
 				}

@@ -598,8 +598,8 @@ type scanScratch struct {
 	finals      uint64    // the payload's fin bitmap at the document end
 	// skipped counts bytes the forward pass jumped over via the
 	// literal-prefilter skip loop, and stoodDown says whether its skip
-	// gate stood down for lack of yield; callers flush both into their
-	// metrics.
+	// gate stood down for lack of yield; MultiSession.pass counts both
+	// into its record.
 	skipped   int
 	stoodDown bool
 

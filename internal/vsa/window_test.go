@@ -208,6 +208,29 @@ func TestWindowedEvalNonLocalizableFallsBack(t *testing.T) {
 	}
 }
 
+// TestNonFunctionalEvalCounts: a hand-built non-functional automaton
+// evaluates as its functionalization, which its own group holds, and a
+// session with a record counts that evaluation like any other on a
+// document of at least MetricsMinDocBytes.
+func TestNonFunctionalEvalCounts(t *testing.T) {
+	a := NewAutomaton("x")
+	mid := a.AddState()
+	a.AddEdge(0, Open(0), alphabet.Of('a'), mid)
+	a.AddEdge(0, 0, alphabet.Of('b'), mid)
+	a.AddEdge(mid, Close(0), alphabet.Of('c'), mid)
+	a.AddFinal(mid, 0)
+	doc := "a" + strings.Repeat("c", MetricsMinDocBytes)
+	var rec Record
+	s := NewMulti(a).NewSession(&rec)
+	defer s.Close()
+	if got, want := s.Eval(doc)[0], a.ToRaw().Compile().Eval(doc); !got.Equal(want) {
+		t.Fatalf("Eval = %v, functionalization %v", got, want)
+	}
+	if rec[Evals] != 1 || rec[DocBytes] != uint64(len(doc)) {
+		t.Fatalf("record counted %d evaluations over %d bytes, want 1 over %d", rec[Evals], rec[DocBytes], len(doc))
+	}
+}
+
 // TestWindowedEvalConcurrent hammers one shared automaton from many
 // goroutines so the race detector sees the scan and reverse DFA caches
 // being built and read concurrently.
