@@ -14,12 +14,13 @@
 //     their splitter: it is compiled, and its disjointness and locality
 //     decided, once, as an entry of the same cache (splitterArtifact).
 //   - Documents may arrive as io.Reader streams: when the plan runs at
-//     chunk grain (see below), each feed is cut at a span end of the
-//     splitter near its end, with carry-over across chunk boundaries, and
-//     dispatched as one chunk to the split-evaluation executor
-//     (internal/parallel) with backpressure while the tail of the
-//     document is still being read; otherwise the stream is buffered
-//     whole, which is sound for arbitrary splitters.
+//     chunk grain (see below), the split-evaluation executor's workers
+//     (internal/parallel) pull the stream — a worker reads a feed, cuts it
+//     at a span end of the splitter near its end, with carry-over across
+//     chunk boundaries, and evaluates that chunk while the others evaluate
+//     earlier ones, so the stream is read no faster than it is evaluated;
+//     otherwise the stream is buffered whole, which is sound for
+//     arbitrary splitters.
 //   - Segment relations are shifted and merged into a deterministic
 //     (sorted, deduplicated) result, byte-identical to one-shot
 //     evaluation of the whole document.
@@ -44,7 +45,6 @@ import (
 	"io"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -364,16 +364,13 @@ func (e *Engine) WillStream(plan *Plan) bool {
 // them.
 //
 // A stream is read behind the stall guard (see guard). For a plan that
-// streams (see WillStream) it is cut incrementally: each feed's chunk is
-// evaluated by the executor (ExecChunked) while later feeds are still
-// being read. Idle workers block on the bounded dispatch channel, so a
-// saturated pool stalls the segmenter and, through it, the reader —
-// backpressure reaches all the way to the network socket.
-// A stream that ends inside its first breakEven bytes never gets that far
-// (see ingest). Every other stream is read whole first and takes the
-// inline routes. Memory is bounded by Config.MaxDocBuffer on every route:
-// a document over the budget fails with ErrDocTooLarge instead of being
-// evaluated.
+// streams (see WillStream) it is cut incrementally: the executor's workers
+// pull it, each evaluating the chunk it cut (ExecChunked) while another
+// reads the next feed (see stream). A stream that ends inside its first
+// breakEven bytes never gets that far (see ingest). Every other stream is
+// read whole first and takes the inline routes. Memory is bounded by
+// Config.MaxDocBuffer on every route: a document over the budget fails
+// with ErrDocTooLarge instead of being evaluated.
 func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) ([]*span.Relation, Execution, error) {
 	// The document's record: every layer below counts into its own part,
 	// and it reaches the engine's aggregates in one flush, however run
@@ -476,113 +473,67 @@ func (e *Engine) ingest(ctx context.Context, plan *Plan, r io.Reader, hint int) 
 	return doc, nil, nil, err
 }
 
-// stream evaluates a streamed document with P, one chunk per feed: a
-// producer goroutine feeds r through the cut finder and dispatches the
-// chunk each feed ends while the executor evaluates it under opts. The
-// producer counts into a record of its own, since it can outlive stream
-// (see below): whichever of the two finishes second takes that record —
-// stream into rec, or the producer flushes it alone.
+// stream evaluates a streamed document with P, one chunk per feed. The
+// executor's workers pull the stream (parallel.Pulled): the worker that
+// pulls reads r until a feed ends a chunk at a cut the cut finder found,
+// counts the feed's bytes and cut time into rec, and evaluates that chunk
+// while the other workers evaluate earlier ones or wait their turn to
+// pull. A saturated pool therefore stops reading — backpressure all the
+// way to the network socket. The pull ends at r's end, at r's error, at a
+// carry-over over the budget or once ctx is done; a Read that blocks
+// returns then too, since r is behind the stall guard whenever ctx can
+// end (see guard).
 func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r io.Reader, hint int, opts parallel.Options, rec *record) ([]*span.Relation, error) {
-	// One chunk per feed: capacity Workers bounds the queued work at that
-	// many chunks.
-	batches := make(chan []parallel.Segment, e.cfg.Workers)
-	readErr := make(chan error, 1)
-	var feed record
-	var handed atomic.Bool
-	go func() {
-		err := e.produce(ctx, cuts, r, hint, batches, &feed)
-		close(batches)
-		feed.syncFallbacks = uint64(cuts.Fallbacks())
-		feed.segmented = true
-		if handed.Swap(true) {
-			e.m.flush(&feed) // stream has returned without it
-		}
-		readErr <- err
-	}()
-
-	rels, err := parallel.Run(ctx, vsa.NewMulti(plan.p), parallel.Fed(batches), opts)
-	// Prefer the producer's verdict when it is already in: a cancellation
-	// arriving after a fully successful read+evaluation must not
-	// nondeterministically discard the complete result.
-	var rerr error
-	select {
-	case rerr = <-readErr:
-	default:
-		select {
-		case rerr = <-readErr:
-		case <-ctx.Done():
-			// The producer may be stuck in a Read that does not observe
-			// ctx (readers are not cancellable in general); do not wait
-			// for it. It exits on its own once the read returns or the
-			// send fails.
-			rerr = ctx.Err()
-		}
+	g := &cutSegmenter{f: cuts}
+	cut := func(feed []byte, eof bool) []parallel.Segment {
+		t0 := time.Now()
+		segs := g.feed(feed, eof)
+		rec.segment += time.Since(t0)
+		return segs
 	}
-	if handed.Swap(true) { // the producer is done with its record
-		rec.bytes, rec.syncFallbacks, rec.segment, rec.segmented = feed.bytes, feed.syncFallbacks, feed.segment, true
+	var buf []byte
+	var eof bool  // r has ended: the final cut is next
+	var end error // why the pull ended; io.EOF once r's last chunk is out
+	pull := func() ([]parallel.Segment, bool) {
+		for end == nil {
+			if eof {
+				end = io.EOF
+				segs := cut(nil, true)
+				return segs, len(segs) > 0
+			}
+			if size := sizedTo(e.cfg.ChunkSize, hint, int(rec.bytes)); len(buf) < size {
+				buf = make([]byte, size)
+			}
+			n, err := r.Read(buf)
+			switch {
+			case err == io.EOF:
+				eof = true
+			case err != nil:
+				end = err
+			case ctx.Err() != nil:
+				end = ctx.Err()
+			}
+			if n > 0 {
+				rec.bytes += uint64(n)
+				segs := cut(buf[:n], false)
+				if e.cfg.MaxDocBuffer > 0 && int64(len(g.buf)) > e.cfg.MaxDocBuffer {
+					// The carry-over (one still-open segment) outgrew the
+					// budget — e.g. a boundary-less document.
+					end = fmt.Errorf("%w (carry-over %d bytes > %d)", ErrDocTooLarge, len(g.buf), e.cfg.MaxDocBuffer)
+				}
+				if len(segs) > 0 {
+					return segs, true
+				}
+			}
+		}
+		return nil, false
 	}
-	if err == nil {
-		err = rerr
+	rels, err := parallel.Run(ctx, vsa.NewMulti(plan.p), parallel.Pulled(pull), opts)
+	rec.syncFallbacks, rec.segmented = uint64(cuts.Fallbacks()), true
+	if err == nil && end != io.EOF {
+		err = end
 	}
 	return rels, err
-}
-
-// produce is stream's producer: it reads r, cuts, and sends the chunks to
-// batches until r ends (nil) or fails, the carry-over outgrows the budget
-// or ctx is done. It counts its bytes and cut time into feed.
-func (e *Engine) produce(ctx context.Context, cuts *core.CutFinder, r io.Reader, hint int, batches chan<- []parallel.Segment, feed *record) error {
-	g := &cutSegmenter{f: cuts}
-	var chunk []byte
-	// send dispatches the chunk one feed produced as one batch, which
-	// the worker that receives it evaluates. Sending blocks when every
-	// worker is busy, which in turn pauses reading — backpressure all
-	// the way to the producer of r.
-	send := func(segs []parallel.Segment) bool {
-		if len(segs) == 0 {
-			return true
-		}
-		select {
-		case batches <- segs:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	for read := 0; ; {
-		if size := sizedTo(e.cfg.ChunkSize, hint, read); len(chunk) < size {
-			chunk = make([]byte, size)
-		}
-		n, err := r.Read(chunk)
-		read += n
-		if n > 0 {
-			feed.bytes += uint64(n)
-			t0 := time.Now()
-			segs := g.feed(chunk[:n], false)
-			feed.segment += time.Since(t0)
-			if !send(segs) {
-				return ctx.Err()
-			}
-			if e.cfg.MaxDocBuffer > 0 && int64(len(g.buf)) > e.cfg.MaxDocBuffer {
-				// The carry-over (one still-open segment) outgrew
-				// the budget — e.g. a boundary-less document.
-				return fmt.Errorf("%w (carry-over %d bytes > %d)", ErrDocTooLarge, len(g.buf), e.cfg.MaxDocBuffer)
-			}
-		}
-		switch {
-		case err == io.EOF:
-			t0 := time.Now()
-			segs := g.feed(nil, true)
-			feed.segment += time.Since(t0)
-			if !send(segs) {
-				return ctx.Err()
-			}
-			return nil
-		case err != nil:
-			return err
-		case ctx.Err() != nil:
-			return ctx.Err()
-		}
-	}
 }
 
 // Stats snapshots the engine counters, the per-stage time breakdown,

@@ -44,7 +44,7 @@ func mustPlan(t *testing.T, e *Engine, req Request) *Plan {
 // splitOnly returns the plan without its split-correctness verdict: the
 // engine then has no licence to evaluate a document whole, so documents
 // of any size take the split route. The tests below use it to keep
-// pinning the segmenter, the producer and the executor on documents of a
+// pinning the segmenter, the pull and the executor on documents of a
 // few dozen bytes, where every chunk boundary can be enumerated.
 func splitOnly(plan *Plan) *Plan {
 	forced := *plan
@@ -445,7 +445,7 @@ func (r *stalledReader) Read(p []byte) (int, error) {
 
 func TestExtractReaderCancelWithStalledReader(t *testing.T) {
 	// Cancellation must unblock ExtractReader even when the reader never
-	// returns: the producer goroutine cannot be interrupted mid-Read,
+	// returns: the stall guard's pump cannot be interrupted mid-Read,
 	// but the call itself has to honor ctx.
 	e := newTestEngine()
 	plan := mustPlan(t, e, Request{Spanner: emailFormula, Splitter: sentenceFormula})

@@ -19,7 +19,7 @@ type record struct {
 	counted, streamed bool
 	// segmented and evaluated say which stage times were taken.
 	segmented, evaluated bool
-	// bytes is the document's size, or what a stream's producer read;
+	// bytes is the document's size, or what was read of a stream;
 	// segments the splitter's spans on the per-segment route;
 	// syncFallbacks core.CutFinder.Fallbacks on the chunked route.
 	bytes, segments, syncFallbacks uint64

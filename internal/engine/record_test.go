@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"repro/internal/parallel"
 )
 
 // TestBusyShareCountsRunWorkers: busy_share divides busy worker time by
@@ -36,8 +34,8 @@ func TestBusyShareCountsRunWorkers(t *testing.T) {
 // then answers two empty reads, and on the read after them cancels the
 // request and fails. The stall guard's pump asks for that read only once
 // the consumer has taken the second empty chunk, which it does only after
-// it consumed every byte before it: by then the producer has counted all
-// that was delivered.
+// it consumed every byte before it: by then the pull has counted all that
+// was delivered.
 type cancellingReader struct {
 	doc       string
 	n         int
@@ -60,16 +58,17 @@ func (r *cancellingReader) Read(p []byte) (int, error) {
 	return 0, io.ErrUnexpectedEOF
 }
 
-// blockingReader delivers its document's first n bytes, then blocks in
-// Read until release is closed and fails. It closes blocked when it
-// starts to block, when the producer reading it has counted every byte.
+// blockingReader delivers its document's first n bytes and the same two
+// empty reads, then blocks in Read until release is closed and fails. It
+// closes blocked when it starts to block, when the pull reading it through
+// the stall guard has counted every byte.
 type blockingReader struct {
 	cancellingReader
 	blocked, release chan struct{}
 }
 
 func (r *blockingReader) Read(p []byte) (int, error) {
-	if r.delivered < r.n {
+	if r.delivered < r.n || r.empties < 2 {
 		return r.cancellingReader.Read(p)
 	}
 	close(r.blocked)
@@ -78,20 +77,18 @@ func (r *blockingReader) Read(p []byte) (int, error) {
 }
 
 // TestStreamCancelledMidDocumentCountsOnce cancels a streamed document in
-// its middle, twice: through Answer, where the stall guard lets the
-// producer see the cancellation and stream usually takes the producer's
-// record; and through stream itself on a reader that does not return,
-// so that stream returns without the producer and the producer, released
-// later, flushes its record alone. Either way, once the producer has
-// exited, the document counts once and its bytes are what the reader
-// delivered.
+// its middle through Answer, twice: on a reader that fails once the
+// request is cancelled, and on one that does not return, so that the
+// stall guard gives up on the Read the pull is waiting in and leaves its
+// pump behind. Either way the document counts once, its bytes are what
+// the reader delivered, and nothing outlives the reader.
 func TestStreamCancelledMidDocumentCountsOnce(t *testing.T) {
 	plan := reviewPlan()
 	doc := reviewDoc(1, 256<<10)
 	settled := func(e *Engine, delivered, base int) {
 		t.Helper()
-		// The producer, the stall guard's pump and the workers are gone
-		// once the goroutine count is back where it was.
+		// The stall guard's pump and the workers are gone once the
+		// goroutine count is back where it was.
 		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; {
 			if time.Now().After(deadline) {
 				t.Fatalf("%d goroutines still running, %d before the request", runtime.NumGoroutine(), base)
@@ -131,15 +128,9 @@ func TestStreamCancelledMidDocumentCountsOnce(t *testing.T) {
 		<-br.blocked
 		cancel()
 	}()
-	cuts, _ := plan.s.NewCutFinder()
-	rec := &record{counted: true, streamed: true, route: ExecChunked, evaluated: true}
-	if _, err := e.stream(ctx, plan, cuts, br, 0, parallel.Options{Workers: 2, Record: &rec.exec}, rec); !errors.Is(err, context.Canceled) {
-		t.Fatalf("stream: %v, want cancelled", err)
+	if _, x, err := e.Answer(ctx, plan, "", br); !errors.Is(err, context.Canceled) || x != ExecChunked {
+		t.Fatalf("route %v, err %v; want chunked and cancelled", x, err)
 	}
-	if rec.bytes != 0 || rec.segmented {
-		t.Fatalf("stream took the record of a producer still in Read: %+v", rec)
-	}
-	e.m.flush(rec)
 	close(br.release)
 	settled(e, br.delivered, base)
 }

@@ -9,14 +9,15 @@ import (
 
 // stallReader makes reads of a document stream give up: on a
 // read-progress timeout, and when the request's context is done.
-// Before it existed, ExtractReader on a stalled request body (a client
-// that opened a streamed upload and then went silent without closing
-// the connection) blocked its producer goroutine in Read indefinitely
-// and — worse — held an admission token and the request's executor
-// workers with it. stallReader turns a stall into a prompt, typed
-// ErrReadStalled (the daemon maps it to HTTP 408), which unwinds the
-// whole request: the producer reports the error, the dispatch channel
-// closes, and the workers move on.
+// Without it, ExtractReader on a stalled request body (a client that
+// opened a streamed upload and then went silent without closing the
+// connection) would block the executor worker pulling the stream in Read
+// indefinitely and — worse — hold an admission token and the request's
+// other workers, waiting their turn to pull, with it. stallReader turns a
+// stall into a prompt, typed ErrReadStalled (the daemon maps it to HTTP
+// 408), which unwinds the whole request: the pull reports the error, the
+// source runs dry, and the workers move on. It is the one reader of a
+// request that can outlive the request.
 //
 // An arbitrary io.Reader cannot be interrupted mid-Read, so the
 // underlying reads run on a pump goroutine and the consumer waits for
@@ -67,8 +68,7 @@ func newStallReader(ctx context.Context, r io.Reader, timeout time.Duration, hin
 
 // stop tells the pump its consumer has returned: the pump exits at its
 // next hand-over instead of waiting for a receive that will not come.
-// Call it exactly once, when nothing will Read again unless its context
-// is done (stream's producer outlives it only then).
+// Call it exactly once, when nothing will Read again.
 func (s *stallReader) stop() { close(s.quit) }
 
 // pump owns the underlying reader, rotating through three buffers.

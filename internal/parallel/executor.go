@@ -14,13 +14,15 @@ import (
 // the two collection evaluators. Its workers share one chunk source:
 // a worker takes the next chunk, evaluates it, and comes back for
 // another, so a worker that drew cheap chunks simply draws more of them.
-// Dealt runs hand the chunks out in order from an atomic cursor; fed runs
-// receive them from the caller's channel. Results never cross a channel:
-// each worker appends shifted tuples into its own arena-backed relation
-// accumulator (through its vsa.MultiSession), and the per-worker
-// accumulators are concatenated and offset-sorted once at the end — the
-// merged relation is therefore byte-identical no matter which worker took
-// which chunk.
+// Dealt runs hand the chunks out in order from an atomic cursor; pulled
+// runs call the caller's function, one worker at a time; and
+// CollectionEvalSplit's workers receive from its producer's channel.
+// Results never
+// cross a channel: each worker appends shifted tuples into its own
+// arena-backed relation accumulator (through its vsa.MultiSession), and
+// the per-worker accumulators are concatenated and offset-sorted once at
+// the end — the merged relation is therefore byte-identical no matter
+// which worker took which chunk.
 //
 // What the workers evaluate is always a vsa.Multi: a single spanner is
 // the Multi of one. A chunk's destination (a document of a collection,
@@ -44,9 +46,8 @@ type executor struct {
 	ndest int
 
 	// next hands out the run's next chunk, or ok=false when there is
-	// none left: the dealt slice is used up, or the feed is closed (or,
-	// for a feed that watches the context, the context fired). Workers
-	// call it concurrently.
+	// none left: the dealt slice is used up, or the pull came up dry.
+	// Workers call it concurrently.
 	next func() (chunk, bool)
 
 	// rec, when non-nil, receives this run's record, which the workers
@@ -112,6 +113,24 @@ func newDealt(ctx context.Context, multi *vsa.Multi, workers, ndest int, chunks 
 		return chunks[i], true
 	}
 	return newExecutor(ctx, multi, min(workers, len(chunks)), ndest, next, rec)
+}
+
+// oneAtATime serializes a pull: workers call next one at a time under a
+// mutex — the pull's one point of synchronisation, as the cursor is a
+// dealt run's — and the source stays dry after next's first false.
+func oneAtATime(next func() (chunk, bool)) func() (chunk, bool) {
+	var mu sync.Mutex
+	dry := false
+	return func() (chunk, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if dry {
+			return chunk{}, false
+		}
+		c, ok := next()
+		dry = !ok
+		return c, ok
+	}
 }
 
 // run drives the workers to completion and merges. The calling goroutine

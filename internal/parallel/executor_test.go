@@ -3,9 +3,11 @@ package parallel
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,6 +88,18 @@ func runOne(ctx context.Context, p *vsa.Automaton, src Source, opts Options) (*s
 	return rels[0], err
 }
 
+// pulledFrom is the pulled source of batches, in order.
+func pulledFrom(batches ...[]Segment) Source {
+	i := 0
+	return Pulled(func() ([]Segment, bool) {
+		if i == len(batches) {
+			return nil, false
+		}
+		i++
+		return batches[i-1], true
+	})
+}
+
 // TestSplitEvalDeterminismUnderSkew is the determinism regression test:
 // with adversarial segment sizes skewing which worker takes which chunk,
 // the merged relation must be byte-identical — same tuples, same order —
@@ -160,9 +174,9 @@ func TestSplitEvalCtxCancellationMidRun(t *testing.T) {
 	}
 }
 
-// TestSplitEvalBatchesOneLargeBatch feeds a fed run one
+// TestSplitEvalBatchesOneLargeBatch gives a pulled run one
 // batch of more segments than CollectionEvalSplit's grain; the worker
-// that receives it evaluates it as one chunk, and the result must match
+// that pulls it evaluates it as one chunk, and the result must match
 // the dealt-slice path.
 func TestSplitEvalBatchesOneLargeBatch(t *testing.T) {
 	p := library.NegativeSentiment()
@@ -172,12 +186,7 @@ func TestSplitEvalBatchesOneLargeBatch(t *testing.T) {
 		t.Fatalf("need more than %d segments, have %d", streamGrain, len(segs))
 	}
 	want := SplitEval(p, segs, 1)
-	batches := make(chan []Segment, 1)
-	go func() {
-		defer close(batches)
-		batches <- segs
-	}()
-	got, err := runOne(context.Background(), p, Fed(batches), Options{Workers: 4})
+	got, err := runOne(context.Background(), p, pulledFrom(segs), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,9 +262,52 @@ func (c *spyCtx) Err() error {
 	return c.Context.Err()
 }
 
+// TestPulledSourceOneAtATime pins Pulled's contract: the run calls the
+// pull from one worker at a time and never again after its first false,
+// at every worker count, and the result is the dealt run's. The pull
+// yields the processor while it is in flight, so that a second worker
+// let in would enter it then.
+func TestPulledSourceOneAtATime(t *testing.T) {
+	p := library.NegativeSentiment()
+	doc := adversarialDoc()
+	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
+	want, err := runOne(context.Background(), p, Dealt(segs), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		var inFlight atomic.Int32
+		var dry atomic.Bool
+		lo := 0
+		pull := func() ([]Segment, bool) {
+			if inFlight.Add(1) != 1 {
+				t.Errorf("workers=%d: pull entered while another was in flight", workers)
+			}
+			defer inFlight.Add(-1)
+			if dry.Load() {
+				t.Errorf("workers=%d: pull called after it returned false", workers)
+			}
+			runtime.Gosched()
+			if lo == len(segs) {
+				dry.Store(true)
+				return nil, false
+			}
+			hi := min(lo+1+lo%3, len(segs))
+			b := segs[lo:hi]
+			lo = hi
+			return b, true
+		}
+		got, err := runOne(context.Background(), p, Pulled(pull), Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		relIdentical(t, fmt.Sprintf("pulled, workers=%d", workers), got, want)
+	}
+}
+
 // TestExecutorWorkerCount pins how many workers Run starts and where:
 // over a dealt source never more than it has chunks (none for none),
-// over a fed source its full budget, and in both the calling goroutine
+// over a pulled source its full budget, and in both the calling goroutine
 // is one of them. Every chunk is evaluated exactly once: the merge's
 // dedupe would hide a chunk evaluated twice, the executor's chunk and
 // segment counts do not.
@@ -270,7 +322,7 @@ func TestExecutorWorkerCount(t *testing.T) {
 	want.Dedupe()
 	for _, tc := range []struct {
 		name    string
-		segs    []Segment // nil: feed segs through a channel instead
+		segs    []Segment // nil: pull segs as one batch instead
 		batch   int
 		workers int
 		chunks  int
@@ -280,16 +332,13 @@ func TestExecutorWorkerCount(t *testing.T) {
 		{"one chunk", segs, len(segs), 4, 1, 1},
 		{"two chunks", segs, (len(segs) + 1) / 2, 4, 2, 2},
 		{"more chunks than workers", segs, 1, 2, len(segs), 2},
-		{"channel", nil, 0, 3, 1, 3},
+		{"pulled", nil, 0, 3, 1, 3},
 	} {
 		ctx := &spyCtx{Context: context.Background(), onCaller: map[string]bool{}}
 		m := &Record{}
 		src, nsegs := Dealt(tc.segs), len(tc.segs)
 		if tc.segs == nil {
-			feed := make(chan []Segment, 1)
-			feed <- segs
-			close(feed)
-			src, nsegs = Fed(feed), len(segs)
+			src, nsegs = pulledFrom(segs), len(segs)
 		}
 		rels, err := Run(ctx, vsa.NewMulti(p), src, Options{Workers: tc.workers, Batch: tc.batch, Record: m})
 		if err != nil {

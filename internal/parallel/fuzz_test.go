@@ -89,26 +89,22 @@ func FuzzSplitEvalVsSequential(f *testing.F) {
 						pair.name, opts.Workers, opts.Batch, d, got, want)
 				}
 			}
-			// Streaming path: uneven batches through the channel feed, and
+			// Streaming path: uneven batches pulled one at a time, and
 			// one batch of every segment, evaluated as one chunk.
 			for _, whole := range []bool{false, true} {
-				batches := make(chan []Segment, 1)
-				go func() {
-					defer close(batches)
-					if whole {
-						batches <- segs
-						return
-					}
+				batches := [][]Segment{segs}
+				if !whole {
+					batches = nil
 					for lo := 0; lo < len(segs); {
 						hi := lo + 1 + lo%3
 						if hi > len(segs) {
 							hi = len(segs)
 						}
-						batches <- segs[lo:hi]
+						batches = append(batches, segs[lo:hi])
 						lo = hi
 					}
-				}()
-				got, err := runOne(context.Background(), pair.p, Fed(batches), Options{Workers: 3})
+				}
+				got, err := runOne(context.Background(), pair.p, pulledFrom(batches...), Options{Workers: 3})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -82,20 +82,17 @@ func TestSplitEvalCtxCancellation(t *testing.T) {
 }
 
 func TestSplitEvalBatchesStreaming(t *testing.T) {
-	// Feed batches through a channel while evaluation is running — the
-	// engine's streaming path — and check the merged result.
+	// Pull batches while evaluation is running — the engine's streaming
+	// path — and check the merged result.
 	p := library.NegativeSentiment()
 	doc := corpus.Reviews(26, 40)[0] + ". " + corpus.Reviews(27, 40)[2]
 	segs := SegmentsOf(doc, library.FastSentenceSplit(doc))
 	want := SplitEval(p, segs, 3)
-	batches := make(chan []Segment)
-	go func() {
-		defer close(batches)
-		for _, s := range segs {
-			batches <- []Segment{s}
-		}
-	}()
-	got, err := runOne(context.Background(), p, Fed(batches), Options{Workers: 3})
+	batches := make([][]Segment, len(segs))
+	for i := range segs {
+		batches[i] = segs[i : i+1]
+	}
+	got, err := runOne(context.Background(), p, pulledFrom(batches...), Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

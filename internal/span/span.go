@@ -38,9 +38,6 @@ func New(i, j int) Span {
 // the paper's 1-based span notation.
 func FromByteOffsets(lo, hi int) Span { return New(lo+1, hi+1) }
 
-// ByteOffsets returns the 0-based half-open byte interval of s.
-func (s Span) ByteOffsets() (lo, hi int) { return s.Start - 1, s.End - 1 }
-
 // IsValid reports whether s is a well-formed span (1 ≤ Start ≤ End).
 func (s Span) IsValid() bool { return s.Start >= 1 && s.Start <= s.End }
 

@@ -51,9 +51,6 @@ func (r *Raw) AddState(final bool) int {
 	return len(r.Final) - 1
 }
 
-// SetFinal marks q accepting.
-func (r *Raw) SetFinal(q int, f bool) { r.Final[q] = f }
-
 // AddSymbolEdge adds q --class--> to.
 func (r *Raw) AddSymbolEdge(q int, class alphabet.Class, to int) {
 	r.Adj[q] = append(r.Adj[q], RawEdge{Kind: LabelSymbol, Class: class, To: to})
