@@ -17,10 +17,17 @@ import (
 	"repro/internal/engine"
 )
 
-// stallPumps counts the goroutines inside the engine's stall-guard pump.
-func stallPumps() int {
+// engineGoroutines counts the goroutines running engine code: a request
+// whose body Read the engine could not give up on stays among them.
+func engineGoroutines() int {
 	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "stallReader).pump")
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "repro/internal/engine.") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestDeclaredOverBudgetUploadIs413Unread: a raw body whose
@@ -28,8 +35,8 @@ func stallPumps() int {
 // on both endpoints. It used to be buffered up to the budget first — a
 // 1 GiB upload pinned 256 MiB and an admission token on its way to the
 // same 413. The handler is called directly so the count is the server's
-// reads alone. (TestOverBudgetUploadsLeaveNoPump is the undeclared twin:
-// a chunked body can only be measured as it arrives.)
+// reads alone. (TestOverBudgetUploadsLeaveNoGoroutine is the undeclared
+// twin: a chunked body can only be measured as it arrives.)
 func TestDeclaredOverBudgetUploadIs413Unread(t *testing.T) {
 	h := newServer(engine.New(engine.Config{Workers: 2, MaxDocBuffer: 128 << 10, ReadTimeout: time.Second}))
 	q := url.Values{"spanner": {emailFormula}}.Encode()
@@ -55,12 +62,13 @@ func TestDeclaredOverBudgetUploadIs413Unread(t *testing.T) {
 // that costs its sender nothing. A request that declares the whole
 // -max-doc budget (256 MiB by default), sends one byte and goes silent is
 // answered 408 after -read-timeout like any stalled upload, leaves no
-// pump behind, and made the daemon allocate no more than the engine's
-// presize bound (16 MiB) on the strength of the declaration. A multipart
-// doc part declares nothing and stalls to the same 408.
+// goroutine in the engine behind, and made the daemon allocate no more
+// than the engine's presize bound (16 MiB) on the strength of the
+// declaration. A multipart doc part declares nothing and stalls to the
+// same 408.
 func TestDeclaredLengthReservesAtMostPresize(t *testing.T) {
 	const maxDoc, presize = 256 << 20, 16 << 20
-	base := stallPumps()
+	base := engineGoroutines()
 	eng := engine.New(engine.Config{Workers: 2, ReadTimeout: 50 * time.Millisecond})
 	ts := httptest.NewServer(newServer(eng))
 	defer ts.Close()
@@ -105,9 +113,9 @@ func TestDeclaredLengthReservesAtMostPresize(t *testing.T) {
 
 	ts.CloseClientConnections()
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-	for deadline := time.Now().Add(5 * time.Second); stallPumps() > base; time.Sleep(10 * time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); engineGoroutines() > base; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d stallReader pump goroutines still alive after the stalled uploads, %d before them", stallPumps(), base)
+			t.Fatalf("%d goroutines still in the engine after the stalled uploads, %d before them", engineGoroutines(), base)
 		}
 	}
 }

@@ -151,7 +151,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "evaluation workers (0 = GOMAXPROCS)")
 		reqWork   = flag.Int("req-workers", 0, "executor workers any one request may use (0 = auto: ceil(2*workers/admit), so concurrent requests share the pool fairly; negative = uncapped)")
-		batch     = flag.Int("batch", 16, "segments per worker task for inline documents that take the split route (documents too small to amortise the executor are evaluated whole; streamed documents are dispatched one read chunk at a time)")
+		batch     = flag.Int("batch", 16, "segments per executor task on the per-segment route — a licensed splitter not proven cut-independent — for inline and buffered documents alike (the chunked route deals one chunk per task; documents too small to amortise the executor are evaluated whole)")
 		cacheSize = flag.Int("cache", 128, "plan cache capacity (entries, all tenants)")
 		cacheMB   = flag.Int64("cache-bytes", 0, "plan cache budget in bytes of estimated plan cost (0 = 64 MiB, negative = unlimited)")
 		tenPlans  = flag.Int("tenant-plans", 0, "per-tenant plan cache entry quota (0 = no carve-up)")

@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -168,23 +167,38 @@ func TestDeadlineMapsTo504(t *testing.T) {
 	}
 }
 
+// TestStalledUploadMapsTo408: a body that goes silent answers 408, on the
+// buffered route and on the streamed one — where it stalls past the
+// break-even while the executor's workers pull it, and net/http cancels
+// the request inside the Read that timed out.
 func TestStalledUploadMapsTo408(t *testing.T) {
-	eng := engine.New(engine.Config{Workers: 2, ReadTimeout: 50 * time.Millisecond})
-	ts := httptest.NewServer(newServer(eng))
-	defer ts.Close()
+	for _, c := range []struct {
+		name string
+		body string
+		q    url.Values
+	}{
+		{"buffered", "some bytes, then silence. ", url.Values{"spanner": {emailFormula}}},
+		{"streamed", strings.Repeat(testDoc+" ", 2000), url.Values{"spanner": {emailFormula}, "splitter": {sentenceFormula}}}, // 134 KB
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := engine.New(engine.Config{Workers: 2, ReadTimeout: 50 * time.Millisecond})
+			ts := httptest.NewServer(newServer(eng))
+			defer ts.Close()
 
-	pr, pw := io.Pipe()
-	defer pw.Close()
-	go pw.Write([]byte("some bytes, then silence. "))
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/extract?spanner="+escapedEmail(), pr)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusRequestTimeout {
-		t.Fatalf("status = %d (%s), want 408 for a stalled upload", resp.StatusCode, b)
+			pr, pw := io.Pipe()
+			defer pw.Close()
+			go io.WriteString(pw, c.body)
+			req, _ := http.NewRequest("POST", ts.URL+"/v1/extract?"+c.q.Encode(), pr)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			b, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusRequestTimeout {
+				t.Fatalf("status = %d (%s), want 408 for a stalled upload", resp.StatusCode, b)
+			}
+		})
 	}
 }
 
@@ -467,18 +481,12 @@ func TestChaosDrainUnderLoad(t *testing.T) {
 	}
 }
 
-// TestOverBudgetUploadsLeaveNoPump: a client that keeps sending after the
-// daemon has answered 413 must cost the daemon nothing once its
-// connection is gone. The engine's stall guard reads the body on a pump
-// goroutine; before the pump could be told its consumer had returned,
-// every such upload left one parked for the life of the process, holding
-// its read buffers and the request body.
-func TestOverBudgetUploadsLeaveNoPump(t *testing.T) {
-	pumps := func() int {
-		buf := make([]byte, 1<<20)
-		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "stallReader).pump")
-	}
-	base := pumps()
+// TestOverBudgetUploadsLeaveNoGoroutine: a client that keeps sending after
+// the daemon has answered 413 must cost the daemon nothing once its
+// connection is gone: no goroutine is left in the engine, reading the body
+// or holding it.
+func TestOverBudgetUploadsLeaveNoGoroutine(t *testing.T) {
+	base := engineGoroutines()
 	eng := engine.New(engine.Config{Workers: 2, MaxDocBuffer: 128 << 10, ReadTimeout: 5 * time.Second})
 	ts := httptest.NewServer(newServer(eng))
 	defer ts.Close()
@@ -501,9 +509,9 @@ func TestOverBudgetUploadsLeaveNoPump(t *testing.T) {
 	}
 	ts.CloseClientConnections()
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-	for deadline := time.Now().Add(5 * time.Second); pumps() > base; time.Sleep(10 * time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); engineGoroutines() > base; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d stallReader pump goroutines still alive after %d refused uploads, %d before them", pumps(), refused, base)
+			t.Fatalf("%d goroutines still in the engine after %d refused uploads, %d before them", engineGoroutines(), refused, base)
 		}
 	}
 }

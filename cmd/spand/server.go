@@ -315,7 +315,7 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 			if part.FormName() == "doc" {
 				// Formula fields must precede the doc part so the plan
 				// exists before streaming begins.
-				x.stream = part
+				x.stream = body{part, -1, http.NewResponseController(w)}
 				continue
 			}
 			const maxFormula = 1 << 20
@@ -341,7 +341,7 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 			SplitSpanner: q.Get("split_spanner"),
 			Tenant:       x.req.Tenant,
 		}
-		x.stream = rawBody{r}
+		x.stream = body{r.Body, r.ContentLength, http.NewResponseController(w)}
 	}
 	s.extract(w, r, x)
 }
@@ -365,20 +365,26 @@ func (s *server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		x.spanners, x.doc = req.Spanners, req.Doc
 	} else {
-		x.spanners, x.stream = r.URL.Query()["spanner"], rawBody{r}
+		x.spanners, x.stream = r.URL.Query()["spanner"], body{r.Body, r.ContentLength, http.NewResponseController(w)}
 	}
 	s.extract(w, r, x)
 }
 
-// rawBody is a request's body as the document. Its Content-Length (-1 for
-// a chunked body, which declares nothing) is the Len() the engine's
-// buffered route sizes its one buffer from, and refuses by — unread —
-// when it is already over -max-doc. net/http never delivers more than was
-// declared.
-type rawBody struct{ r *http.Request }
+// body is a request's body — the raw one, or a multipart doc part — as
+// the document. Its Content-Length (-1 for a chunked body or a part:
+// nothing) is the Len() the engine's buffered route sizes its one buffer
+// from, and refuses by — unread — when it is already over -max-doc;
+// net/http never delivers more than was declared. Its SetReadDeadline is
+// the connection's, for the engine's stall guard (-read-timeout ⇒ 408);
+// without one (an httptest.ResponseRecorder) the body is read unguarded.
+type body struct {
+	io.Reader
+	n  int64
+	rc *http.ResponseController
+}
 
-func (b rawBody) Read(p []byte) (int, error) { return b.r.Body.Read(p) }
-func (b rawBody) Len() int                   { return int(min(b.r.ContentLength, math.MaxInt)) }
+func (b body) Len() int                          { return int(min(b.n, math.MaxInt)) }
+func (b body) SetReadDeadline(t time.Time) error { return b.rc.SetReadDeadline(t) }
 
 // planErrStatus classifies a Plan error: a coalesced waiter can see its
 // own context die while the plan is still compiling, which extractErrStatus

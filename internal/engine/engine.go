@@ -20,7 +20,8 @@
 //     chunk boundaries, and evaluates that chunk while the others evaluate
 //     earlier ones, so the stream is read no faster than it is evaluated;
 //     otherwise the stream is buffered whole, which is sound for
-//     arbitrary splitters.
+//     arbitrary splitters. ReadTimeout and ctx end a blocked Read only on
+//     a stream with read deadlines (see guard); others must return.
 //   - Segment relations are shifted and merged into a deterministic
 //     (sorted, deduplicated) result, byte-identical to one-shot
 //     evaluation of the whole document.
@@ -43,8 +44,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -96,9 +99,10 @@ type Config struct {
 	// ReadTimeout bounds how long ExtractReader waits for a document
 	// stream to make read progress. A stream that stalls longer fails
 	// with ErrReadStalled (the daemon maps it to HTTP 408) instead of
-	// holding the request's admission token and workers forever. 0
-	// disables the guard (the library default: local readers do not
-	// stall adversarially).
+	// holding the request's admission token and workers forever. Like a
+	// done context, it interrupts a blocked Read only on a reader with
+	// SetReadDeadline (a request body, a net.Conn, an *os.File on a pipe);
+	// any other reader's Read must return by itself. 0 disables it.
 	ReadTimeout time.Duration
 	// PlanCacheBytes bounds the summed estimated memory cost of cached
 	// plans (0 selects 64 MiB; negative means unlimited). Together with
@@ -124,9 +128,9 @@ var ErrDocTooLarge = errors.New("engine: document exceeds the configured buffer 
 // client-initiated cancellation (context.Canceled, HTTP 499).
 var ErrDeadlineExceeded = errors.New("engine: request deadline exceeded")
 
-// ErrReadStalled is returned by ExtractReader when the document stream
-// makes no read progress within Config.ReadTimeout. The daemon maps it
-// to HTTP 408.
+// ErrReadStalled is returned by ExtractReader when a stream with read
+// deadlines makes no read progress within Config.ReadTimeout (no other
+// stream can be timed out). The daemon maps it to HTTP 408.
 var ErrReadStalled = errors.New("engine: document stream stalled: no read progress within the configured timeout")
 
 // wrapCtxErr stamps a context deadline error with the engine's typed
@@ -316,7 +320,8 @@ func (e *Engine) Extract(ctx context.Context, plan *Plan, doc string) (*span.Rel
 	return rels[0], err
 }
 
-// ExtractReader is Extract on a document arriving as a stream.
+// ExtractReader is Extract on a document arriving as a stream; a blocked
+// Read is given up on only if r has SetReadDeadline (see guard).
 func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*span.Relation, error) {
 	rels, _, err := e.run(ctx, plan, "", r)
 	return rels[0], err
@@ -326,7 +331,8 @@ func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*s
 // is non-nil — and returns one result per member slot, in slot order, with
 // the route the document took; see run. Document-level failures (size
 // cap, stall, deadline) are the error and apply to every slot; a slot's
-// compile error rides in its result.
+// compile error rides in its result. As with ExtractReader, only a stream
+// with SetReadDeadline has a blocked Read given up on.
 func (e *Engine) Answer(ctx context.Context, plan *Plan, doc string, r io.Reader) ([]BatchResult, Execution, error) {
 	rels, exec, err := e.run(ctx, plan, doc, r)
 	return plan.results(rels), exec, err
@@ -363,7 +369,8 @@ func (e *Engine) WillStream(plan *Plan) bool {
 // splitter, so its documents always run whole, one fused pass for all of
 // them.
 //
-// A stream is read behind the stall guard (see guard). For a plan that
+// A stream with read deadlines is read behind the stall guard, any
+// other directly (see guard). For a plan that
 // streams (see WillStream) it is cut incrementally: the executor's workers
 // pull it, each evaluating the chunk it cut (ExecChunked) while another
 // reads the next feed (see stream). A stream that ends inside its first
@@ -481,8 +488,8 @@ func (e *Engine) ingest(ctx context.Context, plan *Plan, r io.Reader, hint int) 
 // pull. A saturated pool therefore stops reading — backpressure all the
 // way to the network socket. The pull ends at r's end, at r's error, at a
 // carry-over over the budget or once ctx is done; a Read that blocks
-// returns then too, since r is behind the stall guard whenever ctx can
-// end (see guard).
+// returns then too if r has read deadlines, since the stall guard then
+// interrupts it (see guard) — any other r must return by itself.
 func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r io.Reader, hint int, opts parallel.Options, rec *record) ([]*span.Relation, error) {
 	g := &cutSegmenter{f: cuts}
 	cut := func(feed []byte, eof bool) []parallel.Segment {
@@ -501,17 +508,23 @@ func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r
 				segs := cut(nil, true)
 				return segs, len(segs) > 0
 			}
-			if size := sizedTo(e.cfg.ChunkSize, hint, int(rec.bytes)); len(buf) < size {
+			size := e.cfg.ChunkSize
+			if 0 < hint && hint < size && int(rec.bytes) <= hint {
+				size = hint // short by its own account, until it sends more: under-reporting buys no small reads
+			}
+			if len(buf) < size {
 				buf = make([]byte, size)
 			}
 			n, err := r.Read(buf)
-			switch {
+			switch { // a stall, then a done ctx, then r's own error
 			case err == io.EOF:
 				eof = true
-			case err != nil:
+			case errors.Is(err, ErrReadStalled):
 				end = err
 			case ctx.Err() != nil:
 				end = ctx.Err()
+			case err != nil:
+				end = err
 			}
 			if n > 0 {
 				rec.bytes += uint64(n)
@@ -530,8 +543,8 @@ func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r
 	}
 	rels, err := parallel.Run(ctx, vsa.NewMulti(plan.p), parallel.Pulled(pull), opts)
 	rec.syncFallbacks, rec.segmented = uint64(cuts.Fallbacks()), true
-	if err == nil && end != io.EOF {
-		err = end
+	if end != nil && end != io.EOF {
+		err = end // ahead of Run's: net/http cancels ctx in a Read that stalls
 	}
 	return rels, err
 }
@@ -580,43 +593,103 @@ func (e *Engine) Stats() Stats {
 // default MaxDocBuffer; a longer document starts there and doubles.
 const presize = 16 << 20
 
-// sizedTo is the size of a read buffer for a stream that declared hint
-// bytes and has delivered read of them: size, or hint where the stream is
-// shorter by its own account — until it delivers more than it declared,
-// which voids the hint, so that under-reporting buys no small reads.
-func sizedTo(size, hint, read int) int {
-	if 0 < hint && hint < size && read <= hint {
-		return hint
-	}
-	return size
-}
-
 // guard reads the length r declares through the optional Len method
 // (*strings.Reader, *bytes.Reader, *bytes.Buffer, cmd/spand's body with a
 // Content-Length; ≤ 0 is none) — it sizes buffers and refuses a
-// declared-too-large document unread, no answer depends on it — and puts
-// r behind the stall guard (see stallReader) when a read can be given up
-// on: ReadTimeout is set or ctx can end. The caller defers stop.
+// declared-too-large document unread, no answer depends on it — and, when
+// ReadTimeout is set or ctx can end, puts r behind the stall guard
+// (deadlineReader) if r takes read deadlines (the optional SetReadDeadline:
+// a request body, a net.Conn, an *os.File on a pipe). Any other reader is
+// read directly, and its Read must return by itself. The caller defers stop.
 func (e *Engine) guard(ctx context.Context, r io.Reader) (guarded io.Reader, hint int, stop func()) {
 	if l, ok := r.(interface{ Len() int }); ok {
 		hint = l.Len()
 	}
-	if e.cfg.ReadTimeout <= 0 && ctx.Done() == nil {
+	d, ok := r.(interface{ SetReadDeadline(time.Time) error })
+	if !ok || e.cfg.ReadTimeout <= 0 && ctx.Done() == nil || d.SetReadDeadline(time.Time{}) != nil {
 		return r, hint, func() {}
 	}
-	sr := newStallReader(ctx, r, e.cfg.ReadTimeout, hint)
-	return sr, hint, sr.stop
+	g := &deadlineReader{ctx: ctx, r: r, set: d.SetReadDeadline, timeout: e.cfg.ReadTimeout}
+	g.unregister = context.AfterFunc(ctx, func() {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if !g.done {
+			_ = g.set(time.Unix(1, 0)) // past: a blocked Read returns now
+		}
+	})
+	return g, hint, g.stop
+}
+
+// deadlineReader is the stall guard. Before each Read it sets the read
+// deadline to now + timeout, and a Read that times out past it fails with
+// ErrReadStalled (the daemon's 408) — decided by the deadline, not by ctx,
+// since net/http cancels the request inside any body Read that fails. Once
+// ctx is done, a past deadline ends a blocked Read with ctx's error. A
+// Read that fails or hits EOF — the last the engine makes — and stop clear
+// the deadline: from a body's EOF on, net/http reads the connection in the
+// background, where a deadline still set would cancel a request that is
+// still evaluating.
+type deadlineReader struct {
+	ctx        context.Context
+	r          io.Reader
+	set        func(time.Time) error // r's SetReadDeadline; past guard's probe, its errors are r's to report
+	timeout    time.Duration         // ≤ 0: none, only ctx ends a Read
+	unregister func() bool           // ctx's AfterFunc
+	mu         sync.Mutex            // orders stop against that AfterFunc
+	done       bool                  // stop ran: the AfterFunc sets no deadline
+}
+
+func (g *deadlineReader) Read(p []byte) (n int, err error) {
+	var due time.Time // this Read's progress deadline
+	if g.timeout > 0 {
+		due = time.Now().Add(g.timeout)
+		_ = g.set(due)
+	}
+	// After the set, which may have overwritten a done ctx's past deadline.
+	if err = g.ctx.Err(); err == nil {
+		if n, err = g.r.Read(p); err == nil {
+			return n, nil
+		}
+	}
+	g.stop()
+	switch {
+	case err == io.EOF:
+	case g.timeout > 0 && errors.Is(err, os.ErrDeadlineExceeded) && !time.Now().Before(due):
+		err = ErrReadStalled
+	case g.ctx.Err() != nil:
+		err = wrapCtxErr(g.ctx.Err())
+	}
+	return n, err
+}
+
+// stop clears the deadline and keeps ctx's AfterFunc from setting one; it
+// may be called more than once.
+func (g *deadlineReader) stop() {
+	g.unregister()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.done = true
+	_ = g.set(time.Time{})
 }
 
 // readAllBounded reads the whole stream into one buffer and returns it as
 // the document, failing with ErrDocTooLarge once it exceeds
 // Config.MaxDocBuffer — before the first read when hint already does. The
-// copy is io.Copy's: from a stallReader each pumped chunk, from a
-// *strings.Reader the whole document at once.
+// copy is io.Copy's: a *strings.Reader's whole document at once (WriteTo),
+// any other stream's in 32 KiB reads — after, for one that declares less,
+// an io.CopyN of hint+1 bytes, where its end is: a small body gets a small
+// buffer, and an under-reporting one no small reads.
 func (e *Engine) readAllBounded(ctx context.Context, r io.Reader, hint int) (string, error) {
 	d := docBuffer{ctx: ctx, max: e.cfg.MaxDocBuffer, hint: hint, b: new(strings.Builder)}
 	if err := d.reserve(hint); err != nil {
 		return "", err
+	}
+	if _, ok := r.(io.WriterTo); !ok && 0 < hint && hint < 32<<10 {
+		if _, err := io.CopyN(&d, r, int64(hint)+1); err == io.EOF {
+			return d.b.String(), nil
+		} else if err != nil {
+			return "", err
+		}
 	}
 	if _, err := io.Copy(&d, r); err != nil {
 		return "", err
@@ -629,7 +702,7 @@ func (e *Engine) readAllBounded(ctx context.Context, r io.Reader, hint int) (str
 // first checks the context and the budget, so a request whose deadline
 // fires mid-upload fails promptly (typed via wrapCtxErr) instead of
 // buffering a slow body forever; a read that does not return at all is
-// the stall guard's job.
+// the stall guard's job, on a stream with read deadlines (see guard).
 type docBuffer struct {
 	ctx  context.Context
 	max  int64

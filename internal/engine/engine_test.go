@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -435,22 +436,29 @@ func TestCancelledOriginatorDoesNotPoisonWaiters(t *testing.T) {
 	}
 }
 
-// stalledReader blocks in Read until closed — a hung socket stand-in.
-type stalledReader struct{ unblock chan struct{} }
-
-func (r *stalledReader) Read(p []byte) (int, error) {
-	<-r.unblock
-	return 0, io.EOF
+// stalledPipe returns the server end of a net.Pipe — a reader with real
+// read deadlines, which the stall guard can interrupt — whose client end
+// writes data, if any, and then goes silent until the test ends.
+func stalledPipe(t *testing.T, data string) net.Conn {
+	t.Helper()
+	server, client := net.Pipe()
+	t.Cleanup(func() {
+		client.Close()
+		server.Close()
+	})
+	if data != "" {
+		go io.WriteString(client, data)
+	}
+	return server
 }
 
 func TestExtractReaderCancelWithStalledReader(t *testing.T) {
 	// Cancellation must unblock ExtractReader even when the reader never
-	// returns: the stall guard's pump cannot be interrupted mid-Read,
-	// but the call itself has to honor ctx.
+	// returns by itself: the stall guard gives the blocked Read up through
+	// its read deadline, and the call honors ctx.
 	e := newTestEngine()
 	plan := mustPlan(t, e, Request{Spanner: emailFormula, Splitter: sentenceFormula})
-	r := &stalledReader{unblock: make(chan struct{})}
-	defer close(r.unblock)
+	r := stalledPipe(t, "")
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	done := make(chan error, 1)
@@ -470,24 +478,6 @@ func TestExtractReaderCancelWithStalledReader(t *testing.T) {
 	}
 }
 
-// trickleStallReader yields its data, then blocks forever — a client
-// that opened a streamed upload and went silent without closing it.
-type trickleStallReader struct {
-	data    []byte
-	off     int
-	unblock chan struct{}
-}
-
-func (r *trickleStallReader) Read(p []byte) (int, error) {
-	if r.off < len(r.data) {
-		n := copy(p, r.data[r.off:])
-		r.off += n
-		return n, nil
-	}
-	<-r.unblock
-	return 0, io.EOF
-}
-
 func TestExtractReaderStallTimeout(t *testing.T) {
 	// With ReadTimeout set, a stream that stops making read progress must
 	// fail promptly with the typed ErrReadStalled (the daemon's 408
@@ -502,7 +492,7 @@ func TestExtractReaderStallTimeout(t *testing.T) {
 		if e.WillStream(plan) != stream {
 			t.Fatalf("WillStream = %v, want %v", !stream, stream)
 		}
-		r := &trickleStallReader{data: []byte(emailDoc), unblock: make(chan struct{})}
+		r := stalledPipe(t, emailDoc)
 		done := make(chan error, 1)
 		go func() {
 			_, err := e.ExtractReader(context.Background(), plan, r)
@@ -516,7 +506,6 @@ func TestExtractReaderStallTimeout(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("stream=%v: ExtractReader did not return on a stalled stream", stream)
 		}
-		close(r.unblock)
 	}
 }
 
@@ -525,7 +514,8 @@ func TestExtractReaderStallTimeoutNotTriggeredByProgress(t *testing.T) {
 	// bounds time-to-next-byte, not total transfer time.
 	e := New(Config{Workers: 2, ReadTimeout: 80 * time.Millisecond})
 	plan := mustPlan(t, e, Request{Spanner: emailFormula, Splitter: sentenceFormula})
-	pr, pw := io.Pipe()
+	pr, pw := net.Pipe()
+	defer pr.Close()
 	go func() {
 		for _, b := range []byte(emailDoc) {
 			pw.Write([]byte{b})

@@ -34,8 +34,10 @@ func (d declaring) Len() int { return d.size }
 type unsized struct{ io.Reader }
 
 // BenchmarkIngestBuffered times the buffered ingest route end to end — a
-// sequential plan's ExtractReader behind the stall guard, as spand and
-// bench/ run it — on sparse text, where evaluation is the small part:
+// sequential plan's ExtractReader on a *strings.Reader, as bench/ runs it:
+// read directly, since it has no read deadlines for the stall guard to set
+// (spand's request body has) — on sparse text, where evaluation is the
+// small part:
 //
 //	go test -run '^$' -bench IngestBuffered -benchmem ./internal/engine
 //
@@ -125,7 +127,7 @@ func TestBufferStaysWithinBudget(t *testing.T) {
 // TestSizeHintIsOnlyAHint: whatever a stream declares — too little, too
 // much, nothing, nonsense — the buffered routes (and the streamed one,
 // which sizes its read buffer by it) return the relation Extract returns
-// on the bytes that actually arrive, however the pump receives them.
+// on the bytes that actually arrive, however the reads deliver them.
 func TestSizeHintIsOnlyAHint(t *testing.T) {
 	e := New(Config{Workers: 2, ReadTimeout: 5 * time.Second})
 	ctx := context.Background()
@@ -135,7 +137,7 @@ func TestSizeHintIsOnlyAHint(t *testing.T) {
 		t.Fatal("the two plans must take the buffered and the streamed route")
 	}
 	batch := mustPlanBatch(t, e, BatchRequest{Spanners: []string{emailFormula, "(.*[^a-z])?(w{[a-z]+})([^a-z].*)?"}})
-	doc := strings.Repeat(emailDoc+" ", (80<<10)/len(emailDoc)) // past breakEven and one pump buffer
+	doc := strings.Repeat(emailDoc+" ", (80<<10)/len(emailDoc)) // past breakEven and one 64 KiB read
 	want, err := e.Extract(ctx, plan, doc)
 	if err != nil || want.Len() == 0 {
 		t.Fatalf("Extract: %d tuples, %v", want.Len(), err)
@@ -144,7 +146,7 @@ func TestSizeHintIsOnlyAHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pumps := []struct {
+	reads := []struct {
 		name string
 		open func() io.Reader
 	}{
@@ -154,12 +156,12 @@ func TestSizeHintIsOnlyAHint(t *testing.T) {
 		{"data+EOF", func() io.Reader { return iotest.DataErrReader(strings.NewReader(doc)) }},
 	}
 	hints := []int{1, len(doc) - 1, len(doc), len(doc) + 1, presize + 1, 0, -1}
-	for _, p := range pumps {
+	for _, p := range reads {
 		for _, hint := range hints {
 			if len(p.name) == 1 && hint != 1 {
 				continue // a hand-over per byte or seven: the hint voided at once is enough
 			}
-			name := fmt.Sprintf("pump %s, declared %d of %d", p.name, hint, len(doc))
+			name := fmt.Sprintf("reads of %s, declared %d of %d", p.name, hint, len(doc))
 			open := func() io.Reader { return declaring{p.open(), hint} }
 			got, err := e.ExtractReader(ctx, plan, open())
 			if err != nil {
@@ -179,4 +181,34 @@ func TestSizeHintIsOnlyAHint(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUnderReportedLengthBuysNoSmallReads: a buffered stream that declares
+// less than it sends is read in buffers of its declared size only until it
+// passes that size, then in io.Copy's 32 KiB — declaring 1 byte does not
+// turn a 256 KiB upload into 128 Ki two-byte reads.
+func TestUnderReportedLengthBuysNoSmallReads(t *testing.T) {
+	e := New(Config{Workers: 2})
+	doc := sparseDoc(256 << 10)
+	r := &readCounter{r: strings.NewReader(doc)}
+	got, err := e.ExtractReader(context.Background(), sequentialPlan(), declaring{r, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := e.Extract(context.Background(), sequentialPlan(), doc)
+	sameTuples(t, "declared 1", got, want)
+	if r.reads > 16 {
+		t.Errorf("%d Reads for a %d-byte stream that declared 1, want ≤ 16", r.reads, len(doc))
+	}
+}
+
+// readCounter counts the Reads made of r.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
 }

@@ -141,9 +141,8 @@ func TestRoutesAgainstRefWordOracle(t *testing.T) {
 					t.Fatalf("doc %q: SplitReference = %v, the ref-word semantics give %v", doc, ref, spans)
 				}
 				hold("P_S ∘ S", parallel.SplitEval(ps, parallel.SegmentsOf(doc, spans), 1))
-				// The buffered route — P alone, so nothing streams — behind the
-				// stall guard, from a stream that declares its length and one
-				// that does not.
+				// The buffered route — P alone, so nothing streams — from a
+				// stream that declares its length and one that does not.
 				for _, r := range []io.Reader{strings.NewReader(doc), unsized{strings.NewReader(doc)}} {
 					got, _, err := answer(context.Background(), buffering, &Plan{p: p}, "", r)
 					if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -31,16 +32,13 @@ func TestBusyShareCountsRunWorkers(t *testing.T) {
 }
 
 // cancellingReader delivers its document's first n bytes in 16 KiB reads,
-// then answers two empty reads, and on the read after them cancels the
-// request and fails. The stall guard's pump asks for that read only once
-// the consumer has taken the second empty chunk, which it does only after
-// it consumed every byte before it: by then the pull has counted all that
-// was delivered.
+// and on the read after them cancels the request and fails, as net/http
+// does inside a body Read that fails. It has no read deadline, so the pull
+// reads it directly: by then the pull has counted all that was delivered.
 type cancellingReader struct {
 	doc       string
 	n         int
 	delivered int
-	empties   int
 	cancel    func()
 }
 
@@ -50,45 +48,24 @@ func (r *cancellingReader) Read(p []byte) (int, error) {
 		r.delivered += k
 		return k, nil
 	}
-	if r.empties < 2 {
-		r.empties++
-		return 0, nil
-	}
 	r.cancel()
-	return 0, io.ErrUnexpectedEOF
-}
-
-// blockingReader delivers its document's first n bytes and the same two
-// empty reads, then blocks in Read until release is closed and fails. It
-// closes blocked when it starts to block, when the pull reading it through
-// the stall guard has counted every byte.
-type blockingReader struct {
-	cancellingReader
-	blocked, release chan struct{}
-}
-
-func (r *blockingReader) Read(p []byte) (int, error) {
-	if r.delivered < r.n || r.empties < 2 {
-		return r.cancellingReader.Read(p)
-	}
-	close(r.blocked)
-	<-r.release
 	return 0, io.ErrUnexpectedEOF
 }
 
 // TestStreamCancelledMidDocumentCountsOnce cancels a streamed document in
 // its middle through Answer, twice: on a reader that fails once the
-// request is cancelled, and on one that does not return, so that the
-// stall guard gives up on the Read the pull is waiting in and leaves its
-// pump behind. Either way the document counts once, its bytes are what
-// the reader delivered, and nothing outlives the reader.
+// request is cancelled, and on the server end of a net.Pipe whose client
+// sent the same bytes and went silent, so that the stall guard gives up
+// on the Read the pull is blocked in through its read deadline. Either way
+// the document counts once, its bytes are what the reader delivered, and
+// nothing outlives the request.
 func TestStreamCancelledMidDocumentCountsOnce(t *testing.T) {
 	plan := reviewPlan()
 	doc := reviewDoc(1, 256<<10)
 	settled := func(e *Engine, delivered, base int) {
 		t.Helper()
-		// The stall guard's pump and the workers are gone once the
-		// goroutine count is back where it was.
+		// The workers, the pipe's writer and the guard's AfterFunc are
+		// gone once the goroutine count is back where it was.
 		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; {
 			if time.Now().After(deadline) {
 				t.Fatalf("%d goroutines still running, %d before the request", runtime.NumGoroutine(), base)
@@ -122,15 +99,16 @@ func TestStreamCancelledMidDocumentCountsOnce(t *testing.T) {
 	base = runtime.NumGoroutine()
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
-	br := &blockingReader{cancellingReader: cancellingReader{doc: doc, n: 96 << 10},
-		blocked: make(chan struct{}), release: make(chan struct{})}
+	pr, pw := net.Pipe()
+	defer pr.Close()
 	go func() {
-		<-br.blocked
+		// A net.Pipe Write returns once the reader has taken every byte.
+		io.WriteString(pw, doc[:96<<10])
 		cancel()
 	}()
-	if _, x, err := e.Answer(ctx, plan, "", br); !errors.Is(err, context.Canceled) || x != ExecChunked {
+	if _, x, err := e.Answer(ctx, plan, "", pr); !errors.Is(err, context.Canceled) || x != ExecChunked {
 		t.Fatalf("route %v, err %v; want chunked and cancelled", x, err)
 	}
-	close(br.release)
-	settled(e, br.delivered, base)
+	pw.Close()
+	settled(e, 96<<10, base)
 }
