@@ -48,6 +48,12 @@
 // an admitted request always gets either its result or an explicit
 // error.
 //
+// An inline JSON body is read once, through the same stall guard as a
+// streamed document, into one buffer sized from its Content-Length (64
+// MiB at most, else 413), and decoded in one pass with encoding/json's
+// observable behaviour; every answer but /v1/stats is appended into one
+// buffer, byte for byte what encoding/json would write.
+//
 // A successful extraction responds with the plan section — strategy
 // (what the verdicts justify), verdicts, cache_hit, plan_compile_ms —
 // plus ingest ("inline", "streamed" or "buffered"), execution (what ran
@@ -160,7 +166,7 @@ func main() {
 		chunk     = flag.Int("chunk", 64<<10, "streaming read size in bytes")
 		limit     = flag.Int("limit", 0, "decision-procedure state limit (0 = library default)")
 		deadline  = flag.Duration("deadline", 0, "per-request deadline covering queue wait, planning and evaluation; exceeding it answers 504 (0 = none)")
-		readTmo   = flag.Duration("read-timeout", 30*time.Second, "read-progress timeout on streamed documents; a stalled upload answers 408 (0 = none)")
+		readTmo   = flag.Duration("read-timeout", 30*time.Second, "read-progress timeout on request bodies; a stalled upload answers 408 (0 = none)")
 		admit     = flag.Int("admit", 0, "concurrent requests admitted to /v1/extract and /v1/check (0 = GOMAXPROCS; negative disables admission control)")
 		admitQ    = flag.Int("admit-queue", 0, "admission wait-queue capacity; arrivals beyond it answer 429 (0 = 4*admit, negative = no queue)")
 		admitWait = flag.Duration("admit-wait", 500*time.Millisecond, "max time a request may wait for admission before a 429")

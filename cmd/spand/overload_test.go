@@ -202,6 +202,63 @@ func TestStalledUploadMapsTo408(t *testing.T) {
 	}
 }
 
+// TestStalledRequestBodyAnswers: an inline JSON body that stops
+// mid-string, or a multipart body that stops inside a formula field or a
+// part's headers, is read through the engine's stall guard like a
+// document: 408 under -read-timeout, 504 under -deadline, each with
+// Connection: close, on all three endpoints. The request gives its
+// admission token back, and no engine goroutine outlives it.
+func TestStalledRequestBodyAnswers(t *testing.T) {
+	base := engineGoroutines()
+	field := "--b\r\nContent-Disposition: form-data; name=\"spanner\"\r\n\r\n(.*"
+	header := "--b\r\nContent-Disposition: form-data; name=\"spanner\"\r\n\r\n(.*)\r\n--b\r\nContent-Disposition: form-da"
+	for _, c := range []struct {
+		name, path, ctype, prefix string
+		cfg                       engine.Config
+		deadline                  time.Duration
+		status                    int
+	}{
+		{"extract/read-timeout", "/v1/extract", "application/json", `{"spanner":"(.*`, engine.Config{ReadTimeout: 50 * time.Millisecond}, 0, http.StatusRequestTimeout},
+		{"extract-batch/read-timeout", "/v1/extract-batch", "application/json", `{"spanners":["(.*`, engine.Config{ReadTimeout: 50 * time.Millisecond}, 0, http.StatusRequestTimeout},
+		{"check/read-timeout", "/v1/check", "application/json", `{"doc":"some`, engine.Config{ReadTimeout: 50 * time.Millisecond}, 0, http.StatusRequestTimeout},
+		{"multipart-field/read-timeout", "/v1/extract", "multipart/form-data; boundary=b", field, engine.Config{ReadTimeout: 50 * time.Millisecond}, 0, http.StatusRequestTimeout},
+		{"multipart-header/read-timeout", "/v1/extract", "multipart/form-data; boundary=b", header, engine.Config{ReadTimeout: 50 * time.Millisecond}, 0, http.StatusRequestTimeout},
+		{"extract/deadline", "/v1/extract", "application/json", `{"spanner":"(.*`, engine.Config{}, 200 * time.Millisecond, http.StatusGatewayTimeout},
+		{"extract-batch/deadline", "/v1/extract-batch", "application/json", `{"spanners":["(.*`, engine.Config{}, 200 * time.Millisecond, http.StatusGatewayTimeout},
+		{"check/deadline", "/v1/check", "application/json", `{"doc":"some`, engine.Config{}, 200 * time.Millisecond, http.StatusGatewayTimeout},
+		{"multipart-field/deadline", "/v1/extract", "multipart/form-data; boundary=b", field, engine.Config{}, 200 * time.Millisecond, http.StatusGatewayTimeout},
+		{"multipart-header/deadline", "/v1/extract", "multipart/form-data; boundary=b", header, engine.Config{}, 200 * time.Millisecond, http.StatusGatewayTimeout},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Workers = 2
+			lim := admission.New(admission.Config{Tokens: 1, Queue: -1})
+			ts := httptest.NewServer(newServerWith(engine.New(c.cfg), serverConfig{limiter: lim, deadline: c.deadline}))
+			defer ts.Close()
+			pr, pw := io.Pipe()
+			defer pw.Close()
+			go io.WriteString(pw, c.prefix)
+			// Unanswered, the request fails here rather than hanging the test.
+			defer time.AfterFunc(5*time.Second, func() { pw.CloseWithError(errors.New("no answer in 5 s")) }).Stop()
+			req, _ := http.NewRequest("POST", ts.URL+c.path, pr)
+			req.Header.Set("Content-Type", c.ctype)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != c.status || !resp.Close {
+				t.Fatalf("status %d (%s), Connection: close %v; want %d and close", resp.StatusCode, b, resp.Close, c.status)
+			}
+			for deadline := time.Now().Add(5 * time.Second); lim.Snapshot().InUse != 0 || engineGoroutines() > base; time.Sleep(10 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d admission tokens in use, %d engine goroutines (%d before)", lim.Snapshot().InUse, engineGoroutines(), base)
+				}
+			}
+		})
+	}
+}
+
 // readMultipartResponse parses a multipart/mixed extraction response
 // into named JSON parts.
 func readMultipartResponse(t *testing.T, resp *http.Response) map[string]json.RawMessage {

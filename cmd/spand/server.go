@@ -12,94 +12,20 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/textproto"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/span"
 )
 
-// maxJSONBody bounds JSON request bodies (413 beyond it; see decodeJSON).
+// maxJSONBody bounds JSON request bodies (413 beyond it; see readJSON).
 // Streamed documents (raw or multipart bodies) may be arbitrarily long on
 // the incremental path; whatever the engine must hold in memory (whole
 // buffered documents, the streaming carry-over) is bounded by its
 // MaxDocBuffer budget and rejected with 413 beyond it.
 const maxJSONBody = 64 << 20
-
-// extractRequest is the JSON request body of /v1/extract and /v1/check.
-type extractRequest struct {
-	Spanner      string `json:"spanner"`
-	SplitSpanner string `json:"split_spanner,omitempty"`
-	Splitter     string `json:"splitter,omitempty"`
-	Doc          string `json:"doc,omitempty"`
-}
-
-func (r extractRequest) engineRequest(tenant string) engine.Request {
-	return engine.Request{Spanner: r.Spanner, SplitSpanner: r.SplitSpanner, Splitter: r.Splitter, Tenant: tenant}
-}
-
-// planResponse is the shared verdict section of responses.
-type planResponse struct {
-	Strategy      string            `json:"strategy"`
-	Verdicts      core.PlanVerdicts `json:"verdicts"`
-	CacheHit      bool              `json:"cache_hit"`
-	PlanCompileMS float64           `json:"plan_compile_ms"`
-}
-
-type extractResponse struct {
-	planResponse
-	// Ingest reports how the document was consumed: "inline" (came with
-	// the JSON request), "streamed" (segmented incrementally while
-	// uploading) or "buffered" (read whole, then evaluated).
-	Ingest string `json:"ingest"`
-	// Execution reports the route this document took: "split" (segments
-	// on the executor), "chunked" (the same at chunk grain: the spanner
-	// once per run of consecutive segments, where the splitter is proven
-	// cut-independent) or "whole" (one evaluation on the request
-	// goroutine — every sequential plan, and a split-parallel plan's
-	// documents too small to amortise the executor). Strategy is what the
-	// verdicts justify; this is what ran.
-	Execution string   `json:"execution"`
-	Vars      []string `json:"vars"`
-	Count     int      `json:"count"`
-	// "tuples" follows as the final member, rendered by appendTuples.
-}
-
-func planSection(plan *engine.Plan, hit bool) planResponse {
-	return planResponse{
-		Strategy:      plan.Strategy.String(),
-		Verdicts:      plan.Verdicts,
-		CacheHit:      hit,
-		PlanCompileMS: float64(plan.CompileTime.Microseconds()) / 1000,
-	}
-}
-
-// appendTuples appends a relation's rows as JSON, [[[start,end],…],…] with
-// one 1-based [start,end] pair per variable: byte for byte what
-// encoding/json makes of [][][2]int, without reflecting over every row.
-func appendTuples(dst []byte, rel *span.Relation) json.RawMessage {
-	dst = append(slices.Grow(dst, 2+len(rel.Tuples)*(2+18*len(rel.Vars))), '[') // 7-digit offsets fit
-	for i, t := range rel.Tuples {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, '[')
-		for j, s := range t {
-			if j > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(append(dst, '['), int64(s.Start), 10)
-			dst = strconv.AppendInt(append(dst, ','), int64(s.End), 10)
-			dst = append(dst, ']')
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, ']')
-}
 
 // serverConfig is the daemon-level (non-engine) serving policy.
 type serverConfig struct {
@@ -186,10 +112,8 @@ func (s *server) writeShed(w http.ResponseWriter, err error) {
 		// the client was mid-way through a large upload.
 		w.Header().Set("Connection", "close")
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{
-			"error":           err.Error(),
-			"retry_after_sec": retry,
-		})
+		body := appendString([]byte(`{"error":`), err.Error())
+		writeJSON(w, http.StatusTooManyRequests, append(strconv.AppendInt(append(body, `,"retry_after_sec":`...), int64(retry), 10), '}'))
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, err)
 	default:
@@ -203,72 +127,120 @@ func (s *server) tenantOf(r *http.Request) string {
 	return r.Header.Get(s.cfg.tenantHeader) // "" for the empty name
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON answers with body, one line of JSON.
+func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	encodeJSON(w, v)
-}
-
-// encodeJSON writes v as one line of JSON. A json.RawMessage is written as
-// it stands: encoding/json would validate and compact it byte by byte,
-// which costs more than reflecting over the rows it was built to spare.
-func encodeJSON(w io.Writer, v any) {
-	if raw, ok := v.(json.RawMessage); ok {
-		_, _ = w.Write(append(raw, '\n'))
-		return
-	}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-// appendJSON appends v's JSON as encodeJSON writes it, less the newline.
-func appendJSON(dst []byte, v any) []byte {
-	var b bytes.Buffer
-	encodeJSON(&b, v)
-	return append(dst, b.Bytes()[:b.Len()-1]...)
-}
-
-// openObject appends v's JSON object — v marshals to a non-empty one — up
-// to its closing brace, and the key of one more member. The caller appends
-// that member's value, JSON it renders itself, and the '}'.
-func openObject(dst []byte, v any, key string) []byte {
-	dst = appendJSON(dst, v)
-	return append(dst[:len(dst)-1], `,"`+key+`":`...)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	writeJSON(w, status, append(appendString([]byte(`{"error":`), err.Error()), '}'))
 }
 
 // bodyError answers a request whose body — or the part of it called what —
-// could not be read or parsed: 413 naming the limit when it ran into its
-// http.MaxBytesReader, else 400. Connection: close skips draining the rest
-// of an oversized body (the metrics wrapper hides w from the reader's hook).
+// could not be read or parsed: 413 naming the limit when it ran past it;
+// 408, 504 or 499 when the stall guard gave the read up (see
+// extractErrStatus); else 400. Connection: close skips draining the rest
+// of a body that was not read to its end (the metrics wrapper hides w from
+// http.MaxBytesReader's hook).
 func bodyError(w http.ResponseWriter, what string, err error) {
 	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
+	switch status := extractErrStatus(err); {
+	case errors.As(err, &tooBig):
 		w.Header().Set("Connection", "close")
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s exceeds %d bytes", what, tooBig.Limit))
-		return
+	case status == http.StatusRequestTimeout || status == http.StatusGatewayTimeout || status == 499:
+		w.Header().Set("Connection", "close")
+		writeError(w, status, err)
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
 	}
-	writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
 }
 
-// decodeJSON reads a JSON request body of at most limit bytes into v, or
-// answers the request (see bodyError) and returns false. A limit that only
-// truncated would have the decoder call a large inline document malformed.
-func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+// readJSON reads a request's inline JSON body into x, or answers the
+// request (see bodyError) and returns false. The body is read through the
+// engine's stall guard, into one buffer sized to its Content-Length — but
+// to no more than 16 MiB, what a client can make the daemon set aside
+// without sending — and of at most s.cfg.maxJSON bytes: a limit that only
+// truncated would call a large inline document malformed. Then it is
+// decoded (see decode).
+func (s *server) readJSON(w http.ResponseWriter, r *http.Request, x *extraction) bool {
+	g, _, stop := s.eng.Guard(r.Context(), body{r.Body, r.ContentLength, http.NewResponseController(w)})
+	b := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), s.cfg.maxJSON, 16<<20)+bytes.MinRead))
+	_, err := b.ReadFrom(io.LimitReader(g, s.cfg.maxJSON+1))
+	stop()
+	over := int64(b.Len()) > s.cfg.maxJSON
+	if err == nil {
+		err = x.decode(b.Bytes()[:min(int64(b.Len()), s.cfg.maxJSON)], over)
+	}
+	if over && err == io.ErrUnexpectedEOF {
+		err = &http.MaxBytesError{Limit: s.cfg.maxJSON}
+	}
 	if err != nil {
 		bodyError(w, "JSON body", err)
 	}
 	return err == nil
 }
 
+// readMultipart reads a multipart request's formula fields into x, up to
+// its "doc" part, which becomes x's stream; or answers the request and
+// returns false. The fields and part headers are read through one engine
+// stall guard over the body, stopped once the doc part arrives: the
+// engine guards the document itself.
+func (s *server) readMultipart(w http.ResponseWriter, r *http.Request, x *extraction) bool {
+	rc := http.NewResponseController(w)
+	g, _, stop := s.eng.Guard(r.Context(), body{r.Body, r.ContentLength, rc})
+	defer stop()
+	r.Body = struct {
+		io.Reader
+		io.Closer
+	}{g, r.Body}
+	mr, err := r.MultipartReader()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return false
+	}
+	for {
+		part, err := mr.NextPart()
+		switch {
+		case err == io.EOF:
+			writeError(w, http.StatusBadRequest, errors.New(`multipart body has no "doc" part`))
+			return false
+		case err != nil:
+			if status := extractErrStatus(err); status != http.StatusBadRequest && status != http.StatusInternalServerError {
+				bodyError(w, "multipart body", err) // the stall guard gave the read up: 408, 504 or 499
+			} else {
+				writeError(w, http.StatusBadRequest, err)
+			}
+			return false
+		case part.FormName() == "doc":
+			// Formula fields must precede the doc part so the plan
+			// exists before streaming begins.
+			x.stream = body{part, -1, rc}
+			return true
+		}
+		const maxFormula = 1 << 20
+		val, err := io.ReadAll(http.MaxBytesReader(w, part, maxFormula))
+		if err != nil {
+			bodyError(w, fmt.Sprintf("multipart field %q", part.FormName()), err)
+			return false
+		}
+		switch part.FormName() {
+		case "spanner":
+			x.req.Spanner = string(val)
+		case "splitter":
+			x.req.Splitter = string(val)
+		case "split_spanner":
+			x.req.SplitSpanner = string(val)
+		}
+	}
+}
+
 // extraction is one parsed request of either extraction endpoint: the
 // single query of /v1/extract or the formulas of /v1/extract-batch, and
-// the document — inline, or the stream it arrives on.
+// the document — inline, or the stream it arrives on. /v1/check reads the
+// query of /v1/extract.
 type extraction struct {
 	req      engine.Request // the single query; a batch's tenant
 	batch    bool
@@ -292,46 +264,12 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	ctype, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	switch ctype {
 	case "application/json":
-		var req extractRequest
-		if !decodeJSON(w, r, s.cfg.maxJSON, &req) {
+		if !s.readJSON(w, r, &x) {
 			return
 		}
-		x.req, x.doc = req.engineRequest(x.req.Tenant), req.Doc
 	case "multipart/form-data":
-		mr, err := r.MultipartReader()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		if !s.readMultipart(w, r, &x) {
 			return
-		}
-		for x.stream == nil {
-			part, err := mr.NextPart()
-			if err == io.EOF {
-				err = errors.New(`multipart body has no "doc" part`)
-			}
-			if err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
-			}
-			if part.FormName() == "doc" {
-				// Formula fields must precede the doc part so the plan
-				// exists before streaming begins.
-				x.stream = body{part, -1, http.NewResponseController(w)}
-				continue
-			}
-			const maxFormula = 1 << 20
-			val, err := io.ReadAll(http.MaxBytesReader(w, part, maxFormula))
-			if err != nil {
-				bodyError(w, fmt.Sprintf("multipart field %q", part.FormName()), err)
-				return
-			}
-			switch part.FormName() {
-			case "spanner":
-				x.req.Spanner = string(val)
-			case "splitter":
-				x.req.Splitter = string(val)
-			case "split_spanner":
-				x.req.SplitSpanner = string(val)
-			}
 		}
 	default:
 		q := r.URL.Query()
@@ -359,11 +297,9 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 	x := extraction{req: engine.Request{Tenant: s.tenantOf(r)}, batch: true}
 	if ctype, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); ctype == "application/json" {
-		var req extractBatchRequest
-		if !decodeJSON(w, r, s.cfg.maxJSON, &req) {
+		if !s.readJSON(w, r, &x) {
 			return
 		}
-		x.spanners, x.doc = req.Spanners, req.Doc
 	} else {
 		x.spanners, x.stream = r.URL.Query()["spanner"], body{r.Body, r.ContentLength, http.NewResponseController(w)}
 	}
@@ -420,7 +356,11 @@ func extractErrStatus(err error) int {
 // body or, when the client accepts multipart/mixed, a stream of parts —
 // "plan", written and flushed before the document is read; the result
 // ("tuples", or a batch's "results") on success; and always a terminal
-// "end" epilogue. The epilogue is what makes a failure after the 200
+// "end" epilogue: {"status":"ok"} with the tuple count (left out when 0)
+// and, but for a batch, the execution — known only once enough of a
+// streamed document has arrived — or {"status":"error"} with the error
+// and the HTTP status it would have had, advisory since the 200 header is
+// long gone. The epilogue is what makes a failure after the 200
 // header explicit: when evaluation fails (the engine surfaces
 // context.Canceled, a deadline, a stalled, oversized or truncated upload)
 // the stream still ends with a parseable error part carrying the status
@@ -447,7 +387,7 @@ func (s *server) extract(w http.ResponseWriter, r *http.Request, x extraction) {
 		}
 	}
 	var mw *multipart.Writer
-	part := func(name string, v any) {
+	part := func(name string, body []byte) {
 		h := textproto.MIMEHeader{}
 		h.Set("Content-Type", "application/json")
 		h.Set("Content-Disposition", `inline; name="`+name+`"`)
@@ -455,7 +395,7 @@ func (s *server) extract(w http.ResponseWriter, r *http.Request, x extraction) {
 		if err != nil {
 			return // client gone; nothing left to say
 		}
-		encodeJSON(pw, v)
+		_, _ = pw.Write(append(body, '\n'))
 	}
 	if acceptsMultipart(r) {
 		// The response header goes out before the document has been read, so
@@ -474,7 +414,8 @@ func (s *server) extract(w http.ResponseWriter, r *http.Request, x extraction) {
 	results, exec, err := s.eng.Answer(r.Context(), plan, x.doc, x.stream)
 	switch {
 	case err != nil && mw != nil:
-		part("end", epilogue{Status: "error", Error: err.Error(), HTTPStatus: extractErrStatus(err)})
+		end := appendString([]byte(`{"status":"error","error":`), err.Error())
+		part("end", append(strconv.AppendInt(append(end, `,"http_status":`...), int64(extractErrStatus(err)), 10), '}'))
 	case err != nil:
 		if x.stream != nil {
 			// The document body was abandoned mid-read (stall, deadline,
@@ -488,12 +429,17 @@ func (s *server) extract(w http.ResponseWriter, r *http.Request, x extraction) {
 		writeError(w, extractErrStatus(err), err)
 	case mw != nil:
 		result, count := x.answer(nil, plan, results)
-		name, end := "tuples", epilogue{Status: "ok", Count: count, Execution: exec.String()}
+		name, end := "tuples", []byte(`{"status":"ok"`)
+		if count != 0 {
+			end = strconv.AppendInt(append(end, `,"count":`...), int64(count), 10)
+		}
 		if x.batch {
-			name, end.Execution = "results", ""
+			name = "results"
+		} else {
+			end = appendString(append(end, `,"execution":`...), exec.String())
 		}
 		part(name, result)
-		part("end", end)
+		part("end", append(end, '}'))
 	default:
 		body, _ := x.answer(x.head(plan, hit, ingest, exec, results), plan, results)
 		writeJSON(w, http.StatusOK, append(body, '}'))
@@ -503,36 +449,38 @@ func (s *server) extract(w http.ResponseWriter, r *http.Request, x extraction) {
 // planPart is x's multipart "plan" part: the plan section with the ingest
 // mode and the variables, or a batch's response before evaluation — the
 // per-query formulas, variables and compile errors.
-func (x extraction) planPart(plan *engine.Plan, hit bool, ingest string) any {
+func (x extraction) planPart(plan *engine.Plan, hit bool, ingest string) []byte {
 	if x.batch {
 		queries, _ := appendQueries(x.head(plan, hit, ingest, 0, nil), plan, x.spanners, nil)
 		return append(queries, '}')
 	}
-	return struct {
-		planResponse
-		Ingest string   `json:"ingest"`
-		Vars   []string `json:"vars"`
-	}{planSection(plan, hit), ingest, plan.Vars()}
+	dst := appendString(key(appendPlan([]byte{'{'}, plan, hit), "ingest"), ingest)
+	return append(appendStrings(key(dst, "vars"), plan.Vars()), '}')
 }
 
 // head opens x's JSON response up to the key of its final member —
-// "tuples", or a batch's "queries" — whose value answer appends.
+// "tuples", or a batch's "queries" — whose value answer appends. Ingest is
+// how the document was consumed: "inline" (in the JSON request),
+// "streamed" (segmented incrementally while uploading) or "buffered" (read
+// whole, then evaluated). Execution is the route this document took:
+// "split" (segments on the executor), "chunked" (the same at chunk grain:
+// the spanner once per run of consecutive segments, where the splitter is
+// proven cut-independent) or "whole" (one evaluation on the request
+// goroutine — every sequential plan, and a split-parallel plan's documents
+// too small to amortise the executor). Strategy is what the verdicts
+// justify; execution is what ran.
 func (x extraction) head(plan *engine.Plan, hit bool, ingest string, exec engine.Execution, results []engine.BatchResult) []byte {
 	if x.batch {
-		return openObject(nil, extractBatchResponse{CacheHit: hit, PlanCompileMS: float64(plan.CompileTime.Microseconds()) / 1000}, "queries")
+		return key(appendHit([]byte{'{'}, plan, hit), "queries")
 	}
-	return openObject(nil, extractResponse{
-		planResponse: planSection(plan, hit),
-		Ingest:       ingest,
-		Execution:    exec.String(),
-		Vars:         plan.Vars(),
-		Count:        results[0].Rel.Len(),
-	}, "tuples")
+	dst := appendString(key(appendPlan(append(make([]byte, 0, 512), '{'), plan, hit), "ingest"), ingest)
+	dst = appendStrings(key(appendString(key(dst, "execution"), exec.String()), "vars"), plan.Vars())
+	return key(strconv.AppendInt(key(dst, "count"), int64(results[0].Rel.Len()), 10), "tuples")
 }
 
 // answer appends x's evaluated result to dst — the query's tuples, or a
 // batch's queries — and returns it with its tuple count.
-func (x extraction) answer(dst []byte, plan *engine.Plan, results []engine.BatchResult) (json.RawMessage, int) {
+func (x extraction) answer(dst []byte, plan *engine.Plan, results []engine.BatchResult) ([]byte, int) {
 	if x.batch {
 		return appendQueries(dst, plan, x.spanners, results)
 	}
@@ -553,79 +501,6 @@ func acceptsMultipart(r *http.Request) bool {
 	return false
 }
 
-// epilogue is the final part of every multipart/mixed extraction
-// response: status "ok" with the tuple count, or status "error" with
-// the failure and the HTTP status the error would have carried on the
-// buffered path.
-type epilogue struct {
-	Status string `json:"status"`
-	Count  int    `json:"count,omitempty"`
-	// Execution is the route the document took ("whole", "split" or
-	// "chunked"; see extractResponse). It is here and not in the "plan"
-	// part because a streamed document's route is known only once enough
-	// of it has arrived; batch epilogues omit it.
-	Execution string `json:"execution,omitempty"`
-	Error     string `json:"error,omitempty"`
-	// HTTPStatus is advisory: by the time the epilogue is written the
-	// 200 header is long gone, so mid-stream failures surface here.
-	HTTPStatus int `json:"http_status,omitempty"`
-}
-
-// extractBatchRequest is the JSON request body of /v1/extract-batch:
-// one document, many spanner formulas, answered by one fused pass
-// (engine.PlanBatch, then Engine.Answer like /v1/extract).
-type extractBatchRequest struct {
-	Spanners []string `json:"spanners"`
-	Doc      string   `json:"doc,omitempty"`
-}
-
-// batchQueryResult is one member query's slice of the batch response:
-// its tuples, or its compile error. Errors are per-slot by design — one
-// bad formula in a batch must not fail its siblings (the whole-batch
-// statuses are reserved for document-level failures: 413, 504, 429).
-type batchQueryResult struct {
-	Spanner string   `json:"spanner"`
-	Vars    []string `json:"vars,omitempty"`
-	Count   int      `json:"count"`
-	Error   string   `json:"error,omitempty"`
-	// "tuples" follows as the final member when the query found any (a
-	// slot has an error or tuples, never both); see appendQueries.
-}
-
-// extractBatchResponse is the batch response up to its final member,
-// "queries": a []batchQueryResult in the multipart "plan" part, rendered
-// by appendQueries once the tuples are in.
-type extractBatchResponse struct {
-	CacheHit      bool    `json:"cache_hit"`
-	PlanCompileMS float64 `json:"plan_compile_ms"`
-}
-
-// appendQueries appends the batch's queries as a JSON array and returns it
-// with their summed tuple count. With results, each query carries its
-// count and — as the final member "tuples", when it found any — its rows;
-// without, the array is the pre-evaluation view of the multipart "plan"
-// part: formulas and their memoized compile verdicts.
-func appendQueries(dst []byte, plan *engine.Plan, spanners []string, results []engine.BatchResult) (json.RawMessage, int) {
-	dst, total := append(dst, '['), 0
-	for i, src := range spanners {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		q := batchQueryResult{Spanner: src, Vars: plan.BatchVars(i)}
-		if err := plan.BatchErr(i); err != nil { // what results[i].Err repeats
-			q.Error = err.Error()
-		}
-		if results != nil && results[i].Rel != nil && results[i].Rel.Len() > 0 {
-			rel := results[i].Rel
-			q.Count, total = rel.Len(), total+rel.Len()
-			dst = append(appendTuples(openObject(dst, q, "tuples"), rel), '}')
-			continue
-		}
-		dst = appendJSON(dst, q)
-	}
-	return append(dst, ']'), total
-}
-
 // handleCheck serves POST /v1/check: it returns the plan's verdicts
 // (split-correctness / self-splittability / disjointness / locality)
 // without evaluating anything. "local" is the splitter's cut independence
@@ -635,16 +510,16 @@ func appendQueries(dst []byte, plan *engine.Plan, spanners []string, results []e
 // plan cache, so repeated and concurrent checks of the same pair run the
 // PSPACE procedures once.
 func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	var req extractRequest
-	if !decodeJSON(w, r, s.cfg.maxJSON, &req) {
+	x := extraction{req: engine.Request{Tenant: s.tenantOf(r)}}
+	if !s.readJSON(w, r, &x) {
 		return
 	}
-	plan, hit, err := s.eng.Plan(r.Context(), req.engineRequest(s.tenantOf(r)))
+	plan, hit, err := s.eng.Plan(r.Context(), x.req)
 	if err != nil {
 		writeError(w, planErrStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, planSection(plan, hit))
+	writeJSON(w, http.StatusOK, append(appendPlan([]byte{'{'}, plan, hit), '}'))
 }
 
 // statsResponse is the GET /v1/stats body: the engine's snapshot
@@ -676,7 +551,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := s.cfg.limiter.Snapshot()
 		resp.Admission = &st
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(resp)
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition

@@ -21,7 +21,7 @@
 //     earlier ones, so the stream is read no faster than it is evaluated;
 //     otherwise the stream is buffered whole, which is sound for
 //     arbitrary splitters. ReadTimeout and ctx end a blocked Read only on
-//     a stream with read deadlines (see guard); others must return.
+//     a stream with read deadlines (see Guard); others must return.
 //   - Segment relations are shifted and merged into a deterministic
 //     (sorted, deduplicated) result, byte-identical to one-shot
 //     evaluation of the whole document.
@@ -321,7 +321,7 @@ func (e *Engine) Extract(ctx context.Context, plan *Plan, doc string) (*span.Rel
 }
 
 // ExtractReader is Extract on a document arriving as a stream; a blocked
-// Read is given up on only if r has SetReadDeadline (see guard).
+// Read is given up on only if r has SetReadDeadline (see Guard).
 func (e *Engine) ExtractReader(ctx context.Context, plan *Plan, r io.Reader) (*span.Relation, error) {
 	rels, _, err := e.run(ctx, plan, "", r)
 	return rels[0], err
@@ -370,7 +370,7 @@ func (e *Engine) WillStream(plan *Plan) bool {
 // them.
 //
 // A stream with read deadlines is read behind the stall guard, any
-// other directly (see guard). For a plan that
+// other directly (see Guard). For a plan that
 // streams (see WillStream) it is cut incrementally: the executor's workers
 // pull it, each evaluating the chunk it cut (ExecChunked) while another
 // reads the next feed (see stream). A stream that ends inside its first
@@ -388,7 +388,7 @@ func (e *Engine) run(ctx context.Context, plan *Plan, doc string, r io.Reader) (
 	var hint int
 	if r != nil {
 		var stop func()
-		r, hint, stop = e.guard(ctx, r)
+		r, hint, stop = e.Guard(ctx, r)
 		defer stop()
 		var err error
 		if doc, cuts, r, err = e.ingest(ctx, plan, r, hint); err != nil {
@@ -489,7 +489,7 @@ func (e *Engine) ingest(ctx context.Context, plan *Plan, r io.Reader, hint int) 
 // way to the network socket. The pull ends at r's end, at r's error, at a
 // carry-over over the budget or once ctx is done; a Read that blocks
 // returns then too if r has read deadlines, since the stall guard then
-// interrupts it (see guard) — any other r must return by itself.
+// interrupts it (see Guard) — any other r must return by itself.
 func (e *Engine) stream(ctx context.Context, plan *Plan, cuts *core.CutFinder, r io.Reader, hint int, opts parallel.Options, rec *record) ([]*span.Relation, error) {
 	g := &cutSegmenter{f: cuts}
 	cut := func(feed []byte, eof bool) []parallel.Segment {
@@ -593,15 +593,19 @@ func (e *Engine) Stats() Stats {
 // default MaxDocBuffer; a longer document starts there and doubles.
 const presize = 16 << 20
 
-// guard reads the length r declares through the optional Len method
+// Guard reads the length r declares through the optional Len method
 // (*strings.Reader, *bytes.Reader, *bytes.Buffer, cmd/spand's body with a
 // Content-Length; ≤ 0 is none) — it sizes buffers and refuses a
 // declared-too-large document unread, no answer depends on it — and, when
 // ReadTimeout is set or ctx can end, puts r behind the stall guard
 // (deadlineReader) if r takes read deadlines (the optional SetReadDeadline:
 // a request body, a net.Conn, an *os.File on a pipe). Any other reader is
-// read directly, and its Read must return by itself. The caller defers stop.
-func (e *Engine) guard(ctx context.Context, r io.Reader) (guarded io.Reader, hint int, stop func()) {
+// read directly, and its Read must return by itself. The caller calls stop
+// once it is done reading. Every stream the engine reads goes through it;
+// cmd/spand reads its inline JSON bodies, and its multipart bodies up to
+// the doc part, through it too, so a stall there also answers
+// ErrReadStalled or ctx's error.
+func (e *Engine) Guard(ctx context.Context, r io.Reader) (guarded io.Reader, hint int, stop func()) {
 	if l, ok := r.(interface{ Len() int }); ok {
 		hint = l.Len()
 	}
@@ -628,11 +632,13 @@ func (e *Engine) guard(ctx context.Context, r io.Reader) (guarded io.Reader, hin
 // Read that fails or hits EOF — the last the engine makes — and stop clear
 // the deadline: from a body's EOF on, net/http reads the connection in the
 // background, where a deadline still set would cancel a request that is
-// still evaluating.
+// still evaluating. Once stopped it reads r directly, so a caller may stop
+// it before another guard takes over the rest of r (cmd/spand's multipart
+// body, whose doc part the engine guards itself).
 type deadlineReader struct {
 	ctx        context.Context
 	r          io.Reader
-	set        func(time.Time) error // r's SetReadDeadline; past guard's probe, its errors are r's to report
+	set        func(time.Time) error // r's SetReadDeadline; past Guard's probe, its errors are r's to report
 	timeout    time.Duration         // ≤ 0: none, only ctx ends a Read
 	unregister func() bool           // ctx's AfterFunc
 	mu         sync.Mutex            // orders stop against that AfterFunc
@@ -640,6 +646,9 @@ type deadlineReader struct {
 }
 
 func (g *deadlineReader) Read(p []byte) (n int, err error) {
+	if g.done { // stopped: r is read as it is, and no deadline is set again
+		return g.r.Read(p)
+	}
 	var due time.Time // this Read's progress deadline
 	if g.timeout > 0 {
 		due = time.Now().Add(g.timeout)
@@ -702,7 +711,7 @@ func (e *Engine) readAllBounded(ctx context.Context, r io.Reader, hint int) (str
 // first checks the context and the budget, so a request whose deadline
 // fires mid-upload fails promptly (typed via wrapCtxErr) instead of
 // buffering a slow body forever; a read that does not return at all is
-// the stall guard's job, on a stream with read deadlines (see guard).
+// the stall guard's job, on a stream with read deadlines (see Guard).
 type docBuffer struct {
 	ctx  context.Context
 	max  int64

@@ -69,7 +69,7 @@ func TestReadsEndedEarlyLeaveNoGoroutine(t *testing.T) {
 	// a pause stay inside both until the context ends the read.
 	flood := endlessReader{fill: "a", max: 64 << 10}
 	drip := endlessReader{fill: emailDoc + " ", max: 1 << 10, pause: time.Millisecond}
-	if g, _, stop := e.guard(context.Background(), flood); g == io.Reader(flood) {
+	if g, _, stop := e.Guard(context.Background(), flood); g == io.Reader(flood) {
 		t.Fatal("the stall guard must wrap a reader with read deadlines when ReadTimeout is set")
 	} else {
 		stop()
@@ -174,7 +174,7 @@ func TestReadDeadlineGuard(t *testing.T) {
 	// (a) A reader without read deadlines, and one that refuses them (an
 	// httptest.ResponseRecorder's body), are read directly.
 	plain := strings.NewReader("doc")
-	if g, _, stop := e.guard(ctx, plain); g != io.Reader(plain) {
+	if g, _, stop := e.Guard(ctx, plain); g != io.Reader(plain) {
 		t.Fatalf("a plain reader came back wrapped, as %T", g)
 	} else {
 		stop()
@@ -183,7 +183,7 @@ func TestReadDeadlineGuard(t *testing.T) {
 		io.Reader
 		refusingDeadlines
 	}{Reader: plain}
-	if g, _, stop := e.guard(ctx, refusing); g != io.Reader(refusing) {
+	if g, _, stop := e.Guard(ctx, refusing); g != io.Reader(refusing) {
 		t.Fatalf("a reader refusing deadlines came back wrapped, as %T", g)
 	} else {
 		stop()
@@ -200,7 +200,7 @@ func TestReadDeadlineGuard(t *testing.T) {
 	for _, end := range []error{io.EOF, io.ErrUnexpectedEOF} {
 		ctx, cancel := context.WithCancel(context.Background())
 		c := &deadlineConn{data: "some bytes", end: end}
-		g, _, stop := e.guard(ctx, c)
+		g, _, stop := e.Guard(ctx, c)
 		want := end
 		if end == io.EOF {
 			want = nil // io.ReadAll's end of a whole read
@@ -220,7 +220,7 @@ func TestReadDeadlineGuard(t *testing.T) {
 	// cancelled the context.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	c := &deadlineConn{data: "a few bytes", onTimeout: cancel2}
-	g, _, stop := e.guard(ctx2, c)
+	g, _, stop := e.Guard(ctx2, c)
 	if _, err := io.ReadAll(g); !errors.Is(err, ErrReadStalled) {
 		t.Fatalf("progress timeout: %v, want ErrReadStalled", err)
 	}
@@ -240,7 +240,7 @@ func TestReadDeadlineGuard(t *testing.T) {
 			ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
 		}
 		c := &deadlineConn{data: "a few bytes"}
-		g, _, stop := slow.guard(ctx, c)
+		g, _, stop := slow.Guard(ctx, c)
 		if _, err := io.ReadAll(g); !errors.Is(err, want) {
 			t.Fatalf("context ended mid-Read: %v, want %v", err, want)
 		}
