@@ -66,10 +66,7 @@ type splitScanner struct {
 	nclasses int
 	dfa      *lazydfa.DFA[scanPayload]
 	start    int32
-	// skips memoizes per-DFA-state trigger sets for the scan skip loop
-	// (see internal/vsa/prefilter.go); noSkip honors DisablePrefilter.
-	skips  lazydfa.SkipCache
-	noSkip bool
+	noSkip   bool // honors DisablePrefilter (see internal/vsa/prefilter.go)
 }
 
 // scanner returns the compiled scanner, building it on first use, or
@@ -251,7 +248,7 @@ type ScanRun struct {
 	// Feed calls so tiny chunks (streaming readers feed as little as one
 	// byte) still reach the skip threshold; per-chunk search state is
 	// rebound by scanChunk.
-	gate lazydfa.SkipGate
+	gate lazydfa.SkipGate[scanPayload]
 }
 
 // NewScanRun returns a fresh resumable scan, or ok=false when the
@@ -324,10 +321,7 @@ func scanChunk[T ~string | ~[]byte](r *ScanRun, chunk T, out []span.Span) ([]spa
 		}
 	}
 	if idx != nil {
-		if !r.gate.Ready() {
-			r.gate.Init(&sc.skips)
-		}
-		r.gate.Bind(sc.skipSet, idx)
+		r.gate.Bind(sc.dfa, sc.skipSet, idx)
 	}
 	for i := 0; i < len(chunk); i++ {
 		c := sc.classOf[chunk[i]]
@@ -371,7 +365,7 @@ func scanChunk[T ~string | ~[]byte](r *ScanRun, chunk T, out []span.Span) ([]spa
 			// Skipped bytes are class-proven event-free, so spans, pending
 			// and Anchor come out byte-identical to the stepped scan, and
 			// the landing state is the sync state of the last skipped byte.
-			if sk := r.gate.Step(cur, t); sk != nil {
+			if sk := r.gate.Step(st, cur, t); sk != nil {
 				if j, _ := r.gate.Jump(sk, i+1, len(chunk)); j > i+1 {
 					st = sc.dfa.Snapshot() // the set's build may have interned its states
 					t = sk.Sync(chunk[j-1])

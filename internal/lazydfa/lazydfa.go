@@ -3,9 +3,10 @@
 // describes an NFA-shaped successor relation over byte equivalence
 // classes plus a payload function evaluated once per subset; the engine
 // owns everything the former per-client copies triplicated — interned
-// sorted-subset states, the transition table, the state-bound overflow
-// sentinel, and the publication protocol that lets many concurrent scans
-// share one warm cache without ever taking a lock to read it. Subsets
+// sorted-subset states, the transition table, each state's skip set
+// (skip.go), the state-bound overflow sentinel, and the publication
+// protocol that lets many concurrent scans share one warm cache without
+// ever taking a lock to read it. Subsets
 // are interned in an automata.SetTable, the tree's one table for int32
 // vectors; a state's Set aliases the table's storage, which only ever
 // grows past what has been published.
@@ -36,7 +37,8 @@
 // the row entry. A reader may therefore load a target id its own
 // snapshot does not hold yet; clients send every transition that is a
 // sentinel or lies past their snapshot to Resolve, which returns it
-// with a fresh snapshot. State ids are stable for the lifetime of the
+// with a fresh snapshot. A skip slot takes no lock: the first
+// compare-and-swap wins. State ids are stable for the lifetime of the
 // DFA — a client may save one (e.g. to resume a streamed scan at a
 // chunk boundary) and walk on from it later with a newer snapshot.
 package lazydfa
@@ -92,14 +94,17 @@ type Config[P any] struct {
 }
 
 // State is one interned subset-construction state. Set and Payload are
-// immutable once the state is published; the rows are filled in lazily,
-// entry by entry, and their backing arrays never move, so every
-// snapshot holding the state sees every fill.
+// immutable once the state is published; the rows and the skip slot are
+// filled in lazily and never move, so every snapshot holding the state
+// sees every fill.
 type State[P any] struct {
 	Set     []int32 // sorted member states of the underlying NFA
 	Payload P
 	trans   []atomic.Int32 // per byte class: successor id or a sentinel
 	inj     []atomic.Int32 // per registered seed: cached injection target
+	// skip is the state's skip set (see SkipGate): nil until a scan
+	// builds it, then a set holding the state, or unskippable.
+	skip *atomic.Pointer[SkipSet]
 }
 
 // Trans returns the cached transition on class c: a state id, or
@@ -146,6 +151,7 @@ func New[P any](cfg Config[P]) *DFA[P] {
 	d.publish([]State[P]{{
 		Payload: cfg.Payload(nil),
 		trans:   make([]atomic.Int32, cfg.Classes), // all-zero: loops on itself
+		skip:    new(atomic.Pointer[SkipSet]),
 	}})
 	return d
 }
@@ -198,12 +204,13 @@ func (d *DFA[P]) intern(set []int32) int32 {
 		return Overflow
 	}
 	to, _ := d.sets.Intern(set)
-	set = d.sets.Set(to)
+	stored := d.sets.Set(to) // reassigning set instead would make every caller's argument escape
 	d.publish(append(st, State[P]{
-		Set:     set,
-		Payload: d.cfg.Payload(set),
+		Set:     stored,
+		Payload: d.cfg.Payload(stored),
 		trans:   unknownRow(d.cfg.Classes),
 		inj:     unknownRow(len(d.seeds)),
+		skip:    new(atomic.Pointer[SkipSet]),
 	}))
 	return to
 }

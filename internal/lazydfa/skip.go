@@ -3,7 +3,6 @@ package lazydfa
 import (
 	"bytes"
 	"strings"
-	"sync"
 )
 
 // This file implements the byte-skip primitive of literal prefiltering
@@ -21,8 +20,10 @@ import (
 // state is the degenerate case C = {q}; the set form is what makes
 // word-structured text skippable, where the DFA oscillates between a
 // mid-word and a post-separator state and no single state ever loops
-// long enough to matter. A jump only pays where triggers are rare, so
-// the gate measures its yield and stands down where they are not.
+// long enough to matter. A state's set is built once per DFA, by the
+// first scan that needs it, and kept in the state (State.skip) for every
+// later scan. A jump only pays where triggers are rare, so the gate
+// measures its yield and stands down where they are not.
 
 // MaxSkipTriggers is the largest trigger set worth a skip loop: one
 // IndexByte pass per trigger per document region is paid for the jump,
@@ -35,17 +36,10 @@ const MaxSkipTriggers = 8
 const MaxSkipStates = 4
 
 // DefaultSkipStreak is the run length of bytes confined to at most two
-// states after which the scan loops consult the skip cache. Charging a
-// streak first keeps the per-byte cost of progress-making regions to a
-// couple of compares and makes the cache lookup O(1) amortized.
+// states after which a scan builds the skip set of a state no scan has
+// built yet. Charging a streak first keeps builds off progress-making
+// regions, whose states would mostly turn out unskippable.
 const DefaultSkipStreak = 16
-
-// skipMissLimit is how many consecutive bytes may land outside an armed
-// gate's state set before the gate disarms. Keeping the set armed
-// across short excursions (a partial literal match that fails) lets the
-// scan resume jumping immediately; a long miss run means the document
-// region changed character and the per-byte Contains test is wasted.
-const skipMissLimit = 512
 
 // skipBreakEven is the mean gain per jump, in bytes, below which a
 // jump (an IndexByte pass per trigger whose cached occurrence fell
@@ -65,7 +59,7 @@ const skipWindow = 32
 // non-trigger byte. A nil *SkipSet means "cannot skip here".
 type SkipSet struct {
 	triggers []byte
-	states   []int32 // sorted, ≤ MaxSkipStates
+	states   []int32 // ≤ MaxSkipStates
 	sync     [256]int32
 }
 
@@ -88,50 +82,9 @@ func NewSkipSet(triggers []byte, states []int32, sync *[256]int32) *SkipSet {
 	return s
 }
 
-// Triggers exposes the trigger bytes (read-only).
-func (s *SkipSet) Triggers() []byte { return s.triggers }
-
-// Contains reports whether q is in the synchronized set.
-func (s *SkipSet) Contains(q int32) bool {
-	for _, v := range s.states {
-		if v == q {
-			return true
-		}
-	}
-	return false
-}
-
 // Sync returns the unique state reached from anywhere in the set on
 // byte b. Only meaningful for non-trigger bytes.
 func (s *SkipSet) Sync(b byte) int32 { return s.sync[b] }
-
-// SkipCache memoizes the SkipSet built from every DFA state a scan has
-// tried to skip from. Entries are immutable once stored; a stored nil
-// records "unskippable" so hot loops do not rebuild the answer. The
-// cache is per-client-DFA and shared by concurrent scans. Concurrent
-// first lookups of one state may both run the builder; the first Store
-// wins and the results are identical, so the race is benign.
-type SkipCache struct {
-	m sync.Map // int32 state → *SkipSet
-}
-
-// Lookup returns the cached SkipSet of state. ok=false means the state
-// has not been built yet (a cached nil returns ok=true).
-func (c *SkipCache) Lookup(state int32) (set *SkipSet, ok bool) {
-	v, ok := c.m.Load(state)
-	if !ok {
-		return nil, false
-	}
-	return v.(*SkipSet), true
-}
-
-// Store records the SkipSet of state (nil = unskippable) and returns
-// the winning entry: the first stored value if another goroutine got
-// there first.
-func (c *SkipCache) Store(state int32, set *SkipSet) *SkipSet {
-	v, _ := c.m.LoadOrStore(state, set)
-	return v.(*SkipSet)
-}
 
 // SkipRun is the per-scan occurrence cache of one SkipSet over one
 // document. Each trigger's next occurrence is found with a vectorized
@@ -206,76 +159,54 @@ func (r *SkipRun) Jump(from, n int) (to int, hit bool) {
 	return best, best < n
 }
 
+// unskippable fills the skip slot of a state whose build found no set.
+var unskippable = new(SkipSet)
+
 // SkipGate is the per-scan engagement state machine deciding when a
-// scan loop should attempt a jump. It is what keeps the skip machinery
-// out of the way on progress-making input: disengaged, it costs two or
-// three compares per byte; armed, it additionally tests membership of
-// the current state in the armed set (≤ MaxSkipStates compares) so the
-// scan resumes jumping immediately after a short excursion (e.g. a
-// failed partial literal match). Where the jumps themselves do not pay
+// scan loop should attempt a jump. Each DFA state keeps its own skip
+// set, shared by every scan of the DFA: a slot that is empty until a
+// scan builds it and then holds the set or "unskippable". A state whose
+// set is known jumps at once. An unknown one is built only after the
+// scan has stayed within two states for DefaultSkipStreak bytes, which
+// keeps builds off progress-making input, and a built set fills the
+// slot of every state it holds. Where the jumps themselves do not pay
 // — a window of them gaining under skipBreakEven bytes each — the gate
 // stands down and costs one compare per byte from then on. A SkipGate
 // is single-goroutine.
-type SkipGate struct {
-	cache *SkipCache
-	build func(q int32) *SkipSet
-	index func(from, to int, b byte) int
-	run   SkipRun
-	sk    *SkipSet // armed set, nil when disarmed
-	// Two-entry build memo in front of the shared cache: a word/
-	// separator oscillation alternates between two lookup keys, and
-	// going to the shared map per alternation would dominate.
-	kA, kB int32
-	vA, vB *SkipSet
+type SkipGate[P any] struct {
+	dfa    *DFA[P]
+	build  func(q int32) *SkipSet
+	index  func(from, to int, b byte) int
+	run    SkipRun
 	prev   int32 // previous distinct state, for 2-state streak tracking
 	streak int
-	miss   int
 	// The yield of the current window: jumps made and bytes they gained.
 	jumps, gain int
 	down        bool // stood down: no more jumps this pass or stream
 }
 
-// Init points the gate at the DFA's shared skip cache. Must be called
-// once before the first Step; persistent engagement state (armed set,
-// streak, memo, yield window, stand-down) survives across Bind calls.
-func (g *SkipGate) Init(cache *SkipCache) {
-	g.cache = cache
-	g.kA, g.kB = -1, -1
-	g.prev = -1
-}
-
-// Ready reports whether Init has run (lets resumable scans lazily
-// initialize the gate they persist across chunks).
-func (g *SkipGate) Ready() bool { return g.cache != nil }
-
-// Bind attaches the per-scan callbacks: build constructs the SkipSet of
-// a state (consulted through the cache), index searches the current
-// document or chunk. Rebinding keeps the armed set and streak (a
+// Bind points the gate at the DFA d whose states it reads and fills,
+// and attaches the per-scan callbacks: build constructs the SkipSet
+// holding a state (nil when it has none), index searches the current
+// document or chunk. Rebinding keeps the streak and the yield window (a
 // resumable scan crosses chunk boundaries mid-streak) but discards the
 // occurrence cache, which is document-relative.
-func (g *SkipGate) Bind(build func(q int32) *SkipSet, index func(from, to int, b byte) int) {
-	g.build = build
-	g.index = index
+func (g *SkipGate[P]) Bind(d *DFA[P], build func(q int32) *SkipSet, index func(from, to int, b byte) int) {
+	g.dfa, g.build, g.index = d, build, index
 	g.run.Reset(nil, index)
 }
 
 // Step advances the engagement machine with one transition: the scan
-// held state cur and moved to t (a real state, not a sentinel). It
+// held state cur and moved to t, a real state of its snapshot st. It
 // returns the SkipSet to jump with when the scan may skip from t, else
 // nil. The caller jumps from the boundary after t's byte.
-func (g *SkipGate) Step(cur, t int32) *SkipSet {
+func (g *SkipGate[P]) Step(st []State[P], cur, t int32) *SkipSet {
 	if g.down {
 		return nil
 	}
-	if g.sk != nil {
-		if g.sk.Contains(t) {
-			g.miss = 0
-			return g.sk
-		}
-		if g.miss++; g.miss >= skipMissLimit {
-			g.sk = nil
-			g.miss = 0
-		}
+	s := st[t].skip.Load()
+	if s != nil && s != unskippable {
+		return s
 	}
 	if t != cur {
 		if t != g.prev {
@@ -285,41 +216,41 @@ func (g *SkipGate) Step(cur, t int32) *SkipSet {
 		}
 		g.prev = cur
 	}
-	if g.streak++; g.streak < DefaultSkipStreak {
+	if g.streak++; g.streak < DefaultSkipStreak || s != nil { // s is unskippable: built already
 		return nil
 	}
-	// One cache consultation per streak window: a nil answer (state not
-	// skippable) would otherwise be re-fetched every byte.
 	g.streak = 0
-	if s := g.resolve(t); s != nil && s.Contains(t) {
-		g.sk = s
-		g.miss = 0
-		return s
-	}
-	return nil
+	return g.publish(t)
 }
 
-func (g *SkipGate) resolve(q int32) *SkipSet {
-	if q == g.kA {
-		return g.vA
+// publish builds t's skip set and stores it in the slot of every state
+// it holds — a jump with the set is exact from any of them — or marks t
+// unskippable. Concurrent scans may build one state at once: a slot
+// keeps the first set stored (over an "unskippable", which a set holding
+// the state replaces), and publish returns what t's slot holds after.
+func (g *SkipGate[P]) publish(t int32) *SkipSet {
+	s := g.build(t)
+	st := g.dfa.Snapshot() // the build may have interned the set's states
+	if s == nil {
+		st[t].skip.CompareAndSwap(nil, unskippable)
+	} else {
+		for _, q := range s.states {
+			if !st[q].skip.CompareAndSwap(nil, s) {
+				st[q].skip.CompareAndSwap(unskippable, s)
+			}
+		}
 	}
-	if q == g.kB {
-		return g.vB
+	if s = st[t].skip.Load(); s == unskippable {
+		return nil
 	}
-	s, ok := g.cache.Lookup(q)
-	if !ok {
-		s = g.cache.Store(q, g.build(q))
-	}
-	g.kB, g.vB = g.kA, g.vA
-	g.kA, g.vA = q, s
 	return s
 }
 
 // Jump searches for the next trigger of s in [from, n), switching the
-// occurrence cache over when the armed set changed. Every skipWindow
-// jumps it weighs their gain: under skipBreakEven bytes a jump, the
-// gate stands down (see StoodDown).
-func (g *SkipGate) Jump(s *SkipSet, from, n int) (to int, hit bool) {
+// occurrence cache over when s is not the last jump's set. Every
+// skipWindow jumps it weighs their gain: under skipBreakEven bytes a
+// jump, the gate stands down (see StoodDown).
+func (g *SkipGate[P]) Jump(s *SkipSet, from, n int) (to int, hit bool) {
 	if g.run.set != s {
 		g.run.Reset(s, g.index)
 	}
@@ -334,4 +265,4 @@ func (g *SkipGate) Jump(s *SkipSet, from, n int) (to int, hit bool) {
 
 // StoodDown reports whether the gate has stopped skipping for the rest
 // of its pass or stream because its jumps gained too little.
-func (g *SkipGate) StoodDown() bool { return g.down }
+func (g *SkipGate[P]) StoodDown() bool { return g.down }

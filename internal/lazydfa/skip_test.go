@@ -1,6 +1,7 @@
 package lazydfa
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -34,55 +35,14 @@ func TestNewSkipSetBounds(t *testing.T) {
 		t.Fatal("oversized state set must yield nil")
 	}
 	s := NewSkipSet([]byte{'a', 'b'}, []int32{2, 5}, &sync)
-	if s == nil || string(s.Triggers()) != "ab" {
-		t.Fatalf("Triggers = %q, want \"ab\"", s.Triggers())
+	if s == nil || string(s.triggers) != "ab" {
+		t.Fatalf("triggers = %q, want \"ab\"", s.triggers)
 	}
-	if !s.Contains(2) || !s.Contains(5) || s.Contains(3) {
-		t.Fatal("Contains must reflect the state set exactly")
+	if !slices.Equal(s.states, []int32{2, 5}) {
+		t.Fatalf("states = %v, want the state set [2 5] exactly", s.states)
 	}
 	if s.Sync('z') != 0 {
 		t.Fatalf("Sync('z') = %d, want the provided table value 0", s.Sync('z'))
-	}
-}
-
-func TestSkipCacheFirstStoreWins(t *testing.T) {
-	var c SkipCache
-	if _, ok := c.Lookup(3); ok {
-		t.Fatal("empty cache must miss")
-	}
-	first := testSet('x')
-	if got := c.Store(3, first); got != first {
-		t.Fatal("first Store must return its own set")
-	}
-	if got := c.Store(3, testSet('y')); got != first {
-		t.Fatal("second Store must return the first winner")
-	}
-	if set, ok := c.Lookup(3); !ok || set != first {
-		t.Fatal("Lookup must return the winner")
-	}
-	// A stored nil records "unskippable" and still hits.
-	c.Store(4, nil)
-	if set, ok := c.Lookup(4); !ok || set != nil {
-		t.Fatal("stored nil must hit with a nil set")
-	}
-}
-
-func TestSkipCacheConcurrent(t *testing.T) {
-	var c SkipCache
-	var wg sync.WaitGroup
-	winners := make([]*SkipSet, 16)
-	for g := range winners {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			winners[g] = c.Store(7, testSet(byte(g)))
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < len(winners); g++ {
-		if winners[g] != winners[0] {
-			t.Fatal("concurrent Stores must all observe one winner")
-		}
 	}
 }
 
@@ -147,14 +107,36 @@ func twoStateSet() *SkipSet {
 	return NewSkipSet([]byte{'b'}, []int32{1, 2}, &sync)
 }
 
+// gateDFA returns a DFA holding states 1 to 4 (testNFA's subsets {0},
+// {1}, {2} and {0, 1}); the gate tests use only their skip slots.
+func gateDFA() *DFA[bool] {
+	d := newTestDFA(0, nil)
+	for _, set := range [][]int32{{0}, {1}, {2}, {0, 1}} {
+		d.Intern(set)
+	}
+	return d
+}
+
+// engage steps g on state q's self-loop until it returns a set.
+func engage(t *testing.T, g *SkipGate[bool], st []State[bool], q int32) *SkipSet {
+	t.Helper()
+	for i := 0; i <= 4*DefaultSkipStreak; i++ {
+		if s := g.Step(st, q, q); s != nil {
+			return s
+		}
+	}
+	t.Fatalf("gate never engaged on state %d's self-loop", q)
+	return nil
+}
+
 func TestSkipGateOscillationEngages(t *testing.T) {
 	doc := strings.Repeat("xy zz ", 20) + "b tail"
 	set := twoStateSet()
-	var cache SkipCache
+	d := gateDFA()
+	st := d.Snapshot()
 	builds := 0
-	var g SkipGate
-	g.Init(&cache)
-	g.Bind(func(q int32) *SkipSet { builds++; return set }, StringIndex(doc))
+	var g SkipGate[bool]
+	g.Bind(d, func(q int32) *SkipSet { builds++; return set }, StringIndex(doc))
 	// Feed an alternation confined to states 1 and 2: 1,2,1,2,... The
 	// two-state streak must engage the gate even though no single state
 	// ever repeats DefaultSkipStreak times in a row.
@@ -163,7 +145,7 @@ func TestSkipGateOscillationEngages(t *testing.T) {
 	cur := states[0]
 	for i := 0; i < 4*DefaultSkipStreak; i++ {
 		next := states[(i+1)%2]
-		if s := g.Step(cur, next); s != nil {
+		if s := g.Step(st, cur, next); s != nil {
 			engaged = i
 			break
 		}
@@ -175,33 +157,126 @@ func TestSkipGateOscillationEngages(t *testing.T) {
 	if engaged < DefaultSkipStreak-1 {
 		t.Fatalf("gate engaged after %d steps, before the streak threshold %d", engaged+1, DefaultSkipStreak)
 	}
-	if builds != 1 {
-		t.Fatalf("gate ran %d builds, want 1 (cache + memo)", builds)
+	// Both states hold the built set now, so either one jumps at once.
+	if s := g.Step(st, 2, 1); s != set {
+		t.Fatal("a state of the built set must jump at once")
 	}
-	// Once armed, any in-set state re-engages immediately.
-	if s := g.Step(2, 1); s != set {
-		t.Fatal("armed gate must re-engage immediately for an in-set state")
-	}
-	// An out-of-set excursion does not disarm it right away.
-	if s := g.Step(1, 99); s != nil {
+	// A state outside the set does not skip; coming back into the set
+	// jumps at once.
+	if s := g.Step(st, 1, 3); s != nil {
 		t.Fatal("out-of-set state must not skip")
 	}
-	if s := g.Step(99, 2); s != set {
-		t.Fatal("returning to the set after a short excursion must re-engage")
+	if s := g.Step(st, 3, 2); s != set {
+		t.Fatal("returning to the set after an excursion must jump at once")
+	}
+	if builds != 1 {
+		t.Fatalf("gate ran %d builds, want 1", builds)
+	}
+}
+
+// TestSkipGateBuiltSetFillsEveryState: a set built from one state fills
+// the slot of every state it holds, so a later scan of the DFA jumps
+// with it from any of them at its first step, with no streak and no
+// build; a state marked unskippable gives way to a set that holds it.
+func TestSkipGateBuiltSetFillsEveryState(t *testing.T) {
+	d := gateDFA()
+	st := d.Snapshot()
+	set := twoStateSet()
+	builds := 0
+	build := func(q int32) *SkipSet {
+		builds++
+		return set
+	}
+	var first SkipGate[bool]
+	first.Bind(d, build, StringIndex("x"))
+	if s := engage(t, &first, st, 1); s != set {
+		t.Fatal("the gate must jump with the set it built")
+	}
+	for _, q := range []int32{1, 2} {
+		var g SkipGate[bool]
+		g.Bind(d, build, StringIndex("x"))
+		if s := g.Step(st, 3, q); s != set {
+			t.Fatalf("a new scan entering state %d must jump with the built set at once", q)
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("%d builds, want 1", builds)
+	}
+
+	var sync [256]int32
+	pair := NewSkipSet([]byte{'b'}, []int32{4, 3}, &sync)
+	var g SkipGate[bool]
+	g.Bind(d, func(q int32) *SkipSet {
+		if q == 3 {
+			return nil
+		}
+		return pair
+	}, StringIndex("x"))
+	for i := 0; i < DefaultSkipStreak; i++ {
+		if s := g.Step(st, 3, 3); s != nil {
+			t.Fatal("a state that builds no set must not skip")
+		}
+	}
+	if st[3].skip.Load() != unskippable {
+		t.Fatal("state 3 must be marked unskippable after its build")
+	}
+	if s := engage(t, &g, st, 4); s != pair {
+		t.Fatal("state 4 must jump with its set")
+	}
+	if s := g.Step(st, 4, 3); s != pair {
+		t.Fatal("an unskippable state must take a set that holds it")
+	}
+}
+
+// TestSkipGateConcurrentPublish: sixteen scans reach one unbuilt state
+// together and each builds its own set for it. One store wins, and every
+// scan jumps with that set.
+func TestSkipGateConcurrentPublish(t *testing.T) {
+	d := gateDFA()
+	st := d.Snapshot()
+	got := make([]*SkipSet, 16)
+	var building, done sync.WaitGroup
+	building.Add(len(got))
+	for i := range got {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			var g SkipGate[bool]
+			g.Bind(d, func(q int32) *SkipSet {
+				// No build returns before all sixteen scans are building,
+				// so every scan found the slot empty.
+				building.Done()
+				building.Wait()
+				return testSet(byte('a' + i))
+			}, StringIndex("x"))
+			for range DefaultSkipStreak {
+				got[i] = g.Step(st, 1, 1)
+			}
+		}()
+	}
+	done.Wait()
+	want := st[1].skip.Load()
+	if want == nil || want == unskippable {
+		t.Fatalf("state 1's slot holds %p after the builds, want a set", want)
+	}
+	for i, s := range got {
+		if s != want {
+			t.Fatalf("scan %d jumps with %p, want the first set stored, %p", i, s, want)
+		}
 	}
 }
 
 func TestSkipGateSelfLoopEngagesAndJumps(t *testing.T) {
 	doc := strings.Repeat(".", 200) + "b" + strings.Repeat(".", 30)
 	set := testSet('b')
-	var cache SkipCache
-	var g SkipGate
-	g.Init(&cache)
-	g.Bind(func(q int32) *SkipSet { return set }, StringIndex(doc))
+	d := gateDFA()
+	st := d.Snapshot()
+	var g SkipGate[bool]
+	g.Bind(d, func(q int32) *SkipSet { return set }, StringIndex(doc))
 	var got *SkipSet
 	pos := 0
 	for ; pos < len(doc); pos++ {
-		if got = g.Step(1, 1); got != nil {
+		if got = g.Step(st, 1, 1); got != nil {
 			break
 		}
 	}
@@ -217,7 +292,7 @@ func TestSkipGateSelfLoopEngagesAndJumps(t *testing.T) {
 	if to, hit = g.Jump(got, 200, len(doc)); !hit || to != 200 {
 		t.Fatalf("no-progress Jump = (%d, %v), want (200, true)", to, hit)
 	}
-	if s := g.Step(1, 1); s != set {
+	if s := g.Step(st, 1, 1); s != set {
 		t.Fatal("one no-progress jump must not stand the gate down")
 	}
 	// The rest of the window gains nothing: the window's mean falls under
@@ -229,7 +304,7 @@ func TestSkipGateSelfLoopEngagesAndJumps(t *testing.T) {
 		t.Fatalf("gate still armed after a window gaining %d bytes", 200-pos-1)
 	}
 	for i := 0; i < 4*DefaultSkipStreak; i++ {
-		if s := g.Step(1, 1); s != nil {
+		if s := g.Step(st, 1, 1); s != nil {
 			t.Fatal("a stood-down gate must not skip again")
 		}
 	}
@@ -246,15 +321,11 @@ func TestSkipGateYieldRule(t *testing.T) {
 	}{{skipBreakEven, false}, {skipBreakEven - 1, true}} {
 		doc := strings.Repeat(strings.Repeat(".", tc.gain)+"b", 4*skipWindow)
 		set := testSet('b')
-		var cache SkipCache
-		var g SkipGate
-		g.Init(&cache)
-		g.Bind(func(q int32) *SkipSet { return set }, StringIndex(doc))
-		for i := 0; g.Step(1, 1) == nil; i++ {
-			if i > 4*DefaultSkipStreak {
-				t.Fatal("gate never engaged on a self-loop")
-			}
-		}
+		d := gateDFA()
+		st := d.Snapshot()
+		var g SkipGate[bool]
+		g.Bind(d, func(q int32) *SkipSet { return set }, StringIndex(doc))
+		engage(t, &g, st, 1)
 		from := 0
 		for k := 0; k < 3*skipWindow; k++ {
 			to, hit := g.Jump(set, from, len(doc))
@@ -266,21 +337,29 @@ func TestSkipGateYieldRule(t *testing.T) {
 			}
 			from = to + 1
 		}
-		if s := g.Step(1, 1); (s == nil) != tc.down {
+		if s := g.Step(st, 1, 1); (s == nil) != tc.down {
 			t.Fatalf("gain %d: Step after the windows = %v, want stood down %v", tc.gain, s, tc.down)
 		}
 	}
 }
 
+// TestSkipGateUnskippableStateCachedOnce: a state whose build finds no set
+// is built once for the DFA, not once per scan or per streak.
 func TestSkipGateUnskippableStateCachedOnce(t *testing.T) {
-	var cache SkipCache
+	d := gateDFA()
+	st := d.Snapshot()
 	builds := 0
-	var g SkipGate
-	g.Init(&cache)
-	g.Bind(func(q int32) *SkipSet { builds++; return nil }, StringIndex("x"))
-	for i := 0; i < 10*DefaultSkipStreak; i++ {
-		if s := g.Step(1, 1); s != nil {
-			t.Fatal("nil-building state must never skip")
+	build := func(q int32) *SkipSet {
+		builds++
+		return nil
+	}
+	for range 2 { // the second scan reads the state's slot
+		var g SkipGate[bool]
+		g.Bind(d, build, StringIndex("x"))
+		for i := 0; i < 10*DefaultSkipStreak; i++ {
+			if s := g.Step(st, 1, 1); s != nil {
+				t.Fatal("nil-building state must never skip")
+			}
 		}
 	}
 	if builds != 1 {

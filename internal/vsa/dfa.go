@@ -223,10 +223,9 @@ func (a *Automaton) EvalBool(doc string) bool {
 	g := a.localizer().group
 	st := g.dfa.Snapshot()
 	cur := dfaStart
-	var gate lazydfa.SkipGate
+	var gate lazydfa.SkipGate[scanFlags]
 	if !g.noSkip {
-		gate.Init(&g.skips)
-		gate.Bind(g.skipSet, lazydfa.StringIndex(doc))
+		gate.Bind(g.dfa, g.skipSet, lazydfa.StringIndex(doc))
 	}
 	for i := 0; i < len(doc); i++ {
 		c := g.classOf[doc[i]]
@@ -246,7 +245,7 @@ func (a *Automaton) EvalBool(doc string) bool {
 			// The walk has been confined to a couple of states for a while:
 			// jump to the next byte that can break out (prefilter.go). No
 			// skipped boundary holds an emit state.
-			if s := gate.Step(cur, t); s != nil {
+			if s := gate.Step(st, cur, t); s != nil {
 				if j, _ := gate.Jump(s, i+1, len(doc)); j > i+1 {
 					st = g.dfa.Snapshot() // the set's build may have interned its states
 					t = s.Sync(doc[j-1])

@@ -81,10 +81,11 @@ const (
 	// AdmissionSkips counts (member, document) pairs the per-member
 	// mandatory-factor admission bitmap excluded from the fused pass.
 	AdmissionSkips
-	// MemberFallbacks counts member evaluations on the member's own group
-	// of one: members no group of many holds (no localizer, or a lone
-	// member), and members a group of many handed down on a fused-DFA or
-	// narrowing overflow.
+	// MemberFallbacks counts member evaluations a group of many did not
+	// finish: on the member's own group of one for members no group of
+	// many holds (no localizer, or a lone member) and members it handed
+	// down on a fused-DFA overflow, and on the whole-document rung for
+	// members whose narrowing overflowed.
 	MemberFallbacks
 	// NumStats is the length of a Record.
 	NumStats

@@ -17,11 +17,11 @@ package vsa
 //
 // The ladder preserves byte-identity in every corner and only ever steps
 // down. A group of many that overflows its DFA hands every admitted
-// member to the member's own group of one; a member whose backward
-// narrowing overflows goes there alone. A group of one whose member
-// overflows, cannot be narrowed, or cannot be localized at all (nullary
-// automata) takes the EvalBool prescan plus one whole-document
-// simulation. A member that is not functional runs as its
+// member to the member's own group of one. A member whose backward
+// narrowing overflows, from any group, and a group of one whose member
+// overflows or cannot be localized at all (nullary automata) take the
+// EvalBool prescan plus one whole-document simulation: the member's own
+// group would narrow on the same reverse DFA and overflow again. A member that is not functional runs as its
 // functionalization, the automaton its localizer's group holds.
 // Differential tests hold the construction to "byte-identical per query
 // to Eval and to EvalReference".
@@ -233,7 +233,8 @@ func (s *MultiSession) EvalAppend(doc string, by span.Span, rel func(i int) *spa
 // narrowing and the windowed simulation. Members the scan leaves
 // unfinished step down — from a group of many each to its own group of
 // one, from a group of one to the EvalBool prescan plus one
-// whole-document simulation.
+// whole-document simulation (whole). A member whose narrowing
+// overflowed takes that last rung from any group.
 //
 // A pass over a group of one counts the record's evaluation fields; a
 // session on a Multi of several members counts its multi-query fields.
@@ -281,7 +282,8 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 	if em != nil {
 		em[PrefilterCandidates]++
 	}
-	down := admit // the members this scan leaves to the next rung
+	down := admit      // the members this scan leaves to the next rung
+	var toWhole uint64 // the members whose narrowing overflowed
 	// Every member of a group of many localizes; a group of one scans
 	// unless its member cannot be localized at all.
 	if g.locs[0].ok {
@@ -314,7 +316,7 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 					continue
 				}
 				if !g.narrow(slot, doc, ws) {
-					down |= 1 << slot
+					toWhole |= 1 << slot
 					continue
 				}
 				if em != nil {
@@ -346,16 +348,25 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 			}
 		}
 	}
-	if down == 0 {
+	if down|toWhole == 0 {
 		return
 	}
 	if len(g.members) > 1 {
 		// The scratch is free again: each unfinished member gets its own
 		// group's pass. Members the admission bitmap rejected stay empty —
 		// the factor gate's soundness does not depend on the fused pass.
+		// A member whose narrowing overflowed goes straight to the
+		// whole-document rung: its own group would find the same ends and
+		// narrow them on the same reverse DFA, which overflows again.
 		for slot, mi := range g.members {
-			if down&(1<<slot) != 0 {
+			switch {
+			case down&(1<<slot) != 0:
 				s.pass(s.m.own[mi], doc, by, rel, arena)
+			case toWhole&(1<<slot) != 0:
+				if mm != nil {
+					mm[MemberFallbacks]++
+				}
+				s.whole(g.autos[slot], mi, doc, by, rel, arena)
 			}
 		}
 		return
@@ -368,19 +379,26 @@ func (s *MultiSession) pass(g *multiGroup, doc string, by span.Span, rel func(in
 		t0 = now
 		em[Fallbacks]++
 	}
-	// ⟦a⟧(d) = ∅ iff no accepting run exists; the DFA decides that
-	// without touching the assignment machinery.
-	if a := g.autos[0]; a.EvalBool(doc) {
-		r := memberRel(rel, g.members[0], a)
-		n0 := len(r.Tuples)
-		run := s.run(a, r, doc, by.Start-1, arena)
-		run.whole()
-		if mm != nil {
-			mm[DemuxTuples] += uint64(len(r.Tuples) - n0)
-		}
-	}
+	s.whole(g.autos[0], g.members[0], doc, by, rel, arena)
 	if em != nil {
 		em[Sim] += uint64(time.Since(t0))
+	}
+}
+
+// whole is the ladder's last rung for member mi, automaton a: the
+// EvalBool prescan, then one tagged simulation of the whole document.
+func (s *MultiSession) whole(a *Automaton, mi int, doc string, by span.Span, rel func(int) *span.Relation, arena *span.TupleArena) {
+	// ⟦a⟧(d) = ∅ iff no accepting run exists; the DFA decides that
+	// without touching the assignment machinery.
+	if !a.EvalBool(doc) {
+		return
+	}
+	r := memberRel(rel, mi, a)
+	n0 := len(r.Tuples)
+	run := s.run(a, r, doc, by.Start-1, arena)
+	run.whole()
+	if s.mrec != nil {
+		s.mrec[DemuxTuples] += uint64(len(r.Tuples) - n0)
 	}
 }
 

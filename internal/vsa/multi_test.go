@@ -2,6 +2,7 @@ package vsa
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -67,6 +68,31 @@ func extractorBlowup(k int) *Automaton {
 	post := a.AddState()
 	a.AddEdge(prev, Close(0), alphabet.Of('a'), post)
 	a.AddEdge(prev, Close(0), alphabet.Of('b'), post)
+	a.AddFinal(post, 0)
+	a.AddEdge(post, 0, alphabet.Any, post)
+	return a
+}
+
+// extractorRevBlowup builds Σ*·x{(a|b)^k·a}·Σ*, extractorBlowup read
+// backwards: the forward scan DFA only counts how far into a span it may
+// be, while the backward narrowing, which starts at every 'a' that ends a
+// match, must remember which of the next k positions hold one, so the
+// reverse DFA overflows its state bound on long random a/b documents.
+// The span has fixed length k+1, which keeps the tuple count linear.
+func extractorRevBlowup(k int) *Automaton {
+	a := NewAutomaton("x")
+	a.AddEdge(0, 0, alphabet.Any, 0)
+	prev := a.AddState()
+	a.AddEdge(0, Open(0), alphabet.Of('a'), prev)
+	a.AddEdge(0, Open(0), alphabet.Of('b'), prev)
+	for i := 1; i < k; i++ {
+		next := a.AddState()
+		a.AddEdge(prev, 0, alphabet.Of('a'), next)
+		a.AddEdge(prev, 0, alphabet.Of('b'), next)
+		prev = next
+	}
+	post := a.AddState()
+	a.AddEdge(prev, Close(0), alphabet.Of('a'), post)
 	a.AddFinal(post, 0)
 	a.AddEdge(post, 0, alphabet.Any, post)
 	return a
@@ -382,9 +408,10 @@ func TestMultiAdmissionAllRejected(t *testing.T) {
 	}
 }
 
-// TestMultiStartStateCache: each distinct admission mask interns one
-// fused start state, cached across evaluations — the partial masks in
-// the group's map, the full mask as the state the group interned first.
+// TestMultiStartStateCache: each distinct admission mask starts at one
+// interned state across evaluations — a partial mask at the state the
+// DFA interned for its start subset, the full mask at the state the
+// group interned first — so repeats intern nothing.
 func TestMultiStartStateCache(t *testing.T) {
 	m := NewMulti(buildUnanchoredAB(t), buildAnchoredCD(t))
 	docs := []string{
@@ -393,20 +420,37 @@ func TestMultiStartStateCache(t *testing.T) {
 		"cdzz",     // CD only (mask 10)
 		"zzzz",     // neither: early return, no start state
 	}
-	for range 3 { // repeats must hit the cache, not grow it
-		for _, doc := range docs {
-			assertMultiMatchesStandalone(t, m, doc)
-		}
+	for _, doc := range docs {
+		assertMultiMatchesStandalone(t, m, doc)
 	}
 	if len(m.groups) != 1 {
 		t.Fatalf("want 1 group, got %d", len(m.groups))
 	}
 	g := m.groups[0]
-	g.mu.Lock()
-	n := len(g.starts)
-	g.mu.Unlock()
-	if n != 2 {
-		t.Errorf("start-state cache holds %d masks, want 2 (AB-only, CD-only)", n)
+	n := g.dfa.Len()
+	starts := map[uint64]int32{}
+	for _, mask := range []uint64{0b01, 0b10} {
+		s := g.startFor(mask)
+		if s <= dfaDead || s == dfaStart || !slices.Equal(g.dfa.Snapshot()[s].Set, g.startSet(nil, mask)) {
+			t.Fatalf("mask %02b starts at state %d, not at its start subset's own state", mask, s)
+		}
+		starts[mask] = s
+	}
+	if starts[0b01] == starts[0b10] {
+		t.Fatal("two partial masks share one start state")
+	}
+	for range 2 { // repeats must find their states, not intern new ones
+		for _, doc := range docs {
+			assertMultiMatchesStandalone(t, m, doc)
+		}
+		for mask, s := range starts {
+			if got := g.startFor(mask); got != s {
+				t.Errorf("mask %02b starts at state %d, then at %d", mask, s, got)
+			}
+		}
+	}
+	if got := g.dfa.Len(); got != n {
+		t.Errorf("repeated masks grew the group DFA from %d to %d states", n, got)
 	}
 	if got := g.startFor(g.fullMask); got != dfaStart {
 		t.Errorf("full admission starts at state %d, want dfaStart", got)
@@ -464,6 +508,41 @@ func TestMultiOverflowGroupFallback(t *testing.T) {
 	// A harmless document afterwards must still evaluate (the overflowed
 	// DFA stays overflowed; the group keeps falling back, correctly).
 	assertRecordMatchesStandalone(t, m, "aab.bba", &mm)
+}
+
+// TestMultiNarrowOverflowTakesWholeRung: a fused member whose backward
+// narrowing overflows goes from the fused pass straight to the
+// whole-document rung. Its own group would scan the document forward
+// again, find the same ends and overflow on the same reverse DFA, so the
+// member is scanned forward once per document — by the fused pass;
+// Evals, which counts passes over a group of one, stays 0 — and its
+// relation is the standalone one.
+func TestMultiNarrowOverflowTakesWholeRung(t *testing.T) {
+	rev := extractorRevBlowup(16)
+	m := NewMulti(rev, extractorAPlus())
+	rng := rand.New(rand.NewSource(7))
+	docs := make([]string, 2)
+	for i := range docs {
+		b := make([]byte, 1<<13)
+		for j := range b {
+			b[j] = "ab"[rng.Intn(2)]
+		}
+		docs[i] = string(b)
+	}
+	var rec Record
+	for _, doc := range docs {
+		assertRecordMatchesStandalone(t, m, doc, &rec)
+	}
+	if n := rev.localizer().rev.dfa.Len(); n < maxDFAStates {
+		t.Fatalf("the reverse DFA holds %d states, below its bound of %d: no overflow", n, maxDFAStates)
+	}
+	if rec[FusedPasses] != 2 || rec[MemberFallbacks] != 2 {
+		t.Errorf("FusedPasses = %d, MemberFallbacks = %d, want one of each per document",
+			rec[FusedPasses], rec[MemberFallbacks])
+	}
+	if rec[Evals] != 0 {
+		t.Errorf("the member's own group scanned %d of %d documents again", rec[Evals], len(docs))
+	}
 }
 
 // TestMultiSkipAndNoSkip: the fused trigger-byte skip loop engages on
@@ -619,8 +698,8 @@ func TestMultiAccessors(t *testing.T) {
 }
 
 // TestMultiConcurrent hammers one shared Multi from many goroutines so
-// the race detector sees the fused DFA, skip cache and start-state map
-// being built and read concurrently.
+// the race detector sees the fused DFA, its states' skip sets and its
+// partial-mask start states being built and read concurrently.
 func TestMultiConcurrent(t *testing.T) {
 	m := NewMulti(extractorAPlus(), buildUnanchoredAB(t), extractorZeroWidth())
 	long := strings.Repeat(".", 2*checkpointStride)

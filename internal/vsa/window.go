@@ -224,8 +224,8 @@ type scanFlags struct {
 // start subset (its relation is provably empty — the factor is mandatory
 // in every accepted document), while the remaining members scan at full
 // strength. The state interned first, dfaStart, is the start subset of
-// all members together; each distinct partial admission mask gets its
-// own interned start state, cached in starts.
+// all members together; a partial admission mask starts at the state the
+// DFA interns for its start subset.
 type scanGroup struct {
 	autos []*Automaton
 	progs []*evalProg
@@ -246,14 +246,8 @@ type scanGroup struct {
 	// tests hold the scan to it.
 	noSkip bool
 
-	dfa *lazydfa.DFA[scanFlags]
-	// skips memoizes per-DFA-state trigger sets for the skip loop (see
-	// prefilter.go).
-	skips lazydfa.SkipCache
-
+	dfa      *lazydfa.DFA[scanFlags]
 	fullMask uint64 // every slot admitted: the group's dfaStart
-	mu       sync.Mutex
-	starts   map[uint64]int32 // partial admission mask → interned start state
 }
 
 // newScanGroup fuses the scan programs of autos, whose localizers are
@@ -324,39 +318,28 @@ func newScanGroup(autos []*Automaton, locs []*localizer) *scanGroup {
 		},
 	})
 	g.fullMask = ^uint64(0) >> (64 - uint(len(autos)))
-	g.dfa.Intern(g.startSet(g.fullMask)) // = dfaStart
+	g.dfa.Intern(g.startSet(nil, g.fullMask)) // = dfaStart
 	return g
 }
 
-// startFor returns the interned start state of an admission mask,
-// caching one per distinct partial mask; the full mask is the state the
-// group interned first. Intern takes the DFA's write lock and is safe at
-// any time (unlike Seed); Overflow at the state bound is returned to the
-// caller, which takes the next rung of the ladder.
+// startFor returns the start state of an admission mask: the full mask
+// is the state the group interned first, a partial one the state its
+// start subset interns to (the DFA's own table finds a repeat). Intern
+// takes the DFA's write lock and is safe at any time (unlike Seed);
+// Overflow at the state bound is returned to the caller, which takes the
+// next rung of the ladder.
 func (g *scanGroup) startFor(mask uint64) int32 {
 	if mask == g.fullMask {
 		return dfaStart
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if s, ok := g.starts[mask]; ok {
-		return s
-	}
-	s := g.dfa.Intern(g.startSet(mask))
-	if s != dfaOverflow {
-		if g.starts == nil {
-			g.starts = make(map[uint64]int32)
-		}
-		g.starts[mask] = s
-	}
-	return s
+	var set [maxGroupMembers]int32
+	return g.dfa.Intern(g.startSet(set[:0], mask))
 }
 
-// startSet builds the start subset of an admission mask: the admitted
-// members' start states, shifted by their bases (ascending, hence
-// already sorted and duplicate-free as Intern requires).
-func (g *scanGroup) startSet(mask uint64) []int32 {
-	set := make([]int32, 0, len(g.autos))
+// startSet appends the start subset of an admission mask to set: the
+// admitted members' start states, shifted by their bases (ascending,
+// hence already sorted and duplicate-free as Intern requires).
+func (g *scanGroup) startSet(set []int32, mask uint64) []int32 {
 	for s, a := range g.autos {
 		if mask&(1<<s) != 0 {
 			set = append(set, g.base[s]+int32(a.Start))
@@ -377,7 +360,7 @@ func (g *scanGroup) forward(doc string, start int32, ws *scanScratch) bool {
 	// The group and the document live in ws, where the skip callbacks
 	// bound at its construction read them.
 	ws.g, ws.doc = g, doc
-	var gate lazydfa.SkipGate
+	var gate lazydfa.SkipGate[scanFlags]
 	defer ws.endPass(&gate)
 	st := g.dfa.Snapshot()
 	cur := start
@@ -391,8 +374,7 @@ func (g *scanGroup) forward(doc string, start int32, ws *scanScratch) bool {
 	ws.finals = 0
 	ws.skipped = 0
 	if !g.noSkip {
-		gate.Init(&g.skips)
-		gate.Bind(ws.build, ws.index)
+		gate.Bind(g.dfa, ws.build, ws.index)
 	}
 	for i := 0; i < len(doc); i++ {
 		c := g.classOf[doc[i]]
@@ -412,7 +394,7 @@ func (g *scanGroup) forward(doc string, start int32, ws *scanScratch) bool {
 			// member an ends entry, and the state at each skipped boundary
 			// is a pure function of the byte before it (sk.Sync) — that is
 			// the skip's soundness invariant.
-			if sk := gate.Step(cur, t); sk != nil {
+			if sk := gate.Step(st, cur, t); sk != nil {
 				if j, _ := gate.Jump(sk, i+1, len(doc)); j > i+1 {
 					// Checkpoint every stride boundary in [i+1, j): the jump
 					// bypasses the per-byte append below for them (boundary j
@@ -631,7 +613,7 @@ func newScanScratch() *scanScratch {
 // endPass ends the forward pass: the scratch records whether the pass's
 // skip gate stood down, and lets go of the document and group, which a
 // pooled scratch must not keep alive.
-func (ws *scanScratch) endPass(gate *lazydfa.SkipGate) {
+func (ws *scanScratch) endPass(gate *lazydfa.SkipGate[scanFlags]) {
 	ws.stoodDown = gate.StoodDown()
 	ws.g, ws.doc = nil, ""
 }
