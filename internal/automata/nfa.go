@@ -220,37 +220,32 @@ func (a *NFA) IsEmpty() bool {
 }
 
 // Product returns an automaton for L(a) ∩ L(b), built over reachable
-// state pairs only.
+// state pairs only; state i is the explorer's configuration i.
 func Product(a, b *NFA) *NFA {
 	if a.NumSymbols != b.NumSymbols {
 		panic("automata: product over different alphabets")
 	}
 	out := New(a.NumSymbols)
-	type pair struct{ p, q int }
-	id := map[pair]int{}
-	var queue []pair
-	add := func(pr pair) int {
-		if i, ok := id[pr]; ok {
-			return i
+	var x Explorer
+	visit := func(p, q int) int {
+		id, added, _ := x.Visit(int32(p), int32(q))
+		if added {
+			out.AddState(a.Final[p] && b.Final[q])
 		}
-		i := out.AddState(a.Final[pr.p] && b.Final[pr.q])
-		id[pr] = i
-		queue = append(queue, pr)
-		return i
+		return int(id)
 	}
 	for _, s := range a.Starts {
 		for _, t := range b.Starts {
-			out.AddStart(add(pair{s, t}))
+			out.AddStart(visit(s, t))
 		}
 	}
-	for len(queue) > 0 {
-		pr := queue[0]
-		queue = queue[1:]
-		from := id[pr]
-		for _, ea := range a.Adj[pr.p] {
-			for _, eb := range b.Adj[pr.q] {
+	for from := 0; from < x.Len(); from++ {
+		c := x.Config(int32(from))
+		p, q := c[0], c[1]
+		for _, ea := range a.Adj[p] {
+			for _, eb := range b.Adj[q] {
 				if ea.Sym == eb.Sym {
-					out.AddEdge(from, ea.Sym, add(pair{ea.To, eb.To}))
+					out.AddEdge(from, ea.Sym, visit(ea.To, eb.To))
 				}
 			}
 		}
@@ -428,55 +423,30 @@ func ContainsDet(a, b *NFA) (ok bool, witness []int) {
 		det[q] = m
 	}
 	const dead = -1
-	type pair struct{ p, q int }
-	type entry struct {
-		prev int
-		sym  int
-	}
-	seen := map[pair]int{}
-	var order []pair
-	var trace []entry
-	bq := dead
+	// A configuration is (state of a, state of b or dead); each keeps the
+	// link it was first reached by, so a failure is a shortest witness.
+	x := Explorer{Trace: true}
+	bq := int32(dead)
 	if len(b.Starts) > 0 {
-		bq = b.Starts[0]
+		bq = int32(b.Starts[0])
 	}
 	for _, s := range a.Starts {
-		pr := pair{s, bq}
-		if _, ok := seen[pr]; !ok {
-			seen[pr] = len(order)
-			order = append(order, pr)
-			trace = append(trace, entry{-1, -1})
-		}
+		x.Visit(int32(s), bq)
 	}
-	rebuild := func(i int) []int {
-		var w []int
-		for i >= 0 && trace[i].sym >= 0 {
-			w = append(w, trace[i].sym)
-			i = trace[i].prev
+	for id := int32(0); int(id) < x.Len(); id++ {
+		c := x.Config(id)
+		p, q := c[0], int(c[1])
+		if a.Final[p] && (q == dead || !b.Final[q]) {
+			return false, x.Path(id)
 		}
-		for l, r := 0, len(w)-1; l < r; l, r = l+1, r-1 {
-			w[l], w[r] = w[r], w[l]
-		}
-		return w
-	}
-	for i := 0; i < len(order); i++ {
-		pr := order[i]
-		if a.Final[pr.p] && (pr.q == dead || !b.Final[pr.q]) {
-			return false, rebuild(i)
-		}
-		for _, e := range a.Adj[pr.p] {
+		for _, e := range a.Adj[p] {
 			nq := dead
-			if pr.q != dead {
-				if to, ok := det[pr.q][e.Sym]; ok {
+			if q != dead {
+				if to, ok := det[q][e.Sym]; ok {
 					nq = to
 				}
 			}
-			npr := pair{e.To, nq}
-			if _, ok := seen[npr]; !ok {
-				seen[npr] = len(order)
-				order = append(order, npr)
-				trace = append(trace, entry{i, e.Sym})
-			}
+			x.Step(id, int32(e.Sym), int32(e.To), int32(nq))
 		}
 	}
 	return true, nil
@@ -501,64 +471,54 @@ func Equivalent(a, b *NFA, limit int) (bool, error) {
 // not constitute two runs).
 func (a *NFA) IsUnambiguous() bool {
 	t := a.Trim()
-	type pair struct{ p, q int }
-	seen := map[pair]bool{}
-	var queue []pair
-	push := func(pr pair) {
-		if !seen[pr] {
-			seen[pr] = true
-			queue = append(queue, pr)
+	// Forward: the reachable pairs, and per pair the pairs stepping to it.
+	var x Explorer
+	var rev [][]int32
+	visit := func(p, q int) int32 {
+		id, added, _ := x.Visit(int32(p), int32(q))
+		if added {
+			rev = append(rev, nil)
 		}
+		return id
 	}
 	for _, s := range t.Starts {
 		for _, u := range t.Starts {
-			push(pair{s, u})
+			visit(s, u)
 		}
 	}
-	for i := 0; i < len(queue); i++ {
-		pr := queue[i]
-		for _, e1 := range t.Adj[pr.p] {
-			for _, e2 := range t.Adj[pr.q] {
+	for id := int32(0); int(id) < x.Len(); id++ {
+		c := x.Config(id)
+		p, q := c[0], c[1]
+		for _, e1 := range t.Adj[p] {
+			for _, e2 := range t.Adj[q] {
 				if e1.Sym == e2.Sym {
-					push(pair{e1.To, e2.To})
+					to := visit(e1.To, e2.To)
+					rev[to] = append(rev[to], id)
 				}
 			}
 		}
 	}
 	// Backward: which reachable pairs can reach a (final, final) pair?
-	rev := map[pair][]pair{}
-	for pr := range seen {
-		for _, e1 := range t.Adj[pr.p] {
-			for _, e2 := range t.Adj[pr.q] {
-				if e1.Sym == e2.Sym {
-					to := pair{e1.To, e2.To}
-					if seen[to] {
-						rev[to] = append(rev[to], pr)
-					}
-				}
-			}
-		}
-	}
-	co := map[pair]bool{}
-	var stack []pair
-	for pr := range seen {
-		if t.Final[pr.p] && t.Final[pr.q] {
-			co[pr] = true
-			stack = append(stack, pr)
+	co := make([]bool, x.Len())
+	var stack []int32
+	for id := range co {
+		if c := x.Config(int32(id)); t.Final[c[0]] && t.Final[c[1]] {
+			co[id] = true
+			stack = append(stack, int32(id))
 		}
 	}
 	for len(stack) > 0 {
-		pr := stack[len(stack)-1]
+		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, prev := range rev[pr] {
+		for _, prev := range rev[id] {
 			if !co[prev] {
 				co[prev] = true
 				stack = append(stack, prev)
 			}
 		}
 	}
-	for pr := range co {
-		if pr.p != pr.q {
+	for id, ok := range co {
+		if c := x.Config(int32(id)); ok && c[0] != c[1] {
 			return false
 		}
 	}
