@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/library"
+	"repro/internal/regexformula"
 	"repro/internal/vsa"
 )
 
@@ -38,6 +41,11 @@ func decide(tb testing.TB, p, sAuto *vsa.Automaton) {
 // takes; and DeterminizeThenPoly is the route Theorem 5.7 offers
 // instead: determinize P and S (Proposition 4.4), then SplitCorrectPoly.
 // Both legs start from a fresh splitter, so both pay its disjointness.
+//
+// HostileDisjoint/k=… times NewSplitter and IsDisjoint alone on the
+// splitter .*x{(a|b)*a(a|b)^k}.*, whose product search grows with k²
+// and answers no: the cost a hostile splitter formula puts on a cold
+// plan before any budget applies.
 func BenchmarkDecide(b *testing.B) {
 	legs := []struct {
 		name   string
@@ -69,6 +77,24 @@ func BenchmarkDecide(b *testing.B) {
 				sAuto := library.Sentences().Automaton()
 				b.StartTimer()
 				leg.decide(b, p, sAuto)
+			}
+		})
+	}
+	for _, k := range []int{100, 200} {
+		src := ".*x{(a|b)*a" + strings.Repeat("(a|b)", k) + "}.*"
+		b.Run(fmt.Sprintf("HostileDisjoint/k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sAuto := regexformula.MustCompile(src)
+				b.StartTimer()
+				s, err := core.NewSplitter(sAuto)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if s.IsDisjoint() {
+					b.Fatal("IsDisjoint = true, want false")
+				}
 			}
 		})
 	}

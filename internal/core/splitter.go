@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/automata"
 	"repro/internal/span"
 	"repro/internal/vsa"
 )
@@ -157,13 +158,10 @@ func (s *Splitter) IsDisjoint() bool {
 }
 
 func (s *Splitter) isDisjoint() bool {
-	type cfg struct {
-		q1, q2   int
-		st1, st2 int // 0 unopened, 1 open, 2 closed
-		differ   bool
-		overlap  bool
-	}
-	apply := func(st, kind int) (int, bool) {
+	// A configuration is (q1, q2, st1, st2, differ, overlap): both runs'
+	// states and statuses (0 unopened, 1 open, 2 closed), whether the
+	// two spans differ, and whether an overlap has been witnessed.
+	apply := func(st int32, kind int) (int32, bool) {
 		switch kind {
 		case sNone:
 			return st, true
@@ -191,7 +189,7 @@ func (s *Splitter) isDisjoint() bool {
 	// and not yet ended). This covers empty spans correctly: an empty
 	// span [b+1,b+1⟩ overlaps another span iff that span is open across
 	// the boundary.
-	overlapNow := func(k1, k2, st1After, st2After int) bool {
+	overlapNow := func(k1, k2 int, st1After, st2After int32) bool {
 		opened1 := k1 == sOpen || k1 == sWrap
 		opened2 := k2 == sOpen || k2 == sWrap
 		if opened2 && st1After == 1 {
@@ -202,59 +200,56 @@ func (s *Splitter) isDisjoint() bool {
 		}
 		return false
 	}
-	seen := map[cfg]bool{}
-	start := cfg{s.auto.Start, s.auto.Start, 0, 0, false, false}
-	queue := []cfg{start}
-	seen[start] = true
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
+	flag := func(b bool) int32 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	var x automata.Explorer
+	x.Visit(int32(s.auto.Start), int32(s.auto.Start), 0, 0, 0, 0)
+	for id := int32(0); int(id) < x.Len(); id++ {
+		c := x.Config(id)
+		q1, q2, cst1, cst2, differ, overlap := c[0], c[1], c[2], c[3], c[4], c[5]
 		// End of document: both runs may finish with final op sets.
-		for _, f1 := range s.auto.States[c.q1].Finals {
+		for _, f1 := range s.auto.States[q1].Finals {
 			k1 := splitOpKind(f1)
-			st1, ok1 := apply(c.st1, k1)
+			st1, ok1 := apply(cst1, k1)
 			if !ok1 || st1 != 2 {
 				continue
 			}
-			for _, f2 := range s.auto.States[c.q2].Finals {
+			for _, f2 := range s.auto.States[q2].Finals {
 				k2 := splitOpKind(f2)
-				st2, ok2 := apply(c.st2, k2)
+				st2, ok2 := apply(cst2, k2)
 				if !ok2 || st2 != 2 {
 					continue
 				}
-				differ := c.differ || f1 != f2
-				overlap := c.overlap || overlapNow(k1, k2, st1, st2)
+				differ := differ == 1 || f1 != f2
+				overlap := overlap == 1 || overlapNow(k1, k2, st1, st2)
 				if differ && overlap {
 					return false
 				}
 			}
 		}
 		// Advance both runs on a shared byte.
-		for _, e1 := range s.auto.States[c.q1].Edges {
+		for _, e1 := range s.auto.States[q1].Edges {
 			k1 := splitOpKind(e1.Ops)
-			st1, ok1 := apply(c.st1, k1)
+			st1, ok1 := apply(cst1, k1)
 			if !ok1 {
 				continue
 			}
-			for _, e2 := range s.auto.States[c.q2].Edges {
+			for _, e2 := range s.auto.States[q2].Edges {
 				if !e1.Class.Intersects(e2.Class) {
 					continue
 				}
 				k2 := splitOpKind(e2.Ops)
-				st2, ok2 := apply(c.st2, k2)
+				st2, ok2 := apply(cst2, k2)
 				if !ok2 {
 					continue
 				}
-				nc := cfg{
-					q1: e1.To, q2: e2.To,
-					st1: st1, st2: st2,
-					differ:  c.differ || e1.Ops != e2.Ops,
-					overlap: c.overlap || overlapNow(k1, k2, st1, st2),
-				}
-				if !seen[nc] {
-					seen[nc] = true
-					queue = append(queue, nc)
-				}
+				x.Visit(int32(e1.To), int32(e2.To), st1, st2,
+					flag(differ == 1 || e1.Ops != e2.Ops),
+					flag(overlap == 1 || overlapNow(k1, k2, st1, st2)))
 			}
 		}
 	}
