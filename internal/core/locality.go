@@ -82,10 +82,10 @@ var errCutTooLarge = fmt.Errorf("core: cut independence: %w", automata.ErrTooLar
 // every transition, and returns them — or nil when one breaks the
 // right-cut or the EOF rule.
 func (sc *splitScanner) rightCut(limit int) ([]int32, error) {
-	seen := map[int32]bool{sc.start: true}
-	reach := []int32{sc.start}
-	for i := 0; i < len(reach); i++ {
-		q := reach[i]
+	x := automata.Explorer{Limit: limit}
+	x.Visit(sc.start)
+	for i := int32(0); int(i) < x.Len(); i++ {
+		q := x.Config(i)[0]
 		pl := sc.dfa.Snapshot()[q].Payload
 		if pl.endClose && pl.endWrap {
 			return nil, nil
@@ -101,14 +101,14 @@ func (sc *splitScanner) rightCut(limit int) ([]int32, error) {
 			if t == lazydfa.Overflow {
 				return nil, errCutTooLarge
 			}
-			if !seen[t] {
-				if len(reach) >= limit {
-					return nil, errCutTooLarge
-				}
-				seen[t] = true
-				reach = append(reach, t)
+			if _, _, err := x.Visit(t); err != nil {
+				return nil, errCutTooLarge
 			}
 		}
+	}
+	reach := make([]int32, x.Len())
+	for i := range reach {
+		reach[i] = x.Config(int32(i))[0]
 	}
 	return reach, nil
 }
@@ -119,19 +119,14 @@ func (sc *splitScanner) rightCut(limit int) ([]int32, error) {
 func (sc *splitScanner) leftCut(reach []int32, limit int) (bool, error) {
 	st := sc.dfa.Snapshot() // rightCut resolved every row read below
 	start := &st[sc.start]
-	type pair struct{ f, g int32 }
-	seen := map[pair]bool{}
-	var queue []pair
+	x := automata.Explorer{Limit: limit}
 	push := func(f, g int32) error {
-		p := pair{f, g}
-		if f == g || seen[p] {
+		if f == g {
 			return nil
 		}
-		if len(seen) >= limit {
+		if _, _, err := x.Visit(f, g); err != nil {
 			return errCutTooLarge
 		}
-		seen[p] = true
-		queue = append(queue, p)
 		return nil
 	}
 	const starts = evOpen | evWrap
@@ -153,8 +148,9 @@ func (sc *splitScanner) leftCut(reach []int32, limit int) (bool, error) {
 			}
 		}
 	}
-	for i := 0; i < len(queue); i++ {
-		f, g := &st[queue[i].f], &st[queue[i].g]
+	for i := int32(0); int(i) < x.Len(); i++ {
+		pr := x.Config(i)
+		f, g := &st[pr[0]], &st[pr[1]]
 		if f.Payload.endClose != g.Payload.endClose || f.Payload.endWrap != g.Payload.endWrap {
 			return false, nil
 		}
