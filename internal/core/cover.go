@@ -48,105 +48,44 @@ func batchesFrom(st vsa.Status, n int) []batch {
 	return out
 }
 
+// universal builds P_V, the universal spanner over vars (Lemma 5.4): on
+// every document it selects every (V, d)-tuple. Its states are the
+// variable statuses reachable from all-unseen, one per explorer
+// configuration; from each, one edge on any byte per valid operation
+// batch, and a final batch wherever that batch closes every variable.
+func universal(vars []string) *vsa.Automaton {
+	n := len(vars)
+	all := vsa.AllClosed(n)
+	out := vsa.NewAutomaton(vars...)
+	var x automata.Explorer
+	visit := func(st vsa.Status) int {
+		id, added, _ := x.Visit(int32(st), int32(st>>32))
+		if added && id > 0 {
+			out.AddState()
+		}
+		return int(id)
+	}
+	visit(0)
+	for q := 0; q < x.Len(); q++ {
+		c := x.Config(int32(q))
+		for _, b := range batchesFrom(vsa.Status(uint32(c[0]))|vsa.Status(uint32(c[1]))<<32, n) {
+			out.AddEdge(q, b.ops, alphabet.Any, visit(b.st))
+			if b.st == all {
+				out.AddFinal(q, b.ops)
+			}
+		}
+	}
+	return out
+}
+
 // CoverAutomaton builds a spanner Cov over the variables of p that accepts
 // exactly the (document, tuple) pairs in which some split of s contains
 // every span of the tuple. The cover condition (Definition 5.2) for p and
 // s is then the containment ⟦p⟧ ⊆ ⟦Cov⟧, which is how Lemma 5.4's upper
-// bound is realized (the paper phrases it as P ⊆ P_V ∘ S; Cov is exactly
-// that composition, constructed directly).
+// bound is realized: the paper phrases it as P ⊆ P_V ∘ S, and Cov is that
+// composition, P_V composed with s by Compose.
 func CoverAutomaton(p *vsa.Automaton, s *Splitter) *vsa.Automaton {
-	n := p.Arity()
-	sa := s.auto
-	all := vsa.AllClosed(n)
-	out := vsa.NewAutomaton(p.Vars...)
-	type key struct {
-		phase int
-		qs    int
-		st    vsa.Status
-	}
-	id := map[key]int{}
-	var queue []key
-	intern := func(k key) int {
-		if i, ok := id[k]; ok {
-			return i
-		}
-		var i int
-		if len(id) == 0 {
-			i = 0
-		} else {
-			i = out.AddState()
-		}
-		id[k] = i
-		queue = append(queue, k)
-		return i
-	}
-	intern(key{1, sa.Start, 0})
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		from := id[k]
-		switch k.phase {
-		case 1: // before the covering split: no tuple operations allowed
-			for _, e := range sa.States[k.qs].Edges {
-				switch splitOpKind(e.Ops) {
-				case sNone:
-					out.AddEdge(from, 0, e.Class, intern(key{1, e.To, 0}))
-				case sOpen:
-					// Tuple operations may start at the split's boundary.
-					for _, b := range batchesFrom(0, n) {
-						out.AddEdge(from, b.ops, e.Class, intern(key{2, e.To, b.st}))
-					}
-				case sWrap:
-					// An empty split covers only all-empty tuples here.
-					out.AddEdge(from, vsa.AllOps(n), e.Class, intern(key{3, e.To, all}))
-				}
-			}
-			for _, fin := range sa.States[k.qs].Finals {
-				if splitOpKind(fin) == sWrap {
-					out.AddFinal(from, vsa.AllOps(n))
-				}
-			}
-		case 2: // inside the covering split
-			for _, e := range sa.States[k.qs].Edges {
-				switch splitOpKind(e.Ops) {
-				case sNone:
-					for _, b := range batchesFrom(k.st, n) {
-						out.AddEdge(from, b.ops, e.Class, intern(key{2, e.To, b.st}))
-					}
-				case sClose:
-					// Operations may still fire at the closing boundary,
-					// but must complete the tuple.
-					for _, b := range batchesFrom(k.st, n) {
-						if b.st == all {
-							out.AddEdge(from, b.ops, e.Class, intern(key{3, e.To, all}))
-						}
-					}
-				}
-			}
-			for _, fin := range sa.States[k.qs].Finals {
-				if splitOpKind(fin) == sClose {
-					for _, b := range batchesFrom(k.st, n) {
-						if b.st == all {
-							out.AddFinal(from, b.ops)
-						}
-					}
-				}
-			}
-		case 3: // after the covering split
-			for _, e := range sa.States[k.qs].Edges {
-				if splitOpKind(e.Ops) == sNone {
-					out.AddEdge(from, 0, e.Class, intern(key{3, e.To, all}))
-				}
-			}
-			for _, fin := range sa.States[k.qs].Finals {
-				if splitOpKind(fin) == sNone {
-					out.AddFinal(from, 0)
-				}
-			}
-		}
-	}
-	out.MergeEdges()
-	return out
+	return Compose(universal(p.Vars), s)
 }
 
 // CoverCondition decides Definition 5.2 for arbitrary regular spanners and
@@ -577,129 +516,6 @@ const (
 	numCases
 )
 
-// buildCoverCase builds the automaton accepting words of APe shape whose
-// boundary is touched by a split of s according to the given case. With a
-// deterministic s each case automaton is unambiguous because the touching
-// split of each kind is unique.
-func (c *polyCtx) buildCoverCase(kind int) *automata.NFA {
-	n := automata.New(c.nsym)
-	sa := c.s.auto
-	batchSym := c.opIdx[c.all]
-	// Modes: 0 pre (before boundary, split not open except cases c/d),
-	// 1 open (split open, before boundary), 2 pend (just after batch),
-	// 3 openAfter (split open after boundary, case b/d), 4 done.
-	type key struct {
-		mode int
-		qs   int
-	}
-	id := map[key]int{}
-	var queue []key
-	intern := func(k key) int {
-		if i, ok := id[k]; ok {
-			return i
-		}
-		final := false
-		for _, f := range sa.States[k.qs].Finals {
-			kf := splitOpKind(f)
-			switch k.mode {
-			case 2:
-				if kind == caseEmptyAt && kf == sWrap {
-					final = true
-				}
-				if kind == caseEndsAt && kf == sClose {
-					final = true
-				}
-			case 3:
-				if kf == sClose {
-					final = true
-				}
-			case 4:
-				if kf == sNone {
-					final = true
-				}
-			}
-		}
-		i := n.AddState(final)
-		id[k] = i
-		queue = append(queue, k)
-		return i
-	}
-	n.AddStart(intern(key{0, sa.Start}))
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		from := id[k]
-		letter := func(e vsa.Edge, mode int) {
-			to := intern(key{mode, e.To})
-			for _, a := range c.atomsOf(e.Class) {
-				n.AddEdge(from, c.lsym(a, 0), to)
-			}
-		}
-		switch k.mode {
-		case 0: // before the boundary, split not yet open
-			for _, e := range sa.States[k.qs].Edges {
-				switch splitOpKind(e.Ops) {
-				case sNone:
-					letter(e, 0)
-				case sOpen:
-					if kind == caseEndsAt || kind == caseStrict {
-						letter(e, 1)
-					}
-				}
-			}
-			if kind == caseEmptyAt || kind == caseStartsAt {
-				n.AddEdge(from, batchSym, intern(key{2, k.qs}))
-			}
-		case 1: // split open, boundary not yet reached (cases c, d)
-			for _, e := range sa.States[k.qs].Edges {
-				if splitOpKind(e.Ops) == sNone {
-					letter(e, 1)
-				}
-			}
-			n.AddEdge(from, batchSym, intern(key{2, k.qs}))
-		case 2: // immediately after the batch
-			for _, e := range sa.States[k.qs].Edges {
-				kk := splitOpKind(e.Ops)
-				switch kind {
-				case caseEmptyAt:
-					if kk == sWrap {
-						letter(e, 4)
-					}
-				case caseStartsAt:
-					if kk == sOpen {
-						letter(e, 3)
-					}
-				case caseEndsAt:
-					if kk == sClose {
-						letter(e, 4)
-					}
-				case caseStrict:
-					if kk == sNone {
-						letter(e, 3)
-					}
-				}
-			}
-		case 3: // split open after the boundary (cases b, d)
-			for _, e := range sa.States[k.qs].Edges {
-				switch splitOpKind(e.Ops) {
-				case sNone:
-					letter(e, 3)
-				case sClose:
-					letter(e, 4)
-				}
-			}
-		case 4: // split closed
-			for _, e := range sa.States[k.qs].Edges {
-				if splitOpKind(e.Ops) == sNone {
-					letter(e, 4)
-				}
-			}
-		}
-	}
-	n.DedupeEdges()
-	return n
-}
-
 // containsViaUnion decides L(a) ⊆ L(b₁) ∪ … ∪ L(b_k) in polynomial time
 // for unambiguous a and pairwise-possibly-overlapping unambiguous b_i by
 // inclusion–exclusion over accepting-path counts: the indicator series
@@ -765,9 +581,10 @@ func (c *polyCtx) coverPoly() bool {
 		return false
 	}
 	ape := c.buildAPe()
+	pv := universal(c.p.Vars)
 	cases := make([]*automata.NFA, numCases)
 	for k := 0; k < numCases; k++ {
-		cases[k] = c.buildCoverCase(k)
+		cases[k] = c.buildSplitCase(pv, k)
 	}
 	return containsViaUnion(ape, cases)
 }

@@ -139,7 +139,7 @@ func TestCoverPolyConstructionUnambiguity(t *testing.T) {
 			t.Errorf("(%s, %s): AP_n × AS_n is ambiguous", c.p, c.s)
 		}
 		for k := 0; k < numCases; k++ {
-			b := ctx.buildCoverCase(k)
+			b := ctx.buildSplitCase(universal(p.Vars), k)
 			if prod := automata.Product(ape.Trim(), b.Trim()); !prod.IsUnambiguous() {
 				t.Errorf("(%s, %s): AP_e × case %d is ambiguous", c.p, c.s, k)
 			}

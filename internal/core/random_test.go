@@ -40,6 +40,59 @@ func randomUnaryFormula(rng *rand.Rand, varName string, depth int) string {
 	return ctx[rng.Intn(len(ctx))] + "(" + varName + "{" + inner + "})" + ctx[rng.Intn(len(ctx))]
 }
 
+// randomFormula generates a random functional formula over vars, each
+// variable exactly once on every path: a variable's capture comes before
+// the rest, after it or around it, or the formula is a union of two such.
+// Captures and gaps may be empty, so empty spans and tuples whose spans
+// all sit at one boundary come up. Depth-bounded like randomUnaryFormula.
+func randomFormula(rng *rand.Rand, vars []string, depth int) string {
+	var plain func(d int) string // variable free, never empty
+	plain = func(d int) string {
+		if d <= 0 {
+			return [...]string{"a", "b", "."}[rng.Intn(3)]
+		}
+		switch rng.Intn(4) {
+		case 0:
+			return plain(d-1) + plain(d-1)
+		case 1:
+			return "(" + plain(d-1) + ")*"
+		case 2:
+			return "(" + plain(d-1) + "|" + plain(d-1) + ")"
+		default:
+			return plain(0)
+		}
+	}
+	maybe := func(d int) string { // plain or empty
+		if rng.Intn(4) == 0 {
+			return ""
+		}
+		return plain(d)
+	}
+	var with func(vs []string, d int) string
+	with = func(vs []string, d int) string {
+		if len(vs) == 0 {
+			return maybe(d)
+		}
+		v, rest := vs[0], vs[1:]
+		choice := rng.Intn(4)
+		if d <= 0 {
+			choice = rng.Intn(3)
+		}
+		switch choice {
+		case 0:
+			return "(" + v + "{" + maybe(d-1) + "})" + maybe(d-1) + with(rest, d-1)
+		case 1:
+			return with(rest, d-1) + maybe(d-1) + "(" + v + "{" + maybe(d-1) + "})"
+		case 2:
+			return "(" + v + "{" + maybe(d-1) + with(rest, d-1) + maybe(d-1) + "})"
+		default:
+			return "(" + with(vs, d-1) + "|" + with(vs, d-1) + ")"
+		}
+	}
+	ctx := []string{".*", "a*", "(a|b)*", ""}
+	return ctx[rng.Intn(len(ctx))] + with(vars, depth) + ctx[rng.Intn(len(ctx))]
+}
+
 // TestRandomSplitCorrectnessDifferential cross-validates the general
 // split-correctness decider against brute-force enumeration, and the
 // polynomial decider against the general one whenever its preconditions

@@ -272,7 +272,7 @@ func (c *polyCtx) emptyHullCorrect() bool {
 	a1 := c.buildAPe()
 	cases := make([]*automata.NFA, numCases)
 	for k := 0; k < numCases; k++ {
-		cases[k] = c.buildSplitCase(k)
+		cases[k] = c.buildSplitCase(c.ps, k)
 	}
 	// Forward: P accepts ⇒ some touching split's P_S accepts.
 	if !containsViaUnion(a1, cases) {
@@ -295,77 +295,72 @@ func (c *polyCtx) emptyHullCorrect() bool {
 
 // buildSplitCase builds the automaton accepting marked empty-hull words
 // for which S has a split touching the batch boundary in the given way
-// and P_S accepts the corresponding all-empty tuple on the segment. Each
+// and ps accepts the corresponding all-empty tuple on the segment. Each
 // case automaton is unambiguous: the touching split of each kind is
-// unique by disjointness, and S and P_S are deterministic.
-func (c *polyCtx) buildSplitCase(kind int) *automata.NFA {
+// unique by disjointness, and S and ps are deterministic. With ps =
+// P_V (universal) every test on ps holds, and the cases are those of
+// the cover condition (Lemma 5.6); with ps = P_S, those of P_S ∘ S.
+func (c *polyCtx) buildSplitCase(ps *vsa.Automaton, kind int) *automata.NFA {
 	n := automata.New(c.nsym)
-	sa, ps := c.s.auto, c.ps
+	sa := c.s.auto
 	batchSym := c.opIdx[c.all]
 	psAccEmpty := hasFinal(ps, ps.Start, c.all)
-	// Modes: 0 pre, 1 open-before-boundary (with P_S state), 2 pending
-	// (just after the batch symbol), 3 open-after-boundary (with P_S
-	// state), 4 done.
-	type key struct {
-		mode int
-		qs   int
-		qps  int
-	}
-	id := map[key]int{}
-	var queue []key
-	intern := func(k key) int {
-		if i, ok := id[k]; ok {
-			return i
-		}
-		final := false
-		for _, f := range sa.States[k.qs].Finals {
+	// A configuration is (mode, S state, ps state). Modes: 0 pre, 1
+	// open-before-boundary (with ps state), 2 pending (just after the
+	// batch symbol), 3 open-after-boundary (with ps state), 4 done.
+	final := func(mode, qs, qps int) bool {
+		for _, f := range sa.States[qs].Finals {
 			kf := splitOpKind(f)
-			switch k.mode {
+			switch mode {
 			case 2:
 				if kind == caseEmptyAt && kf == sWrap && psAccEmpty {
-					final = true
+					return true
 				}
 				if kind == caseEndsAt && kf == sClose {
-					final = true
+					return true
 				}
 			case 3:
-				if kf == sClose && hasFinal(ps, k.qps, 0) {
-					final = true
+				if kf == sClose && hasFinal(ps, qps, 0) {
+					return true
 				}
 			case 4:
 				if kf == sNone {
-					final = true
+					return true
 				}
 			}
 		}
-		i := n.AddState(final)
-		id[k] = i
-		queue = append(queue, k)
-		return i
+		return false
 	}
-	n.AddStart(intern(key{0, sa.Start, deadState}))
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		from := id[k]
-		letter := func(cls alphabet.Class, mode, qs, qps int) {
+	var x automata.Explorer
+	visit := func(mode, qs, qps int) int {
+		id, added, _ := x.Visit(int32(mode), int32(qs), int32(qps))
+		if added {
+			n.AddState(final(mode, qs, qps))
+		}
+		return int(id)
+	}
+	n.AddStart(visit(0, sa.Start, deadState))
+	for from := 0; from < x.Len(); from++ {
+		k := x.Config(int32(from))
+		mode, qs, qps := k[0], int(k[1]), int(k[2])
+		letter := func(cls alphabet.Class, toMode, toQS, toQPS int) {
 			if cls.IsEmpty() {
 				return
 			}
-			to := intern(key{mode, qs, qps})
+			to := visit(toMode, toQS, toQPS)
 			for _, a := range c.atomsOf(cls) {
 				n.AddEdge(from, c.lsym(a, 0), to)
 			}
 		}
-		switch k.mode {
+		switch mode {
 		case 0: // before the boundary, split not open
-			for _, e := range sa.States[k.qs].Edges {
+			for _, e := range sa.States[qs].Edges {
 				switch splitOpKind(e.Ops) {
 				case sNone:
 					letter(e.Class, 0, e.To, deadState)
 				case sOpen:
 					if kind == caseEndsAt || kind == caseStrict {
-						// The split (and P_S) starts before the boundary.
+						// The split (and ps) starts before the boundary.
 						for _, f := range ps.States[ps.Start].Edges {
 							if f.Ops == 0 {
 								letter(e.Class.Intersect(f.Class), 1, e.To, f.To)
@@ -375,14 +370,14 @@ func (c *polyCtx) buildSplitCase(kind int) *automata.NFA {
 				}
 			}
 			if kind == caseEmptyAt || kind == caseStartsAt {
-				n.AddEdge(from, batchSym, intern(key{2, k.qs, deadState}))
+				n.AddEdge(from, batchSym, visit(2, qs, deadState))
 			}
 		case 1: // split open before the boundary
-			for _, e := range sa.States[k.qs].Edges {
+			for _, e := range sa.States[qs].Edges {
 				if splitOpKind(e.Ops) != sNone {
 					continue
 				}
-				for _, f := range ps.States[k.qps].Edges {
+				for _, f := range ps.States[qps].Edges {
 					if f.Ops == 0 {
 						letter(e.Class.Intersect(f.Class), 1, e.To, f.To)
 					}
@@ -390,16 +385,16 @@ func (c *polyCtx) buildSplitCase(kind int) *automata.NFA {
 			}
 			switch kind {
 			case caseEndsAt:
-				// The boundary is the segment's end: P_S must accept with
+				// The boundary is the segment's end: ps must accept with
 				// the complete batch as its final operations.
-				if hasFinal(ps, k.qps, c.all) {
-					n.AddEdge(from, batchSym, intern(key{2, k.qs, deadState}))
+				if hasFinal(ps, qps, c.all) {
+					n.AddEdge(from, batchSym, visit(2, qs, deadState))
 				}
 			case caseStrict:
-				n.AddEdge(from, batchSym, intern(key{2, k.qs, k.qps}))
+				n.AddEdge(from, batchSym, visit(2, qs, qps))
 			}
 		case 2: // immediately after the batch symbol
-			for _, e := range sa.States[k.qs].Edges {
+			for _, e := range sa.States[qs].Edges {
 				kk := splitOpKind(e.Ops)
 				switch kind {
 				case caseEmptyAt:
@@ -408,7 +403,7 @@ func (c *polyCtx) buildSplitCase(kind int) *automata.NFA {
 					}
 				case caseStartsAt:
 					if kk == sOpen {
-						// P_S consumes the segment's first byte performing
+						// ps consumes the segment's first byte performing
 						// the complete batch.
 						for _, f := range ps.States[ps.Start].Edges {
 							if f.Ops == c.all {
@@ -422,9 +417,9 @@ func (c *polyCtx) buildSplitCase(kind int) *automata.NFA {
 					}
 				case caseStrict:
 					if kk == sNone {
-						// P_S performs the complete batch strictly inside
+						// ps performs the complete batch strictly inside
 						// the segment.
-						for _, f := range ps.States[k.qps].Edges {
+						for _, f := range ps.States[qps].Edges {
 							if f.Ops == c.all {
 								letter(e.Class.Intersect(f.Class), 3, e.To, f.To)
 							}
@@ -433,22 +428,22 @@ func (c *polyCtx) buildSplitCase(kind int) *automata.NFA {
 				}
 			}
 		case 3: // split open after the boundary
-			for _, e := range sa.States[k.qs].Edges {
+			for _, e := range sa.States[qs].Edges {
 				switch splitOpKind(e.Ops) {
 				case sNone:
-					for _, f := range ps.States[k.qps].Edges {
+					for _, f := range ps.States[qps].Edges {
 						if f.Ops == 0 {
 							letter(e.Class.Intersect(f.Class), 3, e.To, f.To)
 						}
 					}
 				case sClose:
-					if hasFinal(ps, k.qps, 0) {
+					if hasFinal(ps, qps, 0) {
 						letter(e.Class, 4, e.To, deadState)
 					}
 				}
 			}
 		case 4: // split closed
-			for _, e := range sa.States[k.qs].Edges {
+			for _, e := range sa.States[qs].Edges {
 				if splitOpKind(e.Ops) == sNone {
 					letter(e.Class, 4, e.To, deadState)
 				}
