@@ -48,6 +48,12 @@ func batchesFrom(st vsa.Status, n int) []batch {
 	return out
 }
 
+// statusCfg splits a status into two fields of an explorer configuration;
+// cfgStatus joins them again.
+func statusCfg(st vsa.Status) (lo, hi int32) { return int32(st), int32(st >> 32) }
+
+func cfgStatus(lo, hi int32) vsa.Status { return vsa.Status(uint32(lo)) | vsa.Status(uint32(hi))<<32 }
+
 // universal builds P_V, the universal spanner over vars (Lemma 5.4): on
 // every document it selects every (V, d)-tuple. Its states are the
 // variable statuses reachable from all-unseen, one per explorer
@@ -59,7 +65,7 @@ func universal(vars []string) *vsa.Automaton {
 	out := vsa.NewAutomaton(vars...)
 	var x automata.Explorer
 	visit := func(st vsa.Status) int {
-		id, added, _ := x.Visit(int32(st), int32(st>>32))
+		id, added, _ := x.Visit(statusCfg(st))
 		if added && id > 0 {
 			out.AddState()
 		}
@@ -68,7 +74,7 @@ func universal(vars []string) *vsa.Automaton {
 	visit(0)
 	for q := 0; q < x.Len(); q++ {
 		c := x.Config(int32(q))
-		for _, b := range batchesFrom(vsa.Status(uint32(c[0]))|vsa.Status(uint32(c[1]))<<32, n) {
+		for _, b := range batchesFrom(cfgStatus(c[0], c[1]), n) {
 			out.AddEdge(q, b.ops, alphabet.Any, visit(b.st))
 			if b.st == all {
 				out.AddFinal(q, b.ops)
@@ -387,55 +393,47 @@ const (
 func (c *polyCtx) buildASn() *automata.NFA {
 	n := automata.New(c.nsym)
 	sa := c.s.auto
-	type key struct {
-		mode int
-		qs   int
-	}
-	id := map[key]int{}
-	var queue []key
-	intern := func(k key) int {
-		if i, ok := id[k]; ok {
-			return i
-		}
-		final := false
-		if k.mode == mAfterPending || k.mode == mOpenPost {
-			for _, f := range sa.States[k.qs].Finals {
+	// A configuration is (mode, S state).
+	final := func(mode, qs int) bool {
+		for _, f := range sa.States[qs].Finals {
+			switch mode {
+			case mAfterPending, mOpenPost:
 				if splitOpKind(f) == sClose {
-					final = true
+					return true
 				}
-			}
-		}
-		if k.mode == mClosed {
-			for _, f := range sa.States[k.qs].Finals {
+			case mClosed:
 				if splitOpKind(f) == sNone {
-					final = true
+					return true
 				}
 			}
 		}
-		i := n.AddState(final)
-		id[k] = i
-		queue = append(queue, k)
-		return i
+		return false
 	}
-	start := intern(key{mPre, sa.Start})
-	n.AddStart(start)
+	var x automata.Explorer
+	visit := func(mode, qs int) int {
+		id, added, _ := x.Visit(int32(mode), int32(qs))
+		if added {
+			n.AddState(final(mode, qs))
+		}
+		return int(id)
+	}
+	n.AddStart(visit(mPre, sa.Start))
 	opSyms := make([]int, 0, len(c.opIdx))
 	for _, sym := range c.opIdx {
 		opSyms = append(opSyms, sym)
 	}
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		from := id[k]
-		letter := func(e vsa.Edge, bit, mode int) {
-			to := intern(key{mode, e.To})
+	for from := 0; from < x.Len(); from++ {
+		k := x.Config(int32(from))
+		mode, qs := int(k[0]), int(k[1])
+		letter := func(e vsa.Edge, bit, toMode int) {
+			to := visit(toMode, e.To)
 			for _, a := range c.atomsOf(e.Class) {
 				n.AddEdge(from, c.lsym(a, bit), to)
 			}
 		}
-		switch k.mode {
+		switch mode {
 		case mPre:
-			for _, e := range sa.States[k.qs].Edges {
+			for _, e := range sa.States[qs].Edges {
 				switch splitOpKind(e.Ops) {
 				case sNone:
 					letter(e, 0, mPre)
@@ -444,41 +442,41 @@ func (c *polyCtx) buildASn() *automata.NFA {
 				}
 			}
 			for _, sym := range opSyms {
-				n.AddEdge(from, sym, intern(key{mMustOpen, k.qs}))
+				n.AddEdge(from, sym, visit(mMustOpen, qs))
 			}
 		case mMustOpen:
-			for _, e := range sa.States[k.qs].Edges {
+			for _, e := range sa.States[qs].Edges {
 				if splitOpKind(e.Ops) == sOpen {
 					letter(e, 1, mInBlock)
 				}
 			}
 		case mOpenPre:
-			for _, e := range sa.States[k.qs].Edges {
+			for _, e := range sa.States[qs].Edges {
 				if splitOpKind(e.Ops) == sNone {
 					letter(e, 0, mOpenPre)
 				}
 			}
 			for _, sym := range opSyms {
-				n.AddEdge(from, sym, intern(key{mInPending, k.qs}))
+				n.AddEdge(from, sym, visit(mInPending, qs))
 			}
 		case mInPending:
-			for _, e := range sa.States[k.qs].Edges {
+			for _, e := range sa.States[qs].Edges {
 				if splitOpKind(e.Ops) == sNone {
 					letter(e, 1, mInBlock)
 				}
 			}
 		case mInBlock:
-			for _, e := range sa.States[k.qs].Edges {
+			for _, e := range sa.States[qs].Edges {
 				if splitOpKind(e.Ops) == sNone {
 					letter(e, 1, mInBlock)
 				}
 			}
 			for _, sym := range opSyms {
-				n.AddEdge(from, sym, intern(key{mInPending, k.qs}))
-				n.AddEdge(from, sym, intern(key{mAfterPending, k.qs}))
+				n.AddEdge(from, sym, visit(mInPending, qs))
+				n.AddEdge(from, sym, visit(mAfterPending, qs))
 			}
 		case mAfterPending:
-			for _, e := range sa.States[k.qs].Edges {
+			for _, e := range sa.States[qs].Edges {
 				switch splitOpKind(e.Ops) {
 				case sNone:
 					letter(e, 0, mOpenPost)
@@ -487,7 +485,7 @@ func (c *polyCtx) buildASn() *automata.NFA {
 				}
 			}
 		case mOpenPost:
-			for _, e := range sa.States[k.qs].Edges {
+			for _, e := range sa.States[qs].Edges {
 				switch splitOpKind(e.Ops) {
 				case sNone:
 					letter(e, 0, mOpenPost)
@@ -496,7 +494,7 @@ func (c *polyCtx) buildASn() *automata.NFA {
 				}
 			}
 		case mClosed:
-			for _, e := range sa.States[k.qs].Edges {
+			for _, e := range sa.States[qs].Edges {
 				if splitOpKind(e.Ops) == sNone {
 					letter(e, 0, mClosed)
 				}

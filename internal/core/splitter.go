@@ -200,12 +200,6 @@ func (s *Splitter) isDisjoint() bool {
 		}
 		return false
 	}
-	flag := func(b bool) int32 {
-		if b {
-			return 1
-		}
-		return 0
-	}
 	var x automata.Explorer
 	x.Visit(int32(s.auto.Start), int32(s.auto.Start), 0, 0, 0, 0)
 	for id := int32(0); int(id) < x.Len(); id++ {
@@ -254,4 +248,12 @@ func (s *Splitter) isDisjoint() bool {
 		}
 	}
 	return true
+}
+
+// flag is a Boolean field of an explorer configuration.
+func flag(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
 }
