@@ -141,122 +141,112 @@ func (c *polyCtx) findDisagreement() bool {
 	p, ps, sa := c.p, c.ps, c.s.auto
 	n := p.Arity()
 	all := vsa.AllClosed(n)
-	type cfg struct {
-		phase int // 1 before the split, 2 inside, 3 after
-		qp    int
-		qs    int
-		qps   int
-		psAcc bool
-		st    vsa.Status
-	}
-	seen := map[cfg]bool{}
-	var queue []cfg
-	push := func(nc cfg) {
+	// A configuration is (phase, qp, qs, qps, psAcc, status): phase 1
+	// before the split, 2 inside, 3 after; the states of P, S and P_S;
+	// whether P_S accepted at the split's end; P's variable status.
+	var x automata.Explorer
+	push := func(phase, qp, qs, qps int, psAcc bool, st vsa.Status) {
 		// Prune configurations from which neither side can accept.
-		if nc.phase == 2 && nc.qp == deadState && nc.qps == deadState {
+		if phase == 2 && qp == deadState && qps == deadState {
 			return
 		}
-		if nc.phase == 3 && nc.qp == deadState && !nc.psAcc {
+		if phase == 3 && qp == deadState && !psAcc {
 			return
 		}
-		if !seen[nc] {
-			seen[nc] = true
-			queue = append(queue, nc)
-		}
+		lo, hi := statusCfg(st)
+		x.Visit(int32(phase), int32(qp), int32(qs), int32(qps), flag(psAcc), lo, hi)
 	}
-	push(cfg{1, p.Start, sa.Start, deadState, false, 0})
+	push(1, p.Start, sa.Start, deadState, false, 0)
 	// singleBatch reports whether taking batch b from status st would
 	// realize an empty-hull tuple (all operations at one boundary); those
 	// tuples belong to part 3.
 	singleBatch := func(st vsa.Status, b batch) bool { return st == 0 && b.st == all }
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
+	for id := int32(0); int(id) < x.Len(); id++ {
+		k := x.Config(id)
+		phase, qp, qs, qps, psAcc, st := k[0], int(k[1]), int(k[2]), int(k[3]), k[4] == 1, cfgStatus(k[5], k[6])
 		// End-of-document acceptance checks.
-		switch k.phase {
+		switch phase {
 		case 2:
-			for _, f := range sa.States[k.qs].Finals {
+			for _, f := range sa.States[qs].Finals {
 				if splitOpKind(f) != sClose {
 					continue
 				}
-				for _, b := range batchesFrom(k.st, n) {
-					if b.st != all || singleBatch(k.st, b) {
+				for _, b := range batchesFrom(st, n) {
+					if b.st != all || singleBatch(st, b) {
 						continue
 					}
-					pAcc := hasFinal(p, k.qp, b.ops)
-					psAcc := hasFinal(ps, k.qps, b.ops)
-					if pAcc != psAcc {
+					if hasFinal(p, qp, b.ops) != hasFinal(ps, qps, b.ops) {
 						return true
 					}
 				}
 			}
 		case 3:
-			for _, f := range sa.States[k.qs].Finals {
+			for _, f := range sa.States[qs].Finals {
 				if splitOpKind(f) != sNone {
 					continue
 				}
-				if hasFinal(p, k.qp, 0) != k.psAcc {
+				if hasFinal(p, qp, 0) != psAcc {
 					return true
 				}
 			}
 		}
 		// Letter steps.
-		for _, e := range sa.States[k.qs].Edges {
+		for _, e := range sa.States[qs].Edges {
 			kind := splitOpKind(e.Ops)
 			switch {
-			case k.phase == 1 && kind == sNone:
-				for _, mp := range movesOn(p, k.qp, 0) {
+			case phase == 1 && kind == sNone:
+				for _, mp := range movesOn(p, qp, 0) {
 					cls := e.Class.Intersect(mp.cls)
 					if !cls.IsEmpty() {
-						push(cfg{1, mp.to, e.To, deadState, false, 0})
+						push(1, mp.to, e.To, deadState, false, 0)
 					}
 				}
-			case k.phase == 1 && kind == sOpen:
+			case phase == 1 && kind == sOpen:
 				for _, b := range batchesFrom(0, n) {
 					if singleBatch(0, b) {
 						continue
 					}
-					for _, mp := range movesOn(p, k.qp, b.ops) {
+					for _, mp := range movesOn(p, qp, b.ops) {
 						for _, mps := range movesOn(ps, ps.Start, b.ops) {
 							cls := e.Class.Intersect(mp.cls).Intersect(mps.cls)
 							if !cls.IsEmpty() {
-								push(cfg{2, mp.to, e.To, mps.to, false, b.st})
+								push(2, mp.to, e.To, mps.to, false, b.st)
 							}
 						}
 					}
 				}
-			case k.phase == 2 && kind == sNone:
-				for _, b := range batchesFrom(k.st, n) {
-					if singleBatch(k.st, b) {
+			case phase == 2 && kind == sNone:
+				for _, b := range batchesFrom(st, n) {
+					if singleBatch(st, b) {
 						continue
 					}
-					for _, mp := range movesOn(p, k.qp, b.ops) {
-						for _, mps := range movesOn(ps, k.qps, b.ops) {
+					for _, mp := range movesOn(p, qp, b.ops) {
+						for _, mps := range movesOn(ps, qps, b.ops) {
 							cls := e.Class.Intersect(mp.cls).Intersect(mps.cls)
 							if !cls.IsEmpty() {
-								push(cfg{2, mp.to, e.To, mps.to, false, b.st})
+								push(2, mp.to, e.To, mps.to, false, b.st)
 							}
 						}
 					}
 				}
-			case k.phase == 2 && kind == sClose:
-				for _, b := range batchesFrom(k.st, n) {
-					if b.st != all || singleBatch(k.st, b) {
+			case phase == 2 && kind == sClose:
+				for _, b := range batchesFrom(st, n) {
+					if b.st != all || singleBatch(st, b) {
 						continue
 					}
-					psAcc := hasFinal(ps, k.qps, b.ops)
-					for _, mp := range movesOn(p, k.qp, b.ops) {
+					psEnd := hasFinal(ps, qps, b.ops)
+					for _, mp := range movesOn(p, qp, b.ops) {
 						cls := e.Class.Intersect(mp.cls)
 						if !cls.IsEmpty() {
-							push(cfg{3, mp.to, e.To, deadState, psAcc, all})
+							push(3, mp.to, e.To, deadState, psEnd, all)
 						}
 					}
 				}
-			case k.phase == 3 && kind == sNone:
-				for _, mp := range movesOn(p, k.qp, 0) {
+			case phase == 3 && kind == sNone:
+				for _, mp := range movesOn(p, qp, 0) {
 					cls := e.Class.Intersect(mp.cls)
 					if !cls.IsEmpty() {
-						push(cfg{3, mp.to, e.To, deadState, k.psAcc, all})
+						push(3, mp.to, e.To, deadState, psAcc, all)
 					}
 				}
 			}
