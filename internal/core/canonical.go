@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/automata"
 	"repro/internal/vsa"
 )
 
@@ -23,24 +24,20 @@ func Canonical(p *vsa.Automaton, s *Splitter) *vsa.Automaton {
 	type pair struct{ qp, qs int }
 
 	// Pre-closure: pairs reachable from the starts by jointly consuming
-	// guessed prefix bytes (no variable operations before the split).
-	pre := map[pair]bool{{p.Start, sa.Start}: true}
-	stack := []pair{{p.Start, sa.Start}}
-	for len(stack) > 0 {
-		pr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, pe := range p.States[pr.qp].Edges {
+	// guessed prefix bytes (no variable operations before the split), in
+	// the order the search first meets them.
+	var pre automata.Explorer
+	pre.Visit(int32(p.Start), int32(sa.Start))
+	for i := int32(0); int(i) < pre.Len(); i++ {
+		c := pre.Config(i)
+		qp, qs := c[0], c[1]
+		for _, pe := range p.States[qp].Edges {
 			if pe.Ops != 0 {
 				continue
 			}
-			for _, se := range sa.States[pr.qs].Edges {
-				if splitOpKind(se.Ops) != sNone || !pe.Class.Intersects(se.Class) {
-					continue
-				}
-				np := pair{pe.To, se.To}
-				if !pre[np] {
-					pre[np] = true
-					stack = append(stack, np)
+			for _, se := range sa.States[qs].Edges {
+				if splitOpKind(se.Ops) == sNone && pe.Class.Intersects(se.Class) {
+					pre.Visit(int32(pe.To), int32(se.To))
 				}
 			}
 		}
@@ -85,27 +82,28 @@ func Canonical(p *vsa.Automaton, s *Splitter) *vsa.Automaton {
 		}
 	}
 
+	// out's state i+1 is the product phase's configuration i; state 0 is
+	// the start, which every pre-closure pair enters the segment from.
 	out := vsa.NewAutomaton(p.Vars...)
-	id := map[pair]int{}
-	var queue []pair
-	intern := func(pr pair) int {
-		if i, ok := id[pr]; ok {
-			return i
+	var prod automata.Explorer
+	visit := func(qp, qs int) int {
+		id, added, _ := prod.Visit(int32(qp), int32(qs))
+		if added {
+			out.AddState()
 		}
-		i := out.AddState()
-		id[pr] = i
-		queue = append(queue, pr)
-		return i
+		return int(id) + 1
 	}
 	// Entry edges and ε-input finals from every pre-closure pair.
-	for pr := range pre {
+	for i := int32(0); int(i) < pre.Len(); i++ {
+		c := pre.Config(i)
+		pr := pair{int(c[0]), int(c[1])}
 		for _, se := range sa.States[pr.qs].Edges {
 			switch splitOpKind(se.Ops) {
 			case sOpen:
 				for _, pe := range p.States[pr.qp].Edges {
 					cls := se.Class.Intersect(pe.Class)
 					if !cls.IsEmpty() {
-						out.AddEdge(out.Start, pe.Ops, cls, intern(pair{pe.To, se.To}))
+						out.AddEdge(out.Start, pe.Ops, cls, visit(pe.To, se.To))
 					}
 				}
 			case sWrap:
@@ -128,16 +126,16 @@ func Canonical(p *vsa.Automaton, s *Splitter) *vsa.Automaton {
 		}
 	}
 	// Product phase over the segment.
-	for i := 0; i < len(queue); i++ {
-		pr := queue[i]
-		from := id[pr]
+	for i := int32(0); int(i) < prod.Len(); i++ {
+		c := prod.Config(i)
+		pr, from := pair{int(c[0]), int(c[1])}, int(i)+1
 		for _, se := range sa.States[pr.qs].Edges {
 			switch splitOpKind(se.Ops) {
 			case sNone:
 				for _, pe := range p.States[pr.qp].Edges {
 					cls := se.Class.Intersect(pe.Class)
 					if !cls.IsEmpty() {
-						out.AddEdge(from, pe.Ops, cls, intern(pair{pe.To, se.To}))
+						out.AddEdge(from, pe.Ops, cls, visit(pe.To, se.To))
 					}
 				}
 			case sClose:

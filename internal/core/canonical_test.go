@@ -281,3 +281,18 @@ func TestExample513NonDisjointSelfSplittable(t *testing.T) {
 		t.Fatal("brute force disagrees with Example 5.13")
 	}
 }
+
+// TestCanonicalDeterministic pins that one input builds one automaton:
+// Canonical numbers its states in the order it first meets them. This
+// pair has several pre-closure pairs that open the split, so numbering
+// them in map order printed different automata from run to run.
+func TestCanonicalDeterministic(t *testing.T) {
+	p := regexformula.MustCompile(`.*y{ab}.*|.*y{ba}.*`)
+	s := splitterOf(t, `(.*[.])?x{[^.]*}([.].*)?`)
+	want := Canonical(p, s).String()
+	for i := 0; i < 50; i++ {
+		if got := Canonical(p, s).String(); got != want {
+			t.Fatalf("run %d built\n%s\nbut run 0 built\n%s", i, got, want)
+		}
+	}
+}
