@@ -6,7 +6,7 @@ import (
 	"repro/internal/regexformula"
 )
 
-// docs enumerates all documents over sigma up to maxLen.
+// docs enumerates all documents over the bytes of sigma up to maxLen.
 func docs(sigma string, maxLen int) []string {
 	out := []string{""}
 	frontier := []string{""}
@@ -14,7 +14,7 @@ func docs(sigma string, maxLen int) []string {
 		var next []string
 		for _, d := range frontier {
 			for i := 0; i < len(sigma); i++ {
-				next = append(next, d+string(sigma[i]))
+				next = append(next, d+sigma[i:i+1])
 			}
 		}
 		out = append(out, next...)

@@ -49,7 +49,7 @@ func randomFormula(rng *rand.Rand, vars []string, depth int) string {
 	var plain func(d int) string // variable free, never empty
 	plain = func(d int) string {
 		if d <= 0 {
-			return [...]string{"a", "b", "."}[rng.Intn(3)]
+			return [...]string{"a", "a", "b", "."}[rng.Intn(4)]
 		}
 		switch rng.Intn(4) {
 		case 0:
