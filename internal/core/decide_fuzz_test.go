@@ -187,7 +187,6 @@ func isDisjointRef(s *Splitter) bool {
 	return true
 }
 
-
 // FuzzPolyVsGeneral holds the polynomial procedures of Lemma 5.6 and
 // Theorem 5.7 to the general ones on spanners of one to three variables:
 // for a random deterministic P (randomFormula) and a deterministic
