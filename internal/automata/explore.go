@@ -45,6 +45,10 @@ func (x *Explorer) Visit(cfg ...int32) (id int32, added bool, err error) {
 // Step is Visit for a configuration reached from configuration from on
 // symbol sym; with Trace set, a new configuration keeps that link.
 func (x *Explorer) Step(from, sym int32, cfg ...int32) (id int32, added bool, err error) {
+	if x.set.slots == nil { // one allocation each for the first 32
+		x.set = SetTable{flat: make([]int32, 0, 32*len(cfg)), end: make([]int, 0, 32)}
+		x.set.Reset(32)
+	}
 	id, added = x.set.Intern(cfg)
 	if !added {
 		return id, false, nil
