@@ -37,7 +37,8 @@ func (x *Explorer) Config(id int32) []int32 { return x.set.Set(id) }
 
 // Visit returns the id of cfg, adding it when it is new, and whether it
 // was. It fails with ErrTooLarge when a new configuration would exceed
-// Limit; the search is over then.
+// Limit; the search is over then. Without a Limit it cannot fail, so an
+// uncapped search drops the error.
 func (x *Explorer) Visit(cfg ...int32) (id int32, added bool, err error) {
 	return x.Step(-1, -1, cfg...)
 }

@@ -220,7 +220,7 @@ func (a *NFA) IsEmpty() bool {
 }
 
 // Product returns an automaton for L(a) ∩ L(b), built over reachable
-// state pairs only; state i is the explorer's configuration i.
+// state pairs only, numbered in breadth-first order.
 func Product(a, b *NFA) *NFA {
 	if a.NumSymbols != b.NumSymbols {
 		panic("automata: product over different alphabets")

@@ -13,12 +13,12 @@ import (
 // splitter formula: when two spans of SplitReference overlap on a
 // document of length ≤ 6, IsDisjoint must say no. A no without such a
 // document is possible (the overlap may need a longer one), so every
-// verdict must also be isDisjointRef's. The documents are every word over one byte per atom of the
-// splitter's byte classes — for the {a, b} formulas of the seeds, a, b
-// and one byte standing for the rest — so no document of length ≤ 6
-// behaves differently from one of them. Formulas with more than three
-// atoms, or automata over 32 states, are skipped to keep an execution
-// small.
+// verdict must also be isDisjointRef's. The documents are every word
+// over one byte per atom of the splitter's byte classes — for the
+// {a, b} formulas of the seeds, a, b and one byte standing for the
+// rest — so no document of length ≤ 6 behaves differently from one of
+// them. Formulas with more than three atoms, or automata over 32
+// states, are skipped to keep an execution small.
 func FuzzDisjointVsBruteForce(f *testing.F) {
 	for _, src := range []string{
 		"x{.*}", ".*x{.}.*", ".*x{..}.*", "x{ab}b|a(x{bb})", "x{a*}b.*",

@@ -218,9 +218,7 @@ func (s *Splitter) isDisjoint() bool {
 				if !ok2 || st2 != 2 {
 					continue
 				}
-				differ := differ == 1 || f1 != f2
-				overlap := overlap == 1 || overlapNow(k1, k2, st1, st2)
-				if differ && overlap {
+				if (differ == 1 || f1 != f2) && (overlap == 1 || overlapNow(k1, k2, st1, st2)) {
 					return false
 				}
 			}
