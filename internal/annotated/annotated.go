@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/automata"
 	"repro/internal/core"
 	"repro/internal/span"
 	"repro/internal/vsa"
@@ -154,77 +155,26 @@ func (s *Splitter) IsHighlander() (bool, error) {
 }
 
 // uniqueKeys reports whether no document admits two accepting runs with
-// the same span but different keys.
+// the same span but different keys. Equal spans take equal operations at
+// every boundary, and New validated the automaton, so a run's status is
+// its state's: a configuration is just the two runs' states (q1, q2).
 func (s *Splitter) uniqueKeys() bool {
-	type cfg struct {
-		q1, q2   int
-		st1, st2 int
-	}
-	apply := func(st int, o vsa.OpSet) (int, bool) {
-		switch o {
-		case 0:
-			return st, true
-		case vsa.Open(0):
-			if st != 0 {
-				return 0, false
-			}
-			return 1, true
-		case vsa.Close(0):
-			if st != 1 {
-				return 0, false
-			}
-			return 2, true
-		case vsa.Wrap(0):
-			if st != 0 {
-				return 0, false
-			}
-			return 2, true
-		}
-		return 0, false
-	}
-	seen := map[cfg]bool{}
-	start := cfg{s.auto.Start, s.auto.Start, 0, 0}
-	queue := []cfg{start}
-	seen[start] = true
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		for _, f1 := range s.auto.States[c.q1].Finals {
-			n1, ok1 := apply(c.st1, f1)
-			if !ok1 || n1 != 2 {
-				continue
-			}
-			for _, f2 := range s.auto.States[c.q2].Finals {
-				n2, ok2 := apply(c.st2, f2)
-				if !ok2 || n2 != 2 {
-					continue
-				}
-				// Equal spans require the same final operations here and
-				// matched operations along the way (enforced below).
-				if f1 == f2 && s.ann[FinalRef{c.q1, f1}] != s.ann[FinalRef{c.q2, f2}] {
+	var x automata.Explorer
+	x.Visit(int32(s.auto.Start), int32(s.auto.Start))
+	for id := int32(0); int(id) < x.Len(); id++ {
+		c := x.Config(id)
+		q1, q2 := int(c[0]), int(c[1])
+		for _, f1 := range s.auto.States[q1].Finals {
+			for _, f2 := range s.auto.States[q2].Finals {
+				if f1 == f2 && s.ann[FinalRef{q1, f1}] != s.ann[FinalRef{q2, f2}] {
 					return false
 				}
 			}
 		}
-		for _, e1 := range s.auto.States[c.q1].Edges {
-			n1, ok1 := apply(c.st1, e1.Ops)
-			if !ok1 {
-				continue
-			}
-			for _, e2 := range s.auto.States[c.q2].Edges {
-				// Equal spans: both runs must perform the same x-operations
-				// at every boundary and read a common byte.
-				if e1.Ops != e2.Ops || !e1.Class.Intersects(e2.Class) {
-					continue
-				}
-				n2, ok2 := apply(c.st2, e2.Ops)
-				if !ok2 {
-					continue
-				}
-				nc := cfg{e1.To, e2.To, n1, n2}
-				if !seen[nc] {
-					seen[nc] = true
-					queue = append(queue, nc)
+		for _, e1 := range s.auto.States[q1].Edges {
+			for _, e2 := range s.auto.States[q2].Edges {
+				if e1.Ops == e2.Ops && e1.Class.Intersects(e2.Class) {
+					x.Visit(int32(e1.To), int32(e2.To))
 				}
 			}
 		}

@@ -16,7 +16,7 @@ func docs(sigma string, maxLen int) []string {
 		var next []string
 		for _, d := range frontier {
 			for i := 0; i < len(sigma); i++ {
-				next = append(next, d+string(sigma[i]))
+				next = append(next, d+sigma[i:i+1])
 			}
 		}
 		out = append(out, next...)

@@ -2,10 +2,12 @@ package automata
 
 import "slices"
 
-// Explorer is the one breadth-first search under the product
-// constructions and decision procedures of this tree: Product,
-// ContainsDet and IsUnambiguous here, and internal/core's disjointness,
-// locality, cover and split-correctness searches and its builders. A
+// Explorer is the one breadth-first search under compilation, the
+// product constructions and the decision procedures of this tree:
+// Product, ContainsDet and IsUnambiguous here; internal/vsa's
+// compilation, functionality check and determinization;
+// internal/core's disjointness, locality, cover and split-correctness
+// searches and its builders; and internal/annotated's highlander test. A
 // configuration is a short int32 vector — a tuple of states plus a few
 // flags — interned in a SetTable in first-seen order, so a
 // configuration's id is its index in the breadth-first queue: a search

@@ -289,19 +289,19 @@ func Union(a, b *NFA) *NFA {
 // IsDeterministic reports whether the automaton has at most one start state
 // and at most one transition per (state, symbol).
 func (a *NFA) IsDeterministic() bool {
-	if len(a.Starts) > 1 {
-		return false
-	}
+	to := make([]int, a.NumSymbols) // per symbol: 1 + the state's target, or 0
 	for _, es := range a.Adj {
-		seen := map[int]int{}
 		for _, e := range es {
-			if to, ok := seen[e.Sym]; ok && to != e.To {
+			if t := to[e.Sym]; t != 0 && t != e.To+1 {
 				return false
 			}
-			seen[e.Sym] = e.To
+			to[e.Sym] = e.To + 1
+		}
+		for _, e := range es {
+			to[e.Sym] = 0
 		}
 	}
-	return true
+	return len(a.Starts) <= 1
 }
 
 // ErrTooLarge is returned by subset-construction based procedures when the
@@ -411,18 +411,21 @@ func Contains(a, b *NFA, limit int) (ok bool, witness []int, err error) {
 // ContainsDet decides L(a) ⊆ L(b) for deterministic b in time linear in
 // the product, the automaton-level analogue of Theorem 4.3's NL bound.
 func ContainsDet(a, b *NFA) (ok bool, witness []int) {
-	if !b.IsDeterministic() {
+	const dead = -1
+	// next[q*n+sym] is b's target from q on sym, or dead.
+	n := b.NumSymbols
+	next := slices.Repeat([]int32{dead}, b.Len()*n)
+	nondet := len(b.Starts) > 1
+	for q, es := range b.Adj {
+		for _, e := range es {
+			t := &next[q*n+e.Sym]
+			nondet = nondet || *t != dead && *t != int32(e.To)
+			*t = int32(e.To)
+		}
+	}
+	if nondet {
 		panic("automata: ContainsDet requires deterministic b")
 	}
-	det := map[int]map[int]int{}
-	for q, es := range b.Adj {
-		m := map[int]int{}
-		for _, e := range es {
-			m[e.Sym] = e.To
-		}
-		det[q] = m
-	}
-	const dead = -1
 	// A configuration is (state of a, state of b or dead); each keeps the
 	// link it was first reached by, so a failure is a shortest witness.
 	x := Explorer{Trace: true}
@@ -440,13 +443,11 @@ func ContainsDet(a, b *NFA) (ok bool, witness []int) {
 			return false, x.Path(id)
 		}
 		for _, e := range a.Adj[p] {
-			nq := dead
-			if q != dead {
-				if to, ok := det[q][e.Sym]; ok {
-					nq = to
-				}
+			nq := int32(dead)
+			if q != dead && e.Sym < n {
+				nq = next[q*n+e.Sym]
 			}
-			x.Step(id, int32(e.Sym), int32(e.To), int32(nq))
+			x.Step(id, int32(e.Sym), int32(e.To), nq)
 		}
 	}
 	return true, nil

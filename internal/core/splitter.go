@@ -145,103 +145,59 @@ func splitOpKind(o vsa.OpSet) int {
 // IsDisjoint implements Proposition 5.5: it decides whether all spans
 // produced by the splitter on any document are pairwise disjoint (in the
 // paper's overlap sense). The test is a synchronous product of two runs of
-// the splitter reading the same document, tracking each run's variable
-// status, whether the two spans differ, and whether an overlap has been
-// witnessed; a violation is two accepting runs with different, overlapping
-// spans. The search space is O(|Q|² · 9 · 4), matching the paper's NL
-// bound up to the byte-class bookkeeping. The answer is memoized: the
-// automaton is immutable, and both the engine's verdicts and the
-// locality procedure gate on disjointness.
+// the splitter reading the same document, tracking whether the two spans
+// differ and whether an overlap has been witnessed; each run's variable
+// status is its state's, fixed by the validated automaton. A violation is
+// two accepting runs with different, overlapping spans. The search space
+// is O(|Q|² · 4), matching the paper's NL bound up to the byte-class
+// bookkeeping. The answer is memoized: the automaton is immutable, and
+// both the engine's verdicts and the locality procedure gate on
+// disjointness.
 func (s *Splitter) IsDisjoint() bool {
 	s.disjointOnce.Do(func() { s.disjointVal = s.isDisjoint() })
 	return s.disjointVal
 }
 
 func (s *Splitter) isDisjoint() bool {
-	// A configuration is (q1, q2, st1, st2, differ, overlap): both runs'
-	// states and statuses (0 unopened, 1 open, 2 closed), whether the
-	// two spans differ, and whether an overlap has been witnessed.
-	apply := func(st int32, kind int) (int32, bool) {
-		switch kind {
-		case sNone:
-			return st, true
-		case sOpen:
-			if st != 0 {
-				return 0, false
-			}
-			return 1, true
-		case sClose:
-			if st != 1 {
-				return 0, false
-			}
-			return 2, true
-		case sWrap:
-			if st != 0 {
-				return 0, false
-			}
-			return 2, true
-		}
-		panic("core: bad op kind")
-	}
+	// A configuration is (q1, q2, differ, overlap). NewSplitter validated
+	// the automaton, so every edge's operations apply, every final closes
+	// and a run's status is s.statuses of its state.
+	//
 	// overlapNow applies the local overlap rule: when one run opens its
 	// span at a boundary, the spans overlap iff the other run's status
-	// right after this boundary is exactly "open" (its span has started
-	// and not yet ended). This covers empty spans correctly: an empty
-	// span [b+1,b+1⟩ overlaps another span iff that span is open across
-	// the boundary.
-	overlapNow := func(k1, k2 int, st1After, st2After int32) bool {
-		opened1 := k1 == sOpen || k1 == sWrap
-		opened2 := k2 == sOpen || k2 == sWrap
-		if opened2 && st1After == 1 {
-			return true
-		}
-		if opened1 && st2After == 1 {
-			return true
-		}
-		return false
+	// right after this boundary — its target state's — is exactly "open"
+	// (its span has started and not yet ended). This covers empty spans
+	// correctly: an empty span [b+1,b+1⟩ overlaps another span iff that
+	// span is open across the boundary. After a final both runs are
+	// closed, so at the end of the document only an overlap already
+	// witnessed counts.
+	const open = 1
+	overlapNow := func(e1, e2 vsa.Edge) bool {
+		return e2.Ops.OpensVar(0) && s.statuses[e1.To] == open ||
+			e1.Ops.OpensVar(0) && s.statuses[e2.To] == open
 	}
 	var x automata.Explorer
-	x.Visit(int32(s.auto.Start), int32(s.auto.Start), 0, 0, 0, 0)
+	x.Visit(int32(s.auto.Start), int32(s.auto.Start), 0, 0)
 	for id := int32(0); int(id) < x.Len(); id++ {
 		c := x.Config(id)
-		q1, q2, cst1, cst2, differ, overlap := c[0], c[1], c[2], c[3], c[4], c[5]
+		q1, q2, differ, overlap := c[0], c[1], c[2], c[3]
 		// End of document: both runs may finish with final op sets.
 		for _, f1 := range s.auto.States[q1].Finals {
-			k1 := splitOpKind(f1)
-			st1, ok1 := apply(cst1, k1)
-			if !ok1 || st1 != 2 {
-				continue
-			}
 			for _, f2 := range s.auto.States[q2].Finals {
-				k2 := splitOpKind(f2)
-				st2, ok2 := apply(cst2, k2)
-				if !ok2 || st2 != 2 {
-					continue
-				}
-				if (differ == 1 || f1 != f2) && (overlap == 1 || overlapNow(k1, k2, st1, st2)) {
+				if overlap == 1 && (differ == 1 || f1 != f2) {
 					return false
 				}
 			}
 		}
 		// Advance both runs on a shared byte.
 		for _, e1 := range s.auto.States[q1].Edges {
-			k1 := splitOpKind(e1.Ops)
-			st1, ok1 := apply(cst1, k1)
-			if !ok1 {
-				continue
-			}
 			for _, e2 := range s.auto.States[q2].Edges {
 				if !e1.Class.Intersects(e2.Class) {
 					continue
 				}
-				k2 := splitOpKind(e2.Ops)
-				st2, ok2 := apply(cst2, k2)
-				if !ok2 {
-					continue
-				}
-				x.Visit(int32(e1.To), int32(e2.To), st1, st2,
+				x.Visit(int32(e1.To), int32(e2.To),
 					flag(differ == 1 || e1.Ops != e2.Ops),
-					flag(overlap == 1 || overlapNow(k1, k2, st1, st2)))
+					flag(overlap == 1 || overlapNow(e1, e2)))
 			}
 		}
 	}

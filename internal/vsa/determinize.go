@@ -40,45 +40,45 @@ func (a *Automaton) Determinize(limit int) (*Automaton, error) {
 		return slices.Compact(buf)
 	}
 	out := NewAutomaton(a.Vars...)
-	sets := []int32{t.Start()}         // sets[i]: the subset of result state i
-	state := map[int32]int{sets[0]: 0} // its inverse
+	// A configuration is a subset's id; its explorer id is the result
+	// state.
+	x := automata.Explorer{Limit: limit}
+	x.Visit(t.Start())
 	var ops []OpSet
 	var opSyms, atoms []int
 	var edges []Edge
-	for i := 0; i < len(sets); i++ {
-		opSyms = syms(sets[i], opSyms)
+	for i := int32(0); int(i) < x.Len(); i++ {
+		set := x.Config(i)[0]
+		opSyms = syms(set, opSyms)
 		ops = ops[:0]
 		for _, s := range opSyms {
 			ops = append(ops, tab.opOrder[s-len(tab.AtomsList)])
 		}
 		slices.Sort(ops)
 		for _, o := range ops {
-			mid := t.Step(sets[i], tab.OpSym(o))
+			mid := t.Step(set, tab.OpSym(o))
 			if t.Final(mid) {
-				out.AddFinal(i, o)
+				out.AddFinal(int(i), o)
 			}
 			atoms = syms(mid, atoms)
 			edges = edges[:0] // one per target: the union of its atoms
-			for _, x := range atoms {
-				to := t.Step(mid, x)
-				j, ok := state[to]
-				if !ok {
-					if len(sets) == limit {
-						return nil, automata.ErrTooLarge
-					}
-					j = out.AddState()
-					state[to] = j
-					sets = append(sets, to)
+			for _, at := range atoms {
+				j, added, err := x.Visit(t.Step(mid, at))
+				if err != nil {
+					return nil, err
 				}
-				k := slices.IndexFunc(edges, func(e Edge) bool { return e.To == j })
+				if added {
+					out.AddState()
+				}
+				k := slices.IndexFunc(edges, func(e Edge) bool { return e.To == int(j) })
 				if k < 0 {
 					k = len(edges)
-					edges = append(edges, Edge{Ops: o, To: j})
+					edges = append(edges, Edge{Ops: o, To: int(j)})
 				}
-				edges[k].Class = edges[k].Class.Union(tab.AtomsList[x])
+				edges[k].Class = edges[k].Class.Union(tab.AtomsList[at])
 			}
 			for _, e := range edges {
-				out.AddEdge(i, e.Ops, e.Class, e.To)
+				out.AddEdge(int(i), e.Ops, e.Class, e.To)
 			}
 		}
 	}

@@ -1,5 +1,7 @@
 package vsa
 
+import "repro/internal/automata"
+
 // IsFunctional reports whether every accepting run of the raw automaton
 // generates a valid ref-word (Section 4.2): each variable is opened
 // exactly once and closed exactly once afterwards. A run is invalid as
@@ -19,24 +21,20 @@ func (r *Raw) IsFunctional() bool {
 
 func (r *Raw) variableAlwaysValid(v int) bool {
 	const bad = 3 // status code for "already misused"
-	type node struct {
-		q  int
-		st int // 0 unseen, 1 open, 2 closed, 3 misused
-	}
-	seen := map[node]bool{}
-	stack := []node{{r.Start, statusUnseen}}
-	seen[stack[0]] = true
+	// A configuration is (state, status of v: unseen, open, closed or bad).
+	var x automata.Explorer
+	x.Visit(int32(r.Start), statusUnseen)
 	open, close := Open(v), Close(v)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if r.Final[n.q] && n.st != statusClosed {
+	for id := int32(0); int(id) < x.Len(); id++ {
+		c := x.Config(id)
+		q, cst := c[0], c[1]
+		if r.Final[q] && cst != statusClosed {
 			// Accepting with v unopened, still open, or misused: some
 			// ref-word in R(r) is invalid for v.
 			return false
 		}
-		for _, e := range r.Adj[n.q] {
-			st := n.st
+		for _, e := range r.Adj[q] {
+			st := cst
 			if e.Kind == LabelOp && e.Op == open {
 				if st == statusUnseen {
 					st = statusOpen
@@ -53,11 +51,7 @@ func (r *Raw) variableAlwaysValid(v int) bool {
 			if e.Kind == LabelSymbol && e.Class.IsEmpty() {
 				continue
 			}
-			nn := node{e.To, st}
-			if !seen[nn] {
-				seen[nn] = true
-				stack = append(stack, nn)
-			}
+			x.Visit(int32(e.To), st)
 		}
 	}
 	return true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/alphabet"
+	"repro/internal/automata"
 )
 
 // RawLabelKind discriminates the label of a raw VSet-automaton edge.
@@ -120,35 +121,32 @@ func (r *Raw) IsWeaklyDeterministic() bool {
 // the price of functionality; IE spanners use few variables.
 func (r *Raw) Compile() *Automaton {
 	out := NewAutomaton(r.Vars...)
-	type key struct {
+	allClosed := AllClosed(len(r.Vars))
+	// A configuration is (raw state, status as two words); its explorer
+	// id is its output state.
+	var x automata.Explorer
+	x.Visit(int32(r.Start), 0, 0)
+	// The closure over ε/op edges from one configuration: all (state,
+	// status) pairs reachable without consuming input. Its set, stack
+	// and list are reused from one configuration to the next.
+	type node struct {
 		q  int
 		st Status
 	}
-	id := map[key]int{{r.Start, 0}: 0}
-	queue := []key{{r.Start, 0}}
-	intern := func(k key) int {
-		if i, ok := id[k]; ok {
-			return i
+	var seen automata.SetTable
+	var stack, closure []node
+	push := func(n node) {
+		lo, hi := statusCfg(n.st)
+		if _, added := seen.Intern([]int32{int32(n.q), lo, hi}); added {
+			stack = append(stack, n)
 		}
-		i := out.AddState()
-		id[k] = i
-		queue = append(queue, k)
-		return i
 	}
-	allClosed := AllClosed(len(r.Vars))
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		from := id[k]
-		// Closure over ε/op edges: all (state, status) pairs reachable
-		// from k without consuming input.
-		type node struct {
-			q  int
-			st Status
-		}
-		seen := map[node]bool{{k.q, k.st}: true}
-		stack := []node{{k.q, k.st}}
-		var closure []node
+	for id := int32(0); int(id) < x.Len(); id++ {
+		c := x.Config(id)
+		k := node{int(c[0]), cfgStatus(c[1], c[2])}
+		seen.Reset(0)
+		closure = closure[:0]
+		push(k)
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -156,18 +154,10 @@ func (r *Raw) Compile() *Automaton {
 			for _, e := range r.Adj[n.q] {
 				switch e.Kind {
 				case LabelEpsilon:
-					nn := node{e.To, n.st}
-					if !seen[nn] {
-						seen[nn] = true
-						stack = append(stack, nn)
-					}
+					push(node{e.To, n.st})
 				case LabelOp:
 					if st, ok := n.st.Apply(e.Op); ok {
-						nn := node{e.To, st}
-						if !seen[nn] {
-							seen[nn] = true
-							stack = append(stack, nn)
-						}
+						push(node{e.To, st})
 					}
 				}
 			}
@@ -175,19 +165,29 @@ func (r *Raw) Compile() *Automaton {
 		for _, n := range closure {
 			ops := k.st.Diff(n.st, len(r.Vars))
 			if r.Final[n.q] && n.st == allClosed {
-				out.AddFinal(from, ops)
+				out.AddFinal(int(id), ops)
 			}
+			lo, hi := statusCfg(n.st)
 			for _, e := range r.Adj[n.q] {
 				if e.Kind != LabelSymbol || e.Class.IsEmpty() {
 					continue
 				}
-				to := intern(key{e.To, n.st})
-				out.AddEdge(from, ops, e.Class, to)
+				to, added, _ := x.Visit(int32(e.To), lo, hi)
+				if added {
+					out.AddState()
+				}
+				out.AddEdge(int(id), ops, e.Class, int(to))
 			}
 		}
 	}
 	return out
 }
+
+// statusCfg splits a status into two fields of an explorer
+// configuration; cfgStatus joins them.
+func statusCfg(st Status) (lo, hi int32) { return int32(st), int32(st >> 32) }
+
+func cfgStatus(lo, hi int32) Status { return Status(uint32(lo)) | Status(uint32(hi))<<32 }
 
 // ToRaw expands an extended automaton back into standard VSet-automaton
 // form, turning every operation set into a chain of single-operation edges
